@@ -14,24 +14,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import gnn as gnn_mod
-from . import label_prop as lp_mod
-from . import novelty as novelty_mod
-from .dataset import load_corpus, load_viewpoints, save_corpus, save_viewpoints, split_corpus
-from .embedding import embed, load_embeddings, save_embeddings
-from .graph import GraphConfig, build_graph, load_graph, save_graph
-from .llm import extract_corpus
+from . import pipeline
+from .dataset import load_corpus
 from .metrics import format_table, normed_cost
-from .pipeline import (
-    ConfigError,
-    RunConfig,
-    StageError,
-    evaluate_predictions,
-    make_backend,
-    make_provider,
-    run_pipeline,
-    validate_config,
-)
+from .pipeline import ConfigError, RunConfig, StageError, evaluate_predictions, run_pipeline, validate_config
 
 
 def _load_config(args) -> RunConfig:
@@ -41,131 +27,67 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def cmd_split(args):
-    corpus = load_corpus(args.infile)
-    fractions = tuple(float(x) for x in args.fractions.split(","))
-    result = split_corpus(corpus, fractions, args.seed if args.seed is not None else 0)
-    save_corpus(result, args.out)
-    if not args.quiet:
-        sizes = {s: len(result.split_ideas(s)) for s in ("train", "validation", "test")}
-        print(json.dumps(sizes))
+# Every flag name means the same thing in each subcommand that has it.
+# Value flags override one key of the --config file:
+SETTINGS = {
+    "fractions": "split.fractions",
+    "backend": "llm.backend",
+    "relations": "llm.relations",
+    "provider": "embedding.provider",
+    "dim": "embedding.dimension",
+    "k": "graph.k",
+    "m": "graph.m",
+    "weight_floor": "graph.weight_floor",
+    "hybrid": "graph.hybrid",
+    "max_iters": "lp.max_iters",
+    "early_stop": "lp.early_stop",
+    "hidden": "gnn.hidden_dim",
+    "epochs": "gnn.max_epochs",
+    "batch_size": "gnn.batch_size",
+    "lr": "gnn.learning_rate",
+    "count": "novelty.count",
+    "train_subset": "novelty.train_subset",
+    "threshold": "novelty.threshold",
+    "swap_fraction": "novelty.swap_fraction",
+}
+# Path flags name a file of the stage (keys as in pipeline.FILES); --in
+# and --out differ per stage and are given to stage_command.
+PATH_FLAGS = {
+    "corpus": "split",
+    "viewpoints": "viewpoints",
+    "embeddings": "embeddings",
+    "graph": "graph",
+    "negatives": "negatives",
+    "holdout_out": "negatives_holdout",
+    "model": "model",
+    "log": "train_log",
+}
 
 
-def cmd_extract(args):
-    config = _load_config(args)
-    if args.backend:
-        config.llm.backend = args.backend
-    relations = args.relations or config.llm.relations
-    corpus = load_corpus(args.infile)
-    backend = make_backend(config.llm, config.seed)
-    records, summary = extract_corpus(corpus.ideas, backend, relations=relations)
-    save_viewpoints(records, args.out)
-    if not args.quiet:
-        print(json.dumps(summary))
+def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()):
+    """Subcommand body for one pipeline stage: the path flags fill the
+    stage's paths, the value flags that were given override their
+    ``--config`` keys, and the function ``viewgraph run`` uses for the
+    stage runs, with ``options`` passed through as keyword arguments."""
+
+    def command(args):
+        config = _load_config(args)
+        flags = vars(args)
+        for flag, key in SETTINGS.items():
+            if flags.get(flag) is not None:
+                section, name = key.split(".")
+                setattr(getattr(config, section), name, flags[flag])
+        path_flags = {**PATH_FLAGS, "infile": infile, "out": out}
+        paths = {key: Path(flags[flag]) for flag, key in path_flags.items() if flags.get(flag)}
+        summary = run(paths, config, **{name: flags[name] for name in options})
+        if not args.quiet:
+            print(json.dumps(summary))
+
+    return command
 
 
-def cmd_embed(args):
-    config = _load_config(args)
-    if args.provider:
-        config.embedding.provider = args.provider
-    if args.dim:
-        config.embedding.dimension = args.dim
-    records = load_viewpoints(args.infile)
-    texts = [v for r in records for v in r.viewpoints]
-    ids = [f"{r.idea_id}:{j}" for r in records for j in range(len(r.viewpoints))]
-    matrix = embed(texts, make_provider(config.embedding))
-    save_embeddings(matrix, ids, args.out)
-    if not args.quiet:
-        print(json.dumps({"count": len(matrix), "dimension": matrix.dimension}))
-
-
-def cmd_build(args):
-    records = load_viewpoints(args.viewpoints)
-    matrix, _ = load_embeddings(args.embeddings)
-    config = GraphConfig(intra_k=args.k, inter_m=args.m, weight_floor=args.weight_floor)
-    graph = build_graph(records, matrix, config, hybrid=args.hybrid)
-    save_graph(graph, args.out)
-    if not args.quiet:
-        print(json.dumps({"nodes": len(graph), "edges": len(graph.edges)}))
-
-
-def cmd_lp(args):
-    corpus = load_corpus(args.corpus)
-    graph = load_graph(args.graph)
-    config = lp_mod.LpConfig(max_iters=args.max_iters, early_stop=args.early_stop)
-    predictions = lp_mod.run(graph, corpus, config, split=args.split)
-    lp_mod.save_predictions(predictions, corpus, args.out)
-    if not args.quiet:
-        print(json.dumps({"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}))
-
-
-def _load_training_inputs(args, config: RunConfig):
-    corpus = load_corpus(args.corpus)
-    graph = load_graph(args.graph)
-    matrix, _ = load_embeddings(args.embeddings)
-    negatives = []
-    if getattr(args, "negatives", None):
-        negatives = novelty_mod.load_negatives(args.negatives)
-        graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
-    return corpus, graph, matrix, negatives
-
-
-def cmd_train(args):
-    config = _load_config(args)
-    corpus, graph, matrix, negatives = _load_training_inputs(args, config)
-    gnn_config = gnn_mod.GnnConfig(
-        layers=config.gnn.layers,
-        hidden_dim=args.hidden or config.gnn.hidden_dim,
-        batch_size=args.batch_size or config.gnn.batch_size,
-        max_epochs=args.epochs or config.gnn.max_epochs,
-        learning_rate=args.lr or config.gnn.learning_rate,
-        seed=config.seed,
-        class_weighting=config.gnn.class_weighting,
-    )
-    result = gnn_mod.train(gnn_config, graph, matrix, corpus, negatives or None)
-    gnn_mod.save_model(
-        result.model,
-        args.out,
-        gnn_config,
-        corpus.label_set.labels,
-        epoch=result.best_epoch,
-        validation_score=result.best_val_f1,
-    )
-    if args.log:
-        Path(args.log).write_text(json.dumps(result.log), encoding="utf-8")
-    if not args.quiet:
-        last = result.log[-1]
-        print(json.dumps({"epochs": len(result.log), "final_loss": last["loss"], "best_val_f1": result.best_val_f1}))
-
-
-def cmd_predict(args):
-    config = _load_config(args)
-    corpus, graph, matrix, _ = _load_training_inputs(args, config)
-    model, _header = gnn_mod.load_model(args.model)
-    predictions = gnn_mod.predict(model, graph, matrix, corpus, split=args.split)
-    gnn_mod.save_predictions(predictions, corpus, args.out)
-    if not args.quiet:
-        print(json.dumps({"predicted": len(predictions)}))
-
-
-def cmd_gen_negatives(args):
-    corpus = load_corpus(args.corpus)
-    graph = load_graph(args.graph)
-    seed = args.seed if args.seed is not None else 0
-    samples, fallbacks = novelty_mod.generate_negatives(
-        corpus,
-        graph,
-        count=args.count,
-        threshold=args.threshold,
-        swap_fraction=args.swap_fraction,
-        seed=seed,
-    )
-    train, rest = novelty_mod.select_training_negatives(samples, args.train_subset, seed=seed)
-    novelty_mod.save_negatives(train, args.out)
-    if args.holdout_out:
-        novelty_mod.save_negatives(rest, args.holdout_out)
-    if not args.quiet:
-        print(json.dumps({"generated": len(samples), "training": len(train), "fallbacks": fallbacks}))
+def _fractions(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
 
 def cmd_eval(args):
@@ -199,54 +121,54 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", parents=[common], help="assign train/validation/test tags")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fractions", default="0.7,0.1,0.2")
-    p.set_defaults(fn=cmd_split)
+    p.add_argument("--fractions", type=_fractions, help="train,validation,test (default 0.7,0.1,0.2)")
+    p.set_defaults(fn=stage_command(pipeline.run_split, out="split", infile="corpus"))
 
     p = sub.add_parser("extract", parents=[common], help="extract viewpoints via the LLM backend")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--backend", choices=["mock", "remote"])
-    p.add_argument("--relations", action="store_true", help="also extract viewpoint relations")
-    p.set_defaults(fn=cmd_extract)
+    p.add_argument("--relations", action="store_true", default=None, help="also extract viewpoint relations")
+    p.set_defaults(fn=stage_command(pipeline.run_extract, out="viewpoints", infile="split"))
 
     p = sub.add_parser("embed", parents=[common], help="embed viewpoint texts")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--provider", choices=["stub", "remote"])
-    p.add_argument("--dim", type=int, default=None)
-    p.set_defaults(fn=cmd_embed)
+    p.add_argument("--dim", type=int)
+    p.set_defaults(fn=stage_command(pipeline.run_embed, out="embeddings", infile="viewpoints"))
 
     p = sub.add_parser("build", parents=[common], help="build the viewpoint graph")
     p.add_argument("--viewpoints", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--weight-floor", type=float, default=0.0)
-    p.add_argument("--hybrid", action="store_true", help="intra edges from extracted relations")
+    p.add_argument("--k", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--weight-floor", type=float)
+    p.add_argument("--hybrid", action="store_true", default=None, help="intra edges from extracted relations")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_build)
+    p.set_defaults(fn=stage_command(pipeline.run_build, out="graph"))
 
     p = sub.add_parser("lp", parents=[common], help="label propagation predictions")
     p.add_argument("--graph", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--max-iters", type=int, default=5)
-    p.add_argument("--early-stop", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--early-stop", action=argparse.BooleanOptionalAction)
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_lp)
+    p.set_defaults(fn=stage_command(pipeline.run_lp, out="lp_pred", options=("split",)))
 
     p = sub.add_parser("train", parents=[common], help="train the GNN engine")
     p.add_argument("--graph", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--negatives", default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
     p.add_argument("--log", default=None, help="write the per-epoch training log here")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=stage_command(pipeline.run_train, out="model"))
 
     p = sub.add_parser("predict", parents=[common], help="predict with a trained model")
     p.add_argument("--model", required=True)
@@ -256,18 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", default=None, help="re-inject training negatives")
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_predict)
+    p.set_defaults(fn=stage_command(pipeline.run_predict, out="gnn_pred", options=("split",)))
 
     p = sub.add_parser("gen-negatives", parents=[common], help="construct plagiarized negatives")
     p.add_argument("--corpus", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--count", type=int, default=80)
-    p.add_argument("--train-subset", type=int, default=10)
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--swap-fraction", type=float, default=0.5)
+    p.add_argument("--count", type=int)
+    p.add_argument("--train-subset", type=int)
+    p.add_argument("--threshold", type=int)
+    p.add_argument("--swap-fraction", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout-out", default=None)
-    p.set_defaults(fn=cmd_gen_negatives)
+    p.set_defaults(fn=stage_command(pipeline.run_negatives, out="negatives"))
 
     p = sub.add_parser("eval", parents=[common], help="score predictions against labels")
     p.add_argument("--pred", required=True)

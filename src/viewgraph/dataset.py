@@ -11,9 +11,10 @@ worst label). Every following line is one idea record::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -177,20 +178,12 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"labels": list(corpus.label_set.labels)}) + "\n")
-        for idea in corpus.ideas:
-            rec = {
-                "id": idea.id,
-                "title": idea.title,
-                "text": idea.text,
-                "label": None if idea.label is None else corpus.label_set.name_of(idea.label),
-                "timestamp": idea.timestamp,
-                "split": idea.split,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    names = corpus.label_set.labels
+    records = [
+        {**asdict(idea), "label": None if idea.label is None else names[idea.label]}
+        for idea in corpus.ideas
+    ]
+    write_jsonl(path, [{"labels": list(names)}] + records)
 
 
 def split_corpus(
@@ -243,19 +236,6 @@ def split_corpus(
     return Corpus(label_set=corpus.label_set, ideas=ideas)
 
 
-def label_distribution(corpus: Corpus, split: str) -> np.ndarray:
-    """Fraction of each label within one split; fractions sum to 1."""
-    ideas = corpus.split_ideas(split)
-    if not ideas:
-        raise ValueError(f"split {split!r} is empty")
-    counts = np.zeros(len(corpus.label_set), dtype=float)
-    for idea in ideas:
-        if idea.label is None:
-            raise ValueError(f"idea {idea.id!r} in split {split!r} has no label")
-        counts[idea.label] += 1
-    return counts / counts.sum()
-
-
 @dataclass(frozen=True)
 class IdeaViewpoints:
     """Viewpoints extracted from one idea, as stored in viewpoints.jsonl."""
@@ -275,42 +255,49 @@ class IdeaViewpoints:
 
 
 def save_viewpoints(records: Iterable[IdeaViewpoints], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "idea_id": rec.idea_id,
-                        "viewpoints": list(rec.viewpoints),
-                        "timestamp": rec.timestamp,
-                        "pairs": [list(p) for p in rec.pairs],
-                        "prompt_tokens": rec.prompt_tokens,
-                        "completion_tokens": rec.completion_tokens,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(asdict, records))
 
 
 def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
-    records = []
+    return [
+        IdeaViewpoints(
+            idea_id=obj["idea_id"],
+            viewpoints=tuple(obj["viewpoints"]),
+            timestamp=int(obj.get("timestamp", 0)),
+            pairs=tuple(tuple(p) for p in obj.get("pairs", [])),
+            prompt_tokens=int(obj.get("prompt_tokens", 0)),
+            completion_tokens=int(obj.get("completion_tokens", 0)),
+        )
+        for obj in read_jsonl(path)
+    ]
+
+
+def normalize_text(text: str) -> str:
+    """Lower-cased text with runs of whitespace collapsed to one space."""
+    return " ".join(text.lower().split())
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write one JSON object per line, atomically: the rows go to a temp
+    file next to ``path``, which then replaces ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield the JSON value on each non-blank line of ``path``."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                IdeaViewpoints(
-                    idea_id=obj["idea_id"],
-                    viewpoints=tuple(obj["viewpoints"]),
-                    timestamp=int(obj.get("timestamp", 0)),
-                    pairs=tuple(tuple(p) for p in obj.get("pairs", [])),
-                    prompt_tokens=int(obj.get("prompt_tokens", 0)),
-                    completion_tokens=int(obj.get("completion_tokens", 0)),
-                )
-            )
-    return records
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None

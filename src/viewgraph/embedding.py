@@ -1,4 +1,4 @@
-"""Viewpoint text embeddings: pluggable encoder, cosine similarity, top-k queries.
+"""Viewpoint text embeddings: pluggable encoder and row-wise cosine similarity.
 
 The deterministic stub hashes each text into a seed and draws a unit
 vector from it, so the whole pipeline runs with zero network access and
@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import requests
@@ -108,40 +108,6 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingMatrix:
         if not any(vec):
             raise ValueError(f"provider returned a zero vector for text {i}")
     return EmbeddingMatrix(np.array(raw, dtype=np.float64))
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine undefined for zero vectors")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def top_k_neighbors(
-    matrix: EmbeddingMatrix,
-    query: int,
-    k: int,
-    candidates: Optional[Callable[[int], bool]] = None,
-) -> list[tuple[int, float]]:
-    """Top-k most similar rows to ``query`` among candidate rows.
-
-    Descending similarity; exact ties broken by ascending row index. The
-    query row is never its own candidate.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sims = matrix.similarities(query)
-    idx = [
-        i
-        for i in range(len(matrix))
-        if i != query and (candidates is None or candidates(i))
-    ]
-    idx.sort(key=lambda i: (-sims[i], i))
-    return [(i, float(sims[i])) for i in idx[:k]]
 
 
 def save_embeddings(matrix: EmbeddingMatrix, ids: Sequence[str], path: str | Path) -> None:

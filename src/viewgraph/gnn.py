@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Corpus
+from .dataset import Corpus, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import ViewpointGraph
 from .metrics import confusion, macro_metrics
@@ -164,15 +164,8 @@ def node_features(graph: ViewpointGraph, matrix: EmbeddingMatrix) -> np.ndarray:
     return X
 
 
-def forward_layer(
-    states: np.ndarray, edges: EdgeArrays, message_weight: np.ndarray, combine_weight: np.ndarray
-) -> np.ndarray:
-    """One message-passing layer; isolated nodes aggregate the zero vector."""
-    new_states, _, _ = _layer_with_cache(states, edges, message_weight, combine_weight)
-    return new_states
-
-
 def _layer_with_cache(states, edges, message_weight, combine_weight):
+    """One message-passing layer; isolated nodes aggregate the zero vector."""
     n, d_in = states.shape
     h, d_expected = message_weight.shape
     if d_in != d_expected:
@@ -243,19 +236,6 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, node_ids: Sequence[
         z1=z1,
         a1=a1,
         probs=probs,
-    )
-
-
-def forward_subgraph(
-    model: GnnModel, X: np.ndarray, edges: EdgeArrays, node_ids: Sequence[int], idea_id: str = ""
-) -> SubgraphPrediction:
-    """Full-graph message passing, then pooled prediction for one idea."""
-    cache = full_forward(model, X, edges)
-    head = pool_and_head(model, cache.states[-1], node_ids)
-    return SubgraphPrediction(
-        idea_id=idea_id,
-        probabilities=[float(p) for p in head.probs],
-        label_index=int(np.argmax(head.probs)),
     )
 
 
@@ -443,9 +423,12 @@ def train(
             epoch_loss += loss_val
             steps += 1
         entry = {"epoch": epoch, "loss": epoch_loss / steps, "lr": lr}
-        entry["train_accuracy"] = _split_accuracy(model, X, edges, items)
+        preds = _predicted_labels(model, X, edges, items)
+        entry["train_accuracy"] = sum(p == y for p, (_, y, _) in zip(preds, items)) / len(items)
         if val_items:
-            entry["val_macro_f1"] = _split_macro_f1(model, X, edges, val_items, corpus)
+            preds = _predicted_labels(model, X, edges, val_items)
+            truths = [y for _, y, _ in val_items]
+            entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
             if entry["val_macro_f1"] > best_f1:
                 best_f1 = entry["val_macro_f1"]
                 best_model = model.copy()
@@ -457,23 +440,10 @@ def train(
     return TrainResult(model=model, log=log)
 
 
-def _split_accuracy(model, X, edges, items) -> float:
-    cache = full_forward(model, X, edges)
-    hits = 0
-    for node_ids, y, _ in items:
-        head = pool_and_head(model, cache.states[-1], node_ids)
-        hits += int(np.argmax(head.probs)) == y
-    return hits / len(items)
-
-
-def _split_macro_f1(model, X, edges, items, corpus: Corpus) -> float:
-    cache = full_forward(model, X, edges)
-    preds, truths = [], []
-    for node_ids, y, _ in items:
-        head = pool_and_head(model, cache.states[-1], node_ids)
-        preds.append(int(np.argmax(head.probs)))
-        truths.append(y)
-    return macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
+def _predicted_labels(model, X, edges, items) -> list[int]:
+    """Argmax label of each (node ids, label, id) item after one full forward pass."""
+    final = full_forward(model, X, edges).states[-1]
+    return [int(np.argmax(pool_and_head(model, final, node_ids).probs)) for node_ids, _, _ in items]
 
 
 def predict_subgraphs(
@@ -514,20 +484,17 @@ def predict(
 def save_predictions(
     predictions: Sequence[SubgraphPrediction], corpus: Corpus, path: str | Path
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for p in predictions:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": p.idea_id,
-                        "label": corpus.label_set.name_of(p.label_index),
-                        "probabilities": p.probabilities,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "id": p.idea_id,
+                "label": corpus.label_set.name_of(p.label_index),
+                "probabilities": p.probabilities,
+            }
+            for p in predictions
+        ),
+    )
 
 
 def save_model(

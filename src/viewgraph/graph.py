@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import IdeaViewpoints
+from .dataset import IdeaViewpoints, normalize_text
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -104,15 +104,6 @@ class ViewpointGraph:
 
     def neighbors(self, node_id: int) -> list[tuple[int, float]]:
         return self.adjacency[node_id]
-
-    def degree(self, node_id: int, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return len(self.adjacency[node_id])
-        return sum(
-            1
-            for e in self.edges
-            if e.kind == kind and node_id in (e.u, e.v)
-        )
 
 
 def _clamp(sim: float, floor: float) -> float:
@@ -213,11 +204,11 @@ def _pair_edges(
 ) -> list[WeightedEdge]:
     by_text: dict[str, int] = {}
     for nid, text in zip(block, rec.viewpoints):
-        by_text.setdefault(_norm_text(text), nid)
+        by_text.setdefault(normalize_text(text), nid)
     edges: dict[tuple[int, int], WeightedEdge] = {}
     for left, _connector, polarity, right in rec.pairs:
-        u = by_text.get(_norm_text(left))
-        v = by_text.get(_norm_text(right))
+        u = by_text.get(normalize_text(left))
+        v = by_text.get(normalize_text(right))
         if u is None or v is None or u == v:
             continue
         key = (min(u, v), max(u, v))
@@ -228,10 +219,6 @@ def _pair_edges(
             u=key[0], v=key[1], weight=_clamp(sim, config.weight_floor), kind=INTRA, polarity=polarity
         )
     return list(edges.values())
-
-
-def _norm_text(text: str) -> str:
-    return " ".join(text.lower().split())
 
 
 def integrate_subgraph(

@@ -9,14 +9,13 @@ the argmax of its summed node vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus
+from .dataset import Corpus, write_jsonl
 from .graph import ViewpointGraph
 
 
@@ -138,18 +137,15 @@ def run(
 def save_predictions(
     predictions: Sequence[LpPrediction], corpus: Corpus, path: str | Path
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for p in predictions:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": p.idea_id,
-                        "label": corpus.label_set.name_of(p.label_index),
-                        "vector": p.vector,
-                        "unreached": p.unreached,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "id": p.idea_id,
+                "label": corpus.label_set.name_of(p.label_index),
+                "vector": p.vector,
+                "unreached": p.unreached,
+            }
+            for p in predictions
+        ),
+    )

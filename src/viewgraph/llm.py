@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import requests
 
-from .dataset import Idea, IdeaViewpoints
+from .dataset import Idea, IdeaViewpoints, normalize_text
 
 POLARITIES = ("supporting", "opposing")
 
@@ -73,7 +73,7 @@ class ViewpointPair:
     def __post_init__(self):
         if self.polarity not in POLARITIES:
             raise ValueError(f"polarity must be one of {POLARITIES}, got {self.polarity!r}")
-        if _normalize(self.left) == _normalize(self.right):
+        if normalize_text(self.left) == normalize_text(self.right):
             raise ValueError("pair endpoints must differ")
 
 
@@ -215,10 +215,6 @@ def _word_count(text: str) -> int:
     return len(text.split())
 
 
-def _normalize(text: str) -> str:
-    return " ".join(text.lower().split())
-
-
 _VIEWPOINT_HEADER_RE = re.compile(r"\[\s*extracted viewpoints[^\[\]]*\]", re.IGNORECASE)
 _SENTENCE_MARKER_RE = re.compile(r"^sentence\b[^\[\]]*$", re.IGNORECASE)
 
@@ -292,19 +288,19 @@ def parse_relation_response(raw: str, viewpoints: Sequence[str]) -> tuple[list[V
     are dropped and counted, not fatal. Duplicates (same unordered
     endpoint pair and polarity) are collapsed.
     """
-    lookup = {_normalize(v): v for v in viewpoints}
+    lookup = {normalize_text(v): v for v in viewpoints}
     pairs: list[ViewpointPair] = []
     seen: set[tuple[frozenset, str]] = set()
     dropped = 0
     for m in _PAIR_RE.finditer(raw):
         left_raw, connector, polarity_raw, right_raw = (g.strip() for g in m.groups())
-        left = lookup.get(_normalize(left_raw))
-        right = lookup.get(_normalize(right_raw))
+        left = lookup.get(normalize_text(left_raw))
+        right = lookup.get(normalize_text(right_raw))
         polarity = next((p for p in POLARITIES if polarity_raw.lower().startswith(p[:6])), None)
-        if left is None or right is None or polarity is None or _normalize(left) == _normalize(right):
+        if left is None or right is None or polarity is None or normalize_text(left) == normalize_text(right):
             dropped += 1
             continue
-        key = (frozenset((_normalize(left), _normalize(right))), polarity)
+        key = (frozenset((normalize_text(left), normalize_text(right))), polarity)
         if key in seen:
             continue
         seen.add(key)

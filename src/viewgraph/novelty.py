@@ -9,15 +9,14 @@ set, they teach the GNN that late near-duplicates deserve low scores.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Corpus, IdeaViewpoints
+from .dataset import Corpus, IdeaViewpoints, read_jsonl, write_jsonl
 from .embedding import EmbeddingMatrix, EmbeddingProvider, embed
 from .graph import INTER, GraphConfig, ViewpointGraph, integrate_subgraph, with_time_features
 
@@ -246,42 +245,18 @@ def inject_negatives(
 
 
 def save_negatives(samples: Sequence[NegativeSample], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "source_id": s.source_id,
-                        "strategy": s.strategy,
-                        "viewpoints": list(s.viewpoints),
-                        "timestamp": s.timestamp,
-                        "label": s.label,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(asdict, samples))
 
 
 def load_negatives(path: str | Path) -> list[NegativeSample]:
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(
-                NegativeSample(
-                    id=obj["id"],
-                    source_id=obj["source_id"],
-                    strategy=obj["strategy"],
-                    viewpoints=tuple(obj["viewpoints"]),
-                    timestamp=int(obj["timestamp"]),
-                    label=int(obj.get("label", 0)),
-                )
-            )
-    return out
+    return [
+        NegativeSample(
+            id=obj["id"],
+            source_id=obj["source_id"],
+            strategy=obj["strategy"],
+            viewpoints=tuple(obj["viewpoints"]),
+            timestamp=int(obj["timestamp"]),
+            label=int(obj.get("label", 0)),
+        )
+        for obj in read_jsonl(path)
+    ]

@@ -9,16 +9,31 @@ overrides). All stage randomness derives from the single global seed via
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
+import typing
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from functools import partial, reduce
 from pathlib import Path
+from typing import Optional
+
 from . import __version__
 from . import gnn as gnn_mod
 from . import label_prop as lp_mod
 from . import novelty as novelty_mod
-from .dataset import Corpus, load_corpus, load_viewpoints, save_corpus, save_viewpoints, split_corpus
+from .dataset import (
+    SPLITS,
+    Corpus,
+    load_corpus,
+    load_viewpoints,
+    read_jsonl,
+    save_corpus,
+    save_viewpoints,
+    split_corpus,
+)
 from .embedding import EmbeddingMatrix, EmbeddingProvider, embed, load_embeddings, save_embeddings
 from .graph import GraphConfig, ViewpointGraph, build_graph, load_graph, save_graph
 from .llm import LlmBackend, extract_corpus
@@ -114,103 +129,100 @@ class RunConfig:
     novelty: NoveltySettings = field(default_factory=NoveltySettings)
 
 
-_SECTIONS = {
-    "split": SplitSettings,
-    "llm": LlmSettings,
-    "embedding": EmbeddingSettings,
-    "graph": GraphSettings,
-    "lp": LpSettings,
-    "gnn": GnnSettings,
-    "novelty": NoveltySettings,
+def _type_problem(value, hint) -> Optional[str]:
+    """What ``value`` must be to fit the field type ``hint``; None if it fits."""
+    if hint is bool:
+        return None if isinstance(value, bool) else "a boolean"
+    if hint is int:
+        return None if isinstance(value, int) and not isinstance(value, bool) else "an integer"
+    if hint is float:
+        return None if isinstance(value, (int, float)) and not isinstance(value, bool) else "a number"
+    if hint is str:
+        return None if isinstance(value, str) else "a string"
+    item = typing.get_args(hint)[0]  # tuple[float, ...]
+    if isinstance(value, (list, tuple)) and not any(_type_problem(v, item) for v in value):
+        return None
+    return "a list of numbers"
+
+
+def _assign(target, data: dict, prefix: str, errors: list[str]) -> None:
+    """Set each value of ``data`` on the dataclass ``target`` after checking
+    it against the field type; a value that does not fit keeps the default
+    and is reported under its dotted path."""
+    hints = typing.get_type_hints(type(target))
+    for key, value in data.items():
+        path = prefix + key
+        hint = hints.get(key)
+        if hint is None:
+            errors.append(f"{path}: unknown key")
+        elif dataclasses.is_dataclass(hint):
+            if isinstance(value, dict):
+                _assign(getattr(target, key), value, path + ".", errors)
+            else:
+                errors.append(f"{path}: must be an object")
+        elif (problem := _type_problem(value, hint)) is not None:
+            errors.append(f"{path}: must be {problem}, got {value!r}")
+        else:
+            setattr(target, key, value)
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+# dotted config key -> (test of the value, what the value must be)
+_RULES = {
+    "engine": (lambda v: v in ENGINES, f"one of {ENGINES}"),
+    "llm.backend": (lambda v: v in ("mock", "remote"), "mock or remote"),
+    "llm.temperature": (lambda v: 0.0 <= v <= 2.0, "in [0, 2]"),
+    "llm.max_retries": _at_least(1),
+    "embedding.provider": (lambda v: v in ("stub", "remote"), "stub or remote"),
+    "embedding.dimension": _at_least(2),
+    "graph.k": _at_least(1),
+    "graph.m": _at_least(0),
+    "graph.weight_floor": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "lp.max_iters": _at_least(1),
+    "gnn.layers": _at_least(1),
+    "gnn.hidden_dim": _at_least(1),
+    "gnn.batch_size": _at_least(1),
+    "gnn.max_epochs": _at_least(1),
+    "gnn.learning_rate": (lambda v: v > 0, "> 0"),
+    "novelty.count": _at_least(1),
+    "novelty.train_subset": _at_least(0),
+    "novelty.threshold": _at_least(0),
+    "novelty.swap_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
 }
-_SCALARS = ("corpus", "out_dir", "seed", "engine")
 
 
 def validate_config(source) -> RunConfig:
     """Build a RunConfig from a dict or JSON file path.
 
-    Missing keys get the defaults; every violation is reported with its
-    dotted path into the config.
+    Missing keys get the defaults; every violation, of type or of range, is
+    reported with its dotted path into the config.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
-        data = dict(source or {})
+        data = source or {}
+    if not isinstance(data, dict):
+        raise ConfigError([f"config: must be an object, got {type(data).__name__}"])
     errors: list[str] = []
     config = RunConfig()
+    _assign(config, data, "", errors)
 
-    for key in data:
-        if key not in _SCALARS and key not in _SECTIONS:
-            errors.append(f"{key}: unknown key")
-
-    for key in _SCALARS:
-        if key in data:
-            setattr(config, key, data[key])
-    if not isinstance(config.seed, int):
-        errors.append(f"seed: must be an integer, got {config.seed!r}")
-    if config.engine not in ENGINES:
-        errors.append(f"engine: must be one of {ENGINES}, got {config.engine!r}")
-
-    for section, cls in _SECTIONS.items():
-        raw = data.get(section, {})
-        if not isinstance(raw, dict):
-            errors.append(f"{section}: must be an object")
-            continue
-        settings = getattr(config, section)
-        for key, value in raw.items():
-            if not hasattr(settings, key):
-                errors.append(f"{section}.{key}: unknown key")
-            else:
-                setattr(settings, key, value)
-
-    s = config.split
-    if len(tuple(s.fractions)) != 3:
-        errors.append(f"split.fractions: need 3 values, got {list(s.fractions)}")
-    elif abs(sum(s.fractions) - 1.0) > 1e-9:
-        errors.append(f"split.fractions: must sum to 1, got {sum(s.fractions)}")
-    elif any(f < 0 for f in s.fractions):
-        errors.append(f"split.fractions: must be non-negative, got {list(s.fractions)}")
-
-    if config.llm.backend not in ("mock", "remote"):
-        errors.append(f"llm.backend: must be mock or remote, got {config.llm.backend!r}")
-    if not (0.0 <= config.llm.temperature <= 2.0):
-        errors.append(f"llm.temperature: must be in [0, 2], got {config.llm.temperature}")
-    if config.llm.max_retries < 1:
-        errors.append(f"llm.max_retries: must be >= 1, got {config.llm.max_retries}")
-
-    if config.embedding.provider not in ("stub", "remote"):
-        errors.append(f"embedding.provider: must be stub or remote, got {config.embedding.provider!r}")
-    if config.embedding.dimension < 2:
-        errors.append(f"embedding.dimension: must be >= 2, got {config.embedding.dimension}")
-
-    if config.graph.k < 1:
-        errors.append(f"graph.k: must be >= 1, got {config.graph.k}")
-    if config.graph.m < 0:
-        errors.append(f"graph.m: must be >= 0, got {config.graph.m}")
-    if not (0.0 <= config.graph.weight_floor <= 1.0):
-        errors.append(f"graph.weight_floor: must be in [0, 1], got {config.graph.weight_floor}")
+    for key, (ok, what) in _RULES.items():
+        value = reduce(getattr, key.split("."), config)
+        if not ok(value):
+            errors.append(f"{key}: must be {what}, got {value!r}")
+    fractions = config.split.fractions
+    if len(fractions) != 3:
+        errors.append(f"split.fractions: need 3 values, got {list(fractions)}")
+    elif abs(sum(fractions) - 1.0) > 1e-9:
+        errors.append(f"split.fractions: must sum to 1, got {sum(fractions)}")
+    elif any(f < 0 for f in fractions):
+        errors.append(f"split.fractions: must be non-negative, got {list(fractions)}")
     if config.graph.hybrid and not config.llm.relations:
         errors.append("graph.hybrid: requires llm.relations to be enabled")
-
-    if config.lp.max_iters < 1:
-        errors.append(f"lp.max_iters: must be >= 1, got {config.lp.max_iters}")
-
-    g = config.gnn
-    for key in ("layers", "hidden_dim", "batch_size", "max_epochs"):
-        if getattr(g, key) < 1:
-            errors.append(f"gnn.{key}: must be >= 1, got {getattr(g, key)}")
-    if g.learning_rate <= 0:
-        errors.append(f"gnn.learning_rate: must be > 0, got {g.learning_rate}")
-
-    nv = config.novelty
-    if nv.count < 1:
-        errors.append(f"novelty.count: must be >= 1, got {nv.count}")
-    if nv.train_subset < 0:
-        errors.append(f"novelty.train_subset: must be >= 0, got {nv.train_subset}")
-    if not (0.0 < nv.swap_fraction <= 1.0):
-        errors.append(f"novelty.swap_fraction: must be in (0, 1], got {nv.swap_fraction}")
-    if nv.threshold < 0:
-        errors.append(f"novelty.threshold: must be >= 0, got {nv.threshold}")
 
     if errors:
         raise ConfigError(errors)
@@ -232,42 +244,13 @@ def dict_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def make_backend(cfg: LlmSettings, seed: int) -> LlmBackend:
-    return LlmBackend(
-        kind=cfg.backend,
-        endpoint=cfg.endpoint,
-        model=cfg.model,
-        temperature=cfg.temperature,
-        max_retries=cfg.max_retries,
-        price_per_million=cfg.price_per_million,
-        seed=seed,
-        max_inflight=cfg.max_inflight,
-    )
-
-
-def make_provider(cfg: EmbeddingSettings) -> EmbeddingProvider:
-    return EmbeddingProvider(
-        kind=cfg.provider, dimension=cfg.dimension, endpoint=cfg.endpoint, model=cfg.model
-    )
-
-
-def graph_config(cfg: GraphSettings) -> GraphConfig:
-    return GraphConfig(intra_k=cfg.k, inter_m=cfg.m, weight_floor=cfg.weight_floor)
-
-
 def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
     """Score a predictions file against the corpus labels; unlabeled ideas
     are skipped."""
     truths, preds = [], []
-    with Path(pred_path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            idea = corpus.by_id(obj["id"])
-            if idea.label is None:
-                continue
+    for obj in read_jsonl(pred_path):
+        idea = corpus.by_id(obj["id"])
+        if idea.label is not None:
             truths.append(idea.label)
             preds.append(corpus.label_set.index_of(obj["label"]))
     if not truths:
@@ -275,18 +258,190 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
     return macro_metrics(confusion(truths, preds, corpus.label_set.labels))
 
 
-def _training_inputs(
-    config: RunConfig, paths: dict[str, Path]
-) -> tuple[ViewpointGraph, EmbeddingMatrix, Corpus, list]:
-    """Load graph/matrix/corpus; inject training negatives when enabled."""
+# --- stages ------------------------------------------------------------------
+# Each stage is one function run(paths, config) -> summary. ``paths`` maps
+# file keys (the names used in ``run_pipeline``) to files; a stage reads
+# and writes only those. ``viewgraph run`` calls them through the stage
+# table with hash-based skipping, and each CLI subcommand calls one
+# directly with its flags applied to the config. Optional files (held-out
+# negatives, training log, negatives to inject) are used when their key
+# is present.
+
+
+def run_split(paths: dict, config: RunConfig) -> dict:
+    corpus = load_corpus(paths["corpus"])
+    if all(i.split is not None for i in corpus.ideas):
+        save_corpus(corpus, paths["split"])  # already split: canonicalize only
+        return {"passthrough": True}
+    split = split_corpus(corpus, config.split.fractions, config.seed)
+    save_corpus(split, paths["split"])
+    return {name: len(split.split_ideas(name)) for name in SPLITS}
+
+
+def run_extract(paths: dict, config: RunConfig) -> dict:
+    corpus = load_corpus(paths["split"])
+    llm = config.llm
+    backend = LlmBackend(
+        kind=llm.backend,
+        endpoint=llm.endpoint,
+        model=llm.model,
+        temperature=llm.temperature,
+        max_retries=llm.max_retries,
+        price_per_million=llm.price_per_million,
+        seed=seed_for(config.seed, "extract"),
+        max_inflight=llm.max_inflight,
+    )
+    records, summary = extract_corpus(corpus.ideas, backend, relations=llm.relations)
+    save_viewpoints(records, paths["viewpoints"])
+    return summary
+
+
+def run_embed(paths: dict, config: RunConfig) -> dict:
+    records = load_viewpoints(paths["viewpoints"])
+    texts = [v for r in records for v in r.viewpoints]
+    ids = [f"{r.idea_id}:{j}" for r in records for j in range(len(r.viewpoints))]
+    e = config.embedding
+    provider = EmbeddingProvider(kind=e.provider, dimension=e.dimension, endpoint=e.endpoint, model=e.model)
+    matrix = embed(texts, provider)
+    save_embeddings(matrix, ids, paths["embeddings"])
+    return {"count": len(matrix), "dimension": matrix.dimension}
+
+
+def run_build(paths: dict, config: RunConfig) -> dict:
+    records = load_viewpoints(paths["viewpoints"])
+    matrix, _ = load_embeddings(paths["embeddings"])
+    g = config.graph
+    graph_config = GraphConfig(intra_k=g.k, inter_m=g.m, weight_floor=g.weight_floor)
+    graph = build_graph(records, matrix, graph_config, hybrid=g.hybrid)
+    save_graph(graph, paths["graph"])
+    return {"nodes": len(graph), "edges": len(graph.edges)}
+
+
+def run_negatives(paths: dict, config: RunConfig) -> dict:
+    nv, seed = config.novelty, seed_for(config.seed, "negatives")
+    samples, fallbacks = novelty_mod.generate_negatives(
+        load_corpus(paths["split"]),
+        load_graph(paths["graph"]),
+        count=nv.count,
+        threshold=nv.threshold,
+        swap_fraction=nv.swap_fraction,
+        seed=seed,
+    )
+    train, rest = novelty_mod.select_training_negatives(samples, nv.train_subset, seed=seed)
+    novelty_mod.save_negatives(train, paths["negatives"])
+    if "negatives_holdout" in paths:
+        novelty_mod.save_negatives(rest, paths["negatives_holdout"])
+    return {"generated": len(samples), "training": len(train), "fallbacks": fallbacks}
+
+
+def run_lp(paths: dict, config: RunConfig, split: str = "test") -> dict:
+    corpus = load_corpus(paths["split"])
+    graph = load_graph(paths["graph"])
+    predictions = lp_mod.run(graph, corpus, lp_mod.LpConfig(**asdict(config.lp)), split=split)
+    lp_mod.save_predictions(predictions, corpus, paths["lp_pred"])
+    return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}
+
+
+def _training_inputs(paths: dict) -> tuple[ViewpointGraph, EmbeddingMatrix, Corpus, list]:
+    """Load graph/matrix/corpus; inject the training negatives if given."""
     corpus = load_corpus(paths["split"])
     graph = load_graph(paths["graph"])
     matrix, _ = load_embeddings(paths["embeddings"])
     negatives = []
-    if config.novelty.enabled:
+    if "negatives" in paths:
         negatives = novelty_mod.load_negatives(paths["negatives"])
         graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
     return graph, matrix, corpus, negatives
+
+
+def run_train(paths: dict, config: RunConfig) -> dict:
+    graph, matrix, corpus, negatives = _training_inputs(paths)
+    gnn_config = gnn_mod.GnnConfig(**asdict(config.gnn), seed=seed_for(config.seed, "train"))
+    result = gnn_mod.train(gnn_config, graph, matrix, corpus, negatives or None)
+    gnn_mod.save_model(
+        result.model,
+        paths["model"],
+        gnn_config,
+        corpus.label_set.labels,
+        epoch=result.best_epoch,
+        validation_score=result.best_val_f1,
+    )
+    if "train_log" in paths:
+        Path(paths["train_log"]).write_text(json.dumps(result.log), encoding="utf-8")
+    return {
+        "epochs": len(result.log),
+        "final_loss": result.log[-1]["loss"],
+        "best_val_f1": result.best_val_f1,
+    }
+
+
+def run_predict(paths: dict, config: RunConfig, split: str = "test") -> dict:
+    graph, matrix, corpus, _ = _training_inputs(paths)
+    model, _header = gnn_mod.load_model(paths["model"])
+    predictions = gnn_mod.predict(model, graph, matrix, corpus, split=split)
+    gnn_mod.save_predictions(predictions, corpus, paths["gnn_pred"])
+    return {"predicted": len(predictions)}
+
+
+def run_eval(paths: dict, config: RunConfig, extraction: Optional[dict] = None, say=print) -> dict:
+    """Score each engine's predictions into report.json; ``extraction`` is
+    the extract stage's summary, whose token and cost averages go into the
+    report."""
+    corpus = load_corpus(paths["split"])
+    extraction = extraction or {}
+    avg_tokens = extraction.get("avg_tokens_per_evaluation")
+    avg_cost = extraction.get("avg_cost_per_evaluation")
+    reports = {}
+    for engine in ("lp", "gnn"):
+        if config.engine in (engine, "both"):
+            reports[engine] = evaluate_predictions(paths[f"{engine}_pred"], corpus)
+            reports[engine].avg_token_cost = avg_tokens
+    payload = {engine: rep.to_dict() for engine, rep in reports.items()}
+    if avg_cost is not None:
+        payload["extraction"] = {"avg_tokens_per_evaluation": avg_tokens, "avg_cost_per_evaluation": avg_cost}
+    Path(paths["report"]).write_text(json.dumps(payload), encoding="utf-8")
+    say(format_table(reports))
+    return {engine: rep.macro_f1 for engine, rep in reports.items()}
+
+
+# A pipeline stage: ``inputs`` and ``outputs`` are path keys, ``cfg`` is the
+# config snapshot whose hash joins the input hashes, ``run`` the stage function.
+Stage = namedtuple("Stage", "name inputs outputs cfg run")
+
+FILES = {
+    "split": "split.jsonl",
+    "viewpoints": "viewpoints.jsonl",
+    "embeddings": "embeddings.bin",
+    "graph": "graph.json",
+    "negatives": "negatives.jsonl",
+    "negatives_holdout": "negatives_holdout.jsonl",
+    "lp_pred": "predictions_lp.jsonl",
+    "model": "model.ckpt",
+    "train_log": "training_log.json",
+    "gnn_pred": "predictions_gnn.jsonl",
+    "report": "report.json",
+}
+
+
+def stage_table(config: RunConfig) -> list[Stage]:
+    """The stages ``run`` executes for this config, in order."""
+    lp = config.engine in ("lp", "both")
+    gnn = config.engine in ("gnn", "both")
+    novelty = config.novelty.enabled
+    train_inputs = ["graph", "split", "embeddings"] + (["negatives"] if novelty else [])
+    eval_inputs = ["split"] + (["lp_pred"] if lp else []) + (["gnn_pred"] if gnn else [])
+    table = [
+        (True, Stage("split", ["corpus"], ["split"], {"fractions": list(config.split.fractions), "seed": config.seed}, run_split)),
+        (True, Stage("extract", ["split"], ["viewpoints"], {**asdict(config.llm), "seed": config.seed}, run_extract)),
+        (True, Stage("embed", ["viewpoints"], ["embeddings"], asdict(config.embedding), run_embed)),
+        (True, Stage("build", ["viewpoints", "embeddings"], ["graph"], asdict(config.graph), run_build)),
+        (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**asdict(config.novelty), "seed": config.seed}, run_negatives)),
+        (lp, Stage("lp", ["graph", "split"], ["lp_pred"], asdict(config.lp), run_lp)),
+        (gnn, Stage("train", train_inputs, ["model", "train_log"], {**asdict(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
+        (gnn, Stage("predict", train_inputs + ["model"], ["gnn_pred"], {}, run_predict)),
+        (True, Stage("eval", eval_inputs, ["report"], {"engine": config.engine}, run_eval)),
+    ]
+    return [stage for enabled, stage in table if enabled]
 
 
 def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) -> dict:
@@ -307,33 +462,25 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         "stages": [],
         "summary": {},
     }
-
-    paths = {
-        "corpus": Path(config.corpus),
-        "split": out / "split.jsonl",
-        "viewpoints": out / "viewpoints.jsonl",
-        "embeddings": out / "embeddings.bin",
-        "graph": out / "graph.json",
-        "negatives": out / "negatives.jsonl",
-        "negatives_holdout": out / "negatives_holdout.jsonl",
-        "lp_pred": out / "predictions_lp.jsonl",
-        "model": out / "model.ckpt",
-        "train_log": out / "training_log.json",
-        "gnn_pred": out / "predictions_gnn.jsonl",
-        "report": out / "report.json",
-    }
+    paths = {"corpus": Path(config.corpus), **{key: out / name for key, name in FILES.items()}}
+    if not config.novelty.enabled:  # train and predict inject negatives only if given
+        del paths["negatives"], paths["negatives_holdout"]
 
     def say(msg: str):
         if not quiet:
             print(msg)
 
-    def stage(name: str, inputs: list[Path], cfg_snapshot, outputs: list[Path], fn):
+    def run_stage(stage: Stage, run) -> dict:
+        """The stage's manifest record: a fresh run, or the previous record
+        when the input hashes, config snapshot and outputs are unchanged."""
+        inputs = [paths[key] for key in stage.inputs]
+        outputs = [paths[key] for key in stage.outputs]
         for p in inputs:
             if not p.exists():
-                raise FileNotFoundError(f"input {p} for stage {name!r} does not exist")
+                raise FileNotFoundError(f"input {p} for stage {stage.name!r} does not exist")
         input_hashes = {str(p): file_hash(p) for p in inputs}
-        input_hashes["config"] = dict_hash(cfg_snapshot)
-        prev = prev_stages.get(name)
+        input_hashes["config"] = dict_hash(stage.cfg)
+        prev = prev_stages.get(stage.name)
         if (
             not force
             and prev
@@ -341,17 +488,12 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
             and all(p.exists() for p in outputs)
             and {str(p): file_hash(p) for p in outputs} == prev.get("outputs")
         ):
-            record = dict(prev)
-            record["skipped"] = True
-            manifest["stages"].append(record)
-            if "summary" in prev:
-                manifest["summary"][name] = prev["summary"]
-            say(f"[{name}] unchanged, skipped")
-            return
+            say(f"[{stage.name}] unchanged, skipped")
+            return {**prev, "skipped": True}
         start = time.monotonic()
-        summary = fn()
+        summary = run(paths, config)
         record = {
-            "name": name,
+            "name": stage.name,
             "inputs": input_hashes,
             "outputs": {str(p): file_hash(p) for p in outputs},
             "seconds": round(time.monotonic() - start, 4),
@@ -359,165 +501,22 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         }
         if summary is not None:
             record["summary"] = summary
-            manifest["summary"][name] = summary
-        manifest["stages"].append(record)
-        say(f"[{name}] done in {record['seconds']}s")
+        say(f"[{stage.name}] done in {record['seconds']}s")
+        return record
 
-    def do_split():
-        corpus = load_corpus(paths["corpus"])
-        if all(i.split is not None for i in corpus.ideas):
-            save_corpus(corpus, paths["split"])  # already split: canonicalize only
-            return {"passthrough": True}
-        split = split_corpus(corpus, config.split.fractions, config.seed)
-        save_corpus(split, paths["split"])
-        return {
-            "train": len(split.split_ideas("train")),
-            "validation": len(split.split_ideas("validation")),
-            "test": len(split.split_ideas("test")),
-        }
-
-    def do_extract():
-        corpus = load_corpus(paths["split"])
-        backend = make_backend(config.llm, seed_for(config.seed, "extract"))
-        records, summary = extract_corpus(corpus.ideas, backend, relations=config.llm.relations)
-        save_viewpoints(records, paths["viewpoints"])
-        return summary
-
-    def do_embed():
-        records = load_viewpoints(paths["viewpoints"])
-        texts = [v for r in records for v in r.viewpoints]
-        ids = [f"{r.idea_id}:{j}" for r in records for j in range(len(r.viewpoints))]
-        provider = make_provider(config.embedding)
-        matrix = embed(texts, provider)
-        save_embeddings(matrix, ids, paths["embeddings"])
-        return {"count": len(matrix), "dimension": matrix.dimension}
-
-    def do_build():
-        records = load_viewpoints(paths["viewpoints"])
-        matrix, _ = load_embeddings(paths["embeddings"])
-        graph = build_graph(records, matrix, graph_config(config.graph), hybrid=config.graph.hybrid)
-        save_graph(graph, paths["graph"])
-        return {"nodes": len(graph), "edges": len(graph.edges)}
-
-    def do_negatives():
-        corpus = load_corpus(paths["split"])
-        graph = load_graph(paths["graph"])
-        samples, fallbacks = novelty_mod.generate_negatives(
-            corpus,
-            graph,
-            count=config.novelty.count,
-            threshold=config.novelty.threshold,
-            swap_fraction=config.novelty.swap_fraction,
-            seed=seed_for(config.seed, "negatives"),
-        )
-        train, rest = novelty_mod.select_training_negatives(
-            samples, config.novelty.train_subset, seed=seed_for(config.seed, "negatives")
-        )
-        novelty_mod.save_negatives(train, paths["negatives"])
-        novelty_mod.save_negatives(rest, paths["negatives_holdout"])
-        return {"generated": len(samples), "training": len(train), "fallbacks": fallbacks}
-
-    def do_lp():
-        corpus = load_corpus(paths["split"])
-        graph = load_graph(paths["graph"])
-        lp_config = lp_mod.LpConfig(
-            max_iters=config.lp.max_iters, early_stop=config.lp.early_stop
-        )
-        predictions = lp_mod.run(graph, corpus, lp_config)
-        lp_mod.save_predictions(predictions, corpus, paths["lp_pred"])
-        return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}
-
-    def do_train():
-        graph, matrix, corpus, negatives = _training_inputs(config, paths)
-        gnn_config = gnn_mod.GnnConfig(
-            layers=config.gnn.layers,
-            hidden_dim=config.gnn.hidden_dim,
-            batch_size=config.gnn.batch_size,
-            max_epochs=config.gnn.max_epochs,
-            learning_rate=config.gnn.learning_rate,
-            seed=seed_for(config.seed, "train"),
-            class_weighting=config.gnn.class_weighting,
-        )
-        result = gnn_mod.train(gnn_config, graph, matrix, corpus, negatives or None)
-        gnn_mod.save_model(
-            result.model,
-            paths["model"],
-            gnn_config,
-            corpus.label_set.labels,
-            epoch=result.best_epoch,
-            validation_score=result.best_val_f1,
-        )
-        paths["train_log"].write_text(json.dumps(result.log), encoding="utf-8")
-        last = result.log[-1]
-        return {
-            "epochs": len(result.log),
-            "final_loss": last["loss"],
-            "best_val_f1": result.best_val_f1,
-        }
-
-    def do_predict():
-        graph, matrix, corpus, _ = _training_inputs(config, paths)
-        model, _header = gnn_mod.load_model(paths["model"])
-        predictions = gnn_mod.predict(model, graph, matrix, corpus, split="test")
-        gnn_mod.save_predictions(predictions, corpus, paths["gnn_pred"])
-        return {"predicted": len(predictions)}
-
-    def do_eval():
-        corpus = load_corpus(paths["split"])
-        report: dict = {}
-        table_rows = {}
-        extract_summary = manifest["summary"].get("extract", {})
-        avg_cost = extract_summary.get("avg_cost_per_evaluation")
-        avg_tokens = extract_summary.get("avg_tokens_per_evaluation")
-        for engine, pred_path in (("lp", paths["lp_pred"]), ("gnn", paths["gnn_pred"])):
-            if config.engine not in (engine, "both"):
-                continue
-            rep = evaluate_predictions(pred_path, corpus)
-            rep.avg_token_cost = avg_tokens
-            report[engine] = rep.to_dict()
-            table_rows[engine] = rep
-        if avg_cost is not None:
-            report["extraction"] = {
-                "avg_tokens_per_evaluation": avg_tokens,
-                "avg_cost_per_evaluation": avg_cost,
-            }
-        paths["report"].write_text(json.dumps(report), encoding="utf-8")
-        if table_rows:
-            say(format_table(table_rows))
-        return {k: report[k]["macro_f1"] for k in table_rows}
-
-    plan: list[tuple] = [
-        ("split", [paths["corpus"]], {"fractions": list(config.split.fractions), "seed": config.seed}, [paths["split"]], do_split),
-        ("extract", [paths["split"]], {**asdict(config.llm), "seed": config.seed}, [paths["viewpoints"]], do_extract),
-        ("embed", [paths["viewpoints"]], asdict(config.embedding), [paths["embeddings"]], do_embed),
-        ("build", [paths["viewpoints"], paths["embeddings"]], asdict(config.graph), [paths["graph"]], do_build),
-    ]
-    if config.novelty.enabled:
-        plan.append(
-            ("gen-negatives", [paths["split"], paths["graph"]], {**asdict(config.novelty), "seed": config.seed}, [paths["negatives"], paths["negatives_holdout"]], do_negatives)
-        )
-    if config.engine in ("lp", "both"):
-        plan.append(("lp", [paths["graph"], paths["split"]], asdict(config.lp), [paths["lp_pred"]], do_lp))
-    if config.engine in ("gnn", "both"):
-        train_inputs = [paths["graph"], paths["split"], paths["embeddings"]]
-        if config.novelty.enabled:
-            train_inputs.append(paths["negatives"])
-        plan.append(("train", train_inputs, {**asdict(config.gnn), "seed": config.seed, "novelty": config.novelty.enabled}, [paths["model"], paths["train_log"]], do_train))
-        plan.append(("predict", train_inputs + [paths["model"]], {}, [paths["gnn_pred"]], do_predict))
-    eval_inputs = [paths["split"]]
-    if config.engine in ("lp", "both"):
-        eval_inputs.append(paths["lp_pred"])
-    if config.engine in ("gnn", "both"):
-        eval_inputs.append(paths["gnn_pred"])
-    plan.append(("eval", eval_inputs, {"engine": config.engine}, [paths["report"]], do_eval))
-
-    for name, inputs, cfg_snapshot, outputs, fn in plan:
+    for stage in stage_table(config):
+        run = stage.run
+        if stage.name == "eval":  # the report carries the extraction costs
+            run = partial(run_eval, extraction=manifest["summary"].get("extract"), say=say)
         try:
-            stage(name, inputs, cfg_snapshot, outputs, fn)
+            record = run_stage(stage, run)
         except Exception as exc:
-            manifest["failed_stage"] = {"name": name, "error": str(exc)}
+            manifest["failed_stage"] = {"name": stage.name, "error": str(exc)}
             manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-            raise StageError(name, exc, manifest) from exc
+            raise StageError(stage.name, exc, manifest) from exc
+        manifest["stages"].append(record)
+        if "summary" in record:
+            manifest["summary"][stage.name] = record["summary"]
 
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     return manifest

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,10 +119,14 @@ def test_graph_construction_oracle():
             assert got[key][1] == kind
             assert abs(got[key][0] - w) < 1e-12
             assert 0.0 <= got[key][0] <= 1.0
+        degree = Counter()
+        for (u, v), (_, kind) in got.items():
+            degree[u, kind] += 1
+            degree[v, kind] += 1
         for node in graph.nodes:
             siblings = len(graph.idea_nodes[node.idea_id]) - 1
             foreign = len(graph) - siblings - 1
-            intra, inter = graph.degree(node.id, "intra"), graph.degree(node.id, "inter")
+            intra, inter = degree[node.id, "intra"], degree[node.id, "inter"]
             assert min(config.intra_k, siblings) <= intra <= 2 * config.intra_k
             assert min(config.inter_m, foreign) <= inter <= 2 * config.inter_m
         checked += 1

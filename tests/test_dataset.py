@@ -12,10 +12,11 @@ from viewgraph.dataset import (
     CorpusFormatError,
     Idea,
     LabelSet,
-    label_distribution,
     load_corpus,
+    read_jsonl,
     save_corpus,
     split_corpus,
+    write_jsonl,
 )
 
 FOUR = LabelSet(("Reject", "Accept (Poster)", "Accept (Oral)", "Accept (Spotlight)"))
@@ -203,40 +204,29 @@ class TestSplit:
         assert all(i.label is not None for i in split.split_ideas("validation"))
 
 
-class TestLabelDistribution:
-    def test_degenerate(self):
-        ls = LabelSet(FOUR.labels)
-        ideas = [Idea(id=f"i{j}", title="", text="x.", label=0, timestamp=0, split="train") for j in range(5)]
-        dist = label_distribution(Corpus(label_set=ls, ideas=ideas), "train")
-        assert dist.tolist() == [1.0, 0.0, 0.0, 0.0]
+class TestJsonl:
+    def test_round_trip_keeps_non_ascii_text(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"text": "Überprüfung – naïve café"}, {"text": "plain"}]
+        write_jsonl(path, rows)
+        assert "Überprüfung – naïve café" in path.read_text(encoding="utf-8")
+        assert list(read_jsonl(path)) == rows
 
-    def test_long_tail_training_split(self):
-        counts = (165, 75, 30, 30)  # 55% / 25% / 10% / 10% over 300 ideas
-        ideas = []
-        for label, count in enumerate(counts):
-            for j in range(count):
-                ideas.append(
-                    Idea(id=f"i{label}-{j}", title="", text="x.", label=label, timestamp=0, split="train")
-                )
-        dist = label_distribution(Corpus(label_set=FOUR, ideas=ideas), "train")
-        assert np.allclose(dist, [0.55, 0.25, 0.10, 0.10])
-        assert abs(dist.sum() - 1.0) < 1e-9
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"n": 1}])
 
-    def test_two_ideas_symmetric(self):
-        ls = LabelSet(("Reject", "Accept"))
-        ideas = [
-            Idea(id="a", title="", text="x.", label=0, timestamp=0, split="test"),
-            Idea(id="b", title="", text="x.", label=1, timestamp=0, split="test"),
-        ]
-        dist = label_distribution(Corpus(label_set=ls, ideas=ideas), "test")
-        assert dist.tolist() == [0.5, 0.5]
+        def rows():
+            yield {"n": 2}
+            raise RuntimeError("writer died")
 
-    def test_unlabeled_idea_named(self):
-        ls = LabelSet(("Reject", "Accept"))
-        ideas = [Idea(id="mystery", title="", text="x.", label=None, timestamp=0, split="test")]
-        with pytest.raises(ValueError, match="mystery"):
-            label_distribution(Corpus(label_set=ls, ideas=ideas), "test")
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, rows())
+        assert list(read_jsonl(path)) == [{"n": 1}]
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
-    def test_empty_split_rejected(self):
-        with pytest.raises(ValueError):
-            label_distribution(make_corpus(3), "train")
+    def test_bad_line_named(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"n": 1}\n\n{"n": \n', encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3"):
+            list(read_jsonl(path))

@@ -6,16 +6,45 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_graph_edges
+from viewgraph.dataset import IdeaViewpoints
 from viewgraph.embedding import (
     EmbeddingMatrix,
     EmbeddingProvider,
-    cosine,
     embed,
     load_embeddings,
     save_embeddings,
     stub_vector,
-    top_k_neighbors,
 )
+from viewgraph.graph import GraphConfig, build_graph
+
+
+def cosine(a, b):
+    """Cosine similarity as the graph build computes it: row 0 against
+    row 1 through EmbeddingMatrix.similarities."""
+    return float(EmbeddingMatrix(np.stack([a, b])).similarities(0)[1])
+
+
+def graph_of(rows, sizes, k, m=0):
+    """build_graph over ``rows``, split into ideas of the given sizes."""
+    records, start = [], 0
+    for i, size in enumerate(sizes):
+        records.append(
+            IdeaViewpoints(idea_id=f"i{i}", viewpoints=tuple(f"v{j}" for j in range(start, start + size)))
+        )
+        start += size
+    return build_graph(records, EmbeddingMatrix(rows), GraphConfig(intra_k=k, inter_m=m))
+
+
+def assert_matches_oracle(graph, rows):
+    idea_of = [n.idea_id for n in graph.nodes]
+    config = graph.config
+    expected = brute_force_graph_edges(idea_of, np.asarray(rows, dtype=float), config.intra_k, config.inter_m)
+    got = {(e.u, e.v): (e.weight, e.kind) for e in graph.edges}
+    assert set(got) == set(expected)
+    for key, (w, kind) in expected.items():
+        assert got[key][1] == kind
+        assert got[key][0] == pytest.approx(w, abs=1e-12)
 
 
 class TestStub:
@@ -97,7 +126,7 @@ class TestCosine:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+            EmbeddingMatrix(np.array([[1.0, 0.0]])).extend(np.array([[1.0, 0.0, 0.0]]))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -122,6 +151,8 @@ class TestCosine:
 
 
 class TestTopK:
+    """Top-k neighbor queries, as the graph build runs them."""
+
     def test_known_similarities(self):
         rows = np.array(
             [
@@ -130,43 +161,43 @@ class TestTopK:
                 [0.3, np.sqrt(1 - 0.09)],
             ]
         )
-        m = EmbeddingMatrix(rows)
-        result = top_k_neighbors(m, 0, k=1)
-        assert result[0][0] == 1
-        assert result[0][1] == pytest.approx(0.9, abs=1e-12)
+        graph = graph_of(rows, [3], k=1)
+        [(nbr, weight)] = graph.neighbors(0)
+        assert nbr == 1
+        assert weight == pytest.approx(0.9, abs=1e-12)
 
     def test_tie_breaking_by_row_index(self):
-        m = EmbeddingMatrix(np.ones((4, 3)))
-        result = top_k_neighbors(m, 0, k=2, candidates=lambda i: i in {1, 2, 3})
-        assert [(i, round(s, 9)) for i, s in result] == [(1, 1.0), (2, 1.0)]
+        rows = np.ones((4, 3))
+        graph = graph_of(rows, [4], k=2)
+        assert_matches_oracle(graph, rows)
+        # node 0 picks rows 1 and 2; row 3 reaches it only by picking it
+        assert {(e.u, e.v) for e in graph.edges} == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
+
+    def test_tie_breaking_across_ideas(self):
+        rows = np.array([[1, 0], [0, 1], [1, 0], [1, 0], [0, 1], [1, 0]])
+        graph = graph_of(rows, [2, 2, 2], k=1, m=1)
+        assert_matches_oracle(graph, rows)
 
     def test_k_truncates_to_candidates(self):
-        m = EmbeddingMatrix(np.random.default_rng(1).normal(size=(3, 4)))
-        assert len(top_k_neighbors(m, 0, k=5)) == 2
+        rows = np.random.default_rng(1).normal(size=(3, 4))
+        graph = graph_of(rows, [3], k=5)
+        assert len(graph.neighbors(0)) == 2
 
     def test_empty_candidates_empty_list(self):
-        m = EmbeddingMatrix(np.random.default_rng(1).normal(size=(3, 4)))
-        assert top_k_neighbors(m, 0, k=2, candidates=lambda i: False) == []
+        rows = np.random.default_rng(1).normal(size=(3, 4))
+        graph = graph_of(rows, [1, 2], k=2)
+        assert graph.neighbors(0) == []
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 50))
-        k = int(rng.integers(1, 8))
-        m = EmbeddingMatrix(rng.normal(size=(n, 5)))
-        got = top_k_neighbors(m, 0, k=k)
-        # oracle: full sort of explicitly computed pair similarities
-        sims = []
-        for j in range(1, n):
-            num = float(np.dot(m.rows[0], m.rows[j]))
-            den = float(np.linalg.norm(m.rows[0]) * np.linalg.norm(m.rows[j]))
-            sims.append((j, num / den))
-        sims.sort(key=lambda t: (-t[1], t[0]))
-        expected = sims[:k]
-        assert [i for i, _ in got] == [i for i, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
-            assert a == pytest.approx(b, abs=1e-12)
+        cut = sorted(int(c) for c in rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+        sizes = [b - a for a, b in zip([0] + cut, cut + [n])]
+        rows = rng.normal(size=(n, 5))
+        graph = graph_of(rows, sizes, k=int(rng.integers(1, 8)), m=int(rng.integers(0, 8)))
+        assert_matches_oracle(graph, rows)
 
 
 class TestSerialization:

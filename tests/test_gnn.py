@@ -16,8 +16,6 @@ from viewgraph.gnn import (
     adam_step,
     batch_loss_and_grads,
     edge_arrays,
-    forward_layer,
-    forward_subgraph,
     full_forward,
     init_model,
     load_model,
@@ -48,6 +46,25 @@ def make_edges(pairs, n):
         weight=np.array(w, dtype=float),
         deg=deg,
     )
+
+
+def one_layer(states, edges, message_w, combine_w):
+    """One message-passing layer, run by full_forward on a one-layer model."""
+    h = message_w.shape[0]
+    model = GnnModel(
+        message_weights=[message_w],
+        combine_weights=[combine_w],
+        head_hidden_w=np.zeros((h, 2 * h)),
+        head_hidden_b=np.zeros(h),
+        head_out_w=np.zeros((2, h)),
+        head_out_b=np.zeros(2),
+    )
+    return full_forward(model, states, edges).states[-1]
+
+
+def idea_probs(model, X, edges, node_ids):
+    """Full-graph message passing, then the pooled head for one idea."""
+    return pool_and_head(model, full_forward(model, X, edges).states[-1], node_ids).probs
 
 
 def toy_graph(node_ideas, pairs, config=GraphConfig()):
@@ -83,7 +100,7 @@ class TestForwardLayer:
         edges = make_edges([(0, 1, 0.5), (1, 2, 1.0)], 3)
         message_w = np.eye(2)
         combine_w = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-        out = forward_layer(states, edges, message_w, combine_w)
+        out = one_layer(states, edges, message_w, combine_w)
         assert out == pytest.approx(np.array([[0.5, 0.0], [1.25, 1.0], [1.0, 2.0]]), abs=1e-12)
 
     def test_isolated_node_aggregates_zero(self):
@@ -92,7 +109,7 @@ class TestForwardLayer:
         rng = np.random.default_rng(0)
         message_w = rng.normal(size=(4, 2))
         combine_w = rng.normal(size=(4, 6))
-        out = forward_layer(states, edges, message_w, combine_w)
+        out = one_layer(states, edges, message_w, combine_w)
         expected = combine_w @ np.concatenate([np.zeros(4), states[0]])
         assert out[0] == pytest.approx(expected, abs=1e-12)
 
@@ -101,13 +118,13 @@ class TestForwardLayer:
         rng = np.random.default_rng(1)
         message_w = rng.normal(size=(4, 2))
         combine_w = rng.normal(size=(4, 6))
-        connected = forward_layer(states, make_edges([(0, 1, 0.0)], 2), message_w, combine_w)
-        isolated = forward_layer(states, make_edges([], 2), message_w, combine_w)
+        connected = one_layer(states, make_edges([(0, 1, 0.0)], 2), message_w, combine_w)
+        isolated = one_layer(states, make_edges([], 2), message_w, combine_w)
         assert connected == pytest.approx(isolated, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            forward_layer(np.zeros((2, 3)), make_edges([], 2), np.zeros((4, 2)), np.zeros((4, 6)))
+            one_layer(np.zeros((2, 3)), make_edges([], 2), np.zeros((4, 2)), np.zeros((4, 6)))
 
 
 class TestForwardSubgraph:
@@ -127,30 +144,30 @@ class TestForwardSubgraph:
         model = self._model(n_labels=4)
         model.head_out_w[:] = 0.0
         model.head_out_b[:] = 0.0
-        pred = forward_subgraph(model, np.ones((2, 4)), make_edges([], 2), [0, 1])
-        assert pred.probabilities == pytest.approx([0.25, 0.25, 0.25, 0.25])
+        probs = idea_probs(model, np.ones((2, 4)), make_edges([], 2), [0, 1])
+        assert probs == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
     def test_probabilities_sum_to_one(self):
         model = self._model(seed=5)
         rng = np.random.default_rng(7)
-        pred = forward_subgraph(model, rng.normal(size=(4, 4)), make_edges([(0, 1, 0.3)], 4), [0, 1, 2])
-        assert sum(pred.probabilities) == pytest.approx(1.0, abs=1e-9)
-        assert all(p >= 0 for p in pred.probabilities)
+        probs = idea_probs(model, rng.normal(size=(4, 4)), make_edges([(0, 1, 0.3)], 4), [0, 1, 2])
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (probs >= 0).all()
 
     def test_empty_node_set_rejected(self):
         model = self._model()
         with pytest.raises(ValueError):
-            forward_subgraph(model, np.ones((1, 4)), make_edges([], 1), [])
+            idea_probs(model, np.ones((1, 4)), make_edges([], 1), [])
 
     def test_pooling_order_invariant(self):
         model = self._model(seed=9)
         rng = np.random.default_rng(11)
         X = rng.normal(size=(5, 4))
         edges = make_edges([(0, 1, 0.5), (2, 3, 0.8)], 5)
-        a = forward_subgraph(model, X, edges, [0, 1, 2, 3, 4])
-        b = forward_subgraph(model, X, edges, [4, 2, 0, 3, 1])
-        assert a.probabilities == pytest.approx(b.probabilities, abs=1e-12)
-        assert a.label_index == b.label_index
+        a = idea_probs(model, X, edges, [0, 1, 2, 3, 4])
+        b = idea_probs(model, X, edges, [4, 2, 0, 3, 1])
+        assert a == pytest.approx(b, abs=1e-12)
+        assert np.argmax(a) == np.argmax(b)
 
 
 class TestLoss:
@@ -282,7 +299,8 @@ class TestPredict:
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
         model.head_out_w[:] = 0.0
         model.head_out_b[:] = 0.0
-        pred = forward_subgraph(model, np.ones((1, 3)), make_edges([], 1), [0])
+        graph = toy_graph(["a"], [])
+        [pred] = predict_subgraphs(model, graph, EmbeddingMatrix(np.ones((1, 2))), ["a"])
         assert pred.label_index == 0
 
     def test_unknown_idea_rejected(self, separable):

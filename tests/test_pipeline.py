@@ -43,6 +43,28 @@ class TestValidateConfig:
             validate_config({"graph": {"k": 0, "m": -1}, "engine": "bogus"})
         assert len(err.value.errors) == 3
 
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"graph": {"k": "5"}}, "graph.k"),
+            ({"split": {"fractions": 5}}, "split.fractions"),
+            ({"llm": {"temperature": "hot"}}, "llm.temperature"),
+            ({"gnn": {"hidden_dim": True}}, "gnn.hidden_dim"),
+            ({"seed": True}, "seed"),
+            ({"lp": {"early_stop": "no"}}, "lp.early_stop"),
+            ({"novelty": {"enabled": 1}}, "novelty.enabled"),
+        ],
+    )
+    def test_wrong_type_reported_at_path(self, tmp_path, capsys, data, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert any(e.startswith(f"{path}: must be") for e in err.value.errors)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
+        stderr = capsys.readouterr().err
+        assert f"{path}: must be" in stderr and "Traceback" not in stderr
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 5, "engine": "both"}))
@@ -225,3 +247,68 @@ class TestCli:
 
     def test_missing_input_exit_code(self, tmp_path):
         assert self.run("split", "--in", tmp_path / "missing.jsonl", "--out", tmp_path / "x.jsonl", "--quiet") == 2
+
+
+# Settings chosen away from the defaults, so a subcommand that ignores a
+# config section writes a different file than ``run``.
+PARITY_CASES = {
+    "demo12": (
+        demo_corpus,
+        {
+            "engine": "both",
+            "llm": {"relations": True},
+            "graph": {"k": 2, "m": 4, "hybrid": True},
+            "lp": {"max_iters": 3, "early_stop": False},
+            "gnn": {"hidden_dim": 8, "max_epochs": 6, "learning_rate": 0.01},
+        },
+    ),
+    "separable40": (
+        separable_corpus,
+        {
+            "engine": "gnn",
+            "split": {"fractions": [0.6, 0.2, 0.2]},
+            "embedding": {"dimension": 16},
+            "gnn": {"hidden_dim": 8, "max_epochs": 6, "batch_size": 8},
+            "novelty": {"enabled": True, "count": 9, "train_subset": 4, "swap_fraction": 0.4},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_subcommands_write_what_run_writes(tmp_path, case):
+    """The stage subcommands, given the config ``run`` used, write the same
+    bytes as ``run``."""
+    make_corpus, settings = PARITY_CASES[case]
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(make_corpus(), corpus)
+    config = tmp_path / "config.json"
+    run_dir, cli_dir = tmp_path / "run", tmp_path / "cli"
+    config.write_text(json.dumps({"corpus": str(corpus), "out_dir": str(run_dir), "seed": 7, **settings}))
+    assert cli_main(["run", "--config", str(config), "--quiet"]) == 0
+
+    def cli(*argv):
+        assert cli_main([str(a) for a in argv] + ["--config", str(config), "--quiet"]) == 0
+
+    split, views = cli_dir / "split.jsonl", cli_dir / "viewpoints.jsonl"
+    emb, graph = cli_dir / "embeddings.bin", cli_dir / "graph.json"
+    cli("split", "--in", corpus, "--out", split)
+    cli("extract", "--in", split, "--out", views)
+    cli("embed", "--in", views, "--out", emb)
+    cli("build", "--viewpoints", views, "--embeddings", emb, "--out", graph)
+    inputs = ["--graph", graph, "--corpus", split, "--embeddings", emb]
+    if settings.get("novelty", {}).get("enabled"):
+        negs = cli_dir / "negatives.jsonl"
+        cli("gen-negatives", "--corpus", split, "--graph", graph, "--out", negs,
+            "--holdout-out", cli_dir / "negatives_holdout.jsonl")
+        inputs += ["--negatives", negs]
+    if settings["engine"] == "both":
+        cli("lp", "--graph", graph, "--corpus", split, "--out", cli_dir / "predictions_lp.jsonl")
+    model = cli_dir / "model.ckpt"
+    cli("train", *inputs, "--log", cli_dir / "training_log.json", "--out", model)
+    cli("predict", "--model", model, *inputs, "--out", cli_dir / "predictions_gnn.jsonl")
+
+    written = sorted(p.name for p in cli_dir.iterdir())
+    assert {"graph.json", "model.ckpt", "predictions_gnn.jsonl"} <= set(written)
+    for name in written:
+        assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
