@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -67,16 +68,18 @@ PATH_FLAGS = {
 def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()):
     """Subcommand body for one pipeline stage: the path flags fill the
     stage's paths, the value flags that were given override their
-    ``--config`` keys, and the function ``viewgraph run`` uses for the
-    stage runs, with ``options`` passed through as keyword arguments."""
+    ``--config`` keys and are validated with them, and the function
+    ``viewgraph run`` uses for the stage runs, with ``options`` passed
+    through as keyword arguments."""
 
     def command(args):
-        config = _load_config(args)
+        config = asdict(_load_config(args))
         flags = vars(args)
         for flag, key in SETTINGS.items():
             if flags.get(flag) is not None:
                 section, name = key.split(".")
-                setattr(getattr(config, section), name, flags[flag])
+                config[section][name] = flags[flag]
+        config = validate_config(config)  # flags meet the config file's checks
         path_flags = {**PATH_FLAGS, "infile": infile, "out": out}
         paths = {key: Path(flags[flag]) for flag, key in path_flags.items() if flags.get(flag)}
         summary = run(paths, config, **{name: flags[name] for name in options})

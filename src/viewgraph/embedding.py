@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import requests
@@ -84,9 +84,10 @@ class EmbeddingMatrix:
     def dimension(self) -> int:
         return self.rows.shape[1]
 
-    def similarities(self, index: int) -> np.ndarray:
-        """Cosine similarity of one row against every row."""
-        return (self.rows @ self.rows[index]) / (self.norms * self.norms[index])
+    def similarities(self, index: int, stop: Optional[int] = None) -> np.ndarray:
+        """Cosine similarity of one row against every row, or against rows
+        ``[0, stop)`` only."""
+        return (self.rows[:stop] @ self.rows[index]) / (self.norms[:stop] * self.norms[index])
 
     def extend(self, extra: np.ndarray) -> "EmbeddingMatrix":
         return EmbeddingMatrix(np.vstack([self.rows, np.asarray(extra, dtype=np.float64)]))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Corpus, write_jsonl
 from .embedding import EmbeddingMatrix
-from .graph import ViewpointGraph
+from .graph import Arcs, ViewpointGraph
 from .metrics import confusion, macro_metrics
 
 PROB_FLOOR = 1e-12
@@ -131,37 +131,11 @@ def init_model(config: GnnConfig, input_dim: int, n_labels: int, rng: np.random.
     )
 
 
-@dataclass
-class EdgeArrays:
-    """Directed view of the undirected edge list (each edge twice)."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
-    deg: np.ndarray  # per-node neighbor count
-
-
-def edge_arrays(graph: ViewpointGraph) -> EdgeArrays:
-    src, dst, w = [], [], []
-    for e in graph.edges:
-        src += [e.v, e.u]
-        dst += [e.u, e.v]
-        w += [e.weight, e.weight]
-    n = len(graph)
-    src_a = np.array(src, dtype=int) if src else np.zeros(0, dtype=int)
-    dst_a = np.array(dst, dtype=int) if dst else np.zeros(0, dtype=int)
-    deg = np.bincount(dst_a, minlength=n) if len(dst_a) else np.zeros(n, dtype=int)
-    return EdgeArrays(src=src_a, dst=dst_a, weight=np.array(w, dtype=np.float64), deg=deg)
-
-
 def node_features(graph: ViewpointGraph, matrix: EmbeddingMatrix) -> np.ndarray:
     """Embedding row plus the temporal scalar: input dim = embedding dim + 1."""
-    dim = matrix.dimension
-    X = np.zeros((len(graph), dim + 1), dtype=np.float64)
-    for node in graph.nodes:
-        X[node.id, :dim] = matrix.rows[node.row]
-        X[node.id, dim] = node.t
-    return X
+    if len(matrix) != len(graph):
+        raise ValueError(f"matrix has {len(matrix)} rows for {len(graph)} nodes")
+    return np.column_stack([matrix.rows, graph.t])
 
 
 def _layer_with_cache(states, edges, message_weight, combine_weight):
@@ -175,12 +149,10 @@ def _layer_with_cache(states, edges, message_weight, combine_weight):
             f"combine weight shape {combine_weight.shape} != {(h, h + d_in)}"
         )
     messages = states @ message_weight.T  # (n, h)
-    pre = edges.weight[:, None] * messages[edges.src] if len(edges.src) else np.zeros((0, h))
-    acts = np.maximum(pre, 0.0)
+    pre = edges.weight[:, None] * messages[edges.src]
     agg = np.zeros((n, h), dtype=np.float64)
-    if len(edges.dst):
-        np.add.at(agg, edges.dst, acts)
-    agg /= np.maximum(edges.deg, 1)[:, None]
+    np.add.at(agg, edges.dst, np.maximum(pre, 0.0))
+    agg /= np.maximum(np.diff(edges.indptr), 1)[:, None]
     combined = np.hstack([agg, states])
     return combined @ combine_weight.T, pre, combined
 
@@ -192,7 +164,7 @@ class ForwardCache:
     combined: list[np.ndarray]  # concat(aggregate, state) per layer
 
 
-def full_forward(model: GnnModel, X: np.ndarray, edges: EdgeArrays) -> ForwardCache:
+def full_forward(model: GnnModel, X: np.ndarray, edges: Arcs) -> ForwardCache:
     states = [np.asarray(X, dtype=np.float64)]
     edge_pre, combined = [], []
     for mw, cw in zip(model.message_weights, model.combine_weights):
@@ -260,7 +232,7 @@ def zero_grads(model: GnnModel) -> dict[str, np.ndarray]:
 def batch_loss_and_grads(
     model: GnnModel,
     X: np.ndarray,
-    edges: EdgeArrays,
+    edges: Arcs,
     items: Sequence[tuple[Sequence[int], int]],
     class_weights: Optional[np.ndarray] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -304,14 +276,10 @@ def batch_loss_and_grads(
         d_combined = d_state @ model.combine_weights[l]
         d_agg = d_combined[:, :h_dim]
         d_prev = d_combined[:, h_dim:].copy()
-        d_sum = d_agg / np.maximum(edges.deg, 1)[:, None]
-        if len(edges.src):
-            d_acts = d_sum[edges.dst]
-            d_pre = d_acts * (cache.edge_pre[l] > 0)
-            d_messages = np.zeros((n, h_dim))
-            np.add.at(d_messages, edges.src, edges.weight[:, None] * d_pre)
-        else:
-            d_messages = np.zeros((n, h_dim))
+        d_sum = d_agg / np.maximum(np.diff(edges.indptr), 1)[:, None]
+        d_pre = d_sum[edges.dst] * (cache.edge_pre[l] > 0)
+        d_messages = np.zeros((n, h_dim))
+        np.add.at(d_messages, edges.src, edges.weight[:, None] * d_pre)
         grads[name_m] += d_messages.T @ cache.states[l]
         d_prev += d_messages @ model.message_weights[l]
         d_state = d_prev
@@ -377,7 +345,7 @@ def train(
     when there is no validation split.
     """
     X = node_features(graph, matrix)
-    edges = edge_arrays(graph)
+    edges = graph.arcs
     n_labels = len(corpus.label_set)
 
     items: list[tuple[list[int], int, str]] = []
@@ -453,7 +421,7 @@ def predict_subgraphs(
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
     X = node_features(graph, matrix)
-    edges = edge_arrays(graph)
+    edges = graph.arcs
     cache = full_forward(model, X, edges)
     out = []
     for idea_id in idea_ids:

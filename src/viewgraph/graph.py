@@ -5,12 +5,20 @@ top-k most cosine-similar siblings. Subgraphs are joined by giving every
 node its top-m most similar nodes from other ideas. Edges are undirected,
 weighted by clamped cosine similarity, and proposals from both endpoints
 of a pair are deduplicated.
+
+A graph is held as arrays: per node its idea, text and time feature; per
+undirected edge ``u < v`` (sorted by ``(u, v)``) its weight, intra flag
+and optional hybrid polarity; and one directed view, ``arcs``, holding
+each edge once per direction sorted by ``(dst, src)`` with a CSR
+``indptr`` over ``dst``, which label propagation, the GNN and the
+negative generator read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -20,6 +28,10 @@ from .dataset import IdeaViewpoints, normalize_text
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
+
+# Directed view: arcs into node i are src/weight[indptr[i]:indptr[i + 1]],
+# in ascending src order.
+Arcs = namedtuple("Arcs", "src dst weight indptr")
 
 
 @dataclass(frozen=True)
@@ -37,82 +49,72 @@ class GraphConfig:
             raise ValueError(f"weight floor must be in [0, 1], got {self.weight_floor}")
 
 
-@dataclass(frozen=True)
-class ViewpointNode:
-    id: int
-    text: str
-    idea_id: str
-    row: int  # embedding matrix row; equals id for graphs built here
-    t: float = 0.0  # normalized time in [0, 1]
-
-
-@dataclass(frozen=True)
-class WeightedEdge:
-    u: int
-    v: int
-    weight: float
-    kind: str
-    polarity: Optional[str] = None  # hybrid mode metadata only
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"self-loop at node {self.u}")
-        if self.u > self.v:
-            lo, hi = self.v, self.u
-            object.__setattr__(self, "u", lo)
-            object.__setattr__(self, "v", hi)
-        if self.kind not in (INTRA, INTER):
-            raise ValueError(f"unknown edge kind {self.kind!r}")
-
-
 class ViewpointGraph:
-    def __init__(self, nodes: Sequence[ViewpointNode], edges: Sequence[WeightedEdge], config: GraphConfig):
-        self.nodes = list(nodes)
-        self.edges = sorted(edges, key=lambda e: (e.u, e.v))
+    """Nodes ``0..n-1`` and undirected weighted edges, as arrays.
+
+    Edges may be given in any order and either orientation; they are
+    stored with ``u < v`` sorted by ``(u, v)``. ``polarity`` holds one
+    entry (str or None) per edge; by default every entry is None.
+    """
+
+    def __init__(
+        self,
+        idea: Sequence[str],
+        text: Sequence[str],
+        t: Sequence[float],
+        u=(),
+        v=(),
+        weight=(),
+        intra=(),
+        polarity: Optional[Sequence[Optional[str]]] = None,
+        config: GraphConfig = GraphConfig(),
+    ):
+        self.idea, self.text = list(idea), list(text)
+        self.t = np.array(t, dtype=np.float64)
         self.config = config
-        self._validate()
-        self.adjacency: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            self.adjacency[e.u].append((e.v, e.weight))
-            self.adjacency[e.v].append((e.u, e.weight))
+        n = len(self.idea)
+        if not len(self.text) == len(self.t) == n:
+            raise ValueError(f"{n} node ideas, {len(self.text)} texts and {len(self.t)} time features")
+        a, b = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        weight = np.array(weight, dtype=np.float64)
+        intra = np.array(intra, dtype=bool)
+        if not len(a) == len(b) == len(weight) == len(intra):
+            raise ValueError("edge arrays differ in length")
+        order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+        self.u, self.v = np.minimum(a, b)[order], np.maximum(a, b)[order]
+        self.weight, self.intra = weight[order], intra[order]
+        self.polarity = [None if polarity is None else polarity[i] for i in order]
         self.idea_nodes: dict[str, list[int]] = {}
-        for node in self.nodes:
-            self.idea_nodes.setdefault(node.idea_id, []).append(node.id)
+        for node, idea_id in enumerate(self.idea):
+            self.idea_nodes.setdefault(idea_id, []).append(node)
+        self._validate()
+
+        src, dst = np.concatenate([self.v, self.u]), np.concatenate([self.u, self.v])
+        order = np.lexsort((src, dst))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+        self.arcs = Arcs(src[order], dst[order], np.concatenate([self.weight, self.weight])[order], indptr)
 
     def _validate(self):
-        for i, node in enumerate(self.nodes):
-            if node.id != i:
-                raise ValueError(f"node ids not dense: position {i} holds id {node.id}")
-        n = len(self.nodes)
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError(f"edge ({e.u}, {e.v}) references unknown node")
-            if (e.u, e.v) in seen:
-                raise ValueError(f"edge ({e.u}, {e.v}) listed more than once (asymmetric adjacency)")
-            seen.add((e.u, e.v))
-            same_idea = self.nodes[e.u].idea_id == self.nodes[e.v].idea_id
-            if e.kind == INTRA and not same_idea:
-                raise ValueError(f"intra edge ({e.u}, {e.v}) joins different ideas")
-            if e.kind == INTER and same_idea:
-                raise ValueError(f"inter edge ({e.u}, {e.v}) joins the same idea")
-            if not (0.0 <= e.weight <= 1.0):
-                raise ValueError(f"edge ({e.u}, {e.v}) weight {e.weight} outside [0, 1]")
+        n = len(self.idea)
+
+        def fail(mask, problem):
+            if mask.any():
+                i = int(np.argmax(mask))
+                raise ValueError(f"edge ({self.u[i]}, {self.v[i]}) {problem}")
+
+        fail(self.u == self.v, "is a self-loop")
+        fail((self.u < 0) | (self.v >= n), "references unknown node")
+        fail(np.r_[False, (self.u[1:] == self.u[:-1]) & (self.v[1:] == self.v[:-1])],
+             "listed more than once (asymmetric adjacency)")
+        ideas = np.array(self.idea, dtype=object)
+        same_idea = ideas[self.u] == ideas[self.v]
+        fail(self.intra & ~same_idea, "is intra but joins different ideas")
+        fail(~self.intra & same_idea, "is inter but joins the same idea")
+        fail(~((self.weight >= 0.0) & (self.weight <= 1.0)), "has weight outside [0, 1]")
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def neighbors(self, node_id: int) -> list[tuple[int, float]]:
-        return self.adjacency[node_id]
-
-
-def _clamp(sim: float, floor: float) -> float:
-    return min(1.0, max(floor, sim))
-
-
-def _top_indices(sims: np.ndarray, candidates: Sequence[int], limit: int) -> list[int]:
-    ranked = sorted(candidates, key=lambda j: (-sims[j], j))
-    return ranked[:limit]
+        return len(self.idea)
 
 
 def _time_features(records: Sequence[IdeaViewpoints]) -> dict[str, float]:
@@ -123,22 +125,53 @@ def _time_features(records: Sequence[IdeaViewpoints]) -> dict[str, float]:
     return {k: (v - lo) / (hi - lo) for k, v in ts.items()}
 
 
-def build_subgraph(
-    node_ids: Sequence[int], matrix: EmbeddingMatrix, config: GraphConfig
-) -> list[WeightedEdge]:
-    """Intra edges for one idea: per node, its top-min(k, n-1) siblings."""
-    edges: dict[tuple[int, int], WeightedEdge] = {}
-    ids = list(node_ids)
-    for i in ids:
-        sims = matrix.similarities(i)
-        others = [j for j in ids if j != i]
-        for j in _top_indices(sims, others, min(config.intra_k, len(others))):
-            key = (min(i, j), max(i, j))
-            if key not in edges:
-                edges[key] = WeightedEdge(
-                    u=key[0], v=key[1], weight=_clamp(float(sims[j]), config.weight_floor), kind=INTRA
-                )
-    return list(edges.values())
+def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool, top_k: bool = True):
+    """Edges (u, v, weight, intra) proposed by every node of ``blocks``
+    (one ``(start, stop)`` node range per idea).
+
+    Each node ranks by (-similarity, index) its siblings, keeping the top
+    k (when ``top_k``), and the nodes outside its block, keeping the top
+    m. With ``causal`` those are only the nodes before its block, and the
+    similarities are taken over the rows up to its block's end. A pair
+    proposed more than once keeps its first proposal, intra ahead of
+    inter, proposers in node order.
+    """
+    proposed = {True: [], False: []}  # intra? -> [(proposer, targets, their similarities)]
+    for lo, hi in blocks:
+        for i in range(lo, hi):
+            sims = matrix.similarities(i, hi if causal else None)
+            foreign = -sims
+            siblings = foreign[lo:hi].copy()
+            siblings[i - lo] = np.inf
+            foreign[lo:hi] = np.inf
+            if top_k:
+                picked = lo + np.argsort(siblings, kind="stable")[: min(config.intra_k, hi - lo - 1)]
+                proposed[True].append((i, picked, sims[picked]))
+            # copied, or the slice would keep the whole argsort alive
+            picked = np.argsort(foreign, kind="stable")[: min(config.inter_m, len(sims) - (hi - lo))].copy()
+            proposed[False].append((i, picked, sims[picked]))
+    found = proposed[True] + proposed[False]
+    counts = [len(targets) for _, targets, _ in found]
+    proposers = np.repeat(np.array([i for i, _, _ in found], dtype=np.int64), counts)
+    targets = np.concatenate([np.zeros(0, np.int64)] + [targets for _, targets, _ in found])
+    sims = np.concatenate([np.zeros(0)] + [sims for _, _, sims in found])
+    intra = np.arange(len(sims)) < sum(counts[: len(proposed[True])])
+    u, v = np.minimum(proposers, targets), np.maximum(proposers, targets)
+    _, first = np.unique(u * (len(matrix) + 1) + v, return_index=True)
+    return u[first], v[first], _clamp(sims[first], config.weight_floor), intra[first]
+
+
+def _clamp(sims: np.ndarray, floor: float) -> np.ndarray:
+    return np.minimum(1.0, np.maximum(floor, sims))
+
+
+def _bounds(records: Sequence[IdeaViewpoints], start: int = 0) -> list[tuple[int, int]]:
+    """The (start, stop) node range of each record's block."""
+    blocks = []
+    for rec in records:
+        blocks.append((start, start + len(rec.viewpoints)))
+        start += len(rec.viewpoints)
+    return blocks
 
 
 def build_graph(
@@ -162,112 +195,80 @@ def build_graph(
     if len(ids) != len(records):
         raise ValueError("duplicate idea ids in viewpoint records")
     tf = dict(time_features) if time_features is not None else _time_features(records)
-
-    nodes: list[ViewpointNode] = []
-    blocks: list[list[int]] = []
-    for rec in records:
-        block = []
-        for text in rec.viewpoints:
-            nid = len(nodes)
-            nodes.append(
-                ViewpointNode(id=nid, text=text, idea_id=rec.idea_id, row=nid, t=tf[rec.idea_id])
-            )
-            block.append(nid)
-        blocks.append(block)
-
-    edges: dict[tuple[int, int], WeightedEdge] = {}
-    for rec, block in zip(records, blocks):
-        intra = (
-            _pair_edges(rec, block, matrix, config)
-            if hybrid
-            else build_subgraph(block, matrix, config)
-        )
-        for e in intra:
-            edges.setdefault((e.u, e.v), e)
-
-    idea_str = [n.idea_id for n in nodes]
-    if config.inter_m > 0 and len(records) > 1:
-        for i in range(len(nodes)):
-            sims = matrix.similarities(i)
-            foreign = [j for j in range(len(nodes)) if idea_str[j] != idea_str[i]]
-            for j in _top_indices(sims, foreign, min(config.inter_m, len(foreign))):
-                key = (min(i, j), max(i, j))
-                if key not in edges:
-                    edges[key] = WeightedEdge(
-                        u=key[0], v=key[1], weight=_clamp(float(sims[j]), config.weight_floor), kind=INTER
-                    )
-    return ViewpointGraph(nodes=nodes, edges=list(edges.values()), config=config)
+    blocks = _bounds(records)
+    u, v, weight, intra = _propose(matrix, blocks, config, causal=False, top_k=not hybrid)
+    polarity = None
+    if hybrid:
+        pairs = [e for rec, (lo, _) in zip(records, blocks) for e in _pair_edges(rec, lo, matrix, config)]
+        pu, pv, pw, polarity = (list(c) for c in zip(*pairs)) if pairs else ([], [], [], [])
+        u, v, weight = np.r_[pu, u], np.r_[pv, v], np.r_[pw, weight]
+        intra = np.r_[[True] * len(pairs), intra]
+        polarity += [None] * (len(u) - len(pairs))
+    return ViewpointGraph(
+        idea=[r.idea_id for r in records for _ in r.viewpoints],
+        text=[text for r in records for text in r.viewpoints],
+        t=[tf[r.idea_id] for r in records for _ in r.viewpoints],
+        u=u, v=v, weight=weight, intra=intra, polarity=polarity, config=config,
+    )
 
 
-def _pair_edges(
-    rec: IdeaViewpoints, block: Sequence[int], matrix: EmbeddingMatrix, config: GraphConfig
-) -> list[WeightedEdge]:
+def _pair_edges(rec: IdeaViewpoints, start: int, matrix: EmbeddingMatrix, config: GraphConfig) -> list[tuple]:
+    """(u, v, weight, polarity) of the record's relation pairs, first
+    mention of a pair first; the weight is the left viewpoint's similarity
+    to the right one."""
     by_text: dict[str, int] = {}
-    for nid, text in zip(block, rec.viewpoints):
+    for nid, text in enumerate(rec.viewpoints, start):
         by_text.setdefault(normalize_text(text), nid)
-    edges: dict[tuple[int, int], WeightedEdge] = {}
+    edges: dict[tuple[int, int], tuple] = {}
     for left, _connector, polarity, right in rec.pairs:
         u = by_text.get(normalize_text(left))
         v = by_text.get(normalize_text(right))
-        if u is None or v is None or u == v:
+        if u is None or v is None or u == v or (min(u, v), max(u, v)) in edges:
             continue
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            continue
-        sim = float(matrix.similarities(u)[v])
-        edges[key] = WeightedEdge(
-            u=key[0], v=key[1], weight=_clamp(sim, config.weight_floor), kind=INTRA, polarity=polarity
-        )
+        weight = float(_clamp(matrix.similarities(u)[v], config.weight_floor))
+        edges[(min(u, v), max(u, v))] = (min(u, v), max(u, v), weight, polarity)
     return list(edges.values())
 
 
 def integrate_subgraph(
     graph: ViewpointGraph,
-    record: IdeaViewpoints,
+    records: Sequence[IdeaViewpoints],
     matrix: EmbeddingMatrix,
     config: Optional[GraphConfig] = None,
-    t: float = 0.0,
+    t: Optional[Sequence[float]] = None,
 ) -> ViewpointGraph:
-    """Add one idea's subgraph to an existing graph in linear time.
+    """Append new ideas' subgraphs to an existing graph.
 
-    New nodes take the next ids (their matrix rows must already be
-    appended). New nodes propose intra edges among themselves and inter
-    edges to their top-m existing nodes; existing nodes' neighbor lists
-    are only extended, never re-ranked, so the result matches a from-
-    scratch rebuild exactly only when m covers all foreign nodes.
+    New nodes take the next ids in record order (their matrix rows must
+    already be appended). Each new node proposes intra edges among its
+    siblings and inter edges to its top-m nodes among those before its
+    own idea: the existing graph and earlier records. Existing nodes are
+    never re-ranked, so the result matches a from-scratch rebuild exactly
+    only when m covers all foreign nodes, and integrating records in one
+    call equals integrating them one at a time. ``t`` gives every node's
+    time feature, old and new; by default old nodes keep theirs and new
+    nodes get 0.
     """
     config = config or graph.config
-    if record.idea_id in graph.idea_nodes:
-        raise ValueError(f"idea {record.idea_id!r} already in graph")
-    n_old = len(graph.nodes)
-    n_new = len(record.viewpoints)
-    if len(matrix) != n_old + n_new:
-        raise ValueError(f"matrix has {len(matrix)} rows, expected {n_old + n_new}")
-
-    new_ids = list(range(n_old, n_old + n_new))
-    nodes = list(graph.nodes) + [
-        ViewpointNode(id=nid, text=text, idea_id=record.idea_id, row=nid, t=t)
-        for nid, text in zip(new_ids, record.viewpoints)
-    ]
-    edges: dict[tuple[int, int], WeightedEdge] = {(e.u, e.v): e for e in graph.edges}
-    for e in build_subgraph(new_ids, matrix, config):
-        edges.setdefault((e.u, e.v), e)
-    if config.inter_m > 0 and n_old > 0:
-        for i in new_ids:
-            sims = matrix.similarities(i)
-            for j in _top_indices(sims, range(n_old), min(config.inter_m, n_old)):
-                key = (min(i, j), max(i, j))
-                if key not in edges:
-                    edges[key] = WeightedEdge(
-                        u=key[0], v=key[1], weight=_clamp(float(sims[j]), config.weight_floor), kind=INTER
-                    )
-    return ViewpointGraph(nodes=nodes, edges=list(edges.values()), config=config)
-
-
-def with_time_features(graph: ViewpointGraph, features: Mapping[str, float]) -> ViewpointGraph:
-    """Copy of the graph with every node's temporal feature recomputed."""
-    nodes = [replace(n, t=float(features[n.idea_id])) for n in graph.nodes]
-    return ViewpointGraph(nodes=nodes, edges=graph.edges, config=graph.config)
+    seen = set(graph.idea_nodes)
+    for rec in records:
+        if rec.idea_id in seen:
+            raise ValueError(f"idea {rec.idea_id!r} already in graph")
+        seen.add(rec.idea_id)
+    n_old = len(graph)
+    blocks = _bounds(records, n_old)
+    n = blocks[-1][1] if blocks else n_old
+    if len(matrix) != n:
+        raise ValueError(f"matrix has {len(matrix)} rows, expected {n}")
+    u, v, weight, intra = _propose(matrix, blocks, config, causal=True)
+    return ViewpointGraph(
+        idea=graph.idea + [r.idea_id for r in records for _ in r.viewpoints],
+        text=graph.text + [text for r in records for text in r.viewpoints],
+        t=np.r_[graph.t, np.zeros(n - n_old)] if t is None else t,
+        u=np.r_[graph.u, u], v=np.r_[graph.v, v],
+        weight=np.r_[graph.weight, weight], intra=np.r_[graph.intra, intra],
+        polarity=graph.polarity + [None] * len(u), config=config,
+    )
 
 
 def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
@@ -280,11 +281,14 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
             "weight_floor": graph.config.weight_floor,
         },
         "nodes": [
-            {"id": n.id, "idea": n.idea_id, "text": n.text, "t": n.t} for n in graph.nodes
+            {"id": i, "idea": idea, "text": text, "t": t}
+            for i, (idea, text, t) in enumerate(zip(graph.idea, graph.text, graph.t.tolist()))
         ],
         "edges": [
-            [e.u, e.v, e.weight, e.kind] + ([e.polarity] if e.polarity else [])
-            for e in graph.edges
+            [u, v, w, INTRA if intra else INTER] + ([pol] if pol else [])
+            for u, v, w, intra, pol in zip(
+                graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.intra.tolist(), graph.polarity
+            )
         ],
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -292,17 +296,49 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> ViewpointGraph:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key in ("config", "nodes", "edges"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"graph file {path} has no {key!r}")
     cfg = payload["config"]
-    config = GraphConfig(
-        intra_k=int(cfg["k"]), inter_m=int(cfg["m"]), weight_floor=float(cfg.get("weight_floor", 0.0))
+    try:
+        k, m, floor = int(cfg["k"]), int(cfg["m"]), float(cfg.get("weight_floor", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"graph file {path}: config needs numbers k, m and weight_floor, got {cfg!r}") from exc
+    config = GraphConfig(intra_k=k, inter_m=m, weight_floor=floor)
+    nodes = payload["nodes"]
+    for i, node in enumerate(nodes):
+        if not (
+            isinstance(node, dict)
+            and node.get("id") == i
+            and isinstance(node.get("idea"), str)
+            and isinstance(node.get("text"), str)
+            and _is_number(node.get("t", 0.0))
+        ):
+            raise ValueError(f"node {i}: expected {{id: {i}, idea, text, t}}, got {node!r}")
+    edges = payload["edges"]
+    for i, e in enumerate(edges):
+        if not (
+            isinstance(e, list)
+            and len(e) in (4, 5)
+            and all(type(x) is int for x in e[:2])
+            and _is_number(e[2])
+            and e[3] in (INTRA, INTER)
+            and (len(e) == 4 or isinstance(e[4], str))
+        ):
+            raise ValueError(f"edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
+    columns = list(zip(*edges)) if edges else [()] * 4
+    return ViewpointGraph(
+        idea=[n["idea"] for n in nodes],
+        text=[n["text"] for n in nodes],
+        t=[float(n.get("t", 0.0)) for n in nodes],
+        u=columns[0],
+        v=columns[1],
+        weight=columns[2],
+        intra=[kind == INTRA for kind in columns[3]],
+        polarity=[e[4] if len(e) > 4 else None for e in edges],
+        config=config,
     )
-    nodes = [
-        ViewpointNode(id=int(n["id"]), text=n["text"], idea_id=n["idea"], row=int(n["id"]), t=float(n.get("t", 0.0)))
-        for n in payload["nodes"]
-    ]
-    edges = []
-    for entry in payload["edges"]:
-        u, v, w, kind = entry[0], entry[1], entry[2], entry[3]
-        polarity = entry[4] if len(entry) > 4 else None
-        edges.append(WeightedEdge(u=int(u), v=int(v), weight=float(w), kind=kind, polarity=polarity))
-    return ViewpointGraph(nodes=nodes, edges=edges, config=config)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

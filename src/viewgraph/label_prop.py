@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Corpus, write_jsonl
-from .graph import ViewpointGraph
+from .graph import Arcs, ViewpointGraph
 
 
 @dataclass(frozen=True)
@@ -41,52 +41,61 @@ def init_vectors(graph: ViewpointGraph, corpus: Corpus) -> np.ndarray:
     """One row per node: one-hot for labeled train ideas, zero otherwise."""
     ideas = {idea.id: idea for idea in corpus.ideas}
     vectors = np.zeros((len(graph), len(corpus.label_set)), dtype=np.float64)
-    for node in graph.nodes:
-        idea = ideas.get(node.idea_id)
+    for node, idea_id in enumerate(graph.idea):
+        idea = ideas.get(idea_id)
         if idea is None:
-            raise ValueError(f"node {node.id} belongs to unknown idea {node.idea_id!r}")
+            raise ValueError(f"node {node} belongs to unknown idea {idea_id!r}")
         if idea.split == "train":
             if idea.label is None:
                 raise ValueError(f"train idea {idea.id!r} has no label")
-            vectors[node.id, idea.label] = 1.0
+            vectors[node, idea.label] = 1.0
     return vectors
 
 
-def normalize_weights(graph: ViewpointGraph) -> list[list[tuple[int, float]]]:
-    """Per-node outgoing weights rescaled to sum to 1.
+def _slots(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per neighbour slot s: the nodes with more than s neighbours and the
+    arc index of each one's s-th neighbour. Looping over the slots adds a
+    node's neighbour terms one at a time in ascending neighbour order."""
+    degree = np.diff(indptr)
+    slots = []
+    for s in range(int(degree.max(initial=0))):
+        nodes = np.flatnonzero(degree > s)
+        slots.append((nodes, indptr[nodes] + s))
+    return slots
+
+
+def normalize_weights(graph: ViewpointGraph) -> Arcs:
+    """The graph's directed view with each node's incoming weights
+    rescaled to sum to 1.
 
     Normalization is per-direction: the same undirected edge may carry a
     different normalized weight from each endpoint's perspective. Nodes
-    with zero total incident weight get an empty list.
+    with zero total incident weight get zero weights.
     """
-    out: list[list[tuple[int, float]]] = []
-    for node_id in range(len(graph)):
-        incident = graph.neighbors(node_id)
-        total = sum(w for _, w in incident)
-        if total <= 0.0:
-            out.append([])
-        else:
-            out.append([(nbr, w / total) for nbr, w in incident])
-    return out
+    arcs = graph.arcs
+    total = np.zeros(len(graph))
+    for nodes, slot in _slots(arcs.indptr):
+        total[nodes] += arcs.weight[slot]
+    total = total[arcs.dst]
+    weight = np.divide(arcs.weight, total, out=np.zeros_like(arcs.weight), where=total > 0.0)
+    return arcs._replace(weight=weight)
 
 
-def propagate(
-    vectors: np.ndarray,
-    weights: Sequence[Sequence[tuple[int, float]]],
-    config: LpConfig = LpConfig(),
-) -> np.ndarray:
-    """Synchronous propagation for up to max_iters iterations.
+def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig()) -> np.ndarray:
+    """Synchronous propagation for up to max_iters iterations over the
+    normalized directed view ``weights``: each node adds its neighbours'
+    weighted vectors to its own.
 
     Each new vector is L1-normalized (zero vectors stay zero). With
     early_stop, iteration ends once no node's argmax label changes.
     """
     current = np.array(vectors, dtype=np.float64)
     labels = np.argmax(current, axis=1)
+    slots = [(nodes, weights.weight[slot, None], weights.src[slot]) for nodes, slot in _slots(weights.indptr)]
     for _ in range(config.max_iters):
         updated = current.copy()
-        for i, nbrs in enumerate(weights):
-            for j, w in nbrs:
-                updated[i] += w * current[j]
+        for nodes, w, src in slots:
+            updated[nodes] += w * current[src]
         norms = updated.sum(axis=1)
         nonzero = norms > 0.0
         updated[nonzero] /= norms[nonzero, None]

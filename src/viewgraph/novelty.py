@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Corpus, IdeaViewpoints, read_jsonl, write_jsonl
 from .embedding import EmbeddingMatrix, EmbeddingProvider, embed
-from .graph import INTER, GraphConfig, ViewpointGraph, integrate_subgraph, with_time_features
+from .graph import GraphConfig, ViewpointGraph, integrate_subgraph
 
 STRATEGIES = ("copy", "random-swap", "neighbor-swap")
 ONE_DAY = 86400
@@ -66,21 +66,6 @@ def _even_shares(count: int, buckets: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(buckets)]
 
 
-def _inter_neighbors(graph: ViewpointGraph) -> dict[int, list[int]]:
-    """Per node, cross-idea neighbors sorted by descending weight (ties:
-    lower node id)."""
-    ranked: dict[int, list[tuple[float, int]]] = {}
-    for e in graph.edges:
-        if e.kind != INTER:
-            continue
-        ranked.setdefault(e.u, []).append((e.weight, e.v))
-        ranked.setdefault(e.v, []).append((e.weight, e.u))
-    return {
-        node: [other for _, other in sorted(nbrs, key=lambda t: (-t[0], t[1]))]
-        for node, nbrs in ranked.items()
-    }
-
-
 def generate_negatives(
     corpus: Corpus,
     graph: ViewpointGraph,
@@ -111,14 +96,7 @@ def generate_negatives(
         if idea.id not in graph.idea_nodes:
             raise ValueError(f"source idea {idea.id!r} has no nodes in the graph")
 
-    texts_by_idea = {
-        iid: [graph.nodes[n].text for n in ids] for iid, ids in graph.idea_nodes.items()
-    }
-    other_pool = {
-        iid: [t for other, ts in texts_by_idea.items() if other != iid for t in ts]
-        for iid in texts_by_idea
-    }
-    inter_neighbors = _inter_neighbors(graph)
+    arcs = graph.arcs
     neg_timestamp = max(i.timestamp for i in corpus.ideas) + ONE_DAY
 
     rng = np.random.default_rng(seed)
@@ -128,7 +106,8 @@ def generate_negatives(
     for strategy, share in zip(strategies, _even_shares(count, len(strategies))):
         for _ in range(share):
             source = sources[int(rng.integers(len(sources)))]
-            texts = list(texts_by_idea[source.id])
+            node_ids = graph.idea_nodes[source.id]
+            texts = [graph.text[n] for n in node_ids]
             if strategy != "copy":
                 n_swap = math.ceil(swap_fraction * len(texts))
                 positions = sorted(
@@ -137,13 +116,15 @@ def generate_negatives(
                 for pos in positions:
                     use_random = strategy == "random-swap"
                     if strategy == "neighbor-swap":
-                        # most similar cross-idea neighbor whose text differs
-                        node_id = graph.idea_nodes[source.id][pos]
+                        # most similar cross-idea neighbor whose text differs,
+                        # ranked by (-weight, id)
+                        lo, hi = arcs.indptr[node_ids[pos]], arcs.indptr[node_ids[pos] + 1]
+                        ranked = arcs.src[lo:hi][np.lexsort((arcs.src[lo:hi], -arcs.weight[lo:hi]))]
                         nbr = next(
                             (
-                                n
-                                for n in inter_neighbors.get(node_id, ())
-                                if graph.nodes[n].text != texts[pos]
+                                int(n)
+                                for n in ranked
+                                if graph.idea[n] != source.id and graph.text[n] != texts[pos]
                             ),
                             None,
                         )
@@ -151,9 +132,13 @@ def generate_negatives(
                             use_random = True
                             fallbacks += 1
                         else:
-                            texts[pos] = graph.nodes[nbr].text
+                            texts[pos] = graph.text[nbr]
                     if use_random:
-                        pool = [t for t in other_pool[source.id] if t != texts[pos]]
+                        pool = [
+                            text
+                            for idea, text in zip(graph.idea, graph.text)
+                            if idea != source.id and text != texts[pos]
+                        ]
                         if not pool:
                             fallbacks += 1
                             continue
@@ -193,13 +178,14 @@ def inject_negatives(
     config: Optional[GraphConfig] = None,
     provider: Optional[EmbeddingProvider] = None,
 ) -> tuple[ViewpointGraph, EmbeddingMatrix]:
-    """Integrate each negative as a new subgraph; returns the enlarged
-    graph and embedding matrix.
+    """Integrate the negatives as new subgraphs, in order, in one pass;
+    returns the enlarged graph and embedding matrix.
 
-    Negatives reuse the embedding row of any existing node with the same
-    text (copies therefore connect to their sources at weight 1). All
-    temporal features are re-encoded over corpus plus negatives, so the
-    negatives carry the latest feature and everything stays in [0, 1].
+    Each negative links to the existing graph and to earlier negatives
+    only. Negatives reuse the embedding row of any earlier node with the
+    same text (copies therefore connect to their sources at weight 1).
+    All temporal features are re-encoded over corpus plus negatives, so
+    the negatives carry the latest feature and everything stays in [0, 1].
     """
     config = config or graph.config
     corpus_ids = {i.id for i in corpus.ideas}
@@ -208,40 +194,30 @@ def inject_negatives(
             raise ValueError(f"negative id {neg.id!r} collides with an existing idea")
 
     by_text: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        by_text.setdefault(node.text, matrix.rows[node.row])
-
-    encoding = encode_time(corpus, [n.timestamp for n in negatives])
-    features: dict[str, float] = {i.id: encoding.feature(i.timestamp) for i in corpus.ideas}
-    # previously injected ideas are absent from the corpus: keep their feature
-    for idea_id, node_ids in graph.idea_nodes.items():
-        if idea_id not in features:
-            features[idea_id] = graph.nodes[node_ids[0]].t
-
+    for node, text in enumerate(graph.text):
+        by_text.setdefault(text, matrix.rows[node])
+    rows = []
     for neg in negatives:
-        rows = []
         for text in neg.viewpoints:
-            vec = by_text.get(text)
-            if vec is None:
+            if text not in by_text:
                 if provider is None:
                     raise ValueError(
                         f"negative {neg.id!r} has viewpoint text absent from the graph "
                         "and no embedding provider was given"
                     )
-                vec = embed([text], provider).rows[0]
-            rows.append(vec)
+                by_text[text] = embed([text], provider).rows[0]
+            rows.append(by_text[text])
+    if rows:
         matrix = matrix.extend(np.stack(rows))
-        record = IdeaViewpoints(
-            idea_id=neg.id, viewpoints=neg.viewpoints, timestamp=neg.timestamp
-        )
-        t = encoding.feature(neg.timestamp)
-        graph = integrate_subgraph(graph, record, matrix, config, t=t)
-        features[neg.id] = t
-        for text, row in zip(neg.viewpoints, graph.idea_nodes[neg.id]):
-            by_text.setdefault(text, matrix.rows[row])
 
-    graph = with_time_features(graph, features)
-    return graph, matrix
+    encoding = encode_time(corpus, [n.timestamp for n in negatives])
+    features = {i.id: encoding.feature(i.timestamp) for i in corpus.ideas}
+    features.update((n.id, encoding.feature(n.timestamp)) for n in negatives)
+    # previously injected ideas are absent from the corpus: keep their feature
+    t = [features.get(idea, old) for idea, old in zip(graph.idea, graph.t.tolist())]
+    t += [features[n.id] for n in negatives for _ in n.viewpoints]
+    records = [IdeaViewpoints(idea_id=n.id, viewpoints=n.viewpoints, timestamp=n.timestamp) for n in negatives]
+    return integrate_subgraph(graph, records, matrix, config, t=t), matrix
 
 
 def save_negatives(samples: Sequence[NegativeSample], path: str | Path) -> None:

@@ -314,7 +314,7 @@ def run_build(paths: dict, config: RunConfig) -> dict:
     graph_config = GraphConfig(intra_k=g.k, inter_m=g.m, weight_floor=g.weight_floor)
     graph = build_graph(records, matrix, graph_config, hybrid=g.hybrid)
     save_graph(graph, paths["graph"])
-    return {"nodes": len(graph), "edges": len(graph.edges)}
+    return {"nodes": len(graph), "edges": len(graph.weight)}
 
 
 def run_negatives(paths: dict, config: RunConfig) -> dict:

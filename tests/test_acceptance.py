@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from graphs import arcs_from_lists, edge_dict, toy_graph
 from oracles import (
     brute_force_graph_edges,
     brute_force_macro,
@@ -56,7 +57,7 @@ def test_lp_oracle_equivalence():
             )
         for iters in range(1, 6):
             ours = label_prop.propagate(
-                init, weights, label_prop.LpConfig(max_iters=iters, early_stop=False)
+                init, arcs_from_lists(weights), label_prop.LpConfig(max_iters=iters, early_stop=False)
             )
             expected = dense_label_propagation(init, adjacency, iters)
             worst = max(worst, float(np.abs(ours - expected).max()))
@@ -72,13 +73,13 @@ def test_lp_hand_traces():
     # chain: labeled node feeds its lone neighbor its exact vector
     chain_init = np.array([[1.0, 0.0], [0.0, 0.0]])
     chain_weights = [[(1, 1.0)], [(0, 1.0)]]
-    chain = label_prop.propagate(chain_init, chain_weights, label_prop.LpConfig(max_iters=1))
+    chain = label_prop.propagate(chain_init, arcs_from_lists(chain_weights), label_prop.LpConfig(max_iters=1))
     chain_ok = chain[1].tolist() == [1.0, 0.0]
 
     # star: zero center, leaves one-hot at labels 0, 0, 1, normalized weight 1/3
     star_init = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     star_weights = [[(1, 1 / 3), (2, 1 / 3), (3, 1 / 3)], [(0, 1.0)], [(0, 1.0)], [(0, 1.0)]]
-    star = label_prop.propagate(star_init, star_weights, label_prop.LpConfig(max_iters=1))
+    star = label_prop.propagate(star_init, arcs_from_lists(star_weights), label_prop.LpConfig(max_iters=1))
     star_ok = bool(np.allclose(star[0], [2 / 3, 1 / 3], atol=1e-12))
     criterion("lp-hand-traces", chain_ok and star_ok, f"chain={chain[1]}, star center={star[0]}")
 
@@ -109,11 +110,10 @@ def test_graph_construction_oracle():
     for seed in range(20):
         records, matrix, config = _graph_instance(seed)
         graph = build_graph(records, matrix, config)
-        idea_of = [n.idea_id for n in graph.nodes]
         expected = brute_force_graph_edges(
-            idea_of, matrix.rows, config.intra_k, config.inter_m, config.weight_floor
+            graph.idea, matrix.rows, config.intra_k, config.inter_m, config.weight_floor
         )
-        got = {(e.u, e.v): (e.weight, e.kind) for e in graph.edges}
+        got = edge_dict(graph)
         assert set(got) == set(expected), f"edge set mismatch at seed {seed}"
         for key, (w, kind) in expected.items():
             assert got[key][1] == kind
@@ -123,10 +123,10 @@ def test_graph_construction_oracle():
         for (u, v), (_, kind) in got.items():
             degree[u, kind] += 1
             degree[v, kind] += 1
-        for node in graph.nodes:
-            siblings = len(graph.idea_nodes[node.idea_id]) - 1
+        for node, idea in enumerate(graph.idea):
+            siblings = len(graph.idea_nodes[idea]) - 1
             foreign = len(graph) - siblings - 1
-            intra, inter = degree[node.id, "intra"], degree[node.id, "inter"]
+            intra, inter = degree[node, "intra"], degree[node, "inter"]
             assert min(config.intra_k, siblings) <= intra <= 2 * config.intra_k
             assert min(config.inter_m, foreign) <= inter <= 2 * config.inter_m
         checked += 1
@@ -150,21 +150,7 @@ def test_gradient_check():
             for v in range(u + 1, 6)
             if rng.random() < 0.6
         ]
-        from viewgraph.graph import ViewpointGraph, ViewpointNode, WeightedEdge
-
-        nodes = [
-            ViewpointNode(id=i, text=f"v{i}", idea_id=idea, row=i)
-            for i, idea in enumerate(node_ideas)
-        ]
-        edges = [
-            WeightedEdge(
-                u=u, v=v, weight=w,
-                kind="intra" if node_ideas[u] == node_ideas[v] else "inter",
-            )
-            for u, v, w in pairs
-        ]
-        graph = ViewpointGraph(nodes=nodes, edges=edges, config=GraphConfig())
-        arrays = gnn.edge_arrays(graph)
+        arrays = toy_graph(node_ideas, pairs).arcs
         X = rng.normal(size=(6, 4))
         items = [([0, 1, 2], int(rng.integers(3))), ([3, 4, 5], int(rng.integers(3)))]
         model = gnn.init_model(gnn.GnnConfig(hidden_dim=8), 4, 3, np.random.default_rng(seed + 50))

@@ -6,6 +6,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import edge_dict, incoming
 from oracles import brute_force_graph_edges
 from viewgraph.dataset import IdeaViewpoints
 from viewgraph.embedding import (
@@ -37,10 +38,9 @@ def graph_of(rows, sizes, k, m=0):
 
 
 def assert_matches_oracle(graph, rows):
-    idea_of = [n.idea_id for n in graph.nodes]
     config = graph.config
-    expected = brute_force_graph_edges(idea_of, np.asarray(rows, dtype=float), config.intra_k, config.inter_m)
-    got = {(e.u, e.v): (e.weight, e.kind) for e in graph.edges}
+    expected = brute_force_graph_edges(graph.idea, np.asarray(rows, dtype=float), config.intra_k, config.inter_m)
+    got = edge_dict(graph)
     assert set(got) == set(expected)
     for key, (w, kind) in expected.items():
         assert got[key][1] == kind
@@ -162,7 +162,7 @@ class TestTopK:
             ]
         )
         graph = graph_of(rows, [3], k=1)
-        [(nbr, weight)] = graph.neighbors(0)
+        [(nbr, weight)] = incoming(graph.arcs, 0).items()
         assert nbr == 1
         assert weight == pytest.approx(0.9, abs=1e-12)
 
@@ -171,7 +171,7 @@ class TestTopK:
         graph = graph_of(rows, [4], k=2)
         assert_matches_oracle(graph, rows)
         # node 0 picks rows 1 and 2; row 3 reaches it only by picking it
-        assert {(e.u, e.v) for e in graph.edges} == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
+        assert set(edge_dict(graph)) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
 
     def test_tie_breaking_across_ideas(self):
         rows = np.array([[1, 0], [0, 1], [1, 0], [1, 0], [0, 1], [1, 0]])
@@ -181,12 +181,12 @@ class TestTopK:
     def test_k_truncates_to_candidates(self):
         rows = np.random.default_rng(1).normal(size=(3, 4))
         graph = graph_of(rows, [3], k=5)
-        assert len(graph.neighbors(0)) == 2
+        assert len(incoming(graph.arcs, 0)) == 2
 
     def test_empty_candidates_empty_list(self):
         rows = np.random.default_rng(1).normal(size=(3, 4))
         graph = graph_of(rows, [1, 2], k=2)
-        assert graph.neighbors(0) == []
+        assert incoming(graph.arcs, 0) == {}
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=60, deadline=None)

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from graphs import toy_graph
 from oracles import finite_difference_grads, max_relative_error
 from viewgraph.dataset import Corpus, Idea, LabelSet
 from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.gnn import (
     AdamState,
-    EdgeArrays,
     GnnConfig,
     GnnModel,
     adam_step,
     batch_loss_and_grads,
-    edge_arrays,
     full_forward,
     init_model,
     load_model,
@@ -28,24 +27,13 @@ from viewgraph.gnn import (
     save_model,
     train,
 )
-from viewgraph.graph import GraphConfig, ViewpointGraph, ViewpointNode, WeightedEdge
 
 TWO = LabelSet(("Reject", "Accept"))
 
 
 def make_edges(pairs, n):
-    src, dst, w = [], [], []
-    for u, v, weight in pairs:
-        src += [v, u]
-        dst += [u, v]
-        w += [weight, weight]
-    deg = np.bincount(np.array(dst, dtype=int), minlength=n) if dst else np.zeros(n, dtype=int)
-    return EdgeArrays(
-        src=np.array(src, dtype=int),
-        dst=np.array(dst, dtype=int),
-        weight=np.array(w, dtype=float),
-        deg=deg,
-    )
+    """Directed view of ``(u, v, weight)`` pairs over n nodes of distinct ideas."""
+    return toy_graph([f"i{i}" for i in range(n)], pairs).arcs
 
 
 def one_layer(states, edges, message_w, combine_w):
@@ -65,15 +53,6 @@ def one_layer(states, edges, message_w, combine_w):
 def idea_probs(model, X, edges, node_ids):
     """Full-graph message passing, then the pooled head for one idea."""
     return pool_and_head(model, full_forward(model, X, edges).states[-1], node_ids).probs
-
-
-def toy_graph(node_ideas, pairs, config=GraphConfig()):
-    nodes = [
-        ViewpointNode(id=i, text=f"v{i}", idea_id=idea, row=i, t=0.0)
-        for i, idea in enumerate(node_ideas)
-    ]
-    edges = [WeightedEdge(u=u, v=v, weight=w, kind="inter" if nodes[u].idea_id != nodes[v].idea_id else "intra") for u, v, w in pairs]
-    return ViewpointGraph(nodes=nodes, edges=edges, config=config)
 
 
 def random_labeled_graph(seed, n_ideas=2, nodes_per_idea=3, dim=4, n_labels=3):
@@ -191,7 +170,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradients_match_finite_differences(self, seed):
         graph, X, items, n_labels = random_labeled_graph(seed)
-        edges = edge_arrays(graph)
+        edges = graph.arcs
         rng = np.random.default_rng(seed + 100)
         model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, rng)
         _, analytic = batch_loss_and_grads(model, X, edges, items)
@@ -206,7 +185,7 @@ class TestBackward:
 
     def test_zero_class_weights_zero_gradients(self):
         graph, X, items, n_labels = random_labeled_graph(3)
-        edges = edge_arrays(graph)
+        edges = graph.arcs
         model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, np.random.default_rng(0))
         loss_val, grads = batch_loss_and_grads(model, X, edges, items, class_weights=np.zeros(n_labels))
         assert loss_val == 0.0
@@ -214,7 +193,7 @@ class TestBackward:
 
     def test_batch_gradient_is_mean_of_item_gradients(self):
         graph, X, items, n_labels = random_labeled_graph(4)
-        edges = edge_arrays(graph)
+        edges = graph.arcs
         model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, np.random.default_rng(1))
         _, g_both = batch_loss_and_grads(model, X, edges, items)
         _, g_a = batch_loss_and_grads(model, X, edges, [items[0]])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from graphs import edge_dict, kind_degree
 from oracles import brute_force_graph_edges
 from viewgraph.dataset import IdeaViewpoints
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
@@ -12,7 +13,6 @@ from viewgraph.graph import (
     GraphConfig,
     ViewpointGraph,
     build_graph,
-    build_subgraph,
     integrate_subgraph,
     load_graph,
     save_graph,
@@ -30,10 +30,6 @@ def records_from(spec: dict[str, list[str]], timestamps=None) -> list[IdeaViewpo
 def stub_matrix(records) -> EmbeddingMatrix:
     texts = [v for r in records for v in r.viewpoints]
     return embed(texts, EmbeddingProvider(kind="stub", dimension=16))
-
-
-def kind_degree(graph, node_id: int, kind: str) -> int:
-    return sum(1 for e in graph.edges if e.kind == kind and node_id in (e.u, e.v))
 
 
 def random_instance(seed: int, max_nodes: int = 40):
@@ -56,45 +52,71 @@ def random_instance(seed: int, max_nodes: int = 40):
     return records, matrix, GraphConfig(intra_k=k, inter_m=m)
 
 
+def tied_instance(seed: int):
+    """Four to seven ideas whose embedding rows repeat a few distinct
+    vectors, so exact similarity ties occur within and across ideas."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(x) for x in rng.integers(1, 7, size=int(rng.integers(4, 8)))]
+    records = records_from(
+        {f"idea{i}": [f"idea{i} viewpoint {j}" for j in range(size)] for i, size in enumerate(sizes)}
+    )
+    distinct = rng.normal(size=(int(rng.integers(2, 6)), 5))
+    rows = distinct[rng.integers(len(distinct), size=sum(sizes))]
+    config = GraphConfig(intra_k=int(rng.integers(1, 5)), inter_m=int(rng.integers(0, 9)))
+    return records, rows, config
+
+
+def assert_matches_brute_force(graph, rows):
+    config = graph.config
+    expected = brute_force_graph_edges(graph.idea, rows, config.intra_k, config.inter_m, config.weight_floor)
+    got = edge_dict(graph)
+    assert set(got) == set(expected)
+    for key, (w, kind) in expected.items():
+        assert got[key][1] == kind
+        assert got[key][0] == pytest.approx(w, abs=1e-12)
+
+
 class TestBuildSubgraph:
+    """Intra edges of one idea."""
+
     def test_single_viewpoint_no_edges(self):
         records = records_from({"a": ["only one"]})
         matrix = stub_matrix(records)
-        assert build_subgraph([0], matrix, GraphConfig()) == []
+        assert edge_dict(build_graph(records, matrix, GraphConfig())) == {}
 
     def test_three_nodes_form_triangle(self):
         records = records_from({"a": ["va", "vb", "vc"]})
         matrix = stub_matrix(records)
-        edges = build_subgraph([0, 1, 2], matrix, GraphConfig(intra_k=5))
-        assert {(e.u, e.v) for e in edges} == {(0, 1), (0, 2), (1, 2)}
+        graph = build_graph(records, matrix, GraphConfig(intra_k=5))
+        assert set(edge_dict(graph)) == {(0, 1), (0, 2), (1, 2)}
 
     def test_negative_cosine_clamped_to_floor(self):
         rows = np.array([[1.0, 0.1], [-1.0, 0.1]])  # cosine < 0
         matrix = EmbeddingMatrix(rows)
-        edges = build_subgraph([0, 1], matrix, GraphConfig(weight_floor=0.0))
-        assert len(edges) == 1
-        assert edges[0].weight == 0.0
+        graph = build_graph(records_from({"a": ["x", "y"]}), matrix, GraphConfig(weight_floor=0.0))
+        assert len(graph.weight) == 1
+        assert graph.weight[0] == 0.0
 
 
 class TestBuildGraph:
     def test_single_idea_no_inter_edges(self):
         records = records_from({"a": ["v1", "v2", "v3"]})
         graph = build_graph(records, stub_matrix(records), GraphConfig(inter_m=10))
-        assert all(e.kind == "intra" for e in graph.edges)
+        assert graph.intra.all()
 
     def test_two_singleton_ideas_one_inter_edge(self):
         records = records_from({"a": ["va"], "b": ["vb"]})
         graph = build_graph(records, stub_matrix(records), GraphConfig(inter_m=1))
-        assert len(graph.edges) == 1
-        assert graph.edges[0].kind == "inter"
+        assert len(graph.weight) == 1
+        assert not graph.intra[0]
 
     def test_node_ids_in_idea_then_viewpoint_order(self):
         records = records_from({"b": ["x", "y"], "a": ["z"]})
         graph = build_graph(records, stub_matrix(records))
-        assert [(n.id, n.idea_id, n.text) for n in graph.nodes] == [
-            (0, "b", "x"),
-            (1, "b", "y"),
-            (2, "a", "z"),
+        assert list(enumerate(zip(graph.idea, graph.text))) == [
+            (0, ("b", "x")),
+            (1, ("b", "y")),
+            (2, ("a", "z")),
         ]
 
     def test_matrix_size_must_match(self):
@@ -106,26 +128,22 @@ class TestBuildGraph:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         records, matrix, config = random_instance(seed)
-        graph = build_graph(records, matrix, config)
-        idea_of = [n.idea_id for n in graph.nodes]
-        expected = brute_force_graph_edges(
-            idea_of, matrix.rows, config.intra_k, config.inter_m, config.weight_floor
-        )
-        got = {(e.u, e.v): (e.weight, e.kind) for e in graph.edges}
-        assert set(got) == set(expected)
-        for key, (w, kind) in expected.items():
-            assert got[key][1] == kind
-            assert got[key][0] == pytest.approx(w, abs=1e-12)
+        assert_matches_brute_force(build_graph(records, matrix, config), matrix.rows)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_brute_force_with_exact_ties(self, seed):
+        records, rows, config = tied_instance(seed)
+        assert_matches_brute_force(build_graph(records, EmbeddingMatrix(rows), config), rows)
 
     def test_weights_within_bounds_and_degree_floor(self):
         records, matrix, config = random_instance(99)
         graph = build_graph(records, matrix, config)
-        assert all(config.weight_floor <= e.weight <= 1.0 for e in graph.edges)
-        for node in graph.nodes:
-            siblings = len(graph.idea_nodes[node.idea_id]) - 1
+        assert all(config.weight_floor <= w <= 1.0 for w in graph.weight)
+        for node, idea in enumerate(graph.idea):
+            siblings = len(graph.idea_nodes[idea]) - 1
             foreign = len(graph) - siblings - 1
-            assert kind_degree(graph, node.id, "intra") >= min(config.intra_k, siblings)
-            assert kind_degree(graph, node.id, "inter") >= min(config.inter_m, foreign)
+            assert kind_degree(graph, node, "intra") >= min(config.intra_k, siblings)
+            assert kind_degree(graph, node, "inter") >= min(config.inter_m, foreign)
 
     def test_permutation_stable(self):
         records, matrix, config = random_instance(7)
@@ -144,10 +162,10 @@ class TestBuildGraph:
                 back.append(offsets[r.idea_id] + j)
         perm_graph = build_graph(perm_records, EmbeddingMatrix(np.array(perm_rows)), config)
         remapped = {
-            (min(back[e.u], back[e.v]), max(back[e.u], back[e.v])): (e.weight, e.kind)
-            for e in perm_graph.edges
+            (min(back[u], back[v]), max(back[u], back[v])): edge
+            for (u, v), edge in edge_dict(perm_graph).items()
         }
-        original = {(e.u, e.v): (e.weight, e.kind) for e in graph.edges}
+        original = edge_dict(graph)
         assert set(remapped) == set(original)
         for key in original:
             assert remapped[key][0] == pytest.approx(original[key][0], abs=1e-9)
@@ -158,12 +176,12 @@ class TestIntegrate:
     def test_into_empty_graph_equals_build(self):
         records = records_from({"a": ["v1", "v2"]})
         matrix = stub_matrix(records)
-        empty = ViewpointGraph(nodes=[], edges=[], config=GraphConfig())
-        grown = integrate_subgraph(empty, records[0], matrix)
+        empty = ViewpointGraph(idea=[], text=[], t=[], config=GraphConfig())
+        grown = integrate_subgraph(empty, records, matrix)
         built = build_graph(records, matrix)
-        assert [(n.id, n.text) for n in grown.nodes] == [(n.id, n.text) for n in built.nodes]
-        assert {(e.u, e.v, e.kind) for e in grown.edges} == {
-            (e.u, e.v, e.kind) for e in built.edges
+        assert grown.text == built.text
+        assert {(u, v, kind) for (u, v), (_, kind) in edge_dict(grown).items()} == {
+            (u, v, kind) for (u, v), (_, kind) in edge_dict(built).items()
         }
 
     def test_new_node_inter_degree(self):
@@ -175,7 +193,7 @@ class TestIntegrate:
             [v for r in base for v in r.viewpoints] + ["c0"],
             EmbeddingProvider(kind="stub", dimension=16),
         )
-        grown = integrate_subgraph(graph, new, extended)
+        grown = integrate_subgraph(graph, [new], extended)
         new_id = grown.idea_nodes["c"][0]
         assert kind_degree(grown, new_id, "inter") == min(graph.config.inter_m, len(graph))
 
@@ -184,7 +202,7 @@ class TestIntegrate:
         matrix = stub_matrix(records)
         graph = build_graph(records, matrix)
         with pytest.raises(ValueError, match="already"):
-            integrate_subgraph(graph, records[0], matrix)
+            integrate_subgraph(graph, records, matrix)
 
     def test_incremental_equals_scratch_when_m_covers_everything(self):
         spec = {
@@ -199,17 +217,29 @@ class TestIntegrate:
         provider = EmbeddingProvider(kind="stub", dimension=16)
         scratch = build_graph(records, embed(all_texts, provider), config)
 
-        grown = ViewpointGraph(nodes=[], edges=[], config=config)
+        grown = ViewpointGraph(idea=[], text=[], t=[], config=config)
         texts_so_far: list[str] = []
         for rec in records:
             texts_so_far.extend(rec.viewpoints)
-            grown = integrate_subgraph(grown, rec, embed(texts_so_far, provider), config)
-        assert [(n.id, n.idea_id) for n in grown.nodes] == [
-            (n.id, n.idea_id) for n in scratch.nodes
-        ]
-        assert {(e.u, e.v, e.kind) for e in grown.edges} == {
-            (e.u, e.v, e.kind) for e in scratch.edges
+            grown = integrate_subgraph(grown, [rec], embed(texts_so_far, provider), config)
+        assert grown.idea == scratch.idea
+        assert {(u, v, kind) for (u, v), (_, kind) in edge_dict(grown).items()} == {
+            (u, v, kind) for (u, v), (_, kind) in edge_dict(scratch).items()
         }
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_call_equals_chain_of_single_calls(self, seed):
+        records, rows, config = tied_instance(seed)
+        first, new = records[:1], records[1:4]
+        stop = len(first[0].viewpoints)
+        base = build_graph(first, EmbeddingMatrix(rows[:stop]), config)
+        chain = base
+        for rec in new:
+            stop += len(rec.viewpoints)
+            chain = integrate_subgraph(chain, [rec], EmbeddingMatrix(rows[:stop]), config)
+        once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]), config)
+        assert (once.idea, once.text) == (chain.idea, chain.text)
+        assert list(edge_dict(once).items()) == list(edge_dict(chain).items())
 
 
 class TestSerialization:
@@ -219,12 +249,8 @@ class TestSerialization:
         path = tmp_path / "graph.json"
         save_graph(graph, path)
         loaded = load_graph(path)
-        assert [(n.id, n.idea_id, n.text, n.t) for n in loaded.nodes] == [
-            (n.id, n.idea_id, n.text, n.t) for n in graph.nodes
-        ]
-        assert [(e.u, e.v, e.weight, e.kind) for e in loaded.edges] == [
-            (e.u, e.v, e.weight, e.kind) for e in graph.edges
-        ]
+        assert (loaded.idea, loaded.text, loaded.t.tolist()) == (graph.idea, graph.text, graph.t.tolist())
+        assert list(edge_dict(loaded).items()) == list(edge_dict(graph).items())
 
     def _payload(self):
         return {
@@ -260,6 +286,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="intra"):
             load_graph(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("edges", [[0, 1, 0.5, "inter"], [0, 1]], "edge 1"),
+            ("edges", [[0.5, 1, 0.3, "intra"]], "edge 0"),
+            ("nodes", None, "nodes"),
+            ("config", {"k": None, "m": 10}, "config"),
+            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 5, "idea": "b", "text": "y"}], "node 1"),
+        ],
+        ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order"],
+    )
+    def test_malformed_entry_named(self, tmp_path, key, value, message):
+        payload = self._payload()
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_graph(path)
+
     def test_weight_out_of_range_rejected(self, tmp_path):
         payload = self._payload()
         payload["edges"] = [[0, 1, 1.5, "inter"]]
@@ -289,7 +337,6 @@ class TestHybrid:
         )
         matrix = stub_matrix([rec])
         graph = build_graph([rec], matrix, GraphConfig(), hybrid=True)
-        intra = [e for e in graph.edges if e.kind == "intra"]
-        assert len(intra) == 1
-        assert intra[0].polarity == "opposing"
-        assert {intra[0].u, intra[0].v} == {0, 1}
+        intra = [(u, v, pol) for u, v, pol in zip(graph.u, graph.v, graph.polarity) if pol]
+        assert graph.intra.sum() == len(intra) == 1
+        assert intra == [(0, 1, "opposing")]

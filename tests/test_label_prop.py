@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from graphs import arcs_from_lists, incoming, toy_graph
 from oracles import dense_label_propagation, random_lp_instance
 from viewgraph.dataset import Corpus, Idea, LabelSet
-from viewgraph.graph import GraphConfig, ViewpointGraph, ViewpointNode, WeightedEdge
+from viewgraph.graph import GraphConfig
 from viewgraph.label_prop import (
     LpConfig,
     init_vectors,
@@ -19,11 +20,9 @@ FOUR = LabelSet(("Reject", "Accept (Poster)", "Accept (Oral)", "Accept (Spotligh
 
 
 def graph_from(edges, node_ideas, config=GraphConfig()):
-    nodes = [
-        ViewpointNode(id=i, text=f"v{i}", idea_id=idea, row=i) for i, idea in enumerate(node_ideas)
-    ]
-    weighted = [WeightedEdge(u=u, v=v, weight=w, kind=kind) for u, v, w, kind in edges]
-    return ViewpointGraph(nodes=nodes, edges=weighted, config=config)
+    graph = toy_graph(node_ideas, [(u, v, w) for u, v, w, _ in edges], config)
+    assert [kind == "intra" for *_, kind in edges] == graph.intra.tolist()
+    return graph
 
 
 def corpus_for(node_ideas, labels, label_set=FOUR):
@@ -74,19 +73,19 @@ class TestNormalize:
             [(0, 1, 0.5, "inter"), (0, 2, 0.5, "inter")], ["a", "b", "c"]
         )
         weights = normalize_weights(graph)
-        assert sorted(w for _, w in weights[0]) == [0.5, 0.5]
+        assert sorted(incoming(weights, 0).values()) == [0.5, 0.5]
 
     def test_hand_division(self):
         graph = graph_from(
             [(0, 1, 0.9, "inter"), (0, 2, 0.3, "inter")], ["a", "b", "c"]
         )
-        weights = dict(normalize_weights(graph)[0])
+        weights = incoming(normalize_weights(graph), 0)
         assert weights[1] == pytest.approx(0.75)
         assert weights[2] == pytest.approx(0.25)
 
     def test_isolated_node_empty(self):
         graph = graph_from([], ["a"])
-        assert normalize_weights(graph) == [[]]
+        assert incoming(normalize_weights(graph), 0) == {}
 
     def test_per_direction_normalization(self):
         # node 0 has two edges, node 1 only one: the shared edge normalizes
@@ -95,8 +94,8 @@ class TestNormalize:
             [(0, 1, 0.5, "inter"), (0, 2, 0.5, "inter")], ["a", "b", "c"]
         )
         weights = normalize_weights(graph)
-        assert dict(weights[0])[1] == pytest.approx(0.5)
-        assert dict(weights[1])[0] == pytest.approx(1.0)
+        assert incoming(weights, 0)[1] == pytest.approx(0.5)
+        assert incoming(weights, 1)[0] == pytest.approx(1.0)
 
 
 class TestPropagate:
@@ -155,7 +154,7 @@ class TestPropagate:
         ]
         vectors = init
         for _ in range(5):
-            vectors = propagate(vectors, weights, LpConfig(max_iters=1, early_stop=False))
+            vectors = propagate(vectors, arcs_from_lists(weights), LpConfig(max_iters=1, early_stop=False))
             assert (vectors >= 0).all()
             sums = vectors.sum(axis=1)
             assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
@@ -174,7 +173,7 @@ class TestPropagate:
                 else []
             )
         for iters in range(1, 6):
-            ours = propagate(init, weights, LpConfig(max_iters=iters, early_stop=False))
+            ours = propagate(init, arcs_from_lists(weights), LpConfig(max_iters=iters, early_stop=False))
             expected = dense_label_propagation(init, adjacency, iters)
             assert np.abs(ours - expected).max() < 1e-9
 
@@ -209,8 +208,8 @@ class TestPropagate:
                 else []
             )
         perm = np.random.default_rng(1).permutation(n_labels)
-        base = propagate(init, weights, LpConfig(max_iters=4, early_stop=False))
-        permuted = propagate(init[:, perm], weights, LpConfig(max_iters=4, early_stop=False))
+        base = propagate(init, arcs_from_lists(weights), LpConfig(max_iters=4, early_stop=False))
+        permuted = propagate(init[:, perm], arcs_from_lists(weights), LpConfig(max_iters=4, early_stop=False))
         assert np.allclose(base[:, perm], permuted, atol=1e-12)
 
 

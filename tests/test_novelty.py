@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from viewgraph.dataset import Corpus, Idea, LabelSet
+from graphs import edge_dict
+from viewgraph.dataset import Corpus, Idea, IdeaViewpoints, LabelSet
+from viewgraph.embedding import EmbeddingMatrix
+from viewgraph.graph import integrate_subgraph
 from viewgraph.novelty import (
     ONE_DAY,
     NegativeSample,
@@ -70,7 +73,7 @@ class TestGenerate:
         corpus, _, _, graph = separable
         samples, _ = generate_negatives(corpus, graph, count=3, seed=1)
         copy = next(s for s in samples if s.strategy == "copy")
-        source_texts = [graph.nodes[n].text for n in graph.idea_nodes[copy.source_id]]
+        source_texts = [graph.text[n] for n in graph.idea_nodes[copy.source_id]]
         assert list(copy.viewpoints) == source_texts
 
     def test_swap_changes_exactly_ceil_rho_n_positions(self, separable):
@@ -81,7 +84,7 @@ class TestGenerate:
         for s in samples:
             if s.strategy == "copy":
                 continue
-            source_texts = [graph.nodes[n].text for n in graph.idea_nodes[s.source_id]]
+            source_texts = [graph.text[n] for n in graph.idea_nodes[s.source_id]]
             changed = sum(1 for a, b in zip(s.viewpoints, source_texts) if a != b)
             assert changed == math.ceil(0.5 * len(source_texts))
             assert len(s.viewpoints) == len(source_texts)
@@ -138,10 +141,10 @@ class TestInject:
         new_ids = set(grown.idea_nodes[copy.id])
         source_ids = set(grown.idea_nodes[copy.source_id])
         unit_links = {
-            (e.u, e.v)
-            for e in grown.edges
-            if e.weight == pytest.approx(1.0, abs=1e-9)
-            and ((e.u in new_ids and e.v in source_ids) or (e.v in new_ids and e.u in source_ids))
+            (u, v)
+            for (u, v), (weight, _) in edge_dict(grown).items()
+            if weight == pytest.approx(1.0, abs=1e-9)
+            and ((u in new_ids and v in source_ids) or (v in new_ids and u in source_ids))
         }
         assert len(unit_links) >= len(new_ids)
         assert len(grown_matrix) == len(matrix) + len(copy.viewpoints)
@@ -158,24 +161,38 @@ class TestInject:
             id="neg-x",
             source_id="idea-01",
             strategy="copy",
-            viewpoints=tuple(graph.nodes[n].text for n in graph.idea_nodes["idea-01"][:3]),
+            viewpoints=tuple(graph.text[n] for n in graph.idea_nodes["idea-01"][:3]),
             timestamp=max(i.timestamp for i in corpus.ideas) + ONE_DAY,
         )
         grown, _ = inject_negatives(graph, matrix, [sample], corpus)
         assert len(grown.idea_nodes["neg-x"]) == 3
         for node_id in grown.idea_nodes["neg-x"]:
-            assert any(e.kind == "inter" and node_id in (e.u, e.v) for e in grown.edges)
+            assert any(kind == "inter" and node_id in (u, v) for (u, v), (_, kind) in edge_dict(grown).items())
 
     def test_temporal_features_rescaled(self, separable):
         corpus, _, matrix, graph = separable
         samples, _ = generate_negatives(corpus, graph, count=2, seed=3)
         grown, _ = inject_negatives(graph, matrix, samples, corpus)
-        for node in grown.nodes:
-            assert 0.0 <= node.t <= 1.0
-        neg_nodes = [n for n in grown.nodes if n.idea_id == samples[0].id]
-        assert all(n.t == 1.0 for n in neg_nodes)  # strictly latest timestamp
-        original = [n for n in grown.nodes if not n.idea_id.startswith("neg-")]
-        assert all(n.t < 1.0 for n in original)
+        for t in grown.t:
+            assert 0.0 <= t <= 1.0
+        neg_nodes = grown.idea_nodes[samples[0].id]
+        assert all(grown.t[n] == 1.0 for n in neg_nodes)  # strictly latest timestamp
+        original = [n for n, idea in enumerate(grown.idea) if not idea.startswith("neg-")]
+        assert all(grown.t[n] < 1.0 for n in original)
+
+    def test_one_pass_equals_injecting_one_at_a_time(self, separable):
+        # reference: the per-negative loop, each negative integrated alone
+        # over the matrix rows up to its own block
+        corpus, _, matrix, graph = separable
+        samples, _ = generate_negatives(corpus, graph, count=40, seed=4)
+        grown, grown_matrix = inject_negatives(graph, matrix, samples, corpus)
+        chain, stop = graph, len(graph)
+        for neg in samples:
+            stop += len(neg.viewpoints)
+            record = IdeaViewpoints(idea_id=neg.id, viewpoints=neg.viewpoints, timestamp=neg.timestamp)
+            chain = integrate_subgraph(chain, [record], EmbeddingMatrix(grown_matrix.rows[:stop]))
+        assert grown.text == chain.text
+        assert list(edge_dict(grown).items()) == list(edge_dict(chain).items())
 
     def test_id_collision_rejected(self, separable):
         corpus, _, matrix, graph = separable

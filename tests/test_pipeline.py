@@ -173,6 +173,21 @@ class TestCli:
     def run(self, *argv):
         return cli_main([str(a) for a in argv])
 
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["train", "--graph", "g", "--corpus", "c", "--embeddings", "e", "--out", "m", "--lr", "-0.5"], "gnn.learning_rate"),
+            (["gen-negatives", "--corpus", "c", "--graph", "g", "--out", "n", "--train-subset", "-1"], "novelty.train_subset"),
+            (["build", "--viewpoints", "v", "--embeddings", "e", "--out", "g", "--k", "0"], "graph.k"),
+        ],
+    )
+    def test_flag_values_validated_like_config(self, tmp_path, monkeypatch, capsys, argv, path):
+        monkeypatch.chdir(tmp_path)
+        assert self.run(*argv, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"{path}: must be" in stderr and "Traceback" not in stderr
+        assert not any(tmp_path.iterdir())
+
     def test_stagewise_flow(self, tmp_path, demo_file):
         split = tmp_path / "split.jsonl"
         views = tmp_path / "views.jsonl"
