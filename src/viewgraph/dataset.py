@@ -84,11 +84,11 @@ class Corpus:
     ideas: list[Idea] = field(default_factory=list)
 
     def __post_init__(self):
-        seen = set()
+        self._by_id: dict[str, Idea] = {}
         for idea in self.ideas:
-            if idea.id in seen:
+            if idea.id in self._by_id:
                 raise ValueError(f"duplicate idea id {idea.id!r}")
-            seen.add(idea.id)
+            self._by_id[idea.id] = idea
             if idea.label is not None and not (0 <= idea.label < len(self.label_set)):
                 raise ValueError(f"idea {idea.id!r} label {idea.label} out of range")
             if idea.split == "train" and idea.label is None:
@@ -97,11 +97,9 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ideas)
 
-    def by_id(self, idea_id: str) -> Idea:
-        for idea in self.ideas:
-            if idea.id == idea_id:
-                return idea
-        raise KeyError(idea_id)
+    def by_id(self, idea_id: str) -> Optional[Idea]:
+        """The idea with this id, or None."""
+        return self._by_id.get(idea_id)
 
     def split_ideas(self, split: str) -> list[Idea]:
         if split not in SPLITS:
@@ -268,7 +266,7 @@ def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
             prompt_tokens=int(obj.get("prompt_tokens", 0)),
             completion_tokens=int(obj.get("completion_tokens", 0)),
         )
-        for obj in read_jsonl(path)
+        for _, obj in read_jsonl(path)
     ]
 
 
@@ -292,12 +290,14 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield the JSON value on each non-blank line of ``path``."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield the line number and the JSON value of each non-blank line of
+    ``path``."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    yield json.loads(line)
+                    obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
+                yield line_no, obj

@@ -1,8 +1,10 @@
 """Trainable weighted graph network over the viewpoint-graph.
 
-Two message-passing layers: every node averages ReLU(edge_weight * (W @
-neighbor_state)) over its neighbors, concatenates the average with its
-own state, and maps through a combine matrix. Idea subgraphs are pooled
+Two message-passing layers: every node averages edge_weight * ReLU(W @
+neighbor_state) over its neighbors (D^-1 A_w ReLU(H W^T); edge weights
+lie in [0, 1], so this is ReLU(edge_weight * (W @ neighbor_state)) bit
+for bit), concatenates the average with its own state, and maps through
+a combine matrix. Idea subgraphs are pooled
 (elementwise mean + max), pushed through a one-hidden-layer MLP head and
 softmax. Training is plain mini-batch cross-entropy with exact
 hand-written reverse-mode gradients, Adam, and a linearly decaying
@@ -25,7 +27,7 @@ import numpy as np
 
 from .dataset import Corpus, write_jsonl
 from .embedding import EmbeddingMatrix
-from .graph import Arcs, ViewpointGraph
+from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
 
 PROB_FLOOR = 1e-12
@@ -138,41 +140,31 @@ def node_features(graph: ViewpointGraph, matrix: EmbeddingMatrix) -> np.ndarray:
     return np.column_stack([matrix.rows, graph.t])
 
 
-def _layer_with_cache(states, edges, message_weight, combine_weight):
-    """One message-passing layer; isolated nodes aggregate the zero vector."""
-    n, d_in = states.shape
-    h, d_expected = message_weight.shape
-    if d_in != d_expected:
-        raise ValueError(f"state dimension {d_in} does not match layer input {d_expected}")
-    if combine_weight.shape != (h, h + d_in):
-        raise ValueError(
-            f"combine weight shape {combine_weight.shape} != {(h, h + d_in)}"
-        )
-    messages = states @ message_weight.T  # (n, h)
-    pre = edges.weight[:, None] * messages[edges.src]
-    agg = np.zeros((n, h), dtype=np.float64)
-    np.add.at(agg, edges.dst, np.maximum(pre, 0.0))
-    agg /= np.maximum(np.diff(edges.indptr), 1)[:, None]
-    combined = np.hstack([agg, states])
-    return combined @ combine_weight.T, pre, combined
-
-
 @dataclass
 class ForwardCache:
     states: list[np.ndarray]  # H0..HL
-    edge_pre: list[np.ndarray]  # pre-activation per directed edge, per layer
+    messages: list[np.ndarray]  # H W^T per layer, before the ReLU
     combined: list[np.ndarray]  # concat(aggregate, state) per layer
 
 
-def full_forward(model: GnnModel, X: np.ndarray, edges: Arcs) -> ForwardCache:
+def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs) -> ForwardCache:
+    """Every layer over the whole graph; isolated nodes aggregate the zero
+    vector."""
+    slots = neighbour_slots(arcs)
+    degree = np.maximum(np.diff(arcs.indptr), 1)[:, None]
     states = [np.asarray(X, dtype=np.float64)]
-    edge_pre, combined = [], []
+    messages, combined = [], []
     for mw, cw in zip(model.message_weights, model.combine_weights):
-        new, pre, comb = _layer_with_cache(states[-1], edges, mw, cw)
-        states.append(new)
-        edge_pre.append(pre)
-        combined.append(comb)
-    return ForwardCache(states=states, edge_pre=edge_pre, combined=combined)
+        d_in, (h, d_expected) = states[-1].shape[1], mw.shape
+        if d_in != d_expected:
+            raise ValueError(f"state dimension {d_in} does not match layer input {d_expected}")
+        if cw.shape != (h, h + d_in):
+            raise ValueError(f"combine weight shape {cw.shape} != {(h, h + d_in)}")
+        messages.append(states[-1] @ mw.T)  # (n, h)
+        agg = add_neighbours(np.zeros_like(messages[-1]), slots, np.maximum(messages[-1], 0.0)) / degree
+        combined.append(np.hstack([agg, states[-1]]))
+        states.append(combined[-1] @ cw.T)
+    return ForwardCache(states=states, messages=messages, combined=combined)
 
 
 @dataclass
@@ -225,14 +217,10 @@ def loss(
     return total / total_w if total_w > 0 else 0.0
 
 
-def zero_grads(model: GnnModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in model.param_items()}
-
-
 def batch_loss_and_grads(
     model: GnnModel,
     X: np.ndarray,
-    edges: Arcs,
+    arcs: Arcs,
     items: Sequence[tuple[Sequence[int], int]],
     class_weights: Optional[np.ndarray] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -241,7 +229,7 @@ def batch_loss_and_grads(
     The softmax/cross-entropy gradient uses the standard p - onehot form,
     which is exact whenever p[label] is above the log floor.
     """
-    cache = full_forward(model, X, edges)
+    cache = full_forward(model, X, arcs)
     final = cache.states[-1]
     heads = [pool_and_head(model, final, ids) for ids, _ in items]
     labels = [y for _, y in items]
@@ -251,7 +239,7 @@ def batch_loss_and_grads(
     total_w = weights.sum()
     loss_val = loss([h.probs for h in heads], labels, class_weights)
 
-    grads = zero_grads(model)
+    grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
     n, h_dim = final.shape[0], model.hidden_dim
     d_final = np.zeros_like(final)
     if total_w > 0:
@@ -267,8 +255,10 @@ def batch_loss_and_grads(
             dpooled = model.head_hidden_w.T @ dz1
             dmean, dmax = dpooled[:h_dim], dpooled[h_dim:]
             d_final[head.node_ids] += dmean / len(head.node_ids)
-            np.add.at(d_final, (head.arg_rows, np.arange(h_dim)), dmax)
+            d_final[head.arg_rows, np.arange(h_dim)] += dmax  # one row per column: no repeats
 
+    # A_w is symmetric, so the messages' gradient is one more aggregation.
+    slots = neighbour_slots(arcs)
     d_state = d_final
     for l in range(len(model.message_weights) - 1, -1, -1):
         name_m, name_c = f"message_weight_{l + 1}", f"combine_weight_{l + 1}"
@@ -276,10 +266,8 @@ def batch_loss_and_grads(
         d_combined = d_state @ model.combine_weights[l]
         d_agg = d_combined[:, :h_dim]
         d_prev = d_combined[:, h_dim:].copy()
-        d_sum = d_agg / np.maximum(np.diff(edges.indptr), 1)[:, None]
-        d_pre = d_sum[edges.dst] * (cache.edge_pre[l] > 0)
-        d_messages = np.zeros((n, h_dim))
-        np.add.at(d_messages, edges.src, edges.weight[:, None] * d_pre)
+        d_sum = d_agg / np.maximum(np.diff(arcs.indptr), 1)[:, None]
+        d_messages = add_neighbours(np.zeros((n, h_dim)), slots, d_sum) * (cache.messages[l] > 0)
         grads[name_m] += d_messages.T @ cache.states[l]
         d_prev += d_messages @ model.message_weights[l]
         d_state = d_prev
@@ -345,7 +333,7 @@ def train(
     when there is no validation split.
     """
     X = node_features(graph, matrix)
-    edges = graph.arcs
+    arcs = graph.arcs
     n_labels = len(corpus.label_set)
 
     items: list[tuple[list[int], int, str]] = []
@@ -386,15 +374,15 @@ def train(
             batch = [
                 (items[i][0], items[i][1]) for i in order[start : start + config.batch_size]
             ]
-            loss_val, grads = batch_loss_and_grads(model, X, edges, batch, class_weights)
+            loss_val, grads = batch_loss_and_grads(model, X, arcs, batch, class_weights)
             adam_step(model, grads, state, lr)
             epoch_loss += loss_val
             steps += 1
         entry = {"epoch": epoch, "loss": epoch_loss / steps, "lr": lr}
-        preds = _predicted_labels(model, X, edges, items)
+        preds = _predicted_labels(model, X, arcs, items)
         entry["train_accuracy"] = sum(p == y for p, (_, y, _) in zip(preds, items)) / len(items)
         if val_items:
-            preds = _predicted_labels(model, X, edges, val_items)
+            preds = _predicted_labels(model, X, arcs, val_items)
             truths = [y for _, y, _ in val_items]
             entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
             if entry["val_macro_f1"] > best_f1:
@@ -408,9 +396,9 @@ def train(
     return TrainResult(model=model, log=log)
 
 
-def _predicted_labels(model, X, edges, items) -> list[int]:
+def _predicted_labels(model, X, arcs, items) -> list[int]:
     """Argmax label of each (node ids, label, id) item after one full forward pass."""
-    final = full_forward(model, X, edges).states[-1]
+    final = full_forward(model, X, arcs).states[-1]
     return [int(np.argmax(pool_and_head(model, final, node_ids).probs)) for node_ids, _, _ in items]
 
 
@@ -420,15 +408,13 @@ def predict_subgraphs(
     matrix: EmbeddingMatrix,
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
-    X = node_features(graph, matrix)
-    edges = graph.arcs
-    cache = full_forward(model, X, edges)
+    final = full_forward(model, node_features(graph, matrix), graph.arcs).states[-1]
     out = []
     for idea_id in idea_ids:
         node_ids = graph.idea_nodes.get(idea_id)
         if not node_ids:
             raise ValueError(f"idea {idea_id!r} has no nodes in the graph")
-        head = pool_and_head(model, cache.states[-1], node_ids)
+        head = pool_and_head(model, final, node_ids)
         out.append(
             SubgraphPrediction(
                 idea_id=idea_id,

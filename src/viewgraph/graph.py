@@ -117,6 +117,32 @@ class ViewpointGraph:
         return len(self.idea)
 
 
+def neighbour_slots(arcs: Arcs) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Nodes by descending degree (ties in node order) and, per neighbour
+    slot s, how many nodes have more than s arcs (a prefix of that order)
+    and the weight (as a column) and source of each one's s-th arc."""
+    degree = np.diff(arcs.indptr)
+    order = np.argsort(-degree, kind="stable")
+    slots = []
+    for s in range(int(degree.max(initial=0))):
+        count = int(np.count_nonzero(degree > s))
+        arc = arcs.indptr[order[:count]] + s
+        slots.append((count, arcs.weight[arc, None], arcs.src[arc]))
+    return order, slots
+
+
+def add_neighbours(out: np.ndarray, slots, values: np.ndarray) -> np.ndarray:
+    """Add to each node's row of ``out`` its neighbours' rows of ``values``
+    times the arc weights, one neighbour at a time in ascending neighbour
+    order, and return ``out``. ``slots`` is ``neighbour_slots(arcs)``."""
+    order, per_slot = slots
+    sums = out[order]  # in degree order, each slot adds to a prefix
+    for count, weight, src in per_slot:
+        sums[:count] += weight * values[src]
+    out[order] = sums
+    return out
+
+
 def _time_features(records: Sequence[IdeaViewpoints]) -> dict[str, float]:
     ts = {r.idea_id: r.timestamp for r in records}
     lo, hi = min(ts.values()), max(ts.values())

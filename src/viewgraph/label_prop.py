@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Corpus, write_jsonl
-from .graph import Arcs, ViewpointGraph
+from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,9 @@ class LpPrediction:
 
 def init_vectors(graph: ViewpointGraph, corpus: Corpus) -> np.ndarray:
     """One row per node: one-hot for labeled train ideas, zero otherwise."""
-    ideas = {idea.id: idea for idea in corpus.ideas}
     vectors = np.zeros((len(graph), len(corpus.label_set)), dtype=np.float64)
     for node, idea_id in enumerate(graph.idea):
-        idea = ideas.get(idea_id)
+        idea = corpus.by_id(idea_id)
         if idea is None:
             raise ValueError(f"node {node} belongs to unknown idea {idea_id!r}")
         if idea.split == "train":
@@ -50,18 +49,6 @@ def init_vectors(graph: ViewpointGraph, corpus: Corpus) -> np.ndarray:
                 raise ValueError(f"train idea {idea.id!r} has no label")
             vectors[node, idea.label] = 1.0
     return vectors
-
-
-def _slots(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per neighbour slot s: the nodes with more than s neighbours and the
-    arc index of each one's s-th neighbour. Looping over the slots adds a
-    node's neighbour terms one at a time in ascending neighbour order."""
-    degree = np.diff(indptr)
-    slots = []
-    for s in range(int(degree.max(initial=0))):
-        nodes = np.flatnonzero(degree > s)
-        slots.append((nodes, indptr[nodes] + s))
-    return slots
 
 
 def normalize_weights(graph: ViewpointGraph) -> Arcs:
@@ -73,10 +60,8 @@ def normalize_weights(graph: ViewpointGraph) -> Arcs:
     with zero total incident weight get zero weights.
     """
     arcs = graph.arcs
-    total = np.zeros(len(graph))
-    for nodes, slot in _slots(arcs.indptr):
-        total[nodes] += arcs.weight[slot]
-    total = total[arcs.dst]
+    n = len(graph)
+    total = add_neighbours(np.zeros((n, 1)), neighbour_slots(arcs), np.ones((n, 1)))[arcs.dst, 0]
     weight = np.divide(arcs.weight, total, out=np.zeros_like(arcs.weight), where=total > 0.0)
     return arcs._replace(weight=weight)
 
@@ -91,15 +76,12 @@ def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig())
     """
     current = np.array(vectors, dtype=np.float64)
     labels = np.argmax(current, axis=1)
-    slots = [(nodes, weights.weight[slot, None], weights.src[slot]) for nodes, slot in _slots(weights.indptr)]
+    slots = neighbour_slots(weights)
     for _ in range(config.max_iters):
-        updated = current.copy()
-        for nodes, w, src in slots:
-            updated[nodes] += w * current[src]
-        norms = updated.sum(axis=1)
+        current = add_neighbours(current.copy(), slots, current)
+        norms = current.sum(axis=1)
         nonzero = norms > 0.0
-        updated[nonzero] /= norms[nonzero, None]
-        current = updated
+        current[nonzero] /= norms[nonzero, None]
         new_labels = np.argmax(current, axis=1)
         if config.early_stop and np.array_equal(new_labels, labels):
             break

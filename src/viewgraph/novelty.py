@@ -188,9 +188,8 @@ def inject_negatives(
     the negatives carry the latest feature and everything stays in [0, 1].
     """
     config = config or graph.config
-    corpus_ids = {i.id for i in corpus.ideas}
     for neg in negatives:
-        if neg.id in corpus_ids or neg.id in graph.idea_nodes:
+        if corpus.by_id(neg.id) is not None or neg.id in graph.idea_nodes:
             raise ValueError(f"negative id {neg.id!r} collides with an existing idea")
 
     by_text: dict[str, np.ndarray] = {}
@@ -234,5 +233,5 @@ def load_negatives(path: str | Path) -> list[NegativeSample]:
             timestamp=int(obj["timestamp"]),
             label=int(obj.get("label", 0)),
         )
-        for obj in read_jsonl(path)
+        for _, obj in read_jsonl(path)
     ]

@@ -248,11 +248,16 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
     """Score a predictions file against the corpus labels; unlabeled ideas
     are skipped."""
     truths, preds = [], []
-    for obj in read_jsonl(pred_path):
+    for line_no, obj in read_jsonl(pred_path):
+        where = f"predictions file {pred_path}: line {line_no}"
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+            raise ValueError(f"{where}: no string 'id' in {obj!r}")
         idea = corpus.by_id(obj["id"])
+        if idea is None:
+            raise ValueError(f"{where}: idea id {obj['id']!r} is not in the corpus")
         if idea.label is not None:
             truths.append(idea.label)
-            preds.append(corpus.label_set.index_of(obj["label"]))
+            preds.append(corpus.label_set.index_of(obj.get("label")))
     if not truths:
         raise ValueError(f"no labeled ideas among predictions in {pred_path}")
     return macro_metrics(confusion(truths, preds, corpus.label_set.labels))

@@ -210,7 +210,7 @@ class TestJsonl:
         rows = [{"text": "Überprüfung – naïve café"}, {"text": "plain"}]
         write_jsonl(path, rows)
         assert "Überprüfung – naïve café" in path.read_text(encoding="utf-8")
-        assert list(read_jsonl(path)) == rows
+        assert list(read_jsonl(path)) == [(1, rows[0]), (2, rows[1])]
 
     def test_failed_write_leaves_old_file(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -222,7 +222,7 @@ class TestJsonl:
 
         with pytest.raises(RuntimeError):
             write_jsonl(path, rows())
-        assert list(read_jsonl(path)) == [{"n": 1}]
+        assert list(read_jsonl(path)) == [(1, {"n": 1})]
         assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
     def test_bad_line_named(self, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from graphs import toy_graph
 from oracles import finite_difference_grads, max_relative_error
-from viewgraph.dataset import Corpus, Idea, LabelSet
+from viewgraph.dataset import Corpus, Idea, IdeaViewpoints, LabelSet
 from viewgraph.embedding import EmbeddingMatrix
+from viewgraph.graph import GraphConfig, build_graph
 from viewgraph.gnn import (
     AdamState,
     GnnConfig,
@@ -104,6 +106,133 @@ class TestForwardLayer:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             one_layer(np.zeros((2, 3)), make_edges([], 2), np.zeros((4, 2)), np.zeros((4, 6)))
+
+
+def reference_forward(model, X, arcs):
+    """The edge-tensor layer: one pre-activation row per arc, scattered
+    with ``np.add.at`` in arc order. Returns states, pre-activations and
+    the combined inputs per layer."""
+    states, pres, combined = [np.asarray(X, dtype=np.float64)], [], []
+    for mw, cw in zip(model.message_weights, model.combine_weights):
+        messages = states[-1] @ mw.T
+        pre = arcs.weight[:, None] * messages[arcs.src]
+        agg = np.zeros(messages.shape)
+        np.add.at(agg, arcs.dst, np.maximum(pre, 0.0))
+        agg /= np.maximum(np.diff(arcs.indptr), 1)[:, None]
+        combined.append(np.hstack([agg, states[-1]]))
+        states.append(combined[-1] @ cw.T)
+        pres.append(pre)
+    return states, pres, combined
+
+
+def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
+    """Loss and gradients through ``reference_forward``, with the per-arc
+    backward pass and an ``np.add.at`` max-pool backward."""
+    states, pres, combined = reference_forward(model, X, arcs)
+    final = states[-1]
+    heads = [pool_and_head(model, final, ids) for ids, _ in items]
+    labels = [y for _, y in items]
+    weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
+    total_w = weights.sum()
+    loss_val = loss([h.probs for h in heads], labels, class_weights)
+    grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+    n, h_dim = final.shape[0], model.hidden_dim
+    d_final = np.zeros_like(final)
+    if total_w > 0:
+        for head, y, w in zip(heads, labels, weights):
+            dlogits = (head.probs - np.eye(model.n_labels)[y]) * (w / total_w)
+            grads["head_out_w"] += np.outer(dlogits, head.a1)
+            grads["head_out_b"] += dlogits
+            dz1 = (model.head_out_w.T @ dlogits) * (head.z1 > 0)
+            grads["head_hidden_w"] += np.outer(dz1, head.pooled)
+            grads["head_hidden_b"] += dz1
+            dpooled = model.head_hidden_w.T @ dz1
+            d_final[head.node_ids] += dpooled[:h_dim] / len(head.node_ids)
+            np.add.at(d_final, (head.arg_rows, np.arange(h_dim)), dpooled[h_dim:])
+    d_state = d_final
+    for l in range(len(model.message_weights) - 1, -1, -1):
+        grads[f"combine_weight_{l + 1}"] += d_state.T @ combined[l]
+        d_combined = d_state @ model.combine_weights[l]
+        d_prev = d_combined[:, h_dim:].copy()
+        d_sum = d_combined[:, :h_dim] / np.maximum(np.diff(arcs.indptr), 1)[:, None]
+        d_pre = d_sum[arcs.dst] * (pres[l] > 0)
+        d_messages = np.zeros((n, h_dim))
+        np.add.at(d_messages, arcs.src, arcs.weight[:, None] * d_pre)
+        grads[f"message_weight_{l + 1}"] += d_messages.T @ states[l]
+        d_prev += d_messages @ model.message_weights[l]
+        d_state = d_prev
+    return loss_val, grads
+
+
+def tied_random_instance(seed):
+    """A seeded graph with isolated nodes and zero- and unit-weight edges,
+    and node features repeating a few rows (exact ties in messages and in
+    max pooling)."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, size=int(rng.integers(4, 9)))
+    node_ideas = [f"i{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    n = len(node_ideas)
+    isolated = set(rng.choice(n, size=2, replace=False).tolist())
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u not in isolated and v not in isolated and rng.random() < 0.5:
+                pairs.append((u, v, float(rng.choice([0.0, 1.0, rng.random(), rng.random()]))))
+    return toy_graph(node_ideas, pairs), rng.normal(size=(3, 5))[rng.integers(0, 3, size=n)]
+
+
+def tied_built_instance(seed):
+    """A graph built by ``build_graph`` from embedding rows repeating a few
+    vectors (exact similarity ties), and its node features."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, size=6)
+    records = [
+        IdeaViewpoints(f"i{k}", tuple(f"i{k} v{j}" for j in range(size)), timestamp=k)
+        for k, size in enumerate(sizes)
+    ]
+    matrix = EmbeddingMatrix(rng.normal(size=(3, 5))[rng.integers(0, 3, size=sum(sizes))])
+    graph = build_graph(records, matrix, GraphConfig(intra_k=2, inter_m=seed % 3))
+    return graph, node_features(graph, matrix)
+
+
+class TestAgainstEdgeTensorReference:
+    """The neighbour-slot aggregation is exact: forward states and
+    gradients equal the edge-tensor layer's bit for bit."""
+
+    def test_random_instances_have_isolated_nodes_and_zero_weights(self):
+        for seed in range(6):
+            graph, _ = tied_random_instance(seed)
+            assert np.diff(graph.arcs.indptr).min() == 0 and (graph.arcs.weight == 0.0).any()
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("make", [tied_random_instance, tied_built_instance], ids=["random", "built"])
+    def test_forward_and_gradients_bit_identical(self, make, seed, layers):
+        graph, X = make(seed)
+        rng = np.random.default_rng(seed)
+        model = init_model(GnnConfig(layers=layers, hidden_dim=6), X.shape[1], 3, rng)
+        model.message_weights[0][0] = 0.0  # one message channel at the ReLU's kink
+        items = [(ids, int(rng.integers(3))) for ids in graph.idea_nodes.values()]
+        states, _, _ = reference_forward(model, X, graph.arcs)
+        cache = full_forward(model, X, graph.arcs)
+        assert len(cache.states) == len(states)
+        assert all(np.array_equal(a, b) for a, b in zip(cache.states, states))
+        assert (cache.messages[0] < 0).any() and (cache.messages[0] == 0).any()
+        for class_weights in (None, np.array([0.5, 1.0, 2.0])):
+            ref_loss, ref_grads = reference_loss_and_grads(model, X, graph.arcs, items, class_weights)
+            new_loss, new_grads = batch_loss_and_grads(model, X, graph.arcs, items, class_weights)
+            assert new_loss == ref_loss
+            assert new_grads.keys() == ref_grads.keys()
+            assert all(np.array_equal(new_grads[k], ref_grads[k]) for k in ref_grads)
+
+    def test_forward_cache_holds_no_per_arc_array(self):
+        graph, X = tied_random_instance(0)
+        model = init_model(GnnConfig(hidden_dim=6), X.shape[1], 3, np.random.default_rng(0))
+        n_arcs = len(graph.arcs.src)
+        assert n_arcs > max(len(graph), X.shape[1] + model.hidden_dim)  # no other dimension is n_arcs
+        cache = full_forward(model, X, graph.arcs)
+        arrays = [a for f in dataclasses.fields(cache) for a in getattr(cache, f.name)]
+        assert arrays and all(n_arcs not in a.shape for a in arrays)
 
 
 class TestForwardSubgraph:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from graphs import edge_dict, kind_degree
+from graphs import edge_dict, kind_degree, toy_graph
 from oracles import brute_force_graph_edges
 from viewgraph.dataset import IdeaViewpoints
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
@@ -315,6 +315,13 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="weight"):
             load_graph(path)
+
+    # The GNN computes weight * ReLU(m) for ReLU(weight * m), equal only
+    # for weights in [0, 1].
+    @pytest.mark.parametrize("weight", [-0.25, -1e-300, float("nan")], ids=["negative", "tiny-negative", "nan"])
+    def test_weight_outside_unit_interval_rejected_at_construction(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight outside \[0, 1\]"):
+            toy_graph(["a", "a", "b"], [(0, 1, 0.5), (2, 1, weight)])
 
 
 class TestConfig:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -247,6 +250,22 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["normed_costs"]["ours"] == pytest.approx(0.08)
 
+    @pytest.mark.parametrize(
+        "second_line, message",
+        [
+            ({"id": "nope", "label": "Reject"}, "line 2: idea id 'nope' is not in the corpus"),
+            ({"label": "Reject"}, "line 2: no string 'id'"),
+        ],
+        ids=["unknown-id", "missing-id"],
+    )
+    def test_eval_names_bad_prediction_line(self, tmp_path, capsys, demo_file, second_line, message):
+        preds = tmp_path / "preds.jsonl"
+        first = {"id": demo_corpus().ideas[0].id, "label": "Reject"}
+        preds.write_text("".join(json.dumps(obj) + "\n" for obj in (first, second_line)))
+        assert self.run("eval", "--pred", preds, "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"predictions file {preds}: {message}" in stderr and "Traceback" not in stderr
+
     def test_run_subcommand(self, tmp_path, demo_file):
         config = tmp_path / "config.json"
         config.write_text(
@@ -327,3 +346,11 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     assert {"graph.json", "model.ckpt", "predictions_gnn.jsonl"} <= set(written)
     for name in written:
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_package_imports_no_scipy():
+    """scipy.sparse would add about 22 MB of peak RSS; the package keeps to numpy."""
+    code = "import sys, viewgraph.cli, viewgraph.gnn, viewgraph.label_prop; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
