@@ -266,7 +266,7 @@ def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
             prompt_tokens=int(obj.get("prompt_tokens", 0)),
             completion_tokens=int(obj.get("completion_tokens", 0)),
         )
-        for _, obj in read_jsonl(path)
+        for obj in read_records(path, "idea_id", "viewpoints")
     ]
 
 
@@ -301,3 +301,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
                 yield line_no, obj
+
+
+def read_records(path: str | Path, *required: str) -> Iterator[dict]:
+    """Yield each JSON object of ``path``; a line that is not an object,
+    or lacks one of the ``required`` keys, raises a ValueError naming the
+    file, the line and the key."""
+    for line_no, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: line {line_no}: expected a JSON object, got {obj!r}")
+        for key in required:
+            if key not in obj:
+                raise ValueError(f"{path}: line {line_no}: missing key {key!r}")
+        yield obj

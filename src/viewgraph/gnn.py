@@ -6,13 +6,16 @@ lie in [0, 1], so this is ReLU(edge_weight * (W @ neighbor_state)) bit
 for bit), concatenates the average with its own state, and maps through
 a combine matrix. Idea subgraphs are pooled
 (elementwise mean + max), pushed through a one-hidden-layer MLP head and
-softmax. Training is plain mini-batch cross-entropy with exact
-hand-written reverse-mode gradients, Adam, and a linearly decaying
-learning rate. Everything is numpy float64; a fixed seed fixes the
-initialization, the batch order, and therefore the whole trajectory.
+softmax; one head call pools a whole batch of ideas. Training is plain
+mini-batch cross-entropy with exact hand-written reverse-mode gradients,
+Adam, and a linearly decaying learning rate. Everything is numpy
+float64; a fixed seed fixes the initialization, the batch order, and
+therefore the whole trajectory.
 
 Message passing always runs over the full graph (test nodes participate;
-their labels never enter the loss).
+their labels never enter the loss). Training runs one forward pass per
+optimizer step: the pass after each step serves the next step's loss
+and the epoch's train and validation predictions.
 """
 
 from __future__ import annotations
@@ -147,10 +150,11 @@ class ForwardCache:
     combined: list[np.ndarray]  # concat(aggregate, state) per layer
 
 
-def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs) -> ForwardCache:
+def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs, slots=None) -> ForwardCache:
     """Every layer over the whole graph; isolated nodes aggregate the zero
-    vector."""
-    slots = neighbour_slots(arcs)
+    vector. ``slots`` is ``neighbour_slots(arcs)``, built here when not
+    given."""
+    slots = neighbour_slots(arcs) if slots is None else slots
     degree = np.maximum(np.diff(arcs.indptr), 1)[:, None]
     states = [np.asarray(X, dtype=np.float64)]
     messages, combined = [], []
@@ -169,37 +173,54 @@ def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs) -> ForwardCache:
 
 @dataclass
 class HeadCache:
-    node_ids: list[int]
-    arg_rows: np.ndarray  # node id holding the max, per hidden dim
-    pooled: np.ndarray  # (2h,)
-    z1: np.ndarray
-    a1: np.ndarray
-    probs: np.ndarray
+    """One row per pooled group."""
+
+    groups: list[list[int]]
+    arg_rows: np.ndarray  # (B, h): node id holding the max, per hidden dim
+    pooled: np.ndarray  # (B, 2h)
+    z1: np.ndarray  # (B, h)
+    a1: np.ndarray  # (B, h)
+    probs: np.ndarray  # (B, n_labels)
 
 
-def pool_and_head(model: GnnModel, final_states: np.ndarray, node_ids: Sequence[int]) -> HeadCache:
-    """Mean+max pooling over one idea's nodes, MLP head, softmax."""
-    ids = list(node_ids)
-    if not ids:
+def _gemv(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``w @ row`` for each row, one matrix-vector product per row (a
+    stacked ``matmul`` runs gemv per row; ``rows @ w.T`` runs one gemm,
+    whose sums can differ in the last bit)."""
+    return np.matmul(w[None], rows[:, :, None])[:, :, 0]
+
+
+def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Sequence[int]]) -> HeadCache:
+    """Mean+max pooling over each group of node ids, MLP head, softmax.
+
+    Groups are padded to one (B, L) gather. The mean sums the group axis
+    with zeros as padding (numpy's sum starts from +0.0, so they add
+    nothing) and divides by the group size; the max pads with -inf, so the
+    first maximum of a group still wins.
+    """
+    groups = [list(ids) for ids in groups]
+    sizes = np.array([len(ids) for ids in groups])
+    if not sizes.all():
         raise ValueError("idea has no nodes")
-    sub = final_states[ids]
-    mean_pool = sub.mean(axis=0)
-    arg_local = np.argmax(sub, axis=0)  # first max wins: deterministic
-    max_pool = sub[arg_local, np.arange(sub.shape[1])]
-    pooled = np.concatenate([mean_pool, max_pool])
-    z1 = model.head_hidden_w @ pooled + model.head_hidden_b
+    present = np.arange(sizes.max()) < sizes[:, None]
+    index = np.zeros(present.shape, dtype=np.int64)
+    index[present] = [i for ids in groups for i in ids]
+    sub = final_states[index]  # (B, L, h)
+    mean_pool = np.where(present[:, :, None], sub, 0.0).sum(axis=1) / sizes[:, None]
+    arg_local = np.where(present[:, :, None], sub, -np.inf).argmax(axis=1)  # first max wins
+    max_pool = np.take_along_axis(sub, arg_local[:, None, :], axis=1)[:, 0]
+    pooled = np.hstack([mean_pool, max_pool])
+    z1 = _gemv(model.head_hidden_w, pooled) + model.head_hidden_b
     a1 = np.maximum(z1, 0.0)
-    logits = model.head_out_w @ a1 + model.head_out_b
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
+    logits = _gemv(model.head_out_w, a1) + model.head_out_b
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return HeadCache(
-        node_ids=ids,
-        arg_rows=np.array([ids[j] for j in arg_local]),
+        groups=groups,
+        arg_rows=np.take_along_axis(index, arg_local, axis=1),
         pooled=pooled,
         z1=z1,
         a1=a1,
-        probs=probs,
+        probs=exp / exp.sum(axis=1, keepdims=True),
     )
 
 
@@ -223,42 +244,46 @@ def batch_loss_and_grads(
     arcs: Arcs,
     items: Sequence[tuple[Sequence[int], int]],
     class_weights: Optional[np.ndarray] = None,
+    cache: Optional[ForwardCache] = None,
+    slots=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients for a batch of (node set, label) items.
 
+    ``cache`` is ``full_forward`` of the current parameters and ``slots``
+    is ``neighbour_slots(arcs)``; each is computed here when not given.
     The softmax/cross-entropy gradient uses the standard p - onehot form,
     which is exact whenever p[label] is above the log floor.
     """
-    cache = full_forward(model, X, arcs)
+    slots = neighbour_slots(arcs) if slots is None else slots
+    cache = full_forward(model, X, arcs, slots) if cache is None else cache
     final = cache.states[-1]
-    heads = [pool_and_head(model, final, ids) for ids, _ in items]
+    head = pool_and_head(model, final, [ids for ids, _ in items])
     labels = [y for _, y in items]
     weights = np.array(
         [1.0 if class_weights is None else float(class_weights[y]) for y in labels]
     )
     total_w = weights.sum()
-    loss_val = loss([h.probs for h in heads], labels, class_weights)
+    loss_val = loss(head.probs, labels, class_weights)
 
     grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
     n, h_dim = final.shape[0], model.hidden_dim
     d_final = np.zeros_like(final)
     if total_w > 0:
-        for head, y, w in zip(heads, labels, weights):
+        for b, (ids, y, w) in enumerate(zip(head.groups, labels, weights)):
             scale = w / total_w
-            dlogits = (head.probs - np.eye(model.n_labels)[y]) * scale
-            grads["head_out_w"] += np.outer(dlogits, head.a1)
+            dlogits = (head.probs[b] - np.eye(model.n_labels)[y]) * scale
+            grads["head_out_w"] += np.outer(dlogits, head.a1[b])
             grads["head_out_b"] += dlogits
             da1 = model.head_out_w.T @ dlogits
-            dz1 = da1 * (head.z1 > 0)
-            grads["head_hidden_w"] += np.outer(dz1, head.pooled)
+            dz1 = da1 * (head.z1[b] > 0)
+            grads["head_hidden_w"] += np.outer(dz1, head.pooled[b])
             grads["head_hidden_b"] += dz1
             dpooled = model.head_hidden_w.T @ dz1
             dmean, dmax = dpooled[:h_dim], dpooled[h_dim:]
-            d_final[head.node_ids] += dmean / len(head.node_ids)
-            d_final[head.arg_rows, np.arange(h_dim)] += dmax  # one row per column: no repeats
+            d_final[ids] += dmean / len(ids)
+            d_final[head.arg_rows[b], np.arange(h_dim)] += dmax  # one row per column: no repeats
 
     # A_w is symmetric, so the messages' gradient is one more aggregation.
-    slots = neighbour_slots(arcs)
     d_state = d_final
     for l in range(len(model.message_weights) - 1, -1, -1):
         name_m, name_c = f"message_weight_{l + 1}", f"combine_weight_{l + 1}"
@@ -328,62 +353,58 @@ def train(
 
     Per epoch: seeded shuffle, batches of batch_size ideas, full-graph
     message passing per step, loss only on the batch's labeled subgraphs,
-    one Adam step at the epoch's scheduled learning rate. Returns the
-    parameters with the best validation macro-F1, or the final parameters
-    when there is no validation split.
+    one Adam step at the epoch's scheduled learning rate. One forward pass
+    follows each step: the next step's loss and the epoch's train and
+    validation predictions all read it, since the parameters do not change
+    in between. Returns the parameters with the best validation macro-F1,
+    or the final parameters when there is no validation split.
     """
     X = node_features(graph, matrix)
     arcs = graph.arcs
+    slots = neighbour_slots(arcs)
     n_labels = len(corpus.label_set)
 
-    items: list[tuple[list[int], int, str]] = []
-    for idea in corpus.split_ideas("train"):
-        node_ids = graph.idea_nodes.get(idea.id)
-        if not node_ids:
-            raise ValueError(f"train idea {idea.id!r} has no nodes in the graph")
-        items.append((node_ids, idea.label, idea.id))
-    for neg in negatives or ():
-        node_ids = graph.idea_nodes.get(neg.id)
-        if not node_ids:
-            raise ValueError(f"negative {neg.id!r} has no nodes in the graph (inject it first)")
-        items.append((node_ids, neg.label, neg.id))
+    items = [(_idea_nodes(graph, idea.id, "train idea"), idea.label) for idea in corpus.split_ideas("train")]
+    items += [(_idea_nodes(graph, neg.id, "negative", " (inject it first)"), neg.label) for neg in negatives or ()]
     if not items:
         raise ValueError("no labeled train ideas")
-
     val_items = [
-        (graph.idea_nodes[idea.id], idea.label, idea.id)
+        (_idea_nodes(graph, idea.id, "validation idea"), idea.label)
         for idea in corpus.split_ideas("validation")
         if idea.label is not None
     ]
 
     class_weights = None
     if config.class_weighting:
-        class_weights = inverse_frequency_weights([y for _, y, _ in items], n_labels)
+        class_weights = inverse_frequency_weights([y for _, y in items], n_labels)
 
     rng = np.random.default_rng(config.seed)
     model = init_model(config, X.shape[1], n_labels, rng)
     state = AdamState(model)
     log: list[dict] = []
     best_f1, best_model, best_epoch = -1.0, None, None
+    cache = full_forward(model, X, arcs, slots)
 
     for epoch in range(config.max_epochs):
         lr = lr_schedule(config.learning_rate, epoch, config.max_epochs)
         order = rng.permutation(len(items))
         epoch_loss, steps = 0.0, 0
         for start in range(0, len(order), config.batch_size):
-            batch = [
-                (items[i][0], items[i][1]) for i in order[start : start + config.batch_size]
-            ]
-            loss_val, grads = batch_loss_and_grads(model, X, arcs, batch, class_weights)
+            batch = [items[i] for i in order[start : start + config.batch_size]]
+            loss_val, grads = batch_loss_and_grads(
+                model, X, arcs, batch, class_weights, cache=cache, slots=slots
+            )
             adam_step(model, grads, state, lr)
+            cache = full_forward(model, X, arcs, slots)
             epoch_loss += loss_val
             steps += 1
         entry = {"epoch": epoch, "loss": epoch_loss / steps, "lr": lr}
-        preds = _predicted_labels(model, X, arcs, items)
-        entry["train_accuracy"] = sum(p == y for p, (_, y, _) in zip(preds, items)) / len(items)
+        final = cache.states[-1]
+        preds = _predicted_labels(model, final, items)
+        entry["train_accuracy"] = sum(p == y for p, (_, y) in zip(preds, items)) / len(items)
         if val_items:
-            preds = _predicted_labels(model, X, arcs, val_items)
-            truths = [y for _, y, _ in val_items]
+            preds = _predicted_labels(model, final, val_items)
+            truths = [y for _, y in val_items]
             entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
             if entry["val_macro_f1"] > best_f1:
                 best_f1 = entry["val_macro_f1"]
@@ -396,10 +417,18 @@ def train(
     return TrainResult(model=model, log=log)
 
 
-def _predicted_labels(model, X, arcs, items) -> list[int]:
-    """Argmax label of each (node ids, label, id) item after one full forward pass."""
-    final = full_forward(model, X, arcs).states[-1]
-    return [int(np.argmax(pool_and_head(model, final, node_ids).probs)) for node_ids, _, _ in items]
+def _predicted_labels(model, final_states, items) -> list[int]:
+    """Argmax label of each (node ids, label) item from the final node states."""
+    probs = pool_and_head(model, final_states, [node_ids for node_ids, _ in items]).probs
+    return np.argmax(probs, axis=1).tolist()
+
+
+def _idea_nodes(graph: ViewpointGraph, idea_id: str, kind: str = "idea", hint: str = "") -> list[int]:
+    """The idea's node ids; an idea without nodes raises a ValueError naming it."""
+    node_ids = graph.idea_nodes.get(idea_id)
+    if not node_ids:
+        raise ValueError(f"{kind} {idea_id!r} has no nodes in the graph{hint}")
+    return node_ids
 
 
 def predict_subgraphs(
@@ -408,21 +437,15 @@ def predict_subgraphs(
     matrix: EmbeddingMatrix,
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
+    groups = [_idea_nodes(graph, idea_id) for idea_id in idea_ids]
+    if not groups:
+        return []
     final = full_forward(model, node_features(graph, matrix), graph.arcs).states[-1]
-    out = []
-    for idea_id in idea_ids:
-        node_ids = graph.idea_nodes.get(idea_id)
-        if not node_ids:
-            raise ValueError(f"idea {idea_id!r} has no nodes in the graph")
-        head = pool_and_head(model, final, node_ids)
-        out.append(
-            SubgraphPrediction(
-                idea_id=idea_id,
-                probabilities=[float(p) for p in head.probs],
-                label_index=int(np.argmax(head.probs)),
-            )
-        )
-    return out
+    probs = pool_and_head(model, final, groups).probs
+    return [
+        SubgraphPrediction(idea_id=idea_id, probabilities=row.tolist(), label_index=int(np.argmax(row)))
+        for idea_id, row in zip(idea_ids, probs)
+    ]
 
 
 def predict(

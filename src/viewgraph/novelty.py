@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Corpus, IdeaViewpoints, read_jsonl, write_jsonl
+from .dataset import Corpus, IdeaViewpoints, read_records, write_jsonl
 from .embedding import EmbeddingMatrix, EmbeddingProvider, embed
 from .graph import GraphConfig, ViewpointGraph, integrate_subgraph
 
@@ -233,5 +233,5 @@ def load_negatives(path: str | Path) -> list[NegativeSample]:
             timestamp=int(obj["timestamp"]),
             label=int(obj.get("label", 0)),
         )
-        for _, obj in read_jsonl(path)
+        for obj in read_records(path, "id", "source_id", "strategy", "viewpoints", "timestamp")
     ]

@@ -158,8 +158,8 @@ def test_gradient_check():
 
         def loss_fn():
             cache = gnn.full_forward(model, X, arrays)
-            heads = [gnn.pool_and_head(model, cache.states[-1], ids) for ids, _ in items]
-            return gnn.loss([h.probs for h in heads], [y for _, y in items])
+            head = gnn.pool_and_head(model, cache.states[-1], [ids for ids, _ in items])
+            return gnn.loss(head.probs, [y for _, y in items])
 
         numeric = finite_difference_grads(model, loss_fn, epsilon=1e-4)
         worst = max(worst, max_relative_error(analytic, numeric))

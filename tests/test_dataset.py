@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from viewgraph.dataset import (
     Idea,
     LabelSet,
     load_corpus,
+    load_viewpoints,
     read_jsonl,
     save_corpus,
     split_corpus,
@@ -230,3 +232,18 @@ class TestJsonl:
         path.write_text('{"n": 1}\n\n{"n": \n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 3"):
             list(read_jsonl(path))
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"viewpoints": ["b."]}, "line 2: missing key 'idea_id'"),
+            ({"idea_id": "b"}, "line 2: missing key 'viewpoints'"),
+            (["b", ["b."]], "line 2: expected a JSON object"),
+        ],
+        ids=["idea_id", "viewpoints", "not-an-object"],
+    )
+    def test_viewpoints_line_without_key_named(self, tmp_path, second, message):
+        path = tmp_path / "views.jsonl"
+        write_jsonl(path, [{"idea_id": "a", "viewpoints": ["a."]}, second])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            load_viewpoints(path)

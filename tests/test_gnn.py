@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import finite_difference_grads, max_relative_error
 from viewgraph.dataset import Corpus, Idea, IdeaViewpoints, LabelSet
 from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.graph import GraphConfig, build_graph
+from viewgraph import gnn
 from viewgraph.gnn import (
     AdamState,
     GnnConfig,
@@ -19,6 +21,7 @@ from viewgraph.gnn import (
     batch_loss_and_grads,
     full_forward,
     init_model,
+    inverse_frequency_weights,
     load_model,
     loss,
     lr_schedule,
@@ -29,6 +32,8 @@ from viewgraph.gnn import (
     save_model,
     train,
 )
+from viewgraph.metrics import confusion, macro_metrics
+from viewgraph.novelty import NegativeSample
 
 TWO = LabelSet(("Reject", "Accept"))
 
@@ -54,7 +59,7 @@ def one_layer(states, edges, message_w, combine_w):
 
 def idea_probs(model, X, edges, node_ids):
     """Full-graph message passing, then the pooled head for one idea."""
-    return pool_and_head(model, full_forward(model, X, edges).states[-1], node_ids).probs
+    return pool_and_head(model, full_forward(model, X, edges).states[-1], [node_ids]).probs[0]
 
 
 def random_labeled_graph(seed, n_ideas=2, nodes_per_idea=3, dim=4, n_labels=3):
@@ -125,12 +130,36 @@ def reference_forward(model, X, arcs):
     return states, pres, combined
 
 
+def reference_pool_and_head(model, final_states, node_ids):
+    """The per-idea pooled head: mean+max pooling over one idea's nodes,
+    MLP head, softmax, with 1-d matrix-vector products."""
+    ids = list(node_ids)
+    if not ids:
+        raise ValueError("idea has no nodes")
+    sub = final_states[ids]
+    arg_local = np.argmax(sub, axis=0)  # first max wins
+    pooled = np.concatenate([sub.mean(axis=0), sub[arg_local, np.arange(sub.shape[1])]])
+    z1 = model.head_hidden_w @ pooled + model.head_hidden_b
+    a1 = np.maximum(z1, 0.0)
+    logits = model.head_out_w @ a1 + model.head_out_b
+    exp = np.exp(logits - logits.max())
+    return SimpleNamespace(
+        node_ids=ids,
+        arg_rows=np.array([ids[j] for j in arg_local]),
+        pooled=pooled,
+        z1=z1,
+        a1=a1,
+        probs=exp / exp.sum(),
+    )
+
+
 def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
-    """Loss and gradients through ``reference_forward``, with the per-arc
-    backward pass and an ``np.add.at`` max-pool backward."""
+    """Loss and gradients through ``reference_forward`` and the per-idea
+    ``reference_pool_and_head``, with the per-arc backward pass and an
+    ``np.add.at`` max-pool backward."""
     states, pres, combined = reference_forward(model, X, arcs)
     final = states[-1]
-    heads = [pool_and_head(model, final, ids) for ids, _ in items]
+    heads = [reference_pool_and_head(model, final, ids) for ids, _ in items]
     labels = [y for _, y in items]
     weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
     total_w = weights.sum()
@@ -235,6 +264,143 @@ class TestAgainstEdgeTensorReference:
         assert arrays and all(n_arcs not in a.shape for a in arrays)
 
 
+class TestAgainstPerIdeaHead:
+    """The batched pooled head equals the per-idea head bit for bit."""
+
+    @pytest.mark.parametrize("n_labels", [2, 3, 9])
+    @pytest.mark.parametrize("hidden", [2, 6, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_head_bit_identical(self, seed, hidden, n_labels):
+        rng = np.random.default_rng(seed)
+        n = 24
+        final = rng.normal(size=(n, hidden))
+        final[:, ::2] = rng.integers(-2, 3, size=(n, (hidden + 1) // 2))  # exact ties per column
+        final[final == 0] = -0.0
+        final[rng.integers(0, n, size=6)] = final[rng.integers(0, n, size=6)]  # repeated rows
+        final[[3, 4, 5]] = final[2]  # the group [2, 3, 4, 5] ties in every column
+        model = init_model(GnnConfig(hidden_dim=hidden), 4, n_labels, rng)
+        groups = [[2, 3, 4, 5]] + [
+            rng.choice(n, size=int(size), replace=False).tolist() for size in rng.permutation(np.r_[1:8, 1:8])
+        ]
+        head = pool_and_head(model, final, groups)
+        assert head.groups == groups
+        for b, ids in enumerate(groups):
+            ref = reference_pool_and_head(model, final, ids)
+            for name in ("arg_rows", "pooled", "z1", "a1", "probs"):
+                assert np.array_equal(getattr(head, name)[b], getattr(ref, name)), name
+            assert np.array_equal(np.signbit(head.pooled[b]), np.signbit(ref.pooled))
+
+
+def reference_train(config, graph, matrix, corpus, negatives=()):
+    """The training loop with two prediction passes per epoch: after the
+    epoch's steps, one full forward pass for the train predictions and one
+    for the validation predictions, all through the per-arc forward pass,
+    ``reference_loss_and_grads`` and the per-idea head."""
+    X = node_features(graph, matrix)
+    arcs = graph.arcs
+    n_labels = len(corpus.label_set)
+    items = [(graph.idea_nodes[i.id], i.label) for i in corpus.split_ideas("train")]
+    items += [(graph.idea_nodes[neg.id], neg.label) for neg in negatives]
+    val_items = [
+        (graph.idea_nodes[i.id], i.label) for i in corpus.split_ideas("validation") if i.label is not None
+    ]
+    class_weights = None
+    if config.class_weighting:
+        class_weights = inverse_frequency_weights([y for _, y in items], n_labels)
+    rng = np.random.default_rng(config.seed)
+    model = init_model(config, X.shape[1], n_labels, rng)
+    state = AdamState(model)
+    log, best_f1, best_model, best_epoch = [], -1.0, None, None
+
+    def predicted(some_items):
+        final = reference_forward(model, X, arcs)[0][-1]
+        return [int(np.argmax(reference_pool_and_head(model, final, ids).probs)) for ids, _ in some_items]
+
+    for epoch in range(config.max_epochs):
+        lr = lr_schedule(config.learning_rate, epoch, config.max_epochs)
+        order = rng.permutation(len(items))
+        epoch_loss, steps = 0.0, 0
+        for start in range(0, len(order), config.batch_size):
+            batch = [items[i] for i in order[start : start + config.batch_size]]
+            loss_val, grads = reference_loss_and_grads(model, X, arcs, batch, class_weights)
+            adam_step(model, grads, state, lr)
+            epoch_loss += loss_val
+            steps += 1
+        entry = {"epoch": epoch, "loss": epoch_loss / steps, "lr": lr}
+        preds = predicted(items)
+        entry["train_accuracy"] = sum(p == y for p, (_, y) in zip(preds, items)) / len(items)
+        if val_items:
+            preds = predicted(val_items)
+            truths = [y for _, y in val_items]
+            entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
+            if entry["val_macro_f1"] > best_f1:
+                best_f1, best_model, best_epoch = entry["val_macro_f1"], model.copy(), epoch
+        log.append(entry)
+    if best_model is not None:
+        return best_model, log, best_epoch, best_f1
+    return model, log, None, None
+
+
+def training_instance(seed, validation, negatives):
+    """A seeded three-label corpus of 1-4 node ideas on a random graph with
+    zero- and unit-weight edges and repeated feature rows, and optionally
+    validation ideas and negatives with their own nodes."""
+    rng = np.random.default_rng(seed)
+    splits = ["train"] * 7 + ["validation"] * (3 if validation else 0) + ["test"] * 2
+    ideas = [
+        Idea(id=f"i{k}", title="", text="x.", label=int(rng.integers(3)), timestamp=k, split=split)
+        for k, split in enumerate(splits)
+    ]
+    negs = [
+        NegativeSample(id=f"neg{k}", source_id="i0", strategy="copy", viewpoints=("x.",), timestamp=20 + k)
+        for k in range(3 if negatives else 0)
+    ]
+    sizes = rng.integers(1, 5, size=len(ideas) + len(negs))
+    node_ideas = [idea_id for idea_id, size in zip([i.id for i in ideas] + [n.id for n in negs], sizes)
+                  for _ in range(size)]
+    n = len(node_ideas)
+    pairs = [
+        (u, v, float(rng.choice([0.0, 1.0, rng.random()])))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.3
+    ]
+    matrix = EmbeddingMatrix(rng.normal(size=(3, 5))[rng.integers(0, 3, size=n)])
+    corpus = Corpus(label_set=LabelSet(("a", "b", "c")), ideas=ideas)
+    return corpus, toy_graph(node_ideas, pairs), matrix, negs
+
+
+class TestAgainstTwoPassTraining:
+    """Training with one forward pass per step equals the loop that runs
+    two more per epoch for its predictions, bit for bit."""
+
+    @pytest.mark.parametrize("negatives", [False, True], ids=["no-neg", "neg"])
+    @pytest.mark.parametrize("class_weighting", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("validation", [False, True], ids=["no-val", "val"])
+    @pytest.mark.parametrize("batch_size", [3, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trained_model_and_log_bit_identical(self, seed, batch_size, validation, class_weighting, negatives):
+        corpus, graph, matrix, negs = training_instance(seed, validation, negatives)
+        config = GnnConfig(hidden_dim=6, batch_size=batch_size, max_epochs=4, learning_rate=0.05,
+                           seed=seed, class_weighting=class_weighting)
+        ref_model, ref_log, ref_epoch, ref_f1 = reference_train(config, graph, matrix, corpus, negs)
+        result = train(config, graph, matrix, corpus, negs or None)
+        assert [n for n, _ in result.model.param_items()] == [n for n, _ in ref_model.param_items()]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(result.model.param_items(), ref_model.param_items()))
+        assert result.log == ref_log
+        assert (result.best_epoch, result.best_val_f1) == (ref_epoch, ref_f1)
+        assert ("val_macro_f1" in ref_log[0]) == validation
+
+    @pytest.mark.parametrize("batch_size, steps_per_epoch", [(3, 4), (64, 1)])
+    def test_one_forward_pass_per_step(self, monkeypatch, batch_size, steps_per_epoch):
+        corpus, graph, matrix, negs = training_instance(0, validation=True, negatives=True)
+        assert len(corpus.split_ideas("train")) + len(negs) == 10
+        calls = []
+        monkeypatch.setattr(gnn, "full_forward", lambda *args: calls.append(args) or full_forward(*args))
+        train(GnnConfig(hidden_dim=6, batch_size=batch_size, max_epochs=5), graph, matrix, corpus, negs)
+        assert len(calls) == 1 + 5 * steps_per_epoch
+
+
 class TestForwardSubgraph:
     def _model(self, seed=0, input_dim=4, hidden=6, n_labels=3):
         rng = np.random.default_rng(seed)
@@ -245,8 +411,8 @@ class TestForwardSubgraph:
         X = np.random.default_rng(2).normal(size=(1, 4))
         edges = make_edges([], 1)
         cache = full_forward(model, X, edges)
-        head = pool_and_head(model, cache.states[-1], [0])
-        assert head.pooled[:6] == pytest.approx(head.pooled[6:], abs=1e-12)
+        head = pool_and_head(model, cache.states[-1], [[0]])
+        assert head.pooled[0, :6] == pytest.approx(head.pooled[0, 6:], abs=1e-12)
 
     def test_uniform_logits_uniform_probabilities(self):
         model = self._model(n_labels=4)
@@ -264,8 +430,10 @@ class TestForwardSubgraph:
 
     def test_empty_node_set_rejected(self):
         model = self._model()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="idea has no nodes"):
             idea_probs(model, np.ones((1, 4)), make_edges([], 1), [])
+        with pytest.raises(ValueError, match="idea has no nodes"):
+            pool_and_head(model, np.ones((3, 6)), [[0, 1], [], [2]])
 
     def test_pooling_order_invariant(self):
         model = self._model(seed=9)
@@ -306,8 +474,8 @@ class TestBackward:
 
         def loss_fn():
             cache = full_forward(model, X, edges)
-            heads = [pool_and_head(model, cache.states[-1], ids) for ids, _ in items]
-            return loss([h.probs for h in heads], [y for _, y in items])
+            head = pool_and_head(model, cache.states[-1], [ids for ids, _ in items])
+            return loss(head.probs, [y for _, y in items])
 
         numeric = finite_difference_grads(model, loss_fn, epsilon=1e-4)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -391,6 +559,16 @@ class TestTrain:
         matrix = EmbeddingMatrix(np.ones((1, 4)))
         with pytest.raises(ValueError, match="train"):
             train(GnnConfig(hidden_dim=4, max_epochs=1), graph, matrix, corpus)
+
+    def test_validation_idea_without_nodes_rejected(self):
+        ideas = [
+            Idea(id="a", title="", text="x.", label=0, timestamp=0, split="train"),
+            Idea(id="idea-00017", title="", text="x.", label=1, timestamp=0, split="validation"),
+        ]
+        corpus = Corpus(label_set=TWO, ideas=ideas)
+        graph = toy_graph(["a"], [])
+        with pytest.raises(ValueError, match="validation idea 'idea-00017' has no nodes in the graph"):
+            train(GnnConfig(hidden_dim=4, max_epochs=1), graph, EmbeddingMatrix(np.ones((1, 4))), corpus)
 
     def test_log_has_loss_and_validation(self, separable):
         corpus, _, matrix, graph = separable

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
 
@@ -214,3 +216,14 @@ class TestSerialization:
         path = tmp_path / "neg.jsonl"
         save_negatives(samples, path)
         assert load_negatives(path) == samples
+
+    @pytest.mark.parametrize("key", ["id", "source_id", "strategy", "viewpoints", "timestamp"])
+    def test_line_without_key_named(self, tmp_path, key):
+        path = tmp_path / "neg.jsonl"
+        save_negatives([NegativeSample("n0", "i0", "copy", ("a.",), 5), NegativeSample("n1", "i1", "copy", ("b.",), 6)], path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        del obj[key]
+        path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: missing key '{key}'$"):
+            load_negatives(path)

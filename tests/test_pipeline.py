@@ -266,6 +266,19 @@ class TestCli:
         stderr = capsys.readouterr().err
         assert f"predictions file {preds}: {message}" in stderr and "Traceback" not in stderr
 
+    def test_embed_names_viewpoints_line_without_key(self, tmp_path, capsys, demo_file):
+        split, views = tmp_path / "split.jsonl", tmp_path / "views.jsonl"
+        assert self.run("split", "--in", demo_file, "--out", split, "--quiet") == 0
+        assert self.run("extract", "--in", split, "--out", views, "--quiet") == 0
+        lines = views.read_text().splitlines()
+        first = json.loads(lines[0])
+        del first["idea_id"]
+        views.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        assert self.run("embed", "--in", views, "--out", tmp_path / "emb.bin", "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"{views}: line 1: missing key 'idea_id'" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "emb.bin").exists()
+
     def test_run_subcommand(self, tmp_path, demo_file):
         config = tmp_path / "config.json"
         config.write_text(
