@@ -266,7 +266,7 @@ def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
             prompt_tokens=int(obj.get("prompt_tokens", 0)),
             completion_tokens=int(obj.get("completion_tokens", 0)),
         )
-        for obj in read_records(path, "idea_id", "viewpoints")
+        for obj in read_records(path, idea_id=str, viewpoints=list)
     ]
 
 
@@ -303,14 +303,17 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield line_no, obj
 
 
-def read_records(path: str | Path, *required: str) -> Iterator[dict]:
+def read_records(path: str | Path, **required: type) -> Iterator[dict]:
     """Yield each JSON object of ``path``; a line that is not an object,
-    or lacks one of the ``required`` keys, raises a ValueError naming the
-    file, the line and the key."""
+    lacks one of the ``required`` keys or holds a value of another type
+    there raises a ValueError naming the file, the line and the key."""
     for line_no, obj in read_jsonl(path):
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: line {line_no}: expected a JSON object, got {obj!r}")
-        for key in required:
+        for key, kind in required.items():
             if key not in obj:
                 raise ValueError(f"{path}: line {line_no}: missing key {key!r}")
+            if not isinstance(obj[key], kind):
+                article = "an" if kind.__name__[0] in "aeiou" else "a"
+                raise ValueError(f"{path}: line {line_no}: key {key!r} must be {article} {kind.__name__}, got {type(obj[key]).__name__}")
         yield obj

@@ -69,10 +69,11 @@ class EmbeddingMatrix:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError(f"expected 2-d matrix, got shape {rows.shape}")
-        norms = np.linalg.norm(rows, axis=1)
-        zero = np.where(norms == 0)[0]
-        if zero.size:
-            raise ValueError(f"zero embedding vector at row {int(zero[0])}")
+        with np.errstate(over="ignore"):  # a finite norm bounds every dot product: no NaN similarity
+            norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+        if bad.size:
+            raise ValueError(f"{'zero' if norms[bad[0]] == 0 else 'non-finite'} embedding vector at row {int(bad[0])}")
         self.rows = rows
         self.norms = norms
         self.rows.setflags(write=False)
@@ -84,31 +85,34 @@ class EmbeddingMatrix:
     def dimension(self) -> int:
         return self.rows.shape[1]
 
-    def similarities(self, index: int, stop: Optional[int] = None) -> np.ndarray:
-        """Cosine similarity of one row against every row, or against rows
-        ``[0, stop)`` only."""
-        return (self.rows[:stop] @ self.rows[index]) / (self.norms[:stop] * self.norms[index])
+    def similarities(self, lo: int, hi: int, stop: Optional[int] = None) -> np.ndarray:
+        """Cosine similarity of each row in ``[lo, hi)`` against every row,
+        or rows ``[0, stop)`` only. A stacked matmul runs one gemv per row,
+        so result row ``i - lo`` is ``rows[:stop] @ rows[i]`` bit for bit."""
+        dots = np.matmul(self.rows[:stop][None], self.rows[lo:hi, :, None])[:, :, 0]
+        return dots / (self.norms[lo:hi, None] * self.norms[:stop])
 
     def extend(self, extra: np.ndarray) -> "EmbeddingMatrix":
         return EmbeddingMatrix(np.vstack([self.rows, np.asarray(extra, dtype=np.float64)]))
 
 
 def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingMatrix:
-    """Encode texts into an EmbeddingMatrix, one row per text, order preserved."""
+    """Encode texts into an EmbeddingMatrix, one row per text, order
+    preserved. Each distinct text is encoded once."""
     if any(not t for t in texts):
         raise ValueError("cannot embed empty text")
+    distinct = {t: i for i, t in enumerate(dict.fromkeys(texts))}  # text -> its encoded row
     if provider.kind == "stub":
-        rows = np.stack([stub_vector(t, provider.dimension) for t in texts])
-        return EmbeddingMatrix(rows)
-    raw = _remote_vectors(texts, provider)
-    for i, vec in enumerate(raw):
-        if len(vec) != provider.dimension:
-            raise ValueError(
-                f"provider returned dimension {len(vec)} for text {i}, expected {provider.dimension}"
-            )
-        if not any(vec):
-            raise ValueError(f"provider returned a zero vector for text {i}")
-    return EmbeddingMatrix(np.array(raw, dtype=np.float64))
+        rows = np.stack([stub_vector(t, provider.dimension) for t in distinct])
+    else:
+        raw = _remote_vectors(list(distinct), provider)
+        if len(raw) != len(distinct):
+            raise ValueError(f"provider returned {len(raw)} vectors for {len(distinct)} texts")
+        for text, vec in zip(distinct, raw):
+            if len(vec) != provider.dimension:
+                raise ValueError(f"provider returned dimension {len(vec)} for text {texts.index(text)}, expected {provider.dimension}")
+        rows = np.array(raw, dtype=np.float64)
+    return EmbeddingMatrix(rows[[distinct[t] for t in texts]])
 
 
 def save_embeddings(matrix: EmbeddingMatrix, ids: Sequence[str], path: str | Path) -> None:

@@ -4,7 +4,8 @@ Each idea contributes a subgraph: every viewpoint-node links to its
 top-k most cosine-similar siblings. Subgraphs are joined by giving every
 node its top-m most similar nodes from other ideas. Edges are undirected,
 weighted by clamped cosine similarity, and proposals from both endpoints
-of a pair are deduplicated.
+of a pair are deduplicated. Each idea block gets one similarity matrix
+and one exact top-k/top-m selection (partition, then sort the few kept).
 
 A graph is held as arrays: per node its idea, text and time feature; per
 undirected edge ``u < v`` (sorted by ``(u, v)``) its weight, intra flag
@@ -153,38 +154,48 @@ def _time_features(records: Sequence[IdeaViewpoints]) -> dict[str, float]:
 
 def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool, top_k: bool = True):
     """Edges (u, v, weight, intra) proposed by every node of ``blocks``
-    (one ``(start, stop)`` node range per idea).
+    (one ``(start, stop)`` node range per idea), one block at a time.
 
     Each node ranks by (-similarity, index) its siblings, keeping the top
     k (when ``top_k``), and the nodes outside its block, keeping the top
     m. With ``causal`` those are only the nodes before its block, and the
-    similarities are taken over the rows up to its block's end. A pair
-    proposed more than once keeps its first proposal, intra ahead of
-    inter, proposers in node order.
+    similarities are taken over the rows up to its block's end (a gemv
+    over a longer prefix may round differently). A pair proposed more
+    than once keeps its first proposal, intra ahead of inter, proposers
+    in node order. Block similarity rows equal per-node matvecs bit for
+    bit, and ``_smallest`` equals a stable argsort cut after k or m.
     """
-    proposed = {True: [], False: []}  # intra? -> [(proposer, targets, their similarities)]
+    intra, inter = [], []  # per block: (proposers, targets, similarities)
     for lo, hi in blocks:
-        for i in range(lo, hi):
-            sims = matrix.similarities(i, hi if causal else None)
-            foreign = -sims
-            siblings = foreign[lo:hi].copy()
-            siblings[i - lo] = np.inf
-            foreign[lo:hi] = np.inf
-            if top_k:
-                picked = lo + np.argsort(siblings, kind="stable")[: min(config.intra_k, hi - lo - 1)]
-                proposed[True].append((i, picked, sims[picked]))
-            # copied, or the slice would keep the whole argsort alive
-            picked = np.argsort(foreign, kind="stable")[: min(config.inter_m, len(sims) - (hi - lo))].copy()
-            proposed[False].append((i, picked, sims[picked]))
-    found = proposed[True] + proposed[False]
-    counts = [len(targets) for _, targets, _ in found]
-    proposers = np.repeat(np.array([i for i, _, _ in found], dtype=np.int64), counts)
-    targets = np.concatenate([np.zeros(0, np.int64)] + [targets for _, targets, _ in found])
-    sims = np.concatenate([np.zeros(0)] + [sims for _, _, sims in found])
-    intra = np.arange(len(sims)) < sum(counts[: len(proposed[True])])
+        sims = matrix.similarities(lo, hi, hi if causal else None)
+        keys = -sims
+        if top_k:
+            siblings = keys[:, lo:hi].copy()
+            np.fill_diagonal(siblings, np.inf)
+            row, col = _smallest(siblings, min(config.intra_k, hi - lo - 1))
+            intra.append((lo + row, lo + col, sims[row, lo + col]))
+        keys[:, lo:hi] = np.inf
+        row, col = _smallest(keys, min(config.inter_m, keys.shape[1] - (hi - lo)))
+        inter.append((lo + row, col, sims[row, col]))
+    found = intra + inter
+    proposers, targets, sims = (np.concatenate([np.zeros(0, dtype)] + [f[j] for f in found])
+                                for j, dtype in enumerate((np.int64, np.int64, np.float64)))
+    intra = np.arange(len(sims)) < sum(len(f[0]) for f in intra)
     u, v = np.minimum(proposers, targets), np.maximum(proposers, targets)
     _, first = np.unique(u * (len(matrix) + 1) + v, return_index=True)
     return u[first], v[first], _clamp(sims[first], config.weight_floor), intra[first]
+
+
+def _smallest(keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each row's ``count`` smallest keys by (key, column),
+    row after row: a partition finds the count-th key, then keys up to it are sorted."""
+    if count <= 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    t = np.partition(keys, count - 1, axis=1)[:, count - 1, None]
+    row, col = np.nonzero(keys <= t)  # row by row, columns ascending
+    order = np.lexsort((keys[row, col], row))  # stable: equal keys stay in column order
+    keep = order[np.arange(len(order)) - np.searchsorted(row, row) < count]  # rank within the row
+    return row[keep], col[keep]
 
 
 def _clamp(sims: np.ndarray, floor: float) -> np.ndarray:
@@ -193,11 +204,8 @@ def _clamp(sims: np.ndarray, floor: float) -> np.ndarray:
 
 def _bounds(records: Sequence[IdeaViewpoints], start: int = 0) -> list[tuple[int, int]]:
     """The (start, stop) node range of each record's block."""
-    blocks = []
-    for rec in records:
-        blocks.append((start, start + len(rec.viewpoints)))
-        start += len(rec.viewpoints)
-    return blocks
+    stops = np.cumsum([start] + [len(rec.viewpoints) for rec in records]).tolist()
+    return list(zip(stops[:-1], stops[1:]))
 
 
 def build_graph(
@@ -251,7 +259,7 @@ def _pair_edges(rec: IdeaViewpoints, start: int, matrix: EmbeddingMatrix, config
         v = by_text.get(normalize_text(right))
         if u is None or v is None or u == v or (min(u, v), max(u, v)) in edges:
             continue
-        weight = float(_clamp(matrix.similarities(u)[v], config.weight_floor))
+        weight = float(_clamp(matrix.similarities(u, u + 1)[0, v], config.weight_floor))
         edges[(min(u, v), max(u, v))] = (min(u, v), max(u, v), weight, polarity)
     return list(edges.values())
 

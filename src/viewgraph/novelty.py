@@ -233,5 +233,5 @@ def load_negatives(path: str | Path) -> list[NegativeSample]:
             timestamp=int(obj["timestamp"]),
             label=int(obj.get("label", 0)),
         )
-        for obj in read_records(path, "id", "source_id", "strategy", "viewpoints", "timestamp")
+        for obj in read_records(path, id=str, source_id=str, strategy=str, viewpoints=list, timestamp=int)
     ]

@@ -239,8 +239,10 @@ class TestJsonl:
             ({"viewpoints": ["b."]}, "line 2: missing key 'idea_id'"),
             ({"idea_id": "b"}, "line 2: missing key 'viewpoints'"),
             (["b", ["b."]], "line 2: expected a JSON object"),
+            ({"idea_id": "b", "viewpoints": 5}, "line 2: key 'viewpoints' must be a list, got int"),
+            ({"idea_id": 7, "viewpoints": ["b."]}, "line 2: key 'idea_id' must be a str, got int"),
         ],
-        ids=["idea_id", "viewpoints", "not-an-object"],
+        ids=["idea_id", "viewpoints", "not-an-object", "viewpoints-type", "idea_id-type"],
     )
     def test_viewpoints_line_without_key_named(self, tmp_path, second, message):
         path = tmp_path / "views.jsonl"

@@ -23,7 +23,7 @@ from viewgraph.graph import GraphConfig, build_graph
 def cosine(a, b):
     """Cosine similarity as the graph build computes it: row 0 against
     row 1 through EmbeddingMatrix.similarities."""
-    return float(EmbeddingMatrix(np.stack([a, b])).similarities(0)[1])
+    return float(EmbeddingMatrix(np.stack([a, b])).similarities(0, 1)[0, 1])
 
 
 def graph_of(rows, sizes, k, m=0):
@@ -96,11 +96,46 @@ class TestRemoteProvider:
         with pytest.raises(ValueError, match="zero"):
             embed(["text"], provider)
 
+    def test_each_distinct_text_sent_once_and_rows_scattered_back(self, monkeypatch):
+        sent = []
+
+        class Resp:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"data": [{"embedding": [float(i + 1), 1.0]} for i in range(len(sent[0]["input"]))]}
+
+        monkeypatch.setattr(requests, "post", lambda url, json, **kw: sent.append(json) or Resp())
+        provider = EmbeddingProvider(kind="remote", dimension=2, endpoint="http://x", model="m")
+        matrix = embed(["b", "a", "b", "c", "a"], provider)
+        assert sent == [{"model": "m", "input": ["b", "a", "c"]}]
+        assert matrix.rows.tolist() == [[1, 1], [2, 1], [1, 1], [3, 1], [2, 1]]
+
+    def test_vector_count_must_match_distinct_texts(self, monkeypatch):
+        monkeypatch.setattr(requests, "post", self._fake_post([[0.1] * 8]))
+        provider = EmbeddingProvider(kind="remote", dimension=8, endpoint="http://x")
+        with pytest.raises(ValueError, match="1 vectors for 2 texts"):
+            embed(["a", "b", "a"], provider)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_named(self, monkeypatch, bad):
+        monkeypatch.setattr(requests, "post", self._fake_post([[0.1, 0.2], [bad, 1.0]]))
+        provider = EmbeddingProvider(kind="remote", dimension=2, endpoint="http://x")
+        with pytest.raises(ValueError, match="non-finite embedding vector at row 2"):
+            embed(["a", "a", "b"], provider)
+
 
 class TestMatrix:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_row_rejected(self, bad):
+        # 1e200 is finite, but its squared norm overflows
+        with pytest.raises(ValueError, match="non-finite embedding vector at row 1"):
+            EmbeddingMatrix(np.array([[1.0, 0.0], [bad, 1.0], [0.0, 1.0]]))
 
     def test_norm_cache_matches(self):
         rows = np.random.default_rng(0).normal(size=(5, 4))
@@ -210,6 +245,20 @@ class TestSerialization:
         assert loaded.dimension == 16
         # stored as float32: exact at that precision
         assert np.allclose(loaded.rows, m.rows, atol=1e-6)
+
+    def test_non_finite_row_rejected_on_load(self, tmp_path):
+        m = embed(["x", "y", "z"], EmbeddingProvider(kind="stub", dimension=4))
+        path = tmp_path / "emb.bin"
+        save_embeddings(m, ["a", "b", "c"], path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f4").tobytes() + blob[-4:])
+        with pytest.raises(ValueError, match="non-finite embedding vector at row 2"):
+            load_embeddings(path)
+
+    def test_stub_rows_of_repeated_texts(self):
+        provider = EmbeddingProvider(kind="stub", dimension=8)
+        rows = embed(["b", "a", "b"], provider).rows
+        assert np.array_equal(rows, np.stack([stub_vector(t, 8) for t in ("b", "a", "b")]))
 
     def test_truncated_blob_rejected(self, tmp_path):
         m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))

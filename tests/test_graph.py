@@ -12,6 +12,7 @@ from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
 from viewgraph.graph import (
     GraphConfig,
     ViewpointGraph,
+    _propose,
     build_graph,
     integrate_subgraph,
     load_graph,
@@ -240,6 +241,84 @@ class TestIntegrate:
         once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]), config)
         assert (once.idea, once.text) == (chain.idea, chain.text)
         assert list(edge_dict(once).items()) == list(edge_dict(chain).items())
+
+
+def per_node_propose(matrix, blocks, config, causal, top_k=True):
+    """The build's selection as it was before it ran per block, kept as
+    the reference: per node one similarity matvec and one full stable
+    argsort of its siblings and of the nodes outside its block."""
+    rows, norms = matrix.rows, matrix.norms
+    proposed = {True: [], False: []}
+    for lo, hi in blocks:
+        for i in range(lo, hi):
+            stop = hi if causal else None
+            sims = (rows[:stop] @ rows[i]) / (norms[:stop] * norms[i])
+            foreign = -sims
+            siblings = foreign[lo:hi].copy()
+            siblings[i - lo] = np.inf
+            foreign[lo:hi] = np.inf
+            if top_k:
+                picked = lo + np.argsort(siblings, kind="stable")[: min(config.intra_k, hi - lo - 1)]
+                proposed[True].append((i, picked, sims[picked]))
+            picked = np.argsort(foreign, kind="stable")[: min(config.inter_m, len(sims) - (hi - lo))]
+            proposed[False].append((i, picked, sims[picked]))
+    found = proposed[True] + proposed[False]
+    counts = [len(targets) for _, targets, _ in found]
+    proposers = np.repeat(np.array([i for i, _, _ in found], dtype=np.int64), counts)
+    targets = np.concatenate([np.zeros(0, np.int64)] + [targets for _, targets, _ in found])
+    sims = np.concatenate([np.zeros(0)] + [sims for _, _, sims in found])
+    intra = np.arange(len(sims)) < sum(counts[: len(proposed[True])])
+    u, v = np.minimum(proposers, targets), np.maximum(proposers, targets)
+    _, first = np.unique(u * (len(matrix) + 1) + v, return_index=True)
+    return u[first], v[first], np.minimum(1.0, np.maximum(config.weight_floor, sims[first])), intra[first]
+
+
+def block_instance(seed: int, dim: int = 5, n_blocks=None, distinct=None, start: int = 0):
+    """Rows drawn from ``distinct`` (by default 2-7) vectors, so exact
+    ties occur within and across blocks, and ``n_blocks`` (by default
+    2-10) blocks of 1-8 nodes from node ``start`` on, one a singleton."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 9, size=n_blocks or int(rng.integers(2, 11)))
+    sizes[rng.integers(len(sizes))] = 1
+    n = start + int(sizes.sum())
+    vectors = rng.normal(size=(distinct or int(rng.integers(2, 8)), dim))
+    rows = vectors[rng.integers(len(vectors), size=n)]
+    stops = start + np.cumsum(sizes)
+    return EmbeddingMatrix(rows), list(zip((stops - sizes).tolist(), stops.tolist()))
+
+
+class TestAgainstPerNodeArgsort:
+    """Per-block selection gives the per-node argsort's edges bit for bit.
+    Run under a threaded BLAS too: it rests on a stacked matmul running
+    one gemv per row."""
+
+    MODES = {  # mode -> (causal, top_k, first block's start)
+        "full": (False, True, 0),
+        "hybrid": (False, False, 0),
+        "causal": (True, True, 0),
+        "causal-after-old-nodes": (True, True, 5),
+    }
+
+    def assert_same(self, matrix, blocks, config, causal, top_k):
+        got = _propose(matrix, blocks, config, causal, top_k)
+        want = per_node_propose(matrix, blocks, config, causal, top_k)
+        for name, g, w in zip(("u", "v", "weight", "intra"), got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("k, m", [(1, 0), (3, 4), (8, 1000)])  # k >= 8 and m >= n cover every node
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_blocks_with_ties(self, seed, mode, k, m):
+        causal, top_k, start = self.MODES[mode]
+        matrix, blocks = block_instance(seed, start=start)
+        self.assert_same(matrix, blocks, GraphConfig(intra_k=k, inter_m=m), causal, top_k)
+
+    @pytest.mark.parametrize("distinct", [6, 1000])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hundreds_of_nodes(self, mode, distinct):
+        causal, top_k, start = self.MODES[mode]
+        matrix, blocks = block_instance(1, dim=32, n_blocks=100, distinct=distinct, start=start)
+        self.assert_same(matrix, blocks, GraphConfig(intra_k=5, inter_m=10), causal, top_k)
 
 
 class TestSerialization:

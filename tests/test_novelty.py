@@ -227,3 +227,21 @@ class TestSerialization:
         path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: missing key '{key}'$"):
             load_negatives(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("id", 3, "must be a str, got int"),
+            ("strategy", None, "must be a str, got NoneType"),
+            ("viewpoints", "b.", "must be a list, got str"),
+            ("timestamp", "6", "must be an int, got str"),
+        ],
+    )
+    def test_value_of_wrong_type_named(self, tmp_path, key, value, message):
+        path = tmp_path / "neg.jsonl"
+        save_negatives([NegativeSample("n0", "i0", "copy", ("a.",), 5)], path)
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: key '{key}' {message}$"):
+            load_negatives(path)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from viewgraph.cli import main as cli_main
@@ -278,6 +279,26 @@ class TestCli:
         stderr = capsys.readouterr().err
         assert f"{views}: line 1: missing key 'idea_id'" in stderr and "Traceback" not in stderr
         assert not (tmp_path / "emb.bin").exists()
+
+    def test_embed_names_viewpoints_value_of_wrong_type(self, tmp_path, capsys):
+        views = tmp_path / "views.jsonl"
+        views.write_text(json.dumps({"idea_id": "a", "viewpoints": 5}) + "\n")
+        assert self.run("embed", "--in", views, "--out", tmp_path / "emb.bin", "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"{views}: line 1: key 'viewpoints' must be a list, got int" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "emb.bin").exists()
+
+    def test_build_names_non_finite_embedding_row(self, tmp_path, capsys, demo_file):
+        split, views, emb = tmp_path / "split.jsonl", tmp_path / "views.jsonl", tmp_path / "emb.bin"
+        assert self.run("split", "--in", demo_file, "--out", split, "--quiet") == 0
+        assert self.run("extract", "--in", split, "--out", views, "--quiet") == 0
+        assert self.run("embed", "--in", views, "--out", emb, "--quiet") == 0
+        header, blob = emb.read_bytes().split(b"\n", 1)
+        emb.write_bytes(header + b"\n" + np.array([np.inf], dtype="<f4").tobytes() + blob[4:])
+        assert self.run("build", "--viewpoints", views, "--embeddings", emb, "--out", tmp_path / "g.json", "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert "non-finite embedding vector at row 0" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "g.json").exists()
 
     def test_run_subcommand(self, tmp_path, demo_file):
         config = tmp_path / "config.json"
