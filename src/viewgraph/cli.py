@@ -2,8 +2,10 @@
 
 Subcommands mirror the pipeline stages (split, extract, embed, build, lp,
 train, predict, gen-negatives, eval) plus ``run`` for the whole pipeline
-driven by one config file. Remote backends read the API key from the
-VIEWGRAPH_API_KEY environment variable.
+driven by one config file. Each stage subcommand runs the stage function
+``run`` uses, so with the same inputs and ``--config`` it writes the same
+bytes. Remote backends read the API key from the VIEWGRAPH_API_KEY
+environment variable.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline
-from .dataset import load_corpus
-from .metrics import format_table, normed_cost
-from .pipeline import ConfigError, RunConfig, StageError, evaluate_predictions, run_pipeline, validate_config
+from .metrics import MetricReport, format_table
+from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate_config
 
 
 def _load_config(args) -> RunConfig:
@@ -51,8 +52,8 @@ SETTINGS = {
     "threshold": "novelty.threshold",
     "swap_fraction": "novelty.swap_fraction",
 }
-# Path flags name a file of the stage (keys as in pipeline.FILES); --in
-# and --out differ per stage and are given to stage_command.
+# Path flags name a file of the stage (keys as in pipeline.FILES, or eval's
+# costs); --in and --out differ per stage and are given to stage_command.
 PATH_FLAGS = {
     "corpus": "split",
     "viewpoints": "viewpoints",
@@ -62,6 +63,9 @@ PATH_FLAGS = {
     "holdout_out": "negatives_holdout",
     "model": "model",
     "log": "train_log",
+    "lp_pred": "lp_pred",
+    "gnn_pred": "gnn_pred",
+    "costs": "costs",
 }
 
 
@@ -93,21 +97,12 @@ def _fractions(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def cmd_eval(args):
-    corpus = load_corpus(args.corpus)
-    report = evaluate_predictions(args.pred, corpus)
-    payload = report.to_dict()
-    if args.costs:
-        costs = json.loads(Path(args.costs).read_text(encoding="utf-8"))
-        payload["normed_costs"] = normed_cost(costs)
-    Path(args.out).write_text(json.dumps(payload), encoding="utf-8")
-    if not args.quiet:
-        print(format_table({"predictions": report}))
-
-
 def cmd_run(args):
     config = _load_config(args)
     run_pipeline(config, force=args.force, quiet=args.quiet)
+    if not args.quiet:
+        report = json.loads((Path(config.out_dir) / pipeline.FILES["report"]).read_text(encoding="utf-8"))
+        print(format_table({engine: MetricReport(**report[engine]) for engine in ("lp", "gnn") if engine in report}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,11 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=stage_command(pipeline.run_negatives, out="negatives"))
 
     p = sub.add_parser("eval", parents=[common], help="score predictions against labels")
-    p.add_argument("--pred", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--lp-pred", default=None, help="label propagation predictions")
+    p.add_argument("--gnn-pred", default=None, help="GNN predictions")
+    p.add_argument("--viewpoints", default=None, help="report the extraction's average tokens and cost")
     p.add_argument("--costs", default=None, help="JSON map of method -> avg cost for normed costs")
-    p.set_defaults(fn=cmd_eval)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=stage_command(pipeline.run_eval, out="report"))
 
     p = sub.add_parser("run", parents=[common], help="run the whole pipeline from a config file")
     p.set_defaults(fn=cmd_run)

@@ -261,12 +261,16 @@ def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
         IdeaViewpoints(
             idea_id=obj["idea_id"],
             viewpoints=tuple(obj["viewpoints"]),
-            timestamp=int(obj.get("timestamp", 0)),
+            timestamp=obj.get("timestamp", 0),
             pairs=tuple(tuple(p) for p in obj.get("pairs", [])),
-            prompt_tokens=int(obj.get("prompt_tokens", 0)),
-            completion_tokens=int(obj.get("completion_tokens", 0)),
+            prompt_tokens=obj.get("prompt_tokens", 0),
+            completion_tokens=obj.get("completion_tokens", 0),
         )
-        for obj in read_records(path, idea_id=str, viewpoints=list)
+        for obj in read_records(
+            path,
+            {"idea_id": str, "viewpoints": TEXTS},
+            {"timestamp": COUNT, "pairs": PAIRS, "prompt_tokens": COUNT, "completion_tokens": COUNT},
+        )
     ]
 
 
@@ -303,17 +307,43 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield line_no, obj
 
 
-def read_records(path: str | Path, **required: type) -> Iterator[dict]:
+# Value kinds of read_records beyond a plain type (an int is never a bool),
+# each with its type and the test every item of a list must pass.
+COUNT = "an int >= 0"
+TEXTS = "a list of non-empty strings"
+PAIRS = "a list of [left, connector, polarity, right] string lists"
+_KINDS = {
+    COUNT: (int, None),
+    TEXTS: (list, lambda x: isinstance(x, str) and x != ""),
+    PAIRS: (list, lambda p: isinstance(p, list) and len(p) == 4 and all(isinstance(x, str) for x in p)),
+}
+
+
+def _problem(value, kind) -> Optional[str]:
+    """Why ``value`` is not of ``kind``; None when it is."""
+    base, item_ok = _KINDS.get(kind, (kind, None))
+    if not isinstance(value, base) or (base is int and isinstance(value, bool)):
+        article = "an" if base.__name__[0] in "aeiou" else "a"
+        return f"must be {article} {base.__name__}, got {type(value).__name__}"
+    if kind == COUNT and value < 0:
+        return f"must be >= 0, got {value}"
+    bad = [x for x in value if not item_ok(x)] if item_ok else []
+    return f"must be {kind}, got item {bad[0]!r}" if bad else None
+
+
+def read_records(path: str | Path, required: dict, optional: dict) -> Iterator[dict]:
     """Yield each JSON object of ``path``; a line that is not an object,
-    lacks one of the ``required`` keys or holds a value of another type
-    there raises a ValueError naming the file, the line and the key."""
+    lacks one of the ``required`` keys, or holds a value not of its kind
+    (a type, COUNT, TEXTS or PAIRS) at a ``required`` or ``optional`` key
+    raises a ValueError naming the file, the line and the key."""
+    kinds = {**required, **optional}
     for line_no, obj in read_jsonl(path):
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: line {line_no}: expected a JSON object, got {obj!r}")
-        for key, kind in required.items():
-            if key not in obj:
-                raise ValueError(f"{path}: line {line_no}: missing key {key!r}")
-            if not isinstance(obj[key], kind):
-                article = "an" if kind.__name__[0] in "aeiou" else "a"
-                raise ValueError(f"{path}: line {line_no}: key {key!r} must be {article} {kind.__name__}, got {type(obj[key]).__name__}")
+        missing = [key for key in required if key not in obj]
+        if missing:
+            raise ValueError(f"{path}: line {line_no}: missing key {missing[0]!r}")
+        for key, kind in kinds.items():
+            if key in obj and (problem := _problem(obj[key], kind)):
+                raise ValueError(f"{path}: line {line_no}: key {key!r} {problem}")
         yield obj

@@ -144,12 +144,13 @@ def add_neighbours(out: np.ndarray, slots, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _time_features(records: Sequence[IdeaViewpoints]) -> dict[str, float]:
-    ts = {r.idea_id: r.timestamp for r in records}
-    lo, hi = min(ts.values()), max(ts.values())
+def time_features(timestamps: Mapping[str, int]) -> dict[str, float]:
+    """Each idea's timestamp min-max normalized into [0, 1]; 0 for every
+    idea when all timestamps are equal."""
+    lo, hi = min(timestamps.values()), max(timestamps.values())
     if hi == lo:
-        return {k: 0.0 for k in ts}
-    return {k: (v - lo) / (hi - lo) for k, v in ts.items()}
+        return {k: 0.0 for k in timestamps}
+    return {k: (v - lo) / (hi - lo) for k, v in timestamps.items()}
 
 
 def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool, top_k: bool = True):
@@ -212,7 +213,6 @@ def build_graph(
     records: Sequence[IdeaViewpoints],
     matrix: EmbeddingMatrix,
     config: GraphConfig = GraphConfig(),
-    time_features: Optional[Mapping[str, float]] = None,
     hybrid: bool = False,
 ) -> ViewpointGraph:
     """Build the full viewpoint-graph over all ideas.
@@ -228,7 +228,7 @@ def build_graph(
     ids = {r.idea_id for r in records}
     if len(ids) != len(records):
         raise ValueError("duplicate idea ids in viewpoint records")
-    tf = dict(time_features) if time_features is not None else _time_features(records)
+    tf = time_features({r.idea_id: r.timestamp for r in records})
     blocks = _bounds(records)
     u, v, weight, intra = _propose(matrix, blocks, config, causal=False, top_k=not hybrid)
     polarity = None

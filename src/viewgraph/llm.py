@@ -156,7 +156,6 @@ class LlmBackend:
     temperature: float = 0.1
     max_retries: int = 3
     backoff: float = 1.0
-    price_per_million: float = 0.0
     seed: int = 0
     max_inflight: int = 4
     api_key_env: str = "VIEWGRAPH_API_KEY"
@@ -172,8 +171,7 @@ class LlmBackend:
     def complete(self, prompt: str, purpose: str) -> tuple[str, TokenUsage]:
         if self.kind == "mock":
             text = _mock_completion(prompt, purpose, self.seed)
-            usage = TokenUsage(_word_count(prompt), _word_count(text), self.price_per_million)
-            return text, usage
+            return text, TokenUsage(_word_count(prompt), _word_count(text))
         return self._remote_complete(prompt)
 
     def _remote_complete(self, prompt: str) -> tuple[str, TokenUsage]:
@@ -199,7 +197,7 @@ class LlmBackend:
                 if pt is None or ct is None:
                     # provider omitted usage metadata: approximate by word count
                     pt, ct = _word_count(prompt), _word_count(text)
-                return text, TokenUsage(int(pt), int(ct), self.price_per_million)
+                return text, TokenUsage(int(pt), int(ct))
             except requests.RequestException as exc:
                 last = exc
                 if attempt < self.max_retries:
@@ -414,7 +412,7 @@ def extract_corpus(
     Remote calls run concurrently up to ``backend.max_inflight``; results
     are returned in input order. The summary dict reports the aggregates
     (viewpoints per idea, words per viewpoint, pair density when relations
-    are on) plus token totals.
+    are on) plus the average tokens per idea.
     """
 
     def one(idea: Idea) -> IdeaViewpoints:
@@ -446,26 +444,21 @@ def extract_corpus(
 
     records = [r for r, _ in results]
     dropped_pairs = sum(d for _, d in results)
-    summary = summarize_extraction(records, backend.price_per_million, relations)
+    summary = summarize_extraction(records, relations)
     summary["dropped_pairs"] = dropped_pairs
     return records, summary
 
 
-def summarize_extraction(
-    records: Sequence[IdeaViewpoints], price_per_million: float = 0.0, relations: bool = False
-) -> dict:
+def summarize_extraction(records: Sequence[IdeaViewpoints], relations: bool = False) -> dict:
+    """Aggregates of an extraction; eval prices its token counts."""
     n_views = [len(r.viewpoints) for r in records]
     words = [_word_count(v) for r in records for v in r.viewpoints]
-    usages = [
-        TokenUsage(r.prompt_tokens, r.completion_tokens, price_per_million) for r in records
-    ]
-    avg_tokens, avg_cost = token_cost(usages) if usages else (0.0, 0.0)
+    tokens = [r.prompt_tokens + r.completion_tokens for r in records]
     summary = {
         "ideas": len(records),
         "avg_viewpoints_per_idea": sum(n_views) / len(n_views) if n_views else 0.0,
         "avg_words_per_viewpoint": sum(words) / len(words) if words else 0.0,
-        "avg_tokens_per_evaluation": avg_tokens,
-        "avg_cost_per_evaluation": avg_cost,
+        "avg_tokens_per_evaluation": sum(tokens) / len(tokens) if tokens else 0.0,
     }
     if relations:
         pair_counts = [len(r.pairs) for r in records]

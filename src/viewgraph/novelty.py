@@ -1,4 +1,4 @@
-"""Novelty support: temporal node features and plagiarized negative samples.
+"""Novelty support: plagiarized negative samples.
 
 Negative samples are synthetic ideas assembled from existing viewpoints
 (copied outright, or partially swapped with random / nearest-neighbor
@@ -12,36 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus, IdeaViewpoints, read_records, write_jsonl
-from .embedding import EmbeddingMatrix, EmbeddingProvider, embed
-from .graph import GraphConfig, ViewpointGraph, integrate_subgraph
+from .dataset import COUNT, TEXTS, Corpus, IdeaViewpoints, read_records, write_jsonl
+from .embedding import EmbeddingMatrix
+from .graph import ViewpointGraph, integrate_subgraph, time_features
 
 STRATEGIES = ("copy", "random-swap", "neighbor-swap")
 ONE_DAY = 86400
-
-
-@dataclass(frozen=True)
-class TemporalEncoding:
-    min_timestamp: int
-    max_timestamp: int
-
-    def feature(self, timestamp: int) -> float:
-        """Min-max normalized time; 0 when the corpus spans a single instant."""
-        span = self.max_timestamp - self.min_timestamp
-        if span == 0:
-            return 0.0
-        return (timestamp - self.min_timestamp) / span
-
-
-def encode_time(corpus: Corpus, extra_timestamps: Sequence[int] = ()) -> TemporalEncoding:
-    ts = [idea.timestamp for idea in corpus.ideas] + list(extra_timestamps)
-    if not ts:
-        raise ValueError("cannot encode time over an empty corpus")
-    return TemporalEncoding(min_timestamp=min(ts), max_timestamp=max(ts))
 
 
 @dataclass(frozen=True)
@@ -70,14 +50,12 @@ def generate_negatives(
     corpus: Corpus,
     graph: ViewpointGraph,
     count: int,
-    strategies: Sequence[str] = STRATEGIES,
     threshold: int = 1,
     swap_fraction: float = 0.5,
     seed: int = 0,
-    negative_label: int = 0,
 ) -> tuple[list[NegativeSample], int]:
-    """Build ``count`` plagiarized ideas, split as evenly as possible
-    across the strategies, sourcing only ideas rated at or above
+    """Build ``count`` plagiarized ideas labeled 0, split as evenly as
+    possible across the STRATEGIES, sourcing only ideas rated at or above
     ``threshold``. Returns (samples, fallback count), where fallbacks are
     neighbor-swap slots that degraded to random-swap for lack of a
     cross-idea neighbor.
@@ -86,9 +64,6 @@ def generate_negatives(
         raise ValueError("count must be >= 1")
     if not (0.0 < swap_fraction <= 1.0):
         raise ValueError(f"swap fraction must be in (0, 1], got {swap_fraction}")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
     sources = [i for i in corpus.ideas if i.label is not None and i.label >= threshold]
     if not sources:
         raise ValueError(f"no idea rated at or above label {threshold}")
@@ -103,7 +78,7 @@ def generate_negatives(
     samples: list[NegativeSample] = []
     fallbacks = 0
     serial = 0
-    for strategy, share in zip(strategies, _even_shares(count, len(strategies))):
+    for strategy, share in zip(STRATEGIES, _even_shares(count, len(STRATEGIES))):
         for _ in range(share):
             source = sources[int(rng.integers(len(sources)))]
             node_ids = graph.idea_nodes[source.id]
@@ -150,7 +125,6 @@ def generate_negatives(
                     strategy=strategy,
                     viewpoints=tuple(texts),
                     timestamp=neg_timestamp,
-                    label=negative_label,
                 )
             )
             serial += 1
@@ -175,19 +149,17 @@ def inject_negatives(
     matrix: EmbeddingMatrix,
     negatives: Sequence[NegativeSample],
     corpus: Corpus,
-    config: Optional[GraphConfig] = None,
-    provider: Optional[EmbeddingProvider] = None,
 ) -> tuple[ViewpointGraph, EmbeddingMatrix]:
     """Integrate the negatives as new subgraphs, in order, in one pass;
     returns the enlarged graph and embedding matrix.
 
     Each negative links to the existing graph and to earlier negatives
-    only. Negatives reuse the embedding row of any earlier node with the
-    same text (copies therefore connect to their sources at weight 1).
-    All temporal features are re-encoded over corpus plus negatives, so
-    the negatives carry the latest feature and everything stays in [0, 1].
+    only. Each negative viewpoint takes the embedding row of the first
+    graph node with the same text (copies therefore connect to their
+    sources at weight 1); a text absent from the graph is an error. All
+    temporal features are re-encoded over corpus plus negatives, so the
+    negatives carry the latest feature and everything stays in [0, 1].
     """
-    config = config or graph.config
     for neg in negatives:
         if corpus.by_id(neg.id) is not None or neg.id in graph.idea_nodes:
             raise ValueError(f"negative id {neg.id!r} collides with an existing idea")
@@ -199,24 +171,19 @@ def inject_negatives(
     for neg in negatives:
         for text in neg.viewpoints:
             if text not in by_text:
-                if provider is None:
-                    raise ValueError(
-                        f"negative {neg.id!r} has viewpoint text absent from the graph "
-                        "and no embedding provider was given"
-                    )
-                by_text[text] = embed([text], provider).rows[0]
+                raise ValueError(f"negative {neg.id!r} has viewpoint text absent from the graph: {text!r}")
             rows.append(by_text[text])
     if rows:
         matrix = matrix.extend(np.stack(rows))
 
-    encoding = encode_time(corpus, [n.timestamp for n in negatives])
-    features = {i.id: encoding.feature(i.timestamp) for i in corpus.ideas}
-    features.update((n.id, encoding.feature(n.timestamp)) for n in negatives)
+    timestamps = {i.id: i.timestamp for i in corpus.ideas}
+    timestamps.update((n.id, n.timestamp) for n in negatives)
+    features = time_features(timestamps)
     # previously injected ideas are absent from the corpus: keep their feature
     t = [features.get(idea, old) for idea, old in zip(graph.idea, graph.t.tolist())]
     t += [features[n.id] for n in negatives for _ in n.viewpoints]
     records = [IdeaViewpoints(idea_id=n.id, viewpoints=n.viewpoints, timestamp=n.timestamp) for n in negatives]
-    return integrate_subgraph(graph, records, matrix, config, t=t), matrix
+    return integrate_subgraph(graph, records, matrix, t=t), matrix
 
 
 def save_negatives(samples: Sequence[NegativeSample], path: str | Path) -> None:
@@ -230,8 +197,12 @@ def load_negatives(path: str | Path) -> list[NegativeSample]:
             source_id=obj["source_id"],
             strategy=obj["strategy"],
             viewpoints=tuple(obj["viewpoints"]),
-            timestamp=int(obj["timestamp"]),
-            label=int(obj.get("label", 0)),
+            timestamp=obj["timestamp"],
+            label=obj.get("label", 0),
         )
-        for obj in read_records(path, id=str, source_id=str, strategy=str, viewpoints=list, timestamp=int)
+        for obj in read_records(
+            path,
+            {"id": str, "source_id": str, "strategy": str, "viewpoints": TEXTS, "timestamp": COUNT},
+            {"label": COUNT},
+        )
     ]

@@ -16,7 +16,7 @@ import time
 import typing
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from pathlib import Path
 from typing import Optional
 
@@ -36,8 +36,8 @@ from .dataset import (
 )
 from .embedding import EmbeddingMatrix, EmbeddingProvider, embed, load_embeddings, save_embeddings
 from .graph import GraphConfig, ViewpointGraph, build_graph, load_graph, save_graph
-from .llm import LlmBackend, extract_corpus
-from .metrics import MetricReport, confusion, format_table, macro_metrics
+from .llm import LlmBackend, TokenUsage, extract_corpus, token_cost
+from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
 ENGINES = ("lp", "gnn", "both")
 
@@ -266,11 +266,13 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
 # --- stages ------------------------------------------------------------------
 # Each stage is one function run(paths, config) -> summary. ``paths`` maps
 # file keys (the names used in ``run_pipeline``) to files; a stage reads
-# and writes only those. ``viewgraph run`` calls them through the stage
-# table with hash-based skipping, and each CLI subcommand calls one
-# directly with its flags applied to the config. Optional files (held-out
-# negatives, training log, negatives to inject) are used when their key
-# is present.
+# and writes only those, and its output depends only on those files and
+# its config snapshot in the stage table. ``viewgraph run`` calls them
+# through the stage table with hash-based skipping, and each CLI
+# subcommand calls one directly with its flags applied to the config.
+# Optional files (held-out negatives, training log, negatives to inject,
+# each engine's predictions, viewpoints and costs for eval) are used when
+# their key is present.
 
 
 def run_split(paths: dict, config: RunConfig) -> dict:
@@ -292,7 +294,6 @@ def run_extract(paths: dict, config: RunConfig) -> dict:
         model=llm.model,
         temperature=llm.temperature,
         max_retries=llm.max_retries,
-        price_per_million=llm.price_per_million,
         seed=seed_for(config.seed, "extract"),
         max_inflight=llm.max_inflight,
     )
@@ -388,25 +389,29 @@ def run_predict(paths: dict, config: RunConfig, split: str = "test") -> dict:
     return {"predicted": len(predictions)}
 
 
-def run_eval(paths: dict, config: RunConfig, extraction: Optional[dict] = None, say=print) -> dict:
-    """Score each engine's predictions into report.json; ``extraction`` is
-    the extract stage's summary, whose token and cost averages go into the
-    report."""
+def run_eval(paths: dict, config: RunConfig) -> dict:
+    """Score each engine whose predictions file is given into report.json.
+    With ``viewpoints`` the report also gets the average tokens and cost
+    per idea of their extraction, at ``llm.price_per_million``; with
+    ``costs`` (a JSON map of method -> average cost) the normed costs."""
+    engines = [engine for engine in ("lp", "gnn") if f"{engine}_pred" in paths]
+    if not engines:
+        raise ValueError("eval has no predictions to score: give lp_pred or gnn_pred")
     corpus = load_corpus(paths["split"])
-    extraction = extraction or {}
-    avg_tokens = extraction.get("avg_tokens_per_evaluation")
-    avg_cost = extraction.get("avg_cost_per_evaluation")
-    reports = {}
-    for engine in ("lp", "gnn"):
-        if config.engine in (engine, "both"):
-            reports[engine] = evaluate_predictions(paths[f"{engine}_pred"], corpus)
-            reports[engine].avg_token_cost = avg_tokens
-    payload = {engine: rep.to_dict() for engine, rep in reports.items()}
-    if avg_cost is not None:
-        payload["extraction"] = {"avg_tokens_per_evaluation": avg_tokens, "avg_cost_per_evaluation": avg_cost}
+    reports = {engine: evaluate_predictions(paths[f"{engine}_pred"], corpus) for engine in engines}
+    extraction = {}
+    if "viewpoints" in paths:
+        price = config.llm.price_per_million
+        usages = [TokenUsage(r.prompt_tokens, r.completion_tokens, price) for r in load_viewpoints(paths["viewpoints"])]
+        avg_tokens, avg_cost = token_cost(usages)
+        for report in reports.values():
+            report.avg_token_cost = avg_tokens
+        extraction = {"extraction": {"avg_tokens_per_evaluation": avg_tokens, "avg_cost_per_evaluation": avg_cost}}
+    payload = {**{engine: report.to_dict() for engine, report in reports.items()}, **extraction}
+    if "costs" in paths:
+        payload["normed_costs"] = normed_cost(json.loads(Path(paths["costs"]).read_text(encoding="utf-8")))
     Path(paths["report"]).write_text(json.dumps(payload), encoding="utf-8")
-    say(format_table(reports))
-    return {engine: rep.macro_f1 for engine, rep in reports.items()}
+    return {engine: report.macro_f1 for engine, report in reports.items()}
 
 
 # A pipeline stage: ``inputs`` and ``outputs`` are path keys, ``cfg`` is the
@@ -434,17 +439,20 @@ def stage_table(config: RunConfig) -> list[Stage]:
     gnn = config.engine in ("gnn", "both")
     novelty = config.novelty.enabled
     train_inputs = ["graph", "split", "embeddings"] + (["negatives"] if novelty else [])
-    eval_inputs = ["split"] + (["lp_pred"] if lp else []) + (["gnn_pred"] if gnn else [])
+    eval_inputs = ["split", "viewpoints"] + (["lp_pred"] if lp else []) + (["gnn_pred"] if gnn else [])
+    # extract's snapshot holds what changes its output: not the price, the
+    # retries or the concurrency
+    extract_cfg = {key: getattr(config.llm, key) for key in ("backend", "endpoint", "model", "temperature", "relations")}
     table = [
         (True, Stage("split", ["corpus"], ["split"], {"fractions": list(config.split.fractions), "seed": config.seed}, run_split)),
-        (True, Stage("extract", ["split"], ["viewpoints"], {**asdict(config.llm), "seed": config.seed}, run_extract)),
+        (True, Stage("extract", ["split"], ["viewpoints"], {**extract_cfg, "seed": config.seed}, run_extract)),
         (True, Stage("embed", ["viewpoints"], ["embeddings"], asdict(config.embedding), run_embed)),
         (True, Stage("build", ["viewpoints", "embeddings"], ["graph"], asdict(config.graph), run_build)),
         (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**asdict(config.novelty), "seed": config.seed}, run_negatives)),
         (lp, Stage("lp", ["graph", "split"], ["lp_pred"], asdict(config.lp), run_lp)),
         (gnn, Stage("train", train_inputs, ["model", "train_log"], {**asdict(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
         (gnn, Stage("predict", train_inputs + ["model"], ["gnn_pred"], {}, run_predict)),
-        (True, Stage("eval", eval_inputs, ["report"], {"engine": config.engine}, run_eval)),
+        (True, Stage("eval", eval_inputs, ["report"], {"price_per_million": config.llm.price_per_million}, run_eval)),
     ]
     return [stage for enabled, stage in table if enabled]
 
@@ -470,12 +478,15 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
     paths = {"corpus": Path(config.corpus), **{key: out / name for key, name in FILES.items()}}
     if not config.novelty.enabled:  # train and predict inject negatives only if given
         del paths["negatives"], paths["negatives_holdout"]
+    for engine in ("lp", "gnn"):  # eval scores each engine whose predictions are given
+        if config.engine not in (engine, "both"):
+            del paths[f"{engine}_pred"]
 
     def say(msg: str):
         if not quiet:
             print(msg)
 
-    def run_stage(stage: Stage, run) -> dict:
+    def run_stage(stage: Stage) -> dict:
         """The stage's manifest record: a fresh run, or the previous record
         when the input hashes, config snapshot and outputs are unchanged."""
         inputs = [paths[key] for key in stage.inputs]
@@ -496,7 +507,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
             say(f"[{stage.name}] unchanged, skipped")
             return {**prev, "skipped": True}
         start = time.monotonic()
-        summary = run(paths, config)
+        summary = stage.run(paths, config)
         record = {
             "name": stage.name,
             "inputs": input_hashes,
@@ -510,11 +521,8 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         return record
 
     for stage in stage_table(config):
-        run = stage.run
-        if stage.name == "eval":  # the report carries the extraction costs
-            run = partial(run_eval, extraction=manifest["summary"].get("extract"), say=say)
         try:
-            record = run_stage(stage, run)
+            record = run_stage(stage)
         except Exception as exc:
             manifest["failed_stage"] = {"name": stage.name, "error": str(exc)}
             manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")

@@ -17,6 +17,7 @@ from viewgraph.graph import (
     integrate_subgraph,
     load_graph,
     save_graph,
+    time_features,
 )
 
 
@@ -75,6 +76,21 @@ def assert_matches_brute_force(graph, rows):
     for key, (w, kind) in expected.items():
         assert got[key][1] == kind
         assert got[key][0] == pytest.approx(w, abs=1e-12)
+
+
+class TestTimeFeatures:
+    @pytest.mark.parametrize(
+        "timestamps, features",
+        [
+            ({"a": 2021, "b": 2022, "c": 2023}, {"a": 0.0, "b": 0.5, "c": 1.0}),
+            ({"a": 5, "b": 5, "c": 5}, {"a": 0.0, "b": 0.0, "c": 0.0}),  # one instant
+            ({"a": 10, "b": 700, "c": 40, "d": 300}, {"a": 0.0, "b": 1.0, "c": 30 / 690, "d": 290 / 690}),
+            ({"a": 0, "b": 100, "neg": 200}, {"a": 0.0, "b": 0.5, "neg": 1.0}),  # a later negative widens the range
+        ],
+        ids=["three-points", "degenerate-range", "unsorted", "extra-timestamp-extends-range"],
+    )
+    def test_min_max_normalized(self, timestamps, features):
+        assert time_features(timestamps) == features
 
 
 class TestBuildSubgraph:

@@ -7,54 +7,18 @@ import re
 import pytest
 
 from graphs import edge_dict
-from viewgraph.dataset import Corpus, Idea, IdeaViewpoints, LabelSet
+from viewgraph.dataset import IdeaViewpoints
 from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.graph import integrate_subgraph
 from viewgraph.novelty import (
     ONE_DAY,
     NegativeSample,
-    encode_time,
     generate_negatives,
     inject_negatives,
     load_negatives,
     save_negatives,
     select_training_negatives,
 )
-
-
-def corpus_of(timestamps, labels=None, label_set=LabelSet(("Reject", "Accept"))):
-    labels = labels or [1] * len(timestamps)
-    ideas = [
-        Idea(id=f"i{j}", title="", text="x.", label=labels[j], timestamp=ts, split="train")
-        for j, ts in enumerate(timestamps)
-    ]
-    return Corpus(label_set=label_set, ideas=ideas)
-
-
-class TestEncodeTime:
-    def test_three_points(self):
-        corpus = corpus_of([2021, 2022, 2023])
-        enc = encode_time(corpus)
-        assert [enc.feature(t) for t in (2021, 2022, 2023)] == [0.0, 0.5, 1.0]
-
-    def test_degenerate_range(self):
-        corpus = corpus_of([5, 5, 5])
-        enc = encode_time(corpus)
-        assert all(enc.feature(5) == 0.0 for _ in range(3))
-
-    def test_monotone(self):
-        corpus = corpus_of([10, 700, 40, 300])
-        enc = encode_time(corpus)
-        ts = sorted([10, 700, 40, 300])
-        feats = [enc.feature(t) for t in ts]
-        assert feats == sorted(feats)
-        assert all(0.0 <= f <= 1.0 for f in feats)
-
-    def test_extra_timestamps_extend_range(self):
-        corpus = corpus_of([0, 100])
-        enc = encode_time(corpus, extra_timestamps=[200])
-        assert enc.feature(200) == 1.0
-        assert enc.feature(100) == 0.5
 
 
 class TestGenerate:
@@ -196,6 +160,12 @@ class TestInject:
         assert grown.text == chain.text
         assert list(edge_dict(grown).items()) == list(edge_dict(chain).items())
 
+    def test_text_absent_from_graph_named(self, separable):
+        corpus, _, matrix, graph = separable
+        bad = NegativeSample(id="neg-x", source_id="idea-01", strategy="copy", viewpoints=("not in the graph",), timestamp=10**10)
+        with pytest.raises(ValueError, match="negative 'neg-x' has viewpoint text absent from the graph: 'not in the graph'"):
+            inject_negatives(graph, matrix, [bad], corpus)
+
     def test_id_collision_rejected(self, separable):
         corpus, _, matrix, graph = separable
         bad = NegativeSample(
@@ -235,6 +205,11 @@ class TestSerialization:
             ("strategy", None, "must be a str, got NoneType"),
             ("viewpoints", "b.", "must be a list, got str"),
             ("timestamp", "6", "must be an int, got str"),
+            ("timestamp", True, "must be an int, got bool"),
+            ("timestamp", -1, "must be >= 0, got -1"),
+            ("label", False, "must be an int, got bool"),
+            ("viewpoints", ["a.", 3], "must be a list of non-empty strings, got item 3"),
+            ("viewpoints", ["a.", ""], "must be a list of non-empty strings, got item ''"),
         ],
     )
     def test_value_of_wrong_type_named(self, tmp_path, key, value, message):

@@ -131,6 +131,20 @@ class TestRunPipeline:
         assert not stages["build"]["skipped"]
         assert not stages["lp"]["skipped"]
 
+    def test_price_change_reruns_eval_only(self, tmp_path, demo_file):
+        run_pipeline(demo_config(tmp_path, demo_file, llm={"price_per_million": 1.0}), quiet=True)
+        second = run_pipeline(demo_config(tmp_path, demo_file, llm={"price_per_million": 5.0}), quiet=True)
+        assert [s["name"] for s in second["stages"] if not s["skipped"]] == ["eval"]
+        extraction = json.loads((tmp_path / "run" / "report.json").read_text())["extraction"]
+        tokens = extraction["avg_tokens_per_evaluation"]
+        assert tokens > 0 and extraction["avg_cost_per_evaluation"] == pytest.approx(tokens * 5.0 / 1e6)
+
+    @pytest.mark.parametrize("llm", [{"max_inflight": 1}, {"max_retries": 7}])
+    def test_transport_settings_rerun_nothing(self, tmp_path, demo_file, llm):
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        second = run_pipeline(demo_config(tmp_path, demo_file, llm=llm), quiet=True)
+        assert all(s["skipped"] for s in second["stages"])
+
     def test_gnn_engine_produces_predictions(self, tmp_path, demo_file):
         config = demo_config(tmp_path, demo_file, out="gnnrun", engine="gnn")
         manifest = run_pipeline(config, quiet=True)
@@ -204,9 +218,9 @@ class TestCli:
         assert self.run("embed", "--in", views, "--out", emb, "--provider", "stub", "--dim", 16, "--quiet") == 0
         assert self.run("build", "--viewpoints", views, "--embeddings", emb, "--k", 3, "--m", 5, "--out", graph, "--quiet") == 0
         assert self.run("lp", "--graph", graph, "--corpus", split, "--max-iters", 5, "--early-stop", "--out", preds, "--quiet") == 0
-        assert self.run("eval", "--pred", preds, "--corpus", split, "--out", report, "--quiet") == 0
+        assert self.run("eval", "--lp-pred", preds, "--corpus", split, "--out", report, "--quiet") == 0
         payload = json.loads(report.read_text())
-        assert {"accuracy", "macro_precision", "macro_recall", "macro_f1"} <= set(payload)
+        assert {"accuracy", "macro_precision", "macro_recall", "macro_f1"} <= set(payload["lp"])
 
     def test_train_predict_with_negatives(self, tmp_path):
         corpus_file = tmp_path / "sep.jsonl"
@@ -247,7 +261,7 @@ class TestCli:
         self.run("embed", "--in", views, "--out", emb, "--quiet")
         self.run("build", "--viewpoints", views, "--embeddings", emb, "--out", graph, "--quiet")
         self.run("lp", "--graph", graph, "--corpus", split, "--out", preds, "--quiet")
-        assert self.run("eval", "--pred", preds, "--corpus", split, "--out", report, "--costs", costs, "--quiet") == 0
+        assert self.run("eval", "--lp-pred", preds, "--corpus", split, "--out", report, "--costs", costs, "--quiet") == 0
         payload = json.loads(report.read_text())
         assert payload["normed_costs"]["ours"] == pytest.approx(0.08)
 
@@ -263,9 +277,25 @@ class TestCli:
         preds = tmp_path / "preds.jsonl"
         first = {"id": demo_corpus().ideas[0].id, "label": "Reject"}
         preds.write_text("".join(json.dumps(obj) + "\n" for obj in (first, second_line)))
-        assert self.run("eval", "--pred", preds, "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
+        assert self.run("eval", "--lp-pred", preds, "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
         stderr = capsys.readouterr().err
         assert f"predictions file {preds}: {message}" in stderr and "Traceback" not in stderr
+
+    def test_eval_without_predictions_named(self, tmp_path, capsys, demo_file):
+        assert self.run("eval", "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert "eval has no predictions to score" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_names_viewpoints_token_count_of_wrong_type(self, tmp_path, capsys, demo_file):
+        preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
+        preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
+        views.write_text(json.dumps({"idea_id": "a", "viewpoints": ["x y"], "prompt_tokens": "12"}) + "\n")
+        argv = ["eval", "--lp-pred", preds, "--viewpoints", views, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        assert self.run(*argv, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"{views}: line 1: key 'prompt_tokens' must be an int, got str" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_embed_names_viewpoints_line_without_key(self, tmp_path, capsys, demo_file):
         split, views = tmp_path / "split.jsonl", tmp_path / "views.jsonl"
@@ -280,12 +310,27 @@ class TestCli:
         assert f"{views}: line 1: missing key 'idea_id'" in stderr and "Traceback" not in stderr
         assert not (tmp_path / "emb.bin").exists()
 
-    def test_embed_names_viewpoints_value_of_wrong_type(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"viewpoints": 5}, "key 'viewpoints' must be a list, got int"),
+            ({"viewpoints": ["x y", 3]}, "key 'viewpoints' must be a list of non-empty strings, got item 3"),
+            ({"viewpoints": ["x y", ""]}, "key 'viewpoints' must be a list of non-empty strings, got item ''"),
+            ({"timestamp": True}, "key 'timestamp' must be an int, got bool"),
+            ({"timestamp": -5}, "key 'timestamp' must be >= 0, got -5"),
+            ({"prompt_tokens": 1.5}, "key 'prompt_tokens' must be an int, got float"),
+            ({"completion_tokens": -1}, "key 'completion_tokens' must be >= 0, got -1"),
+            ({"pairs": "x y"}, "key 'pairs' must be a list, got str"),
+            ({"pairs": [["x y", "and", "supporting"]]},
+             "key 'pairs' must be a list of [left, connector, polarity, right] string lists, got item ['x y', 'and', 'supporting']"),
+        ],
+    )
+    def test_embed_names_viewpoints_value_of_wrong_type(self, tmp_path, capsys, record, message):
         views = tmp_path / "views.jsonl"
-        views.write_text(json.dumps({"idea_id": "a", "viewpoints": 5}) + "\n")
+        views.write_text(json.dumps({"idea_id": "a", "viewpoints": ["x y"], **record}) + "\n")
         assert self.run("embed", "--in", views, "--out", tmp_path / "emb.bin", "--quiet") == 2
         stderr = capsys.readouterr().err
-        assert f"{views}: line 1: key 'viewpoints' must be a list, got int" in stderr and "Traceback" not in stderr
+        assert f"{views}: line 1: {message}" in stderr and "Traceback" not in stderr
         assert not (tmp_path / "emb.bin").exists()
 
     def test_build_names_non_finite_embedding_row(self, tmp_path, capsys, demo_file):
@@ -375,9 +420,13 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     model = cli_dir / "model.ckpt"
     cli("train", *inputs, "--log", cli_dir / "training_log.json", "--out", model)
     cli("predict", "--model", model, *inputs, "--out", cli_dir / "predictions_gnn.jsonl")
+    preds = ["--gnn-pred", cli_dir / "predictions_gnn.jsonl"]
+    if settings["engine"] == "both":
+        preds += ["--lp-pred", cli_dir / "predictions_lp.jsonl"]
+    cli("eval", "--corpus", split, "--viewpoints", views, *preds, "--out", cli_dir / "report.json")
 
     written = sorted(p.name for p in cli_dir.iterdir())
-    assert {"graph.json", "model.ckpt", "predictions_gnn.jsonl"} <= set(written)
+    assert {"graph.json", "model.ckpt", "predictions_gnn.jsonl", "report.json"} <= set(written)
     for name in written:
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
