@@ -1,7 +1,7 @@
 """Command line entry point.
 
-Subcommands mirror the pipeline stages (split, extract, embed, build, lp,
-train, predict, gen-negatives, eval) plus ``run`` for the whole pipeline
+Subcommands mirror the pipeline stages (split, extract, embed, build,
+gen-negatives, lp, train, eval) plus ``run`` for the whole pipeline
 driven by one config file. Each stage subcommand runs the stage function
 ``run`` uses, so with the same inputs and ``--config`` it writes the same
 bytes. Remote backends read the API key from the VIEWGRAPH_API_KEY
@@ -61,7 +61,6 @@ PATH_FLAGS = {
     "graph": "graph",
     "negatives": "negatives",
     "holdout_out": "negatives_holdout",
-    "model": "model",
     "log": "train_log",
     "lp_pred": "lp_pred",
     "gnn_pred": "gnn_pred",
@@ -155,28 +154,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=stage_command(pipeline.run_lp, out="lp_pred", options=("split",)))
 
-    p = sub.add_parser("train", parents=[common], help="train the GNN engine")
+    p = sub.add_parser("train", parents=[common], help="train the GNN engine and predict with it")
     p.add_argument("--graph", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--negatives", default=None)
+    p.add_argument("--negatives", default=None, help="inject these training negatives")
     p.add_argument("--hidden", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--log", default=None, help="write the per-epoch training log here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=stage_command(pipeline.run_train, out="model"))
-
-    p = sub.add_parser("predict", parents=[common], help="predict with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--negatives", default=None, help="re-inject training negatives")
     p.add_argument("--split", default="test")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=stage_command(pipeline.run_predict, out="gnn_pred", options=("split",)))
+    p.add_argument("--out", required=True, help="model checkpoint")
+    p.add_argument("--gnn-pred", required=True, help="predictions for the --split ideas")
+    p.set_defaults(fn=stage_command(pipeline.run_train, out="model", options=("split",)))
 
     p = sub.add_parser("gen-negatives", parents=[common], help="construct plagiarized negatives")
     p.add_argument("--corpus", required=True)

@@ -128,13 +128,53 @@ def save_embeddings(matrix: EmbeddingMatrix, ids: Sequence[str], path: str | Pat
         fh.write(matrix.rows.astype("<f4").tobytes())
 
 
-def load_embeddings(path: str | Path) -> tuple[EmbeddingMatrix, list[str]]:
+def row_ids(node_ideas: Sequence[str]) -> list[str]:
+    """Embedding row ids from each row's idea id: ``"{idea_id}:{j}"`` for
+    the idea's j-th row."""
+    seen: dict[str, int] = {}
+    ids = []
+    for idea in node_ideas:
+        j = seen.get(idea, 0)
+        seen[idea] = j + 1
+        ids.append(f"{idea}:{j}")
+    return ids
+
+
+def load_embeddings(
+    path: str | Path, expected_ids: Optional[Sequence[str]] = None
+) -> tuple[EmbeddingMatrix, list[str]]:
+    """Read an embeddings file; with ``expected_ids`` its row ids must
+    equal them, row for row. A malformed file or a differing row raises a
+    ValueError naming the file."""
     with Path(path).open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        count, dim = int(header["count"]), int(header["dimension"])
+        line = fh.readline()
         blob = fh.read()
+    where = f"embeddings file {path}"
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{where}: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{where}: header must be an object, got {type(header).__name__}")
+    for key in ("count", "dimension"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise ValueError(f"{where}: header needs a non-negative integer {key!r}, got {header.get(key)!r}")
+    count, dim, ids = header["count"], header["dimension"], header.get("ids")
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise ValueError(f"{where}: header needs 'ids', a list of strings")
+    if len(ids) != count:
+        raise ValueError(f"{where}: header has {len(ids)} ids for count {count}")
+    if expected_ids is not None:
+        if len(expected_ids) != count:
+            raise ValueError(f"{where}: {count} rows for {len(expected_ids)} nodes")
+        for row, (got, want) in enumerate(zip(ids, expected_ids)):
+            if got != want:
+                raise ValueError(f"{where}: row {row} has id {got!r}, expected {want!r}")
     expected = count * dim * 4
     if len(blob) != expected:
-        raise ValueError(f"embedding blob is {len(blob)} bytes, expected {expected}")
+        raise ValueError(f"{where}: blob is {len(blob)} bytes, expected {expected}")
     rows = np.frombuffer(blob, dtype="<f4").reshape(count, dim).astype(np.float64)
-    return EmbeddingMatrix(rows), list(header["ids"])
+    try:
+        return EmbeddingMatrix(rows), ids
+    except ValueError as exc:  # a zero or non-finite row
+        raise ValueError(f"{where}: {exc}") from exc

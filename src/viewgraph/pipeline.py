@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 import typing
 from collections import namedtuple
@@ -34,8 +35,8 @@ from .dataset import (
     save_viewpoints,
     split_corpus,
 )
-from .embedding import EmbeddingMatrix, EmbeddingProvider, embed, load_embeddings, save_embeddings
-from .graph import GraphConfig, ViewpointGraph, build_graph, load_graph, save_graph
+from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
+from .graph import GraphConfig, build_graph, load_graph, save_graph
 from .llm import LlmBackend, TokenUsage, extract_corpus, token_cost
 from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
@@ -270,9 +271,9 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
 # its config snapshot in the stage table. ``viewgraph run`` calls them
 # through the stage table with hash-based skipping, and each CLI
 # subcommand calls one directly with its flags applied to the config.
-# Optional files (held-out negatives, training log, negatives to inject,
-# each engine's predictions, viewpoints and costs for eval) are used when
-# their key is present.
+# Optional files (held-out negatives, training log, negatives for train
+# to inject, each engine's predictions, viewpoints and costs for eval) are
+# used when their key is present.
 
 
 def run_split(paths: dict, config: RunConfig) -> dict:
@@ -305,7 +306,7 @@ def run_extract(paths: dict, config: RunConfig) -> dict:
 def run_embed(paths: dict, config: RunConfig) -> dict:
     records = load_viewpoints(paths["viewpoints"])
     texts = [v for r in records for v in r.viewpoints]
-    ids = [f"{r.idea_id}:{j}" for r in records for j in range(len(r.viewpoints))]
+    ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     e = config.embedding
     provider = EmbeddingProvider(kind=e.provider, dimension=e.dimension, endpoint=e.endpoint, model=e.model)
     matrix = embed(texts, provider)
@@ -315,7 +316,8 @@ def run_embed(paths: dict, config: RunConfig) -> dict:
 
 def run_build(paths: dict, config: RunConfig) -> dict:
     records = load_viewpoints(paths["viewpoints"])
-    matrix, _ = load_embeddings(paths["embeddings"])
+    ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
+    matrix, _ = load_embeddings(paths["embeddings"], ids)
     g = config.graph
     graph_config = GraphConfig(intra_k=g.k, inter_m=g.m, weight_floor=g.weight_floor)
     graph = build_graph(records, matrix, graph_config, hybrid=g.hybrid)
@@ -348,20 +350,17 @@ def run_lp(paths: dict, config: RunConfig, split: str = "test") -> dict:
     return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}
 
 
-def _training_inputs(paths: dict) -> tuple[ViewpointGraph, EmbeddingMatrix, Corpus, list]:
-    """Load graph/matrix/corpus; inject the training negatives if given."""
+def run_train(paths: dict, config: RunConfig, split: str = "test") -> dict:
+    """Train the GNN on the graph with the training negatives injected
+    when given, save the checkpoint, then predict the ``split`` ideas on
+    that graph with the model read back from the checkpoint."""
     corpus = load_corpus(paths["split"])
     graph = load_graph(paths["graph"])
-    matrix, _ = load_embeddings(paths["embeddings"])
+    matrix, _ = load_embeddings(paths["embeddings"], row_ids(graph.idea))
     negatives = []
     if "negatives" in paths:
         negatives = novelty_mod.load_negatives(paths["negatives"])
         graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
-    return graph, matrix, corpus, negatives
-
-
-def run_train(paths: dict, config: RunConfig) -> dict:
-    graph, matrix, corpus, negatives = _training_inputs(paths)
     gnn_config = gnn_mod.GnnConfig(**asdict(config.gnn), seed=seed_for(config.seed, "train"))
     result = gnn_mod.train(gnn_config, graph, matrix, corpus, negatives or None)
     gnn_mod.save_model(
@@ -374,19 +373,31 @@ def run_train(paths: dict, config: RunConfig) -> dict:
     )
     if "train_log" in paths:
         Path(paths["train_log"]).write_text(json.dumps(result.log), encoding="utf-8")
+    model, _header = gnn_mod.load_model(paths["model"])  # predict with the saved float32 weights
+    predictions = gnn_mod.predict(model, graph, matrix, corpus, split=split)
+    gnn_mod.save_predictions(predictions, corpus, paths["gnn_pred"])
     return {
         "epochs": len(result.log),
         "final_loss": result.log[-1]["loss"],
         "best_val_f1": result.best_val_f1,
+        "predicted": len(predictions),
     }
 
 
-def run_predict(paths: dict, config: RunConfig, split: str = "test") -> dict:
-    graph, matrix, corpus, _ = _training_inputs(paths)
-    model, _header = gnn_mod.load_model(paths["model"])
-    predictions = gnn_mod.predict(model, graph, matrix, corpus, split=split)
-    gnn_mod.save_predictions(predictions, corpus, paths["gnn_pred"])
-    return {"predicted": len(predictions)}
+def _load_costs(path: Path) -> dict[str, float]:
+    """A costs file: a non-empty JSON object of method -> average cost, each
+    cost a finite number >= 0."""
+    where = f"costs file {path}"
+    try:
+        costs = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc})") from exc
+    if not isinstance(costs, dict) or not costs:
+        raise ValueError(f"{where}: must be a non-empty object of method -> average cost, got {costs!r}")
+    for name, cost in costs.items():
+        if _type_problem(cost, float) or not 0 <= cost < math.inf:
+            raise ValueError(f"{where}: key {name!r} must be a finite number >= 0, got {cost!r}")
+    return costs
 
 
 def run_eval(paths: dict, config: RunConfig) -> dict:
@@ -409,7 +420,7 @@ def run_eval(paths: dict, config: RunConfig) -> dict:
         extraction = {"extraction": {"avg_tokens_per_evaluation": avg_tokens, "avg_cost_per_evaluation": avg_cost}}
     payload = {**{engine: report.to_dict() for engine, report in reports.items()}, **extraction}
     if "costs" in paths:
-        payload["normed_costs"] = normed_cost(json.loads(Path(paths["costs"]).read_text(encoding="utf-8")))
+        payload["normed_costs"] = normed_cost(_load_costs(paths["costs"]))
     Path(paths["report"]).write_text(json.dumps(payload), encoding="utf-8")
     return {engine: report.macro_f1 for engine, report in reports.items()}
 
@@ -450,8 +461,7 @@ def stage_table(config: RunConfig) -> list[Stage]:
         (True, Stage("build", ["viewpoints", "embeddings"], ["graph"], asdict(config.graph), run_build)),
         (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**asdict(config.novelty), "seed": config.seed}, run_negatives)),
         (lp, Stage("lp", ["graph", "split"], ["lp_pred"], asdict(config.lp), run_lp)),
-        (gnn, Stage("train", train_inputs, ["model", "train_log"], {**asdict(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
-        (gnn, Stage("predict", train_inputs + ["model"], ["gnn_pred"], {}, run_predict)),
+        (gnn, Stage("train", train_inputs, ["model", "train_log", "gnn_pred"], {**asdict(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
         (True, Stage("eval", eval_inputs, ["report"], {"price_per_million": config.llm.price_per_million}, run_eval)),
     ]
     return [stage for enabled, stage in table if enabled]
@@ -476,7 +486,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         "summary": {},
     }
     paths = {"corpus": Path(config.corpus), **{key: out / name for key, name in FILES.items()}}
-    if not config.novelty.enabled:  # train and predict inject negatives only if given
+    if not config.novelty.enabled:  # train injects negatives only if given
         del paths["negatives"], paths["negatives_holdout"]
     for engine in ("lp", "gnn"):  # eval scores each engine whose predictions are given
         if config.engine not in (engine, "both"):

@@ -14,6 +14,7 @@ from viewgraph.embedding import (
     EmbeddingProvider,
     embed,
     load_embeddings,
+    row_ids,
     save_embeddings,
     stub_vector,
 )
@@ -239,7 +240,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         m = embed(["first", "second", "third"], EmbeddingProvider(kind="stub", dimension=16))
         path = tmp_path / "emb.bin"
-        save_embeddings(m, ["a:0", "a:1", "b:0"], path)
+        save_embeddings(m, row_ids(["a", "a", "b"]), path)
         loaded, ids = load_embeddings(path)
         assert ids == ["a:0", "a:1", "b:0"]
         assert loaded.dimension == 16
@@ -252,21 +253,60 @@ class TestSerialization:
         save_embeddings(m, ["a", "b", "c"], path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f4").tobytes() + blob[-4:])
-        with pytest.raises(ValueError, match="non-finite embedding vector at row 2"):
+        with pytest.raises(ValueError) as err:
             load_embeddings(path)
+        assert str(err.value) == f"embeddings file {path}: non-finite embedding vector at row 2"
 
     def test_stub_rows_of_repeated_texts(self):
         provider = EmbeddingProvider(kind="stub", dimension=8)
         rows = embed(["b", "a", "b"], provider).rows
         assert np.array_equal(rows, np.stack([stub_vector(t, 8) for t in ("b", "a", "b")]))
 
-    def test_truncated_blob_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (None, "blob is 60 bytes, expected 64"),  # the saved file, last 4 bytes cut
+            (b"not json", "header is not JSON"),
+            (b"[2, 8]", "header must be an object, got list"),
+            (b'{"count": 2, "ids": ["a", "b"]}', "header needs a non-negative integer 'dimension', got None"),
+            (b'{"count": "2", "dimension": 8, "ids": ["a", "b"]}', "header needs a non-negative integer 'count', got '2'"),
+            (b'{"count": -2, "dimension": 8, "ids": ["a", "b"]}', "header needs a non-negative integer 'count', got -2"),
+            (b'{"count": 2, "dimension": 8}', "header needs 'ids', a list of strings"),
+            (b'{"count": 2, "dimension": 8, "ids": ["a", 3]}', "header needs 'ids', a list of strings"),
+            (b'{"count": 2, "dimension": 8, "ids": ["a"]}', "header has 1 ids for count 2"),
+        ],
+        ids=["truncated-blob", "not-json", "not-object", "no-dimension", "string-count", "negative-count",
+             "no-ids", "id-not-string", "id-count"],
+    )
+    def test_malformed_file_named(self, tmp_path, header, message):
         m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))
         path = tmp_path / "emb.bin"
         save_embeddings(m, ["a", "b"], path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ValueError, match="bytes"):
+        saved_header, blob = path.read_bytes().split(b"\n", 1)
+        if header is None:
+            path.write_bytes(saved_header + b"\n" + blob[:-4])
+        else:
+            path.write_bytes(header + b"\n" + blob)
+        with pytest.raises(ValueError) as err:
             load_embeddings(path)
+        assert str(err.value).startswith(f"embeddings file {path}: {message}")
+
+    @pytest.mark.parametrize(
+        "expected_ids, message",
+        [
+            (["a:0", "b:0"], "row 1 has id 'a:1', expected 'b:0'"),
+            (["a:1", "a:0"], "row 0 has id 'a:0', expected 'a:1'"),
+            (["a:0"], "2 rows for 1 nodes"),
+        ],
+        ids=["second-row", "order", "count"],
+    )
+    def test_row_ids_checked(self, tmp_path, expected_ids, message):
+        m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))
+        path = tmp_path / "emb.bin"
+        save_embeddings(m, row_ids(["a", "a"]), path)
+        with pytest.raises(ValueError) as err:
+            load_embeddings(path, expected_ids)
+        assert str(err.value) == f"embeddings file {path}: {message}"
 
     def test_id_count_must_match(self, tmp_path):
         m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))

@@ -4,14 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from viewgraph import gnn, novelty, pipeline
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import save_corpus
+from viewgraph.dataset import load_corpus, save_corpus
+from viewgraph.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
-from viewgraph.pipeline import ConfigError, StageError, run_pipeline, validate_config
+from viewgraph.graph import load_graph
+from viewgraph.pipeline import FILES, ConfigError, StageError, run_pipeline, run_train, seed_for, validate_config
 
 
 class TestValidateConfig:
@@ -149,7 +154,7 @@ class TestRunPipeline:
         config = demo_config(tmp_path, demo_file, out="gnnrun", engine="gnn")
         manifest = run_pipeline(config, quiet=True)
         names = [s["name"] for s in manifest["stages"]]
-        assert names == ["split", "extract", "embed", "build", "train", "predict", "eval"]
+        assert names == ["split", "extract", "embed", "build", "train", "eval"]
         preds = (tmp_path / "gnnrun" / "predictions_gnn.jsonl").read_text().splitlines()
         assert len(preds) == 3  # 12 ideas * 0.2 test fraction, rounded
 
@@ -187,6 +192,80 @@ class TestRunPipeline:
             assert (tmp_path / "detA" / name).read_bytes() == (tmp_path / "detB" / name).read_bytes()
 
 
+def two_pass_train_and_predict(paths, config, split):
+    """Reference: training and prediction as two calls, each loading the
+    graph, embeddings and corpus and injecting the negatives itself, with
+    the predictions made by the model read back from the checkpoint."""
+
+    def training_inputs():
+        corpus = load_corpus(paths["split"])
+        graph = load_graph(paths["graph"])
+        matrix, _ = load_embeddings(paths["embeddings"])
+        negatives = []
+        if "negatives" in paths:
+            negatives = novelty.load_negatives(paths["negatives"])
+            graph, matrix = novelty.inject_negatives(graph, matrix, negatives, corpus)
+        return graph, matrix, corpus, negatives
+
+    graph, matrix, corpus, negatives = training_inputs()
+    gnn_config = gnn.GnnConfig(**asdict(config.gnn), seed=seed_for(config.seed, "train"))
+    result = gnn.train(gnn_config, graph, matrix, corpus, negatives or None)
+    gnn.save_model(result.model, paths["model"], gnn_config, corpus.label_set.labels,
+                   epoch=result.best_epoch, validation_score=result.best_val_f1)
+    graph, matrix, corpus, _ = training_inputs()
+    model, _ = gnn.load_model(paths["model"])
+    gnn.save_predictions(gnn.predict(model, graph, matrix, corpus, split=split), corpus, paths["gnn_pred"])
+
+
+class TestTrainStage:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("split", ["test", "validation"])
+    @pytest.mark.parametrize("with_negatives", [True, False], ids=["novelty", "plain"])
+    def test_predictions_equal_two_pass_reference(self, tmp_path, seed, split, with_negatives):
+        corpus = tmp_path / "sep.jsonl"
+        save_corpus(separable_corpus(), corpus)
+        config = validate_config({
+            "corpus": str(corpus),
+            "out_dir": str(tmp_path / "run"),
+            "seed": seed,
+            "engine": "gnn",
+            "split": {"fractions": [0.6, 0.2, 0.2]},
+            "gnn": {"hidden_dim": 8, "max_epochs": 6, "batch_size": 8},
+            "novelty": {"enabled": with_negatives, "count": 9, "train_subset": 4},
+        })
+        run_pipeline(config, quiet=True)
+        keys = ["split", "graph", "embeddings"] + (["negatives"] if with_negatives else [])
+        inputs = {key: tmp_path / "run" / FILES[key] for key in keys}
+        new = {**inputs, "model": tmp_path / "new.ckpt", "gnn_pred": tmp_path / "new.jsonl"}
+        old = {**inputs, "model": tmp_path / "old.ckpt", "gnn_pred": tmp_path / "old.jsonl"}
+        summary = run_train(new, config, split=split)
+        two_pass_train_and_predict(old, config, split)
+        assert new["model"].read_bytes() == old["model"].read_bytes()
+        assert new["gnn_pred"].read_bytes() == old["gnn_pred"].read_bytes()
+        assert summary["predicted"] == len(old["gnn_pred"].read_text().splitlines()) > 0
+
+    def test_negatives_loaded_and_injected_once(self, tmp_path, demo_file, monkeypatch):
+        negatives = {"enabled": True, "count": 6, "train_subset": 2}
+        run_pipeline(demo_config(tmp_path, demo_file, engine="gnn", novelty=negatives), quiet=True)
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(pipeline, "load_graph")
+        counted(novelty, "inject_negatives")
+        config = demo_config(tmp_path, demo_file, engine="gnn", novelty=negatives, gnn={"hidden_dim": 8, "max_epochs": 3})
+        second = run_pipeline(config, quiet=True)
+        assert "train" in [s["name"] for s in second["stages"] if not s["skipped"]]
+        assert calls == {"load_graph": 1, "inject_negatives": 1}
+
+
 class TestCli:
     def run(self, *argv):
         return cli_main([str(a) for a in argv])
@@ -194,7 +273,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, path",
         [
-            (["train", "--graph", "g", "--corpus", "c", "--embeddings", "e", "--out", "m", "--lr", "-0.5"], "gnn.learning_rate"),
+            (["train", "--graph", "g", "--corpus", "c", "--embeddings", "e", "--out", "m", "--gnn-pred", "p",
+              "--lr", "-0.5"], "gnn.learning_rate"),
             (["gen-negatives", "--corpus", "c", "--graph", "g", "--out", "n", "--train-subset", "-1"], "novelty.train_subset"),
             (["build", "--viewpoints", "v", "--embeddings", "e", "--out", "g", "--k", "0"], "graph.k"),
         ],
@@ -240,10 +320,7 @@ class TestCli:
                         "--train-subset", 2, "--seed", 2, "--out", negs, "--quiet") == 0
         assert self.run("train", "--graph", graph, "--corpus", split, "--embeddings", emb,
                         "--negatives", negs, "--seed", 3, "--epochs", 5, "--hidden", 8,
-                        "--out", model, "--quiet") == 0
-        assert self.run("predict", "--model", model, "--graph", graph, "--corpus", split,
-                        "--embeddings", emb, "--negatives", negs, "--split", "test",
-                        "--out", preds, "--quiet") == 0
+                        "--split", "test", "--out", model, "--gnn-pred", preds, "--quiet") == 0
         lines = [json.loads(l) for l in preds.read_text().splitlines()]
         assert all("label" in l and "probabilities" in l for l in lines)
 
@@ -280,6 +357,53 @@ class TestCli:
         assert self.run("eval", "--lp-pred", preds, "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
         stderr = capsys.readouterr().err
         assert f"predictions file {preds}: {message}" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[1, 2]", "must be a non-empty object of method -> average cost, got [1, 2]"),
+            ("{}", "must be a non-empty object of method -> average cost, got {}"),
+            ('{"a": "x", "b": 1}', "key 'a' must be a finite number >= 0, got 'x'"),
+            ('{"a": true}', "key 'a' must be a finite number >= 0, got True"),
+            ('{"a": NaN, "b": 1}', "key 'a' must be a finite number >= 0, got nan"),
+            ('{"a": 1, "b": Infinity}', "key 'b' must be a finite number >= 0, got inf"),
+            ('{"a": 1, "b": -0.5}', "key 'b' must be a finite number >= 0, got -0.5"),
+            ("{1: 2}", "not JSON"),
+        ],
+        ids=["list", "empty", "string", "bool", "nan", "infinity", "negative", "not-json"],
+    )
+    def test_eval_names_bad_costs_file(self, tmp_path, capsys, demo_file, text, problem):
+        preds, costs = tmp_path / "preds.jsonl", tmp_path / "costs.json"
+        preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
+        costs.write_text(text)
+        argv = ["eval", "--lp-pred", preds, "--costs", costs, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        assert self.run(*argv, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"costs file {costs}: {problem}" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("stage", ["build", "train"])
+    @pytest.mark.parametrize("rows", ["reversed", "foreign"])
+    def test_embeddings_of_other_rows_named(self, tmp_path, capsys, demo_file, stage, rows):
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        run = tmp_path / "run"
+        matrix, ids = load_embeddings(run / "embeddings.bin")
+        if rows == "reversed":
+            bad_rows, bad_ids = matrix.rows[::-1], ids[::-1]
+        else:
+            bad_rows, bad_ids = matrix.rows, [f"other-{i}:0" for i in range(len(ids))]
+        emb = tmp_path / "other.bin"
+        save_embeddings(EmbeddingMatrix(bad_rows), bad_ids, emb)
+        if stage == "build":
+            argv = ["build", "--viewpoints", run / "viewpoints.jsonl", "--embeddings", emb, "--out", tmp_path / "out.json"]
+        else:
+            argv = ["train", "--graph", run / "graph.json", "--corpus", run / "split.jsonl", "--embeddings", emb,
+                    "--out", tmp_path / "out.ckpt", "--gnn-pred", tmp_path / "out.jsonl"]
+        assert self.run(*argv, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"embeddings file {emb}: row 0 has id {bad_ids[0]!r}, expected {ids[0]!r}" in stderr
+        assert "Traceback" not in stderr
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
     def test_eval_without_predictions_named(self, tmp_path, capsys, demo_file):
         assert self.run("eval", "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
@@ -418,8 +542,8 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     if settings["engine"] == "both":
         cli("lp", "--graph", graph, "--corpus", split, "--out", cli_dir / "predictions_lp.jsonl")
     model = cli_dir / "model.ckpt"
-    cli("train", *inputs, "--log", cli_dir / "training_log.json", "--out", model)
-    cli("predict", "--model", model, *inputs, "--out", cli_dir / "predictions_gnn.jsonl")
+    cli("train", *inputs, "--log", cli_dir / "training_log.json", "--out", model,
+        "--gnn-pred", cli_dir / "predictions_gnn.jsonl")
     preds = ["--gnn-pred", cli_dir / "predictions_gnn.jsonl"]
     if settings["engine"] == "both":
         preds += ["--lp-pred", cli_dir / "predictions_lp.jsonl"]
