@@ -4,7 +4,9 @@ Subcommands mirror the pipeline stages (split, extract, embed, build,
 gen-negatives, lp, train, eval) plus ``run`` for the whole pipeline
 driven by one config file. Each stage subcommand runs the stage function
 ``run`` uses, so with the same inputs and ``--config`` it writes the same
-bytes. Remote backends read the API key from the VIEWGRAPH_API_KEY
+bytes. A value flag overrides the config key named by its dest (``--k``
+sets ``graph.k``, a field of ``GraphConfig``) and is checked like the
+config file. Remote backends read the API key from the VIEWGRAPH_API_KEY
 environment variable.
 """
 
@@ -30,28 +32,7 @@ def _load_config(args) -> RunConfig:
 
 
 # Every flag name means the same thing in each subcommand that has it.
-# Value flags override one key of the --config file:
-SETTINGS = {
-    "fractions": "split.fractions",
-    "backend": "llm.backend",
-    "relations": "llm.relations",
-    "provider": "embedding.provider",
-    "dim": "embedding.dimension",
-    "k": "graph.k",
-    "m": "graph.m",
-    "weight_floor": "graph.weight_floor",
-    "hybrid": "graph.hybrid",
-    "max_iters": "lp.max_iters",
-    "early_stop": "lp.early_stop",
-    "hidden": "gnn.hidden_dim",
-    "epochs": "gnn.max_epochs",
-    "batch_size": "gnn.batch_size",
-    "lr": "gnn.learning_rate",
-    "count": "novelty.count",
-    "train_subset": "novelty.train_subset",
-    "threshold": "novelty.threshold",
-    "swap_fraction": "novelty.swap_fraction",
-}
+# A value flag's dest is the dotted --config key it overrides.
 # Path flags name a file of the stage (keys as in pipeline.FILES, or eval's
 # costs); --in and --out differ per stage and are given to stage_command.
 PATH_FLAGS = {
@@ -78,10 +59,10 @@ def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()
     def command(args):
         config = asdict(_load_config(args))
         flags = vars(args)
-        for flag, key in SETTINGS.items():
-            if flags.get(flag) is not None:
-                section, name = key.split(".")
-                config[section][name] = flags[flag]
+        for dest, value in flags.items():
+            if "." in dest and value is not None:
+                section, name = dest.split(".")
+                config[section][name] = value
         config = validate_config(config)  # flags meet the config file's checks
         path_flags = {**PATH_FLAGS, "infile": infile, "out": out}
         paths = {key: Path(flags[flag]) for flag, key in path_flags.items() if flags.get(flag)}
@@ -118,38 +99,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", parents=[common], help="assign train/validation/test tags")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fractions", type=_fractions, help="train,validation,test (default 0.7,0.1,0.2)")
+    p.add_argument("--fractions", dest="split.fractions", type=_fractions, help="train,validation,test (default 0.7,0.1,0.2)")
     p.set_defaults(fn=stage_command(pipeline.run_split, out="split", infile="corpus"))
 
     p = sub.add_parser("extract", parents=[common], help="extract viewpoints via the LLM backend")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--backend", choices=["mock", "remote"])
-    p.add_argument("--relations", action="store_true", default=None, help="also extract viewpoint relations")
+    p.add_argument("--backend", dest="llm.backend", choices=["mock", "remote"])
+    p.add_argument("--relations", dest="llm.relations", action="store_true", default=None, help="also extract viewpoint relations")
     p.set_defaults(fn=stage_command(pipeline.run_extract, out="viewpoints", infile="split"))
 
     p = sub.add_parser("embed", parents=[common], help="embed viewpoint texts")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--provider", choices=["stub", "remote"])
-    p.add_argument("--dim", type=int)
+    p.add_argument("--provider", dest="embedding.provider", choices=["stub", "remote"])
+    p.add_argument("--dim", dest="embedding.dimension", type=int)
     p.set_defaults(fn=stage_command(pipeline.run_embed, out="embeddings", infile="viewpoints"))
 
     p = sub.add_parser("build", parents=[common], help="build the viewpoint graph")
     p.add_argument("--viewpoints", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--weight-floor", type=float)
-    p.add_argument("--hybrid", action="store_true", default=None, help="intra edges from extracted relations")
+    p.add_argument("--k", dest="graph.k", type=int)
+    p.add_argument("--m", dest="graph.m", type=int)
+    p.add_argument("--weight-floor", dest="graph.weight_floor", type=float)
+    p.add_argument("--hybrid", dest="graph.hybrid", action="store_true", default=None, help="intra edges from extracted relations")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=stage_command(pipeline.run_build, out="graph"))
 
     p = sub.add_parser("lp", parents=[common], help="label propagation predictions")
     p.add_argument("--graph", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--early-stop", action=argparse.BooleanOptionalAction)
+    p.add_argument("--max-iters", dest="lp.max_iters", type=int)
+    p.add_argument("--early-stop", dest="lp.early_stop", action=argparse.BooleanOptionalAction)
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=stage_command(pipeline.run_lp, out="lp_pred", options=("split",)))
@@ -159,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--negatives", default=None, help="inject these training negatives")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--hidden", dest="gnn.hidden_dim", type=int)
+    p.add_argument("--epochs", dest="gnn.max_epochs", type=int)
+    p.add_argument("--batch-size", dest="gnn.batch_size", type=int)
+    p.add_argument("--lr", dest="gnn.learning_rate", type=float)
     p.add_argument("--log", default=None, help="write the per-epoch training log here")
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True, help="model checkpoint")
@@ -172,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-negatives", parents=[common], help="construct plagiarized negatives")
     p.add_argument("--corpus", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--train-subset", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--swap-fraction", type=float)
+    p.add_argument("--count", dest="novelty.count", type=int)
+    p.add_argument("--train-subset", dest="novelty.train_subset", type=int)
+    p.add_argument("--threshold", dest="novelty.threshold", type=int)
+    p.add_argument("--swap-fraction", dest="novelty.swap_fraction", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout-out", default=None)
     p.set_defaults(fn=stage_command(pipeline.run_negatives, out="negatives"))

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -133,6 +135,8 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
                         line_no,
                         raw,
                     )
+                if broken := problem(obj["labels"], STRINGS):
+                    raise CorpusFormatError(f"header key 'labels' {broken}", line_no, raw)
                 header_labels = LabelSet(tuple(obj["labels"]))
                 continue
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
@@ -145,6 +149,8 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
                     raw,
                 )
             seen_lines[idea_id] = line_no
+            if broken := problem(obj.get("timestamp", 0), COUNT):
+                raise CorpusFormatError(f"key 'timestamp' {broken}", line_no, raw)
             label_name = obj.get("label")
             if label_name is None:
                 label = None
@@ -160,7 +166,7 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
                         title=str(obj.get("title", "")),
                         text=str(obj["text"]),
                         label=label,
-                        timestamp=int(obj.get("timestamp", 0)),
+                        timestamp=obj.get("timestamp", 0),
                         split=obj.get("split"),
                     )
                 )
@@ -195,12 +201,8 @@ def split_corpus(
     the remainder). Ideas without labels are forced into the test split;
     there must be enough labeled ideas to fill train and validation.
     """
-    if len(fractions) != 3:
-        raise ValueError(f"need (train, validation, test) fractions, got {len(fractions)}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
-    if any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative, got {list(fractions)}")
+    if broken := fractions_problem(fractions):
+        raise ValueError(f"fractions {broken}")
     already = [i.id for i in corpus.ideas if i.split is not None]
     if already:
         raise ValueError(f"corpus already split (e.g. idea {already[0]!r}); refusing to resplit")
@@ -307,35 +309,110 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield line_no, obj
 
 
-# Value kinds of read_records beyond a plain type (an int is never a bool),
-# each with its type and the test every item of a list must pass.
+# --- value kinds and the one checker of config, corpus and record values ---
+# A kind is a plain type (an int is never a bool, a float may be an int, a
+# list may be a tuple), a dataclass (a config section: an object whose keys
+# are its fields), or one of these names, each with its type, the test every
+# list item must pass and its range rule. A rule maps a value to None or to
+# what is wrong with it.
 COUNT = "an int >= 0"
 TEXTS = "a list of non-empty strings"
+STRINGS = "a list of strings"
+NUMBERS = "a list of numbers"
 PAIRS = "a list of [left, connector, polarity, right] string lists"
+
+
+def must(test: Callable, what: str) -> Callable:
+    """The rule that a value passes ``test``; ``what`` says how."""
+    return lambda value: None if test(value) else f"must be {what}, got {value!r}"
+
+
+def at_least(low) -> Callable:
+    return must(lambda value: value >= low, f">= {low}")
+
+
+def fractions_problem(fractions) -> Optional[str]:
+    """The rule for (train, validation, test) fractions: 3 shares >= 0
+    that sum to 1."""
+    if len(fractions) != 3:
+        return f"must be 3 values, got {list(fractions)}"
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        return f"must sum to 1, got {sum(fractions)}"
+    if any(f < 0 for f in fractions):
+        return f"must be non-negative, got {list(fractions)}"
+    return None
+
+
 _KINDS = {
-    COUNT: (int, None),
-    TEXTS: (list, lambda x: isinstance(x, str) and x != ""),
-    PAIRS: (list, lambda p: isinstance(p, list) and len(p) == 4 and all(isinstance(x, str) for x in p)),
+    COUNT: (int, None, at_least(0)),
+    TEXTS: (list, lambda x: isinstance(x, str) and x != "", None),
+    STRINGS: (list, lambda x: isinstance(x, str), None),
+    NUMBERS: (list, lambda x: problem(x, float) is None, None),
+    PAIRS: (list, lambda p: isinstance(p, list) and len(p) == 4 and all(isinstance(x, str) for x in p), None),
 }
+_ACCEPTED = {float: (int, float), list: (list, tuple)}
 
 
-def _problem(value, kind) -> Optional[str]:
-    """Why ``value`` is not of ``kind``; None when it is."""
-    base, item_ok = _KINDS.get(kind, (kind, None))
-    if not isinstance(value, base) or (base is int and isinstance(value, bool)):
+def problem(value, kind, rule: Optional[Callable] = None) -> Optional[str]:
+    """Why ``value`` is not of ``kind`` or breaks ``rule``; None when it is
+    neither."""
+    base, item_ok, kind_rule = _KINDS.get(kind, (kind, None, None))
+    if not isinstance(value, _ACCEPTED.get(base, base)) or (isinstance(value, bool) and base is not bool):
         article = "an" if base.__name__[0] in "aeiou" else "a"
         return f"must be {article} {base.__name__}, got {type(value).__name__}"
-    if kind == COUNT and value < 0:
-        return f"must be >= 0, got {value}"
     bad = [x for x in value if not item_ok(x)] if item_ok else []
-    return f"must be {kind}, got item {bad[0]!r}" if bad else None
+    if bad:
+        return f"must be {kind}, got item {bad[0]!r}"
+    return (kind_rule and kind_rule(value)) or (rule and rule(value)) or None
+
+
+def setting(default, rule: Optional[Callable] = None, kind=None):
+    """A config field of ``kind`` (by default its annotated type) whose
+    value must pass ``rule``."""
+    return field(default=default, metadata={"rule": rule, "kind": kind})
+
+
+@cache
+def field_kinds(cls) -> dict:
+    """Field name -> (kind, rule) of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f.metadata.get("kind") or hints[f.name], f.metadata.get("rule")) for f in fields(cls)}
+
+
+def check(data: dict, kinds: dict, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """The dotted path and problem of each value of ``data`` whose key has
+    no (kind, rule) in ``kinds``, that is not of its kind, or that breaks
+    its rule. A section is checked against its dataclass's fields."""
+    for key, value in data.items():
+        path = prefix + key
+        if key not in kinds:
+            yield path, "unknown key"
+            continue
+        kind, rule = kinds[key]
+        if not is_dataclass(kind):
+            if broken := problem(value, kind, rule):
+                yield path, broken
+        elif isinstance(value, dict):
+            yield from check(value, field_kinds(kind), path + ".")
+        else:
+            yield path, "must be an object"
+
+
+class Checked:
+    """Base of the config types: constructing one raises a ValueError
+    naming each field whose value is not of its kind or breaks its rule."""
+
+    def __post_init__(self):
+        problems = [f"{path}: {broken}" for path, broken in check(vars(self), field_kinds(type(self)))]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def read_records(path: str | Path, required: dict, optional: dict) -> Iterator[dict]:
     """Yield each JSON object of ``path``; a line that is not an object,
     lacks one of the ``required`` keys, or holds a value not of its kind
-    (a type, COUNT, TEXTS or PAIRS) at a ``required`` or ``optional`` key
-    raises a ValueError naming the file, the line and the key."""
+    at a ``required`` or ``optional`` key raises a ValueError naming the
+    file, the line and the key."""
     kinds = {**required, **optional}
     for line_no, obj in read_jsonl(path):
         if not isinstance(obj, dict):
@@ -344,6 +421,6 @@ def read_records(path: str | Path, required: dict, optional: dict) -> Iterator[d
         if missing:
             raise ValueError(f"{path}: line {line_no}: missing key {missing[0]!r}")
         for key, kind in kinds.items():
-            if key in obj and (problem := _problem(obj[key], kind)):
-                raise ValueError(f"{path}: line {line_no}: key {key!r} {problem}")
+            if key in obj and (broken := problem(obj[key], kind)):
+                raise ValueError(f"{path}: line {line_no}: key {key!r} {broken}")
         yield obj

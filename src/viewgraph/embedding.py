@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -17,24 +16,20 @@ from typing import Optional, Sequence
 import numpy as np
 import requests
 
+from .dataset import Checked, at_least, must, setting
+from .llm import auth_headers
+
 DEFAULT_STUB_DIM = 32
 
 
 @dataclass
-class EmbeddingProvider:
+class EmbeddingProvider(Checked):
     """Encoder handle: deterministic stub or a remote JSON endpoint."""
 
-    kind: str = "stub"  # "stub" | "remote"
-    dimension: int = DEFAULT_STUB_DIM
+    provider: str = setting("stub", must(lambda v: v in ("stub", "remote"), "stub or remote"))
+    dimension: int = setting(DEFAULT_STUB_DIM, at_least(2))
     endpoint: str = ""
     model: str = ""
-    api_key_env: str = "VIEWGRAPH_API_KEY"
-
-    def __post_init__(self):
-        if self.kind not in ("stub", "remote"):
-            raise ValueError(f"unknown provider kind {self.kind!r}")
-        if self.dimension < 2:
-            raise ValueError(f"embedding dimension must be >= 2, got {self.dimension}")
 
 
 def stub_vector(text: str, dimension: int) -> np.ndarray:
@@ -47,14 +42,10 @@ def stub_vector(text: str, dimension: int) -> np.ndarray:
 
 
 def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
-    headers = {"Content-Type": "application/json"}
-    key = os.environ.get(provider.api_key_env, "")
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
     resp = requests.post(
         provider.endpoint,
         json={"model": provider.model, "input": list(texts)},
-        headers=headers,
+        headers=auth_headers(),
         timeout=60,
     )
     resp.raise_for_status()
@@ -102,7 +93,7 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingMatrix:
     if any(not t for t in texts):
         raise ValueError("cannot embed empty text")
     distinct = {t: i for i, t in enumerate(dict.fromkeys(texts))}  # text -> its encoded row
-    if provider.kind == "stub":
+    if provider.provider == "stub":
         rows = np.stack([stub_vector(t, provider.dimension) for t in distinct])
     else:
         raw = _remote_vectors(list(distinct), provider)

@@ -9,8 +9,8 @@ a combine matrix. Idea subgraphs are pooled
 softmax; one head call pools a whole batch of ideas. Training is plain
 mini-batch cross-entropy with exact hand-written reverse-mode gradients,
 Adam, and a linearly decaying learning rate. Everything is numpy
-float64; a fixed seed fixes the initialization, the batch order, and
-therefore the whole trajectory.
+float64; the seed given to ``train`` (not part of ``GnnConfig``) fixes
+the initialization, the batch order, and therefore the whole trajectory.
 
 Message passing always runs over the full graph (test nodes participate;
 their labels never enter the loss). Training runs one forward pass per
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Corpus, write_jsonl
+from .dataset import Checked, Corpus, at_least, must, setting, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -37,20 +37,13 @@ PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class GnnConfig:
-    layers: int = 2
-    hidden_dim: int = 64
-    batch_size: int = 64
-    max_epochs: int = 1000
-    learning_rate: float = 1e-3
-    seed: int = 0
+class GnnConfig(Checked):
+    layers: int = setting(2, at_least(1))
+    hidden_dim: int = setting(64, at_least(1))
+    batch_size: int = setting(64, at_least(1))
+    max_epochs: int = setting(1000, at_least(1))
+    learning_rate: float = setting(1e-3, must(lambda v: v > 0, "> 0"))
     class_weighting: bool = False
-
-    def __post_init__(self):
-        if self.layers < 1 or self.hidden_dim < 1 or self.batch_size < 1:
-            raise ValueError("layers, hidden_dim and batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
 
 
 @dataclass
@@ -348,11 +341,13 @@ def train(
     matrix: EmbeddingMatrix,
     corpus: Corpus,
     negatives: Optional[Sequence] = None,
+    seed: int = 0,
 ) -> TrainResult:
     """Mini-batch training over labeled train subgraphs (plus negatives).
 
-    Per epoch: seeded shuffle, batches of batch_size ideas, full-graph
-    message passing per step, loss only on the batch's labeled subgraphs,
+    ``seed`` fixes the initialization and the batch order. Per epoch:
+    seeded shuffle, batches of batch_size ideas, full-graph message
+    passing per step, loss only on the batch's labeled subgraphs,
     one Adam step at the epoch's scheduled learning rate. One forward pass
     follows each step: the next step's loss and the epoch's train and
     validation predictions all read it, since the parameters do not change
@@ -378,7 +373,7 @@ def train(
     if config.class_weighting:
         class_weights = inverse_frequency_weights([y for _, y in items], n_labels)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     model = init_model(config, X.shape[1], n_labels, rng)
     state = AdamState(model)
     log: list[dict] = []
@@ -479,11 +474,13 @@ def save_model(
     path: str | Path,
     config: GnnConfig,
     labels: Sequence[str],
+    seed: int = 0,
     epoch: Optional[int] = None,
     validation_score: Optional[float] = None,
 ) -> None:
-    """JSON header line, then little-endian float32 blocks in the
-    param_items order (message/combine per layer, then the head)."""
+    """JSON header line (the config with the training ``seed``, labels,
+    block shapes), then little-endian float32 blocks in the param_items
+    order (message/combine per layer, then the head)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
@@ -493,7 +490,7 @@ def save_model(
             "batch_size": config.batch_size,
             "max_epochs": config.max_epochs,
             "learning_rate": config.learning_rate,
-            "seed": config.seed,
+            "seed": seed,
             "class_weighting": config.class_weighting,
         },
         "labels": list(labels),

@@ -1,10 +1,12 @@
 """Viewpoint-graph construction.
 
 Each idea contributes a subgraph: every viewpoint-node links to its
-top-k most cosine-similar siblings. Subgraphs are joined by giving every
-node its top-m most similar nodes from other ideas. Edges are undirected,
-weighted by clamped cosine similarity, and proposals from both endpoints
-of a pair are deduplicated. Each idea block gets one similarity matrix
+top-k (``GraphConfig.k``) most cosine-similar siblings, or with
+``GraphConfig.hybrid`` to the siblings its extracted relations name.
+Subgraphs are joined by giving every node its top-m (``GraphConfig.m``)
+most similar nodes from other ideas. Edges are undirected, weighted by
+cosine similarity clamped to ``[weight_floor, 1]``, and proposals from
+both endpoints of a pair are deduplicated. Each idea block gets one similarity matrix
 and one exact top-k/top-m selection (partition, then sort the few kept).
 
 A graph is held as arrays: per node its idea, text and time feature; per
@@ -25,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import IdeaViewpoints, normalize_text
+from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, setting
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -36,18 +38,14 @@ Arcs = namedtuple("Arcs", "src dst weight indptr")
 
 
 @dataclass(frozen=True)
-class GraphConfig:
-    intra_k: int = 5
-    inter_m: int = 10
-    weight_floor: float = 0.0
+class GraphConfig(Checked):
+    """Top-k intra and top-m inter degrees, the weight floor, and whether
+    intra edges come from extracted relations (hybrid) instead of top-k."""
 
-    def __post_init__(self):
-        if self.intra_k < 1:
-            raise ValueError(f"intra degree k must be >= 1, got {self.intra_k}")
-        if self.inter_m < 0:
-            raise ValueError(f"inter degree m must be >= 0, got {self.inter_m}")
-        if not (0.0 <= self.weight_floor <= 1.0):
-            raise ValueError(f"weight floor must be in [0, 1], got {self.weight_floor}")
+    k: int = setting(5, at_least(1))
+    m: int = setting(10, kind=COUNT)
+    weight_floor: float = setting(0.0, must(lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
+    hybrid: bool = False
 
 
 class ViewpointGraph:
@@ -173,10 +171,10 @@ def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool,
         if top_k:
             siblings = keys[:, lo:hi].copy()
             np.fill_diagonal(siblings, np.inf)
-            row, col = _smallest(siblings, min(config.intra_k, hi - lo - 1))
+            row, col = _smallest(siblings, min(config.k, hi - lo - 1))
             intra.append((lo + row, lo + col, sims[row, lo + col]))
         keys[:, lo:hi] = np.inf
-        row, col = _smallest(keys, min(config.inter_m, keys.shape[1] - (hi - lo)))
+        row, col = _smallest(keys, min(config.m, keys.shape[1] - (hi - lo)))
         inter.append((lo + row, col, sims[row, col]))
     found = intra + inter
     proposers, targets, sims = (np.concatenate([np.zeros(0, dtype)] + [f[j] for f in found])
@@ -213,12 +211,11 @@ def build_graph(
     records: Sequence[IdeaViewpoints],
     matrix: EmbeddingMatrix,
     config: GraphConfig = GraphConfig(),
-    hybrid: bool = False,
 ) -> ViewpointGraph:
     """Build the full viewpoint-graph over all ideas.
 
     Node ids are assigned in (idea order, viewpoint order) and must match
-    the embedding matrix row order. With ``hybrid=True`` intra edges come
+    the embedding matrix row order. With ``config.hybrid`` intra edges come
     from the records' extracted relation pairs (polarity kept as metadata)
     instead of top-k similarity; inter edges are unchanged.
     """
@@ -230,9 +227,9 @@ def build_graph(
         raise ValueError("duplicate idea ids in viewpoint records")
     tf = time_features({r.idea_id: r.timestamp for r in records})
     blocks = _bounds(records)
-    u, v, weight, intra = _propose(matrix, blocks, config, causal=False, top_k=not hybrid)
+    u, v, weight, intra = _propose(matrix, blocks, config, causal=False, top_k=not config.hybrid)
     polarity = None
-    if hybrid:
+    if config.hybrid:
         pairs = [e for rec, (lo, _) in zip(records, blocks) for e in _pair_edges(rec, lo, matrix, config)]
         pu, pv, pw, polarity = (list(c) for c in zip(*pairs)) if pairs else ([], [], [], [])
         u, v, weight = np.r_[pu, u], np.r_[pv, v], np.r_[pw, weight]
@@ -310,8 +307,8 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": {
-            "k": graph.config.intra_k,
-            "m": graph.config.inter_m,
+            "k": graph.config.k,
+            "m": graph.config.m,
             "weight_floor": graph.config.weight_floor,
         },
         "nodes": [
@@ -338,7 +335,7 @@ def load_graph(path: str | Path) -> ViewpointGraph:
         k, m, floor = int(cfg["k"]), int(cfg["m"]), float(cfg.get("weight_floor", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"graph file {path}: config needs numbers k, m and weight_floor, got {cfg!r}") from exc
-    config = GraphConfig(intra_k=k, inter_m=m, weight_floor=floor)
+    config = GraphConfig(k=k, m=m, weight_floor=floor)
     nodes = payload["nodes"]
     for i, node in enumerate(nodes):
         if not (

@@ -15,18 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus, write_jsonl
+from .dataset import Checked, Corpus, at_least, setting, write_jsonl
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 
 
 @dataclass(frozen=True)
-class LpConfig:
-    max_iters: int = 5
+class LpConfig(Checked):
+    max_iters: int = setting(5, at_least(1))
     early_stop: bool = True
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import requests
 
-from .dataset import Idea, IdeaViewpoints, normalize_text
+from .dataset import Idea, IdeaViewpoints, must, normalize_text
 
 POLARITIES = ("supporting", "opposing")
 
@@ -146,6 +146,22 @@ RELATION_TEMPLATE = PromptTemplate(
 )
 
 
+API_KEY_ENV = "VIEWGRAPH_API_KEY"
+
+
+def auth_headers() -> dict:
+    """JSON request headers for a remote backend, with the bearer token
+    from $VIEWGRAPH_API_KEY when it is set."""
+    headers = {"Content-Type": "application/json"}
+    if key := os.environ.get(API_KEY_ENV):
+        headers["Authorization"] = f"Bearer {key}"
+    return headers
+
+
+BACKEND_RULE = must(lambda v: v in ("mock", "remote"), "mock or remote")
+TEMPERATURE_RULE = must(lambda v: 0.0 <= v <= 2.0, "in [0, 2]")
+
+
 @dataclass
 class LlmBackend:
     """Chat-completion endpoint handle; ``kind="mock"`` needs no network."""
@@ -158,13 +174,11 @@ class LlmBackend:
     backoff: float = 1.0
     seed: int = 0
     max_inflight: int = 4
-    api_key_env: str = "VIEWGRAPH_API_KEY"
 
     def __post_init__(self):
-        if self.kind not in ("mock", "remote"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
+        for name, rule in (("kind", BACKEND_RULE), ("temperature", TEMPERATURE_RULE)):
+            if broken := rule(getattr(self, name)):
+                raise ValueError(f"{name}: {broken}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote backend needs an endpoint URL")
 
@@ -175,10 +189,6 @@ class LlmBackend:
         return self._remote_complete(prompt)
 
     def _remote_complete(self, prompt: str) -> tuple[str, TokenUsage]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -187,7 +197,7 @@ class LlmBackend:
         last: Optional[Exception] = None
         for attempt in range(1, self.max_retries + 1):
             try:
-                resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=120)
+                resp = requests.post(self.endpoint, json=payload, headers=auth_headers(), timeout=120)
                 resp.raise_for_status()
                 body = resp.json()
                 text = body["choices"][0]["message"]["content"]

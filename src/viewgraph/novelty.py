@@ -16,12 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import COUNT, TEXTS, Corpus, IdeaViewpoints, read_records, write_jsonl
+from .dataset import COUNT, TEXTS, Corpus, IdeaViewpoints, at_least, must, read_records, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import ViewpointGraph, integrate_subgraph, time_features
 
 STRATEGIES = ("copy", "random-swap", "neighbor-swap")
 ONE_DAY = 86400
+COUNT_RULE = at_least(1)
+SWAP_FRACTION_RULE = must(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,9 @@ def generate_negatives(
     neighbor-swap slots that degraded to random-swap for lack of a
     cross-idea neighbor.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if not (0.0 < swap_fraction <= 1.0):
-        raise ValueError(f"swap fraction must be in (0, 1], got {swap_fraction}")
+    for name, value, rule in (("count", count, COUNT_RULE), ("swap_fraction", swap_fraction, SWAP_FRACTION_RULE)):
+        if broken := rule(value):
+            raise ValueError(f"{name}: {broken}")
     sources = [i for i in corpus.ideas if i.label is not None and i.label >= threshold]
     if not sources:
         raise ValueError(f"no idea rated at or above label {threshold}")

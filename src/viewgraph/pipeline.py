@@ -9,35 +9,41 @@ overrides). All stage randomness derives from the single global seed via
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import time
-import typing
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from . import gnn as gnn_mod
 from . import label_prop as lp_mod
 from . import novelty as novelty_mod
 from .dataset import (
+    COUNT,
+    NUMBERS,
     SPLITS,
+    Checked,
     Corpus,
+    at_least,
+    check,
+    field_kinds,
+    fractions_problem,
     load_corpus,
     load_viewpoints,
+    must,
+    problem,
     read_jsonl,
     save_corpus,
     save_viewpoints,
+    setting,
     split_corpus,
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
 from .graph import GraphConfig, build_graph, load_graph, save_graph
-from .llm import LlmBackend, TokenUsage, extract_corpus, token_cost
+from .llm import BACKEND_RULE, TEMPERATURE_RULE, LlmBackend, TokenUsage, extract_corpus, token_cost
 from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
 ENGINES = ("lp", "gnn", "both")
@@ -58,141 +64,47 @@ class StageError(RuntimeError):
 
 
 @dataclass
-class SplitSettings:
-    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
+class SplitSettings(Checked):
+    fractions: tuple[float, float, float] = setting((0.7, 0.1, 0.2), fractions_problem, kind=NUMBERS)
 
 
 @dataclass
-class LlmSettings:
-    backend: str = "mock"
+class LlmSettings(Checked):
+    backend: str = setting("mock", BACKEND_RULE)
     endpoint: str = ""
     model: str = ""
-    temperature: float = 0.1
-    max_retries: int = 3
+    temperature: float = setting(0.1, TEMPERATURE_RULE)
+    max_retries: int = setting(3, at_least(1))
     price_per_million: float = 0.0
     relations: bool = False
     max_inflight: int = 4
 
 
 @dataclass
-class EmbeddingSettings:
-    provider: str = "stub"
-    dimension: int = 32
-    endpoint: str = ""
-    model: str = ""
-
-
-@dataclass
-class GraphSettings:
-    k: int = 5
-    m: int = 10
-    weight_floor: float = 0.0
-    hybrid: bool = False
-
-
-@dataclass
-class LpSettings:
-    max_iters: int = 5
-    early_stop: bool = True
-
-
-@dataclass
-class GnnSettings:
-    layers: int = 2
-    hidden_dim: int = 64
-    batch_size: int = 64
-    max_epochs: int = 1000
-    learning_rate: float = 1e-3
-    class_weighting: bool = False
-
-
-@dataclass
-class NoveltySettings:
+class NoveltySettings(Checked):
     enabled: bool = False
-    count: int = 80
-    train_subset: int = 10
-    threshold: int = 1
-    swap_fraction: float = 0.5
+    count: int = setting(80, novelty_mod.COUNT_RULE)
+    train_subset: int = setting(10, kind=COUNT)
+    threshold: int = setting(1, kind=COUNT)
+    swap_fraction: float = setting(0.5, novelty_mod.SWAP_FRACTION_RULE)
 
 
 @dataclass
 class RunConfig:
+    """The config file: each section is the settings type of its stage, or
+    the config type of the engine it drives."""
+
     corpus: str = "corpus.jsonl"
     out_dir: str = "run"
     seed: int = 0
-    engine: str = "lp"
+    engine: str = setting("lp", must(lambda v: v in ENGINES, f"one of {ENGINES}"))
     split: SplitSettings = field(default_factory=SplitSettings)
     llm: LlmSettings = field(default_factory=LlmSettings)
-    embedding: EmbeddingSettings = field(default_factory=EmbeddingSettings)
-    graph: GraphSettings = field(default_factory=GraphSettings)
-    lp: LpSettings = field(default_factory=LpSettings)
-    gnn: GnnSettings = field(default_factory=GnnSettings)
+    embedding: EmbeddingProvider = field(default_factory=EmbeddingProvider)
+    graph: GraphConfig = field(default_factory=GraphConfig)
+    lp: lp_mod.LpConfig = field(default_factory=lp_mod.LpConfig)
+    gnn: gnn_mod.GnnConfig = field(default_factory=gnn_mod.GnnConfig)
     novelty: NoveltySettings = field(default_factory=NoveltySettings)
-
-
-def _type_problem(value, hint) -> Optional[str]:
-    """What ``value`` must be to fit the field type ``hint``; None if it fits."""
-    if hint is bool:
-        return None if isinstance(value, bool) else "a boolean"
-    if hint is int:
-        return None if isinstance(value, int) and not isinstance(value, bool) else "an integer"
-    if hint is float:
-        return None if isinstance(value, (int, float)) and not isinstance(value, bool) else "a number"
-    if hint is str:
-        return None if isinstance(value, str) else "a string"
-    item = typing.get_args(hint)[0]  # tuple[float, ...]
-    if isinstance(value, (list, tuple)) and not any(_type_problem(v, item) for v in value):
-        return None
-    return "a list of numbers"
-
-
-def _assign(target, data: dict, prefix: str, errors: list[str]) -> None:
-    """Set each value of ``data`` on the dataclass ``target`` after checking
-    it against the field type; a value that does not fit keeps the default
-    and is reported under its dotted path."""
-    hints = typing.get_type_hints(type(target))
-    for key, value in data.items():
-        path = prefix + key
-        hint = hints.get(key)
-        if hint is None:
-            errors.append(f"{path}: unknown key")
-        elif dataclasses.is_dataclass(hint):
-            if isinstance(value, dict):
-                _assign(getattr(target, key), value, path + ".", errors)
-            else:
-                errors.append(f"{path}: must be an object")
-        elif (problem := _type_problem(value, hint)) is not None:
-            errors.append(f"{path}: must be {problem}, got {value!r}")
-        else:
-            setattr(target, key, value)
-
-
-def _at_least(low):
-    return (lambda v: v >= low), f">= {low}"
-
-
-# dotted config key -> (test of the value, what the value must be)
-_RULES = {
-    "engine": (lambda v: v in ENGINES, f"one of {ENGINES}"),
-    "llm.backend": (lambda v: v in ("mock", "remote"), "mock or remote"),
-    "llm.temperature": (lambda v: 0.0 <= v <= 2.0, "in [0, 2]"),
-    "llm.max_retries": _at_least(1),
-    "embedding.provider": (lambda v: v in ("stub", "remote"), "stub or remote"),
-    "embedding.dimension": _at_least(2),
-    "graph.k": _at_least(1),
-    "graph.m": _at_least(0),
-    "graph.weight_floor": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "lp.max_iters": _at_least(1),
-    "gnn.layers": _at_least(1),
-    "gnn.hidden_dim": _at_least(1),
-    "gnn.batch_size": _at_least(1),
-    "gnn.max_epochs": _at_least(1),
-    "gnn.learning_rate": (lambda v: v > 0, "> 0"),
-    "novelty.count": _at_least(1),
-    "novelty.train_subset": _at_least(0),
-    "novelty.threshold": _at_least(0),
-    "novelty.swap_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-}
 
 
 def validate_config(source) -> RunConfig:
@@ -207,26 +119,18 @@ def validate_config(source) -> RunConfig:
         data = source or {}
     if not isinstance(data, dict):
         raise ConfigError([f"config: must be an object, got {type(data).__name__}"])
-    errors: list[str] = []
-    config = RunConfig()
-    _assign(config, data, "", errors)
+    kinds = field_kinds(RunConfig)
+    errors = [f"{path}: {broken}" for path, broken in check(data, kinds)]
 
-    for key, (ok, what) in _RULES.items():
-        value = reduce(getattr, key.split("."), config)
-        if not ok(value):
-            errors.append(f"{key}: must be {what}, got {value!r}")
-    fractions = config.split.fractions
-    if len(fractions) != 3:
-        errors.append(f"split.fractions: need 3 values, got {list(fractions)}")
-    elif abs(sum(fractions) - 1.0) > 1e-9:
-        errors.append(f"split.fractions: must sum to 1, got {sum(fractions)}")
-    elif any(f < 0 for f in fractions):
-        errors.append(f"split.fractions: must be non-negative, got {list(fractions)}")
-    if config.graph.hybrid and not config.llm.relations:
+    def enabled(section: str, key: str) -> bool:
+        return isinstance(data.get(section), dict) and data[section].get(key) is True
+
+    if enabled("graph", "hybrid") and not enabled("llm", "relations"):
         errors.append("graph.hybrid: requires llm.relations to be enabled")
-
     if errors:
         raise ConfigError(errors)
+    sections = {key: kinds[key][0](**value) for key, value in data.items() if isinstance(value, dict)}
+    config = RunConfig(**{**data, **sections})
     config.split.fractions = tuple(float(f) for f in config.split.fractions)
     return config
 
@@ -307,9 +211,7 @@ def run_embed(paths: dict, config: RunConfig) -> dict:
     records = load_viewpoints(paths["viewpoints"])
     texts = [v for r in records for v in r.viewpoints]
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
-    e = config.embedding
-    provider = EmbeddingProvider(kind=e.provider, dimension=e.dimension, endpoint=e.endpoint, model=e.model)
-    matrix = embed(texts, provider)
+    matrix = embed(texts, config.embedding)
     save_embeddings(matrix, ids, paths["embeddings"])
     return {"count": len(matrix), "dimension": matrix.dimension}
 
@@ -318,9 +220,7 @@ def run_build(paths: dict, config: RunConfig) -> dict:
     records = load_viewpoints(paths["viewpoints"])
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix, _ = load_embeddings(paths["embeddings"], ids)
-    g = config.graph
-    graph_config = GraphConfig(intra_k=g.k, inter_m=g.m, weight_floor=g.weight_floor)
-    graph = build_graph(records, matrix, graph_config, hybrid=g.hybrid)
+    graph = build_graph(records, matrix, config.graph)
     save_graph(graph, paths["graph"])
     return {"nodes": len(graph), "edges": len(graph.weight)}
 
@@ -345,7 +245,7 @@ def run_negatives(paths: dict, config: RunConfig) -> dict:
 def run_lp(paths: dict, config: RunConfig, split: str = "test") -> dict:
     corpus = load_corpus(paths["split"])
     graph = load_graph(paths["graph"])
-    predictions = lp_mod.run(graph, corpus, lp_mod.LpConfig(**asdict(config.lp)), split=split)
+    predictions = lp_mod.run(graph, corpus, config.lp, split=split)
     lp_mod.save_predictions(predictions, corpus, paths["lp_pred"])
     return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}
 
@@ -361,13 +261,14 @@ def run_train(paths: dict, config: RunConfig, split: str = "test") -> dict:
     if "negatives" in paths:
         negatives = novelty_mod.load_negatives(paths["negatives"])
         graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
-    gnn_config = gnn_mod.GnnConfig(**asdict(config.gnn), seed=seed_for(config.seed, "train"))
-    result = gnn_mod.train(gnn_config, graph, matrix, corpus, negatives or None)
+    seed = seed_for(config.seed, "train")
+    result = gnn_mod.train(config.gnn, graph, matrix, corpus, negatives or None, seed=seed)
     gnn_mod.save_model(
         result.model,
         paths["model"],
-        gnn_config,
+        config.gnn,
         corpus.label_set.labels,
+        seed=seed,
         epoch=result.best_epoch,
         validation_score=result.best_val_f1,
     )
@@ -395,8 +296,10 @@ def _load_costs(path: Path) -> dict[str, float]:
     if not isinstance(costs, dict) or not costs:
         raise ValueError(f"{where}: must be a non-empty object of method -> average cost, got {costs!r}")
     for name, cost in costs.items():
-        if _type_problem(cost, float) or not 0 <= cost < math.inf:
+        if problem(cost, float) or not 0 <= cost < math.inf:
             raise ValueError(f"{where}: key {name!r} must be a finite number >= 0, got {cost!r}")
+    if not any(costs.values()):
+        raise ValueError(f"{where}: all costs are zero; nothing to normalize against")
     return costs
 
 

@@ -15,6 +15,6 @@ def separable():
     corpus = split_corpus(separable_corpus(), (0.7, 0.1, 0.2), seed=11)
     records, _ = extract_corpus(corpus.ideas, LlmBackend(kind="mock"))
     texts = [v for r in records for v in r.viewpoints]
-    matrix = embed(texts, EmbeddingProvider(kind="stub", dimension=32))
+    matrix = embed(texts, EmbeddingProvider(provider="stub", dimension=32))
     graph = build_graph(records, matrix, GraphConfig())
     return corpus, records, matrix, graph

@@ -111,7 +111,7 @@ def test_graph_construction_oracle():
         records, matrix, config = _graph_instance(seed)
         graph = build_graph(records, matrix, config)
         expected = brute_force_graph_edges(
-            graph.idea, matrix.rows, config.intra_k, config.inter_m, config.weight_floor
+            graph.idea, matrix.rows, config.k, config.m, config.weight_floor
         )
         got = edge_dict(graph)
         assert set(got) == set(expected), f"edge set mismatch at seed {seed}"
@@ -127,8 +127,8 @@ def test_graph_construction_oracle():
             siblings = len(graph.idea_nodes[idea]) - 1
             foreign = len(graph) - siblings - 1
             intra, inter = degree[node, "intra"], degree[node, "inter"]
-            assert min(config.intra_k, siblings) <= intra <= 2 * config.intra_k
-            assert min(config.inter_m, foreign) <= inter <= 2 * config.inter_m
+            assert min(config.k, siblings) <= intra <= 2 * config.k
+            assert min(config.m, foreign) <= inter <= 2 * config.m
         checked += 1
     elapsed = time.monotonic() - start
     criterion(
@@ -176,8 +176,8 @@ def capacity_runs(separable):
     corpus, _, matrix, graph = separable
     runs = {}
     for seed in (1, 2, 3):
-        config = gnn.GnnConfig(hidden_dim=64, max_epochs=200, seed=seed)
-        result = gnn.train(config, graph, matrix, corpus)
+        config = gnn.GnnConfig(hidden_dim=64, max_epochs=200)
+        result = gnn.train(config, graph, matrix, corpus, seed=seed)
         test_preds = gnn.predict(result.model, graph, matrix, corpus, "test")
         truths = [corpus.by_id(p.idea_id).label for p in test_preds]
         guesses = [p.label_index for p in test_preds]
@@ -227,15 +227,15 @@ def test_novelty_behavior(separable):
     eval_negs = copies + randoms + neighbors
     assert len(eval_negs) == 20
 
-    config = gnn.GnnConfig(hidden_dim=64, max_epochs=200, seed=1)
+    config = gnn.GnnConfig(hidden_dim=64, max_epochs=200)
 
     g_with, m_with = novelty.inject_negatives(graph, matrix, train_negs, corpus)
-    with_model = gnn.train(config, g_with, m_with, corpus, train_negs).model
+    with_model = gnn.train(config, g_with, m_with, corpus, train_negs, seed=1).model
     g_we, m_we = novelty.inject_negatives(g_with, m_with, eval_negs, corpus)
     with_preds = gnn.predict_subgraphs(with_model, g_we, m_we, [s.id for s in eval_negs])
     rate_with = sum(p.label_index == 0 for p in with_preds) / len(with_preds)
 
-    plain_model = gnn.train(config, graph, matrix, corpus).model
+    plain_model = gnn.train(config, graph, matrix, corpus, seed=1).model
     g_pe, m_pe = novelty.inject_negatives(graph, matrix, eval_negs, corpus)
     plain_preds = gnn.predict_subgraphs(plain_model, g_pe, m_pe, [s.id for s in eval_negs])
     rate_plain = sum(p.label_index == 0 for p in plain_preds) / len(plain_preds)

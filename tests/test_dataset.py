@@ -68,6 +68,34 @@ class TestLoadCorpus:
         assert err.value.line_no == 3
         assert "{not json" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "lines, line_no, message",
+        [
+            ([header(), record("a", timestamp=[1])], 2, "key 'timestamp' must be an int, got list"),
+            ([header(), record("a", timestamp=True)], 2, "key 'timestamp' must be an int, got bool"),
+            ([header(), record("a", timestamp=1.5)], 2, "key 'timestamp' must be an int, got float"),
+            ([header(), record("a", timestamp="7")], 2, "key 'timestamp' must be an int, got str"),
+            ([header(), record("a"), record("b", timestamp=-1)], 3, "key 'timestamp' must be >= 0, got -1"),
+            ([json.dumps({"labels": 5}), record("a")], 1, "header key 'labels' must be a list, got int"),
+            ([json.dumps({"labels": "ab"}), record("a")], 1, "header key 'labels' must be a list, got str"),
+            ([json.dumps({"labels": ["a", 2]}), record("a")], 1, "header key 'labels' must be a list of strings, got item 2"),
+        ],
+        ids=["timestamp-list", "timestamp-bool", "timestamp-float", "timestamp-str", "timestamp-negative",
+             "labels-int", "labels-str", "labels-item"],
+    )
+    def test_value_of_wrong_kind_carries_line_number(self, tmp_path, lines, line_no, message):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: {message}"
+
+    def test_missing_timestamp_reads_as_zero(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [header(), json.dumps({"id": "a", "text": "Text of a."})])
+        assert load_corpus(path).ideas[0].timestamp == 0
+
     def test_unknown_label_named(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [header(), record("a", label="Strong Accept")])

@@ -35,12 +35,12 @@ def graph_of(rows, sizes, k, m=0):
             IdeaViewpoints(idea_id=f"i{i}", viewpoints=tuple(f"v{j}" for j in range(start, start + size)))
         )
         start += size
-    return build_graph(records, EmbeddingMatrix(rows), GraphConfig(intra_k=k, inter_m=m))
+    return build_graph(records, EmbeddingMatrix(rows), GraphConfig(k=k, m=m))
 
 
 def assert_matches_oracle(graph, rows):
     config = graph.config
-    expected = brute_force_graph_edges(graph.idea, np.asarray(rows, dtype=float), config.intra_k, config.inter_m)
+    expected = brute_force_graph_edges(graph.idea, np.asarray(rows, dtype=float), config.k, config.m)
     got = edge_dict(graph)
     assert set(got) == set(expected)
     for key, (w, kind) in expected.items():
@@ -50,11 +50,11 @@ def assert_matches_oracle(graph, rows):
 
 class TestStub:
     def test_identical_texts_identical_rows(self):
-        m = embed(["a", "a"], EmbeddingProvider(kind="stub", dimension=8))
+        m = embed(["a", "a"], EmbeddingProvider(provider="stub", dimension=8))
         assert np.array_equal(m.rows[0], m.rows[1])
 
     def test_distinct_texts_distinct_rows(self):
-        m = embed(["a", "b"], EmbeddingProvider(kind="stub", dimension=8))
+        m = embed(["a", "b"], EmbeddingProvider(provider="stub", dimension=8))
         assert not np.array_equal(m.rows[0], m.rows[1])
 
     def test_content_seeded_across_processes(self):
@@ -70,7 +70,7 @@ class TestStub:
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            embed(["ok", ""], EmbeddingProvider(kind="stub", dimension=8))
+            embed(["ok", ""], EmbeddingProvider(provider="stub", dimension=8))
 
 
 class TestRemoteProvider:
@@ -86,14 +86,14 @@ class TestRemoteProvider:
 
     def test_dimension_mismatch_named(self, monkeypatch):
         monkeypatch.setattr(requests, "post", self._fake_post([[0.1] * 384]))
-        provider = EmbeddingProvider(kind="remote", dimension=8, endpoint="http://x")
+        provider = EmbeddingProvider(provider="remote", dimension=8, endpoint="http://x")
         with pytest.raises(ValueError) as err:
             embed(["text"], provider)
         assert "384" in str(err.value) and "8" in str(err.value)
 
     def test_zero_vector_named(self, monkeypatch):
         monkeypatch.setattr(requests, "post", self._fake_post([[0.0] * 8]))
-        provider = EmbeddingProvider(kind="remote", dimension=8, endpoint="http://x")
+        provider = EmbeddingProvider(provider="remote", dimension=8, endpoint="http://x")
         with pytest.raises(ValueError, match="zero"):
             embed(["text"], provider)
 
@@ -108,21 +108,21 @@ class TestRemoteProvider:
                 return {"data": [{"embedding": [float(i + 1), 1.0]} for i in range(len(sent[0]["input"]))]}
 
         monkeypatch.setattr(requests, "post", lambda url, json, **kw: sent.append(json) or Resp())
-        provider = EmbeddingProvider(kind="remote", dimension=2, endpoint="http://x", model="m")
+        provider = EmbeddingProvider(provider="remote", dimension=2, endpoint="http://x", model="m")
         matrix = embed(["b", "a", "b", "c", "a"], provider)
         assert sent == [{"model": "m", "input": ["b", "a", "c"]}]
         assert matrix.rows.tolist() == [[1, 1], [2, 1], [1, 1], [3, 1], [2, 1]]
 
     def test_vector_count_must_match_distinct_texts(self, monkeypatch):
         monkeypatch.setattr(requests, "post", self._fake_post([[0.1] * 8]))
-        provider = EmbeddingProvider(kind="remote", dimension=8, endpoint="http://x")
+        provider = EmbeddingProvider(provider="remote", dimension=8, endpoint="http://x")
         with pytest.raises(ValueError, match="1 vectors for 2 texts"):
             embed(["a", "b", "a"], provider)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_named(self, monkeypatch, bad):
         monkeypatch.setattr(requests, "post", self._fake_post([[0.1, 0.2], [bad, 1.0]]))
-        provider = EmbeddingProvider(kind="remote", dimension=2, endpoint="http://x")
+        provider = EmbeddingProvider(provider="remote", dimension=2, endpoint="http://x")
         with pytest.raises(ValueError, match="non-finite embedding vector at row 2"):
             embed(["a", "a", "b"], provider)
 
@@ -238,7 +238,7 @@ class TestTopK:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        m = embed(["first", "second", "third"], EmbeddingProvider(kind="stub", dimension=16))
+        m = embed(["first", "second", "third"], EmbeddingProvider(provider="stub", dimension=16))
         path = tmp_path / "emb.bin"
         save_embeddings(m, row_ids(["a", "a", "b"]), path)
         loaded, ids = load_embeddings(path)
@@ -248,7 +248,7 @@ class TestSerialization:
         assert np.allclose(loaded.rows, m.rows, atol=1e-6)
 
     def test_non_finite_row_rejected_on_load(self, tmp_path):
-        m = embed(["x", "y", "z"], EmbeddingProvider(kind="stub", dimension=4))
+        m = embed(["x", "y", "z"], EmbeddingProvider(provider="stub", dimension=4))
         path = tmp_path / "emb.bin"
         save_embeddings(m, ["a", "b", "c"], path)
         blob = path.read_bytes()
@@ -258,7 +258,7 @@ class TestSerialization:
         assert str(err.value) == f"embeddings file {path}: non-finite embedding vector at row 2"
 
     def test_stub_rows_of_repeated_texts(self):
-        provider = EmbeddingProvider(kind="stub", dimension=8)
+        provider = EmbeddingProvider(provider="stub", dimension=8)
         rows = embed(["b", "a", "b"], provider).rows
         assert np.array_equal(rows, np.stack([stub_vector(t, 8) for t in ("b", "a", "b")]))
 
@@ -279,7 +279,7 @@ class TestSerialization:
              "no-ids", "id-not-string", "id-count"],
     )
     def test_malformed_file_named(self, tmp_path, header, message):
-        m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))
+        m = embed(["x", "y"], EmbeddingProvider(provider="stub", dimension=8))
         path = tmp_path / "emb.bin"
         save_embeddings(m, ["a", "b"], path)
         saved_header, blob = path.read_bytes().split(b"\n", 1)
@@ -301,7 +301,7 @@ class TestSerialization:
         ids=["second-row", "order", "count"],
     )
     def test_row_ids_checked(self, tmp_path, expected_ids, message):
-        m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))
+        m = embed(["x", "y"], EmbeddingProvider(provider="stub", dimension=8))
         path = tmp_path / "emb.bin"
         save_embeddings(m, row_ids(["a", "a"]), path)
         with pytest.raises(ValueError) as err:
@@ -309,6 +309,6 @@ class TestSerialization:
         assert str(err.value) == f"embeddings file {path}: {message}"
 
     def test_id_count_must_match(self, tmp_path):
-        m = embed(["x", "y"], EmbeddingProvider(kind="stub", dimension=8))
+        m = embed(["x", "y"], EmbeddingProvider(provider="stub", dimension=8))
         with pytest.raises(ValueError):
             save_embeddings(m, ["only-one"], tmp_path / "emb.bin")

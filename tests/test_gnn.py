@@ -220,7 +220,7 @@ def tied_built_instance(seed):
         for k, size in enumerate(sizes)
     ]
     matrix = EmbeddingMatrix(rng.normal(size=(3, 5))[rng.integers(0, 3, size=sum(sizes))])
-    graph = build_graph(records, matrix, GraphConfig(intra_k=2, inter_m=seed % 3))
+    graph = build_graph(records, matrix, GraphConfig(k=2, m=seed % 3))
     return graph, node_features(graph, matrix)
 
 
@@ -291,7 +291,7 @@ class TestAgainstPerIdeaHead:
             assert np.array_equal(np.signbit(head.pooled[b]), np.signbit(ref.pooled))
 
 
-def reference_train(config, graph, matrix, corpus, negatives=()):
+def reference_train(config, graph, matrix, corpus, negatives=(), seed=0):
     """The training loop with two prediction passes per epoch: after the
     epoch's steps, one full forward pass for the train predictions and one
     for the validation predictions, all through the per-arc forward pass,
@@ -307,7 +307,7 @@ def reference_train(config, graph, matrix, corpus, negatives=()):
     class_weights = None
     if config.class_weighting:
         class_weights = inverse_frequency_weights([y for _, y in items], n_labels)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     model = init_model(config, X.shape[1], n_labels, rng)
     state = AdamState(model)
     log, best_f1, best_model, best_epoch = [], -1.0, None, None
@@ -382,9 +382,9 @@ class TestAgainstTwoPassTraining:
     def test_trained_model_and_log_bit_identical(self, seed, batch_size, validation, class_weighting, negatives):
         corpus, graph, matrix, negs = training_instance(seed, validation, negatives)
         config = GnnConfig(hidden_dim=6, batch_size=batch_size, max_epochs=4, learning_rate=0.05,
-                           seed=seed, class_weighting=class_weighting)
-        ref_model, ref_log, ref_epoch, ref_f1 = reference_train(config, graph, matrix, corpus, negs)
-        result = train(config, graph, matrix, corpus, negs or None)
+                           class_weighting=class_weighting)
+        ref_model, ref_log, ref_epoch, ref_f1 = reference_train(config, graph, matrix, corpus, negs, seed=seed)
+        result = train(config, graph, matrix, corpus, negs or None, seed=seed)
         assert [n for n, _ in result.model.param_items()] == [n for n, _ in ref_model.param_items()]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(result.model.param_items(), ref_model.param_items()))
         assert result.log == ref_log
@@ -534,9 +534,9 @@ def separable_inputs(separable):
 class TestTrain:
     def test_deterministic_under_seed(self, separable):
         corpus, _, matrix, graph = separable
-        config = GnnConfig(hidden_dim=8, max_epochs=5, seed=3)
-        one = train(config, graph, matrix, corpus)
-        two = train(config, graph, matrix, corpus)
+        config = GnnConfig(hidden_dim=8, max_epochs=5)
+        one = train(config, graph, matrix, corpus, seed=3)
+        two = train(config, graph, matrix, corpus, seed=3)
         for (n1, a1), (n2, a2) in zip(one.model.param_items(), two.model.param_items()):
             assert n1 == n2
             assert np.array_equal(a1, a2)
@@ -544,8 +544,8 @@ class TestTrain:
 
     def test_seeds_change_trajectory(self, separable):
         corpus, _, matrix, graph = separable
-        one = train(GnnConfig(hidden_dim=8, max_epochs=3, seed=1), graph, matrix, corpus)
-        two = train(GnnConfig(hidden_dim=8, max_epochs=3, seed=2), graph, matrix, corpus)
+        one = train(GnnConfig(hidden_dim=8, max_epochs=3), graph, matrix, corpus, seed=1)
+        two = train(GnnConfig(hidden_dim=8, max_epochs=3), graph, matrix, corpus, seed=2)
         assert any(
             not np.array_equal(a1, a2)
             for (_, a1), (_, a2) in zip(one.model.param_items(), two.model.param_items())
@@ -572,7 +572,7 @@ class TestTrain:
 
     def test_log_has_loss_and_validation(self, separable):
         corpus, _, matrix, graph = separable
-        result = train(GnnConfig(hidden_dim=8, max_epochs=3, seed=0), graph, matrix, corpus)
+        result = train(GnnConfig(hidden_dim=8, max_epochs=3), graph, matrix, corpus, seed=0)
         assert len(result.log) == 3
         for entry in result.log:
             assert {"epoch", "loss", "lr", "train_accuracy", "val_macro_f1"} <= set(entry)
@@ -632,8 +632,8 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip_predictions(self, tmp_path, separable):
         corpus, _, matrix, graph = separable
-        config = GnnConfig(hidden_dim=8, max_epochs=3, seed=4)
-        result = train(config, graph, matrix, corpus)
+        config = GnnConfig(hidden_dim=8, max_epochs=3)
+        result = train(config, graph, matrix, corpus, seed=4)
         path = tmp_path / "model.ckpt"
         save_model(result.model, path, config, corpus.label_set.labels, epoch=2, validation_score=0.5)
         loaded, header = load_model(path)

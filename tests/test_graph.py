@@ -31,7 +31,7 @@ def records_from(spec: dict[str, list[str]], timestamps=None) -> list[IdeaViewpo
 
 def stub_matrix(records) -> EmbeddingMatrix:
     texts = [v for r in records for v in r.viewpoints]
-    return embed(texts, EmbeddingProvider(kind="stub", dimension=16))
+    return embed(texts, EmbeddingProvider(provider="stub", dimension=16))
 
 
 def random_instance(seed: int, max_nodes: int = 40):
@@ -51,7 +51,7 @@ def random_instance(seed: int, max_nodes: int = 40):
     matrix = EmbeddingMatrix(rng.normal(size=(total, 8)))
     k = int(rng.integers(1, 7))
     m = int(rng.integers(0, 12))
-    return records, matrix, GraphConfig(intra_k=k, inter_m=m)
+    return records, matrix, GraphConfig(k=k, m=m)
 
 
 def tied_instance(seed: int):
@@ -64,13 +64,13 @@ def tied_instance(seed: int):
     )
     distinct = rng.normal(size=(int(rng.integers(2, 6)), 5))
     rows = distinct[rng.integers(len(distinct), size=sum(sizes))]
-    config = GraphConfig(intra_k=int(rng.integers(1, 5)), inter_m=int(rng.integers(0, 9)))
+    config = GraphConfig(k=int(rng.integers(1, 5)), m=int(rng.integers(0, 9)))
     return records, rows, config
 
 
 def assert_matches_brute_force(graph, rows):
     config = graph.config
-    expected = brute_force_graph_edges(graph.idea, rows, config.intra_k, config.inter_m, config.weight_floor)
+    expected = brute_force_graph_edges(graph.idea, rows, config.k, config.m, config.weight_floor)
     got = edge_dict(graph)
     assert set(got) == set(expected)
     for key, (w, kind) in expected.items():
@@ -104,7 +104,7 @@ class TestBuildSubgraph:
     def test_three_nodes_form_triangle(self):
         records = records_from({"a": ["va", "vb", "vc"]})
         matrix = stub_matrix(records)
-        graph = build_graph(records, matrix, GraphConfig(intra_k=5))
+        graph = build_graph(records, matrix, GraphConfig(k=5))
         assert set(edge_dict(graph)) == {(0, 1), (0, 2), (1, 2)}
 
     def test_negative_cosine_clamped_to_floor(self):
@@ -118,12 +118,12 @@ class TestBuildSubgraph:
 class TestBuildGraph:
     def test_single_idea_no_inter_edges(self):
         records = records_from({"a": ["v1", "v2", "v3"]})
-        graph = build_graph(records, stub_matrix(records), GraphConfig(inter_m=10))
+        graph = build_graph(records, stub_matrix(records), GraphConfig(m=10))
         assert graph.intra.all()
 
     def test_two_singleton_ideas_one_inter_edge(self):
         records = records_from({"a": ["va"], "b": ["vb"]})
-        graph = build_graph(records, stub_matrix(records), GraphConfig(inter_m=1))
+        graph = build_graph(records, stub_matrix(records), GraphConfig(m=1))
         assert len(graph.weight) == 1
         assert not graph.intra[0]
 
@@ -159,8 +159,8 @@ class TestBuildGraph:
         for node, idea in enumerate(graph.idea):
             siblings = len(graph.idea_nodes[idea]) - 1
             foreign = len(graph) - siblings - 1
-            assert kind_degree(graph, node, "intra") >= min(config.intra_k, siblings)
-            assert kind_degree(graph, node, "inter") >= min(config.inter_m, foreign)
+            assert kind_degree(graph, node, "intra") >= min(config.k, siblings)
+            assert kind_degree(graph, node, "inter") >= min(config.m, foreign)
 
     def test_permutation_stable(self):
         records, matrix, config = random_instance(7)
@@ -204,15 +204,15 @@ class TestIntegrate:
     def test_new_node_inter_degree(self):
         base = records_from({"a": ["a0", "a1"], "b": ["b0", "b1", "b2"]})
         matrix5 = stub_matrix(base)
-        graph = build_graph(base, matrix5, GraphConfig(inter_m=3))
+        graph = build_graph(base, matrix5, GraphConfig(m=3))
         new = IdeaViewpoints(idea_id="c", viewpoints=("c0",), timestamp=0)
         extended = embed(
             [v for r in base for v in r.viewpoints] + ["c0"],
-            EmbeddingProvider(kind="stub", dimension=16),
+            EmbeddingProvider(provider="stub", dimension=16),
         )
         grown = integrate_subgraph(graph, [new], extended)
         new_id = grown.idea_nodes["c"][0]
-        assert kind_degree(grown, new_id, "inter") == min(graph.config.inter_m, len(graph))
+        assert kind_degree(grown, new_id, "inter") == min(graph.config.m, len(graph))
 
     def test_duplicate_idea_rejected(self):
         records = records_from({"a": ["v1"]})
@@ -230,8 +230,8 @@ class TestIntegrate:
         }
         records = records_from(spec)
         all_texts = [v for r in records for v in r.viewpoints]
-        config = GraphConfig(intra_k=5, inter_m=len(all_texts))
-        provider = EmbeddingProvider(kind="stub", dimension=16)
+        config = GraphConfig(k=5, m=len(all_texts))
+        provider = EmbeddingProvider(provider="stub", dimension=16)
         scratch = build_graph(records, embed(all_texts, provider), config)
 
         grown = ViewpointGraph(idea=[], text=[], t=[], config=config)
@@ -274,9 +274,9 @@ def per_node_propose(matrix, blocks, config, causal, top_k=True):
             siblings[i - lo] = np.inf
             foreign[lo:hi] = np.inf
             if top_k:
-                picked = lo + np.argsort(siblings, kind="stable")[: min(config.intra_k, hi - lo - 1)]
+                picked = lo + np.argsort(siblings, kind="stable")[: min(config.k, hi - lo - 1)]
                 proposed[True].append((i, picked, sims[picked]))
-            picked = np.argsort(foreign, kind="stable")[: min(config.inter_m, len(sims) - (hi - lo))]
+            picked = np.argsort(foreign, kind="stable")[: min(config.m, len(sims) - (hi - lo))]
             proposed[False].append((i, picked, sims[picked]))
     found = proposed[True] + proposed[False]
     counts = [len(targets) for _, targets, _ in found]
@@ -327,14 +327,14 @@ class TestAgainstPerNodeArgsort:
     def test_small_blocks_with_ties(self, seed, mode, k, m):
         causal, top_k, start = self.MODES[mode]
         matrix, blocks = block_instance(seed, start=start)
-        self.assert_same(matrix, blocks, GraphConfig(intra_k=k, inter_m=m), causal, top_k)
+        self.assert_same(matrix, blocks, GraphConfig(k=k, m=m), causal, top_k)
 
     @pytest.mark.parametrize("distinct", [6, 1000])
     @pytest.mark.parametrize("mode", MODES)
     def test_hundreds_of_nodes(self, mode, distinct):
         causal, top_k, start = self.MODES[mode]
         matrix, blocks = block_instance(1, dim=32, n_blocks=100, distinct=distinct, start=start)
-        self.assert_same(matrix, blocks, GraphConfig(intra_k=5, inter_m=10), causal, top_k)
+        self.assert_same(matrix, blocks, GraphConfig(k=5, m=10), causal, top_k)
 
 
 class TestSerialization:
@@ -422,11 +422,11 @@ class TestSerialization:
 class TestConfig:
     def test_defaults(self):
         config = GraphConfig()
-        assert (config.intra_k, config.inter_m) == (5, 10)
+        assert (config.k, config.m) == (5, 10)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            GraphConfig(intra_k=0)
+            GraphConfig(k=0)
 
 
 class TestHybrid:
@@ -438,7 +438,7 @@ class TestHybrid:
             pairs=(("first claim", "however", "opposing", "second claim"),),
         )
         matrix = stub_matrix([rec])
-        graph = build_graph([rec], matrix, GraphConfig(), hybrid=True)
+        graph = build_graph([rec], matrix, GraphConfig(hybrid=True))
         intra = [(u, v, pol) for u, v, pol in zip(graph.u, graph.v, graph.polarity) if pol]
         assert graph.intra.sum() == len(intra) == 1
         assert intra == [(0, 1, "opposing")]

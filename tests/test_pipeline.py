@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,12 +12,25 @@ import numpy as np
 import pytest
 
 from viewgraph import gnn, novelty, pipeline
+from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import load_corpus, save_corpus
-from viewgraph.embedding import EmbeddingMatrix, load_embeddings, save_embeddings
+from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
-from viewgraph.graph import load_graph
-from viewgraph.pipeline import FILES, ConfigError, StageError, run_pipeline, run_train, seed_for, validate_config
+from viewgraph.gnn import GnnConfig
+from viewgraph.graph import GraphConfig, load_graph
+from viewgraph.label_prop import LpConfig
+from viewgraph.pipeline import (
+    FILES,
+    ConfigError,
+    StageError,
+    dict_hash,
+    run_pipeline,
+    run_train,
+    seed_for,
+    stage_table,
+    validate_config,
+)
 
 
 class TestValidateConfig:
@@ -79,6 +93,79 @@ class TestValidateConfig:
         path.write_text(json.dumps({"seed": 5, "engine": "both"}))
         config = validate_config(path)
         assert config.seed == 5 and config.engine == "both"
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, message",
+    [
+        (GraphConfig, {"k": 0}, "k: must be >= 1, got 0"),
+        (GraphConfig, {"m": -1, "weight_floor": 2.0}, "m: must be >= 0, got -1; weight_floor: must be in [0, 1], got 2.0"),
+        (LpConfig, {"max_iters": 0}, "max_iters: must be >= 1, got 0"),
+        (GnnConfig, {"hidden_dim": 0}, "hidden_dim: must be >= 1, got 0"),
+        (GnnConfig, {"learning_rate": "fast"}, "learning_rate: must be a float, got str"),
+        (EmbeddingProvider, {"dimension": 1}, "dimension: must be >= 2, got 1"),
+        (EmbeddingProvider, {"provider": "cloud"}, "provider: must be stub or remote, got 'cloud'"),
+    ],
+)
+def test_config_type_names_bad_fields(cls, kwargs, message):
+    """The config file's sections are these types: building one directly
+    meets the same rules, named by field."""
+    with pytest.raises(ValueError) as err:
+        cls(**kwargs)
+    assert str(err.value) == message
+
+
+class TestRunDirectoryCompatibility:
+    """An existing run directory reruns a stage whose config snapshot hash
+    changed, so a renamed field or a changed default reruns every stage
+    that reads it. These pin the config and the stage hashes."""
+
+    DEFAULT_CONFIG = (
+        '{"corpus": "corpus.jsonl", "out_dir": "run", "seed": 0, "engine": "lp", '
+        '"split": {"fractions": [0.7, 0.1, 0.2]}, '
+        '"llm": {"backend": "mock", "endpoint": "", "model": "", "temperature": 0.1, "max_retries": 3, '
+        '"price_per_million": 0.0, "relations": false, "max_inflight": 4}, '
+        '"embedding": {"provider": "stub", "dimension": 32, "endpoint": "", "model": ""}, '
+        '"graph": {"k": 5, "m": 10, "weight_floor": 0.0, "hybrid": false}, '
+        '"lp": {"max_iters": 5, "early_stop": true}, '
+        '"gnn": {"layers": 2, "hidden_dim": 64, "batch_size": 64, "max_epochs": 1000, "learning_rate": 0.001, '
+        '"class_weighting": false}, '
+        '"novelty": {"enabled": false, "count": 80, "train_subset": 10, "threshold": 1, "swap_fraction": 0.5}}'
+    )
+    STAGE_HASHES = {
+        "split": "64fe6b337e305f6dc549663a9e5892f9290b2c4c75380efb7208e6168dced2cb",
+        "extract": "abdd7387f801482acd876589a9760bc33a0f08454ad2682903d635c1e07f1c43",
+        "embed": "bacd8882785755013309f2efd8f5bbe73159fff45d8fdc468d41c85e41370f98",
+        "build": "3ebb60a0f1da580ae6ccd636226bd684f6c2d6a4a5bc96942e0862a93aa6b19e",
+        "gen-negatives": "a3bc2d0b9d151731b241a00fad8d65e1145c328c3113755dfa234c7799114c88",
+        "lp": "2913cb823541454d81af69df24115044b0f8d4438f318bdc229fc7c6ae766280",
+        "train": "e432d57fedb1972fc0f2f9aa70907947a32cf1189f53cd8c0f1b55f4d079f628",
+        "eval": "6ceb8cbd6f6801fad42d8fd398b6af41dd7e8ce4e8a247e417f02a314d8974fc",
+    }
+
+    def test_default_config_pinned_key_by_key_in_order(self):
+        assert json.dumps(asdict(validate_config({}))) == self.DEFAULT_CONFIG
+        assert validate_config({}).split.fractions == (0.7, 0.1, 0.2)
+
+    @pytest.mark.parametrize("data", [{}, {"engine": "both", "novelty": {"enabled": True}}], ids=["default", "all-stages"])
+    def test_stage_config_hashes_pinned(self, data):
+        hashes = {stage.name: dict_hash(stage.cfg) for stage in stage_table(validate_config(data))}
+        assert hashes == {name: self.STAGE_HASHES[name] for name in hashes}
+        assert len(hashes) == (6 if not data else 8)
+
+    def test_value_flags_name_config_keys(self):
+        config = asdict(validate_config({}))
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in subparsers.choices.values() for a in p._actions if "." in a.dest}
+        for dest in dests:
+            section, key = dest.split(".")
+            assert key in config[section], dest
+        assert dests == {
+            "split.fractions", "llm.backend", "llm.relations", "embedding.provider", "embedding.dimension",
+            "graph.k", "graph.m", "graph.weight_floor", "graph.hybrid", "lp.max_iters", "lp.early_stop",
+            "gnn.hidden_dim", "gnn.max_epochs", "gnn.batch_size", "gnn.learning_rate", "novelty.count",
+            "novelty.train_subset", "novelty.threshold", "novelty.swap_fraction",
+        }
 
 
 @pytest.fixture()
@@ -208,9 +295,9 @@ def two_pass_train_and_predict(paths, config, split):
         return graph, matrix, corpus, negatives
 
     graph, matrix, corpus, negatives = training_inputs()
-    gnn_config = gnn.GnnConfig(**asdict(config.gnn), seed=seed_for(config.seed, "train"))
-    result = gnn.train(gnn_config, graph, matrix, corpus, negatives or None)
-    gnn.save_model(result.model, paths["model"], gnn_config, corpus.label_set.labels,
+    seed = seed_for(config.seed, "train")
+    result = gnn.train(config.gnn, graph, matrix, corpus, negatives or None, seed=seed)
+    gnn.save_model(result.model, paths["model"], config.gnn, corpus.label_set.labels, seed=seed,
                    epoch=result.best_epoch, validation_score=result.best_val_f1)
     graph, matrix, corpus, _ = training_inputs()
     model, _ = gnn.load_model(paths["model"])
@@ -369,8 +456,9 @@ class TestCli:
             ('{"a": 1, "b": Infinity}', "key 'b' must be a finite number >= 0, got inf"),
             ('{"a": 1, "b": -0.5}', "key 'b' must be a finite number >= 0, got -0.5"),
             ("{1: 2}", "not JSON"),
+            ('{"a": 0, "b": 0}', "all costs are zero; nothing to normalize against"),
         ],
-        ids=["list", "empty", "string", "bool", "nan", "infinity", "negative", "not-json"],
+        ids=["list", "empty", "string", "bool", "nan", "infinity", "negative", "not-json", "all-zero"],
     )
     def test_eval_names_bad_costs_file(self, tmp_path, capsys, demo_file, text, problem):
         preds, costs = tmp_path / "preds.jsonl", tmp_path / "costs.json"
