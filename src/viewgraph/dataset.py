@@ -24,14 +24,16 @@ SPLITS = ("train", "validation", "test")
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus files; carries the offending line."""
+    """Raised for malformed corpus files; carries the file and the
+    offending line."""
 
-    def __init__(self, message: str, line_no: Optional[int] = None, raw: Optional[str] = None):
+    def __init__(self, path: str | Path, message: str, line_no: Optional[int] = None, raw: Optional[str] = None):
+        self.path = path
         self.line_no = line_no
         self.raw = raw
         if line_no is not None:
             message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -127,30 +129,32 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON ({exc.msg}): {line!r}", line_no, raw) from exc
+                raise CorpusFormatError(path, f"invalid JSON ({exc.msg}): {line!r}", line_no, raw) from exc
             if header_labels is None:
                 if not isinstance(obj, dict) or "labels" not in obj:
                     raise CorpusFormatError(
+                        path,
                         f"first line must be a header {{\"labels\": [...]}}, got: {line!r}",
                         line_no,
                         raw,
                     )
                 if broken := problem(obj["labels"], STRINGS):
-                    raise CorpusFormatError(f"header key 'labels' {broken}", line_no, raw)
+                    raise CorpusFormatError(path, f"header key 'labels' {broken}", line_no, raw)
                 header_labels = LabelSet(tuple(obj["labels"]))
                 continue
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise CorpusFormatError(f"record needs 'id' and 'text' fields: {line!r}", line_no, raw)
+                raise CorpusFormatError(path, f"record needs 'id' and 'text' fields: {line!r}", line_no, raw)
             idea_id = str(obj["id"])
             if idea_id in seen_lines:
                 raise CorpusFormatError(
+                    path,
                     f"duplicate id {idea_id!r} (first seen on line {seen_lines[idea_id]})",
                     line_no,
                     raw,
                 )
             seen_lines[idea_id] = line_no
             if broken := problem(obj.get("timestamp", 0), COUNT):
-                raise CorpusFormatError(f"key 'timestamp' {broken}", line_no, raw)
+                raise CorpusFormatError(path, f"key 'timestamp' {broken}", line_no, raw)
             label_name = obj.get("label")
             if label_name is None:
                 label = None
@@ -158,7 +162,7 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
                 try:
                     label = header_labels.index_of(str(label_name))
                 except ValueError as exc:
-                    raise CorpusFormatError(str(exc), line_no, raw) from exc
+                    raise CorpusFormatError(path, str(exc), line_no, raw) from exc
             try:
                 ideas.append(
                     Idea(
@@ -171,11 +175,12 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
                     )
                 )
             except ValueError as exc:
-                raise CorpusFormatError(str(exc), line_no, raw) from exc
+                raise CorpusFormatError(path, str(exc), line_no, raw) from exc
     if header_labels is None:
-        raise CorpusFormatError("empty corpus file: missing header line", 1, "")
+        raise CorpusFormatError(path, "empty corpus file: missing header line", 1, "")
     if label_set is not None and tuple(label_set.labels) != tuple(header_labels.labels):
         raise CorpusFormatError(
+            path,
             f"header labels {list(header_labels.labels)} do not match expected {list(label_set.labels)}"
         )
     return Corpus(label_set=header_labels, ideas=ideas)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -82,14 +83,17 @@ class ViewpointGraph:
         order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
         self.u, self.v = np.minimum(a, b)[order], np.maximum(a, b)[order]
         self.weight, self.intra = weight[order], intra[order]
-        self.polarity = [None if polarity is None else polarity[i] for i in order]
+        self.polarity = [None] * len(order) if polarity is None else [polarity[i] for i in order.tolist()]
         self.idea_nodes: dict[str, list[int]] = {}
         for node, idea_id in enumerate(self.idea):
             self.idea_nodes.setdefault(idea_id, []).append(node)
         self._validate()
 
-        src, dst = np.concatenate([self.v, self.u]), np.concatenate([self.u, self.v])
-        order = np.lexsort((src, dst))
+        # Edges are sorted by (u, v) with u < v, so a stable sort by dst
+        # keeps each node's sources ascending: the lower ends of its edges,
+        # then the upper ends.
+        src, dst = np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u])
+        order = np.argsort(dst, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
         self.arcs = Arcs(src[order], dst[order], np.concatenate([self.weight, self.weight])[order], indptr)
@@ -326,48 +330,97 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> ViewpointGraph:
+    """Read a graph written by ``save_graph``. Nodes and edges are checked
+    a key or column at a time; a malformed file raises a ValueError naming
+    the file, the config, or the first bad node or edge."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     for key in ("config", "nodes", "edges"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"graph file {path} has no {key!r}")
+        if key != "config" and not isinstance(payload[key], list):
+            raise ValueError(f"graph file {path}: {key!r} must be a list, got {type(payload[key]).__name__}")
     cfg = payload["config"]
+    if not (isinstance(cfg, dict) and "k" in cfg and "m" in cfg):
+        raise ValueError(f"graph file {path}: config needs numbers k, m and weight_floor, got {cfg!r}")
     try:
-        k, m, floor = int(cfg["k"]), int(cfg["m"]), float(cfg.get("weight_floor", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"graph file {path}: config needs numbers k, m and weight_floor, got {cfg!r}") from exc
-    config = GraphConfig(k=k, m=m, weight_floor=floor)
-    nodes = payload["nodes"]
-    for i, node in enumerate(nodes):
-        if not (
-            isinstance(node, dict)
-            and node.get("id") == i
-            and isinstance(node.get("idea"), str)
-            and isinstance(node.get("text"), str)
-            and _is_number(node.get("t", 0.0))
-        ):
-            raise ValueError(f"node {i}: expected {{id: {i}, idea, text, t}}, got {node!r}")
-    edges = payload["edges"]
-    for i, e in enumerate(edges):
-        if not (
-            isinstance(e, list)
-            and len(e) in (4, 5)
-            and all(type(x) is int for x in e[:2])
-            and _is_number(e[2])
-            and e[3] in (INTRA, INTER)
-            and (len(e) == 4 or isinstance(e[4], str))
-        ):
-            raise ValueError(f"edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
-    columns = list(zip(*edges)) if edges else [()] * 4
+        config = GraphConfig(k=cfg["k"], m=cfg["m"], weight_floor=cfg.get("weight_floor", 0.0))
+    except ValueError as exc:
+        raise ValueError(f"graph file {path}: config {exc}") from None
+    nodes, edges = payload["nodes"], payload["edges"]
+    node_columns = _node_columns(nodes)
+    if node_columns is None:
+        i, node = next((i, node) for i, node in enumerate(nodes) if not _node_ok(i, node))
+        raise ValueError(f"node {i}: expected {{id: {i}, idea, text, t}}, got {node!r}")
+    edge_columns = _edge_columns(edges)
+    if edge_columns is None:
+        i, e = next((i, e) for i, e in enumerate(edges) if not _edge_ok(e))
+        raise ValueError(f"edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
+    idea, text, t = node_columns
+    u, v, weight, kind, polarity = edge_columns
     return ViewpointGraph(
-        idea=[n["idea"] for n in nodes],
-        text=[n["text"] for n in nodes],
-        t=[float(n.get("t", 0.0)) for n in nodes],
-        u=columns[0],
-        v=columns[1],
-        weight=columns[2],
-        intra=[kind == INTRA for kind in columns[3]],
-        polarity=[e[4] if len(e) > 4 else None for e in edges],
-        config=config,
+        idea=idea, text=text, t=t, u=u, v=v, weight=weight,
+        intra=list(map(INTRA.__eq__, kind)), polarity=polarity, config=config,
+    )
+
+
+def _types(column) -> set:
+    return set(map(type, column))
+
+
+def _node_columns(nodes: list):
+    """The idea, text and t columns of ``nodes``, or None when some node
+    fails ``_node_ok``; each key is checked over all nodes at once."""
+    if not _types(nodes) <= {dict}:
+        return None
+    ids, idea, text = (list(map(dict.get, nodes, repeat(key))) for key in ("id", "idea", "text"))
+    t = list(map(dict.get, nodes, repeat("t"), repeat(0.0)))
+    if ids == list(range(len(nodes))) and _types(idea) | _types(text) <= {str} and _types(t) <= {int, float}:
+        return idea, text, t
+    return None
+
+
+def _node_ok(i: int, node) -> bool:
+    return (
+        isinstance(node, dict)
+        and node.get("id") == i
+        and isinstance(node.get("idea"), str)
+        and isinstance(node.get("text"), str)
+        and _is_number(node.get("t", 0.0))
+    )
+
+
+def _edge_columns(edges: list):
+    """The u, v, weight, kind and polarity columns of ``edges`` (polarity
+    None when no edge has one), or None when some edge fails ``_edge_ok``;
+    each column is checked at once."""
+    if not edges:
+        return (), (), (), (), None
+    if not _types(edges) <= {list}:
+        return None
+    lengths = set(map(len, edges))
+    if not lengths <= {4, 5}:
+        return None
+    u, v, weight, kind, *_ = zip(*edges)
+    # types before values: an unhashable kind must not reach set()
+    if not (_types(u) | _types(v) <= {int} and _types(weight) <= {int, float}
+            and _types(kind) <= {str} and set(kind) <= {INTRA, INTER}):
+        return None
+    polarity = None
+    if 5 in lengths:  # zip stops at the shortest edge, so check the fifth entries on their own
+        if not _types(e[4] for e in edges if len(e) == 5) <= {str}:
+            return None
+        polarity = [e[4] if len(e) == 5 else None for e in edges]
+    return u, v, weight, kind, polarity
+
+
+def _edge_ok(e) -> bool:
+    return (
+        isinstance(e, list)
+        and len(e) in (4, 5)
+        and all(type(x) is int for x in e[:2])
+        and _is_number(e[2])
+        and e[3] in (INTRA, INTER)
+        and (len(e) == 4 or isinstance(e[4], str))
     )
 
 

@@ -25,9 +25,10 @@ from typing import Optional, Sequence
 
 import requests
 
-from .dataset import Idea, IdeaViewpoints, must, normalize_text
+from .dataset import Idea, IdeaViewpoints, at_least, must, normalize_text
 
 POLARITIES = ("supporting", "opposing")
+PRICE_RULE = at_least(0.0)
 
 
 class LlmParseError(ValueError):
@@ -51,8 +52,10 @@ class TokenUsage:
     price_per_million: float = 0.0
 
     def __post_init__(self):
-        if self.prompt_tokens < 0 or self.completion_tokens < 0 or self.price_per_million < 0:
-            raise ValueError("token counts and price must be non-negative")
+        if self.prompt_tokens < 0 or self.completion_tokens < 0:
+            raise ValueError("token counts must be non-negative")
+        if broken := PRICE_RULE(self.price_per_million):
+            raise ValueError(f"price_per_million: {broken}")
 
     @property
     def total(self) -> int:

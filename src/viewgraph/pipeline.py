@@ -43,7 +43,7 @@ from .dataset import (
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
 from .graph import GraphConfig, build_graph, load_graph, save_graph
-from .llm import BACKEND_RULE, TEMPERATURE_RULE, LlmBackend, TokenUsage, extract_corpus, token_cost
+from .llm import BACKEND_RULE, PRICE_RULE, TEMPERATURE_RULE, LlmBackend, TokenUsage, extract_corpus, token_cost
 from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
 ENGINES = ("lp", "gnn", "both")
@@ -75,7 +75,7 @@ class LlmSettings(Checked):
     model: str = ""
     temperature: float = setting(0.1, TEMPERATURE_RULE)
     max_retries: int = setting(3, at_least(1))
-    price_per_million: float = 0.0
+    price_per_million: float = setting(0.0, PRICE_RULE)
     relations: bool = False
     max_inflight: int = 4
 

@@ -89,7 +89,7 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(path)
         assert err.value.line_no == line_no
-        assert str(err.value) == f"line {line_no}: {message}"
+        assert str(err.value) == f"{path}: line {line_no}: {message}"
 
     def test_missing_timestamp_reads_as_zero(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -106,8 +106,10 @@ class TestLoadCorpus:
     def test_label_set_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [header(("Reject", "Accept")), record("a")])
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(CorpusFormatError) as err:
             load_corpus(path, label_set=FOUR)
+        assert err.value.path == path and err.value.line_no is None
+        assert str(err.value).startswith(f"{path}: header labels ['Reject', 'Accept'] do not match")
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -337,6 +337,24 @@ class TestAgainstPerNodeArgsort:
         self.assert_same(matrix, blocks, GraphConfig(k=5, m=10), causal, top_k)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_arcs_are_each_edge_both_ways_by_dst_then_src(seed):
+    """The directed view against a lexsort of both directions, on edges
+    given shuffled and in either orientation."""
+    records, rows, config = tied_instance(seed)
+    built = build_graph(records, EmbeddingMatrix(rows), config)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(built.weight))
+    flip = rng.random(len(order)) < 0.5
+    u, v = np.where(flip, built.v, built.u)[order], np.where(flip, built.u, built.v)[order]
+    graph = ViewpointGraph(built.idea, built.text, built.t, u, v, built.weight[order], built.intra[order])
+    src, dst = np.r_[graph.u, graph.v], np.r_[graph.v, graph.u]
+    want = np.lexsort((src, dst))
+    assert np.array_equal(graph.arcs.src, src[want]) and np.array_equal(graph.arcs.dst, dst[want])
+    assert np.array_equal(graph.arcs.weight, np.r_[graph.weight, graph.weight][want])
+    assert np.array_equal(graph.arcs.indptr, np.r_[0, np.cumsum(np.bincount(dst, minlength=len(graph)))])
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         records, matrix, config = random_instance(3)
@@ -381,27 +399,96 @@ class TestSerialization:
         with pytest.raises(ValueError, match="intra"):
             load_graph(path)
 
+    DELETE = object()
+    EDGE = "expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got"
+    NODE_1 = "expected {id: 1, idea, text, t}, got"
+
+    # Each file is refused with the message, and at the index, of the
+    # per-entry checks; PATH stands for the file.
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("edges", [[0, 1, 0.5, "inter"], [0, 1]], "edge 1"),
-            ("edges", [[0.5, 1, 0.3, "intra"]], "edge 0"),
-            ("nodes", None, "nodes"),
-            ("config", {"k": None, "m": 10}, "config"),
-            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 5, "idea": "b", "text": "y"}], "node 1"),
+            ("edges", [[0, 1, 0.5, "inter"], [0, 1]], f"edge 1: {EDGE} [0, 1]"),
+            ("edges", [[0.5, 1, 0.3, "intra"]], f"edge 0: {EDGE} [0.5, 1, 0.3, 'intra']"),
+            ("nodes", DELETE, "graph file PATH has no 'nodes'"),
+            ("config", {"k": None, "m": 10}, "graph file PATH: config k: must be an int, got NoneType"),
+            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 5, "idea": "b", "text": "y"}],
+             f"node 1: {NODE_1} {{'id': 5, 'idea': 'b', 'text': 'y'}}"),
+            ("edges", [[0, 1, 0.5, "inter"], [1, 0, 0.5, "inter"], [0, 1, "x", "inter"], [0, 1]],
+             f"edge 2: {EDGE} [0, 1, 'x', 'inter']"),
+            ("edges", [[True, 1, 0.5, "inter"]], f"edge 0: {EDGE} [True, 1, 0.5, 'inter']"),
+            ("edges", [[0, 1, 0.5, "inter"], [1.0, 0, 0.5, "inter"]], f"edge 1: {EDGE} [1.0, 0, 0.5, 'inter']"),
+            ("edges", [[0, 1, True, "inter"]], f"edge 0: {EDGE} [0, 1, True, 'inter']"),
+            ("edges", [[0, 1, "0.5", "inter"]], f"edge 0: {EDGE} [0, 1, '0.5', 'inter']"),
+            ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, ["inter"]]], f"edge 1: {EDGE} [0, 1, 0.5, ['inter']]"),
+            ("edges", [[0, 1, 0.5, "cross"]], f"edge 0: {EDGE} [0, 1, 0.5, 'cross']"),
+            ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, "inter", "opposing"], [1, 0, 0.5, "inter", 3]],
+             f"edge 2: {EDGE} [1, 0, 0.5, 'inter', 3]"),
+            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, ["b", "y"]], f"node 1: {NODE_1} ['b', 'y']"),
+            ("nodes", [{"id": 1, "idea": "b", "text": "y"}, {"id": 0, "idea": "a", "text": "x"}],
+             "node 0: expected {id: 0, idea, text, t}, got {'id': 1, 'idea': 'b', 'text': 'y'}"),
+            ("nodes", None, "graph file PATH: 'nodes' must be a list, got NoneType"),
+            ("edges", None, "graph file PATH: 'edges' must be a list, got NoneType"),
+            ("edges", {"0": [0, 1, 0.5, "inter"]}, "graph file PATH: 'edges' must be a list, got dict"),
+            ("config", {"k": 1.5, "m": 10}, "graph file PATH: config k: must be an int, got float"),
+            ("config", {"k": 5, "m": True}, "graph file PATH: config m: must be an int, got bool"),
+            ("config", {"k": 5, "m": 10, "weight_floor": "0"}, "graph file PATH: config weight_floor: must be a float, got str"),
+            ("config", {"k": 0, "m": 10, "weight_floor": 2.0},
+             "graph file PATH: config k: must be >= 1, got 0; weight_floor: must be in [0, 1], got 2.0"),
+            ("config", {"m": 10}, "graph file PATH: config needs numbers k, m and weight_floor, got {'m': 10}"),
         ],
-        ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order"],
+        ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order",
+             "first-bad-edge-of-several", "bool-u", "float-u", "bool-weight", "string-weight", "list-kind",
+             "unknown-kind", "int-polarity-after-short-rows", "non-dict-node", "node-ids-swapped",
+             "null-nodes", "null-edges", "dict-edges", "fractional-k", "bool-m", "string-weight-floor",
+             "config-out-of-range", "config-without-k"],
     )
     def test_malformed_entry_named(self, tmp_path, key, value, message):
         payload = self._payload()
-        if value is None:
+        if value is self.DELETE:
             del payload[key]
         else:
             payload[key] = value
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as err:
             load_graph(path)
+        assert str(err.value) == message.replace("PATH", str(path))
+
+    def test_config_without_weight_floor_loads_as_zero(self, tmp_path):
+        payload = self._payload()
+        del payload["config"]["weight_floor"]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert load_graph(path).config == GraphConfig(k=5, m=10, weight_floor=0.0)
+
+    def test_hybrid_graph_round_trips_byte_for_byte(self, tmp_path):
+        rec = IdeaViewpoints(
+            idea_id="a",
+            viewpoints=("first claim", "second claim", "third claim"),
+            pairs=(("first claim", "however", "opposing", "second claim"),
+                   ("third claim", "so", "supporting", "first claim")),
+        )
+        records = [rec] + records_from({"b": ["other claim", "more claim"]})
+        graph = build_graph(records, stub_matrix(records), GraphConfig(hybrid=True, m=2))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_graph(graph, first)
+        loaded = load_graph(first)
+        save_graph(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.polarity == graph.polarity and {"opposing", "supporting"} <= set(loaded.polarity)
+
+    def test_built_graph_loads_back_column_for_column(self, tmp_path):
+        records = records_from({f"idea{i}": [f"idea {i} claim {j} on topic {(i * j) % 7}" for j in range(6)]
+                                for i in range(100)})
+        graph = build_graph(records, stub_matrix(records))
+        path = tmp_path / "graph.json"
+        save_graph(graph, path)
+        loaded = load_graph(path)
+        for name in ("u", "v", "weight", "intra"):
+            assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
+        assert loaded.polarity == graph.polarity == [None] * len(graph.weight)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.arcs, graph.arcs))
 
     def test_weight_out_of_range_rejected(self, tmp_path):
         payload = self._payload()

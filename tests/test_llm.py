@@ -201,6 +201,10 @@ class TestTokenCost:
         with pytest.raises(ValueError):
             token_cost([])
 
+    def test_negative_price_named(self):
+        with pytest.raises(ValueError, match=r"^price_per_million: must be >= 0.0, got -1.0$"):
+            TokenUsage(1, 1, -1.0)
+
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
     def test_total_is_sum(self, p, c):

@@ -88,6 +88,16 @@ class TestValidateConfig:
         stderr = capsys.readouterr().err
         assert f"{path}: must be" in stderr and "Traceback" not in stderr
 
+    def test_negative_price_reported_at_llm_price(self, tmp_path, capsys):
+        data = {"llm": {"price_per_million": -1.0}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.errors == ["llm.price_per_million: must be >= 0.0, got -1.0"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
+        assert "llm.price_per_million: must be >= 0.0" in capsys.readouterr().err
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 5, "engine": "both"}))
@@ -492,6 +502,16 @@ class TestCli:
         assert f"embeddings file {emb}: row 0 has id {bad_ids[0]!r}, expected {ids[0]!r}" in stderr
         assert "Traceback" not in stderr
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+    def test_lp_names_graph_file_with_null_edges(self, tmp_path, capsys, demo_file):
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        run, graph = tmp_path / "run", tmp_path / "graph.json"
+        graph.write_text(json.dumps({**json.loads((run / "graph.json").read_text()), "edges": None}))
+        argv = ["lp", "--graph", graph, "--corpus", run / "split.jsonl", "--out", tmp_path / "lp.jsonl"]
+        assert self.run(*argv, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"graph file {graph}: 'edges' must be a list, got NoneType" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "lp.jsonl").exists()
 
     def test_eval_without_predictions_named(self, tmp_path, capsys, demo_file):
         assert self.run("eval", "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
