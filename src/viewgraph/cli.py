@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline
+from .llm import LlmTransportError
 from .metrics import MetricReport, format_table
 from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate_config
 
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except StageError as exc:
+    except (StageError, LlmTransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .dataset import Checked, at_least, must, setting
 from .llm import auth_headers
@@ -42,6 +41,11 @@ def stub_vector(text: str, dimension: int) -> np.ndarray:
 
 
 def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
+    """The endpoint's vectors for ``texts``; a response without ``data``
+    or an item without an ``embedding`` list raises a ValueError naming
+    the endpoint."""
+    import requests  # only the remote path loads the HTTP client
+
     resp = requests.post(
         provider.endpoint,
         json={"model": provider.model, "input": list(texts)},
@@ -49,7 +53,14 @@ def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[l
         timeout=60,
     )
     resp.raise_for_status()
-    data = resp.json()["data"]
+    body = resp.json()
+    where = f"embedding endpoint {provider.endpoint}"
+    data = body.get("data") if isinstance(body, dict) else None
+    if not isinstance(data, list):
+        raise ValueError(f"{where}: response needs a 'data' list, got {str(body)[:200]}")
+    for i, item in enumerate(data):
+        if not (isinstance(item, dict) and isinstance(item.get("embedding"), list)):
+            raise ValueError(f"{where}: data item {i} needs an 'embedding' list, got {str(item)[:200]}")
     return [item["embedding"] for item in data]
 
 

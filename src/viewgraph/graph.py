@@ -357,10 +357,35 @@ def load_graph(path: str | Path) -> ViewpointGraph:
         raise ValueError(f"edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
     idea, text, t = node_columns
     u, v, weight, kind, polarity = edge_columns
-    return ViewpointGraph(
-        idea=idea, text=text, t=t, u=u, v=v, weight=weight,
-        intra=list(map(INTRA.__eq__, kind)), polarity=polarity, config=config,
-    )
+    try:
+        return ViewpointGraph(
+            idea=idea, text=text, t=t, u=u, v=v, weight=weight,
+            intra=list(map(INTRA.__eq__, kind)), polarity=polarity, config=config,
+        )
+    except OverflowError as exc:
+        raise ValueError(f"graph file {path}: {_overflowing(nodes, edges) or exc}") from None
+
+
+def _overflowing(nodes: list, edges: list) -> Optional[str]:
+    """The first node or edge holding an int that numpy cannot store: an
+    endpoint outside int64, or a time feature or weight beyond float64."""
+
+    def too_big(x) -> bool:
+        try:
+            float(x)
+        except OverflowError:
+            return True
+        return False
+
+    for i, node in enumerate(nodes):
+        if too_big(node.get("t", 0.0)):
+            return f"node {i} has a time feature beyond float64, got {node['t']!r}"
+    for i, e in enumerate(edges):
+        if not all(-(2**63) <= x < 2**63 for x in e[:2]):
+            return f"edge {i} has an endpoint outside int64, got {e!r}"
+        if too_big(e[2]):
+            return f"edge {i} has a weight beyond float64, got {e!r}"
+    return None
 
 
 def _types(column) -> set:

@@ -19,11 +19,8 @@ from __future__ import annotations
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import requests
+from typing import Sequence
 
 from .dataset import Idea, IdeaViewpoints, at_least, must, normalize_text
 
@@ -192,16 +189,35 @@ class LlmBackend:
         return self._remote_complete(prompt)
 
     def _remote_complete(self, prompt: str) -> tuple[str, TokenUsage]:
+        """One chat completion. Connection errors, timeouts, 429 and 5xx
+        are retried with exponential backoff; any other failure, such as a
+        401 for a bad key, raises at once."""
+        import requests  # only the remote path loads the HTTP client
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
         }
-        last: Optional[Exception] = None
+        last = ""
         for attempt in range(1, self.max_retries + 1):
+            if attempt > 1:
+                time.sleep(self.backoff * 2 ** (attempt - 2))
             try:
                 resp = requests.post(self.endpoint, json=payload, headers=auth_headers(), timeout=120)
-                resp.raise_for_status()
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last = str(exc)
+                continue
+            except requests.RequestException as exc:
+                raise LlmTransportError(f"chat completion failed, not retried: {exc}", attempt) from exc
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last = f"HTTP {resp.status_code}"
+                continue
+            if resp.status_code >= 400:
+                raise LlmTransportError(
+                    f"chat completion refused with HTTP {resp.status_code}, not retried: {resp.text[:200]}", attempt
+                )
+            try:
                 body = resp.json()
                 text = body["choices"][0]["message"]["content"]
                 usage = body.get("usage") or {}
@@ -211,10 +227,6 @@ class LlmBackend:
                     # provider omitted usage metadata: approximate by word count
                     pt, ct = _word_count(prompt), _word_count(text)
                 return text, TokenUsage(int(pt), int(ct))
-            except requests.RequestException as exc:
-                last = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff * 2 ** (attempt - 1))
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise LlmParseError(f"malformed completion payload: {exc}", resp.text) from exc
         raise LlmTransportError(
@@ -450,6 +462,8 @@ def extract_corpus(
         return rec, dropped
 
     if backend.kind == "remote" and backend.max_inflight > 1 and len(ideas) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # remote only: it also loads logging
+
         with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
             results = list(pool.map(one, ideas))
     else:

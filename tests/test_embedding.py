@@ -119,6 +119,31 @@ class TestRemoteProvider:
         with pytest.raises(ValueError, match="1 vectors for 2 texts"):
             embed(["a", "b", "a"], provider)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"error": "quota"}, "response needs a 'data' list, got {'error': 'quota'}"),
+            ([[0.1, 0.2]], "response needs a 'data' list, got [[0.1, 0.2]]"),
+            ({"data": [{"embedding": [0.1, 0.2]}, {"vector": [0.3, 0.4]}]},
+             "data item 1 needs an 'embedding' list, got {'vector': [0.3, 0.4]}"),
+            ({"data": [{"embedding": None}]}, "data item 0 needs an 'embedding' list, got {'embedding': None}"),
+        ],
+        ids=["no-data", "not-an-object", "item-without-embedding", "null-embedding"],
+    )
+    def test_malformed_response_names_endpoint_and_key(self, monkeypatch, body, message):
+        class Resp:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return body
+
+        monkeypatch.setattr(requests, "post", lambda url, **kw: Resp())
+        provider = EmbeddingProvider(provider="remote", dimension=2, endpoint="http://x/embed")
+        with pytest.raises(ValueError) as err:
+            embed(["a", "b"], provider)
+        assert str(err.value) == f"embedding endpoint http://x/embed: {message}"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_named(self, monkeypatch, bad):
         monkeypatch.setattr(requests, "post", self._fake_post([[0.1, 0.2], [bad, 1.0]]))

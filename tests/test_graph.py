@@ -436,12 +436,20 @@ class TestSerialization:
             ("config", {"k": 0, "m": 10, "weight_floor": 2.0},
              "graph file PATH: config k: must be >= 1, got 0; weight_floor: must be in [0, 1], got 2.0"),
             ("config", {"m": 10}, "graph file PATH: config needs numbers k, m and weight_floor, got {'m': 10}"),
+            ("edges", [[0, 1, 0.5, "inter"], [2**70, 1, 0.5, "inter"]],
+             f"graph file PATH: edge 1 has an endpoint outside int64, got [{2**70}, 1, 0.5, 'inter']"),
+            ("edges", [[0, -(2**63) - 1, 0.5, "inter"]],
+             f"graph file PATH: edge 0 has an endpoint outside int64, got [0, {-(2**63) - 1}, 0.5, 'inter']"),
+            ("edges", [[0, 1, 10**400, "inter"]], f"graph file PATH: edge 0 has a weight beyond float64, got [0, 1, {10**400}, 'inter']"),
+            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 1, "idea": "b", "text": "y", "t": 10**400}],
+             f"graph file PATH: node 1 has a time feature beyond float64, got {10**400}"),
         ],
         ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order",
              "first-bad-edge-of-several", "bool-u", "float-u", "bool-weight", "string-weight", "list-kind",
              "unknown-kind", "int-polarity-after-short-rows", "non-dict-node", "node-ids-swapped",
              "null-nodes", "null-edges", "dict-edges", "fractional-k", "bool-m", "string-weight-floor",
-             "config-out-of-range", "config-without-k"],
+             "config-out-of-range", "config-without-k", "endpoint-beyond-int64", "negative-endpoint-beyond-int64",
+             "weight-beyond-float64", "t-beyond-float64"],
     )
     def test_malformed_entry_named(self, tmp_path, key, value, message):
         payload = self._payload()

@@ -266,6 +266,37 @@ class TestRemoteBackend:
             extract_viewpoints(idea("Anything."), backend)
         assert err.value.attempts == 3
 
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_client_error_fails_at_once(self, monkeypatch, status):
+        calls = []
+        monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or self._response({}, status))
+        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0, max_retries=3)
+        with pytest.raises(LlmTransportError, match=f"HTTP {status}, not retried") as err:
+            extract_viewpoints(idea("Anything."), backend)
+        assert calls == ["http://x"] and err.value.attempts == 1
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_rate_limit_and_server_errors_retried(self, monkeypatch, status):
+        calls = []
+        monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or self._response({}, status))
+        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0, max_retries=3)
+        with pytest.raises(LlmTransportError, match=f"after 3 attempts: HTTP {status}$") as err:
+            extract_viewpoints(idea("Anything."), backend)
+        assert len(calls) == 3 and err.value.attempts == 3
+
+    def test_invalid_url_fails_at_once(self, monkeypatch):
+        calls = []
+
+        def fake_post(url, **kw):
+            calls.append(url)
+            raise requests.exceptions.MissingSchema("no scheme")
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        backend = LlmBackend(kind="remote", endpoint="x", model="m", backoff=0.0, max_retries=3)
+        with pytest.raises(LlmTransportError, match="not retried: no scheme") as err:
+            extract_viewpoints(idea("Anything."), backend)
+        assert len(calls) == 1 and err.value.attempts == 1
+
     def test_usage_fallback_counts_words(self, monkeypatch):
         good = {"choices": [{"message": {"content": "[Extracted Viewpoints in Sentence 1]\n[a b c]"}}]}
         monkeypatch.setattr(requests, "post", lambda url, **kw: self._response(good))

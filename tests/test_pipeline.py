@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import requests
 
 from viewgraph import gnn, novelty, pipeline
 from viewgraph.cli import build_parser
@@ -399,6 +400,20 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert {"accuracy", "macro_precision", "macro_recall", "macro_f1"} <= set(payload["lp"])
 
+    def test_extract_names_refused_remote_call(self, tmp_path, capsys, demo_file, monkeypatch):
+        class Resp:
+            status_code = 401
+            text = "bad key"
+
+        monkeypatch.setattr(requests, "post", lambda url, **kw: Resp())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm": {"backend": "remote", "endpoint": "http://x", "max_inflight": 1}}))
+        argv = ["extract", "--in", demo_file, "--out", tmp_path / "views.jsonl", "--config", config]
+        assert self.run(*argv, "--quiet") == 1
+        stderr = capsys.readouterr().err
+        assert "error: chat completion refused with HTTP 401, not retried: bad key" in stderr
+        assert "Traceback" not in stderr and not (tmp_path / "views.jsonl").exists()
+
     def test_train_predict_with_negatives(self, tmp_path):
         corpus_file = tmp_path / "sep.jsonl"
         save_corpus(separable_corpus(n_ideas=16), corpus_file)
@@ -512,6 +527,18 @@ class TestCli:
         stderr = capsys.readouterr().err
         assert f"graph file {graph}: 'edges' must be a list, got NoneType" in stderr and "Traceback" not in stderr
         assert not (tmp_path / "lp.jsonl").exists()
+
+    def test_lp_names_graph_edge_beyond_int64(self, tmp_path, capsys, demo_file):
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        run, graph = tmp_path / "run", tmp_path / "graph.json"
+        payload = json.loads((run / "graph.json").read_text())
+        payload["edges"][3][0] = 2**70
+        graph.write_text(json.dumps(payload))
+        argv = ["lp", "--graph", graph, "--corpus", run / "split.jsonl", "--out", tmp_path / "lp.jsonl"]
+        assert self.run(*argv, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert f"error: graph file {graph}: edge 3 has an endpoint outside int64, got [{2**70}," in stderr
+        assert "Traceback" not in stderr and not (tmp_path / "lp.jsonl").exists()
 
     def test_eval_without_predictions_named(self, tmp_path, capsys, demo_file):
         assert self.run("eval", "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
@@ -669,3 +696,30 @@ def test_package_imports_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+REMOTE_ONLY = ("requests", "urllib3", "ssl", "concurrent.futures")
+
+
+def test_offline_run_never_imports_the_http_client(tmp_path, demo_file):
+    """requests, with urllib3 and ssl, adds about 10 MB of RSS that only the
+    remote LLM backend and embedding provider use; the thread pool only runs
+    remote calls concurrently."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = f"import sys, viewgraph.cli; print([m for m in {REMOTE_ONLY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(demo_file), "out_dir": str(tmp_path / "run"), "seed": 7, "engine": "both",
+        "gnn": {"hidden_dim": 8, "max_epochs": 10},
+    }))
+    code = (
+        f"import sys; sys.modules.update(dict.fromkeys({REMOTE_ONLY!r}))  # a None entry blocks the import\n"
+        "from viewgraph.pipeline import run_pipeline, validate_config\n"
+        f"run_pipeline(validate_config({str(config)!r}), quiet=True)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert {"lp", "gnn"} <= set(json.loads((tmp_path / "run" / "report.json").read_text()))
