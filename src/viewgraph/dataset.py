@@ -111,12 +111,9 @@ class Corpus:
         return [i for i in self.ideas if i.split == split]
 
 
-def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpus:
-    """Parse a JSON-lines corpus file.
-
-    The header line declares the label set; when ``label_set`` is given it
-    must agree with the header. Record order is preserved.
-    """
+def load_corpus(path: str | Path) -> Corpus:
+    """Parse a JSON-lines corpus file; the header line declares the label
+    set. Record order is preserved."""
     path = Path(path)
     ideas: list[Idea] = []
     seen_lines: dict[str, int] = {}
@@ -178,11 +175,6 @@ def load_corpus(path: str | Path, label_set: Optional[LabelSet] = None) -> Corpu
                 raise CorpusFormatError(path, str(exc), line_no, raw) from exc
     if header_labels is None:
         raise CorpusFormatError(path, "empty corpus file: missing header line", 1, "")
-    if label_set is not None and tuple(label_set.labels) != tuple(header_labels.labels):
-        raise CorpusFormatError(
-            path,
-            f"header labels {list(header_labels.labels)} do not match expected {list(label_set.labels)}"
-        )
     return Corpus(label_set=header_labels, ideas=ideas)
 
 
@@ -286,19 +278,23 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write one JSON object per line, atomically: the rows go to a temp
-    file next to ``path``, which then replaces ``path``."""
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` atomically: it goes to a
+    temp file next to ``path``, which then replaces ``path``. A write that
+    fails leaves ``path`` as it was, and no temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write one JSON object per line, atomically."""
+    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

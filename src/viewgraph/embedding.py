@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, at_least, must, setting
-from .llm import auth_headers
+from .dataset import Checked, at_least, must, setting, write_atomic
+from .llm import LlmTransportError, auth_headers
 
 DEFAULT_STUB_DIM = 32
 
@@ -41,20 +41,25 @@ def stub_vector(text: str, dimension: int) -> np.ndarray:
 
 
 def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
-    """The endpoint's vectors for ``texts``; a response without ``data``
-    or an item without an ``embedding`` list raises a ValueError naming
-    the endpoint."""
+    """The endpoint's vectors for ``texts``, from one request. A failed
+    request or an HTTP error status raises an LlmTransportError, and a
+    response without ``data`` or an item without an ``embedding`` list a
+    ValueError; each names the endpoint."""
     import requests  # only the remote path loads the HTTP client
 
-    resp = requests.post(
-        provider.endpoint,
-        json={"model": provider.model, "input": list(texts)},
-        headers=auth_headers(),
-        timeout=60,
-    )
-    resp.raise_for_status()
-    body = resp.json()
     where = f"embedding endpoint {provider.endpoint}"
+    try:
+        resp = requests.post(
+            provider.endpoint,
+            json={"model": provider.model, "input": list(texts)},
+            headers=auth_headers(),
+            timeout=60,
+        )
+    except requests.RequestException as exc:
+        raise LlmTransportError(f"{where}: request failed: {exc}", 1) from exc
+    if resp.status_code >= 400:
+        raise LlmTransportError(f"{where}: refused with HTTP {resp.status_code}: {resp.text[:200]}", 1)
+    body = resp.json()
     data = body.get("data") if isinstance(body, dict) else None
     if not isinstance(data, list):
         raise ValueError(f"{where}: response needs a 'data' list, got {str(body)[:200]}")
@@ -122,12 +127,8 @@ def save_embeddings(matrix: EmbeddingMatrix, ids: Sequence[str], path: str | Pat
     little-endian float32 rows."""
     if len(ids) != len(matrix):
         raise ValueError(f"{len(ids)} ids for {len(matrix)} rows")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = json.dumps({"count": len(matrix), "dimension": matrix.dimension, "ids": list(ids)})
-    with path.open("wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        fh.write(matrix.rows.astype("<f4").tobytes())
+    write_atomic(path, header.encode("utf-8") + b"\n" + matrix.rows.astype("<f4").tobytes())
 
 
 def row_ids(node_ideas: Sequence[str]) -> list[str]:
@@ -142,12 +143,10 @@ def row_ids(node_ideas: Sequence[str]) -> list[str]:
     return ids
 
 
-def load_embeddings(
-    path: str | Path, expected_ids: Optional[Sequence[str]] = None
-) -> tuple[EmbeddingMatrix, list[str]]:
-    """Read an embeddings file; with ``expected_ids`` its row ids must
-    equal them, row for row. A malformed file or a differing row raises a
-    ValueError naming the file."""
+def load_embeddings(path: str | Path, expected_ids: Sequence[str]) -> EmbeddingMatrix:
+    """Read an embeddings file whose row ids must equal ``expected_ids``,
+    row for row. A malformed file or a differing row raises a ValueError
+    naming the file."""
     with Path(path).open("rb") as fh:
         line = fh.readline()
         blob = fh.read()
@@ -166,17 +165,16 @@ def load_embeddings(
         raise ValueError(f"{where}: header needs 'ids', a list of strings")
     if len(ids) != count:
         raise ValueError(f"{where}: header has {len(ids)} ids for count {count}")
-    if expected_ids is not None:
-        if len(expected_ids) != count:
-            raise ValueError(f"{where}: {count} rows for {len(expected_ids)} nodes")
-        for row, (got, want) in enumerate(zip(ids, expected_ids)):
-            if got != want:
-                raise ValueError(f"{where}: row {row} has id {got!r}, expected {want!r}")
+    if len(expected_ids) != count:
+        raise ValueError(f"{where}: {count} rows for {len(expected_ids)} nodes")
+    for row, (got, want) in enumerate(zip(ids, expected_ids)):
+        if got != want:
+            raise ValueError(f"{where}: row {row} has id {got!r}, expected {want!r}")
     expected = count * dim * 4
     if len(blob) != expected:
         raise ValueError(f"{where}: blob is {len(blob)} bytes, expected {expected}")
     rows = np.frombuffer(blob, dtype="<f4").reshape(count, dim).astype(np.float64)
     try:
-        return EmbeddingMatrix(rows), ids
+        return EmbeddingMatrix(rows)
     except ValueError as exc:  # a zero or non-finite row
         raise ValueError(f"{where}: {exc}") from exc

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, Corpus, at_least, must, setting, write_jsonl
+from .dataset import Checked, Corpus, at_least, must, setting, write_atomic, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -426,12 +426,13 @@ def _idea_nodes(graph: ViewpointGraph, idea_id: str, kind: str = "idea", hint: s
     return node_ids
 
 
-def predict_subgraphs(
+def predict(
     model: GnnModel,
     graph: ViewpointGraph,
     matrix: EmbeddingMatrix,
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
+    """The model's prediction for each idea of ``idea_ids``, in order."""
     groups = [_idea_nodes(graph, idea_id) for idea_id in idea_ids]
     if not groups:
         return []
@@ -441,16 +442,6 @@ def predict_subgraphs(
         SubgraphPrediction(idea_id=idea_id, probabilities=row.tolist(), label_index=int(np.argmax(row)))
         for idea_id, row in zip(idea_ids, probs)
     ]
-
-
-def predict(
-    model: GnnModel,
-    graph: ViewpointGraph,
-    matrix: EmbeddingMatrix,
-    corpus: Corpus,
-    split: str = "test",
-) -> list[SubgraphPrediction]:
-    return predict_subgraphs(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
 
 
 def save_predictions(
@@ -481,8 +472,6 @@ def save_model(
     """JSON header line (the config with the training ``seed``, labels,
     block shapes), then little-endian float32 blocks in the param_items
     order (message/combine per layer, then the head)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "config": {
             "layers": config.layers,
@@ -499,10 +488,8 @@ def save_model(
         "validation_score": validation_score,
         "blocks": [[name, list(arr.shape)] for name, arr in model.param_items()],
     }
-    with path.open("wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for _, arr in model.param_items():
-            fh.write(arr.astype("<f4").tobytes())
+    blocks = [arr.astype("<f4").tobytes() for _, arr in model.param_items()]
+    write_atomic(path, b"".join([json.dumps(header).encode("utf-8") + b"\n", *blocks]))
 
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:

@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, setting
+from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, setting, write_atomic
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -269,10 +269,10 @@ def integrate_subgraph(
     graph: ViewpointGraph,
     records: Sequence[IdeaViewpoints],
     matrix: EmbeddingMatrix,
-    config: Optional[GraphConfig] = None,
     t: Optional[Sequence[float]] = None,
 ) -> ViewpointGraph:
-    """Append new ideas' subgraphs to an existing graph.
+    """Append new ideas' subgraphs to an existing graph, under the graph's
+    own config.
 
     New nodes take the next ids in record order (their matrix rows must
     already be appended). Each new node proposes intra edges among its
@@ -284,7 +284,6 @@ def integrate_subgraph(
     time feature, old and new; by default old nodes keep theirs and new
     nodes get 0.
     """
-    config = config or graph.config
     seen = set(graph.idea_nodes)
     for rec in records:
         if rec.idea_id in seen:
@@ -295,20 +294,18 @@ def integrate_subgraph(
     n = blocks[-1][1] if blocks else n_old
     if len(matrix) != n:
         raise ValueError(f"matrix has {len(matrix)} rows, expected {n}")
-    u, v, weight, intra = _propose(matrix, blocks, config, causal=True)
+    u, v, weight, intra = _propose(matrix, blocks, graph.config, causal=True)
     return ViewpointGraph(
         idea=graph.idea + [r.idea_id for r in records for _ in r.viewpoints],
         text=graph.text + [text for r in records for text in r.viewpoints],
         t=np.r_[graph.t, np.zeros(n - n_old)] if t is None else t,
         u=np.r_[graph.u, u], v=np.r_[graph.v, v],
         weight=np.r_[graph.weight, weight], intra=np.r_[graph.intra, intra],
-        polarity=graph.polarity + [None] * len(u), config=config,
+        polarity=graph.polarity + [None] * len(u), config=graph.config,
     )
 
 
 def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": {
             "k": graph.config.k,
@@ -326,35 +323,37 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
             )
         ],
     }
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_atomic(path, json.dumps(payload))
 
 
 def load_graph(path: str | Path) -> ViewpointGraph:
     """Read a graph written by ``save_graph``. Nodes and edges are checked
     a key or column at a time; a malformed file raises a ValueError naming
-    the file, the config, or the first bad node or edge."""
+    the file, and the config, the first bad node or edge, or the rule of
+    ``ViewpointGraph`` it breaks."""
+    where = f"graph file {path}"
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     for key in ("config", "nodes", "edges"):
         if not isinstance(payload, dict) or key not in payload:
-            raise ValueError(f"graph file {path} has no {key!r}")
+            raise ValueError(f"{where} has no {key!r}")
         if key != "config" and not isinstance(payload[key], list):
-            raise ValueError(f"graph file {path}: {key!r} must be a list, got {type(payload[key]).__name__}")
+            raise ValueError(f"{where}: {key!r} must be a list, got {type(payload[key]).__name__}")
     cfg = payload["config"]
     if not (isinstance(cfg, dict) and "k" in cfg and "m" in cfg):
-        raise ValueError(f"graph file {path}: config needs numbers k, m and weight_floor, got {cfg!r}")
+        raise ValueError(f"{where}: config needs numbers k, m and weight_floor, got {cfg!r}")
     try:
         config = GraphConfig(k=cfg["k"], m=cfg["m"], weight_floor=cfg.get("weight_floor", 0.0))
     except ValueError as exc:
-        raise ValueError(f"graph file {path}: config {exc}") from None
+        raise ValueError(f"{where}: config {exc}") from None
     nodes, edges = payload["nodes"], payload["edges"]
     node_columns = _node_columns(nodes)
     if node_columns is None:
         i, node = next((i, node) for i, node in enumerate(nodes) if not _node_ok(i, node))
-        raise ValueError(f"node {i}: expected {{id: {i}, idea, text, t}}, got {node!r}")
+        raise ValueError(f"{where}: node {i}: expected {{id: {i}, idea, text, t}}, got {node!r}")
     edge_columns = _edge_columns(edges)
     if edge_columns is None:
         i, e = next((i, e) for i, e in enumerate(edges) if not _edge_ok(e))
-        raise ValueError(f"edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
+        raise ValueError(f"{where}: edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
     idea, text, t = node_columns
     u, v, weight, kind, polarity = edge_columns
     try:
@@ -363,7 +362,9 @@ def load_graph(path: str | Path) -> ViewpointGraph:
             intra=list(map(INTRA.__eq__, kind)), polarity=polarity, config=config,
         )
     except OverflowError as exc:
-        raise ValueError(f"graph file {path}: {_overflowing(nodes, edges) or exc}") from None
+        raise ValueError(f"{where}: {_overflowing(nodes, edges) or exc}") from None
+    except ValueError as exc:  # a self-loop, a repeated pair, a wrong kind or weight
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _overflowing(nodes: list, edges: list) -> Optional[str]:

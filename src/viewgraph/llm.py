@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dataset import Idea, IdeaViewpoints, at_least, must, normalize_text
+from .dataset import Checked, Idea, IdeaViewpoints, at_least, must, normalize_text, setting
 
 POLARITIES = ("supporting", "opposing")
 PRICE_RULE = at_least(0.0)
@@ -158,33 +158,34 @@ def auth_headers() -> dict:
     return headers
 
 
-BACKEND_RULE = must(lambda v: v in ("mock", "remote"), "mock or remote")
-TEMPERATURE_RULE = must(lambda v: 0.0 <= v <= 2.0, "in [0, 2]")
+BACKOFF_S = 1.0  # the first retry's delay; each later retry doubles it
 
 
 @dataclass
-class LlmBackend:
-    """Chat-completion endpoint handle; ``kind="mock"`` needs no network."""
+class LlmBackend(Checked):
+    """The ``llm`` config section, and the chat-completion client it sets
+    up; ``backend="mock"`` needs no network. ``price_per_million`` is read
+    by eval, ``relations`` by ``extract_corpus``."""
 
-    kind: str = "mock"  # "mock" | "remote"
+    backend: str = setting("mock", must(lambda v: v in ("mock", "remote"), "mock or remote"))
     endpoint: str = ""
     model: str = ""
-    temperature: float = 0.1
-    max_retries: int = 3
-    backoff: float = 1.0
-    seed: int = 0
+    temperature: float = setting(0.1, must(lambda v: 0.0 <= v <= 2.0, "in [0, 2]"))
+    max_retries: int = setting(3, at_least(1))
+    price_per_million: float = setting(0.0, PRICE_RULE)
+    relations: bool = False
     max_inflight: int = 4
 
     def __post_init__(self):
-        for name, rule in (("kind", BACKEND_RULE), ("temperature", TEMPERATURE_RULE)):
-            if broken := rule(getattr(self, name)):
-                raise ValueError(f"{name}: {broken}")
-        if self.kind == "remote" and not self.endpoint:
-            raise ValueError("remote backend needs an endpoint URL")
+        super().__post_init__()
+        if self.backend == "remote" and not self.endpoint:
+            raise ValueError("endpoint: must be set when backend is remote")
 
-    def complete(self, prompt: str, purpose: str) -> tuple[str, TokenUsage]:
-        if self.kind == "mock":
-            text = _mock_completion(prompt, purpose, self.seed)
+    def complete(self, prompt: str, purpose: str, seed: int = 0) -> tuple[str, TokenUsage]:
+        """One completion; ``seed`` picks the mock's relation connectors
+        and polarities."""
+        if self.backend == "mock":
+            text = _mock_completion(prompt, purpose, seed)
             return text, TokenUsage(_word_count(prompt), _word_count(text))
         return self._remote_complete(prompt)
 
@@ -202,7 +203,7 @@ class LlmBackend:
         last = ""
         for attempt in range(1, self.max_retries + 1):
             if attempt > 1:
-                time.sleep(self.backoff * 2 ** (attempt - 2))
+                time.sleep(BACKOFF_S * 2 ** (attempt - 2))
             try:
                 resp = requests.post(self.endpoint, json=payload, headers=auth_headers(), timeout=120)
             except (requests.ConnectionError, requests.Timeout) as exc:
@@ -331,33 +332,24 @@ def parse_relation_response(raw: str, viewpoints: Sequence[str]) -> tuple[list[V
     return pairs, dropped
 
 
-def extract_viewpoints(
-    idea: Idea,
-    backend: LlmBackend,
-    template: PromptTemplate = VIEWPOINT_TEMPLATE,
-) -> tuple[list[str], TokenUsage]:
+def extract_viewpoints(idea: Idea, backend: LlmBackend) -> tuple[list[str], TokenUsage]:
     """One prompted call; returns >= 1 viewpoint texts in document order."""
     if not idea.text:
         raise ValueError(f"idea {idea.id!r} has empty text")
-    prompt = template.render(title=idea.title, abstract=idea.text)
-    completion, usage = backend.complete(prompt, purpose=template.name)
+    prompt = VIEWPOINT_TEMPLATE.render(title=idea.title, abstract=idea.text)
+    completion, usage = backend.complete(prompt, purpose=VIEWPOINT_TEMPLATE.name)
     texts = parse_viewpoint_response(completion)
     if not texts:
         raise LlmParseError("completion contained no viewpoint items", completion)
     return texts, usage
 
 
-def extract_relations(
-    viewpoints: Sequence[str],
-    idea: Idea,
-    backend: LlmBackend,
-    template: PromptTemplate = RELATION_TEMPLATE,
-) -> RelationResult:
+def extract_relations(viewpoints: Sequence[str], idea: Idea, backend: LlmBackend, seed: int = 0) -> RelationResult:
     if len(viewpoints) < 2:
         raise ValueError("relation extraction needs at least 2 viewpoints")
     listing = "\n".join(f"[{v}]" for v in viewpoints)
-    prompt = template.render(title=idea.title, abstract=idea.text, viewpoints=listing)
-    completion, usage = backend.complete(prompt, purpose=template.name)
+    prompt = RELATION_TEMPLATE.render(title=idea.title, abstract=idea.text, viewpoints=listing)
+    completion, usage = backend.complete(prompt, purpose=RELATION_TEMPLATE.name, seed=seed)
     pairs, dropped = parse_relation_response(completion, viewpoints)
     return RelationResult(pairs=pairs, usage=usage, dropped=dropped)
 
@@ -425,14 +417,9 @@ def _mock_relations(prompt: str, seed: int) -> str:
 # --- batch extraction over a corpus ---------------------------------------
 
 
-def extract_corpus(
-    ideas: Sequence[Idea],
-    backend: LlmBackend,
-    relations: bool = False,
-    template: PromptTemplate = VIEWPOINT_TEMPLATE,
-    relation_template: PromptTemplate = RELATION_TEMPLATE,
-) -> tuple[list[IdeaViewpoints], dict]:
-    """Extract viewpoints (and optionally relations) for every idea.
+def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) -> tuple[list[IdeaViewpoints], dict]:
+    """Extract viewpoints (and relations when ``backend.relations``) for
+    every idea; ``seed`` goes to each relation completion.
 
     Remote calls run concurrently up to ``backend.max_inflight``; results
     are returned in input order. The summary dict reports the aggregates
@@ -441,12 +428,12 @@ def extract_corpus(
     """
 
     def one(idea: Idea) -> IdeaViewpoints:
-        texts, usage = extract_viewpoints(idea, backend, template)
+        texts, usage = extract_viewpoints(idea, backend)
         pairs: tuple = ()
         dropped = 0
         prompt_tokens, completion_tokens = usage.prompt_tokens, usage.completion_tokens
-        if relations and len(texts) >= 2:
-            rel = extract_relations(texts, idea, backend, relation_template)
+        if backend.relations and len(texts) >= 2:
+            rel = extract_relations(texts, idea, backend, seed)
             pairs = tuple((p.left, p.connector, p.polarity, p.right) for p in rel.pairs)
             dropped = rel.dropped
             prompt_tokens += rel.usage.prompt_tokens
@@ -461,7 +448,7 @@ def extract_corpus(
         )
         return rec, dropped
 
-    if backend.kind == "remote" and backend.max_inflight > 1 and len(ideas) > 1:
+    if backend.backend == "remote" and backend.max_inflight > 1 and len(ideas) > 1:
         from concurrent.futures import ThreadPoolExecutor  # remote only: it also loads logging
 
         with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
@@ -471,7 +458,7 @@ def extract_corpus(
 
     records = [r for r, _ in results]
     dropped_pairs = sum(d for _, d in results)
-    summary = summarize_extraction(records, relations)
+    summary = summarize_extraction(records, backend.relations)
     summary["dropped_pairs"] = dropped_pairs
     return records, summary
 

@@ -33,7 +33,6 @@ class MetricReport:
     macro_f1: float
     per_class: list[dict] = field(default_factory=list)
     avg_token_cost: Optional[float] = None
-    normed_cost: Optional[float] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -45,8 +44,6 @@ class MetricReport:
         }
         if self.avg_token_cost is not None:
             out["avg_token_cost"] = self.avg_token_cost
-        if self.normed_cost is not None:
-            out["normed_cost"] = self.normed_cost
         return out
 
 
@@ -106,8 +103,8 @@ def normed_cost(costs: Mapping[str, float]) -> dict[str, float]:
 
 
 def format_table(rows: Mapping[str, MetricReport]) -> str:
-    """Aligned text table: method, accuracy, precision, recall, F1, costs."""
-    headers = ["Method", "Accuracy", "Precision", "Recall", "F1 Score", "Token Cost", "Normed Cost"]
+    """Aligned text table: method, accuracy, precision, recall, F1, token cost."""
+    headers = ["Method", "Accuracy", "Precision", "Recall", "F1 Score", "Token Cost"]
     body = []
     for name, rep in rows.items():
         body.append(
@@ -118,7 +115,6 @@ def format_table(rows: Mapping[str, MetricReport]) -> str:
                 f"{rep.macro_recall:.2%}",
                 f"{rep.macro_f1:.2%}",
                 "-" if rep.avg_token_cost is None else f"{rep.avg_token_cost:.2f}",
-                "-" if rep.normed_cost is None else f"{rep.normed_cost:.2f}",
             ]
         )
     widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h) for i, h in enumerate(headers)]

@@ -16,14 +16,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import COUNT, TEXTS, Corpus, IdeaViewpoints, at_least, must, read_records, write_jsonl
+from .dataset import COUNT, TEXTS, Checked, Corpus, IdeaViewpoints, at_least, must, read_records, setting, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import ViewpointGraph, integrate_subgraph, time_features
 
 STRATEGIES = ("copy", "random-swap", "neighbor-swap")
 ONE_DAY = 86400
-COUNT_RULE = at_least(1)
-SWAP_FRACTION_RULE = must(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
+@dataclass
+class NoveltyConfig(Checked):
+    """The ``novelty`` config section: whether a run injects negatives,
+    how many to generate, how many of them train, the lowest label a
+    source idea may have, and the share of a source's viewpoints a swap
+    replaces."""
+
+    enabled: bool = False
+    count: int = setting(80, at_least(1))
+    train_subset: int = setting(10, kind=COUNT)
+    threshold: int = setting(1, kind=COUNT)
+    swap_fraction: float = setting(0.5, must(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
 
 
 @dataclass(frozen=True)
@@ -49,25 +61,17 @@ def _even_shares(count: int, buckets: int) -> list[int]:
 
 
 def generate_negatives(
-    corpus: Corpus,
-    graph: ViewpointGraph,
-    count: int,
-    threshold: int = 1,
-    swap_fraction: float = 0.5,
-    seed: int = 0,
+    corpus: Corpus, graph: ViewpointGraph, config: NoveltyConfig, seed: int = 0
 ) -> tuple[list[NegativeSample], int]:
-    """Build ``count`` plagiarized ideas labeled 0, split as evenly as
-    possible across the STRATEGIES, sourcing only ideas rated at or above
-    ``threshold``. Returns (samples, fallback count), where fallbacks are
-    neighbor-swap slots that degraded to random-swap for lack of a
-    cross-idea neighbor.
+    """Build ``config.count`` plagiarized ideas labeled 0, split as evenly
+    as possible across the STRATEGIES, sourcing only ideas rated at or
+    above ``config.threshold``. Returns (samples, fallback count), where
+    fallbacks are neighbor-swap slots that degraded to random-swap for
+    lack of a cross-idea neighbor.
     """
-    for name, value, rule in (("count", count, COUNT_RULE), ("swap_fraction", swap_fraction, SWAP_FRACTION_RULE)):
-        if broken := rule(value):
-            raise ValueError(f"{name}: {broken}")
-    sources = [i for i in corpus.ideas if i.label is not None and i.label >= threshold]
+    sources = [i for i in corpus.ideas if i.label is not None and i.label >= config.threshold]
     if not sources:
-        raise ValueError(f"no idea rated at or above label {threshold}")
+        raise ValueError(f"no idea rated at or above label {config.threshold}")
     for idea in sources:
         if idea.id not in graph.idea_nodes:
             raise ValueError(f"source idea {idea.id!r} has no nodes in the graph")
@@ -79,13 +83,13 @@ def generate_negatives(
     samples: list[NegativeSample] = []
     fallbacks = 0
     serial = 0
-    for strategy, share in zip(STRATEGIES, _even_shares(count, len(STRATEGIES))):
+    for strategy, share in zip(STRATEGIES, _even_shares(config.count, len(STRATEGIES))):
         for _ in range(share):
             source = sources[int(rng.integers(len(sources)))]
             node_ids = graph.idea_nodes[source.id]
             texts = [graph.text[n] for n in node_ids]
             if strategy != "copy":
-                n_swap = math.ceil(swap_fraction * len(texts))
+                n_swap = math.ceil(config.swap_fraction * len(texts))
                 positions = sorted(
                     int(p) for p in rng.choice(len(texts), size=n_swap, replace=False)
                 )

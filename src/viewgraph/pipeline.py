@@ -22,12 +22,10 @@ from . import gnn as gnn_mod
 from . import label_prop as lp_mod
 from . import novelty as novelty_mod
 from .dataset import (
-    COUNT,
     NUMBERS,
     SPLITS,
     Checked,
     Corpus,
-    at_least,
     check,
     field_kinds,
     fractions_problem,
@@ -40,10 +38,11 @@ from .dataset import (
     save_viewpoints,
     setting,
     split_corpus,
+    write_atomic,
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
 from .graph import GraphConfig, build_graph, load_graph, save_graph
-from .llm import BACKEND_RULE, PRICE_RULE, TEMPERATURE_RULE, LlmBackend, TokenUsage, extract_corpus, token_cost
+from .llm import LlmBackend, TokenUsage, extract_corpus, token_cost
 from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
 ENGINES = ("lp", "gnn", "both")
@@ -69,27 +68,6 @@ class SplitSettings(Checked):
 
 
 @dataclass
-class LlmSettings(Checked):
-    backend: str = setting("mock", BACKEND_RULE)
-    endpoint: str = ""
-    model: str = ""
-    temperature: float = setting(0.1, TEMPERATURE_RULE)
-    max_retries: int = setting(3, at_least(1))
-    price_per_million: float = setting(0.0, PRICE_RULE)
-    relations: bool = False
-    max_inflight: int = 4
-
-
-@dataclass
-class NoveltySettings(Checked):
-    enabled: bool = False
-    count: int = setting(80, novelty_mod.COUNT_RULE)
-    train_subset: int = setting(10, kind=COUNT)
-    threshold: int = setting(1, kind=COUNT)
-    swap_fraction: float = setting(0.5, novelty_mod.SWAP_FRACTION_RULE)
-
-
-@dataclass
 class RunConfig:
     """The config file: each section is the settings type of its stage, or
     the config type of the engine it drives."""
@@ -99,12 +77,12 @@ class RunConfig:
     seed: int = 0
     engine: str = setting("lp", must(lambda v: v in ENGINES, f"one of {ENGINES}"))
     split: SplitSettings = field(default_factory=SplitSettings)
-    llm: LlmSettings = field(default_factory=LlmSettings)
+    llm: LlmBackend = field(default_factory=LlmBackend)
     embedding: EmbeddingProvider = field(default_factory=EmbeddingProvider)
     graph: GraphConfig = field(default_factory=GraphConfig)
     lp: lp_mod.LpConfig = field(default_factory=lp_mod.LpConfig)
     gnn: gnn_mod.GnnConfig = field(default_factory=gnn_mod.GnnConfig)
-    novelty: NoveltySettings = field(default_factory=NoveltySettings)
+    novelty: novelty_mod.NoveltyConfig = field(default_factory=novelty_mod.NoveltyConfig)
 
 
 def validate_config(source) -> RunConfig:
@@ -129,7 +107,14 @@ def validate_config(source) -> RunConfig:
         errors.append("graph.hybrid: requires llm.relations to be enabled")
     if errors:
         raise ConfigError(errors)
-    sections = {key: kinds[key][0](**value) for key, value in data.items() if isinstance(value, dict)}
+
+    def section(key: str, value: dict):
+        try:
+            return kinds[key][0](**value)
+        except ValueError as exc:  # a rule across the section's fields, such as llm.endpoint's
+            raise ConfigError([f"{key}.{exc}"]) from None
+
+    sections = {key: section(key, value) for key, value in data.items() if isinstance(value, dict)}
     config = RunConfig(**{**data, **sections})
     config.split.fractions = tuple(float(f) for f in config.split.fractions)
     return config
@@ -192,17 +177,7 @@ def run_split(paths: dict, config: RunConfig) -> dict:
 
 def run_extract(paths: dict, config: RunConfig) -> dict:
     corpus = load_corpus(paths["split"])
-    llm = config.llm
-    backend = LlmBackend(
-        kind=llm.backend,
-        endpoint=llm.endpoint,
-        model=llm.model,
-        temperature=llm.temperature,
-        max_retries=llm.max_retries,
-        seed=seed_for(config.seed, "extract"),
-        max_inflight=llm.max_inflight,
-    )
-    records, summary = extract_corpus(corpus.ideas, backend, relations=llm.relations)
+    records, summary = extract_corpus(corpus.ideas, config.llm, seed_for(config.seed, "extract"))
     save_viewpoints(records, paths["viewpoints"])
     return summary
 
@@ -219,23 +194,18 @@ def run_embed(paths: dict, config: RunConfig) -> dict:
 def run_build(paths: dict, config: RunConfig) -> dict:
     records = load_viewpoints(paths["viewpoints"])
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
-    matrix, _ = load_embeddings(paths["embeddings"], ids)
+    matrix = load_embeddings(paths["embeddings"], ids)
     graph = build_graph(records, matrix, config.graph)
     save_graph(graph, paths["graph"])
     return {"nodes": len(graph), "edges": len(graph.weight)}
 
 
 def run_negatives(paths: dict, config: RunConfig) -> dict:
-    nv, seed = config.novelty, seed_for(config.seed, "negatives")
+    seed = seed_for(config.seed, "negatives")
     samples, fallbacks = novelty_mod.generate_negatives(
-        load_corpus(paths["split"]),
-        load_graph(paths["graph"]),
-        count=nv.count,
-        threshold=nv.threshold,
-        swap_fraction=nv.swap_fraction,
-        seed=seed,
+        load_corpus(paths["split"]), load_graph(paths["graph"]), config.novelty, seed
     )
-    train, rest = novelty_mod.select_training_negatives(samples, nv.train_subset, seed=seed)
+    train, rest = novelty_mod.select_training_negatives(samples, config.novelty.train_subset, seed=seed)
     novelty_mod.save_negatives(train, paths["negatives"])
     if "negatives_holdout" in paths:
         novelty_mod.save_negatives(rest, paths["negatives_holdout"])
@@ -256,7 +226,7 @@ def run_train(paths: dict, config: RunConfig, split: str = "test") -> dict:
     that graph with the model read back from the checkpoint."""
     corpus = load_corpus(paths["split"])
     graph = load_graph(paths["graph"])
-    matrix, _ = load_embeddings(paths["embeddings"], row_ids(graph.idea))
+    matrix = load_embeddings(paths["embeddings"], row_ids(graph.idea))
     negatives = []
     if "negatives" in paths:
         negatives = novelty_mod.load_negatives(paths["negatives"])
@@ -273,9 +243,9 @@ def run_train(paths: dict, config: RunConfig, split: str = "test") -> dict:
         validation_score=result.best_val_f1,
     )
     if "train_log" in paths:
-        Path(paths["train_log"]).write_text(json.dumps(result.log), encoding="utf-8")
+        write_atomic(paths["train_log"], json.dumps(result.log))
     model, _header = gnn_mod.load_model(paths["model"])  # predict with the saved float32 weights
-    predictions = gnn_mod.predict(model, graph, matrix, corpus, split=split)
+    predictions = gnn_mod.predict(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
     gnn_mod.save_predictions(predictions, corpus, paths["gnn_pred"])
     return {
         "epochs": len(result.log),
@@ -324,7 +294,7 @@ def run_eval(paths: dict, config: RunConfig) -> dict:
     payload = {**{engine: report.to_dict() for engine, report in reports.items()}, **extraction}
     if "costs" in paths:
         payload["normed_costs"] = normed_cost(_load_costs(paths["costs"]))
-    Path(paths["report"]).write_text(json.dumps(payload), encoding="utf-8")
+    write_atomic(paths["report"], json.dumps(payload))
     return {engine: report.macro_f1 for engine, report in reports.items()}
 
 
@@ -433,16 +403,19 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         say(f"[{stage.name}] done in {record['seconds']}s")
         return record
 
-    for stage in stage_table(config):
+    # The manifest is rewritten after each stage that runs, and after the
+    # last: a run that is stopped resumes at its first unfinished stage.
+    stages = stage_table(config)
+    for stage in stages:
         try:
             record = run_stage(stage)
         except Exception as exc:
             manifest["failed_stage"] = {"name": stage.name, "error": str(exc)}
-            manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+            write_atomic(manifest_path, json.dumps(manifest, indent=2))
             raise StageError(stage.name, exc, manifest) from exc
         manifest["stages"].append(record)
         if "summary" in record:
             manifest["summary"][stage.name] = record["summary"]
-
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        if not record["skipped"] or stage is stages[-1]:
+            write_atomic(manifest_path, json.dumps(manifest, indent=2))
     return manifest

@@ -178,7 +178,7 @@ def capacity_runs(separable):
     for seed in (1, 2, 3):
         config = gnn.GnnConfig(hidden_dim=64, max_epochs=200)
         result = gnn.train(config, graph, matrix, corpus, seed=seed)
-        test_preds = gnn.predict(result.model, graph, matrix, corpus, "test")
+        test_preds = gnn.predict(result.model, graph, matrix, [i.id for i in corpus.split_ideas("test")])
         truths = [corpus.by_id(p.idea_id).label for p in test_preds]
         guesses = [p.label_index for p in test_preds]
         report = macro_metrics(confusion(truths, guesses, corpus.label_set.labels))
@@ -219,7 +219,7 @@ def test_lp_vs_gnn_ordering(separable, capacity_runs):
 def test_novelty_behavior(separable):
     start = time.monotonic()
     corpus, _, matrix, graph = separable
-    samples, _ = novelty.generate_negatives(corpus, graph, count=80, swap_fraction=0.3, seed=5)
+    samples, _ = novelty.generate_negatives(corpus, graph, novelty.NoveltyConfig(count=80, swap_fraction=0.3), seed=5)
     train_negs, held = novelty.select_training_negatives(samples, 10, seed=5)
     copies = [s for s in held if s.strategy == "copy"][:10]
     randoms = [s for s in held if s.strategy == "random-swap"][:5]
@@ -232,12 +232,12 @@ def test_novelty_behavior(separable):
     g_with, m_with = novelty.inject_negatives(graph, matrix, train_negs, corpus)
     with_model = gnn.train(config, g_with, m_with, corpus, train_negs, seed=1).model
     g_we, m_we = novelty.inject_negatives(g_with, m_with, eval_negs, corpus)
-    with_preds = gnn.predict_subgraphs(with_model, g_we, m_we, [s.id for s in eval_negs])
+    with_preds = gnn.predict(with_model, g_we, m_we, [s.id for s in eval_negs])
     rate_with = sum(p.label_index == 0 for p in with_preds) / len(with_preds)
 
     plain_model = gnn.train(config, graph, matrix, corpus, seed=1).model
     g_pe, m_pe = novelty.inject_negatives(graph, matrix, eval_negs, corpus)
-    plain_preds = gnn.predict_subgraphs(plain_model, g_pe, m_pe, [s.id for s in eval_negs])
+    plain_preds = gnn.predict(plain_model, g_pe, m_pe, [s.id for s in eval_negs])
     rate_plain = sum(p.label_index == 0 for p in plain_preds) / len(plain_preds)
 
     elapsed = time.monotonic() - start

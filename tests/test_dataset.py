@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from viewgraph.dataset import (
     read_jsonl,
     save_corpus,
     split_corpus,
+    write_atomic,
     write_jsonl,
 )
 
@@ -102,14 +105,6 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(path)
         assert "Strong Accept" in str(err.value)
-
-    def test_label_set_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        write_lines(path, [header(("Reject", "Accept")), record("a")])
-        with pytest.raises(CorpusFormatError) as err:
-            load_corpus(path, label_set=FOUR)
-        assert err.value.path == path and err.value.line_no is None
-        assert str(err.value).startswith(f"{path}: header labels ['Reject', 'Accept'] do not match")
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -279,3 +274,23 @@ class TestJsonl:
         write_jsonl(path, [{"idea_id": "a", "viewpoints": ["a."]}, second])
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             load_viewpoints(path)
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "report.json"
+    write_atomic(path, "old")
+    if fail_at == "write":
+        real = Path.write_bytes
+
+        def half_then_fail(self, data):
+            real(self, data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    else:
+        monkeypatch.setattr(os, "replace", lambda src, dst: (_ for _ in ()).throw(OSError("read-only file system")))
+    with pytest.raises(OSError):
+        write_atomic(path, "new contents")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import requests
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from graphs import edge_dict, incoming
 from oracles import brute_force_graph_edges
-from viewgraph.dataset import IdeaViewpoints
+from viewgraph.cli import main as cli_main
+from viewgraph.dataset import IdeaViewpoints, save_viewpoints
 from viewgraph.embedding import (
     EmbeddingMatrix,
     EmbeddingProvider,
@@ -19,6 +22,7 @@ from viewgraph.embedding import (
     stub_vector,
 )
 from viewgraph.graph import GraphConfig, build_graph
+from viewgraph.llm import LlmTransportError
 
 
 def cosine(a, b):
@@ -73,11 +77,20 @@ class TestStub:
             embed(["ok", ""], EmbeddingProvider(provider="stub", dimension=8))
 
 
+def cli_embed(tmp_path, endpoint: str) -> int:
+    """``viewgraph embed`` of one viewpoint with the remote provider at
+    ``endpoint``; returns the exit code."""
+    views = tmp_path / "views.jsonl"
+    save_viewpoints([IdeaViewpoints("a", ("one claim",))], views)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"embedding": {"provider": "remote", "dimension": 2, "endpoint": endpoint}}))
+    return cli_main(["embed", "--in", str(views), "--out", str(tmp_path / "emb.bin"), "--config", str(config), "--quiet"])
+
+
 class TestRemoteProvider:
     def _fake_post(self, vectors):
         class Resp:
-            def raise_for_status(self):
-                pass
+            status_code = 200
 
             def json(self):
                 return {"data": [{"embedding": v} for v in vectors]}
@@ -101,8 +114,7 @@ class TestRemoteProvider:
         sent = []
 
         class Resp:
-            def raise_for_status(self):
-                pass
+            status_code = 200
 
             def json(self):
                 return {"data": [{"embedding": [float(i + 1), 1.0]} for i in range(len(sent[0]["input"]))]}
@@ -132,8 +144,7 @@ class TestRemoteProvider:
     )
     def test_malformed_response_names_endpoint_and_key(self, monkeypatch, body, message):
         class Resp:
-            def raise_for_status(self):
-                pass
+            status_code = 200
 
             def json(self):
                 return body
@@ -143,6 +154,29 @@ class TestRemoteProvider:
         with pytest.raises(ValueError) as err:
             embed(["a", "b"], provider)
         assert str(err.value) == f"embedding endpoint http://x/embed: {message}"
+
+    @pytest.mark.parametrize("status", [401, 500])
+    def test_error_status_names_endpoint_and_status(self, tmp_path, capsys, monkeypatch, status):
+        class Resp:
+            status_code = status
+            text = "denied"
+
+        monkeypatch.setattr(requests, "post", lambda url, **kw: Resp())
+        provider = EmbeddingProvider(provider="remote", dimension=2, endpoint="http://x/embed")
+        with pytest.raises(LlmTransportError, match=f"^embedding endpoint http://x/embed: refused with HTTP {status}: denied$"):
+            embed(["a"], provider)
+        assert cli_embed(tmp_path, "http://x/embed") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: embedding endpoint http://x/embed: refused with HTTP {status}: denied\n"
+
+    def test_connection_error_names_endpoint(self, tmp_path, capsys, monkeypatch):
+        def refuse(url, **kw):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", refuse)
+        assert cli_embed(tmp_path, "http://x/embed") == 1
+        err = capsys.readouterr().err
+        assert err == "error: embedding endpoint http://x/embed: request failed: connection refused\n"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_named(self, monkeypatch, bad):
@@ -266,8 +300,7 @@ class TestSerialization:
         m = embed(["first", "second", "third"], EmbeddingProvider(provider="stub", dimension=16))
         path = tmp_path / "emb.bin"
         save_embeddings(m, row_ids(["a", "a", "b"]), path)
-        loaded, ids = load_embeddings(path)
-        assert ids == ["a:0", "a:1", "b:0"]
+        loaded = load_embeddings(path, ["a:0", "a:1", "b:0"])
         assert loaded.dimension == 16
         # stored as float32: exact at that precision
         assert np.allclose(loaded.rows, m.rows, atol=1e-6)
@@ -279,7 +312,7 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f4").tobytes() + blob[-4:])
         with pytest.raises(ValueError) as err:
-            load_embeddings(path)
+            load_embeddings(path, ["a", "b", "c"])
         assert str(err.value) == f"embeddings file {path}: non-finite embedding vector at row 2"
 
     def test_stub_rows_of_repeated_texts(self):
@@ -313,7 +346,7 @@ class TestSerialization:
         else:
             path.write_bytes(header + b"\n" + blob)
         with pytest.raises(ValueError) as err:
-            load_embeddings(path)
+            load_embeddings(path, ["a", "b"])
         assert str(err.value).startswith(f"embeddings file {path}: {message}")
 
     @pytest.mark.parametrize(

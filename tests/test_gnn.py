@@ -28,7 +28,6 @@ from viewgraph.gnn import (
     node_features,
     pool_and_head,
     predict,
-    predict_subgraphs,
     save_model,
     train,
 )
@@ -586,14 +585,14 @@ class TestPredict:
         model.head_out_w[:] = 0.0
         model.head_out_b[:] = 0.0
         graph = toy_graph(["a"], [])
-        [pred] = predict_subgraphs(model, graph, EmbeddingMatrix(np.ones((1, 2))), ["a"])
+        [pred] = predict(model, graph, EmbeddingMatrix(np.ones((1, 2))), ["a"])
         assert pred.label_index == 0
 
     def test_unknown_idea_rejected(self, separable):
         corpus, _, matrix, graph = separable
         model = init_model(GnnConfig(hidden_dim=8), matrix.dimension + 1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="no nodes"):
-            predict_subgraphs(model, graph, matrix, ["not-an-idea"])
+            predict(model, graph, matrix, ["not-an-idea"])
 
     def test_relabeling_nodes_within_ideas_is_invariant(self):
         rng = np.random.default_rng(21)
@@ -622,8 +621,8 @@ class TestPredict:
         )
         rematrix = EmbeddingMatrix(rows[perm])
         ids = [f"i{k}" for k in range(5)]
-        base = predict_subgraphs(model, graph, matrix, ids)
-        moved = predict_subgraphs(model, relabeled, rematrix, ids)
+        base = predict(model, graph, matrix, ids)
+        moved = predict(model, relabeled, rematrix, ids)
         for a, b in zip(base, moved):
             assert a.label_index == b.label_index
             assert a.probabilities == pytest.approx(b.probabilities, abs=1e-9)
@@ -642,8 +641,9 @@ class TestCheckpoint:
         assert [name for name, _ in loaded.param_items()] == [
             name for name, _ in result.model.param_items()
         ]
-        base = predict(result.model, graph, matrix, corpus, "test")
-        back = predict(loaded, graph, matrix, corpus, "test")
+        ids = [i.id for i in corpus.split_ideas("test")]
+        base = predict(result.model, graph, matrix, ids)
+        back = predict(loaded, graph, matrix, ids)
         for a, b in zip(base, back):
             assert a.label_index == b.label_index
             # parameters are stored as float32

@@ -238,7 +238,7 @@ class TestIntegrate:
         texts_so_far: list[str] = []
         for rec in records:
             texts_so_far.extend(rec.viewpoints)
-            grown = integrate_subgraph(grown, [rec], embed(texts_so_far, provider), config)
+            grown = integrate_subgraph(grown, [rec], embed(texts_so_far, provider))
         assert grown.idea == scratch.idea
         assert {(u, v, kind) for (u, v), (_, kind) in edge_dict(grown).items()} == {
             (u, v, kind) for (u, v), (_, kind) in edge_dict(scratch).items()
@@ -253,8 +253,8 @@ class TestIntegrate:
         chain = base
         for rec in new:
             stop += len(rec.viewpoints)
-            chain = integrate_subgraph(chain, [rec], EmbeddingMatrix(rows[:stop]), config)
-        once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]), config)
+            chain = integrate_subgraph(chain, [rec], EmbeddingMatrix(rows[:stop]))
+        once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]))
         assert (once.idea, once.text) == (chain.idea, chain.text)
         assert list(edge_dict(once).items()) == list(edge_dict(chain).items())
 
@@ -408,25 +408,25 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("edges", [[0, 1, 0.5, "inter"], [0, 1]], f"edge 1: {EDGE} [0, 1]"),
-            ("edges", [[0.5, 1, 0.3, "intra"]], f"edge 0: {EDGE} [0.5, 1, 0.3, 'intra']"),
+            ("edges", [[0, 1, 0.5, "inter"], [0, 1]], f"graph file PATH: edge 1: {EDGE} [0, 1]"),
+            ("edges", [[0.5, 1, 0.3, "intra"]], f"graph file PATH: edge 0: {EDGE} [0.5, 1, 0.3, 'intra']"),
             ("nodes", DELETE, "graph file PATH has no 'nodes'"),
             ("config", {"k": None, "m": 10}, "graph file PATH: config k: must be an int, got NoneType"),
             ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 5, "idea": "b", "text": "y"}],
-             f"node 1: {NODE_1} {{'id': 5, 'idea': 'b', 'text': 'y'}}"),
+             f"graph file PATH: node 1: {NODE_1} {{'id': 5, 'idea': 'b', 'text': 'y'}}"),
             ("edges", [[0, 1, 0.5, "inter"], [1, 0, 0.5, "inter"], [0, 1, "x", "inter"], [0, 1]],
-             f"edge 2: {EDGE} [0, 1, 'x', 'inter']"),
-            ("edges", [[True, 1, 0.5, "inter"]], f"edge 0: {EDGE} [True, 1, 0.5, 'inter']"),
-            ("edges", [[0, 1, 0.5, "inter"], [1.0, 0, 0.5, "inter"]], f"edge 1: {EDGE} [1.0, 0, 0.5, 'inter']"),
-            ("edges", [[0, 1, True, "inter"]], f"edge 0: {EDGE} [0, 1, True, 'inter']"),
-            ("edges", [[0, 1, "0.5", "inter"]], f"edge 0: {EDGE} [0, 1, '0.5', 'inter']"),
-            ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, ["inter"]]], f"edge 1: {EDGE} [0, 1, 0.5, ['inter']]"),
-            ("edges", [[0, 1, 0.5, "cross"]], f"edge 0: {EDGE} [0, 1, 0.5, 'cross']"),
+             f"graph file PATH: edge 2: {EDGE} [0, 1, 'x', 'inter']"),
+            ("edges", [[True, 1, 0.5, "inter"]], f"graph file PATH: edge 0: {EDGE} [True, 1, 0.5, 'inter']"),
+            ("edges", [[0, 1, 0.5, "inter"], [1.0, 0, 0.5, "inter"]], f"graph file PATH: edge 1: {EDGE} [1.0, 0, 0.5, 'inter']"),
+            ("edges", [[0, 1, True, "inter"]], f"graph file PATH: edge 0: {EDGE} [0, 1, True, 'inter']"),
+            ("edges", [[0, 1, "0.5", "inter"]], f"graph file PATH: edge 0: {EDGE} [0, 1, '0.5', 'inter']"),
+            ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, ["inter"]]], f"graph file PATH: edge 1: {EDGE} [0, 1, 0.5, ['inter']]"),
+            ("edges", [[0, 1, 0.5, "cross"]], f"graph file PATH: edge 0: {EDGE} [0, 1, 0.5, 'cross']"),
             ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, "inter", "opposing"], [1, 0, 0.5, "inter", 3]],
-             f"edge 2: {EDGE} [1, 0, 0.5, 'inter', 3]"),
-            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, ["b", "y"]], f"node 1: {NODE_1} ['b', 'y']"),
+             f"graph file PATH: edge 2: {EDGE} [1, 0, 0.5, 'inter', 3]"),
+            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, ["b", "y"]], f"graph file PATH: node 1: {NODE_1} ['b', 'y']"),
             ("nodes", [{"id": 1, "idea": "b", "text": "y"}, {"id": 0, "idea": "a", "text": "x"}],
-             "node 0: expected {id: 0, idea, text, t}, got {'id': 1, 'idea': 'b', 'text': 'y'}"),
+             "graph file PATH: node 0: expected {id: 0, idea, text, t}, got {'id': 1, 'idea': 'b', 'text': 'y'}"),
             ("nodes", None, "graph file PATH: 'nodes' must be a list, got NoneType"),
             ("edges", None, "graph file PATH: 'edges' must be a list, got NoneType"),
             ("edges", {"0": [0, 1, 0.5, "inter"]}, "graph file PATH: 'edges' must be a list, got dict"),
@@ -443,13 +443,19 @@ class TestSerialization:
             ("edges", [[0, 1, 10**400, "inter"]], f"graph file PATH: edge 0 has a weight beyond float64, got [0, 1, {10**400}, 'inter']"),
             ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 1, "idea": "b", "text": "y", "t": 10**400}],
              f"graph file PATH: node 1 has a time feature beyond float64, got {10**400}"),
+            ("edges", [[1, 1, 0.5, "intra"]], "graph file PATH: edge (1, 1) is a self-loop"),
+            ("edges", [[0, 1, 0.5, "inter"], [1, 0, 0.6, "inter"]],
+             "graph file PATH: edge (0, 1) listed more than once (asymmetric adjacency)"),
+            ("edges", [[0, 1, 0.5, "intra"]], "graph file PATH: edge (0, 1) is intra but joins different ideas"),
+            ("edges", [[0, 1, 1.5, "inter"]], "graph file PATH: edge (0, 1) has weight outside [0, 1]"),
         ],
         ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order",
              "first-bad-edge-of-several", "bool-u", "float-u", "bool-weight", "string-weight", "list-kind",
              "unknown-kind", "int-polarity-after-short-rows", "non-dict-node", "node-ids-swapped",
              "null-nodes", "null-edges", "dict-edges", "fractional-k", "bool-m", "string-weight-floor",
              "config-out-of-range", "config-without-k", "endpoint-beyond-int64", "negative-endpoint-beyond-int64",
-             "weight-beyond-float64", "t-beyond-float64"],
+             "weight-beyond-float64", "t-beyond-float64", "self-loop", "duplicate-pair", "intra-across-ideas",
+             "weight-above-one"],
     )
     def test_malformed_entry_named(self, tmp_path, key, value, message):
         payload = self._payload()

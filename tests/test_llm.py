@@ -7,6 +7,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewgraph import llm
 from viewgraph.dataset import Idea
 from viewgraph.llm import (
     RELATION_TEMPLATE,
@@ -14,7 +15,6 @@ from viewgraph.llm import (
     LlmBackend,
     LlmParseError,
     LlmTransportError,
-    PromptTemplate,
     TokenUsage,
     extract_corpus,
     extract_relations,
@@ -104,13 +104,13 @@ class TestRoundTrip:
 
 class TestMockBackend:
     def test_deterministic_over_100_calls(self):
-        backend = LlmBackend(kind="mock", seed=4)
+        backend = LlmBackend()
         first = extract_viewpoints(idea("One claim. Another claim."), backend)
         for _ in range(99):
             assert extract_viewpoints(idea("One claim. Another claim."), backend) == first
 
     def test_sentence_becomes_viewpoint_verbatim(self):
-        backend = LlmBackend(kind="mock")
+        backend = LlmBackend()
         texts, usage = extract_viewpoints(idea(CLIP_SENTENCE + " It also does more."), backend)
         assert texts[0] == CLIP_SENTENCE
         assert usage.total == usage.prompt_tokens + usage.completion_tokens
@@ -158,25 +158,21 @@ class TestRelations:
         pairs, _ = parse_relation_response(raw, views)
         assert len(pairs) == 1
 
-    def test_empty_completion_is_empty_result(self):
-        result = extract_relations(
-            ["first claim", "second claim"],
-            idea("First claim. Second claim."),
-            LlmBackend(kind="mock", seed=0),
-            template=PromptTemplate(name="relation_extraction", body="{title}{abstract}{viewpoints}"),
-        )
-        assert isinstance(result.pairs, list)
+    def test_empty_completion_is_empty_result(self, monkeypatch):
+        monkeypatch.setattr(LlmBackend, "complete", lambda self, prompt, purpose, seed=0: ("", TokenUsage(3, 0)))
+        result = extract_relations(["first claim", "second claim"], idea("First claim. Second claim."), LlmBackend())
+        assert (result.pairs, result.dropped, result.usage) == ([], 0, TokenUsage(3, 0))
 
     def test_needs_two_viewpoints(self):
         with pytest.raises(ValueError):
-            extract_relations(["only one"], idea("One."), LlmBackend(kind="mock"))
+            extract_relations(["only one"], idea("One."), LlmBackend())
 
     def test_mock_relations_deterministic(self):
-        backend = LlmBackend(kind="mock", seed=9)
+        backend = LlmBackend()
         the_idea = idea("A one. B two. C three. D four.")
         views, _ = extract_viewpoints(the_idea, backend)
-        first = extract_relations(views, the_idea, backend)
-        second = extract_relations(views, the_idea, backend)
+        first = extract_relations(views, the_idea, backend, seed=9)
+        second = extract_relations(views, the_idea, backend, seed=9)
         assert first.pairs == second.pairs
         assert first.pairs  # consecutive pairing yields at least one pair
 
@@ -222,6 +218,10 @@ class TestTemplates:
 
 
 class TestRemoteBackend:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+
     def _response(self, payload, status=200):
         class Resp:
             status_code = status
@@ -250,7 +250,7 @@ class TestRemoteBackend:
             return self._response(good)
 
         monkeypatch.setattr(requests, "post", fake_post)
-        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0)
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m")
         texts, usage = extract_viewpoints(idea("Anything."), backend)
         assert texts == ["ok"]
         assert calls["n"] == 3
@@ -261,7 +261,7 @@ class TestRemoteBackend:
             raise requests.ConnectionError("down")
 
         monkeypatch.setattr(requests, "post", fake_post)
-        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0, max_retries=3)
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_retries=3)
         with pytest.raises(LlmTransportError) as err:
             extract_viewpoints(idea("Anything."), backend)
         assert err.value.attempts == 3
@@ -270,7 +270,7 @@ class TestRemoteBackend:
     def test_client_error_fails_at_once(self, monkeypatch, status):
         calls = []
         monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or self._response({}, status))
-        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0, max_retries=3)
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_retries=3)
         with pytest.raises(LlmTransportError, match=f"HTTP {status}, not retried") as err:
             extract_viewpoints(idea("Anything."), backend)
         assert calls == ["http://x"] and err.value.attempts == 1
@@ -279,7 +279,7 @@ class TestRemoteBackend:
     def test_rate_limit_and_server_errors_retried(self, monkeypatch, status):
         calls = []
         monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or self._response({}, status))
-        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0, max_retries=3)
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_retries=3)
         with pytest.raises(LlmTransportError, match=f"after 3 attempts: HTTP {status}$") as err:
             extract_viewpoints(idea("Anything."), backend)
         assert len(calls) == 3 and err.value.attempts == 3
@@ -292,7 +292,7 @@ class TestRemoteBackend:
             raise requests.exceptions.MissingSchema("no scheme")
 
         monkeypatch.setattr(requests, "post", fake_post)
-        backend = LlmBackend(kind="remote", endpoint="x", model="m", backoff=0.0, max_retries=3)
+        backend = LlmBackend(backend="remote", endpoint="x", model="m", max_retries=3)
         with pytest.raises(LlmTransportError, match="not retried: no scheme") as err:
             extract_viewpoints(idea("Anything."), backend)
         assert len(calls) == 1 and err.value.attempts == 1
@@ -300,7 +300,7 @@ class TestRemoteBackend:
     def test_usage_fallback_counts_words(self, monkeypatch):
         good = {"choices": [{"message": {"content": "[Extracted Viewpoints in Sentence 1]\n[a b c]"}}]}
         monkeypatch.setattr(requests, "post", lambda url, **kw: self._response(good))
-        backend = LlmBackend(kind="remote", endpoint="http://x", model="m", backoff=0.0)
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m")
         _, usage = extract_viewpoints(idea("Three words here."), backend)
         assert usage.completion_tokens == len(good["choices"][0]["message"]["content"].split())
         assert usage.prompt_tokens > 0
@@ -312,7 +312,7 @@ class TestExtractCorpus:
             idea("One claim. Two claim. Three claim.", "a"),
             idea("Only claim here.", "b"),
         ]
-        records, summary = extract_corpus(ideas, LlmBackend(kind="mock"), relations=True)
+        records, summary = extract_corpus(ideas, LlmBackend(relations=True))
         assert [r.idea_id for r in records] == ["a", "b"]
         assert summary["avg_viewpoints_per_idea"] == pytest.approx(2.0)
         assert summary["avg_words_per_viewpoint"] > 0
@@ -322,7 +322,7 @@ class TestExtractCorpus:
     def test_density_definition(self):
         # 3 viewpoints, mock pairs consecutive (0-1): 1 pair over C(3,2)=3
         records, summary = extract_corpus(
-            [idea("A one. B two. C three.", "a")], LlmBackend(kind="mock"), relations=True
+            [idea("A one. B two. C three.", "a")], LlmBackend(relations=True)
         )
         assert len(records[0].viewpoints) == 3
         assert summary["avg_edge_density"] == pytest.approx(len(records[0].pairs) / 3)

@@ -13,6 +13,7 @@ from viewgraph.graph import integrate_subgraph
 from viewgraph.novelty import (
     ONE_DAY,
     NegativeSample,
+    NoveltyConfig,
     generate_negatives,
     inject_negatives,
     load_negatives,
@@ -24,12 +25,12 @@ from viewgraph.novelty import (
 class TestGenerate:
     def test_even_split_of_three(self, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=3, seed=0)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=3), seed=0)
         assert sorted(s.strategy for s in samples) == ["copy", "neighbor-swap", "random-swap"]
 
     def test_shares_for_eighty(self, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=80, seed=0)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=80), seed=0)
         by = {}
         for s in samples:
             by[s.strategy] = by.get(s.strategy, 0) + 1
@@ -37,7 +38,7 @@ class TestGenerate:
 
     def test_copy_is_verbatim(self, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=3, seed=1)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=3), seed=1)
         copy = next(s for s in samples if s.strategy == "copy")
         source_texts = [graph.text[n] for n in graph.idea_nodes[copy.source_id]]
         assert list(copy.viewpoints) == source_texts
@@ -46,7 +47,7 @@ class TestGenerate:
         # fallback slots (no differing neighbor) still swap to a differing
         # random text, so the changed-position count stays exact
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=6, swap_fraction=0.5, seed=2)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=6, swap_fraction=0.5), seed=2)
         for s in samples:
             if s.strategy == "copy":
                 continue
@@ -57,7 +58,7 @@ class TestGenerate:
 
     def test_later_timestamp_and_worst_label(self, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=5, seed=3)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=5), seed=3)
         latest = max(i.timestamp for i in corpus.ideas)
         for s in samples:
             assert s.timestamp == latest + ONE_DAY
@@ -66,31 +67,31 @@ class TestGenerate:
 
     def test_sources_respect_threshold(self, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=10, threshold=1, seed=4)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=10, threshold=1), seed=4)
         for s in samples:
             assert corpus.by_id(s.source_id).label >= 1
 
     def test_deterministic_under_seed(self, separable):
         corpus, _, _, graph = separable
-        one, _ = generate_negatives(corpus, graph, count=10, seed=9)
-        two, _ = generate_negatives(corpus, graph, count=10, seed=9)
+        one, _ = generate_negatives(corpus, graph, NoveltyConfig(count=10), seed=9)
+        two, _ = generate_negatives(corpus, graph, NoveltyConfig(count=10), seed=9)
         assert one == two
 
     def test_no_source_above_threshold_rejected(self, separable):
         corpus, _, _, graph = separable
         with pytest.raises(ValueError, match="threshold|rated"):
-            generate_negatives(corpus, graph, count=2, threshold=5, seed=0)
+            generate_negatives(corpus, graph, NoveltyConfig(count=2, threshold=5), seed=0)
 
     def test_swap_fraction_validated(self, separable):
         corpus, _, _, graph = separable
-        with pytest.raises(ValueError):
-            generate_negatives(corpus, graph, count=2, swap_fraction=0.0, seed=0)
+        with pytest.raises(ValueError, match=r"^swap_fraction: must be in \(0, 1\], got 0.0$"):
+            generate_negatives(corpus, graph, NoveltyConfig(count=2, swap_fraction=0.0), seed=0)
 
 
 class TestSelect:
     def test_ten_of_eighty(self, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=80, seed=5)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=80), seed=5)
         train, rest = select_training_negatives(samples, 10, seed=5)
         assert len(train) == 10 and len(rest) == 70
         assert {s.id for s in train}.isdisjoint({s.id for s in rest})
@@ -101,7 +102,7 @@ class TestSelect:
 class TestInject:
     def test_copy_negative_links_to_source_at_weight_one(self, separable):
         corpus, _, matrix, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=3, seed=1)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=3), seed=1)
         copy = next(s for s in samples if s.strategy == "copy")
         grown, grown_matrix = inject_negatives(graph, matrix, [copy], corpus)
         new_ids = set(grown.idea_nodes[copy.id])
@@ -117,7 +118,7 @@ class TestInject:
 
     def test_node_count_grows_by_total_viewpoints(self, separable):
         corpus, _, matrix, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=4, seed=2)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=4), seed=2)
         grown, _ = inject_negatives(graph, matrix, samples, corpus)
         assert len(grown) == len(graph) + sum(len(s.viewpoints) for s in samples)
 
@@ -137,7 +138,7 @@ class TestInject:
 
     def test_temporal_features_rescaled(self, separable):
         corpus, _, matrix, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=2, seed=3)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=2), seed=3)
         grown, _ = inject_negatives(graph, matrix, samples, corpus)
         for t in grown.t:
             assert 0.0 <= t <= 1.0
@@ -150,7 +151,7 @@ class TestInject:
         # reference: the per-negative loop, each negative integrated alone
         # over the matrix rows up to its own block
         corpus, _, matrix, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=40, seed=4)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=40), seed=4)
         grown, grown_matrix = inject_negatives(graph, matrix, samples, corpus)
         chain, stop = graph, len(graph)
         for neg in samples:
@@ -182,7 +183,7 @@ class TestInject:
 class TestSerialization:
     def test_round_trip(self, tmp_path, separable):
         corpus, _, _, graph = separable
-        samples, _ = generate_negatives(corpus, graph, count=5, seed=6)
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=5), seed=6)
         path = tmp_path / "neg.jsonl"
         save_negatives(samples, path)
         assert load_negatives(path) == samples

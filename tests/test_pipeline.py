@@ -16,11 +16,13 @@ from viewgraph import gnn, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import load_corpus, save_corpus
-from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, save_embeddings
+from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
 from viewgraph.graph import GraphConfig, load_graph
 from viewgraph.label_prop import LpConfig
+from viewgraph.llm import LlmBackend
+from viewgraph.novelty import NoveltyConfig
 from viewgraph.pipeline import (
     FILES,
     ConfigError,
@@ -99,6 +101,19 @@ class TestValidateConfig:
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
         assert "llm.price_per_million: must be >= 0.0" in capsys.readouterr().err
 
+    def test_remote_backend_without_endpoint_refused_at_load(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: pytest.fail("no request may be made"))
+        data = {"out_dir": str(tmp_path / "run"), "llm": {"backend": "remote"}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.errors == ["llm.endpoint: must be set when backend is remote"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
+        stderr = capsys.readouterr().err
+        assert "llm.endpoint: must be set when backend is remote" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "run").exists()
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 5, "engine": "both"}))
@@ -116,6 +131,10 @@ class TestValidateConfig:
         (GnnConfig, {"learning_rate": "fast"}, "learning_rate: must be a float, got str"),
         (EmbeddingProvider, {"dimension": 1}, "dimension: must be >= 2, got 1"),
         (EmbeddingProvider, {"provider": "cloud"}, "provider: must be stub or remote, got 'cloud'"),
+        (LlmBackend, {"backend": "cloud", "temperature": 3}, "backend: must be mock or remote, got 'cloud'; temperature: must be in [0, 2], got 3"),
+        (LlmBackend, {"backend": "remote"}, "endpoint: must be set when backend is remote"),
+        (NoveltyConfig, {"count": 0}, "count: must be >= 1, got 0"),
+        (NoveltyConfig, {"swap_fraction": 1.5}, "swap_fraction: must be in (0, 1], got 1.5"),
     ],
 )
 def test_config_type_names_bad_fields(cls, kwargs, message):
@@ -290,6 +309,48 @@ class TestRunPipeline:
             assert (tmp_path / "detA" / name).read_bytes() == (tmp_path / "detB" / name).read_bytes()
 
 
+# The function each stage's entry in the stage table calls.
+STAGE_FUNCTIONS = {
+    "split": "run_split", "extract": "run_extract", "embed": "run_embed", "build": "run_build",
+    "gen-negatives": "run_negatives", "lp": "run_lp", "train": "run_train", "eval": "run_eval",
+}
+
+
+class TestStoppedRun:
+    def config(self, tmp_path, demo_file, out):
+        return demo_config(tmp_path, demo_file, out=out, engine="both", novelty={"enabled": True, "count": 6, "train_subset": 2})
+
+    @pytest.mark.parametrize("stopped", list(STAGE_FUNCTIONS))
+    def test_rerun_skips_exactly_the_finished_stages(self, tmp_path, demo_file, monkeypatch, stopped):
+        config = self.config(tmp_path, demo_file, "stopped")
+        names = [stage.name for stage in stage_table(config)]
+        assert names == list(STAGE_FUNCTIONS)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, STAGE_FUNCTIONS[stopped], interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(config, quiet=True)
+        rerun = run_pipeline(config, quiet=True)
+        assert [s["name"] for s in rerun["stages"] if s["skipped"]] == names[: names.index(stopped)]
+        run_pipeline(self.config(tmp_path, demo_file, "whole"), quiet=True)
+        for path in (tmp_path / "whole").iterdir():
+            if path.name != "run_manifest.json":
+                assert (tmp_path / "stopped" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_every_file_a_run_writes_replaces_its_target(self, tmp_path, demo_file, monkeypatch):
+        replaced = []
+        real = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(os.path.basename(dst)) or real(src, dst))
+        run_pipeline(self.config(tmp_path, demo_file, "run"), quiet=True)
+        written = {path.name for path in (tmp_path / "run").iterdir()}
+        assert written == set(replaced) and "run_manifest.json" in written
+        # the manifest after each of the eight stages, and nothing twice otherwise
+        assert Counter(replaced) == {name: 8 if name == "run_manifest.json" else 1 for name in written}
+
+
 def two_pass_train_and_predict(paths, config, split):
     """Reference: training and prediction as two calls, each loading the
     graph, embeddings and corpus and injecting the negatives itself, with
@@ -298,7 +359,7 @@ def two_pass_train_and_predict(paths, config, split):
     def training_inputs():
         corpus = load_corpus(paths["split"])
         graph = load_graph(paths["graph"])
-        matrix, _ = load_embeddings(paths["embeddings"])
+        matrix = load_embeddings(paths["embeddings"], row_ids(graph.idea))
         negatives = []
         if "negatives" in paths:
             negatives = novelty.load_negatives(paths["negatives"])
@@ -312,7 +373,8 @@ def two_pass_train_and_predict(paths, config, split):
                    epoch=result.best_epoch, validation_score=result.best_val_f1)
     graph, matrix, corpus, _ = training_inputs()
     model, _ = gnn.load_model(paths["model"])
-    gnn.save_predictions(gnn.predict(model, graph, matrix, corpus, split=split), corpus, paths["gnn_pred"])
+    predictions = gnn.predict(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
+    gnn.save_predictions(predictions, corpus, paths["gnn_pred"])
 
 
 class TestTrainStage:
@@ -500,7 +562,8 @@ class TestCli:
     def test_embeddings_of_other_rows_named(self, tmp_path, capsys, demo_file, stage, rows):
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         run = tmp_path / "run"
-        matrix, ids = load_embeddings(run / "embeddings.bin")
+        ids = row_ids(load_graph(run / "graph.json").idea)
+        matrix = load_embeddings(run / "embeddings.bin", ids)
         if rows == "reversed":
             bad_rows, bad_ids = matrix.rows[::-1], ids[::-1]
         else:
