@@ -141,7 +141,10 @@ def load_corpus(path: str | Path) -> Corpus:
                 continue
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise CorpusFormatError(path, f"record needs 'id' and 'text' fields: {line!r}", line_no, raw)
-            idea_id = str(obj["id"])
+            for key, kind in (("id", str), ("title", str), ("text", str), ("timestamp", COUNT)):
+                if key in obj and (broken := problem(obj[key], kind)):
+                    raise CorpusFormatError(path, f"key {key!r} {broken}", line_no, raw)
+            idea_id = obj["id"]
             if idea_id in seen_lines:
                 raise CorpusFormatError(
                     path,
@@ -150,22 +153,20 @@ def load_corpus(path: str | Path) -> Corpus:
                     raw,
                 )
             seen_lines[idea_id] = line_no
-            if broken := problem(obj.get("timestamp", 0), COUNT):
-                raise CorpusFormatError(path, f"key 'timestamp' {broken}", line_no, raw)
-            label_name = obj.get("label")
-            if label_name is None:
-                label = None
-            else:
+            label = obj.get("label")
+            if label is not None:
+                if broken := problem(label, str):
+                    raise CorpusFormatError(path, f"key 'label' {broken}", line_no, raw)
                 try:
-                    label = header_labels.index_of(str(label_name))
+                    label = header_labels.index_of(label)
                 except ValueError as exc:
                     raise CorpusFormatError(path, str(exc), line_no, raw) from exc
             try:
                 ideas.append(
                     Idea(
                         id=idea_id,
-                        title=str(obj.get("title", "")),
-                        text=str(obj["text"]),
+                        title=obj.get("title", ""),
+                        text=obj["text"],
                         label=label,
                         timestamp=obj.get("timestamp", 0),
                         split=obj.get("split"),

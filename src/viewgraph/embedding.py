@@ -43,8 +43,8 @@ def stub_vector(text: str, dimension: int) -> np.ndarray:
 def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
     """The endpoint's vectors for ``texts``, from one request. A failed
     request or an HTTP error status raises an LlmTransportError, and a
-    response without ``data`` or an item without an ``embedding`` list a
-    ValueError; each names the endpoint."""
+    body that is not JSON, a response without ``data`` or an item without
+    an ``embedding`` list a ValueError; each names the endpoint."""
     import requests  # only the remote path loads the HTTP client
 
     where = f"embedding endpoint {provider.endpoint}"
@@ -59,7 +59,10 @@ def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[l
         raise LlmTransportError(f"{where}: request failed: {exc}", 1) from exc
     if resp.status_code >= 400:
         raise LlmTransportError(f"{where}: refused with HTTP {resp.status_code}: {resp.text[:200]}", 1)
-    body = resp.json()
+    try:
+        body = resp.json()
+    except ValueError:
+        raise ValueError(f"{where}: response is not JSON: {resp.text[:200]}") from None
     data = body.get("data") if isinstance(body, dict) else None
     if not isinstance(data, list):
         raise ValueError(f"{where}: response needs a 'data' list, got {str(body)[:200]}")

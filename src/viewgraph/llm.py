@@ -7,7 +7,11 @@ header, then one bracketed item per viewpoint. Relation completions list
 
 Grammar tolerance (the remote model is not trusted to be exact): markers
 match case-insensitively, prose between and after bracketed items is
-ignored, nested brackets inside an item are rejected.
+ignored, nested brackets inside an item are rejected. Only an item that
+reads ``[Sentence N]`` (any case, N digits, whitespace around it ignored)
+is a sentence marker; ``[Sentence-level attention helps]`` is a viewpoint.
+``render`` fills a prompt's placeholders in one pass, so placeholder text
+inside a title or an abstract reaches the prompt as it is.
 
 The mock backend derives its completion from the prompt alone (one
 viewpoint per sentence of the abstract), so extraction is reproducible
@@ -19,13 +23,12 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import Checked, Idea, IdeaViewpoints, at_least, must, normalize_text, setting
 
 POLARITIES = ("supporting", "opposing")
-PRICE_RULE = at_least(0.0)
 
 
 class LlmParseError(ValueError):
@@ -46,103 +49,67 @@ class LlmTransportError(RuntimeError):
 class TokenUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    price_per_million: float = 0.0
 
     def __post_init__(self):
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
-        if broken := PRICE_RULE(self.price_per_million):
-            raise ValueError(f"price_per_million: {broken}")
 
     @property
     def total(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
-    @property
-    def cost(self) -> float:
-        return self.total * self.price_per_million / 1e6
+
+_PLACEHOLDER_RE = re.compile(r"\{(title|abstract|viewpoints)\}")
 
 
-@dataclass(frozen=True)
-class ViewpointPair:
-    left: str
-    connector: str
-    polarity: str
-    right: str
-
-    def __post_init__(self):
-        if self.polarity not in POLARITIES:
-            raise ValueError(f"polarity must be one of {POLARITIES}, got {self.polarity!r}")
-        if normalize_text(self.left) == normalize_text(self.right):
-            raise ValueError("pair endpoints must differ")
+def render(template: str, **values: str) -> str:
+    """``template`` with each ``{title}``, ``{abstract}`` and ``{viewpoints}``
+    replaced by its value in one pass; a placeholder without a value
+    raises a KeyError."""
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Template with {title}, {abstract}, {viewpoints} placeholders."""
-
-    name: str
-    body: str
-
-    PLACEHOLDERS = ("{title}", "{abstract}", "{viewpoints}")
-
-    def render(self, **values: str) -> str:
-        out = self.body
-        for key, val in values.items():
-            out = out.replace("{" + key + "}", val)
-        left = [p for p in self.PLACEHOLDERS if p in out]
-        if left:
-            raise ValueError(f"unbound placeholders {left} in template {self.name!r}")
-        return out
-
-
-VIEWPOINT_TEMPLATE = PromptTemplate(
-    name="viewpoint_extraction",
-    body=(
-        "You are an annotator. Work through the abstract below sentence by sentence\n"
-        "and pull out every viewpoint stated in each sentence. A viewpoint is one\n"
-        "atomic idea, argument, or fact, granular enough that it cannot be split\n"
-        "further. A sentence may hold one or several viewpoints. Rewrite pronouns\n"
-        "and elided subjects so that every viewpoint stands on its own.\n"
-        "\n"
-        "Answer in exactly this layout, one block per sentence:\n"
-        "\n"
-        "[Sentence 1]\n"
-        "<the sentence>\n"
-        "[Extracted Viewpoints in Sentence 1]\n"
-        "[<first viewpoint>]\n"
-        "[<second viewpoint>]\n"
-        "\n"
-        "Title: {title}\n"
-        "\n"
-        "[The Start of Abstract]\n"
-        "{abstract}\n"
-        "[The End of Abstract]\n"
-    ),
+VIEWPOINT_TEMPLATE = (
+    "You are an annotator. Work through the abstract below sentence by sentence\n"
+    "and pull out every viewpoint stated in each sentence. A viewpoint is one\n"
+    "atomic idea, argument, or fact, granular enough that it cannot be split\n"
+    "further. A sentence may hold one or several viewpoints. Rewrite pronouns\n"
+    "and elided subjects so that every viewpoint stands on its own.\n"
+    "\n"
+    "Answer in exactly this layout, one block per sentence:\n"
+    "\n"
+    "[Sentence 1]\n"
+    "<the sentence>\n"
+    "[Extracted Viewpoints in Sentence 1]\n"
+    "[<first viewpoint>]\n"
+    "[<second viewpoint>]\n"
+    "\n"
+    "Title: {title}\n"
+    "\n"
+    "[The Start of Abstract]\n"
+    "{abstract}\n"
+    "[The End of Abstract]\n"
 )
 
-RELATION_TEMPLATE = PromptTemplate(
-    name="relation_extraction",
-    body=(
-        "You are an annotator. Below are an abstract and the viewpoints extracted\n"
-        "from it. Find pairs of semantically related viewpoints. For each pair give\n"
-        "a logical connector and say whether the relation is \"supporting\"\n"
-        "(continuation, cause-effect, exemplification, ...) or \"opposing\"\n"
-        "(contrast, contradiction, ...).\n"
-        "\n"
-        "Write one pair per line in exactly this form:\n"
-        "{[<viewpoint one>], [<connector>], [supporting or opposing], [<viewpoint two>]}\n"
-        "\n"
-        "Title: {title}\n"
-        "\n"
-        "[The Start of Abstract]\n"
-        "{abstract}\n"
-        "[The End of Abstract]\n"
-        "\n"
-        "[The Start of Extracted Viewpoints]\n"
-        "{viewpoints}\n"
-        "[The End of Extracted Viewpoints]\n"
-    ),
+RELATION_TEMPLATE = (
+    "You are an annotator. Below are an abstract and the viewpoints extracted\n"
+    "from it. Find pairs of semantically related viewpoints. For each pair give\n"
+    "a logical connector and say whether the relation is \"supporting\"\n"
+    "(continuation, cause-effect, exemplification, ...) or \"opposing\"\n"
+    "(contrast, contradiction, ...).\n"
+    "\n"
+    "Write one pair per line in exactly this form:\n"
+    "{[<viewpoint one>], [<connector>], [supporting or opposing], [<viewpoint two>]}\n"
+    "\n"
+    "Title: {title}\n"
+    "\n"
+    "[The Start of Abstract]\n"
+    "{abstract}\n"
+    "[The End of Abstract]\n"
+    "\n"
+    "[The Start of Extracted Viewpoints]\n"
+    "{viewpoints}\n"
+    "[The End of Extracted Viewpoints]\n"
 )
 
 
@@ -172,7 +139,7 @@ class LlmBackend(Checked):
     model: str = ""
     temperature: float = setting(0.1, must(lambda v: 0.0 <= v <= 2.0, "in [0, 2]"))
     max_retries: int = setting(3, at_least(1))
-    price_per_million: float = setting(0.0, PRICE_RULE)
+    price_per_million: float = setting(0.0, at_least(0.0))
     relations: bool = False
     max_inflight: int = 4
 
@@ -240,7 +207,7 @@ def _word_count(text: str) -> int:
 
 
 _VIEWPOINT_HEADER_RE = re.compile(r"\[\s*extracted viewpoints[^\[\]]*\]", re.IGNORECASE)
-_SENTENCE_MARKER_RE = re.compile(r"^sentence\b[^\[\]]*$", re.IGNORECASE)
+_SENTENCE_MARKER_RE = re.compile(r"\s*sentence\s+[0-9]+\s*", re.IGNORECASE)
 
 
 def parse_viewpoint_response(raw: str) -> list[str]:
@@ -263,7 +230,7 @@ def parse_viewpoint_response(raw: str) -> list[str]:
             content = raw[open_at + 1 : close_at]
             if "[" in content:
                 raise LlmParseError("nested bracket inside a viewpoint item", raw)
-            if _SENTENCE_MARKER_RE.match(content.strip()):
+            if _SENTENCE_MARKER_RE.fullmatch(content):
                 break  # next sentence block begins
             text = content.strip()
             if text:
@@ -283,7 +250,7 @@ def render_viewpoint_response(groups: Sequence[tuple[str, Sequence[str]]]) -> st
                 raise ValueError(f"viewpoint may not contain brackets: {v!r}")
             if not v.strip():
                 raise ValueError("viewpoint may not be blank")
-            if _SENTENCE_MARKER_RE.match(v.strip()):
+            if _SENTENCE_MARKER_RE.fullmatch(v):
                 raise ValueError(f"viewpoint collides with a sentence marker: {v!r}")
         parts.append(f"[Sentence {i}]")
         parts.append(sentence)
@@ -298,22 +265,16 @@ _PAIR_RE = re.compile(
 )
 
 
-@dataclass
-class RelationResult:
-    pairs: list[ViewpointPair] = field(default_factory=list)
-    usage: TokenUsage = TokenUsage()
-    dropped: int = 0
-
-
-def parse_relation_response(raw: str, viewpoints: Sequence[str]) -> tuple[list[ViewpointPair], int]:
-    """Parse relation tuples; endpoints must match the input viewpoint list.
+def parse_relation_response(raw: str, viewpoints: Sequence[str]) -> tuple[list[tuple[str, str, str, str]], int]:
+    """Parse ``(left, connector, polarity, right)`` tuples; endpoints must
+    match the input viewpoint list.
 
     Pairs with unmatched endpoints, unknown polarity, or equal endpoints
     are dropped and counted, not fatal. Duplicates (same unordered
     endpoint pair and polarity) are collapsed.
     """
     lookup = {normalize_text(v): v for v in viewpoints}
-    pairs: list[ViewpointPair] = []
+    pairs: list[tuple[str, str, str, str]] = []
     seen: set[tuple[frozenset, str]] = set()
     dropped = 0
     for m in _PAIR_RE.finditer(raw):
@@ -328,39 +289,30 @@ def parse_relation_response(raw: str, viewpoints: Sequence[str]) -> tuple[list[V
         if key in seen:
             continue
         seen.add(key)
-        pairs.append(ViewpointPair(left=left, connector=connector, polarity=polarity, right=right))
+        pairs.append((left, connector, polarity, right))
     return pairs, dropped
 
 
 def extract_viewpoints(idea: Idea, backend: LlmBackend) -> tuple[list[str], TokenUsage]:
     """One prompted call; returns >= 1 viewpoint texts in document order."""
-    if not idea.text:
-        raise ValueError(f"idea {idea.id!r} has empty text")
-    prompt = VIEWPOINT_TEMPLATE.render(title=idea.title, abstract=idea.text)
-    completion, usage = backend.complete(prompt, purpose=VIEWPOINT_TEMPLATE.name)
+    prompt = render(VIEWPOINT_TEMPLATE, title=idea.title, abstract=idea.text)
+    completion, usage = backend.complete(prompt, purpose="viewpoint_extraction")
     texts = parse_viewpoint_response(completion)
     if not texts:
         raise LlmParseError("completion contained no viewpoint items", completion)
     return texts, usage
 
 
-def extract_relations(viewpoints: Sequence[str], idea: Idea, backend: LlmBackend, seed: int = 0) -> RelationResult:
+def extract_relations(viewpoints: Sequence[str], idea: Idea, backend: LlmBackend, seed: int = 0) -> tuple[list, TokenUsage, int]:
+    """One prompted call; returns the pairs (as ``parse_relation_response``),
+    the usage and the number of pairs dropped."""
     if len(viewpoints) < 2:
         raise ValueError("relation extraction needs at least 2 viewpoints")
     listing = "\n".join(f"[{v}]" for v in viewpoints)
-    prompt = RELATION_TEMPLATE.render(title=idea.title, abstract=idea.text, viewpoints=listing)
-    completion, usage = backend.complete(prompt, purpose=RELATION_TEMPLATE.name, seed=seed)
+    prompt = render(RELATION_TEMPLATE, title=idea.title, abstract=idea.text, viewpoints=listing)
+    completion, usage = backend.complete(prompt, purpose="relation_extraction", seed=seed)
     pairs, dropped = parse_relation_response(completion, viewpoints)
-    return RelationResult(pairs=pairs, usage=usage, dropped=dropped)
-
-
-def token_cost(usages: Sequence[TokenUsage]) -> tuple[float, float]:
-    """(average tokens per evaluation, average currency cost)."""
-    if not usages:
-        raise ValueError("no usages to average")
-    avg_tokens = sum(u.total for u in usages) / len(usages)
-    avg_cost = sum(u.cost for u in usages) / len(usages)
-    return avg_tokens, avg_cost
+    return pairs, usage, dropped
 
 
 # --- mock backend ---------------------------------------------------------
@@ -429,15 +381,12 @@ def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) ->
 
     def one(idea: Idea) -> IdeaViewpoints:
         texts, usage = extract_viewpoints(idea, backend)
-        pairs: tuple = ()
-        dropped = 0
+        pairs, dropped = [], 0
         prompt_tokens, completion_tokens = usage.prompt_tokens, usage.completion_tokens
         if backend.relations and len(texts) >= 2:
-            rel = extract_relations(texts, idea, backend, seed)
-            pairs = tuple((p.left, p.connector, p.polarity, p.right) for p in rel.pairs)
-            dropped = rel.dropped
-            prompt_tokens += rel.usage.prompt_tokens
-            completion_tokens += rel.usage.completion_tokens
+            pairs, rel_usage, dropped = extract_relations(texts, idea, backend, seed)
+            prompt_tokens += rel_usage.prompt_tokens
+            completion_tokens += rel_usage.completion_tokens
         rec = IdeaViewpoints(
             idea_id=idea.id,
             viewpoints=tuple(texts),

@@ -42,7 +42,7 @@ from .dataset import (
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
 from .graph import GraphConfig, build_graph, load_graph, save_graph
-from .llm import LlmBackend, TokenUsage, extract_corpus, token_cost
+from .llm import LlmBackend, extract_corpus
 from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
 ENGINES = ("lp", "gnn", "both")
@@ -146,8 +146,10 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
         if idea is None:
             raise ValueError(f"{where}: idea id {obj['id']!r} is not in the corpus")
         if idea.label is not None:
+            if (label := obj.get("label")) not in corpus.label_set.labels:
+                raise ValueError(f"{where}: 'label' must be one of {list(corpus.label_set.labels)}, got {label!r}")
             truths.append(idea.label)
-            preds.append(corpus.label_set.index_of(obj.get("label")))
+            preds.append(corpus.label_set.index_of(label))
     if not truths:
         raise ValueError(f"no labeled ideas among predictions in {pred_path}")
     return macro_metrics(confusion(truths, preds, corpus.label_set.labels))
@@ -286,8 +288,11 @@ def run_eval(paths: dict, config: RunConfig) -> dict:
     extraction = {}
     if "viewpoints" in paths:
         price = config.llm.price_per_million
-        usages = [TokenUsage(r.prompt_tokens, r.completion_tokens, price) for r in load_viewpoints(paths["viewpoints"])]
-        avg_tokens, avg_cost = token_cost(usages)
+        tokens = [r.prompt_tokens + r.completion_tokens for r in load_viewpoints(paths["viewpoints"])]
+        if not tokens:
+            raise ValueError(f"{paths['viewpoints']}: no viewpoint records to price")
+        avg_tokens = sum(tokens) / len(tokens)
+        avg_cost = sum(t * price / 1e6 for t in tokens) / len(tokens)
         for report in reports.values():
             report.avg_token_cost = avg_tokens
         extraction = {"extraction": {"avg_tokens_per_evaluation": avg_tokens, "avg_cost_per_evaluation": avg_cost}}

@@ -79,12 +79,16 @@ class TestLoadCorpus:
             ([header(), record("a", timestamp=1.5)], 2, "key 'timestamp' must be an int, got float"),
             ([header(), record("a", timestamp="7")], 2, "key 'timestamp' must be an int, got str"),
             ([header(), record("a"), record("b", timestamp=-1)], 3, "key 'timestamp' must be >= 0, got -1"),
+            ([header(), record("a", text=None)], 2, "key 'text' must be a str, got NoneType"),
+            ([header(), record(7)], 2, "key 'id' must be a str, got int"),
+            ([header(), record("a"), record("b", title=["x"])], 3, "key 'title' must be a str, got list"),
+            ([header(), record("a", label=3)], 2, "key 'label' must be a str, got int"),
             ([json.dumps({"labels": 5}), record("a")], 1, "header key 'labels' must be a list, got int"),
             ([json.dumps({"labels": "ab"}), record("a")], 1, "header key 'labels' must be a list, got str"),
             ([json.dumps({"labels": ["a", 2]}), record("a")], 1, "header key 'labels' must be a list of strings, got item 2"),
         ],
         ids=["timestamp-list", "timestamp-bool", "timestamp-float", "timestamp-str", "timestamp-negative",
-             "labels-int", "labels-str", "labels-item"],
+             "text-null", "id-int", "title-list", "label-int", "labels-int", "labels-str", "labels-item"],
     )
     def test_value_of_wrong_kind_carries_line_number(self, tmp_path, lines, line_no, message):
         path = tmp_path / "c.jsonl"

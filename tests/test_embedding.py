@@ -178,6 +178,14 @@ class TestRemoteProvider:
         err = capsys.readouterr().err
         assert err == "error: embedding endpoint http://x/embed: request failed: connection refused\n"
 
+    def test_body_that_is_not_json_names_endpoint(self, tmp_path, capsys, monkeypatch):
+        resp = requests.models.Response()
+        resp.status_code, resp.encoding, resp._content = 200, "utf-8", b"<html>gateway</html>"
+        monkeypatch.setattr(requests, "post", lambda url, **kw: resp)
+        assert cli_embed(tmp_path, "http://x/embed") == 2
+        err = capsys.readouterr().err
+        assert err == "error: embedding endpoint http://x/embed: response is not JSON: <html>gateway</html>\n"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_named(self, monkeypatch, bad):
         monkeypatch.setattr(requests, "post", self._fake_post([[0.1, 0.2], [bad, 1.0]]))

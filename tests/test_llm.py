@@ -21,8 +21,8 @@ from viewgraph.llm import (
     extract_viewpoints,
     parse_relation_response,
     parse_viewpoint_response,
+    render,
     render_viewpoint_response,
-    token_cost,
 )
 
 CLIP_SENTENCE = (
@@ -71,8 +71,20 @@ class TestParse:
         raw = "[Extracted Viewpoints in Sentence 1]\n[kept]\n[never closed"
         assert parse_viewpoint_response(raw) == ["kept"]
 
+    def test_item_starting_with_the_word_sentence_is_a_viewpoint(self):
+        raw = (
+            "[Sentence 1]\nIt attends.\n[Extracted Viewpoints in Sentence 1]\n"
+            "[Sentence-level attention improves recall]\n[Recall matters]"
+        )
+        assert parse_viewpoint_response(raw) == ["Sentence-level attention improves recall", "Recall matters"]
 
-_marker = re.compile(r"^sentence\b", re.IGNORECASE)
+    @pytest.mark.parametrize("marker", ["[Sentence 2]", "[ SENTENCE 12 ]", "[sentence\t3]"])
+    def test_sentence_marker_ends_the_block(self, marker):
+        raw = f"[Extracted Viewpoints in Sentence 1]\n[kept]\n{marker}\nNext one.\n[not a viewpoint]"
+        assert parse_viewpoint_response(raw) == ["kept"]
+
+
+_marker = re.compile(r"\s*sentence\s+[0-9]+\s*", re.IGNORECASE)
 viewpoint_text = (
     st.text(
         alphabet=st.characters(
@@ -82,7 +94,7 @@ viewpoint_text = (
         max_size=60,
     )
     .map(lambda s: " ".join(s.split()))
-    .filter(lambda s: s and not _marker.match(s))
+    .filter(lambda s: s and not _marker.fullmatch(s))
 )
 
 
@@ -116,6 +128,10 @@ class TestMockBackend:
         assert usage.total == usage.prompt_tokens + usage.completion_tokens
         assert usage.prompt_tokens > 0
 
+    def test_sentence_starting_with_the_word_sentence_extracted(self):
+        texts, _ = extract_viewpoints(idea("Sentence embeddings help retrieval. Graphs help too."), LlmBackend())
+        assert texts == ["Sentence embeddings help retrieval.", "Graphs help too."]
+
     def test_empty_text_rejected_at_idea_boundary(self):
         with pytest.raises(ValueError):
             Idea(id="x", title="", text="", timestamp=0)
@@ -130,10 +146,7 @@ class TestRelations:
         )
         pairs, dropped = parse_relation_response(raw, views)
         assert dropped == 0
-        assert len(pairs) == 1
-        assert pairs[0].polarity == "opposing"
-        assert pairs[0].connector == "however"
-        assert pairs[0].left == views[0] and pairs[0].right == views[1]
+        assert pairs == [(views[0], "however", "opposing", views[1])]
 
     def test_unmatched_endpoint_dropped_and_counted(self):
         views = ["alpha beta", "gamma delta"]
@@ -146,8 +159,7 @@ class TestRelations:
         views = ["Alpha  Beta", "Gamma Delta"]
         raw = "{[alpha beta], [thus], [supporting], [GAMMA   DELTA]}"
         pairs, _ = parse_relation_response(raw, views)
-        assert len(pairs) == 1
-        assert pairs[0].left == "Alpha  Beta"
+        assert pairs == [("Alpha  Beta", "thus", "supporting", "Gamma Delta")]
 
     def test_duplicates_collapsed(self):
         views = ["a claim", "b claim"]
@@ -161,7 +173,7 @@ class TestRelations:
     def test_empty_completion_is_empty_result(self, monkeypatch):
         monkeypatch.setattr(LlmBackend, "complete", lambda self, prompt, purpose, seed=0: ("", TokenUsage(3, 0)))
         result = extract_relations(["first claim", "second claim"], idea("First claim. Second claim."), LlmBackend())
-        assert (result.pairs, result.dropped, result.usage) == ([], 0, TokenUsage(3, 0))
+        assert result == ([], TokenUsage(3, 0), 0)
 
     def test_needs_two_viewpoints(self):
         with pytest.raises(ValueError):
@@ -171,50 +183,68 @@ class TestRelations:
         backend = LlmBackend()
         the_idea = idea("A one. B two. C three. D four.")
         views, _ = extract_viewpoints(the_idea, backend)
-        first = extract_relations(views, the_idea, backend, seed=9)
-        second = extract_relations(views, the_idea, backend, seed=9)
-        assert first.pairs == second.pairs
-        assert first.pairs  # consecutive pairing yields at least one pair
+        first, _, _ = extract_relations(views, the_idea, backend, seed=9)
+        second, _, _ = extract_relations(views, the_idea, backend, seed=9)
+        assert first == second
+        assert first  # consecutive pairing yields at least one pair
 
 
-class TestTokenCost:
-    def test_paper_scale_price(self):
-        usage = TokenUsage(prompt_tokens=1000, completion_tokens=968, price_per_million=0.20)
-        avg_tokens, avg_cost = token_cost([usage])
-        assert avg_tokens == 1968
-        assert avg_cost == pytest.approx(0.000394, abs=1e-6)
-
-    def test_zero_price_zero_cost(self):
-        _, cost = token_cost([TokenUsage(10, 10, 0.0)])
-        assert cost == 0.0
-
-    def test_mean_of_totals(self):
-        usages = [TokenUsage(60, 40, 1.0), TokenUsage(200, 100, 1.0)]
-        avg_tokens, _ = token_cost(usages)
-        assert avg_tokens == 200
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            token_cost([])
-
-    def test_negative_price_named(self):
-        with pytest.raises(ValueError, match=r"^price_per_million: must be >= 0.0, got -1.0$"):
-            TokenUsage(1, 1, -1.0)
-
+class TestTokenUsage:
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
     def test_total_is_sum(self, p, c):
         assert TokenUsage(p, c).total == p + c
 
 
+brace_free = st.text(alphabet=st.characters(blacklist_characters="{\x00"), max_size=40)
+with_placeholders = st.lists(
+    st.sampled_from(["{title}", "{abstract}", "{viewpoints}", "{", "}", "x", " "]), max_size=8
+).map("".join)
+
+
 class TestTemplates:
     def test_render_binds_all_placeholders(self):
-        out = VIEWPOINT_TEMPLATE.render(title="T", abstract="A")
+        out = render(VIEWPOINT_TEMPLATE, title="T", abstract="A")
         assert "{title}" not in out and "{abstract}" not in out
 
     def test_unbound_placeholder_rejected(self):
-        with pytest.raises(ValueError, match="viewpoints"):
-            RELATION_TEMPLATE.render(title="T", abstract="A")
+        with pytest.raises(KeyError, match="viewpoints"):
+            render(RELATION_TEMPLATE, title="T", abstract="A")
+
+    @given(brace_free, brace_free, brace_free)
+    @settings(max_examples=100, deadline=None)
+    def test_render_equals_replace_chain_for_brace_free_values(self, title, abstract, viewpoints):
+        for template in (VIEWPOINT_TEMPLATE, RELATION_TEMPLATE):
+            chained = template.replace("{title}", title).replace("{abstract}", abstract)
+            chained = chained.replace("{viewpoints}", viewpoints)
+            assert render(template, title=title, abstract=abstract, viewpoints=viewpoints) == chained
+
+    @given(with_placeholders, with_placeholders, with_placeholders)
+    @settings(max_examples=100, deadline=None)
+    def test_placeholder_text_in_a_value_is_kept(self, title, abstract, viewpoints):
+        # each placeholder goes to a sentinel first: the template holds no NUL
+        expected = (
+            RELATION_TEMPLATE.replace("{title}", "\x00T").replace("{abstract}", "\x00A").replace("{viewpoints}", "\x00V")
+            .replace("\x00T", title).replace("\x00A", abstract).replace("\x00V", viewpoints)
+        )
+        assert render(RELATION_TEMPLATE, title=title, abstract=abstract, viewpoints=viewpoints) == expected
+
+    def test_placeholder_text_in_title_and_abstract_reaches_the_prompts(self, monkeypatch):
+        prompts = []
+        complete = LlmBackend.complete
+
+        def recording(self, prompt, purpose, seed=0):
+            prompts.append(prompt)
+            return complete(self, prompt, purpose, seed)
+
+        monkeypatch.setattr(LlmBackend, "complete", recording)
+        the_idea = idea("Graphs use {viewpoints} here. They cite {title} too.", title="On {abstract} splicing")
+        records, _ = extract_corpus([the_idea], LlmBackend(relations=True))
+        assert records[0].viewpoints == ("Graphs use viewpoints here.", "They cite title too.")
+        assert len(prompts) == 2
+        for prompt in prompts:
+            assert "Title: On {abstract} splicing\n" in prompt
+            assert "[The Start of Abstract]\nGraphs use {viewpoints} here. They cite {title} too.\n" in prompt
 
 
 class TestRemoteBackend:

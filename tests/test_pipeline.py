@@ -609,6 +609,42 @@ class TestCli:
         assert "eval has no predictions to score" in stderr and "Traceback" not in stderr
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("record, got", [({}, "None"), ({"label": "Great"}, "'Great'")], ids=["missing", "unknown"])
+    def test_eval_names_predictions_line_with_bad_label(self, tmp_path, capsys, demo_file, record, got):
+        preds = tmp_path / "preds.jsonl"
+        labeled = [i.id for i in demo_corpus().ideas if i.label is not None]
+        lines = [{"id": labeled[0], "label": "Reject"}, {"id": labeled[1], **record}]
+        preds.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        argv = ["eval", "--lp-pred", preds, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        assert self.run(*argv, "--quiet") == 2
+        known = list(demo_corpus().label_set.labels)
+        assert capsys.readouterr().err == f"error: predictions file {preds}: line 2: 'label' must be one of {known}, got {got}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_names_empty_viewpoints_file(self, tmp_path, capsys, demo_file):
+        preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
+        preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
+        views.write_text("")
+        argv = ["eval", "--lp-pred", preds, "--viewpoints", views, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        assert self.run(*argv, "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {views}: no viewpoint records to price\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("price", [0.0, 0.2, 2.5])
+    def test_eval_cost_is_the_mean_of_per_record_costs(self, tmp_path, demo_file, price):
+        preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
+        preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
+        counts = np.random.default_rng(3).integers(0, 10**7, size=(25, 2)).tolist()
+        records = [{"idea_id": f"i{j}", "viewpoints": ["x y"], "prompt_tokens": p, "completion_tokens": c}
+                   for j, (p, c) in enumerate(counts)]
+        views.write_text("".join(json.dumps(r) + "\n" for r in records))
+        paths = {"split": demo_file, "lp_pred": preds, "viewpoints": views, "report": tmp_path / "r.json"}
+        pipeline.run_eval(paths, demo_config(tmp_path, demo_file, llm={"price_per_million": price}))
+        extraction = json.loads((tmp_path / "r.json").read_text())["extraction"]
+        per_record = [(p + c) * price / 1e6 for p, c in counts]
+        assert extraction["avg_cost_per_evaluation"] == sum(per_record) / len(per_record)
+        assert extraction["avg_tokens_per_evaluation"] == sum(p + c for p, c in counts) / len(counts)
+
     def test_eval_names_viewpoints_token_count_of_wrong_type(self, tmp_path, capsys, demo_file):
         preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
         preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
