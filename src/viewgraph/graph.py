@@ -54,7 +54,8 @@ class ViewpointGraph:
 
     Edges may be given in any order and either orientation; they are
     stored with ``u < v`` sorted by ``(u, v)``. ``polarity`` holds one
-    entry (str or None) per edge; by default every entry is None.
+    entry (str or None) per edge; by default every entry is None. The
+    arrays are read-only.
     """
 
     def __init__(
@@ -97,6 +98,8 @@ class ViewpointGraph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
         self.arcs = Arcs(src[order], dst[order], np.concatenate([self.weight, self.weight])[order], indptr)
+        for array in (self.t, self.u, self.v, self.weight, self.intra, *self.arcs):
+            array.setflags(write=False)  # a graph may be handed from stage to stage
 
     def _validate(self):
         n = len(self.idea)

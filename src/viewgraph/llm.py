@@ -10,6 +10,9 @@ match case-insensitively, prose between and after bracketed items is
 ignored, nested brackets inside an item are rejected. Only an item that
 reads ``[Sentence N]`` (any case, N digits, whitespace around it ignored)
 is a sentence marker; ``[Sentence-level attention helps]`` is a viewpoint.
+Likewise only ``[Extracted Viewpoints in Sentence N]`` or ``[Extracted
+Viewpoints]`` is a viewpoint header; ``[Extracted viewpoints help.]`` is a
+viewpoint.
 ``render`` fills a prompt's placeholders in one pass, so placeholder text
 inside a title or an abstract reaches the prompt as it is.
 
@@ -206,7 +209,7 @@ def _word_count(text: str) -> int:
     return len(text.split())
 
 
-_VIEWPOINT_HEADER_RE = re.compile(r"\[\s*extracted viewpoints[^\[\]]*\]", re.IGNORECASE)
+_VIEWPOINT_HEADER_RE = re.compile(r"\[\s*extracted\s+viewpoints(?:\s+in\s+sentence\s+[0-9]+)?\s*\]", re.IGNORECASE)
 _SENTENCE_MARKER_RE = re.compile(r"\s*sentence\s+[0-9]+\s*", re.IGNORECASE)
 
 
@@ -250,8 +253,8 @@ def render_viewpoint_response(groups: Sequence[tuple[str, Sequence[str]]]) -> st
                 raise ValueError(f"viewpoint may not contain brackets: {v!r}")
             if not v.strip():
                 raise ValueError("viewpoint may not be blank")
-            if _SENTENCE_MARKER_RE.fullmatch(v):
-                raise ValueError(f"viewpoint collides with a sentence marker: {v!r}")
+            if _SENTENCE_MARKER_RE.fullmatch(v) or _VIEWPOINT_HEADER_RE.fullmatch(f"[{v}]"):
+                raise ValueError(f"viewpoint collides with a marker: {v!r}")
         parts.append(f"[Sentence {i}]")
         parts.append(sentence)
         parts.append(f"[Extracted Viewpoints in Sentence {i}]")

@@ -14,8 +14,9 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from . import gnn as gnn_mod
@@ -136,8 +137,9 @@ def dict_hash(obj) -> str:
 
 def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
     """Score a predictions file against the corpus labels; unlabeled ideas
-    are skipped."""
+    are skipped, and an idea predicted twice is refused."""
     truths, preds = [], []
+    first_line: dict[str, int] = {}
     for line_no, obj in read_jsonl(pred_path):
         where = f"predictions file {pred_path}: line {line_no}"
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
@@ -145,6 +147,9 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
         idea = corpus.by_id(obj["id"])
         if idea is None:
             raise ValueError(f"{where}: idea id {obj['id']!r} is not in the corpus")
+        if idea.id in first_line:
+            raise ValueError(f"{where}: idea id {idea.id!r} is already predicted on line {first_line[idea.id]}")
+        first_line[idea.id] = line_no
         if idea.label is not None:
             if (label := obj.get("label")) not in corpus.label_set.labels:
                 raise ValueError(f"{where}: 'label' must be one of {list(corpus.label_set.labels)}, got {label!r}")
@@ -156,36 +161,54 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
 
 
 # --- stages ------------------------------------------------------------------
-# Each stage is one function run(paths, config) -> summary. ``paths`` maps
-# file keys (the names used in ``run_pipeline``) to files; a stage reads
-# and writes only those, and its output depends only on those files and
-# its config snapshot in the stage table. ``viewgraph run`` calls them
+# Each stage is one function run(paths, config, memo) -> summary. ``paths``
+# maps file keys (the names used in ``run_pipeline``) to files; a stage
+# reads and writes only those, and its output depends only on those files
+# and its config snapshot in the stage table. ``viewgraph run`` calls them
 # through the stage table with hash-based skipping, and each CLI
 # subcommand calls one directly with its flags applied to the config.
 # Optional files (held-out negatives, training log, negatives for train
 # to inject, each engine's predictions, viewpoints and costs for eval) are
-# used when their key is present.
+# used when their key is present. Under ``run``, ``memo`` maps file keys to
+# the objects earlier stages wrote to or read from those unchanged files,
+# so ``read`` and ``write`` hand them on; the CLI passes no memo.
 
 
-def run_split(paths: dict, config: RunConfig) -> dict:
+def read(paths: dict, key: str, loader, memo: Optional[dict] = None):
+    """The object in file ``paths[key]``: ``memo[key]`` if handed on, else
+    ``loader(paths[key])``, then handed on."""
+    if memo is None:
+        return loader(paths[key])
+    if key not in memo:
+        memo[key] = loader(paths[key])
+    return memo[key]
+
+
+def write(paths: dict, key: str, obj, saver, memo: Optional[dict] = None) -> None:
+    saver(obj, paths[key])
+    if memo is not None:
+        memo[key] = obj
+
+
+def run_split(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     corpus = load_corpus(paths["corpus"])
     if all(i.split is not None for i in corpus.ideas):
-        save_corpus(corpus, paths["split"])  # already split: canonicalize only
+        write(paths, "split", corpus, save_corpus, memo)  # already split: canonicalize only
         return {"passthrough": True}
     split = split_corpus(corpus, config.split.fractions, config.seed)
-    save_corpus(split, paths["split"])
+    write(paths, "split", split, save_corpus, memo)
     return {name: len(split.split_ideas(name)) for name in SPLITS}
 
 
-def run_extract(paths: dict, config: RunConfig) -> dict:
-    corpus = load_corpus(paths["split"])
+def run_extract(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+    corpus = read(paths, "split", load_corpus, memo)
     records, summary = extract_corpus(corpus.ideas, config.llm, seed_for(config.seed, "extract"))
-    save_viewpoints(records, paths["viewpoints"])
+    write(paths, "viewpoints", records, save_viewpoints, memo)
     return summary
 
 
-def run_embed(paths: dict, config: RunConfig) -> dict:
-    records = load_viewpoints(paths["viewpoints"])
+def run_embed(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+    records = read(paths, "viewpoints", load_viewpoints, memo)
     texts = [v for r in records for v in r.viewpoints]
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = embed(texts, config.embedding)
@@ -193,45 +216,46 @@ def run_embed(paths: dict, config: RunConfig) -> dict:
     return {"count": len(matrix), "dimension": matrix.dimension}
 
 
-def run_build(paths: dict, config: RunConfig) -> dict:
-    records = load_viewpoints(paths["viewpoints"])
+def run_build(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+    records = read(paths, "viewpoints", load_viewpoints, memo)
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = load_embeddings(paths["embeddings"], ids)
     graph = build_graph(records, matrix, config.graph)
-    save_graph(graph, paths["graph"])
+    graph.config = replace(graph.config, hybrid=False)  # as graph.json holds it
+    write(paths, "graph", graph, save_graph, memo)
     return {"nodes": len(graph), "edges": len(graph.weight)}
 
 
-def run_negatives(paths: dict, config: RunConfig) -> dict:
+def run_negatives(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     seed = seed_for(config.seed, "negatives")
     samples, fallbacks = novelty_mod.generate_negatives(
-        load_corpus(paths["split"]), load_graph(paths["graph"]), config.novelty, seed
+        read(paths, "split", load_corpus, memo), read(paths, "graph", load_graph, memo), config.novelty, seed
     )
     train, rest = novelty_mod.select_training_negatives(samples, config.novelty.train_subset, seed=seed)
-    novelty_mod.save_negatives(train, paths["negatives"])
+    write(paths, "negatives", train, novelty_mod.save_negatives, memo)
     if "negatives_holdout" in paths:
         novelty_mod.save_negatives(rest, paths["negatives_holdout"])
     return {"generated": len(samples), "training": len(train), "fallbacks": fallbacks}
 
 
-def run_lp(paths: dict, config: RunConfig, split: str = "test") -> dict:
-    corpus = load_corpus(paths["split"])
-    graph = load_graph(paths["graph"])
+def run_lp(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: str = "test") -> dict:
+    corpus = read(paths, "split", load_corpus, memo)
+    graph = read(paths, "graph", load_graph, memo)
     predictions = lp_mod.run(graph, corpus, config.lp, split=split)
     lp_mod.save_predictions(predictions, corpus, paths["lp_pred"])
     return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}
 
 
-def run_train(paths: dict, config: RunConfig, split: str = "test") -> dict:
+def run_train(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: str = "test") -> dict:
     """Train the GNN on the graph with the training negatives injected
     when given, save the checkpoint, then predict the ``split`` ideas on
     that graph with the model read back from the checkpoint."""
-    corpus = load_corpus(paths["split"])
-    graph = load_graph(paths["graph"])
+    corpus = read(paths, "split", load_corpus, memo)
+    graph = read(paths, "graph", load_graph, memo)
     matrix = load_embeddings(paths["embeddings"], row_ids(graph.idea))
     negatives = []
     if "negatives" in paths:
-        negatives = novelty_mod.load_negatives(paths["negatives"])
+        negatives = read(paths, "negatives", novelty_mod.load_negatives, memo)
         graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
     seed = seed_for(config.seed, "train")
     result = gnn_mod.train(config.gnn, graph, matrix, corpus, negatives or None, seed=seed)
@@ -275,7 +299,7 @@ def _load_costs(path: Path) -> dict[str, float]:
     return costs
 
 
-def run_eval(paths: dict, config: RunConfig) -> dict:
+def run_eval(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     """Score each engine whose predictions file is given into report.json.
     With ``viewpoints`` the report also gets the average tokens and cost
     per idea of their extraction, at ``llm.price_per_million``; with
@@ -283,12 +307,12 @@ def run_eval(paths: dict, config: RunConfig) -> dict:
     engines = [engine for engine in ("lp", "gnn") if f"{engine}_pred" in paths]
     if not engines:
         raise ValueError("eval has no predictions to score: give lp_pred or gnn_pred")
-    corpus = load_corpus(paths["split"])
+    corpus = read(paths, "split", load_corpus, memo)
     reports = {engine: evaluate_predictions(paths[f"{engine}_pred"], corpus) for engine in engines}
     extraction = {}
     if "viewpoints" in paths:
         price = config.llm.price_per_million
-        tokens = [r.prompt_tokens + r.completion_tokens for r in load_viewpoints(paths["viewpoints"])]
+        tokens = [r.prompt_tokens + r.completion_tokens for r in read(paths, "viewpoints", load_viewpoints, memo)]
         if not tokens:
             raise ValueError(f"{paths['viewpoints']}: no viewpoint records to price")
         avg_tokens = sum(tokens) / len(tokens)
@@ -370,6 +394,8 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         if config.engine not in (engine, "both"):
             del paths[f"{engine}_pred"]
 
+    memo: dict = {}  # file key -> (sha256, object) written or read in this run
+
     def say(msg: str):
         if not quiet:
             print(msg)
@@ -394,12 +420,17 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         ):
             say(f"[{stage.name}] unchanged, skipped")
             return {**prev, "skipped": True}
+        # an input edited since it was handed on is parsed again
+        handed = {key: memo[key][1] for key in stage.inputs if memo.get(key, (None,))[0] == input_hashes[str(paths[key])]}
         start = time.monotonic()
-        summary = stage.run(paths, config)
+        summary = stage.run(paths, config, handed)
+        output_hashes = {str(p): file_hash(p) for p in outputs}
+        hashes = {**input_hashes, **output_hashes}
+        memo.update({key: (hashes[str(paths[key])], obj) for key, obj in handed.items()})
         record = {
             "name": stage.name,
             "inputs": input_hashes,
-            "outputs": {str(p): file_hash(p) for p in outputs},
+            "outputs": output_hashes,
             "seconds": round(time.monotonic() - start, 4),
             "skipped": False,
         }

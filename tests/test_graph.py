@@ -355,6 +355,18 @@ def test_arcs_are_each_edge_both_ways_by_dst_then_src(seed):
     assert np.array_equal(graph.arcs.indptr, np.r_[0, np.cumsum(np.bincount(dst, minlength=len(graph)))])
 
 
+def test_graph_arrays_are_read_only():
+    """A graph is handed from stage to stage within a run: a write into one
+    of its arrays fails instead of changing what a later stage reads."""
+    graph = toy_graph(["a", "a", "b"], [(0, 1, 0.5), (1, 2, 0.25)])
+    for name, array in [(name, getattr(graph, name)) for name in ("t", "u", "v", "weight", "intra")] + list(
+        graph.arcs._asdict().items()
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+        assert not array.flags.writeable, name
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         records, matrix, config = random_instance(3)

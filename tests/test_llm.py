@@ -78,13 +78,20 @@ class TestParse:
         )
         assert parse_viewpoint_response(raw) == ["Sentence-level attention improves recall", "Recall matters"]
 
+    def test_item_starting_with_extracted_viewpoints_is_a_viewpoint(self):
+        raw = (
+            "[Extracted Viewpoints in Sentence 1]\n[Extracted viewpoints help graders.]\n"
+            "[Extracted Viewpoints in Sentence 2]\n[Graphs help too.]\n[Extracted Viewpoints]\n[Last one.]"
+        )
+        assert parse_viewpoint_response(raw) == ["Extracted viewpoints help graders.", "Graphs help too.", "Last one."]
+
     @pytest.mark.parametrize("marker", ["[Sentence 2]", "[ SENTENCE 12 ]", "[sentence\t3]"])
     def test_sentence_marker_ends_the_block(self, marker):
         raw = f"[Extracted Viewpoints in Sentence 1]\n[kept]\n{marker}\nNext one.\n[not a viewpoint]"
         assert parse_viewpoint_response(raw) == ["kept"]
 
 
-_marker = re.compile(r"\s*sentence\s+[0-9]+\s*", re.IGNORECASE)
+_marker = re.compile(r"\s*sentence\s+[0-9]+\s*|\s*extracted\s+viewpoints(\s+in\s+sentence\s+[0-9]+)?\s*", re.IGNORECASE)
 viewpoint_text = (
     st.text(
         alphabet=st.characters(
@@ -113,6 +120,11 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             render_viewpoint_response([("s", ["Sentence 3"])])
 
+    @pytest.mark.parametrize("text", ["Extracted Viewpoints in Sentence 2", "extracted viewpoints"])
+    def test_renderer_rejects_header_collision(self, text):
+        with pytest.raises(ValueError, match="collides with a marker"):
+            render_viewpoint_response([("s", [text])])
+
 
 class TestMockBackend:
     def test_deterministic_over_100_calls(self):
@@ -131,6 +143,12 @@ class TestMockBackend:
     def test_sentence_starting_with_the_word_sentence_extracted(self):
         texts, _ = extract_viewpoints(idea("Sentence embeddings help retrieval. Graphs help too."), LlmBackend())
         assert texts == ["Sentence embeddings help retrieval.", "Graphs help too."]
+
+    def test_sentence_starting_with_extracted_viewpoints_extracted(self):
+        texts, _ = extract_viewpoints(idea("Extracted viewpoints help graders. Graphs help too."), LlmBackend())
+        assert texts == ["Extracted viewpoints help graders.", "Graphs help too."]
+        texts, _ = extract_viewpoints(idea("Extracted viewpoints help graders."), LlmBackend())
+        assert texts == ["Extracted viewpoints help graders."]
 
     def test_empty_text_rejected_at_idea_boundary(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import requests
 from viewgraph import gnn, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import load_corpus, save_corpus
+from viewgraph.dataset import load_corpus, load_viewpoints, save_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
@@ -521,8 +522,11 @@ class TestCli:
         [
             ({"id": "nope", "label": "Reject"}, "line 2: idea id 'nope' is not in the corpus"),
             ({"label": "Reject"}, "line 2: no string 'id'"),
+            # one idea predicted twice would count twice in the confusion matrix
+            ({"id": demo_corpus().ideas[0].id, "label": "Reject"},
+             f"line 2: idea id {demo_corpus().ideas[0].id!r} is already predicted on line 1"),
         ],
-        ids=["unknown-id", "missing-id"],
+        ids=["unknown-id", "missing-id", "duplicate-id"],
     )
     def test_eval_names_bad_prediction_line(self, tmp_path, capsys, demo_file, second_line, message):
         preds = tmp_path / "preds.jsonl"
@@ -787,6 +791,112 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     assert {"graph.json", "model.ckpt", "predictions_gnn.jsonl", "report.json"} <= set(written)
     for name in written:
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# What each file a run hands on in memory is read back with.
+LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "graph": load_graph, "negatives": novelty.load_negatives}
+
+
+def assert_same_graph(a, b):
+    assert (a.idea, a.text, a.polarity, a.config, a.idea_nodes) == (b.idea, b.text, b.polarity, b.config, b.idea_nodes)
+    for x, y in zip((a.t, a.u, a.v, a.weight, a.intra, *a.arcs), (b.t, b.u, b.v, b.weight, b.intra, *b.arcs)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestHandOn:
+    """Within one ``run`` a stage gets the corpus, viewpoints, graph and
+    negatives an earlier stage wrote or read, while the file is unchanged."""
+
+    def count_parses(self, monkeypatch) -> Counter:
+        """Parses per file name, counted on the loaders the stages call."""
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(path, *args, **kwargs):
+                calls[Path(path).name] += 1
+                return fn(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("load_corpus", "load_viewpoints", "load_graph"):
+            counted(pipeline, name)
+        counted(novelty, "load_negatives")
+        return calls
+
+    @pytest.mark.parametrize("case", ["demo12", "demo12-hybrid", "separable40"])
+    def test_handed_object_equals_the_file_read_back(self, tmp_path, monkeypatch, case):
+        plain = (demo_corpus, {"engine": "both", "gnn": {"hidden_dim": 8, "max_epochs": 6}})
+        cases = {"demo12": plain, "demo12-hybrid": PARITY_CASES["demo12"], "separable40": PARITY_CASES["separable40"]}
+        make_corpus, settings = cases[case]
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(make_corpus(), corpus)
+        config = validate_config({"corpus": str(corpus), "out_dir": str(tmp_path / "run"), "seed": 7, **settings})
+        handed = set()
+
+        def checked(stage):
+            def run(paths, config, memo=None, **kwargs):
+                summary = stage(paths, config, memo, **kwargs)
+                for key, obj in memo.items():
+                    handed.add(key)
+                    read_back = LOADERS[key](paths[key])
+                    if key == "graph":
+                        assert_same_graph(obj, read_back)
+                    else:
+                        assert obj == read_back, key
+                return summary
+
+            return run
+
+        for name in STAGE_FUNCTIONS.values():
+            monkeypatch.setattr(pipeline, name, checked(getattr(pipeline, name)))
+        run_pipeline(config, quiet=True)
+        assert handed == set(LOADERS) - (set() if config.novelty.enabled else {"negatives"})
+
+    @pytest.mark.parametrize("engine, novelty_on", [("lp", False), ("gnn", True)])
+    def test_cold_run_parses_only_the_raw_corpus(self, tmp_path, demo_file, monkeypatch, engine, novelty_on):
+        calls = self.count_parses(monkeypatch)
+        config = demo_config(tmp_path, demo_file, engine=engine, novelty={"enabled": novelty_on, "count": 6, "train_subset": 2})
+        run_pipeline(config, quiet=True)
+        assert calls == {demo_file.name: 1}
+
+    def test_lp_rerun_parses_graph_and_split_once(self, tmp_path, demo_file, monkeypatch):
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        calls = self.count_parses(monkeypatch)
+        second = run_pipeline(demo_config(tmp_path, demo_file, lp={"max_iters": 3, "early_stop": False}), quiet=True)
+        assert [s["name"] for s in second["stages"] if not s["skipped"]][0] == "lp"
+        assert calls["graph.json"] == calls["split.jsonl"] == 1
+        assert set(calls) <= {"graph.json", "split.jsonl", "viewpoints.jsonl"} and calls["viewpoints.jsonl"] <= 1
+
+    def test_split_edited_between_stages_is_read_again(self, tmp_path, demo_file, monkeypatch):
+        """The edit lands after the split stage's manifest write, before
+        extract hashes its input: extract parses the edited file."""
+        out = tmp_path / "run"
+        real_write = pipeline.write_atomic
+
+        def write_then_edit(path, data):
+            real_write(path, data)
+            if Path(path).name == "run_manifest.json" and [s["name"] for s in json.loads(data)["stages"]] == ["split"]:
+                lines = (out / "split.jsonl").read_text().splitlines(keepends=True)
+                lines[1] = json.dumps({**json.loads(lines[1]), "text": "Edited by hand. Twice over."}) + "\n"
+                (out / "split.jsonl").write_text("".join(lines))
+
+        monkeypatch.setattr(pipeline, "write_atomic", write_then_edit)
+        calls = self.count_parses(monkeypatch)
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        assert calls == {demo_file.name: 1, "split.jsonl": 1}
+        assert load_viewpoints(out / "viewpoints.jsonl")[0].viewpoints == ("Edited by hand.", "Twice over.")
+
+    def test_split_edited_between_runs_is_rewritten_not_reused(self, tmp_path, demo_file):
+        config = demo_config(tmp_path, demo_file, engine="both")
+        run_pipeline(config, quiet=True)
+        out = tmp_path / "run"
+        written = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+        (out / "split.jsonl").write_text((out / "split.jsonl").read_text().replace("train", "test"))
+        second = run_pipeline(config, quiet=True)
+        assert not second["stages"][0]["skipped"]
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"} == written
 
 
 def test_package_imports_no_scipy():
