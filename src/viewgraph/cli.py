@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline
+from .dataset import read_json
 from .llm import LlmTransportError
 from .metrics import MetricReport, format_table
 from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate_config
@@ -82,7 +83,7 @@ def cmd_run(args):
     config = _load_config(args)
     run_pipeline(config, force=args.force, quiet=args.quiet)
     if not args.quiet:
-        report = json.loads((Path(config.out_dir) / pipeline.FILES["report"]).read_text(encoding="utf-8"))
+        report = read_json(Path(config.out_dir) / pipeline.FILES["report"], "report file")
         print(format_table({engine: MetricReport(**report[engine]) for engine in ("lp", "gnn") if engine in report}))
 
 

@@ -1,4 +1,5 @@
-"""Idea corpora: loading, label sets, and deterministic splits.
+"""Idea corpora: loading, label sets, and deterministic splits; and
+``read_file``, through which every run file is read.
 
 Corpus files are UTF-8 JSON-lines. The first line is a header object
 ``{"labels": [...]}`` declaring the ordered label set (index 0 is the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -23,17 +24,16 @@ import numpy as np
 SPLITS = ("train", "validation", "test")
 
 
-class CorpusFormatError(ValueError):
-    """Raised for malformed corpus files; carries the file and the
-    offending line."""
+class FileFormatError(ValueError):
+    """Raised for a file that cannot be opened, decoded or parsed, or that
+    holds a bad record; carries the file and the line at fault, if any.
+    The message names the file after its ``noun``, such as "graph file"."""
 
-    def __init__(self, path: str | Path, message: str, line_no: Optional[int] = None, raw: Optional[str] = None):
+    def __init__(self, path: str | Path, message: str, line_no: Optional[int] = None, noun: str = ""):
         self.path = path
         self.line_no = line_no
-        self.raw = raw
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(f"{path}: {message}")
+        at = "" if line_no is None else f": line {line_no}"
+        super().__init__(f"{noun + ' ' if noun else ''}{path}{at}: {message}")
 
 
 @dataclass(frozen=True)
@@ -114,75 +114,47 @@ class Corpus:
 def load_corpus(path: str | Path) -> Corpus:
     """Parse a JSON-lines corpus file; the header line declares the label
     set. Record order is preserved."""
-    path = Path(path)
     ideas: list[Idea] = []
-    seen_lines: dict[str, int] = {}
-    header_labels: Optional[LabelSet] = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(path, f"invalid JSON ({exc.msg}): {line!r}", line_no, raw) from exc
-            if header_labels is None:
+    first_line: dict[str, int] = {}
+    label_set: Optional[LabelSet] = None
+    for line_no, obj in read_jsonl(path):
+        try:
+            if label_set is None:
                 if not isinstance(obj, dict) or "labels" not in obj:
-                    raise CorpusFormatError(
-                        path,
-                        f"first line must be a header {{\"labels\": [...]}}, got: {line!r}",
-                        line_no,
-                        raw,
-                    )
+                    raise ValueError(f"first line must be a header {{\"labels\": [...]}}, got: {obj!r}")
                 if broken := problem(obj["labels"], STRINGS):
-                    raise CorpusFormatError(path, f"header key 'labels' {broken}", line_no, raw)
-                header_labels = LabelSet(tuple(obj["labels"]))
+                    raise ValueError(f"header key 'labels' {broken}")
+                label_set = LabelSet(tuple(obj["labels"]))
                 continue
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise CorpusFormatError(path, f"record needs 'id' and 'text' fields: {line!r}", line_no, raw)
+                raise ValueError(f"record needs 'id' and 'text' fields: {obj!r}")
             for key, kind in (("id", str), ("title", str), ("text", str), ("timestamp", COUNT)):
                 if key in obj and (broken := problem(obj[key], kind)):
-                    raise CorpusFormatError(path, f"key {key!r} {broken}", line_no, raw)
-            idea_id = obj["id"]
-            if idea_id in seen_lines:
-                raise CorpusFormatError(
-                    path,
-                    f"duplicate id {idea_id!r} (first seen on line {seen_lines[idea_id]})",
-                    line_no,
-                    raw,
-                )
-            seen_lines[idea_id] = line_no
+                    raise ValueError(f"key {key!r} {broken}")
+            if obj["id"] in first_line:
+                raise ValueError(f"duplicate id {obj['id']!r} (first seen on line {first_line[obj['id']]})")
+            first_line[obj["id"]] = line_no
             label = obj.get("label")
             if label is not None:
                 if broken := problem(label, str):
-                    raise CorpusFormatError(path, f"key 'label' {broken}", line_no, raw)
-                try:
-                    label = header_labels.index_of(label)
-                except ValueError as exc:
-                    raise CorpusFormatError(path, str(exc), line_no, raw) from exc
-            try:
-                ideas.append(
-                    Idea(
-                        id=idea_id,
-                        title=obj.get("title", ""),
-                        text=obj["text"],
-                        label=label,
-                        timestamp=obj.get("timestamp", 0),
-                        split=obj.get("split"),
-                    )
-                )
-            except ValueError as exc:
-                raise CorpusFormatError(path, str(exc), line_no, raw) from exc
-    if header_labels is None:
-        raise CorpusFormatError(path, "empty corpus file: missing header line", 1, "")
-    return Corpus(label_set=header_labels, ideas=ideas)
+                    raise ValueError(f"key 'label' {broken}")
+                label = label_set.index_of(label)
+            ideas.append(Idea(id=obj["id"], title=obj.get("title", ""), text=obj["text"], label=label,
+                              timestamp=obj.get("timestamp", 0), split=obj.get("split")))
+        except ValueError as exc:
+            raise FileFormatError(path, str(exc), line_no) from None
+    if label_set is None:
+        raise FileFormatError(path, "empty corpus file: missing header line", 1)
+    try:
+        return Corpus(label_set=label_set, ideas=ideas)
+    except ValueError as exc:  # a train idea without a label
+        raise FileFormatError(path, str(exc)) from None
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     names = corpus.label_set.labels
     records = [
-        {**asdict(idea), "label": None if idea.label is None else names[idea.label]}
+        {**vars(idea), "label": None if idea.label is None else names[idea.label]}
         for idea in corpus.ideas
     ]
     write_jsonl(path, [{"labels": list(names)}] + records)
@@ -253,25 +225,17 @@ class IdeaViewpoints:
 
 
 def save_viewpoints(records: Iterable[IdeaViewpoints], path: str | Path) -> None:
-    write_jsonl(path, map(asdict, records))
+    write_jsonl(path, map(vars, records))
 
 
 def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
-    return [
-        IdeaViewpoints(
-            idea_id=obj["idea_id"],
-            viewpoints=tuple(obj["viewpoints"]),
-            timestamp=obj.get("timestamp", 0),
-            pairs=tuple(tuple(p) for p in obj.get("pairs", [])),
-            prompt_tokens=obj.get("prompt_tokens", 0),
-            completion_tokens=obj.get("completion_tokens", 0),
-        )
-        for obj in read_records(
-            path,
-            {"idea_id": str, "viewpoints": TEXTS},
-            {"timestamp": COUNT, "pairs": PAIRS, "prompt_tokens": COUNT, "completion_tokens": COUNT},
-        )
-    ]
+    return read_records(
+        path,
+        IdeaViewpoints,
+        {"idea_id": str, "viewpoints": TEXTS},
+        {"timestamp": COUNT, "pairs": PAIRS, "prompt_tokens": COUNT, "completion_tokens": COUNT},
+        unique="idea_id",
+    )
 
 
 def normalize_text(text: str) -> str:
@@ -298,17 +262,50 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def read_file(path: str | Path, noun: str = "", binary: bool = False) -> str | bytes:
+    """The text of ``path`` decoded as UTF-8, or its bytes when ``binary``.
+    A file that cannot be opened or decoded raises a FileFormatError
+    naming it after ``noun``. Every reader of a run file starts here."""
+    try:
+        data = Path(path).read_bytes()
+        return data if binary else data.decode("utf-8")
+    except OSError as exc:
+        raise FileFormatError(path, exc.strerror, noun=noun) from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(path, f"not UTF-8 ({exc})", noun=noun) from None
+
+
+def _parse(text: str | bytes, path: str | Path, noun: str, what: str = ""):
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # not JSON, or bytes not UTF-8
+        raise FileFormatError(path, f"{what}not JSON ({exc})", noun=noun) from None
+
+
+def read_json(path: str | Path, noun: str = ""):
+    """The JSON value of ``path``, read by ``read_file``; text that is not
+    JSON raises a FileFormatError naming the file."""
+    return _parse(read_file(path, noun), path, noun)
+
+
+def read_headed(path: str | Path, noun: str) -> tuple[object, bytes]:
+    """The JSON header line and the bytes after it of a binary file, such
+    as ``embeddings.bin``, read by ``read_file``."""
+    line, _, blob = read_file(path, noun, binary=True).partition(b"\n")
+    return _parse(line, path, noun, "header is "), blob
+
+
+def read_jsonl(path: str | Path, noun: str = "") -> Iterator[tuple[int, object]]:
     """Yield the line number and the JSON value of each non-blank line of
-    ``path``."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from None
-                yield line_no, obj
+    ``path``, read by ``read_file``. Lines end at "\\n" only: a raw U+2028
+    may sit inside a JSON string."""
+    for line_no, line in enumerate(read_file(path, noun).split("\n"), start=1):
+        if line.strip():
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # not JSON, or an int too long to convert
+                raise FileFormatError(path, f"invalid JSON ({getattr(exc, 'msg', exc)}): {line!r}", line_no, noun) from None
+            yield line_no, obj
 
 
 # --- value kinds and the one checker of config, corpus and record values ---
@@ -410,19 +407,29 @@ class Checked:
             raise ValueError("; ".join(problems))
 
 
-def read_records(path: str | Path, required: dict, optional: dict) -> Iterator[dict]:
-    """Yield each JSON object of ``path``; a line that is not an object,
-    lacks one of the ``required`` keys, or holds a value not of its kind
-    at a ``required`` or ``optional`` key raises a ValueError naming the
-    file, the line and the key."""
+def read_records(path: str | Path, make: Callable, required: dict, optional: dict, unique: str) -> list:
+    """``make`` called with the ``required`` and ``optional`` keys of each
+    JSON object of ``path``, in order. A line that is not an object, lacks
+    a ``required`` key, holds a value not of its kind at a key, repeats an
+    earlier line's value at the ``unique`` key, or that ``make`` refuses
+    raises a FileFormatError naming the file, the line and the key."""
     kinds = {**required, **optional}
+    first_line: dict = {}
+    records = []
     for line_no, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: line {line_no}: expected a JSON object, got {obj!r}")
-        missing = [key for key in required if key not in obj]
-        if missing:
-            raise ValueError(f"{path}: line {line_no}: missing key {missing[0]!r}")
-        for key, kind in kinds.items():
-            if key in obj and (broken := problem(obj[key], kind)):
-                raise ValueError(f"{path}: line {line_no}: key {key!r} {broken}")
-        yield obj
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {obj!r}")
+            missing = [key for key in required if key not in obj]
+            if missing:
+                raise ValueError(f"missing key {missing[0]!r}")
+            for key, kind in kinds.items():
+                if key in obj and (broken := problem(obj[key], kind)):
+                    raise ValueError(f"key {key!r} {broken}")
+            if obj[unique] in first_line:
+                raise ValueError(f"duplicate {unique} {obj[unique]!r} (first seen on line {first_line[obj[unique]]})")
+            first_line[obj[unique]] = line_no
+            records.append(make(**{key: obj[key] for key in kinds if key in obj}))
+        except ValueError as exc:
+            raise FileFormatError(path, str(exc), line_no) from None
+    return records

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, at_least, must, setting, write_atomic
+from .dataset import Checked, at_least, must, read_headed, setting, write_atomic
 from .llm import LlmTransportError, auth_headers
 
 DEFAULT_STUB_DIM = 32
@@ -150,14 +150,8 @@ def load_embeddings(path: str | Path, expected_ids: Sequence[str]) -> EmbeddingM
     """Read an embeddings file whose row ids must equal ``expected_ids``,
     row for row. A malformed file or a differing row raises a ValueError
     naming the file."""
-    with Path(path).open("rb") as fh:
-        line = fh.readline()
-        blob = fh.read()
+    header, blob = read_headed(path, "embeddings file")
     where = f"embeddings file {path}"
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{where}: header is not JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{where}: header must be an object, got {type(header).__name__}")
     for key in ("count", "dimension"):

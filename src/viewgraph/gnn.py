@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, Corpus, at_least, must, setting, write_atomic, write_jsonl
+from .dataset import Checked, Corpus, at_least, must, read_headed, setting, write_atomic, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -493,9 +493,7 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
-    with Path(path).open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        blob = fh.read()
+    header, blob = read_headed(path, "model file")
     arrays = {}
     offset = 0
     for name, shape in header["blocks"]:

@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, setting, write_atomic
+from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, read_json, setting, write_atomic
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -335,7 +335,7 @@ def load_graph(path: str | Path) -> ViewpointGraph:
     the file, and the config, the first bad node or edge, or the rule of
     ``ViewpointGraph`` it breaks."""
     where = f"graph file {path}"
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path, "graph file")
     for key in ("config", "nodes", "edges"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"{where} has no {key!r}")

@@ -383,13 +383,16 @@ def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) ->
     """
 
     def one(idea: Idea) -> IdeaViewpoints:
-        texts, usage = extract_viewpoints(idea, backend)
-        pairs, dropped = [], 0
-        prompt_tokens, completion_tokens = usage.prompt_tokens, usage.completion_tokens
-        if backend.relations and len(texts) >= 2:
-            pairs, rel_usage, dropped = extract_relations(texts, idea, backend, seed)
-            prompt_tokens += rel_usage.prompt_tokens
-            completion_tokens += rel_usage.completion_tokens
+        try:
+            texts, usage = extract_viewpoints(idea, backend)
+            pairs, dropped = [], 0
+            prompt_tokens, completion_tokens = usage.prompt_tokens, usage.completion_tokens
+            if backend.relations and len(texts) >= 2:
+                pairs, rel_usage, dropped = extract_relations(texts, idea, backend, seed)
+                prompt_tokens += rel_usage.prompt_tokens
+                completion_tokens += rel_usage.completion_tokens
+        except ValueError as exc:  # a completion that does not parse, or a mock that cannot render
+            raise ValueError(f"idea {idea.id!r}: {exc}") from None
         rec = IdeaViewpoints(
             idea_id=idea.id,
             viewpoints=tuple(texts),

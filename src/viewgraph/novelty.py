@@ -10,7 +10,7 @@ set, they teach the GNN that late near-duplicates deserve low scores.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -192,22 +192,14 @@ def inject_negatives(
 
 
 def save_negatives(samples: Sequence[NegativeSample], path: str | Path) -> None:
-    write_jsonl(path, map(asdict, samples))
+    write_jsonl(path, map(vars, samples))
 
 
 def load_negatives(path: str | Path) -> list[NegativeSample]:
-    return [
-        NegativeSample(
-            id=obj["id"],
-            source_id=obj["source_id"],
-            strategy=obj["strategy"],
-            viewpoints=tuple(obj["viewpoints"]),
-            timestamp=obj["timestamp"],
-            label=obj.get("label", 0),
-        )
-        for obj in read_records(
-            path,
-            {"id": str, "source_id": str, "strategy": str, "viewpoints": TEXTS, "timestamp": COUNT},
-            {"label": COUNT},
-        )
-    ]
+    return read_records(
+        path,
+        NegativeSample,
+        {"id": str, "source_id": str, "strategy": str, "viewpoints": TEXTS, "timestamp": COUNT},
+        {"label": COUNT},
+        unique="id",
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
@@ -34,6 +34,8 @@ from .dataset import (
     load_viewpoints,
     must,
     problem,
+    read_file,
+    read_json,
     read_jsonl,
     save_corpus,
     save_viewpoints,
@@ -50,9 +52,10 @@ ENGINES = ("lp", "gnn", "both")
 
 
 class ConfigError(ValueError):
-    def __init__(self, errors: list[str]):
+    def __init__(self, errors: list[str], path: Optional[Path] = None):
         self.errors = errors
-        super().__init__("invalid config:\n" + "\n".join(f"  {e}" for e in errors))
+        where = "config" if path is None else f"config file {path}"
+        super().__init__(f"invalid {where}:\n" + "\n".join(f"  {e}" for e in errors))
 
 
 class StageError(RuntimeError):
@@ -92,12 +95,10 @@ def validate_config(source) -> RunConfig:
     Missing keys get the defaults; every violation, of type or of range, is
     reported with its dotted path into the config.
     """
-    if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    else:
-        data = source or {}
+    config_file = source if isinstance(source, (str, Path)) else None
+    data = read_json(config_file, "config file") if config_file else source or {}
     if not isinstance(data, dict):
-        raise ConfigError([f"config: must be an object, got {type(data).__name__}"])
+        raise ConfigError([f"config: must be an object, got {type(data).__name__}"], config_file)
     kinds = field_kinds(RunConfig)
     errors = [f"{path}: {broken}" for path, broken in check(data, kinds)]
 
@@ -107,13 +108,13 @@ def validate_config(source) -> RunConfig:
     if enabled("graph", "hybrid") and not enabled("llm", "relations"):
         errors.append("graph.hybrid: requires llm.relations to be enabled")
     if errors:
-        raise ConfigError(errors)
+        raise ConfigError(errors, config_file)
 
     def section(key: str, value: dict):
         try:
             return kinds[key][0](**value)
         except ValueError as exc:  # a rule across the section's fields, such as llm.endpoint's
-            raise ConfigError([f"{key}.{exc}"]) from None
+            raise ConfigError([f"{key}.{exc}"], config_file) from None
 
     sections = {key: section(key, value) for key, value in data.items() if isinstance(value, dict)}
     config = RunConfig(**{**data, **sections})
@@ -128,7 +129,7 @@ def seed_for(seed: int, stage: str) -> int:
 
 
 def file_hash(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(read_file(path, binary=True)).hexdigest()
 
 
 def dict_hash(obj) -> str:
@@ -140,7 +141,7 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
     are skipped, and an idea predicted twice is refused."""
     truths, preds = [], []
     first_line: dict[str, int] = {}
-    for line_no, obj in read_jsonl(pred_path):
+    for line_no, obj in read_jsonl(pred_path, "predictions file"):
         where = f"predictions file {pred_path}: line {line_no}"
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
             raise ValueError(f"{where}: no string 'id' in {obj!r}")
@@ -202,13 +203,18 @@ def run_split(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
 
 def run_extract(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     corpus = read(paths, "split", load_corpus, memo)
-    records, summary = extract_corpus(corpus.ideas, config.llm, seed_for(config.seed, "extract"))
+    try:
+        records, summary = extract_corpus(corpus.ideas, config.llm, seed_for(config.seed, "extract"))
+    except ValueError as exc:  # the message names the idea; add the file it is in
+        raise ValueError(f"{paths['split']}: {exc}") from None
     write(paths, "viewpoints", records, save_viewpoints, memo)
     return summary
 
 
 def run_embed(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     records = read(paths, "viewpoints", load_viewpoints, memo)
+    if not records:
+        raise ValueError(f"{paths['viewpoints']}: no viewpoint records to embed")
     texts = [v for r in records for v in r.viewpoints]
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = embed(texts, config.embedding)
@@ -285,14 +291,11 @@ def _load_costs(path: Path) -> dict[str, float]:
     """A costs file: a non-empty JSON object of method -> average cost, each
     cost a finite number >= 0."""
     where = f"costs file {path}"
-    try:
-        costs = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: not JSON ({exc})") from exc
+    costs = read_json(path, "costs file")
     if not isinstance(costs, dict) or not costs:
         raise ValueError(f"{where}: must be a non-empty object of method -> average cost, got {costs!r}")
     for name, cost in costs.items():
-        if problem(cost, float) or not 0 <= cost < math.inf:
+        if problem(cost, float) or not 0 <= cost <= sys.float_info.max:
             raise ValueError(f"{where}: key {name!r} must be a finite number >= 0, got {cost!r}")
     if not any(costs.values()):
         raise ValueError(f"{where}: all costs are zero; nothing to normalize against")
@@ -373,13 +376,10 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "run_manifest.json"
-    previous: dict = {}
-    if manifest_path.exists():
-        try:
-            previous = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            previous = {}
-    prev_stages = {s["name"]: s for s in previous.get("stages", [])}
+    try:
+        prev_stages = {s["name"]: s for s in read_json(manifest_path)["stages"]}
+    except (ValueError, TypeError, KeyError):  # no manifest, or a damaged one: every stage runs
+        prev_stages = {}
 
     manifest: dict = {
         "version": __version__,

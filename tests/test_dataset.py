@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from viewgraph.dataset import (
     Corpus,
-    CorpusFormatError,
+    FileFormatError,
     Idea,
     LabelSet,
     load_corpus,
@@ -58,7 +58,7 @@ class TestLoadCorpus:
     def test_duplicate_id_names_line_and_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [header(), record("p1"), record("p2"), record("p3"), record("p1")])
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_corpus(path)
         assert "p1" in str(err.value)
         assert "line 5" in str(err.value)  # header is line 1
@@ -66,7 +66,7 @@ class TestLoadCorpus:
     def test_malformed_line_carries_line_number_and_raw(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [header(), record("a"), "{not json"])
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_corpus(path)
         assert err.value.line_no == 3
         assert "{not json" in str(err.value)
@@ -93,7 +93,7 @@ class TestLoadCorpus:
     def test_value_of_wrong_kind_carries_line_number(self, tmp_path, lines, line_no, message):
         path = tmp_path / "c.jsonl"
         write_lines(path, lines)
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_corpus(path)
         assert err.value.line_no == line_no
         assert str(err.value) == f"{path}: line {line_no}: {message}"
@@ -106,7 +106,7 @@ class TestLoadCorpus:
     def test_unknown_label_named(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [header(), record("a", label="Strong Accept")])
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_corpus(path)
         assert "Strong Accept" in str(err.value)
 

@@ -238,6 +238,19 @@ class TestRunPipeline:
         for a, b in zip(first["stages"], second["stages"]):
             assert a["outputs"] == b["outputs"]
 
+    @pytest.mark.parametrize(
+        "damaged",
+        [b"[]", b'{"stages": 5}', b'{"stages": [1]}', b'{"stages": [{}]}', b'{"stages": [{"name": ["split"]}]}',
+         b'{"version": "0"}', b"\xff{}", b'{"stages": ['],
+        ids=["list", "stages-int", "stage-int", "stage-unnamed", "name-list", "no-stages", "not-utf8", "not-json"],
+    )
+    def test_damaged_manifest_reads_as_absent(self, tmp_path, demo_file, damaged):
+        config = demo_config(tmp_path, demo_file)
+        run_pipeline(config, quiet=True)
+        (tmp_path / "run" / "run_manifest.json").write_bytes(damaged)
+        second = run_pipeline(config, quiet=True)
+        assert [s["name"] for s in second["stages"] if not s["skipped"]] == [s.name for s in stage_table(config)]
+
     def test_force_reruns(self, tmp_path, demo_file):
         config = demo_config(tmp_path, demo_file)
         run_pipeline(config, quiet=True)
@@ -477,6 +490,13 @@ class TestCli:
         assert "error: chat completion refused with HTTP 401, not retried: bad key" in stderr
         assert "Traceback" not in stderr and not (tmp_path / "views.jsonl").exists()
 
+    def test_extract_names_split_file_and_idea_of_failed_extraction(self, tmp_path, capsys):
+        split = tmp_path / "split.jsonl"
+        split.write_text(json.dumps({"labels": ["bad", "good"]}) + "\n" + json.dumps({"id": "x", "text": "Graphs help. Sentence 2"}) + "\n")
+        assert self.run("extract", "--in", split, "--out", tmp_path / "views.jsonl", "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {split}: idea 'x': viewpoint collides with a marker: 'Sentence 2'\n"
+        assert not (tmp_path / "views.jsonl").exists()
+
     def test_train_predict_with_negatives(self, tmp_path):
         corpus_file = tmp_path / "sep.jsonl"
         save_corpus(separable_corpus(n_ideas=16), corpus_file)
@@ -547,9 +567,10 @@ class TestCli:
             ('{"a": 1, "b": Infinity}', "key 'b' must be a finite number >= 0, got inf"),
             ('{"a": 1, "b": -0.5}', "key 'b' must be a finite number >= 0, got -0.5"),
             ("{1: 2}", "not JSON"),
+            ('{"a": 1.5, "b": 1%s}' % ("0" * 399), "key 'b' must be a finite number >= 0, got 1%s" % ("0" * 399)),
             ('{"a": 0, "b": 0}', "all costs are zero; nothing to normalize against"),
         ],
-        ids=["list", "empty", "string", "bool", "nan", "infinity", "negative", "not-json", "all-zero"],
+        ids=["list", "empty", "string", "bool", "nan", "infinity", "negative", "not-json", "400-digit-int", "all-zero"],
     )
     def test_eval_names_bad_costs_file(self, tmp_path, capsys, demo_file, text, problem):
         preds, costs = tmp_path / "preds.jsonl", tmp_path / "costs.json"
