@@ -12,6 +12,7 @@ worst label). Every following line is one idea record::
 from __future__ import annotations
 
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -268,9 +269,16 @@ def read_file(path: str | Path, noun: str = "", binary: bool = False) -> str | b
     naming it after ``noun``. Every reader of a run file starts here."""
     try:
         data = Path(path).read_bytes()
-        return data if binary else data.decode("utf-8")
     except OSError as exc:
         raise FileFormatError(path, exc.strerror, noun=noun) from None
+    return data if binary else decode(data, path, noun)
+
+
+def decode(data: bytes, path: str | Path, noun: str = "") -> str:
+    """``data``, the bytes of ``path``, decoded as UTF-8; bytes that are
+    not UTF-8 raise a FileFormatError naming the file."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(path, f"not UTF-8 ({exc})", noun=noun) from None
 
@@ -282,10 +290,11 @@ def _parse(text: str | bytes, path: str | Path, noun: str, what: str = ""):
         raise FileFormatError(path, f"{what}not JSON ({exc})", noun=noun) from None
 
 
-def read_json(path: str | Path, noun: str = ""):
-    """The JSON value of ``path``, read by ``read_file``; text that is not
-    JSON raises a FileFormatError naming the file."""
-    return _parse(read_file(path, noun), path, noun)
+def read_json(path: str | Path, noun: str = "", data: Optional[bytes] = None):
+    """The JSON value of ``path``, read by ``read_file`` unless its bytes
+    ``data`` are given; text that is not JSON raises a FileFormatError
+    naming the file."""
+    return _parse(read_file(path, noun) if data is None else decode(data, path, noun), path, noun)
 
 
 def read_headed(path: str | Path, noun: str) -> tuple[object, bytes]:
@@ -331,10 +340,12 @@ def at_least(low) -> Callable:
 
 
 def fractions_problem(fractions) -> Optional[str]:
-    """The rule for (train, validation, test) fractions: 3 shares >= 0
-    that sum to 1."""
+    """The rule for (train, validation, test) fractions: 3 finite shares
+    >= 0 that sum to 1."""
     if len(fractions) != 3:
         return f"must be 3 values, got {list(fractions)}"
+    if not all(math.isfinite(f) for f in fractions):
+        return f"must be finite, got {list(fractions)}"
     if abs(sum(fractions) - 1.0) > 1e-9:
         return f"must sum to 1, got {sum(fractions)}"
     if any(f < 0 for f in fractions):

@@ -19,6 +19,7 @@ negative generator read.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import namedtuple
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, read_json, setting, write_atomic
+from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, read_file, read_json, setting, write_atomic
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -53,9 +54,9 @@ class ViewpointGraph:
     """Nodes ``0..n-1`` and undirected weighted edges, as arrays.
 
     Edges may be given in any order and either orientation; they are
-    stored with ``u < v`` sorted by ``(u, v)``. ``polarity`` holds one
-    entry (str or None) per edge; by default every entry is None. The
-    arrays are read-only.
+    stored with ``u < v`` sorted by ``(u, v)``, and edges given that way
+    are kept in their order. ``polarity`` holds one entry (str or None)
+    per edge; by default every entry is None. The arrays are read-only.
     """
 
     def __init__(
@@ -79,12 +80,15 @@ class ViewpointGraph:
         a, b = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
         weight = np.array(weight, dtype=np.float64)
         intra = np.array(intra, dtype=bool)
-        if not len(a) == len(b) == len(weight) == len(intra):
+        if not len(a) == len(b) == len(weight) == len(intra) == len(a if polarity is None else polarity):
             raise ValueError("edge arrays differ in length")
-        order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
-        self.u, self.v = np.minimum(a, b)[order], np.maximum(a, b)[order]
-        self.weight, self.intra = weight[order], intra[order]
-        self.polarity = [None] * len(order) if polarity is None else [polarity[i] for i in order.tolist()]
+        if not _canonical(a, b):
+            order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+            a, b = np.minimum(a, b)[order], np.maximum(a, b)[order]
+            weight, intra = weight[order], intra[order]
+            polarity = None if polarity is None else [polarity[i] for i in order.tolist()]
+        self.u, self.v, self.weight, self.intra = a, b, weight, intra
+        self.polarity = [None] * len(a) if polarity is None else list(polarity)
         self.idea_nodes: dict[str, list[int]] = {}
         for node, idea_id in enumerate(self.idea):
             self.idea_nodes.setdefault(idea_id, []).append(node)
@@ -113,7 +117,8 @@ class ViewpointGraph:
         fail((self.u < 0) | (self.v >= n), "references unknown node")
         fail(np.r_[False, (self.u[1:] == self.u[:-1]) & (self.v[1:] == self.v[:-1])],
              "listed more than once (asymmetric adjacency)")
-        ideas = np.array(self.idea, dtype=object)
+        code = dict(zip(self.idea_nodes, range(len(self.idea_nodes))))
+        ideas = np.fromiter(map(code.__getitem__, self.idea), np.int64, n)
         same_idea = ideas[self.u] == ideas[self.v]
         fail(self.intra & ~same_idea, "is intra but joins different ideas")
         fail(~self.intra & same_idea, "is inter but joins the same idea")
@@ -121,6 +126,12 @@ class ViewpointGraph:
 
     def __len__(self) -> int:
         return len(self.idea)
+
+
+def _canonical(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether every edge has ``u < v`` and the edges are sorted by ``(u, v)``."""
+    du, dv = np.diff(u), np.diff(v)
+    return bool(np.all(u < v) and np.all((du > 0) | ((du == 0) & (dv >= 0))))
 
 
 def neighbour_slots(arcs: Arcs) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
@@ -308,13 +319,24 @@ def integrate_subgraph(
     )
 
 
+def _companion(path: str | Path) -> Path:
+    return Path(path).with_name(Path(path).name + ".arrays")
+
+
+# The companion's arrays in file order, each little-endian: t has one entry
+# per node, the others one per edge.
+_DTYPES = {"t": "<f8", "u": "<i8", "v": "<i8", "weight": "<f8", "intra": "|u1"}
+
+
 def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
+    """Write ``graph`` to ``path`` as JSON, the file of record, then its
+    binary companion ``<path>.arrays``: one JSON header line (the sha256
+    of the JSON's bytes, the config, the edge count, the dtypes, the node
+    ideas and texts, and the polarities when some edge has one), followed
+    by the arrays of ``_DTYPES`` in order."""
+    config = {"k": graph.config.k, "m": graph.config.m, "weight_floor": graph.config.weight_floor}
     payload = {
-        "config": {
-            "k": graph.config.k,
-            "m": graph.config.m,
-            "weight_floor": graph.config.weight_floor,
-        },
+        "config": config,
         "nodes": [
             {"id": i, "idea": idea, "text": text, "t": t}
             for i, (idea, text, t) in enumerate(zip(graph.idea, graph.text, graph.t.tolist()))
@@ -326,16 +348,63 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
             )
         ],
     }
-    write_atomic(path, json.dumps(payload))
+    data = json.dumps(payload).encode("utf-8")
+    write_atomic(path, data)
+    header = {"graph_sha256": hashlib.sha256(data).hexdigest(), "config": config, "edges": len(graph.weight),
+              "dtypes": _DTYPES, "idea": graph.idea, "text": graph.text}
+    polarity = [pol or None for pol in graph.polarity]  # as graph.json holds them
+    if any(polarity):
+        header["polarity"] = polarity
+    blob = b"".join(np.asarray(getattr(graph, name), dtype).tobytes() for name, dtype in _DTYPES.items())
+    write_atomic(_companion(path), json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+
+def _load_companion(path: str | Path, key: str) -> Optional[ViewpointGraph]:
+    """The graph held by the companion of graph file ``path``, or None
+    unless the companion is keyed to ``key``, the sha256 of the graph
+    file's bytes, and holds every array at its dtype and length. A
+    companion that is absent, damaged or stale is ignored."""
+    try:
+        line, _, blob = _companion(path).read_bytes().partition(b"\n")
+        header = json.loads(line)
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not (isinstance(header, dict) and header.get("graph_sha256") == key and header.get("dtypes") == _DTYPES):
+        return None
+    idea, text, edges, polarity = (header.get(name) for name in ("idea", "text", "edges", "polarity"))
+    if not (isinstance(idea, list) and isinstance(text, list) and _types(idea) | _types(text) <= {str}
+            and type(edges) is int and edges >= 0
+            and (polarity is None or isinstance(polarity, list) and _types(polarity) <= {str, type(None)})):
+        return None
+    counts = [len(idea) if name == "t" else edges for name in _DTYPES]
+    sizes = [count * np.dtype(dtype).itemsize for count, dtype in zip(counts, _DTYPES.values())]
+    if len(blob) != sum(sizes):
+        return None
+    starts = np.cumsum([0] + sizes).tolist()
+    arrays = {name: np.frombuffer(blob, dtype, count, start)
+              for (name, dtype), count, start in zip(_DTYPES.items(), counts, starts)}
+    try:
+        config = GraphConfig(**header["config"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    try:
+        return ViewpointGraph(idea, text, polarity=polarity, config=config, **arrays)
+    except ValueError:  # an edge that breaks the graph's rules: the JSON names it
+        return None
 
 
 def load_graph(path: str | Path) -> ViewpointGraph:
-    """Read a graph written by ``save_graph``. Nodes and edges are checked
-    a key or column at a time; a malformed file raises a ValueError naming
-    the file, and the config, the first bad node or edge, or the rule of
-    ``ViewpointGraph`` it breaks."""
+    """Read a graph written by ``save_graph``: from its companion when
+    that is keyed to this file's bytes, else from the JSON. Nodes and
+    edges are checked a key or column at a time; a malformed file raises
+    a ValueError naming the file, and the config, the first bad node or
+    edge, or the rule of ``ViewpointGraph`` it breaks."""
     where = f"graph file {path}"
-    payload = read_json(path, "graph file")
+    data = read_file(path, "graph file", binary=True)
+    graph = _load_companion(path, hashlib.sha256(data).hexdigest())
+    if graph is not None:
+        return graph
+    payload = read_json(path, "graph file", data)
     for key in ("config", "nodes", "edges"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"{where} has no {key!r}")

@@ -242,6 +242,11 @@ def parse_viewpoint_response(raw: str) -> list[str]:
     return viewpoints
 
 
+def _is_marker(text: str) -> bool:
+    """Whether ``text``, as a bracketed item, would read as a marker."""
+    return bool(_SENTENCE_MARKER_RE.fullmatch(text) or _VIEWPOINT_HEADER_RE.fullmatch(f"[{text}]"))
+
+
 def render_viewpoint_response(groups: Sequence[tuple[str, Sequence[str]]]) -> str:
     """Inverse of the parser: sentence/viewpoint groups -> completion text."""
     parts = []
@@ -253,7 +258,7 @@ def render_viewpoint_response(groups: Sequence[tuple[str, Sequence[str]]]) -> st
                 raise ValueError(f"viewpoint may not contain brackets: {v!r}")
             if not v.strip():
                 raise ValueError("viewpoint may not be blank")
-            if _SENTENCE_MARKER_RE.fullmatch(v) or _VIEWPOINT_HEADER_RE.fullmatch(f"[{v}]"):
+            if _is_marker(v):
                 raise ValueError(f"viewpoint collides with a marker: {v!r}")
         parts.append(f"[Sentence {i}]")
         parts.append(sentence)
@@ -349,11 +354,9 @@ def _mock_completion(prompt: str, purpose: str, seed: int) -> str:
 def _mock_viewpoints(prompt: str) -> str:
     m = _ABSTRACT_RE.search(prompt)
     abstract = m.group(1) if m else prompt
-    sentences = [_sanitize(s) for s in _split_sentences(abstract)]
-    sentences = [s for s in sentences if s]
-    if not sentences:
-        sentences = [_sanitize(abstract) or "empty abstract"]
-    return render_viewpoint_response([(s, [s]) for s in sentences])
+    # a sentence that reads as a marker, such as "Sentence 2", is dropped
+    sentences = [s for s in map(_sanitize, _split_sentences(abstract)) if s and not _is_marker(s)]
+    return render_viewpoint_response([(s, [s]) for s in sentences or ["empty abstract"]])
 
 
 def _mock_relations(prompt: str, seed: int) -> str:
@@ -391,7 +394,7 @@ def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) ->
                 pairs, rel_usage, dropped = extract_relations(texts, idea, backend, seed)
                 prompt_tokens += rel_usage.prompt_tokens
                 completion_tokens += rel_usage.completion_tokens
-        except ValueError as exc:  # a completion that does not parse, or a mock that cannot render
+        except ValueError as exc:  # a completion that does not parse
             raise ValueError(f"idea {idea.id!r}: {exc}") from None
         rec = IdeaViewpoints(
             idea_id=idea.id,

@@ -447,11 +447,11 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
             record = run_stage(stage)
         except Exception as exc:
             manifest["failed_stage"] = {"name": stage.name, "error": str(exc)}
-            write_atomic(manifest_path, json.dumps(manifest, indent=2))
+            write_atomic(manifest_path, json.dumps(manifest))
             raise StageError(stage.name, exc, manifest) from exc
         manifest["stages"].append(record)
         if "summary" in record:
             manifest["summary"][stage.name] = record["summary"]
         if not record["skipped"] or stage is stages[-1]:
-            write_atomic(manifest_path, json.dumps(manifest, indent=2))
+            write_atomic(manifest_path, json.dumps(manifest))
     return manifest

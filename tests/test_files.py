@@ -22,6 +22,7 @@ READERS = {
     "viewpoints": "embed --in PATH --out OUT/embeddings.bin",
     "embeddings": "build --viewpoints RUN/viewpoints.jsonl --embeddings PATH --out OUT/graph.json",
     "graph": "lp --graph PATH --corpus RUN/split.jsonl --out OUT/lp.jsonl",
+    "graph-with-companion": "lp --graph PATH --corpus RUN/split.jsonl --out OUT/lp.jsonl",
     "negatives": "train --graph RUN/graph.json --corpus RUN/split.jsonl --embeddings RUN/embeddings.bin"
     " --negatives PATH --epochs 2 --hidden 8 --out OUT/model.ckpt --gnn-pred OUT/gnn.jsonl",
     "predictions": "eval --corpus RUN/split.jsonl --lp-pred PATH --out OUT/report.json",
@@ -33,6 +34,7 @@ INTACT = {
     "viewpoints": "viewpoints.jsonl",
     "embeddings": "embeddings.bin",
     "graph": "graph.json",
+    "graph-with-companion": "graph.json",
     "negatives": "negatives.jsonl",
     "predictions": "predictions_lp.jsonl",
 }
@@ -82,6 +84,8 @@ def test_damaged_file_fails_naming_it(tmp_path, capsys, run_dir, reader, mutatio
         intact = b'{"lp": 1.5, "gnn": 3}'
     else:
         intact = (run_dir / INTACT[reader]).read_bytes()
+    if reader == "graph-with-companion":  # the intact graph's companion, keyed to other bytes
+        path.with_name(path.name + ".arrays").write_bytes((run_dir / "graph.json.arrays").read_bytes())
     if mutation == "directory":
         path.mkdir()
     elif mutation != "missing":
@@ -93,3 +97,6 @@ def test_damaged_file_fails_naming_it(tmp_path, capsys, run_dir, reader, mutatio
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert code in (1, 2) and len(errors) == 1 and str(path) in errors[0], stderr
         assert "Traceback" not in stderr
+    if reader == "graph-with-companion":  # the same outcome as with no companion
+        path.with_name(path.name + ".arrays").unlink()
+        assert (cli_main(command.split() + ["--quiet"]), capsys.readouterr().err) == (code, stderr)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphs import edge_dict, kind_degree, toy_graph
+from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
 from oracles import brute_force_graph_edges
-from viewgraph.dataset import IdeaViewpoints
+from viewgraph import graph as graph_mod
+from viewgraph.dataset import IdeaViewpoints, split_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
+from viewgraph.fixtures import demo_corpus
 from viewgraph.graph import (
     GraphConfig,
     ViewpointGraph,
@@ -19,6 +22,7 @@ from viewgraph.graph import (
     save_graph,
     time_features,
 )
+from viewgraph.llm import LlmBackend, extract_corpus
 
 
 def records_from(spec: dict[str, list[str]], timestamps=None) -> list[IdeaViewpoints]:
@@ -367,6 +371,25 @@ def test_graph_arrays_are_read_only():
         assert not array.flags.writeable, name
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_flipped_or_unsorted_edges_give_the_graph_of_sorted_edges(seed):
+    records, rows, config = tied_instance(seed)
+    built = build_graph(records, EmbeddingMatrix(rows), config)
+    rng = np.random.default_rng(seed)
+    polarity = [None if p < 0.5 else "opposing" if p < 0.75 else "supporting" for p in rng.random(len(built.weight))]
+    nodes = (built.idea, built.text, built.t)
+    edges = (built.u, built.v, built.weight, built.intra)
+    sorted_graph = ViewpointGraph(*nodes, *edges, polarity=polarity, config=config)
+    in_order, by_u_alone = np.arange(len(built.weight)), np.lexsort((-built.v, built.u))
+    for flip_share, order in [(0.5, in_order), (0.0, rng.permutation(in_order)), (0.5, rng.permutation(in_order)),
+                              (0.0, by_u_alone)]:
+        flip = rng.random(len(order)) < flip_share
+        u, v = np.where(flip, built.v, built.u)[order], np.where(flip, built.u, built.v)[order]
+        given = ViewpointGraph(*nodes, u, v, built.weight[order], built.intra[order],
+                               polarity=[polarity[i] for i in order], config=config)
+        assert_same_graph(given, sorted_graph)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         records, matrix, config = random_instance(3)
@@ -555,3 +578,139 @@ class TestHybrid:
         intra = [(u, v, pol) for u, v, pol in zip(graph.u, graph.v, graph.polarity) if pol]
         assert graph.intra.sum() == len(intra) == 1
         assert intra == [(0, 1, "opposing")]
+
+
+def demo12_graph(hybrid: bool) -> ViewpointGraph:
+    corpus = split_corpus(demo_corpus(), (0.7, 0.1, 0.2), seed=7)
+    records, _ = extract_corpus(corpus.ideas, LlmBackend(relations=hybrid), seed=7)
+    return build_graph(records, stub_matrix(records), GraphConfig(k=2, m=4, hybrid=hybrid))
+
+
+def tied_graph(seed: int) -> ViewpointGraph:
+    records, rows, config = tied_instance(seed)
+    return build_graph(records, EmbeddingMatrix(rows), config)
+
+
+def zero_edge_graph() -> ViewpointGraph:
+    records = records_from({"a": ["only claim"], "b": ["other claim"]})
+    return build_graph(records, stub_matrix(records), GraphConfig(m=0))
+
+
+COMPANION_CASES = {
+    "demo12": lambda: demo12_graph(False),
+    "demo12-hybrid": lambda: demo12_graph(True),
+    "zero-edges": zero_edge_graph,
+    **{f"ties-{seed}": (lambda seed=seed: tied_graph(seed)) for seed in range(4)},
+}
+
+
+def rewrite_header(companion, change):
+    line, _, blob = companion.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    change(header)
+    companion.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+def self_loops(companion):
+    """Every edge's v made its u, with the lengths and the key intact."""
+    line, _, blob = companion.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    n, e = len(header["idea"]), header["edges"]
+    u = blob[8 * n : 8 * (n + e)]
+    companion.write_bytes(line + b"\n" + blob[: 8 * (n + e)] + u + blob[8 * (n + 2 * e) :])
+
+
+class TestCompanion:
+    """``save_graph`` also writes ``<file>.arrays``; ``load_graph`` reads
+    it, instead of the JSON, only when it is keyed to the JSON's bytes and
+    whole, and the graph is the same either way."""
+
+    @pytest.fixture
+    def json_reads(self, monkeypatch):
+        """The graph files whose JSON ``load_graph`` parses."""
+        reads = []
+
+        def spy(path, *args):
+            reads.append(Path(path).name)
+            return real(path, *args)
+
+        real = graph_mod.read_json
+        monkeypatch.setattr(graph_mod, "read_json", spy)
+        return reads
+
+    def json_load(self, path):
+        """The graph as the JSON holds it, with no companion beside it."""
+        plain = path.with_name("plain.json")
+        plain.write_bytes(path.read_bytes())
+        return load_graph(plain)
+
+    @pytest.mark.parametrize("case", sorted(COMPANION_CASES))
+    def test_companion_load_equals_json_load(self, tmp_path, json_reads, case):
+        graph = COMPANION_CASES[case]()
+        path = tmp_path / "graph.json"
+        save_graph(graph, path)
+        assert (tmp_path / "graph.json.arrays").is_file()
+        from_arrays = load_graph(path)
+        assert json_reads == []
+        assert_same_graph(from_arrays, self.json_load(path))
+        assert json_reads == ["plain.json"]
+        if case == "demo12-hybrid":
+            assert {"opposing", "supporting"} & set(from_arrays.polarity)
+        if case == "zero-edges":
+            assert len(from_arrays.weight) == 0
+
+    def test_two_saves_write_the_same_bytes(self, tmp_path):
+        graph = demo12_graph(True)
+        save_graph(graph, tmp_path / "first.json")
+        save_graph(load_graph(tmp_path / "first.json"), tmp_path / "second.json")
+        assert (tmp_path / "first.json.arrays").read_bytes() == (tmp_path / "second.json.arrays").read_bytes()
+
+    DAMAGES = {
+        "missing": lambda companion: companion.unlink(),
+        "directory": lambda companion: (companion.unlink(), companion.mkdir()),
+        "empty": lambda companion: companion.write_bytes(b""),
+        "header-only": lambda companion: companion.write_bytes(companion.read_bytes().partition(b"\n")[0]),
+        "truncated": lambda companion: companion.write_bytes(companion.read_bytes()[:-1]),
+        "one-byte-more": lambda companion: companion.write_bytes(companion.read_bytes() + b"\0"),
+        "header-not-json": lambda companion: companion.write_bytes(b"{" + companion.read_bytes()),
+        "header-a-list": lambda companion: companion.write_bytes(b"[]\n" + companion.read_bytes().partition(b"\n")[2]),
+        "other-key": lambda companion: rewrite_header(companion, lambda h: h.update(graph_sha256="0" * 64)),
+        "one-edge-fewer": lambda companion: rewrite_header(companion, lambda h: h.update(edges=h["edges"] - 1)),
+        "one-node-more": lambda companion: rewrite_header(companion, lambda h: (h["idea"].append("a"), h["text"].append("x"))),
+        "float32-t": lambda companion: rewrite_header(companion, lambda h: h["dtypes"].update(t="<f4")),
+        "big-endian-u": lambda companion: rewrite_header(companion, lambda h: h["dtypes"].update(u=">i8")),
+        "bad-config": lambda companion: rewrite_header(companion, lambda h: h["config"].update(k=0)),
+        "config-a-list": lambda companion: rewrite_header(companion, lambda h: h.update(config=[5, 10])),
+        "int-idea": lambda companion: rewrite_header(companion, lambda h: h["idea"].__setitem__(0, 3)),
+        "short-polarity": lambda companion: rewrite_header(companion, lambda h: h.update(polarity=[None])),
+        "self-loops": self_loops,
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_companion_ignored(self, tmp_path, json_reads, damage):
+        path = tmp_path / "graph.json"
+        save_graph(demo12_graph(False), path)
+        companion = tmp_path / "graph.json.arrays"
+        self.DAMAGES[damage](companion)
+        assert_same_graph(load_graph(path), self.json_load(path))
+        assert json_reads == ["graph.json", "plain.json"]
+
+    def test_companion_stale_after_the_json_is_edited_by_hand(self, tmp_path, json_reads):
+        path = tmp_path / "graph.json"
+        graph = demo12_graph(False)
+        save_graph(graph, path)
+        payload = json.loads(path.read_text())
+        payload["edges"][0][2] = 0.125
+        path.write_text(json.dumps(payload))
+        loaded = load_graph(path)
+        assert json_reads == ["graph.json"]
+        assert loaded.weight[0] == 0.125 != graph.weight[0]
+        assert_same_graph(loaded, self.json_load(path))
+
+    def test_companion_of_another_graph_ignored(self, tmp_path, json_reads):
+        save_graph(tied_graph(0), tmp_path / "other.json")
+        path = tmp_path / "graph.json"
+        save_graph(tied_graph(1), path)
+        (tmp_path / "other.json.arrays").replace(tmp_path / "graph.json.arrays")
+        assert_same_graph(load_graph(path), tied_graph(1))
+        assert json_reads == ["graph.json"]

@@ -150,6 +150,18 @@ class TestMockBackend:
         texts, _ = extract_viewpoints(idea("Extracted viewpoints help graders."), LlmBackend())
         assert texts == ["Extracted viewpoints help graders."]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("Graphs help. Sentence 2", ["Graphs help."]),
+            ("Graphs help. Extracted Viewpoints", ["Graphs help."]),
+            ("Sentence 2", ["empty abstract"]),
+        ],
+    )
+    def test_sentence_reading_as_a_marker_dropped(self, text, expected):
+        texts, _ = extract_viewpoints(idea(text), LlmBackend())
+        assert texts == expected
+
     def test_empty_text_rejected_at_idea_boundary(self):
         with pytest.raises(ValueError):
             Idea(id="x", title="", text="", timestamp=0)

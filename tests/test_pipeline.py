@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import requests
 
-from viewgraph import gnn, novelty, pipeline
+from graphs import assert_same_graph
+from viewgraph import gnn, llm, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import load_corpus, load_viewpoints, save_corpus
@@ -75,6 +76,8 @@ class TestValidateConfig:
         [
             ({"graph": {"k": "5"}}, "graph.k"),
             ({"split": {"fractions": 5}}, "split.fractions"),
+            ({"split": {"fractions": [float("nan"), 0.5, 0.5]}}, "split.fractions"),
+            ({"split": {"fractions": [float("inf"), -float("inf"), 1.0]}}, "split.fractions"),
             ({"llm": {"temperature": "hot"}}, "llm.temperature"),
             ({"gnn": {"hidden_dim": True}}, "gnn.hidden_dim"),
             ({"seed": True}, "seed"),
@@ -490,11 +493,12 @@ class TestCli:
         assert "error: chat completion refused with HTTP 401, not retried: bad key" in stderr
         assert "Traceback" not in stderr and not (tmp_path / "views.jsonl").exists()
 
-    def test_extract_names_split_file_and_idea_of_failed_extraction(self, tmp_path, capsys):
+    def test_extract_names_split_file_and_idea_of_failed_extraction(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(llm, "_mock_viewpoints", lambda prompt: "[Graphs help.]")
         split = tmp_path / "split.jsonl"
-        split.write_text(json.dumps({"labels": ["bad", "good"]}) + "\n" + json.dumps({"id": "x", "text": "Graphs help. Sentence 2"}) + "\n")
+        split.write_text(json.dumps({"labels": ["bad", "good"]}) + "\n" + json.dumps({"id": "x", "text": "Graphs help."}) + "\n")
         assert self.run("extract", "--in", split, "--out", tmp_path / "views.jsonl", "--quiet") == 2
-        assert capsys.readouterr().err == f"error: {split}: idea 'x': viewpoint collides with a marker: 'Sentence 2'\n"
+        assert capsys.readouterr().err == f"error: {split}: idea 'x': no '[Extracted Viewpoints ...]' marker found; raw completion: '[Graphs help.]'\n"
         assert not (tmp_path / "views.jsonl").exists()
 
     def test_train_predict_with_negatives(self, tmp_path):
@@ -816,12 +820,6 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
 
 # What each file a run hands on in memory is read back with.
 LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "graph": load_graph, "negatives": novelty.load_negatives}
-
-
-def assert_same_graph(a, b):
-    assert (a.idea, a.text, a.polarity, a.config, a.idea_nodes) == (b.idea, b.text, b.polarity, b.config, b.idea_nodes)
-    for x, y in zip((a.t, a.u, a.v, a.weight, a.intra, *a.arcs), (b.t, b.u, b.v, b.weight, b.intra, *b.arcs)):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestHandOn:
