@@ -28,8 +28,8 @@ from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate
 
 def _load_config(args) -> RunConfig:
     config = validate_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+    if args.seed is not None:  # checked like the config file's seed
+        config = validate_config({**asdict(config), "seed": args.seed})
     return config
 
 

@@ -10,11 +10,10 @@ both endpoints of a pair are deduplicated. Each idea block gets one similarity m
 and one exact top-k/top-m selection (partition, then sort the few kept).
 
 A graph is held as arrays: per node its idea, text and time feature; per
-undirected edge ``u < v`` (sorted by ``(u, v)``) its weight, intra flag
-and optional hybrid polarity; and one directed view, ``arcs``, holding
-each edge once per direction sorted by ``(dst, src)`` with a CSR
-``indptr`` over ``dst``, which label propagation, the GNN and the
-negative generator read.
+undirected edge ``u < v`` (sorted by ``(u, v)``) its weight and intra
+flag; and one directed view, ``arcs``, holding each edge once per
+direction sorted by ``(dst, src)`` with a CSR ``indptr`` over ``dst``,
+which label propagation, the GNN and the negative generator read.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ class ViewpointGraph:
 
     Edges may be given in any order and either orientation; they are
     stored with ``u < v`` sorted by ``(u, v)``, and edges given that way
-    are kept in their order. ``polarity`` holds one entry (str or None)
-    per edge; by default every entry is None. The arrays are read-only.
+    are kept in their order. The arrays are read-only.
     """
 
     def __init__(
@@ -68,7 +66,6 @@ class ViewpointGraph:
         v=(),
         weight=(),
         intra=(),
-        polarity: Optional[Sequence[Optional[str]]] = None,
         config: GraphConfig = GraphConfig(),
     ):
         self.idea, self.text = list(idea), list(text)
@@ -80,15 +77,13 @@ class ViewpointGraph:
         a, b = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
         weight = np.array(weight, dtype=np.float64)
         intra = np.array(intra, dtype=bool)
-        if not len(a) == len(b) == len(weight) == len(intra) == len(a if polarity is None else polarity):
+        if not len(a) == len(b) == len(weight) == len(intra):
             raise ValueError("edge arrays differ in length")
         if not _canonical(a, b):
             order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
             a, b = np.minimum(a, b)[order], np.maximum(a, b)[order]
             weight, intra = weight[order], intra[order]
-            polarity = None if polarity is None else [polarity[i] for i in order.tolist()]
         self.u, self.v, self.weight, self.intra = a, b, weight, intra
-        self.polarity = [None] * len(a) if polarity is None else list(polarity)
         self.idea_nodes: dict[str, list[int]] = {}
         for node, idea_id in enumerate(self.idea):
             self.idea_nodes.setdefault(idea_id, []).append(node)
@@ -169,28 +164,33 @@ def time_features(timestamps: Mapping[str, int]) -> dict[str, float]:
     return {k: (v - lo) / (hi - lo) for k, v in timestamps.items()}
 
 
-def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool, top_k: bool = True):
+def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool, pairs=None):
     """Edges (u, v, weight, intra) proposed by every node of ``blocks``
     (one ``(start, stop)`` node range per idea), one block at a time.
 
-    Each node ranks by (-similarity, index) its siblings, keeping the top
-    k (when ``top_k``), and the nodes outside its block, keeping the top
-    m. With ``causal`` those are only the nodes before its block, and the
-    similarities are taken over the rows up to its block's end (a gemv
-    over a longer prefix may round differently). A pair proposed more
-    than once keeps its first proposal, intra ahead of inter, proposers
-    in node order. Block similarity rows equal per-node matvecs bit for
-    bit, and ``_smallest`` equals a stable argsort cut after k or m.
+    Each node ranks by (-similarity, index) the nodes outside its block,
+    keeping the top m, and its siblings, keeping the top k. With ``pairs``
+    (per block, block-local ``(left, right)`` node arrays) the siblings it
+    proposes are instead the ``right`` of each pair it is the ``left`` of,
+    in pair order. With ``causal`` the foreign nodes are only those before
+    its block, and the similarities are taken over the rows up to its
+    block's end (a gemv over a longer prefix may round differently). A
+    pair proposed more than once keeps its first proposal, intra ahead of
+    inter, proposers in node order (top-k) or in pair order (``pairs``).
+    Block similarity rows equal per-node matvecs bit for bit, and
+    ``_smallest`` equals a stable argsort cut after k or m.
     """
     intra, inter = [], []  # per block: (proposers, targets, similarities)
-    for lo, hi in blocks:
+    for b, (lo, hi) in enumerate(blocks):
         sims = matrix.similarities(lo, hi, hi if causal else None)
         keys = -sims
-        if top_k:
+        if pairs is None:
             siblings = keys[:, lo:hi].copy()
             np.fill_diagonal(siblings, np.inf)
             row, col = _smallest(siblings, min(config.k, hi - lo - 1))
-            intra.append((lo + row, lo + col, sims[row, lo + col]))
+        else:
+            row, col = pairs[b]
+        intra.append((lo + row, lo + col, sims[row, lo + col]))
         keys[:, lo:hi] = np.inf
         row, col = _smallest(keys, min(config.m, keys.shape[1] - (hi - lo)))
         inter.append((lo + row, col, sims[row, col]))
@@ -234,8 +234,9 @@ def build_graph(
 
     Node ids are assigned in (idea order, viewpoint order) and must match
     the embedding matrix row order. With ``config.hybrid`` intra edges come
-    from the records' extracted relation pairs (polarity kept as metadata)
-    instead of top-k similarity; inter edges are unchanged.
+    from the records' extracted relation pairs instead of top-k
+    similarity, each weighted by its left viewpoint's similarity to its
+    right one; inter edges are unchanged.
     """
     total = sum(len(r.viewpoints) for r in records)
     if len(matrix) != total:
@@ -244,39 +245,28 @@ def build_graph(
     if len(ids) != len(records):
         raise ValueError("duplicate idea ids in viewpoint records")
     tf = time_features({r.idea_id: r.timestamp for r in records})
-    blocks = _bounds(records)
-    u, v, weight, intra = _propose(matrix, blocks, config, causal=False, top_k=not config.hybrid)
-    polarity = None
-    if config.hybrid:
-        pairs = [e for rec, (lo, _) in zip(records, blocks) for e in _pair_edges(rec, lo, matrix, config)]
-        pu, pv, pw, polarity = (list(c) for c in zip(*pairs)) if pairs else ([], [], [], [])
-        u, v, weight = np.r_[pu, u], np.r_[pv, v], np.r_[pw, weight]
-        intra = np.r_[[True] * len(pairs), intra]
-        polarity += [None] * (len(u) - len(pairs))
+    pairs = list(map(_pair_edges, records)) if config.hybrid else None
+    u, v, weight, intra = _propose(matrix, _bounds(records), config, causal=False, pairs=pairs)
     return ViewpointGraph(
         idea=[r.idea_id for r in records for _ in r.viewpoints],
         text=[text for r in records for text in r.viewpoints],
         t=[tf[r.idea_id] for r in records for _ in r.viewpoints],
-        u=u, v=v, weight=weight, intra=intra, polarity=polarity, config=config,
+        u=u, v=v, weight=weight, intra=intra, config=config,
     )
 
 
-def _pair_edges(rec: IdeaViewpoints, start: int, matrix: EmbeddingMatrix, config: GraphConfig) -> list[tuple]:
-    """(u, v, weight, polarity) of the record's relation pairs, first
-    mention of a pair first; the weight is the left viewpoint's similarity
-    to the right one."""
+def _pair_edges(rec: IdeaViewpoints) -> np.ndarray:
+    """The record's relation pairs as block-local (left, right) node rows,
+    in pair order: each text names the first viewpoint that matches it
+    once normalized, and a pair naming an unknown text or one node twice
+    is dropped. ``_propose`` keeps a pair's first mention."""
     by_text: dict[str, int] = {}
-    for nid, text in enumerate(rec.viewpoints, start):
-        by_text.setdefault(normalize_text(text), nid)
-    edges: dict[tuple[int, int], tuple] = {}
-    for left, _connector, polarity, right in rec.pairs:
-        u = by_text.get(normalize_text(left))
-        v = by_text.get(normalize_text(right))
-        if u is None or v is None or u == v or (min(u, v), max(u, v)) in edges:
-            continue
-        weight = float(_clamp(matrix.similarities(u, u + 1)[0, v], config.weight_floor))
-        edges[(min(u, v), max(u, v))] = (min(u, v), max(u, v), weight, polarity)
-    return list(edges.values())
+    for node, text in enumerate(rec.viewpoints):
+        by_text.setdefault(normalize_text(text), node)
+    nodes = [(by_text.get(normalize_text(left)), by_text.get(normalize_text(right)))
+             for left, _connector, _polarity, right in rec.pairs]
+    kept = [(a, b) for a, b in nodes if a is not None and b is not None and a != b]
+    return np.array(kept, dtype=np.int64).reshape(-1, 2).T
 
 
 def integrate_subgraph(
@@ -314,8 +304,7 @@ def integrate_subgraph(
         text=graph.text + [text for r in records for text in r.viewpoints],
         t=np.r_[graph.t, np.zeros(n - n_old)] if t is None else t,
         u=np.r_[graph.u, u], v=np.r_[graph.v, v],
-        weight=np.r_[graph.weight, weight], intra=np.r_[graph.intra, intra],
-        polarity=graph.polarity + [None] * len(u), config=graph.config,
+        weight=np.r_[graph.weight, weight], intra=np.r_[graph.intra, intra], config=graph.config,
     )
 
 
@@ -331,9 +320,8 @@ _DTYPES = {"t": "<f8", "u": "<i8", "v": "<i8", "weight": "<f8", "intra": "|u1"}
 def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
     """Write ``graph`` to ``path`` as JSON, the file of record, then its
     binary companion ``<path>.arrays``: one JSON header line (the sha256
-    of the JSON's bytes, the config, the edge count, the dtypes, the node
-    ideas and texts, and the polarities when some edge has one), followed
-    by the arrays of ``_DTYPES`` in order."""
+    of the JSON's bytes, the config, the edge count, the dtypes, and the
+    node ideas and texts), followed by the arrays of ``_DTYPES`` in order."""
     config = {"k": graph.config.k, "m": graph.config.m, "weight_floor": graph.config.weight_floor}
     payload = {
         "config": config,
@@ -342,19 +330,14 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
             for i, (idea, text, t) in enumerate(zip(graph.idea, graph.text, graph.t.tolist()))
         ],
         "edges": [
-            [u, v, w, INTRA if intra else INTER] + ([pol] if pol else [])
-            for u, v, w, intra, pol in zip(
-                graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.intra.tolist(), graph.polarity
-            )
+            [u, v, w, INTRA if intra else INTER]
+            for u, v, w, intra in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.intra.tolist())
         ],
     }
     data = json.dumps(payload).encode("utf-8")
     write_atomic(path, data)
     header = {"graph_sha256": hashlib.sha256(data).hexdigest(), "config": config, "edges": len(graph.weight),
               "dtypes": _DTYPES, "idea": graph.idea, "text": graph.text}
-    polarity = [pol or None for pol in graph.polarity]  # as graph.json holds them
-    if any(polarity):
-        header["polarity"] = polarity
     blob = b"".join(np.asarray(getattr(graph, name), dtype).tobytes() for name, dtype in _DTYPES.items())
     write_atomic(_companion(path), json.dumps(header).encode("utf-8") + b"\n" + blob)
 
@@ -371,10 +354,9 @@ def _load_companion(path: str | Path, key: str) -> Optional[ViewpointGraph]:
         return None
     if not (isinstance(header, dict) and header.get("graph_sha256") == key and header.get("dtypes") == _DTYPES):
         return None
-    idea, text, edges, polarity = (header.get(name) for name in ("idea", "text", "edges", "polarity"))
+    idea, text, edges = (header.get(name) for name in ("idea", "text", "edges"))
     if not (isinstance(idea, list) and isinstance(text, list) and _types(idea) | _types(text) <= {str}
-            and type(edges) is int and edges >= 0
-            and (polarity is None or isinstance(polarity, list) and _types(polarity) <= {str, type(None)})):
+            and type(edges) is int and edges >= 0):
         return None
     counts = [len(idea) if name == "t" else edges for name in _DTYPES]
     sizes = [count * np.dtype(dtype).itemsize for count, dtype in zip(counts, _DTYPES.values())]
@@ -388,7 +370,7 @@ def _load_companion(path: str | Path, key: str) -> Optional[ViewpointGraph]:
     except (KeyError, TypeError, ValueError):
         return None
     try:
-        return ViewpointGraph(idea, text, polarity=polarity, config=config, **arrays)
+        return ViewpointGraph(idea, text, config=config, **arrays)
     except ValueError:  # an edge that breaks the graph's rules: the JSON names it
         return None
 
@@ -425,13 +407,12 @@ def load_graph(path: str | Path) -> ViewpointGraph:
     edge_columns = _edge_columns(edges)
     if edge_columns is None:
         i, e = next((i, e) for i, e in enumerate(edges) if not _edge_ok(e))
-        raise ValueError(f"{where}: edge {i}: expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got {e!r}")
+        raise ValueError(f"{where}: edge {i}: expected [u, v, weight, kind], got {e!r}")
     idea, text, t = node_columns
-    u, v, weight, kind, polarity = edge_columns
+    u, v, weight, kind = edge_columns
     try:
         return ViewpointGraph(
-            idea=idea, text=text, t=t, u=u, v=v, weight=weight,
-            intra=list(map(INTRA.__eq__, kind)), polarity=polarity, config=config,
+            idea=idea, text=text, t=t, u=u, v=v, weight=weight, intra=list(map(INTRA.__eq__, kind)), config=config,
         )
     except OverflowError as exc:
         raise ValueError(f"{where}: {_overflowing(nodes, edges) or exc}") from None
@@ -488,27 +469,20 @@ def _node_ok(i: int, node) -> bool:
 
 
 def _edge_columns(edges: list):
-    """The u, v, weight, kind and polarity columns of ``edges`` (polarity
-    None when no edge has one), or None when some edge fails ``_edge_ok``;
-    each column is checked at once."""
+    """The u, v, weight and kind columns of ``edges``, or None when some
+    edge fails ``_edge_ok``; each column is checked at once. Hybrid graph
+    files from earlier versions give an edge a fifth entry, its relation's
+    polarity, which is ignored."""
     if not edges:
-        return (), (), (), (), None
-    if not _types(edges) <= {list}:
-        return None
-    lengths = set(map(len, edges))
-    if not lengths <= {4, 5}:
+        return (), (), (), ()
+    if not (_types(edges) <= {list} and set(map(len, edges)) <= {4, 5}):
         return None
     u, v, weight, kind, *_ = zip(*edges)
     # types before values: an unhashable kind must not reach set()
     if not (_types(u) | _types(v) <= {int} and _types(weight) <= {int, float}
             and _types(kind) <= {str} and set(kind) <= {INTRA, INTER}):
         return None
-    polarity = None
-    if 5 in lengths:  # zip stops at the shortest edge, so check the fifth entries on their own
-        if not _types(e[4] for e in edges if len(e) == 5) <= {str}:
-            return None
-        polarity = [e[4] if len(e) == 5 else None for e in edges]
-    return u, v, weight, kind, polarity
+    return u, v, weight, kind
 
 
 def _edge_ok(e) -> bool:
@@ -518,7 +492,6 @@ def _edge_ok(e) -> bool:
         and all(type(x) is int for x in e[:2])
         and _is_number(e[2])
         and e[3] in (INTRA, INTER)
-        and (len(e) == 4 or isinstance(e[4], str))
     )
 
 

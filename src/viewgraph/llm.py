@@ -144,7 +144,7 @@ class LlmBackend(Checked):
     max_retries: int = setting(3, at_least(1))
     price_per_million: float = setting(0.0, at_least(0.0))
     relations: bool = False
-    max_inflight: int = 4
+    max_inflight: int = setting(4, at_least(1))
 
     def __post_init__(self):
         super().__post_init__()

@@ -23,6 +23,7 @@ from . import gnn as gnn_mod
 from . import label_prop as lp_mod
 from . import novelty as novelty_mod
 from .dataset import (
+    COUNT,
     NUMBERS,
     SPLITS,
     Checked,
@@ -78,7 +79,7 @@ class RunConfig:
 
     corpus: str = "corpus.jsonl"
     out_dir: str = "run"
-    seed: int = 0
+    seed: int = setting(0, kind=COUNT)
     engine: str = setting("lp", must(lambda v: v in ENGINES, f"one of {ENGINES}"))
     split: SplitSettings = field(default_factory=SplitSettings)
     llm: LlmBackend = field(default_factory=LlmBackend)

@@ -33,7 +33,7 @@ def edge_dict(graph: ViewpointGraph) -> dict[tuple[int, int], tuple[float, str]]
 
 def assert_same_graph(a: ViewpointGraph, b: ViewpointGraph):
     """Every node list, config, edge array and arc array equal, dtypes too."""
-    assert (a.idea, a.text, a.polarity, a.config, a.idea_nodes) == (b.idea, b.text, b.polarity, b.config, b.idea_nodes)
+    assert (a.idea, a.text, a.config, a.idea_nodes) == (b.idea, b.text, b.config, b.idea_nodes)
     for x, y in zip((a.t, a.u, a.v, a.weight, a.intra, *a.arcs), (b.t, b.u, b.v, b.weight, b.intra, *b.arcs)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
 

@@ -79,6 +79,36 @@ def brute_force_graph_edges(
     return edges
 
 
+def per_pair_relation_edges(records, matrix, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hybrid intra edges as the graph build made them before it weighted
+    them per block, kept as the reference: one similarity row per relation
+    pair, ``matrix.similarities(u, u + 1)[0, v]`` from the pair's left node
+    ``u`` to its right node ``v``, clamped to [floor, 1].
+
+    A pair's texts name the first viewpoint of its idea that matches once
+    normalized; a pair naming an unknown text or one node twice is
+    dropped, and the first mention of an unordered pair wins. Returns
+    ``u``, ``v`` and ``weight`` with u < v, sorted by (u, v).
+    """
+    from viewgraph.dataset import normalize_text
+
+    edges: dict[tuple[int, int], float] = {}
+    start = 0
+    for rec in records:
+        by_text: dict[str, int] = {}
+        for node, text in enumerate(rec.viewpoints, start):
+            by_text.setdefault(normalize_text(text), node)
+        for left, _connector, _polarity, right in rec.pairs:
+            u, v = by_text.get(normalize_text(left)), by_text.get(normalize_text(right))
+            if u is None or v is None or u == v or (min(u, v), max(u, v)) in edges:
+                continue
+            edges[(min(u, v), max(u, v))] = min(1.0, max(floor, float(matrix.similarities(u, u + 1)[0, v])))
+        start += len(rec.viewpoints)
+    keys = sorted(edges)
+    return (np.array([u for u, _ in keys], dtype=np.int64), np.array([v for _, v in keys], dtype=np.int64),
+            np.array([edges[key] for key in keys], dtype=np.float64))
+
+
 def brute_force_macro(truths: list[int], preds: list[int], n_labels: int) -> dict:
     """Per-class precision/recall/F1 from raw pair counts."""
     precisions, recalls, f1s = [], [], []

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
-from oracles import brute_force_graph_edges
+from oracles import brute_force_graph_edges, per_pair_relation_edges
 from viewgraph import graph as graph_mod
 from viewgraph.dataset import IdeaViewpoints, split_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
@@ -312,7 +313,7 @@ class TestAgainstPerNodeArgsort:
     Run under a threaded BLAS too: it rests on a stacked matmul running
     one gemv per row."""
 
-    MODES = {  # mode -> (causal, top_k, first block's start)
+    MODES = {  # mode -> (causal, top_k, first block's start); hybrid is top_k off: no relation pairs
         "full": (False, True, 0),
         "hybrid": (False, False, 0),
         "causal": (True, True, 0),
@@ -320,7 +321,7 @@ class TestAgainstPerNodeArgsort:
     }
 
     def assert_same(self, matrix, blocks, config, causal, top_k):
-        got = _propose(matrix, blocks, config, causal, top_k)
+        got = _propose(matrix, blocks, config, causal, None if top_k else [np.zeros((2, 0), np.int64)] * len(blocks))
         want = per_node_propose(matrix, blocks, config, causal, top_k)
         for name, g, w in zip(("u", "v", "weight", "intra"), got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w), name
@@ -339,6 +340,72 @@ class TestAgainstPerNodeArgsort:
         causal, top_k, start = self.MODES[mode]
         matrix, blocks = block_instance(1, dim=32, n_blocks=100, distinct=distinct, start=start)
         self.assert_same(matrix, blocks, GraphConfig(k=5, m=10), causal, top_k)
+
+
+def pair_instance(seed: int):
+    """Four to seven ideas whose relation pairs name their viewpoints (in
+    other case and spacing too), repeated, reversed, naming one viewpoint
+    twice, naming a text no viewpoint has, or naming a text two viewpoints
+    share. Rows repeat a few 32-dim vectors around a common direction, so
+    ties occur, most similarities are above the floor, and a gemv's
+    similarity of a to b may differ in the last bit from that of b to a."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(int(rng.integers(4, 8))):
+        texts = [f"idea{i} viewpoint {j}" for j in range(int(rng.integers(1, 9)))]
+        if len(texts) > 2 and rng.random() < 0.5:
+            texts[-1] = texts[0].upper()  # a text two viewpoints share
+        names = texts + [f"  {texts[0].upper()} ", "no such viewpoint"]
+        pairs = []
+        for _ in range(int(rng.integers(0, 3 * len(texts) + 1))):
+            left, right = (names[j] for j in rng.integers(len(names), size=2))
+            pairs.append((left, "and", ["supporting", "opposing"][int(rng.integers(2))], right))
+            if rng.random() < 0.3:
+                pairs.append(pairs[-1] if rng.random() < 0.5 else (right, "so", "supporting", left))
+        records.append(IdeaViewpoints(f"idea{i}", tuple(texts), pairs=tuple(pairs)))
+    distinct = rng.normal(size=(int(rng.integers(3, 12)), 32)) + 0.5
+    rows = distinct[rng.integers(len(distinct), size=sum(len(rec.viewpoints) for rec in records))]
+    config = GraphConfig(k=int(rng.integers(1, 5)), m=int(rng.integers(0, 9)), hybrid=True,
+                         weight_floor=float(rng.choice([0.0, 0.3])))
+    return records, EmbeddingMatrix(rows), config
+
+
+class TestAgainstPerPairWeights:
+    """Hybrid intra edges, weighted from the build's block similarity rows,
+    equal one similarity row per relation pair bit for bit, and the inter
+    edges are the top-k build's."""
+
+    def assert_same(self, records, matrix, config):
+        graph = build_graph(records, matrix, config)
+        pu, pv, pw = per_pair_relation_edges(records, matrix, config.weight_floor)
+        top_k = build_graph(records, matrix, replace(config, hybrid=False))
+        inter = ~top_k.intra
+        u, v = np.r_[pu, top_k.u[inter]], np.r_[pv, top_k.v[inter]]
+        order = np.lexsort((v, u))
+        want = u[order], v[order], np.r_[pw, top_k.weight[inter]][order], (np.arange(len(u)) < len(pu))[order]
+        for name, w in zip(("u", "v", "weight", "intra"), want):
+            got = getattr(graph, name)
+            assert got.dtype == w.dtype and np.array_equal(got, w), name
+        return graph
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_records_with_ties(self, seed):
+        records, matrix, config = pair_instance(seed)
+        self.assert_same(records, matrix, config)
+
+    def test_demo12(self):
+        corpus = split_corpus(demo_corpus(), (0.7, 0.1, 0.2), seed=7)
+        records, _ = extract_corpus(corpus.ideas, LlmBackend(relations=True), seed=7)
+        graph = self.assert_same(records, stub_matrix(records), GraphConfig(k=2, m=4, hybrid=True))
+        assert graph.intra.sum() > 10
+
+    def test_build_makes_no_per_pair_similarity_call(self, monkeypatch):
+        records, matrix, config = pair_instance(0)
+        calls = []
+        real = EmbeddingMatrix.similarities
+        monkeypatch.setattr(EmbeddingMatrix, "similarities", lambda self, *a: calls.append(a) or real(self, *a))
+        build_graph(records, matrix, config)
+        assert len(calls) == len(records)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -376,17 +443,15 @@ def test_flipped_or_unsorted_edges_give_the_graph_of_sorted_edges(seed):
     records, rows, config = tied_instance(seed)
     built = build_graph(records, EmbeddingMatrix(rows), config)
     rng = np.random.default_rng(seed)
-    polarity = [None if p < 0.5 else "opposing" if p < 0.75 else "supporting" for p in rng.random(len(built.weight))]
     nodes = (built.idea, built.text, built.t)
     edges = (built.u, built.v, built.weight, built.intra)
-    sorted_graph = ViewpointGraph(*nodes, *edges, polarity=polarity, config=config)
+    sorted_graph = ViewpointGraph(*nodes, *edges, config=config)
     in_order, by_u_alone = np.arange(len(built.weight)), np.lexsort((-built.v, built.u))
     for flip_share, order in [(0.5, in_order), (0.0, rng.permutation(in_order)), (0.5, rng.permutation(in_order)),
                               (0.0, by_u_alone)]:
         flip = rng.random(len(order)) < flip_share
         u, v = np.where(flip, built.v, built.u)[order], np.where(flip, built.u, built.v)[order]
-        given = ViewpointGraph(*nodes, u, v, built.weight[order], built.intra[order],
-                               polarity=[polarity[i] for i in order], config=config)
+        given = ViewpointGraph(*nodes, u, v, built.weight[order], built.intra[order], config=config)
         assert_same_graph(given, sorted_graph)
 
 
@@ -435,7 +500,7 @@ class TestSerialization:
             load_graph(path)
 
     DELETE = object()
-    EDGE = "expected [u, v, weight, kind] or [u, v, weight, kind, polarity], got"
+    EDGE = "expected [u, v, weight, kind], got"
     NODE_1 = "expected {id: 1, idea, text, t}, got"
 
     # Each file is refused with the message, and at the index, of the
@@ -457,8 +522,7 @@ class TestSerialization:
             ("edges", [[0, 1, "0.5", "inter"]], f"graph file PATH: edge 0: {EDGE} [0, 1, '0.5', 'inter']"),
             ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, ["inter"]]], f"graph file PATH: edge 1: {EDGE} [0, 1, 0.5, ['inter']]"),
             ("edges", [[0, 1, 0.5, "cross"]], f"graph file PATH: edge 0: {EDGE} [0, 1, 0.5, 'cross']"),
-            ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, "inter", "opposing"], [1, 0, 0.5, "inter", 3]],
-             f"graph file PATH: edge 2: {EDGE} [1, 0, 0.5, 'inter', 3]"),
+            ("edges", [[0, 1, 0.5, "inter", "opposing", "x"]], f"graph file PATH: edge 0: {EDGE} [0, 1, 0.5, 'inter', 'opposing', 'x']"),
             ("nodes", [{"id": 0, "idea": "a", "text": "x"}, ["b", "y"]], f"graph file PATH: node 1: {NODE_1} ['b', 'y']"),
             ("nodes", [{"id": 1, "idea": "b", "text": "y"}, {"id": 0, "idea": "a", "text": "x"}],
              "graph file PATH: node 0: expected {id: 0, idea, text, t}, got {'id': 1, 'idea': 'b', 'text': 'y'}"),
@@ -486,7 +550,7 @@ class TestSerialization:
         ],
         ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order",
              "first-bad-edge-of-several", "bool-u", "float-u", "bool-weight", "string-weight", "list-kind",
-             "unknown-kind", "int-polarity-after-short-rows", "non-dict-node", "node-ids-swapped",
+             "unknown-kind", "six-entries", "non-dict-node", "node-ids-swapped",
              "null-nodes", "null-edges", "dict-edges", "fractional-k", "bool-m", "string-weight-floor",
              "config-out-of-range", "config-without-k", "endpoint-beyond-int64", "negative-endpoint-beyond-int64",
              "weight-beyond-float64", "t-beyond-float64", "self-loop", "duplicate-pair", "intra-across-ideas",
@@ -525,7 +589,25 @@ class TestSerialization:
         loaded = load_graph(first)
         save_graph(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-        assert loaded.polarity == graph.polarity and {"opposing", "supporting"} <= set(loaded.polarity)
+        assert list(edge_dict(loaded).items()) == list(edge_dict(graph).items())
+        assert {len(edge) for edge in json.loads(first.read_text())["edges"]} == {4}
+        assert graph.intra.sum() == 2
+
+    def test_fifth_edge_entry_of_older_hybrid_files_ignored(self, tmp_path):
+        """Hybrid graph files from earlier versions give relation edges a
+        fifth entry, the pair's polarity; they load as if it were absent."""
+        payload = {
+            "config": {"k": 5, "m": 1, "weight_floor": 0.0},
+            "nodes": [{"id": i, "idea": idea, "text": f"v{i}", "t": 0.0} for i, idea in enumerate("aaab")],
+            "edges": [[0, 1, 0.5, "intra", "opposing"], [0, 3, 0.25, "inter"], [1, 2, 0.75, "intra", "supporting"]],
+        }
+        with_fifth, without = tmp_path / "with-fifth.json", tmp_path / "without.json"
+        with_fifth.write_text(json.dumps(payload))
+        payload["edges"] = [edge[:4] for edge in payload["edges"]]
+        without.write_text(json.dumps(payload))
+        loaded = load_graph(with_fifth)
+        assert_same_graph(loaded, load_graph(without))
+        assert (loaded.u.tolist(), loaded.v.tolist(), loaded.intra.tolist()) == ([0, 0, 1], [1, 3, 2], [True, False, True])
 
     def test_built_graph_loads_back_column_for_column(self, tmp_path):
         records = records_from({f"idea{i}": [f"idea {i} claim {j} on topic {(i * j) % 7}" for j in range(6)]
@@ -536,7 +618,6 @@ class TestSerialization:
         loaded = load_graph(path)
         for name in ("u", "v", "weight", "intra"):
             assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
-        assert loaded.polarity == graph.polarity == [None] * len(graph.weight)
         assert all(np.array_equal(a, b) for a, b in zip(loaded.arcs, graph.arcs))
 
     def test_weight_out_of_range_rejected(self, tmp_path):
@@ -566,7 +647,7 @@ class TestConfig:
 
 
 class TestHybrid:
-    def test_intra_edges_from_pairs_with_polarity(self):
+    def test_intra_edges_from_pairs(self):
         rec = IdeaViewpoints(
             idea_id="a",
             viewpoints=("first claim", "second claim", "third claim"),
@@ -575,9 +656,9 @@ class TestHybrid:
         )
         matrix = stub_matrix([rec])
         graph = build_graph([rec], matrix, GraphConfig(hybrid=True))
-        intra = [(u, v, pol) for u, v, pol in zip(graph.u, graph.v, graph.polarity) if pol]
-        assert graph.intra.sum() == len(intra) == 1
-        assert intra == [(0, 1, "opposing")]
+        intra = [(u, v) for u, v, is_intra in zip(graph.u.tolist(), graph.v.tolist(), graph.intra) if is_intra]
+        assert len(graph.weight) == len(intra) == 1
+        assert intra == [(0, 1)]
 
 
 def demo12_graph(hybrid: bool) -> ViewpointGraph:
@@ -655,7 +736,7 @@ class TestCompanion:
         assert_same_graph(from_arrays, self.json_load(path))
         assert json_reads == ["plain.json"]
         if case == "demo12-hybrid":
-            assert {"opposing", "supporting"} & set(from_arrays.polarity)
+            assert from_arrays.intra.any()
         if case == "zero-edges":
             assert len(from_arrays.weight) == 0
 
@@ -682,7 +763,6 @@ class TestCompanion:
         "bad-config": lambda companion: rewrite_header(companion, lambda h: h["config"].update(k=0)),
         "config-a-list": lambda companion: rewrite_header(companion, lambda h: h.update(config=[5, 10])),
         "int-idea": lambda companion: rewrite_header(companion, lambda h: h["idea"].__setitem__(0, 3)),
-        "short-polarity": lambda companion: rewrite_header(companion, lambda h: h.update(polarity=[None])),
         "self-loops": self_loops,
     }
 
@@ -694,6 +774,18 @@ class TestCompanion:
         self.DAMAGES[damage](companion)
         assert_same_graph(load_graph(path), self.json_load(path))
         assert json_reads == ["graph.json", "plain.json"]
+
+    def test_companion_of_an_older_hybrid_graph_loads(self, tmp_path, json_reads):
+        """Companions from earlier versions hold a ``polarity`` list in their
+        header when some edge has one; the key is ignored like any other."""
+        path = tmp_path / "graph.json"
+        graph = demo12_graph(True)
+        save_graph(graph, path)
+        polarity = ["supporting" if intra else None for intra in graph.intra.tolist()]
+        rewrite_header(tmp_path / "graph.json.arrays", lambda h: h.update(polarity=polarity))
+        from_arrays = load_graph(path)
+        assert json_reads == []
+        assert_same_graph(from_arrays, self.json_load(path))
 
     def test_companion_stale_after_the_json_is_edited_by_hand(self, tmp_path, json_reads):
         path = tmp_path / "graph.json"

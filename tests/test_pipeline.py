@@ -105,6 +105,25 @@ class TestValidateConfig:
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
         assert "llm.price_per_million: must be >= 0.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"llm": {"max_inflight": 0}}, "llm.max_inflight: must be >= 1, got 0"),
+            ({"llm": {"max_inflight": -3}}, "llm.max_inflight: must be >= 1, got -3"),
+            ({"seed": -5}, "seed: must be >= 0, got -5"),
+        ],
+    )
+    def test_out_of_range_reported_at_path(self, tmp_path, capsys, data, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.errors == [message]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **data}))
+        assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
+        stderr = capsys.readouterr().err
+        assert message in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "run").exists()
+
     def test_remote_backend_without_endpoint_refused_at_load(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **kw: pytest.fail("no request may be made"))
         data = {"out_dir": str(tmp_path / "run"), "llm": {"backend": "remote"}}
@@ -137,6 +156,8 @@ class TestValidateConfig:
         (EmbeddingProvider, {"provider": "cloud"}, "provider: must be stub or remote, got 'cloud'"),
         (LlmBackend, {"backend": "cloud", "temperature": 3}, "backend: must be mock or remote, got 'cloud'; temperature: must be in [0, 2], got 3"),
         (LlmBackend, {"backend": "remote"}, "endpoint: must be set when backend is remote"),
+        (LlmBackend, {"max_inflight": 0}, "max_inflight: must be >= 1, got 0"),
+        (LlmBackend, {"max_inflight": -3}, "max_inflight: must be >= 1, got -3"),
         (NoveltyConfig, {"count": 0}, "count: must be >= 1, got 0"),
         (NoveltyConfig, {"swap_fraction": 1.5}, "swap_fraction: must be in (0, 1], got 1.5"),
     ],
@@ -462,6 +483,15 @@ class TestCli:
         stderr = capsys.readouterr().err
         assert f"{path}: must be" in stderr and "Traceback" not in stderr
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["split", "--in", "DEMO", "--out", "split.jsonl"], ["run"]], ids=["split", "run"])
+    def test_negative_seed_flag_refused_naming_seed(self, tmp_path, monkeypatch, capsys, demo_file, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [demo_file if arg == "DEMO" else arg for arg in command]
+        assert self.run(*argv, "--seed", -1, "--quiet") == 2
+        stderr = capsys.readouterr().err
+        assert "seed: must be >= 0, got -1" in stderr and "Traceback" not in stderr
+        assert [path.name for path in tmp_path.iterdir()] == [demo_file.name]
 
     def test_stagewise_flow(self, tmp_path, demo_file):
         split = tmp_path / "split.jsonl"
