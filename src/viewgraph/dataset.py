@@ -271,12 +271,8 @@ def read_file(path: str | Path, noun: str = "", binary: bool = False) -> str | b
         data = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(path, exc.strerror, noun=noun) from None
-    return data if binary else decode(data, path, noun)
-
-
-def decode(data: bytes, path: str | Path, noun: str = "") -> str:
-    """``data``, the bytes of ``path``, decoded as UTF-8; bytes that are
-    not UTF-8 raise a FileFormatError naming the file."""
+    if binary:
+        return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -290,11 +286,10 @@ def _parse(text: str | bytes, path: str | Path, noun: str, what: str = ""):
         raise FileFormatError(path, f"{what}not JSON ({exc})", noun=noun) from None
 
 
-def read_json(path: str | Path, noun: str = "", data: Optional[bytes] = None):
-    """The JSON value of ``path``, read by ``read_file`` unless its bytes
-    ``data`` are given; text that is not JSON raises a FileFormatError
-    naming the file."""
-    return _parse(read_file(path, noun) if data is None else decode(data, path, noun), path, noun)
+def read_json(path: str | Path, noun: str = ""):
+    """The JSON value of ``path``, read by ``read_file``; text that is not
+    JSON raises a FileFormatError naming the file."""
+    return _parse(read_file(path, noun), path, noun)
 
 
 def read_headed(path: str | Path, noun: str) -> tuple[object, bytes]:

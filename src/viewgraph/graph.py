@@ -18,17 +18,16 @@ which label propagation, the GNN and the negative generator read.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import namedtuple
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import COUNT, Checked, IdeaViewpoints, at_least, must, normalize_text, read_file, read_json, setting, write_atomic
+from .dataset import (COUNT, STRINGS, Checked, IdeaViewpoints, at_least, check, field_kinds, must, normalize_text,
+                      problem, read_headed, setting, write_atomic)
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -308,20 +307,26 @@ def integrate_subgraph(
     )
 
 
-def _companion(path: str | Path) -> Path:
-    return Path(path).with_name(Path(path).name + ".arrays")
-
-
-# The companion's arrays in file order, each little-endian: t has one entry
-# per node, the others one per edge.
+# graph.bin's arrays in file order, each little-endian: t has one entry per
+# node, the others one per edge.
 _DTYPES = {"t": "<f8", "u": "<i8", "v": "<i8", "weight": "<f8", "intra": "|u1"}
 
 
 def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
-    """Write ``graph`` to ``path`` as JSON, the file of record, then its
-    binary companion ``<path>.arrays``: one JSON header line (the sha256
-    of the JSON's bytes, the config, the edge count, the dtypes, and the
-    node ideas and texts), followed by the arrays of ``_DTYPES`` in order."""
+    """Binary format, as ``embeddings.bin``: one JSON header line {config,
+    edges, dtypes, idea, text} (the whole config, the edge count, the
+    dtypes and the node ideas and texts), then the arrays of ``_DTYPES``
+    in order."""
+    header = {"config": asdict(graph.config), "edges": len(graph.weight), "dtypes": _DTYPES,
+              "idea": graph.idea, "text": graph.text}
+    blob = b"".join(np.asarray(getattr(graph, name), dtype).tobytes() for name, dtype in _DTYPES.items())
+    write_atomic(path, json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+
+def export_graph_json(graph: ViewpointGraph, path: str | Path) -> None:
+    """Write ``graph`` to ``path`` as JSON: ``{"config": {k, m,
+    weight_floor}, "nodes": [{id, idea, text, t}], "edges": [[u, v,
+    weight, kind]]}``. An export for other tools; viewgraph never reads it."""
     config = {"k": graph.config.k, "m": graph.config.m, "weight_floor": graph.config.weight_floor}
     payload = {
         "config": config,
@@ -334,166 +339,34 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
             for u, v, w, intra in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.intra.tolist())
         ],
     }
-    data = json.dumps(payload).encode("utf-8")
-    write_atomic(path, data)
-    header = {"graph_sha256": hashlib.sha256(data).hexdigest(), "config": config, "edges": len(graph.weight),
-              "dtypes": _DTYPES, "idea": graph.idea, "text": graph.text}
-    blob = b"".join(np.asarray(getattr(graph, name), dtype).tobytes() for name, dtype in _DTYPES.items())
-    write_atomic(_companion(path), json.dumps(header).encode("utf-8") + b"\n" + blob)
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
-def _load_companion(path: str | Path, key: str) -> Optional[ViewpointGraph]:
-    """The graph held by the companion of graph file ``path``, or None
-    unless the companion is keyed to ``key``, the sha256 of the graph
-    file's bytes, and holds every array at its dtype and length. A
-    companion that is absent, damaged or stale is ignored."""
-    try:
-        line, _, blob = _companion(path).read_bytes().partition(b"\n")
-        header = json.loads(line)
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not (isinstance(header, dict) and header.get("graph_sha256") == key and header.get("dtypes") == _DTYPES):
-        return None
-    idea, text, edges = (header.get(name) for name in ("idea", "text", "edges"))
-    if not (isinstance(idea, list) and isinstance(text, list) and _types(idea) | _types(text) <= {str}
-            and type(edges) is int and edges >= 0):
-        return None
-    counts = [len(idea) if name == "t" else edges for name in _DTYPES]
+def load_graph(path: str | Path) -> ViewpointGraph:
+    """Read a graph written by ``save_graph``. A malformed file raises a
+    ValueError naming the file, and the header key, the blob length or the
+    rule of ``ViewpointGraph`` at fault."""
+    header, blob = read_headed(path, "graph file")
+    where = f"graph file {path}"
+    if not isinstance(header, dict):
+        raise ValueError(f"{where}: header must be an object, got {type(header).__name__}")
+    if header.get("dtypes") != _DTYPES:
+        raise ValueError(f"{where}: header 'dtypes' must be {_DTYPES}, got {header.get('dtypes')!r}")
+    if bad := next(check({"config": header.get("config")}, {"config": (GraphConfig, None)}), None):
+        raise ValueError(f"{where}: {bad[0]}: {bad[1]}")
+    if missing := [name for name in field_kinds(GraphConfig) if name not in header["config"]]:
+        raise ValueError(f"{where}: config has no {', '.join(missing)}")
+    for key, kind in (("edges", COUNT), ("idea", STRINGS), ("text", STRINGS)):
+        if broken := problem(header.get(key), kind):
+            raise ValueError(f"{where}: header {key!r} {broken}")
+    counts = [len(header["idea"]) if name == "t" else header["edges"] for name in _DTYPES]
     sizes = [count * np.dtype(dtype).itemsize for count, dtype in zip(counts, _DTYPES.values())]
     if len(blob) != sum(sizes):
-        return None
+        raise ValueError(f"{where}: blob is {len(blob)} bytes, expected {sum(sizes)}")
     starts = np.cumsum([0] + sizes).tolist()
     arrays = {name: np.frombuffer(blob, dtype, count, start)
               for (name, dtype), count, start in zip(_DTYPES.items(), counts, starts)}
     try:
-        config = GraphConfig(**header["config"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    try:
-        return ViewpointGraph(idea, text, config=config, **arrays)
-    except ValueError:  # an edge that breaks the graph's rules: the JSON names it
-        return None
-
-
-def load_graph(path: str | Path) -> ViewpointGraph:
-    """Read a graph written by ``save_graph``: from its companion when
-    that is keyed to this file's bytes, else from the JSON. Nodes and
-    edges are checked a key or column at a time; a malformed file raises
-    a ValueError naming the file, and the config, the first bad node or
-    edge, or the rule of ``ViewpointGraph`` it breaks."""
-    where = f"graph file {path}"
-    data = read_file(path, "graph file", binary=True)
-    graph = _load_companion(path, hashlib.sha256(data).hexdigest())
-    if graph is not None:
-        return graph
-    payload = read_json(path, "graph file", data)
-    for key in ("config", "nodes", "edges"):
-        if not isinstance(payload, dict) or key not in payload:
-            raise ValueError(f"{where} has no {key!r}")
-        if key != "config" and not isinstance(payload[key], list):
-            raise ValueError(f"{where}: {key!r} must be a list, got {type(payload[key]).__name__}")
-    cfg = payload["config"]
-    if not (isinstance(cfg, dict) and "k" in cfg and "m" in cfg):
-        raise ValueError(f"{where}: config needs numbers k, m and weight_floor, got {cfg!r}")
-    try:
-        config = GraphConfig(k=cfg["k"], m=cfg["m"], weight_floor=cfg.get("weight_floor", 0.0))
-    except ValueError as exc:
-        raise ValueError(f"{where}: config {exc}") from None
-    nodes, edges = payload["nodes"], payload["edges"]
-    node_columns = _node_columns(nodes)
-    if node_columns is None:
-        i, node = next((i, node) for i, node in enumerate(nodes) if not _node_ok(i, node))
-        raise ValueError(f"{where}: node {i}: expected {{id: {i}, idea, text, t}}, got {node!r}")
-    edge_columns = _edge_columns(edges)
-    if edge_columns is None:
-        i, e = next((i, e) for i, e in enumerate(edges) if not _edge_ok(e))
-        raise ValueError(f"{where}: edge {i}: expected [u, v, weight, kind], got {e!r}")
-    idea, text, t = node_columns
-    u, v, weight, kind = edge_columns
-    try:
-        return ViewpointGraph(
-            idea=idea, text=text, t=t, u=u, v=v, weight=weight, intra=list(map(INTRA.__eq__, kind)), config=config,
-        )
-    except OverflowError as exc:
-        raise ValueError(f"{where}: {_overflowing(nodes, edges) or exc}") from None
-    except ValueError as exc:  # a self-loop, a repeated pair, a wrong kind or weight
+        return ViewpointGraph(header["idea"], header["text"], config=GraphConfig(**header["config"]), **arrays)
+    except ValueError as exc:  # texts and ideas of different lengths, or an edge that breaks a rule
         raise ValueError(f"{where}: {exc}") from None
-
-
-def _overflowing(nodes: list, edges: list) -> Optional[str]:
-    """The first node or edge holding an int that numpy cannot store: an
-    endpoint outside int64, or a time feature or weight beyond float64."""
-
-    def too_big(x) -> bool:
-        try:
-            float(x)
-        except OverflowError:
-            return True
-        return False
-
-    for i, node in enumerate(nodes):
-        if too_big(node.get("t", 0.0)):
-            return f"node {i} has a time feature beyond float64, got {node['t']!r}"
-    for i, e in enumerate(edges):
-        if not all(-(2**63) <= x < 2**63 for x in e[:2]):
-            return f"edge {i} has an endpoint outside int64, got {e!r}"
-        if too_big(e[2]):
-            return f"edge {i} has a weight beyond float64, got {e!r}"
-    return None
-
-
-def _types(column) -> set:
-    return set(map(type, column))
-
-
-def _node_columns(nodes: list):
-    """The idea, text and t columns of ``nodes``, or None when some node
-    fails ``_node_ok``; each key is checked over all nodes at once."""
-    if not _types(nodes) <= {dict}:
-        return None
-    ids, idea, text = (list(map(dict.get, nodes, repeat(key))) for key in ("id", "idea", "text"))
-    t = list(map(dict.get, nodes, repeat("t"), repeat(0.0)))
-    if ids == list(range(len(nodes))) and _types(idea) | _types(text) <= {str} and _types(t) <= {int, float}:
-        return idea, text, t
-    return None
-
-
-def _node_ok(i: int, node) -> bool:
-    return (
-        isinstance(node, dict)
-        and node.get("id") == i
-        and isinstance(node.get("idea"), str)
-        and isinstance(node.get("text"), str)
-        and _is_number(node.get("t", 0.0))
-    )
-
-
-def _edge_columns(edges: list):
-    """The u, v, weight and kind columns of ``edges``, or None when some
-    edge fails ``_edge_ok``; each column is checked at once. Hybrid graph
-    files from earlier versions give an edge a fifth entry, its relation's
-    polarity, which is ignored."""
-    if not edges:
-        return (), (), (), ()
-    if not (_types(edges) <= {list} and set(map(len, edges)) <= {4, 5}):
-        return None
-    u, v, weight, kind, *_ = zip(*edges)
-    # types before values: an unhashable kind must not reach set()
-    if not (_types(u) | _types(v) <= {int} and _types(weight) <= {int, float}
-            and _types(kind) <= {str} and set(kind) <= {INTRA, INTER}):
-        return None
-    return u, v, weight, kind
-
-
-def _edge_ok(e) -> bool:
-    return (
-        isinstance(e, list)
-        and len(e) in (4, 5)
-        and all(type(x) is int for x in e[:2])
-        and _is_number(e[2])
-        and e[3] in (INTRA, INTER)
-    )
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)

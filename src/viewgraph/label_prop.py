@@ -57,7 +57,7 @@ def normalize_weights(graph: ViewpointGraph) -> Arcs:
     """
     arcs = graph.arcs
     n = len(graph)
-    total = add_neighbours(np.zeros((n, 1)), neighbour_slots(arcs), np.ones((n, 1)))[arcs.dst, 0]
+    total = np.bincount(arcs.dst, weights=arcs.weight, minlength=n)[arcs.dst]  # in ascending src order
     weight = np.divide(arcs.weight, total, out=np.zeros_like(arcs.weight), where=total > 0.0)
     return arcs._replace(weight=weight)
 

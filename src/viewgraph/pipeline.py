@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -45,7 +45,7 @@ from .dataset import (
     write_atomic,
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
-from .graph import GraphConfig, build_graph, load_graph, save_graph
+from .graph import GraphConfig, build_graph, export_graph_json, load_graph, save_graph
 from .llm import LlmBackend, extract_corpus
 from .metrics import MetricReport, confusion, macro_metrics, normed_cost
 
@@ -169,9 +169,9 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
 # and its config snapshot in the stage table. ``viewgraph run`` calls them
 # through the stage table with hash-based skipping, and each CLI
 # subcommand calls one directly with its flags applied to the config.
-# Optional files (held-out negatives, training log, negatives for train
-# to inject, each engine's predictions, viewpoints and costs for eval) are
-# used when their key is present. Under ``run``, ``memo`` maps file keys to
+# Optional files (the graph's JSON export, held-out negatives, training
+# log, negatives for train to inject, each engine's predictions, viewpoints
+# and costs for eval) are used when their key is present. Under ``run``, ``memo`` maps file keys to
 # the objects earlier stages wrote to or read from those unchanged files,
 # so ``read`` and ``write`` hand them on; the CLI passes no memo.
 
@@ -228,8 +228,9 @@ def run_build(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = load_embeddings(paths["embeddings"], ids)
     graph = build_graph(records, matrix, config.graph)
-    graph.config = replace(graph.config, hybrid=False)  # as graph.json holds it
     write(paths, "graph", graph, save_graph, memo)
+    if "graph_json" in paths:
+        export_graph_json(graph, paths["graph_json"])
     return {"nodes": len(graph), "edges": len(graph.weight)}
 
 
@@ -339,7 +340,8 @@ FILES = {
     "split": "split.jsonl",
     "viewpoints": "viewpoints.jsonl",
     "embeddings": "embeddings.bin",
-    "graph": "graph.json",
+    "graph": "graph.bin",
+    "graph_json": "graph.json",
     "negatives": "negatives.jsonl",
     "negatives_holdout": "negatives_holdout.jsonl",
     "lp_pred": "predictions_lp.jsonl",
@@ -364,7 +366,7 @@ def stage_table(config: RunConfig) -> list[Stage]:
         (True, Stage("split", ["corpus"], ["split"], {"fractions": list(config.split.fractions), "seed": config.seed}, run_split)),
         (True, Stage("extract", ["split"], ["viewpoints"], {**extract_cfg, "seed": config.seed}, run_extract)),
         (True, Stage("embed", ["viewpoints"], ["embeddings"], asdict(config.embedding), run_embed)),
-        (True, Stage("build", ["viewpoints", "embeddings"], ["graph"], asdict(config.graph), run_build)),
+        (True, Stage("build", ["viewpoints", "embeddings"], ["graph", "graph_json"], asdict(config.graph), run_build)),
         (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**asdict(config.novelty), "seed": config.seed}, run_negatives)),
         (lp, Stage("lp", ["graph", "split"], ["lp_pred"], asdict(config.lp), run_lp)),
         (gnn, Stage("train", train_inputs, ["model", "train_log", "gnn_pred"], {**asdict(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
@@ -388,12 +390,11 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         "stages": [],
         "summary": {},
     }
-    paths = {"corpus": Path(config.corpus), **{key: out / name for key, name in FILES.items()}}
-    if not config.novelty.enabled:  # train injects negatives only if given
-        del paths["negatives"], paths["negatives_holdout"]
-    for engine in ("lp", "gnn"):  # eval scores each engine whose predictions are given
-        if config.engine not in (engine, "both"):
-            del paths[f"{engine}_pred"]
+    stages = stage_table(config)
+    # only the enabled stages' files: train injects negatives, and eval
+    # scores an engine's predictions, only if given
+    keys = {key for stage in stages for key in stage.inputs + stage.outputs}
+    paths = {key: Path(config.corpus) if key == "corpus" else out / FILES[key] for key in keys}
 
     memo: dict = {}  # file key -> (sha256, object) written or read in this run
 
@@ -442,7 +443,6 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
 
     # The manifest is rewritten after each stage that runs, and after the
     # last: a run that is stopped resumes at its first unfinished stage.
-    stages = stage_table(config)
     for stage in stages:
         try:
             record = run_stage(stage)

@@ -7,6 +7,8 @@ propagation, or gradient code with the package.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -107,6 +109,27 @@ def per_pair_relation_edges(records, matrix, floor: float = 0.0) -> tuple[np.nda
     keys = sorted(edges)
     return (np.array([u for u, _ in keys], dtype=np.int64), np.array([v for _, v in keys], dtype=np.int64),
             np.array([edges[key] for key in keys], dtype=np.float64))
+
+
+def graph_json_arrays(path) -> dict:
+    """The graph.json export at ``path`` parsed into arrays, entry by entry:
+    the config, per node its idea, text and time feature ``t``, and per
+    edge ``u``, ``v``, ``weight`` and ``intra`` (kind "intra" or "inter")."""
+    with open(path, encoding="utf-8") as f:
+        payload = json.load(f)
+    nodes, edges = payload["nodes"], payload["edges"]
+    assert [node["id"] for node in nodes] == list(range(len(nodes)))
+    assert all(len(edge) == 4 and edge[3] in ("intra", "inter") for edge in edges)
+    return {
+        "config": payload["config"],
+        "idea": [node["idea"] for node in nodes],
+        "text": [node["text"] for node in nodes],
+        "t": np.array([node["t"] for node in nodes], dtype=np.float64),
+        "u": np.array([edge[0] for edge in edges], dtype=np.int64),
+        "v": np.array([edge[1] for edge in edges], dtype=np.int64),
+        "weight": np.array([edge[2] for edge in edges], dtype=np.float64),
+        "intra": np.array([edge[3] == "intra" for edge in edges], dtype=bool),
+    }
 
 
 def brute_force_macro(truths: list[int], preds: list[int], n_labels: int) -> dict:

@@ -20,10 +20,9 @@ READERS = {
     "corpus": "split --in PATH --out OUT/split.jsonl",
     "split": "extract --in PATH --out OUT/viewpoints.jsonl",
     "viewpoints": "embed --in PATH --out OUT/embeddings.bin",
-    "embeddings": "build --viewpoints RUN/viewpoints.jsonl --embeddings PATH --out OUT/graph.json",
+    "embeddings": "build --viewpoints RUN/viewpoints.jsonl --embeddings PATH --out OUT/graph.bin",
     "graph": "lp --graph PATH --corpus RUN/split.jsonl --out OUT/lp.jsonl",
-    "graph-with-companion": "lp --graph PATH --corpus RUN/split.jsonl --out OUT/lp.jsonl",
-    "negatives": "train --graph RUN/graph.json --corpus RUN/split.jsonl --embeddings RUN/embeddings.bin"
+    "negatives": "train --graph RUN/graph.bin --corpus RUN/split.jsonl --embeddings RUN/embeddings.bin"
     " --negatives PATH --epochs 2 --hidden 8 --out OUT/model.ckpt --gnn-pred OUT/gnn.jsonl",
     "predictions": "eval --corpus RUN/split.jsonl --lp-pred PATH --out OUT/report.json",
     "costs": "eval --corpus RUN/split.jsonl --lp-pred RUN/predictions_lp.jsonl --costs PATH --out OUT/report.json",
@@ -33,8 +32,7 @@ INTACT = {
     "split": "split.jsonl",
     "viewpoints": "viewpoints.jsonl",
     "embeddings": "embeddings.bin",
-    "graph": "graph.json",
-    "graph-with-companion": "graph.json",
+    "graph": "graph.bin",
     "negatives": "negatives.jsonl",
     "predictions": "predictions_lp.jsonl",
 }
@@ -84,8 +82,6 @@ def test_damaged_file_fails_naming_it(tmp_path, capsys, run_dir, reader, mutatio
         intact = b'{"lp": 1.5, "gnn": 3}'
     else:
         intact = (run_dir / INTACT[reader]).read_bytes()
-    if reader == "graph-with-companion":  # the intact graph's companion, keyed to other bytes
-        path.with_name(path.name + ".arrays").write_bytes((run_dir / "graph.json.arrays").read_bytes())
     if mutation == "directory":
         path.mkdir()
     elif mutation != "missing":
@@ -97,6 +93,3 @@ def test_damaged_file_fails_naming_it(tmp_path, capsys, run_dir, reader, mutatio
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert code in (1, 2) and len(errors) == 1 and str(path) in errors[0], stderr
         assert "Traceback" not in stderr
-    if reader == "graph-with-companion":  # the same outcome as with no companion
-        path.with_name(path.name + ".arrays").unlink()
-        assert (cli_main(command.split() + ["--quiet"]), capsys.readouterr().err) == (code, stderr)

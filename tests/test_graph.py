@@ -2,15 +2,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
-from oracles import brute_force_graph_edges, per_pair_relation_edges
-from viewgraph import graph as graph_mod
-from viewgraph.dataset import IdeaViewpoints, split_corpus
+from oracles import brute_force_graph_edges, graph_json_arrays, per_pair_relation_edges
+from viewgraph.cli import main as cli_main
+from viewgraph.dataset import IdeaViewpoints, save_corpus, split_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
 from viewgraph.fixtures import demo_corpus
 from viewgraph.graph import (
@@ -18,6 +17,7 @@ from viewgraph.graph import (
     ViewpointGraph,
     _propose,
     build_graph,
+    export_graph_json,
     integrate_subgraph,
     load_graph,
     save_graph,
@@ -455,187 +455,6 @@ def test_flipped_or_unsorted_edges_give_the_graph_of_sorted_edges(seed):
         assert_same_graph(given, sorted_graph)
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        records, matrix, config = random_instance(3)
-        graph = build_graph(records, matrix, config)
-        path = tmp_path / "graph.json"
-        save_graph(graph, path)
-        loaded = load_graph(path)
-        assert (loaded.idea, loaded.text, loaded.t.tolist()) == (graph.idea, graph.text, graph.t.tolist())
-        assert list(edge_dict(loaded).items()) == list(edge_dict(graph).items())
-
-    def _payload(self):
-        return {
-            "config": {"k": 5, "m": 10, "weight_floor": 0.0},
-            "nodes": [
-                {"id": 0, "idea": "a", "text": "x", "t": 0.0},
-                {"id": 1, "idea": "b", "text": "y", "t": 0.0},
-            ],
-            "edges": [[0, 1, 0.5, "inter"]],
-        }
-
-    def test_self_loop_rejected(self, tmp_path):
-        payload = self._payload()
-        payload["edges"] = [[0, 0, 0.5, "intra"]]
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="self-loop"):
-            load_graph(path)
-
-    def test_duplicate_pair_rejected(self, tmp_path):
-        payload = self._payload()
-        payload["edges"] = [[0, 1, 0.5, "inter"], [1, 0, 0.6, "inter"]]
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="asymmetric|more than once"):
-            load_graph(path)
-
-    def test_kind_must_match_idea_membership(self, tmp_path):
-        payload = self._payload()
-        payload["edges"] = [[0, 1, 0.5, "intra"]]  # nodes belong to different ideas
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="intra"):
-            load_graph(path)
-
-    DELETE = object()
-    EDGE = "expected [u, v, weight, kind], got"
-    NODE_1 = "expected {id: 1, idea, text, t}, got"
-
-    # Each file is refused with the message, and at the index, of the
-    # per-entry checks; PATH stands for the file.
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("edges", [[0, 1, 0.5, "inter"], [0, 1]], f"graph file PATH: edge 1: {EDGE} [0, 1]"),
-            ("edges", [[0.5, 1, 0.3, "intra"]], f"graph file PATH: edge 0: {EDGE} [0.5, 1, 0.3, 'intra']"),
-            ("nodes", DELETE, "graph file PATH has no 'nodes'"),
-            ("config", {"k": None, "m": 10}, "graph file PATH: config k: must be an int, got NoneType"),
-            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 5, "idea": "b", "text": "y"}],
-             f"graph file PATH: node 1: {NODE_1} {{'id': 5, 'idea': 'b', 'text': 'y'}}"),
-            ("edges", [[0, 1, 0.5, "inter"], [1, 0, 0.5, "inter"], [0, 1, "x", "inter"], [0, 1]],
-             f"graph file PATH: edge 2: {EDGE} [0, 1, 'x', 'inter']"),
-            ("edges", [[True, 1, 0.5, "inter"]], f"graph file PATH: edge 0: {EDGE} [True, 1, 0.5, 'inter']"),
-            ("edges", [[0, 1, 0.5, "inter"], [1.0, 0, 0.5, "inter"]], f"graph file PATH: edge 1: {EDGE} [1.0, 0, 0.5, 'inter']"),
-            ("edges", [[0, 1, True, "inter"]], f"graph file PATH: edge 0: {EDGE} [0, 1, True, 'inter']"),
-            ("edges", [[0, 1, "0.5", "inter"]], f"graph file PATH: edge 0: {EDGE} [0, 1, '0.5', 'inter']"),
-            ("edges", [[0, 1, 0.5, "inter"], [0, 1, 0.5, ["inter"]]], f"graph file PATH: edge 1: {EDGE} [0, 1, 0.5, ['inter']]"),
-            ("edges", [[0, 1, 0.5, "cross"]], f"graph file PATH: edge 0: {EDGE} [0, 1, 0.5, 'cross']"),
-            ("edges", [[0, 1, 0.5, "inter", "opposing", "x"]], f"graph file PATH: edge 0: {EDGE} [0, 1, 0.5, 'inter', 'opposing', 'x']"),
-            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, ["b", "y"]], f"graph file PATH: node 1: {NODE_1} ['b', 'y']"),
-            ("nodes", [{"id": 1, "idea": "b", "text": "y"}, {"id": 0, "idea": "a", "text": "x"}],
-             "graph file PATH: node 0: expected {id: 0, idea, text, t}, got {'id': 1, 'idea': 'b', 'text': 'y'}"),
-            ("nodes", None, "graph file PATH: 'nodes' must be a list, got NoneType"),
-            ("edges", None, "graph file PATH: 'edges' must be a list, got NoneType"),
-            ("edges", {"0": [0, 1, 0.5, "inter"]}, "graph file PATH: 'edges' must be a list, got dict"),
-            ("config", {"k": 1.5, "m": 10}, "graph file PATH: config k: must be an int, got float"),
-            ("config", {"k": 5, "m": True}, "graph file PATH: config m: must be an int, got bool"),
-            ("config", {"k": 5, "m": 10, "weight_floor": "0"}, "graph file PATH: config weight_floor: must be a float, got str"),
-            ("config", {"k": 0, "m": 10, "weight_floor": 2.0},
-             "graph file PATH: config k: must be >= 1, got 0; weight_floor: must be in [0, 1], got 2.0"),
-            ("config", {"m": 10}, "graph file PATH: config needs numbers k, m and weight_floor, got {'m': 10}"),
-            ("edges", [[0, 1, 0.5, "inter"], [2**70, 1, 0.5, "inter"]],
-             f"graph file PATH: edge 1 has an endpoint outside int64, got [{2**70}, 1, 0.5, 'inter']"),
-            ("edges", [[0, -(2**63) - 1, 0.5, "inter"]],
-             f"graph file PATH: edge 0 has an endpoint outside int64, got [0, {-(2**63) - 1}, 0.5, 'inter']"),
-            ("edges", [[0, 1, 10**400, "inter"]], f"graph file PATH: edge 0 has a weight beyond float64, got [0, 1, {10**400}, 'inter']"),
-            ("nodes", [{"id": 0, "idea": "a", "text": "x"}, {"id": 1, "idea": "b", "text": "y", "t": 10**400}],
-             f"graph file PATH: node 1 has a time feature beyond float64, got {10**400}"),
-            ("edges", [[1, 1, 0.5, "intra"]], "graph file PATH: edge (1, 1) is a self-loop"),
-            ("edges", [[0, 1, 0.5, "inter"], [1, 0, 0.6, "inter"]],
-             "graph file PATH: edge (0, 1) listed more than once (asymmetric adjacency)"),
-            ("edges", [[0, 1, 0.5, "intra"]], "graph file PATH: edge (0, 1) is intra but joins different ideas"),
-            ("edges", [[0, 1, 1.5, "inter"]], "graph file PATH: edge (0, 1) has weight outside [0, 1]"),
-        ],
-        ids=["short-edge", "fractional-node-index", "missing-nodes", "bad-config", "node-out-of-order",
-             "first-bad-edge-of-several", "bool-u", "float-u", "bool-weight", "string-weight", "list-kind",
-             "unknown-kind", "six-entries", "non-dict-node", "node-ids-swapped",
-             "null-nodes", "null-edges", "dict-edges", "fractional-k", "bool-m", "string-weight-floor",
-             "config-out-of-range", "config-without-k", "endpoint-beyond-int64", "negative-endpoint-beyond-int64",
-             "weight-beyond-float64", "t-beyond-float64", "self-loop", "duplicate-pair", "intra-across-ideas",
-             "weight-above-one"],
-    )
-    def test_malformed_entry_named(self, tmp_path, key, value, message):
-        payload = self._payload()
-        if value is self.DELETE:
-            del payload[key]
-        else:
-            payload[key] = value
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError) as err:
-            load_graph(path)
-        assert str(err.value) == message.replace("PATH", str(path))
-
-    def test_config_without_weight_floor_loads_as_zero(self, tmp_path):
-        payload = self._payload()
-        del payload["config"]["weight_floor"]
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(payload))
-        assert load_graph(path).config == GraphConfig(k=5, m=10, weight_floor=0.0)
-
-    def test_hybrid_graph_round_trips_byte_for_byte(self, tmp_path):
-        rec = IdeaViewpoints(
-            idea_id="a",
-            viewpoints=("first claim", "second claim", "third claim"),
-            pairs=(("first claim", "however", "opposing", "second claim"),
-                   ("third claim", "so", "supporting", "first claim")),
-        )
-        records = [rec] + records_from({"b": ["other claim", "more claim"]})
-        graph = build_graph(records, stub_matrix(records), GraphConfig(hybrid=True, m=2))
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
-        save_graph(graph, first)
-        loaded = load_graph(first)
-        save_graph(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
-        assert list(edge_dict(loaded).items()) == list(edge_dict(graph).items())
-        assert {len(edge) for edge in json.loads(first.read_text())["edges"]} == {4}
-        assert graph.intra.sum() == 2
-
-    def test_fifth_edge_entry_of_older_hybrid_files_ignored(self, tmp_path):
-        """Hybrid graph files from earlier versions give relation edges a
-        fifth entry, the pair's polarity; they load as if it were absent."""
-        payload = {
-            "config": {"k": 5, "m": 1, "weight_floor": 0.0},
-            "nodes": [{"id": i, "idea": idea, "text": f"v{i}", "t": 0.0} for i, idea in enumerate("aaab")],
-            "edges": [[0, 1, 0.5, "intra", "opposing"], [0, 3, 0.25, "inter"], [1, 2, 0.75, "intra", "supporting"]],
-        }
-        with_fifth, without = tmp_path / "with-fifth.json", tmp_path / "without.json"
-        with_fifth.write_text(json.dumps(payload))
-        payload["edges"] = [edge[:4] for edge in payload["edges"]]
-        without.write_text(json.dumps(payload))
-        loaded = load_graph(with_fifth)
-        assert_same_graph(loaded, load_graph(without))
-        assert (loaded.u.tolist(), loaded.v.tolist(), loaded.intra.tolist()) == ([0, 0, 1], [1, 3, 2], [True, False, True])
-
-    def test_built_graph_loads_back_column_for_column(self, tmp_path):
-        records = records_from({f"idea{i}": [f"idea {i} claim {j} on topic {(i * j) % 7}" for j in range(6)]
-                                for i in range(100)})
-        graph = build_graph(records, stub_matrix(records))
-        path = tmp_path / "graph.json"
-        save_graph(graph, path)
-        loaded = load_graph(path)
-        for name in ("u", "v", "weight", "intra"):
-            assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.arcs, graph.arcs))
-
-    def test_weight_out_of_range_rejected(self, tmp_path):
-        payload = self._payload()
-        payload["edges"] = [[0, 1, 1.5, "inter"]]
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="weight"):
-            load_graph(path)
-
-    # The GNN computes weight * ReLU(m) for ReLU(weight * m), equal only
-    # for weights in [0, 1].
-    @pytest.mark.parametrize("weight", [-0.25, -1e-300, float("nan")], ids=["negative", "tiny-negative", "nan"])
-    def test_weight_outside_unit_interval_rejected_at_construction(self, weight):
-        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight outside \[0, 1\]"):
-            toy_graph(["a", "a", "b"], [(0, 1, 0.5), (2, 1, weight)])
-
-
 class TestConfig:
     def test_defaults(self):
         config = GraphConfig()
@@ -677,132 +496,174 @@ def zero_edge_graph() -> ViewpointGraph:
     return build_graph(records, stub_matrix(records), GraphConfig(m=0))
 
 
-COMPANION_CASES = {
+GRAPH_CASES = {
     "demo12": lambda: demo12_graph(False),
     "demo12-hybrid": lambda: demo12_graph(True),
     "zero-edges": zero_edge_graph,
+    "floor-0.25": lambda: build_graph(*random_instance(3)[:2], GraphConfig(k=2, m=3, weight_floor=0.25)),
     **{f"ties-{seed}": (lambda seed=seed: tied_graph(seed)) for seed in range(4)},
 }
 
 
-def rewrite_header(companion, change):
-    line, _, blob = companion.read_bytes().partition(b"\n")
+class TestSerialization:
+    """``save_graph`` writes graph.bin, which ``load_graph`` reads back
+    whole, config included; ``export_graph_json`` writes the same graph as
+    JSON for other tools."""
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_round_trip(self, tmp_path, case):
+        graph = GRAPH_CASES[case]()
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_graph(graph, first)
+        loaded = load_graph(first)
+        assert_same_graph(loaded, graph)
+        assert loaded.config == graph.config and loaded.config.hybrid == (case == "demo12-hybrid")
+        save_graph(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_load_equals_the_json_export(self, tmp_path, case):
+        graph = GRAPH_CASES[case]()
+        save_graph(graph, tmp_path / "graph.bin")
+        export_graph_json(graph, tmp_path / "graph.json")
+        loaded = load_graph(tmp_path / "graph.bin")
+        exported = graph_json_arrays(tmp_path / "graph.json")
+        assert (loaded.idea, loaded.text) == (exported["idea"], exported["text"])
+        for name in ("t", "u", "v", "weight", "intra"):
+            assert np.array_equal(getattr(loaded, name), exported[name]), name
+        config = loaded.config
+        assert exported["config"] == {"k": config.k, "m": config.m, "weight_floor": config.weight_floor}
+
+    def test_hybrid_export_keeps_four_entries_per_edge(self, tmp_path):
+        rec = IdeaViewpoints(
+            idea_id="a",
+            viewpoints=("first claim", "second claim", "third claim"),
+            pairs=(("first claim", "however", "opposing", "second claim"),
+                   ("third claim", "so", "supporting", "first claim")),
+        )
+        records = [rec] + records_from({"b": ["other claim", "more claim"]})
+        graph = build_graph(records, stub_matrix(records), GraphConfig(hybrid=True, m=2))
+        export_graph_json(graph, tmp_path / "graph.json")
+        payload = json.loads((tmp_path / "graph.json").read_text())
+        assert {len(edge) for edge in payload["edges"]} == {4} and set(payload["config"]) == {"k", "m", "weight_floor"}
+        assert graph.intra.sum() == 2
+
+    def test_built_graph_loads_back_column_for_column(self, tmp_path):
+        records = records_from({f"idea{i}": [f"idea {i} claim {j} on topic {(i * j) % 7}" for j in range(6)]
+                                for i in range(100)})
+        graph = build_graph(records, stub_matrix(records))
+        path = tmp_path / "graph.bin"
+        save_graph(graph, path)
+        loaded = load_graph(path)
+        for name in ("u", "v", "weight", "intra"):
+            assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.arcs, graph.arcs))
+
+    # The GNN computes weight * ReLU(m) for ReLU(weight * m), equal only
+    # for weights in [0, 1].
+    @pytest.mark.parametrize("weight", [-0.25, -1e-300, float("nan")], ids=["negative", "tiny-negative", "nan"])
+    def test_weight_outside_unit_interval_rejected_at_construction(self, weight):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight outside \[0, 1\]"):
+            toy_graph(["a", "a", "b"], [(0, 1, 0.5), (2, 1, weight)])
+
+
+def rewrite_header(path, change):
+    line, _, blob = path.read_bytes().partition(b"\n")
     header = json.loads(line)
     change(header)
-    companion.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
 
 
-def self_loops(companion):
-    """Every edge's v made its u, with the lengths and the key intact."""
-    line, _, blob = companion.read_bytes().partition(b"\n")
+def rewrite_arrays(path, change):
+    """``change`` edits graph.bin's arrays, given by name as writable copies."""
+    line, _, blob = path.read_bytes().partition(b"\n")
     header = json.loads(line)
-    n, e = len(header["idea"]), header["edges"]
-    u = blob[8 * n : 8 * (n + e)]
-    companion.write_bytes(line + b"\n" + blob[: 8 * (n + e)] + u + blob[8 * (n + 2 * e) :])
+    arrays, start = {}, 0
+    for name, dtype in header["dtypes"].items():
+        arrays[name] = np.frombuffer(blob, dtype, len(header["idea"]) if name == "t" else header["edges"], start).copy()
+        start += arrays[name].nbytes
+    change(arrays)
+    path.write_bytes(line + b"\n" + b"".join(array.tobytes() for array in arrays.values()))
 
 
-class TestCompanion:
-    """``save_graph`` also writes ``<file>.arrays``; ``load_graph`` reads
-    it, instead of the JSON, only when it is keyed to the JSON's bytes and
-    whole, and the graph is the same either way."""
+def set_entry(name, index, value):
+    return lambda path: rewrite_arrays(path, lambda arrays: arrays[name].__setitem__(index, value))
+
+
+def repeat_first_edge(arrays):
+    for name in ("u", "v", "weight", "intra"):
+        arrays[name][1] = arrays[name][0]
+
+
+# Each damage of the demo12 graph.bin, with what the error names after
+# "graph file PATH: ".
+DAMAGES = {
+    "empty": (lambda path: path.write_bytes(b""), "header is not JSON"),
+    "header-only": (lambda path: path.write_bytes(path.read_bytes().partition(b"\n")[0]), "blob is 0 bytes"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-1]), "blob is"),
+    "one-byte-more": (lambda path: path.write_bytes(path.read_bytes() + b"\0"), "blob is"),
+    "one-edge-fewer": (lambda path: rewrite_header(path, lambda h: h.update(edges=h["edges"] - 1)), "blob is"),
+    "one-node-more": (lambda path: rewrite_header(path, lambda h: (h["idea"].append("a"), h["text"].append("x"))),
+                      "blob is"),
+    "header-not-json": (lambda path: path.write_bytes(b"{" + path.read_bytes()), "header is not JSON"),
+    "header-a-list": (lambda path: path.write_bytes(b"[]\n" + path.read_bytes().partition(b"\n")[2]),
+                      "header must be an object, got list"),
+    "json-export": (lambda path: export_graph_json(load_graph(path), path),
+                    "header 'dtypes' must be"),
+    "float32-t": (lambda path: rewrite_header(path, lambda h: h["dtypes"].update(t="<f4")), "header 'dtypes' must be"),
+    "big-endian-u": (lambda path: rewrite_header(path, lambda h: h["dtypes"].update(u=">i8")), "header 'dtypes' must be"),
+    "bad-config": (lambda path: rewrite_header(path, lambda h: h["config"].update(k=0)), "config.k: must be >= 1, got 0"),
+    "config-a-list": (lambda path: rewrite_header(path, lambda h: h.update(config=[5, 10])), "config: must be an object"),
+    "config-missing-k": (lambda path: rewrite_header(path, lambda h: h["config"].pop("k")), "config has no k"),
+    "config-empty": (lambda path: rewrite_header(path, lambda h: h.update(config={})),
+                     "config has no k, m, weight_floor, hybrid"),
+    "config-unknown-key": (lambda path: rewrite_header(path, lambda h: h["config"].update(polarity=True)),
+                           "config.polarity: unknown key"),
+    "null-edges": (lambda path: rewrite_header(path, lambda h: h.update(edges=None)),
+                   "header 'edges' must be an int, got NoneType"),
+    "int-idea": (lambda path: rewrite_header(path, lambda h: h["idea"].__setitem__(0, 3)),
+                 "header 'idea' must be a list of strings, got item 3"),
+    "texts-fewer-than-ideas": (lambda path: rewrite_header(path, lambda h: h["text"].pop()),
+                               "48 node ideas, 47 texts and 48 time features"),
+    "self-loop": (set_entry("v", 0, 0), "is a self-loop"),
+    "endpoint-out-of-range": (set_entry("v", -1, 48), "references unknown node"),
+    "negative-endpoint": (set_entry("u", 0, -1), "references unknown node"),
+    "duplicate-pair": (lambda path: rewrite_arrays(path, repeat_first_edge), "listed more than once"),
+    "intra-flag-flipped": (set_entry("intra", 0, 0), "is inter but joins the same idea"),
+    "intra-flag-set-on-inter-edge": (
+        lambda path: rewrite_arrays(path, lambda a: a["intra"].__setitem__(np.flatnonzero(a["intra"] == 0)[0], 1)),
+        "is intra but joins different ideas"),
+    "weight-above-one": (set_entry("weight", 0, 1.5), "has weight outside [0, 1]"),
+    "nan-weight": (set_entry("weight", 0, np.nan), "has weight outside [0, 1]"),
+}
+
+
+class TestMalformedFile:
+    """A damaged graph file is refused, naming it; there is no other file
+    to fall back on."""
 
     @pytest.fixture
-    def json_reads(self, monkeypatch):
-        """The graph files whose JSON ``load_graph`` parses."""
-        reads = []
-
-        def spy(path, *args):
-            reads.append(Path(path).name)
-            return real(path, *args)
-
-        real = graph_mod.read_json
-        monkeypatch.setattr(graph_mod, "read_json", spy)
-        return reads
-
-    def json_load(self, path):
-        """The graph as the JSON holds it, with no companion beside it."""
-        plain = path.with_name("plain.json")
-        plain.write_bytes(path.read_bytes())
-        return load_graph(plain)
-
-    @pytest.mark.parametrize("case", sorted(COMPANION_CASES))
-    def test_companion_load_equals_json_load(self, tmp_path, json_reads, case):
-        graph = COMPANION_CASES[case]()
-        path = tmp_path / "graph.json"
-        save_graph(graph, path)
-        assert (tmp_path / "graph.json.arrays").is_file()
-        from_arrays = load_graph(path)
-        assert json_reads == []
-        assert_same_graph(from_arrays, self.json_load(path))
-        assert json_reads == ["plain.json"]
-        if case == "demo12-hybrid":
-            assert from_arrays.intra.any()
-        if case == "zero-edges":
-            assert len(from_arrays.weight) == 0
-
-    def test_two_saves_write_the_same_bytes(self, tmp_path):
-        graph = demo12_graph(True)
-        save_graph(graph, tmp_path / "first.json")
-        save_graph(load_graph(tmp_path / "first.json"), tmp_path / "second.json")
-        assert (tmp_path / "first.json.arrays").read_bytes() == (tmp_path / "second.json.arrays").read_bytes()
-
-    DAMAGES = {
-        "missing": lambda companion: companion.unlink(),
-        "directory": lambda companion: (companion.unlink(), companion.mkdir()),
-        "empty": lambda companion: companion.write_bytes(b""),
-        "header-only": lambda companion: companion.write_bytes(companion.read_bytes().partition(b"\n")[0]),
-        "truncated": lambda companion: companion.write_bytes(companion.read_bytes()[:-1]),
-        "one-byte-more": lambda companion: companion.write_bytes(companion.read_bytes() + b"\0"),
-        "header-not-json": lambda companion: companion.write_bytes(b"{" + companion.read_bytes()),
-        "header-a-list": lambda companion: companion.write_bytes(b"[]\n" + companion.read_bytes().partition(b"\n")[2]),
-        "other-key": lambda companion: rewrite_header(companion, lambda h: h.update(graph_sha256="0" * 64)),
-        "one-edge-fewer": lambda companion: rewrite_header(companion, lambda h: h.update(edges=h["edges"] - 1)),
-        "one-node-more": lambda companion: rewrite_header(companion, lambda h: (h["idea"].append("a"), h["text"].append("x"))),
-        "float32-t": lambda companion: rewrite_header(companion, lambda h: h["dtypes"].update(t="<f4")),
-        "big-endian-u": lambda companion: rewrite_header(companion, lambda h: h["dtypes"].update(u=">i8")),
-        "bad-config": lambda companion: rewrite_header(companion, lambda h: h["config"].update(k=0)),
-        "config-a-list": lambda companion: rewrite_header(companion, lambda h: h.update(config=[5, 10])),
-        "int-idea": lambda companion: rewrite_header(companion, lambda h: h["idea"].__setitem__(0, 3)),
-        "self-loops": self_loops,
-    }
-
-    @pytest.mark.parametrize("damage", sorted(DAMAGES))
-    def test_damaged_companion_ignored(self, tmp_path, json_reads, damage):
-        path = tmp_path / "graph.json"
+    def damaged(self, tmp_path, request):
+        path = tmp_path / "graph.bin"
         save_graph(demo12_graph(False), path)
-        companion = tmp_path / "graph.json.arrays"
-        self.DAMAGES[damage](companion)
-        assert_same_graph(load_graph(path), self.json_load(path))
-        assert json_reads == ["graph.json", "plain.json"]
+        damage, expected = DAMAGES[request.param]
+        damage(path)
+        return path, expected
 
-    def test_companion_of_an_older_hybrid_graph_loads(self, tmp_path, json_reads):
-        """Companions from earlier versions hold a ``polarity`` list in their
-        header when some edge has one; the key is ignored like any other."""
-        path = tmp_path / "graph.json"
-        graph = demo12_graph(True)
-        save_graph(graph, path)
-        polarity = ["supporting" if intra else None for intra in graph.intra.tolist()]
-        rewrite_header(tmp_path / "graph.json.arrays", lambda h: h.update(polarity=polarity))
-        from_arrays = load_graph(path)
-        assert json_reads == []
-        assert_same_graph(from_arrays, self.json_load(path))
+    @pytest.mark.parametrize("damaged", sorted(DAMAGES), indirect=True)
+    def test_load_names_the_file(self, damaged):
+        path, expected = damaged
+        with pytest.raises(ValueError) as err:
+            load_graph(path)
+        assert str(err.value).startswith(f"graph file {path}: ") and expected in str(err.value)
 
-    def test_companion_stale_after_the_json_is_edited_by_hand(self, tmp_path, json_reads):
-        path = tmp_path / "graph.json"
-        graph = demo12_graph(False)
-        save_graph(graph, path)
-        payload = json.loads(path.read_text())
-        payload["edges"][0][2] = 0.125
-        path.write_text(json.dumps(payload))
-        loaded = load_graph(path)
-        assert json_reads == ["graph.json"]
-        assert loaded.weight[0] == 0.125 != graph.weight[0]
-        assert_same_graph(loaded, self.json_load(path))
-
-    def test_companion_of_another_graph_ignored(self, tmp_path, json_reads):
-        save_graph(tied_graph(0), tmp_path / "other.json")
-        path = tmp_path / "graph.json"
-        save_graph(tied_graph(1), path)
-        (tmp_path / "other.json.arrays").replace(tmp_path / "graph.json.arrays")
-        assert_same_graph(load_graph(path), tied_graph(1))
-        assert json_reads == ["graph.json"]
+    @pytest.mark.parametrize("damaged", sorted(DAMAGES), indirect=True)
+    def test_lp_ends_in_one_error_line(self, tmp_path, capsys, damaged):
+        path, expected = damaged
+        split = tmp_path / "split.jsonl"
+        save_corpus(split_corpus(demo_corpus(), (0.7, 0.1, 0.2), seed=7), split)
+        argv = ["lp", "--graph", str(path), "--corpus", str(split), "--out", str(tmp_path / "lp.jsonl"), "--quiet"]
+        assert cli_main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: graph file {path}: ") and stderr.count("\n") == 1 and expected in stderr
+        assert not (tmp_path / "lp.jsonl").exists()

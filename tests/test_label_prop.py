@@ -6,7 +6,7 @@ import pytest
 from graphs import arcs_from_lists, incoming, toy_graph
 from oracles import dense_label_propagation, random_lp_instance
 from viewgraph.dataset import Corpus, Idea, LabelSet
-from viewgraph.graph import GraphConfig
+from viewgraph.graph import GraphConfig, add_neighbours, neighbour_slots
 from viewgraph.label_prop import (
     LpConfig,
     init_vectors,
@@ -96,6 +96,29 @@ class TestNormalize:
         weights = normalize_weights(graph)
         assert incoming(weights, 0)[1] == pytest.approx(0.5)
         assert incoming(weights, 1)[0] == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_slot_by_slot_sums(self, seed):
+        """Each node's total is summed in ascending source order from 0.0,
+        as the slot-by-slot sum of neighbour weights did: on graphs whose
+        weights tie exactly, or are zero, the weights are equal bit for bit."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        ideas = [f"idea{i}" for i in rng.integers(0, max(1, n // 3), size=n)]
+        ties = [0.0, 0.1, 0.2, 1 / 3, 0.7, 1.0] + rng.random(3).tolist()
+        pairs = [(u, v, float(rng.choice(ties))) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        graph = toy_graph(ideas, pairs)
+        assert np.array_equal(normalize_weights(graph).weight, slot_sum_normalized(graph))
+
+
+def slot_sum_normalized(graph):
+    """The normalized arc weights as ``normalize_weights`` made them before
+    it summed with ``np.bincount``, kept as the reference: each node's total
+    added up one neighbour slot at a time."""
+    arcs, n = graph.arcs, len(graph)
+    total = add_neighbours(np.zeros((n, 1)), neighbour_slots(arcs), np.ones((n, 1)))[arcs.dst, 0]
+    return np.divide(arcs.weight, total, out=np.zeros_like(arcs.weight), where=total > 0.0)
 
 
 class TestPropagate:

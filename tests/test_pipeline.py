@@ -354,6 +354,31 @@ STAGE_FUNCTIONS = {
 }
 
 
+@pytest.mark.parametrize("engine, novelty_on", [("lp", False), ("gnn", False), ("both", True)])
+def test_stages_get_the_files_of_the_enabled_stages(tmp_path, demo_file, monkeypatch, engine, novelty_on):
+    """Every stage gets the files of the enabled stages and no others:
+    train injects negatives, and eval scores an engine, only when the stage
+    that writes them runs. A run also exports graph.json."""
+    seen = {}
+
+    def recorded(name, stage):
+        def run(paths, config, memo=None, **kwargs):
+            seen[name] = dict(paths)
+            return stage(paths, config, memo, **kwargs)
+
+        return run
+
+    for name, function in STAGE_FUNCTIONS.items():
+        monkeypatch.setattr(pipeline, function, recorded(name, getattr(pipeline, function)))
+    config = demo_config(tmp_path, demo_file, engine=engine, novelty={"enabled": novelty_on, "count": 6, "train_subset": 2})
+    run_pipeline(config, quiet=True)
+    keys = {key for stage in stage_table(config) for key in stage.inputs + stage.outputs}
+    files = {key: tmp_path / "run" / FILES[key] for key in keys - {"corpus"}}
+    assert seen == {stage.name: {"corpus": demo_file, **files} for stage in stage_table(config)}
+    assert ("negatives" in keys, "lp_pred" in keys, "gnn_pred" in keys) == (novelty_on, engine != "gnn", engine != "lp")
+    assert (tmp_path / "run" / "graph.json").is_file()
+
+
 class TestStoppedRun:
     def config(self, tmp_path, demo_file, out):
         return demo_config(tmp_path, demo_file, out=out, engine="both", novelty={"enabled": True, "count": 6, "train_subset": 2})
@@ -497,7 +522,7 @@ class TestCli:
         split = tmp_path / "split.jsonl"
         views = tmp_path / "views.jsonl"
         emb = tmp_path / "emb.bin"
-        graph = tmp_path / "graph.json"
+        graph = tmp_path / "graph.bin"
         preds = tmp_path / "preds.jsonl"
         report = tmp_path / "report.json"
         assert self.run("split", "--in", demo_file, "--out", split, "--fractions", "0.7,0.1,0.2", "--seed", 3, "--quiet") == 0
@@ -537,7 +562,7 @@ class TestCli:
         split = tmp_path / "split.jsonl"
         views = tmp_path / "views.jsonl"
         emb = tmp_path / "emb.bin"
-        graph = tmp_path / "graph.json"
+        graph = tmp_path / "graph.bin"
         negs = tmp_path / "negs.jsonl"
         model = tmp_path / "model.ckpt"
         preds = tmp_path / "preds.jsonl"
@@ -557,7 +582,7 @@ class TestCli:
         split = tmp_path / "split.jsonl"
         views = tmp_path / "views.jsonl"
         emb = tmp_path / "emb.bin"
-        graph = tmp_path / "graph.json"
+        graph = tmp_path / "graph.bin"
         preds = tmp_path / "preds.jsonl"
         report = tmp_path / "report.json"
         costs = tmp_path / "costs.json"
@@ -621,7 +646,7 @@ class TestCli:
     def test_embeddings_of_other_rows_named(self, tmp_path, capsys, demo_file, stage, rows):
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         run = tmp_path / "run"
-        ids = row_ids(load_graph(run / "graph.json").idea)
+        ids = row_ids(load_graph(run / "graph.bin").idea)
         matrix = load_embeddings(run / "embeddings.bin", ids)
         if rows == "reversed":
             bad_rows, bad_ids = matrix.rows[::-1], ids[::-1]
@@ -630,9 +655,9 @@ class TestCli:
         emb = tmp_path / "other.bin"
         save_embeddings(EmbeddingMatrix(bad_rows), bad_ids, emb)
         if stage == "build":
-            argv = ["build", "--viewpoints", run / "viewpoints.jsonl", "--embeddings", emb, "--out", tmp_path / "out.json"]
+            argv = ["build", "--viewpoints", run / "viewpoints.jsonl", "--embeddings", emb, "--out", tmp_path / "out.bin"]
         else:
-            argv = ["train", "--graph", run / "graph.json", "--corpus", run / "split.jsonl", "--embeddings", emb,
+            argv = ["train", "--graph", run / "graph.bin", "--corpus", run / "split.jsonl", "--embeddings", emb,
                     "--out", tmp_path / "out.ckpt", "--gnn-pred", tmp_path / "out.jsonl"]
         assert self.run(*argv, "--quiet") == 2
         stderr = capsys.readouterr().err
@@ -640,27 +665,12 @@ class TestCli:
         assert "Traceback" not in stderr
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
-    def test_lp_names_graph_file_with_null_edges(self, tmp_path, capsys, demo_file):
+    def test_lp_from_the_run_graph_writes_the_run_predictions(self, tmp_path, demo_file):
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
-        run, graph = tmp_path / "run", tmp_path / "graph.json"
-        graph.write_text(json.dumps({**json.loads((run / "graph.json").read_text()), "edges": None}))
-        argv = ["lp", "--graph", graph, "--corpus", run / "split.jsonl", "--out", tmp_path / "lp.jsonl"]
-        assert self.run(*argv, "--quiet") == 2
-        stderr = capsys.readouterr().err
-        assert f"graph file {graph}: 'edges' must be a list, got NoneType" in stderr and "Traceback" not in stderr
-        assert not (tmp_path / "lp.jsonl").exists()
-
-    def test_lp_names_graph_edge_beyond_int64(self, tmp_path, capsys, demo_file):
-        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
-        run, graph = tmp_path / "run", tmp_path / "graph.json"
-        payload = json.loads((run / "graph.json").read_text())
-        payload["edges"][3][0] = 2**70
-        graph.write_text(json.dumps(payload))
-        argv = ["lp", "--graph", graph, "--corpus", run / "split.jsonl", "--out", tmp_path / "lp.jsonl"]
-        assert self.run(*argv, "--quiet") == 2
-        stderr = capsys.readouterr().err
-        assert f"error: graph file {graph}: edge 3 has an endpoint outside int64, got [{2**70}," in stderr
-        assert "Traceback" not in stderr and not (tmp_path / "lp.jsonl").exists()
+        run = tmp_path / "run"
+        argv = ["lp", "--graph", run / "graph.bin", "--corpus", run / "split.jsonl", "--out", tmp_path / "lp.jsonl"]
+        assert self.run(*argv, "--quiet") == 0
+        assert (tmp_path / "lp.jsonl").read_bytes() == (run / "predictions_lp.jsonl").read_bytes()
 
     def test_eval_without_predictions_named(self, tmp_path, capsys, demo_file):
         assert self.run("eval", "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
@@ -821,7 +831,7 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
         assert cli_main([str(a) for a in argv] + ["--config", str(config), "--quiet"]) == 0
 
     split, views = cli_dir / "split.jsonl", cli_dir / "viewpoints.jsonl"
-    emb, graph = cli_dir / "embeddings.bin", cli_dir / "graph.json"
+    emb, graph = cli_dir / "embeddings.bin", cli_dir / "graph.bin"
     cli("split", "--in", corpus, "--out", split)
     cli("extract", "--in", split, "--out", views)
     cli("embed", "--in", views, "--out", emb)
@@ -843,7 +853,7 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     cli("eval", "--corpus", split, "--viewpoints", views, *preds, "--out", cli_dir / "report.json")
 
     written = sorted(p.name for p in cli_dir.iterdir())
-    assert {"graph.json", "model.ckpt", "predictions_gnn.jsonl", "report.json"} <= set(written)
+    assert {"graph.bin", "model.ckpt", "predictions_gnn.jsonl", "report.json"} <= set(written)
     for name in written:
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
@@ -915,8 +925,8 @@ class TestHandOn:
         calls = self.count_parses(monkeypatch)
         second = run_pipeline(demo_config(tmp_path, demo_file, lp={"max_iters": 3, "early_stop": False}), quiet=True)
         assert [s["name"] for s in second["stages"] if not s["skipped"]][0] == "lp"
-        assert calls["graph.json"] == calls["split.jsonl"] == 1
-        assert set(calls) <= {"graph.json", "split.jsonl", "viewpoints.jsonl"} and calls["viewpoints.jsonl"] <= 1
+        assert calls["graph.bin"] == calls["split.jsonl"] == 1
+        assert set(calls) <= {"graph.bin", "split.jsonl", "viewpoints.jsonl"} and calls["viewpoints.jsonl"] <= 1
 
     def test_split_edited_between_stages_is_read_again(self, tmp_path, demo_file, monkeypatch):
         """The edit lands after the split stage's manifest write, before
