@@ -1,5 +1,7 @@
-"""Idea corpora: loading, label sets, and deterministic splits; and
-``read_file``, through which every run file is read.
+"""Idea corpora: loading, label sets, and deterministic splits;
+``read_file``, through which every run file is read; and the headed
+layout of the binary run files (embeddings, graph, model): one JSON
+header line, then little-endian arrays back to back.
 
 Corpus files are UTF-8 JSON-lines. The first line is a header object
 ``{"labels": [...]}`` declaring the ordered label set (index 0 is the
@@ -17,6 +19,7 @@ import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -292,11 +295,43 @@ def read_json(path: str | Path, noun: str = ""):
     return _parse(read_file(path, noun), path, noun)
 
 
-def read_headed(path: str | Path, noun: str) -> tuple[object, bytes]:
-    """The JSON header line and the bytes after it of a binary file, such
-    as ``embeddings.bin``, read by ``read_file``."""
+def write_headed(path: str | Path, header: dict, arrays: Iterable[np.ndarray]) -> None:
+    """Write a binary run file in the headed layout, atomically: ``header``
+    as one JSON line, then each array's bytes, back to back."""
+    write_atomic(path, b"".join([json.dumps(header).encode("utf-8"), b"\n", *(a.tobytes() for a in arrays)]))
+
+
+def read_headed(path: str | Path, noun: str, kinds: dict, layout: Callable[[dict], dict]) -> tuple[dict, dict]:
+    """The header and the read-only arrays of a file written by
+    ``write_headed``. The header must be an object; its value at each key
+    of ``kinds`` must be of that key's (kind, rule), and a dataclass
+    section must hold every field. ``layout(header)`` maps each array's
+    name, in file order, to its (dtype, shape); the blob must hold exactly
+    those arrays. Any fault raises a FileFormatError naming the file after
+    ``noun``."""
+
+    def fail(message: str):
+        raise FileFormatError(path, message, noun=noun)
+
     line, _, blob = read_file(path, noun, binary=True).partition(b"\n")
-    return _parse(line, path, noun, "header is "), blob
+    header = _parse(line, path, noun, "header is ")
+    if not isinstance(header, dict):
+        fail(f"header must be an object, got {type(header).__name__}")
+    for key, (kind, rule) in kinds.items():
+        value = header.get(key)
+        if not is_dataclass(kind):
+            if broken := problem(value, kind, rule):
+                fail(f"header {key!r} {broken}")
+        elif bad := next(check({key: value}, kinds), None):
+            fail(f"{bad[0]}: {bad[1]}")
+        elif missing := [name for name in field_kinds(kind) if name not in value]:
+            fail(f"{key} has no {', '.join(missing)}")
+    shapes = [(name, np.dtype(dtype), tuple(shape)) for name, (dtype, shape) in layout(header).items()]
+    starts = list(accumulate((dtype.itemsize * math.prod(shape) for _, dtype, shape in shapes), initial=0))
+    if len(blob) != starts[-1]:
+        fail(f"blob is {len(blob)} bytes, expected {starts[-1]}")
+    return header, {name: np.frombuffer(blob, dtype, math.prod(shape), start).reshape(shape)
+                    for (name, dtype, shape), start in zip(shapes, starts)}
 
 
 def read_jsonl(path: str | Path, noun: str = "") -> Iterator[tuple[int, object]]:
@@ -323,6 +358,7 @@ TEXTS = "a list of non-empty strings"
 STRINGS = "a list of strings"
 NUMBERS = "a list of numbers"
 PAIRS = "a list of [left, connector, polarity, right] string lists"
+BLOCKS = "a list of [name, shape] lists, each shape a list of ints >= 0"
 
 
 def must(test: Callable, what: str) -> Callable:
@@ -354,6 +390,8 @@ _KINDS = {
     STRINGS: (list, lambda x: isinstance(x, str), None),
     NUMBERS: (list, lambda x: problem(x, float) is None, None),
     PAIRS: (list, lambda p: isinstance(p, list) and len(p) == 4 and all(isinstance(x, str) for x in p), None),
+    BLOCKS: (list, lambda b: isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)
+             and isinstance(b[1], list) and all(problem(d, COUNT) is None for d in b[1]), None),
 }
 _ACCEPTED = {float: (int, float), list: (list, tuple)}
 

@@ -8,14 +8,13 @@ identical texts embed identically across processes.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, at_least, must, read_headed, setting, write_atomic
+from .dataset import COUNT, STRINGS, Checked, at_least, must, read_headed, setting, write_headed
 from .llm import LlmTransportError, auth_headers
 
 DEFAULT_STUB_DIM = 32
@@ -126,12 +125,12 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingMatrix:
 
 
 def save_embeddings(matrix: EmbeddingMatrix, ids: Sequence[str], path: str | Path) -> None:
-    """Binary format: JSON header line {count, dimension, ids}, then
-    little-endian float32 rows."""
+    """Binary format, in the headed layout: JSON header line {count,
+    dimension, ids}, then little-endian float32 rows."""
     if len(ids) != len(matrix):
         raise ValueError(f"{len(ids)} ids for {len(matrix)} rows")
-    header = json.dumps({"count": len(matrix), "dimension": matrix.dimension, "ids": list(ids)})
-    write_atomic(path, header.encode("utf-8") + b"\n" + matrix.rows.astype("<f4").tobytes())
+    write_headed(path, {"count": len(matrix), "dimension": matrix.dimension, "ids": list(ids)},
+                 [matrix.rows.astype("<f4")])
 
 
 def row_ids(node_ideas: Sequence[str]) -> list[str]:
@@ -150,16 +149,11 @@ def load_embeddings(path: str | Path, expected_ids: Sequence[str]) -> EmbeddingM
     """Read an embeddings file whose row ids must equal ``expected_ids``,
     row for row. A malformed file or a differing row raises a ValueError
     naming the file."""
-    header, blob = read_headed(path, "embeddings file")
+    kinds = {"count": (COUNT, None), "dimension": (COUNT, None), "ids": (STRINGS, None)}
+    header, arrays = read_headed(path, "embeddings file", kinds,
+                                 lambda header: {"rows": ("<f4", (header["count"], header["dimension"]))})
     where = f"embeddings file {path}"
-    if not isinstance(header, dict):
-        raise ValueError(f"{where}: header must be an object, got {type(header).__name__}")
-    for key in ("count", "dimension"):
-        if type(header.get(key)) is not int or header[key] < 0:
-            raise ValueError(f"{where}: header needs a non-negative integer {key!r}, got {header.get(key)!r}")
-    count, dim, ids = header["count"], header["dimension"], header.get("ids")
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise ValueError(f"{where}: header needs 'ids', a list of strings")
+    count, ids = header["count"], header["ids"]
     if len(ids) != count:
         raise ValueError(f"{where}: header has {len(ids)} ids for count {count}")
     if len(expected_ids) != count:
@@ -167,11 +161,7 @@ def load_embeddings(path: str | Path, expected_ids: Sequence[str]) -> EmbeddingM
     for row, (got, want) in enumerate(zip(ids, expected_ids)):
         if got != want:
             raise ValueError(f"{where}: row {row} has id {got!r}, expected {want!r}")
-    expected = count * dim * 4
-    if len(blob) != expected:
-        raise ValueError(f"{where}: blob is {len(blob)} bytes, expected {expected}")
-    rows = np.frombuffer(blob, dtype="<f4").reshape(count, dim).astype(np.float64)
     try:
-        return EmbeddingMatrix(rows)
+        return EmbeddingMatrix(arrays["rows"].astype(np.float64))
     except ValueError as exc:  # a zero or non-finite row
         raise ValueError(f"{where}: {exc}") from exc

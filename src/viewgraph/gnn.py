@@ -20,7 +20,6 @@ and the epoch's train and validation predictions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, Corpus, at_least, must, read_headed, setting, write_atomic, write_jsonl
+from .dataset import BLOCKS, Checked, Corpus, at_least, must, read_headed, setting, write_headed, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -488,19 +487,16 @@ def save_model(
         "validation_score": validation_score,
         "blocks": [[name, list(arr.shape)] for name, arr in model.param_items()],
     }
-    blocks = [arr.astype("<f4").tobytes() for _, arr in model.param_items()]
-    write_atomic(path, b"".join([json.dumps(header).encode("utf-8") + b"\n", *blocks]))
+    write_headed(path, header, (arr.astype("<f4") for _, arr in model.param_items()))
 
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
-    header, blob = read_headed(path, "model file")
-    arrays = {}
-    offset = 0
-    for name, shape in header["blocks"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 4
+    """The model of a checkpoint written by ``save_model``, as float64,
+    and its header. A header without valid ``blocks``, or a blob of
+    another length, raises a ValueError naming the file."""
+    header, blocks = read_headed(path, "model file", {"blocks": (BLOCKS, None)},
+                                 lambda header: {name: ("<f4", shape) for name, shape in header["blocks"]})
+    arrays = {name: block.astype(np.float64) for name, block in blocks.items()}
     layers = header["config"]["layers"]
     model = GnnModel(
         message_weights=[arrays[f"message_weight_{l}"] for l in range(1, layers + 1)],

@@ -26,8 +26,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import (COUNT, STRINGS, Checked, IdeaViewpoints, at_least, check, field_kinds, must, normalize_text,
-                      problem, read_headed, setting, write_atomic)
+from .dataset import (COUNT, STRINGS, Checked, IdeaViewpoints, at_least, must, normalize_text, read_headed, setting,
+                      write_atomic, write_headed)
 from .embedding import EmbeddingMatrix
 
 INTRA, INTER = "intra", "inter"
@@ -53,7 +53,8 @@ class ViewpointGraph:
 
     Edges may be given in any order and either orientation; they are
     stored with ``u < v`` sorted by ``(u, v)``, and edges given that way
-    are kept in their order. The arrays are read-only.
+    are kept in their order. Time features must be finite. The arrays are
+    read-only.
     """
 
     def __init__(
@@ -101,6 +102,8 @@ class ViewpointGraph:
 
     def _validate(self):
         n = len(self.idea)
+        if (bad := np.flatnonzero(~np.isfinite(self.t))).size:
+            raise ValueError(f"node {bad[0]} has time feature {self.t[bad[0]]}")
 
         def fail(mask, problem):
             if mask.any():
@@ -310,17 +313,20 @@ def integrate_subgraph(
 # graph.bin's arrays in file order, each little-endian: t has one entry per
 # node, the others one per edge.
 _DTYPES = {"t": "<f8", "u": "<i8", "v": "<i8", "weight": "<f8", "intra": "|u1"}
+# graph.bin's header keys. The dtypes come first, so a file of another
+# layout, such as the graph.json export, is refused on them.
+_HEADER = {"dtypes": (dict, must(lambda dtypes: dtypes == _DTYPES, str(_DTYPES))), "config": (GraphConfig, None),
+           "edges": (COUNT, None), "idea": (STRINGS, None), "text": (STRINGS, None)}
 
 
 def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
-    """Binary format, as ``embeddings.bin``: one JSON header line {config,
+    """Binary format, in the headed layout: one JSON header line {config,
     edges, dtypes, idea, text} (the whole config, the edge count, the
     dtypes and the node ideas and texts), then the arrays of ``_DTYPES``
     in order."""
     header = {"config": asdict(graph.config), "edges": len(graph.weight), "dtypes": _DTYPES,
               "idea": graph.idea, "text": graph.text}
-    blob = b"".join(np.asarray(getattr(graph, name), dtype).tobytes() for name, dtype in _DTYPES.items())
-    write_atomic(path, json.dumps(header).encode("utf-8") + b"\n" + blob)
+    write_headed(path, header, (np.asarray(getattr(graph, name), dtype) for name, dtype in _DTYPES.items()))
 
 
 def export_graph_json(graph: ViewpointGraph, path: str | Path) -> None:
@@ -346,27 +352,9 @@ def load_graph(path: str | Path) -> ViewpointGraph:
     """Read a graph written by ``save_graph``. A malformed file raises a
     ValueError naming the file, and the header key, the blob length or the
     rule of ``ViewpointGraph`` at fault."""
-    header, blob = read_headed(path, "graph file")
-    where = f"graph file {path}"
-    if not isinstance(header, dict):
-        raise ValueError(f"{where}: header must be an object, got {type(header).__name__}")
-    if header.get("dtypes") != _DTYPES:
-        raise ValueError(f"{where}: header 'dtypes' must be {_DTYPES}, got {header.get('dtypes')!r}")
-    if bad := next(check({"config": header.get("config")}, {"config": (GraphConfig, None)}), None):
-        raise ValueError(f"{where}: {bad[0]}: {bad[1]}")
-    if missing := [name for name in field_kinds(GraphConfig) if name not in header["config"]]:
-        raise ValueError(f"{where}: config has no {', '.join(missing)}")
-    for key, kind in (("edges", COUNT), ("idea", STRINGS), ("text", STRINGS)):
-        if broken := problem(header.get(key), kind):
-            raise ValueError(f"{where}: header {key!r} {broken}")
-    counts = [len(header["idea"]) if name == "t" else header["edges"] for name in _DTYPES]
-    sizes = [count * np.dtype(dtype).itemsize for count, dtype in zip(counts, _DTYPES.values())]
-    if len(blob) != sum(sizes):
-        raise ValueError(f"{where}: blob is {len(blob)} bytes, expected {sum(sizes)}")
-    starts = np.cumsum([0] + sizes).tolist()
-    arrays = {name: np.frombuffer(blob, dtype, count, start)
-              for (name, dtype), count, start in zip(_DTYPES.items(), counts, starts)}
+    header, arrays = read_headed(path, "graph file", _HEADER, lambda header: {
+        name: (dtype, (len(header["idea"]) if name == "t" else header["edges"],)) for name, dtype in _DTYPES.items()})
     try:
         return ViewpointGraph(header["idea"], header["text"], config=GraphConfig(**header["config"]), **arrays)
-    except ValueError as exc:  # texts and ideas of different lengths, or an edge that breaks a rule
-        raise ValueError(f"{where}: {exc}") from None
+    except ValueError as exc:  # texts and ideas of different lengths, or a node or edge that breaks a rule
+        raise ValueError(f"graph file {path}: {exc}") from None

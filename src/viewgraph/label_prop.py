@@ -85,15 +85,17 @@ def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig())
     return current
 
 
-def predict_idea(vectors: np.ndarray, node_ids: Sequence[int]) -> tuple[int, bool]:
-    """Argmax of the idea's summed node vectors; ties go to the lowest
-    label index; an all-zero sum falls back to label 0 and is flagged."""
+def predict_idea(vectors: np.ndarray, node_ids: Sequence[int], idea_id: str = "") -> tuple[int, bool, np.ndarray]:
+    """Argmax of the idea's summed node vectors, whether the sum is all
+    zero, and the sum. Ties go to the lowest label index; an all-zero sum
+    falls back to label 0 and is flagged. An empty ``node_ids`` raises a
+    ValueError naming ``idea_id``."""
     if not node_ids:
-        raise ValueError("idea has no nodes")
+        raise ValueError(f"idea {idea_id!r} has no nodes in the graph")
     summed = vectors[list(node_ids)].sum(axis=0)
     if not summed.any():
-        return 0, True
-    return int(np.argmax(summed)), False
+        return 0, True, summed
+    return int(np.argmax(summed)), False, summed
 
 
 def run(
@@ -105,19 +107,8 @@ def run(
     vectors = propagate(init_vectors(graph, corpus), normalize_weights(graph), config)
     predictions = []
     for idea in corpus.split_ideas(split):
-        node_ids = graph.idea_nodes.get(idea.id)
-        if not node_ids:
-            raise ValueError(f"idea {idea.id!r} has no nodes in the graph")
-        label, unreached = predict_idea(vectors, node_ids)
-        summed = vectors[node_ids].sum(axis=0)
-        predictions.append(
-            LpPrediction(
-                idea_id=idea.id,
-                label_index=label,
-                vector=[float(x) for x in summed],
-                unreached=unreached,
-            )
-        )
+        label, unreached, summed = predict_idea(vectors, graph.idea_nodes.get(idea.id, []), idea.id)
+        predictions.append(LpPrediction(idea.id, label, summed.tolist(), unreached))
     return predictions
 
 

@@ -20,10 +20,6 @@ class ConfusionMatrix:
     counts: np.ndarray
     labels: tuple[str, ...]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class MetricReport:

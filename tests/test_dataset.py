@@ -11,18 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewgraph.dataset import (
+    COUNT,
     Corpus,
     FileFormatError,
     Idea,
     LabelSet,
     load_corpus,
     load_viewpoints,
+    read_headed,
     read_jsonl,
     save_corpus,
     split_corpus,
     write_atomic,
+    write_headed,
     write_jsonl,
 )
+from viewgraph.graph import GraphConfig
 
 FOUR = LabelSet(("Reject", "Accept (Poster)", "Accept (Oral)", "Accept (Spotlight)"))
 
@@ -298,3 +302,50 @@ def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, fail_at
         write_atomic(path, "new contents")
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+# A headed file with one plain header key, one config section and two arrays.
+HEADED_KINDS = {"rows": (COUNT, None), "config": (GraphConfig, None)}
+
+
+def headed_layout(header):
+    return {"a": ("<f8", (header["rows"], 2)), "b": ("|u1", (header["rows"],))}
+
+
+class TestHeaded:
+    def write(self, path, rows=3, **header):
+        a, b = np.arange(rows * 2, dtype="<f8").reshape(rows, 2), np.ones(rows, "|u1")
+        config = {"k": 5, "m": 10, "weight_floor": 0.0, "hybrid": False}
+        write_headed(path, {"rows": rows, "config": config, **header}, [a, b])
+        return a, b
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "x.bin"
+        a, b = self.write(path, extra="kept")
+        header, arrays = read_headed(path, "x file", HEADED_KINDS, headed_layout)
+        assert header["extra"] == "kept" and list(arrays) == ["a", "b"]
+        assert np.array_equal(arrays["a"], a) and np.array_equal(arrays["b"], b)
+        assert arrays["a"].shape == (3, 2) and not arrays["a"].flags.writeable
+        line = json.dumps({"rows": 3, "config": header["config"], "extra": "kept"}).encode()
+        assert path.read_bytes() == line + b"\n" + a.tobytes() + b.tobytes()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda h, blob: (b"3", blob), "header must be an object, got int"),
+            (lambda h, blob: (h.replace(b'"rows": 3', b'"rows": -1'), blob), "header 'rows' must be >= 0, got -1"),
+            (lambda h, blob: (h.replace(b'"k": 5, ', b""), blob), "config has no k"),
+            (lambda h, blob: (h.replace(b'"k": 5', b'"k": 0'), blob), "config.k: must be >= 1, got 0"),
+            (lambda h, blob: (h, blob[:-1]), "blob is 50 bytes, expected 51"),
+            (lambda h, blob: (h.replace(b'"rows": 3', b'"rows": 2'), blob), "blob is 51 bytes, expected 34"),
+        ],
+        ids=["not-object", "negative-rows", "config-missing-k", "bad-config", "truncated", "fewer-rows"],
+    )
+    def test_damage_named(self, tmp_path, change, message):
+        path = tmp_path / "x.bin"
+        self.write(path)
+        line, blob = change(*path.read_bytes().split(b"\n", 1))
+        path.write_bytes(line + b"\n" + blob)
+        with pytest.raises(FileFormatError) as err:
+            read_headed(path, "x file", HEADED_KINDS, headed_layout)
+        assert str(err.value) == f"x file {path}: {message}"

@@ -334,11 +334,11 @@ class TestSerialization:
             (None, "blob is 60 bytes, expected 64"),  # the saved file, last 4 bytes cut
             (b"not json", "header is not JSON"),
             (b"[2, 8]", "header must be an object, got list"),
-            (b'{"count": 2, "ids": ["a", "b"]}', "header needs a non-negative integer 'dimension', got None"),
-            (b'{"count": "2", "dimension": 8, "ids": ["a", "b"]}', "header needs a non-negative integer 'count', got '2'"),
-            (b'{"count": -2, "dimension": 8, "ids": ["a", "b"]}', "header needs a non-negative integer 'count', got -2"),
-            (b'{"count": 2, "dimension": 8}', "header needs 'ids', a list of strings"),
-            (b'{"count": 2, "dimension": 8, "ids": ["a", 3]}', "header needs 'ids', a list of strings"),
+            (b'{"count": 2, "ids": ["a", "b"]}', "header 'dimension' must be an int, got NoneType"),
+            (b'{"count": "2", "dimension": 8, "ids": ["a", "b"]}', "header 'count' must be an int, got str"),
+            (b'{"count": -2, "dimension": 8, "ids": ["a", "b"]}', "header 'count' must be >= 0, got -2"),
+            (b'{"count": 2, "dimension": 8}', "header 'ids' must be a list, got NoneType"),
+            (b'{"count": 2, "dimension": 8, "ids": ["a", 3]}', "header 'ids' must be a list of strings, got item 3"),
             (b'{"count": 2, "dimension": 8, "ids": ["a"]}', "header has 1 ids for count 2"),
         ],
         ids=["truncated-blob", "not-json", "not-object", "no-dimension", "string-count", "negative-count",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -628,6 +629,14 @@ class TestPredict:
             assert a.probabilities == pytest.approx(b.probabilities, abs=1e-9)
 
 
+def drop_blocks(data: bytes) -> bytes:
+    """A checkpoint's bytes with the ``blocks`` key taken out of its header."""
+    line, _, blob = data.partition(b"\n")
+    header = json.loads(line)
+    del header["blocks"]
+    return json.dumps(header).encode() + b"\n" + blob
+
+
 class TestCheckpoint:
     def test_round_trip_predictions(self, tmp_path, separable):
         corpus, _, matrix, graph = separable
@@ -653,8 +662,6 @@ class TestCheckpoint:
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
         path = tmp_path / "m.ckpt"
         save_model(model, path, GnnConfig(hidden_dim=4), ("a", "b"))
-        import json
-
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert [b[0] for b in header["blocks"]] == [
             "message_weight_1",
@@ -666,3 +673,24 @@ class TestCheckpoint:
             "head_out_w",
             "head_out_b",
         ]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data[:-1], "blob is"),
+            (lambda data: data + b"\0\0\0\0", "blob is"),
+            (drop_blocks, "header 'blocks' must be a list, got NoneType"),
+            (lambda data: b"[]\n" + data.partition(b"\n")[2], "header must be an object, got list"),
+            (lambda data: data.replace(b'["message_weight_1", [4, 3]]', b'["message_weight_1", [-4, 3]]'),
+             "header 'blocks' must be a list of [name, shape] lists, each shape a list of ints >= 0, got item"),
+        ],
+        ids=["truncated-blob", "one-block-more", "no-blocks", "header-a-list", "negative-shape"],
+    )
+    def test_malformed_file_named(self, tmp_path, damage, message):
+        model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_model(model, path, GnnConfig(hidden_dim=4), ("a", "b"))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"model file {path}: {message}")

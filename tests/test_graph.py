@@ -635,6 +635,7 @@ DAMAGES = {
         "is intra but joins different ideas"),
     "weight-above-one": (set_entry("weight", 0, 1.5), "has weight outside [0, 1]"),
     "nan-weight": (set_entry("weight", 0, np.nan), "has weight outside [0, 1]"),
+    "nan-t": (set_entry("t", 0, np.nan), "node 0 has time feature nan"),
 }
 
 

@@ -239,23 +239,24 @@ class TestPropagate:
 class TestPredict:
     def test_argmax(self):
         vectors = np.array([[0.1, 0.7, 0.2, 0.0]])
-        assert predict_idea(vectors, [0]) == (1, False)
+        assert predict_idea(vectors, [0])[:2] == (1, False)
 
     def test_tie_goes_to_lowest_index(self):
         vectors = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
-        assert predict_idea(vectors, [0, 1]) == (0, False)
+        assert predict_idea(vectors, [0, 1])[:2] == (0, False)
 
     def test_hand_summation(self):
         vectors = np.array([[0.2, 0.8, 0, 0], [0.9, 0.1, 0, 0]])
-        assert predict_idea(vectors, [0, 1]) == (0, False)
+        assert predict_idea(vectors, [0, 1])[:2] == (0, False)
+        assert predict_idea(vectors, [0, 1])[2].tolist() == [0.2 + 0.9, 0.8 + 0.1, 0, 0]
 
     def test_all_zero_flagged_unreached(self):
         vectors = np.zeros((2, 3))
-        assert predict_idea(vectors, [0, 1]) == (0, True)
+        assert predict_idea(vectors, [0, 1])[:2] == (0, True)
 
     def test_empty_node_set_rejected(self):
-        with pytest.raises(ValueError):
-            predict_idea(np.zeros((2, 3)), [])
+        with pytest.raises(ValueError, match="idea 'x' has no nodes in the graph"):
+            predict_idea(np.zeros((2, 3)), [], "x")
 
 
 class TestRun:
