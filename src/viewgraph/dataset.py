@@ -118,37 +118,24 @@ class Corpus:
 def load_corpus(path: str | Path) -> Corpus:
     """Parse a JSON-lines corpus file; the header line declares the label
     set. Record order is preserved."""
-    ideas: list[Idea] = []
-    first_line: dict[str, int] = {}
-    label_set: Optional[LabelSet] = None
-    for line_no, obj in read_jsonl(path):
-        try:
-            if label_set is None:
-                if not isinstance(obj, dict) or "labels" not in obj:
-                    raise ValueError(f"first line must be a header {{\"labels\": [...]}}, got: {obj!r}")
-                if broken := problem(obj["labels"], STRINGS):
-                    raise ValueError(f"header key 'labels' {broken}")
-                label_set = LabelSet(tuple(obj["labels"]))
-                continue
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ValueError(f"record needs 'id' and 'text' fields: {obj!r}")
-            for key, kind in (("id", str), ("title", str), ("text", str), ("timestamp", COUNT)):
-                if key in obj and (broken := problem(obj[key], kind)):
-                    raise ValueError(f"key {key!r} {broken}")
-            if obj["id"] in first_line:
-                raise ValueError(f"duplicate id {obj['id']!r} (first seen on line {first_line[obj['id']]})")
-            first_line[obj["id"]] = line_no
-            label = obj.get("label")
-            if label is not None:
-                if broken := problem(label, str):
-                    raise ValueError(f"key 'label' {broken}")
-                label = label_set.index_of(label)
-            ideas.append(Idea(id=obj["id"], title=obj.get("title", ""), text=obj["text"], label=label,
-                              timestamp=obj.get("timestamp", 0), split=obj.get("split")))
-        except ValueError as exc:
-            raise FileFormatError(path, str(exc), line_no) from None
-    if label_set is None:
+    lines = read_jsonl(path)
+    line_no, obj = next(lines, (None, None))
+    if line_no is None:
         raise FileFormatError(path, "empty corpus file: missing header line", 1)
+    try:
+        if not isinstance(obj, dict) or "labels" not in obj:
+            raise ValueError(f"first line must be a header {{\"labels\": [...]}}, got: {obj!r}")
+        if broken := problem(obj["labels"], STRINGS):
+            raise ValueError(f"header key 'labels' {broken}")
+        label_set = LabelSet(tuple(obj["labels"]))
+    except ValueError as exc:
+        raise FileFormatError(path, str(exc), line_no) from None
+
+    def make(id, text, title="", label=None, timestamp=0, split=None) -> Idea:
+        return Idea(id, title, text, None if label is None else label_set.index_of(label), timestamp, split)
+
+    optional = {"title": str, "label": STRING_OR_NULL, "timestamp": COUNT, "split": STRING_OR_NULL}
+    ideas = read_records(path, lines, make, {"id": str, "text": str}, optional, unique="id")
     try:
         return Corpus(label_set=label_set, ideas=ideas)
     except ValueError as exc:  # a train idea without a label
@@ -235,6 +222,7 @@ def save_viewpoints(records: Iterable[IdeaViewpoints], path: str | Path) -> None
 def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
     return read_records(
         path,
+        read_jsonl(path),
         IdeaViewpoints,
         {"idea_id": str, "viewpoints": TEXTS},
         {"timestamp": COUNT, "pairs": PAIRS, "prompt_tokens": COUNT, "completion_tokens": COUNT},
@@ -351,9 +339,10 @@ def read_jsonl(path: str | Path, noun: str = "") -> Iterator[tuple[int, object]]
 # A kind is a plain type (an int is never a bool, a float may be an int, a
 # list may be a tuple), a dataclass (a config section: an object whose keys
 # are its fields), or one of these names, each with its type, the test every
-# list item must pass and its range rule. A rule maps a value to None or to
-# what is wrong with it.
+# list item must pass and its range rule; STRING_OR_NULL also accepts None.
+# A rule maps a value to None or to what is wrong with it.
 COUNT = "an int >= 0"
+STRING_OR_NULL = "a string or null"
 TEXTS = "a list of non-empty strings"
 STRINGS = "a list of strings"
 NUMBERS = "a list of numbers"
@@ -386,6 +375,7 @@ def fractions_problem(fractions) -> Optional[str]:
 
 _KINDS = {
     COUNT: (int, None, at_least(0)),
+    STRING_OR_NULL: (str, None, None),
     TEXTS: (list, lambda x: isinstance(x, str) and x != "", None),
     STRINGS: (list, lambda x: isinstance(x, str), None),
     NUMBERS: (list, lambda x: problem(x, float) is None, None),
@@ -393,14 +383,16 @@ _KINDS = {
     BLOCKS: (list, lambda b: isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)
              and isinstance(b[1], list) and all(problem(d, COUNT) is None for d in b[1]), None),
 }
-_ACCEPTED = {float: (int, float), list: (list, tuple)}
+_ACCEPTED = {float: (int, float), list: (list, tuple), STRING_OR_NULL: (str, type(None))}
 
 
 def problem(value, kind, rule: Optional[Callable] = None) -> Optional[str]:
     """Why ``value`` is not of ``kind`` or breaks ``rule``; None when it is
     neither."""
+    if type(value) is kind:  # a plain type, matched exactly: only the rule is left
+        return (rule and rule(value)) or None
     base, item_ok, kind_rule = _KINDS.get(kind, (kind, None, None))
-    if not isinstance(value, _ACCEPTED.get(base, base)) or (isinstance(value, bool) and base is not bool):
+    if not isinstance(value, _ACCEPTED.get(kind, _ACCEPTED.get(base, base))) or (isinstance(value, bool) and base is not bool):
         article = "an" if base.__name__[0] in "aeiou" else "a"
         return f"must be {article} {base.__name__}, got {type(value).__name__}"
     bad = [x for x in value if not item_ok(x)] if item_ok else []
@@ -451,29 +443,33 @@ class Checked:
             raise ValueError("; ".join(problems))
 
 
-def read_records(path: str | Path, make: Callable, required: dict, optional: dict, unique: str) -> list:
+def read_records(path: str | Path, lines: Iterable[tuple[int, object]], make: Callable, required: dict,
+                 optional: dict, unique: str, noun: str = "") -> list:
     """``make`` called with the ``required`` and ``optional`` keys of each
-    JSON object of ``path``, in order. A line that is not an object, lacks
-    a ``required`` key, holds a value not of its kind at a key, repeats an
+    JSON object of ``lines``, the (line number, value) pairs of ``path``
+    from ``read_jsonl``, in order. A line that is not an object, lacks a
+    ``required`` key, holds a value not of its kind at a key, repeats an
     earlier line's value at the ``unique`` key, or that ``make`` refuses
-    raises a FileFormatError naming the file, the line and the key."""
+    raises a FileFormatError naming the file after ``noun``, the line and
+    the key."""
     kinds = {**required, **optional}
     first_line: dict = {}
     records = []
-    for line_no, obj in read_jsonl(path):
+    for line_no, obj in lines:
         try:
             if not isinstance(obj, dict):
                 raise ValueError(f"expected a JSON object, got {obj!r}")
-            missing = [key for key in required if key not in obj]
-            if missing:
-                raise ValueError(f"missing key {missing[0]!r}")
-            for key, kind in kinds.items():
-                if key in obj and (broken := problem(obj[key], kind)):
+            for key in required:
+                if key not in obj:
+                    raise ValueError(f"missing key {key!r}")
+            values = {key: obj[key] for key in kinds if key in obj}
+            for key, value in values.items():
+                if broken := problem(value, kinds[key]):
                     raise ValueError(f"key {key!r} {broken}")
             if obj[unique] in first_line:
                 raise ValueError(f"duplicate {unique} {obj[unique]!r} (first seen on line {first_line[obj[unique]]})")
             first_line[obj[unique]] = line_no
-            records.append(make(**{key: obj[key] for key in kinds if key in obj}))
+            records.append(make(**values))
         except ValueError as exc:
-            raise FileFormatError(path, str(exc), line_no) from None
+            raise FileFormatError(path, str(exc), line_no, noun) from None
     return records

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import BLOCKS, Checked, Corpus, at_least, must, read_headed, setting, write_headed, write_jsonl
+from .dataset import BLOCKS, Checked, Corpus, FileFormatError, at_least, must, problem, read_headed, setting, write_headed, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -52,6 +52,13 @@ class SubgraphPrediction:
     label_index: int
 
 
+def block_names(layers: int) -> tuple[str, ...]:
+    """The parameter block names of a ``layers``-layer model in the fixed
+    checkpoint order: message/combine per layer, then the head."""
+    per_layer = [f"{kind}_weight_{l}" for l in range(1, layers + 1) for kind in ("message", "combine")]
+    return (*per_layer, "head_hidden_w", "head_hidden_b", "head_out_w", "head_out_b")
+
+
 @dataclass
 class GnnModel:
     """Per-layer message/combine matrices plus the pooled MLP head."""
@@ -64,17 +71,10 @@ class GnnModel:
     head_out_b: np.ndarray  # (n_labels,)
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Parameters in the fixed checkpoint order: message/combine per
-        layer, then the head."""
-        items = []
-        for l, (mw, cw) in enumerate(zip(self.message_weights, self.combine_weights), start=1):
-            items.append((f"message_weight_{l}", mw))
-            items.append((f"combine_weight_{l}", cw))
-        items.append(("head_hidden_w", self.head_hidden_w))
-        items.append(("head_hidden_b", self.head_hidden_b))
-        items.append(("head_out_w", self.head_out_w))
-        items.append(("head_out_b", self.head_out_b))
-        return items
+        """Parameters named and ordered as ``block_names``."""
+        arrays = [w for pair in zip(self.message_weights, self.combine_weights) for w in pair]
+        arrays += [self.head_hidden_w, self.head_hidden_b, self.head_out_w, self.head_out_b]
+        return list(zip(block_names(len(self.message_weights)), arrays))
 
     @property
     def input_dim(self) -> int:
@@ -492,19 +492,18 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
     """The model of a checkpoint written by ``save_model``, as float64,
-    and its header. A header without valid ``blocks``, or a blob of
-    another length, raises a ValueError naming the file."""
-    header, blocks = read_headed(path, "model file", {"blocks": (BLOCKS, None)},
+    and its header. A header without a ``config`` whose ``layers`` is an
+    int >= 1, with ``blocks`` other than ``block_names`` for those layers,
+    or a blob of another length, raises a FileFormatError naming the
+    file."""
+    has_layers = must(lambda config: problem(config.get("layers"), int, at_least(1)) is None, "an object whose 'layers' is an int >= 1")
+    header, blocks = read_headed(path, "model file", {"config": (dict, has_layers), "blocks": (BLOCKS, None)},
                                  lambda header: {name: ("<f4", shape) for name, shape in header["blocks"]})
-    arrays = {name: block.astype(np.float64) for name, block in blocks.items()}
-    layers = header["config"]["layers"]
-    model = GnnModel(
-        message_weights=[arrays[f"message_weight_{l}"] for l in range(1, layers + 1)],
-        combine_weights=[arrays[f"combine_weight_{l}"] for l in range(1, layers + 1)],
-        head_hidden_w=arrays["head_hidden_w"],
-        head_hidden_b=arrays["head_hidden_b"],
-        head_out_w=arrays["head_out_w"],
-        head_out_b=arrays["head_out_b"],
-    )
+    layers, names = header["config"]["layers"], [name for name, _ in header["blocks"]]
+    if len(names) != 2 * layers + 4 or names != list(block_names(layers)):  # lengths first: layers may be huge
+        raise FileFormatError(path, f"header 'blocks' are named {names}, not as the {2 * layers + 4} blocks of "
+                                    f"config.layers {layers}", noun="model file")
+    arrays = [blocks[name].astype(np.float64) for name in names]  # message/combine per layer, then the head
+    model = GnnModel(arrays[0:-4:2], arrays[1:-4:2], *arrays[-4:])
     model.check_finite()
     return model, header

@@ -385,7 +385,7 @@ def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) ->
     are on) plus the average tokens per idea.
     """
 
-    def one(idea: Idea) -> IdeaViewpoints:
+    def one(idea: Idea) -> tuple[IdeaViewpoints, int]:
         try:
             texts, usage = extract_viewpoints(idea, backend)
             pairs, dropped = [], 0

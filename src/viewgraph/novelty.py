@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import COUNT, TEXTS, Checked, Corpus, IdeaViewpoints, at_least, must, read_records, setting, write_jsonl
+from .dataset import COUNT, TEXTS, Checked, Corpus, IdeaViewpoints, at_least, must, read_jsonl, read_records, setting, write_jsonl
 from .embedding import EmbeddingMatrix
 from .graph import ViewpointGraph, integrate_subgraph, time_features
 
@@ -198,6 +198,7 @@ def save_negatives(samples: Sequence[NegativeSample], path: str | Path) -> None:
 def load_negatives(path: str | Path) -> list[NegativeSample]:
     return read_records(
         path,
+        read_jsonl(path),
         NegativeSample,
         {"id": str, "source_id": str, "strategy": str, "viewpoints": TEXTS, "timestamp": COUNT},
         {"label": COUNT},

@@ -26,6 +26,7 @@ from .dataset import (
     COUNT,
     NUMBERS,
     SPLITS,
+    STRING_OR_NULL,
     Checked,
     Corpus,
     check,
@@ -38,6 +39,7 @@ from .dataset import (
     read_file,
     read_json,
     read_jsonl,
+    read_records,
     save_corpus,
     save_viewpoints,
     setting,
@@ -139,27 +141,24 @@ def dict_hash(obj) -> str:
 
 def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
     """Score a predictions file against the corpus labels; unlabeled ideas
-    are skipped, and an idea predicted twice is refused."""
-    truths, preds = [], []
-    first_line: dict[str, int] = {}
-    for line_no, obj in read_jsonl(pred_path, "predictions file"):
-        where = f"predictions file {pred_path}: line {line_no}"
-        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-            raise ValueError(f"{where}: no string 'id' in {obj!r}")
-        idea = corpus.by_id(obj["id"])
-        if idea is None:
-            raise ValueError(f"{where}: idea id {obj['id']!r} is not in the corpus")
-        if idea.id in first_line:
-            raise ValueError(f"{where}: idea id {idea.id!r} is already predicted on line {first_line[idea.id]}")
-        first_line[idea.id] = line_no
-        if idea.label is not None:
-            if (label := obj.get("label")) not in corpus.label_set.labels:
-                raise ValueError(f"{where}: 'label' must be one of {list(corpus.label_set.labels)}, got {label!r}")
-            truths.append(idea.label)
-            preds.append(corpus.label_set.index_of(label))
-    if not truths:
+    are skipped. An idea not in the corpus, one predicted twice, or a label
+    not in the label set is refused on any line."""
+    labels = corpus.label_set.labels
+
+    def make(id: str, label: Optional[str] = None) -> tuple[Optional[int], int]:
+        if (idea := corpus.by_id(id)) is None:
+            raise ValueError(f"idea id {id!r} is not in the corpus")
+        if label not in labels:
+            raise ValueError(f"'label' must be one of {list(labels)}, got {label!r}")
+        return idea.label, labels.index(label)
+
+    noun = "predictions file"
+    scored = [pair for pair in read_records(pred_path, read_jsonl(pred_path, noun), make, {"id": str},
+                                            {"label": STRING_OR_NULL}, unique="id", noun=noun) if pair[0] is not None]
+    if not scored:
         raise ValueError(f"no labeled ideas among predictions in {pred_path}")
-    return macro_metrics(confusion(truths, preds, corpus.label_set.labels))
+    truths, preds = zip(*scored)
+    return macro_metrics(confusion(truths, preds, labels))
 
 
 # --- stages ------------------------------------------------------------------

@@ -87,12 +87,15 @@ class TestLoadCorpus:
             ([header(), record(7)], 2, "key 'id' must be a str, got int"),
             ([header(), record("a"), record("b", title=["x"])], 3, "key 'title' must be a str, got list"),
             ([header(), record("a", label=3)], 2, "key 'label' must be a str, got int"),
+            ([header(), record("a", label=True)], 2, "key 'label' must be a str, got bool"),
+            ([header(), record("a", split=1)], 2, "key 'split' must be a str, got int"),
             ([json.dumps({"labels": 5}), record("a")], 1, "header key 'labels' must be a list, got int"),
             ([json.dumps({"labels": "ab"}), record("a")], 1, "header key 'labels' must be a list, got str"),
             ([json.dumps({"labels": ["a", 2]}), record("a")], 1, "header key 'labels' must be a list of strings, got item 2"),
         ],
         ids=["timestamp-list", "timestamp-bool", "timestamp-float", "timestamp-str", "timestamp-negative",
-             "text-null", "id-int", "title-list", "label-int", "labels-int", "labels-str", "labels-item"],
+             "text-null", "id-int", "title-list", "label-int", "label-bool", "split-int", "labels-int", "labels-str",
+             "labels-item"],
     )
     def test_value_of_wrong_kind_carries_line_number(self, tmp_path, lines, line_no, message):
         path = tmp_path / "c.jsonl"
@@ -274,8 +277,10 @@ class TestJsonl:
             (["b", ["b."]], "line 2: expected a JSON object"),
             ({"idea_id": "b", "viewpoints": 5}, "line 2: key 'viewpoints' must be a list, got int"),
             ({"idea_id": 7, "viewpoints": ["b."]}, "line 2: key 'idea_id' must be a str, got int"),
+            # only a corpus's label and split, and a prediction's label, may be null
+            ({"idea_id": "b", "viewpoints": ["b."], "timestamp": None}, "line 2: key 'timestamp' must be an int, got NoneType"),
         ],
-        ids=["idea_id", "viewpoints", "not-an-object", "viewpoints-type", "idea_id-type"],
+        ids=["idea_id", "viewpoints", "not-an-object", "viewpoints-type", "idea_id-type", "timestamp-null"],
     )
     def test_viewpoints_line_without_key_named(self, tmp_path, second, message):
         path = tmp_path / "views.jsonl"

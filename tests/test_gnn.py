@@ -629,12 +629,23 @@ class TestPredict:
             assert a.probabilities == pytest.approx(b.probabilities, abs=1e-9)
 
 
-def drop_blocks(data: bytes) -> bytes:
-    """A checkpoint's bytes with the ``blocks`` key taken out of its header."""
+def edit_header(data: bytes, edit) -> bytes:
+    """A checkpoint's bytes with ``edit`` applied to its header."""
     line, _, blob = data.partition(b"\n")
     header = json.loads(line)
-    del header["blocks"]
+    edit(header)
     return json.dumps(header).encode() + b"\n" + blob
+
+
+def drop_blocks(data: bytes) -> bytes:
+    """A checkpoint's bytes with the ``blocks`` key taken out of its header."""
+    return edit_header(data, lambda header: header.pop("blocks"))
+
+
+def drop_last_block(data: bytes) -> bytes:
+    """A checkpoint's bytes without its last block, in header and blob."""
+    shape = json.loads(data.partition(b"\n")[0])["blocks"][-1][1]
+    return edit_header(data, lambda header: header["blocks"].pop())[:-4 * int(np.prod(shape))]
 
 
 class TestCheckpoint:
@@ -683,8 +694,16 @@ class TestCheckpoint:
             (lambda data: b"[]\n" + data.partition(b"\n")[2], "header must be an object, got list"),
             (lambda data: data.replace(b'["message_weight_1", [4, 3]]', b'["message_weight_1", [-4, 3]]'),
              "header 'blocks' must be a list of [name, shape] lists, each shape a list of ints >= 0, got item"),
+            (drop_last_block, "header 'blocks' are named ['message_weight_1', "),
+            (lambda data: edit_header(data, lambda header: header.pop("config")), "header 'config' must be a dict, got NoneType"),
+            (lambda data: edit_header(data, lambda header: header["config"].update(layers=3)),
+             "header 'blocks' are named ['message_weight_1', 'combine_weight_1', 'message_weight_2', 'combine_weight_2', "
+             "'head_hidden_w', 'head_hidden_b', 'head_out_w', 'head_out_b'], not as the 10 blocks of config.layers 3"),
+            (lambda data: edit_header(data, lambda header: header["config"].update(layers=0)),
+             "header 'config' must be an object whose 'layers' is an int >= 1, got"),
         ],
-        ids=["truncated-blob", "one-block-more", "no-blocks", "header-a-list", "negative-shape"],
+        ids=["truncated-blob", "one-block-more", "no-blocks", "header-a-list", "negative-shape", "last-block-dropped",
+             "no-config", "three-layers-over-two", "zero-layers"],
     )
     def test_malformed_file_named(self, tmp_path, damage, message):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))

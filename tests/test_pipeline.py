@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from graphs import assert_same_graph
 from viewgraph import gnn, llm, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import load_corpus, load_viewpoints, save_corpus
+from viewgraph.dataset import Corpus, load_corpus, load_viewpoints, save_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
@@ -600,10 +600,10 @@ class TestCli:
         "second_line, message",
         [
             ({"id": "nope", "label": "Reject"}, "line 2: idea id 'nope' is not in the corpus"),
-            ({"label": "Reject"}, "line 2: no string 'id'"),
+            ({"label": "Reject"}, "line 2: missing key 'id'"),
             # one idea predicted twice would count twice in the confusion matrix
             ({"id": demo_corpus().ideas[0].id, "label": "Reject"},
-             f"line 2: idea id {demo_corpus().ideas[0].id!r} is already predicted on line 1"),
+             f"line 2: duplicate id {demo_corpus().ideas[0].id!r} (first seen on line 1)"),
         ],
         ids=["unknown-id", "missing-id", "duplicate-id"],
     )
@@ -678,16 +678,29 @@ class TestCli:
         assert "eval has no predictions to score" in stderr and "Traceback" not in stderr
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("record, got", [({}, "None"), ({"label": "Great"}, "'Great'")], ids=["missing", "unknown"])
-    def test_eval_names_predictions_line_with_bad_label(self, tmp_path, capsys, demo_file, record, got):
-        preds = tmp_path / "preds.jsonl"
-        labeled = [i.id for i in demo_corpus().ideas if i.label is not None]
-        lines = [{"id": labeled[0], "label": "Reject"}, {"id": labeled[1], **record}]
+    @pytest.mark.parametrize(
+        "record, labeled, problem",
+        [
+            ({}, True, "'label' must be one of {known}, got None"),
+            ({"label": "Great"}, True, "'label' must be one of {known}, got 'Great'"),
+            # every line's label is checked, not only those of labeled ideas
+            ({"label": "Great"}, False, "'label' must be one of {known}, got 'Great'"),
+            ({"label": 3}, False, "key 'label' must be a str, got int"),
+        ],
+        ids=["missing", "unknown", "unknown-on-unlabeled-idea", "int-on-unlabeled-idea"],
+    )
+    def test_eval_names_predictions_line_with_bad_label(self, tmp_path, capsys, record, labeled, problem):
+        # the demo corpus with its last idea unlabeled
+        demo = demo_corpus()
+        corpus, preds = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
+        save_corpus(Corpus(demo.label_set, demo.ideas[:-1] + [replace(demo.ideas[-1], label=None)]), corpus)
+        second = demo.ideas[1 if labeled else -1].id
+        lines = [{"id": demo.ideas[0].id, "label": "Reject"}, {"id": second, **record}]
         preds.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        argv = ["eval", "--lp-pred", preds, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        argv = ["eval", "--lp-pred", preds, "--corpus", corpus, "--out", tmp_path / "r.json"]
         assert self.run(*argv, "--quiet") == 2
         known = list(demo_corpus().label_set.labels)
-        assert capsys.readouterr().err == f"error: predictions file {preds}: line 2: 'label' must be one of {known}, got {got}\n"
+        assert capsys.readouterr().err == f"error: predictions file {preds}: line 2: {problem.format(known=known)}\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_eval_names_empty_viewpoints_file(self, tmp_path, capsys, demo_file):
