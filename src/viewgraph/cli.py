@@ -40,6 +40,7 @@ def _load_config(args) -> RunConfig:
 PATH_FLAGS = {
     "corpus": "split",
     "viewpoints": "viewpoints",
+    "tokens": "tokens",
     "embeddings": "embeddings",
     "graph": "graph",
     "negatives": "negatives",
@@ -109,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--backend", dest="llm.backend", choices=["mock", "remote"])
     p.add_argument("--relations", dest="llm.relations", action="store_true", default=None, help="also extract viewpoint relations")
+    p.add_argument("--tokens", default=None, help="also write each idea's prompt and completion token counts here")
     p.set_defaults(fn=stage_command(pipeline.run_extract, out="viewpoints", infile="split"))
 
     p = sub.add_parser("embed", parents=[common], help="embed viewpoint texts")
@@ -167,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--lp-pred", default=None, help="label propagation predictions")
     p.add_argument("--gnn-pred", default=None, help="GNN predictions")
-    p.add_argument("--viewpoints", default=None, help="report the extraction's average tokens and cost")
+    p.add_argument("--tokens", default=None, help="report the average tokens and cost of the extraction that wrote this")
     p.add_argument("--costs", default=None, help="JSON map of method -> avg cost for normed costs")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=stage_command(pipeline.run_eval, out="report"))

@@ -230,6 +230,19 @@ def load_viewpoints(path: str | Path) -> list[IdeaViewpoints]:
     )
 
 
+def save_tokens(tokens: list[list[int]], path: str | Path) -> None:
+    write_atomic(path, json.dumps(tokens))
+
+
+def load_tokens(path: str | Path) -> list[list[int]]:
+    """A tokens file: the ``[prompt_tokens, completion_tokens]`` of each
+    idea's extraction, in viewpoints.jsonl order."""
+    tokens = read_json(path, "tokens file")
+    if broken := problem(tokens, TOKENS):
+        raise FileFormatError(path, broken, noun="tokens file")
+    return tokens
+
+
 def normalize_text(text: str) -> str:
     """Lower-cased text with runs of whitespace collapsed to one space."""
     return " ".join(text.lower().split())
@@ -347,6 +360,7 @@ TEXTS = "a list of non-empty strings"
 STRINGS = "a list of strings"
 NUMBERS = "a list of numbers"
 PAIRS = "a list of [left, connector, polarity, right] string lists"
+TOKENS = "a list of [prompt_tokens, completion_tokens] lists of ints >= 0"
 BLOCKS = "a list of [name, shape] lists, each shape a list of ints >= 0"
 
 
@@ -380,6 +394,7 @@ _KINDS = {
     STRINGS: (list, lambda x: isinstance(x, str), None),
     NUMBERS: (list, lambda x: problem(x, float) is None, None),
     PAIRS: (list, lambda p: isinstance(p, list) and len(p) == 4 and all(isinstance(x, str) for x in p), None),
+    TOKENS: (list, lambda p: isinstance(p, list) and len(p) == 2 and all(problem(x, COUNT) is None for x in p), None),
     BLOCKS: (list, lambda b: isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)
              and isinstance(b[1], list) and all(problem(d, COUNT) is None for d in b[1]), None),
 }

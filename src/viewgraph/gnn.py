@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import BLOCKS, Checked, Corpus, FileFormatError, at_least, must, problem, read_headed, setting, write_headed, write_jsonl
+from .dataset import (BLOCKS, STRINGS, Checked, Corpus, FileFormatError, at_least, must, problem, read_headed, setting,
+                      write_headed, write_jsonl)
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -492,17 +493,29 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
     """The model of a checkpoint written by ``save_model``, as float64,
-    and its header. A header without a ``config`` whose ``layers`` is an
-    int >= 1, with ``blocks`` other than ``block_names`` for those layers,
-    or a blob of another length, raises a FileFormatError naming the
-    file."""
-    has_layers = must(lambda config: problem(config.get("layers"), int, at_least(1)) is None, "an object whose 'layers' is an int >= 1")
-    header, blocks = read_headed(path, "model file", {"config": (dict, has_layers), "blocks": (BLOCKS, None)},
+    and its header. A header without a ``config`` whose ``layers`` and
+    ``hidden_dim`` are ints >= 1, ``labels`` or an ``input_dim`` >= 1,
+    with ``blocks`` other than ``block_names`` for those layers or of
+    shapes that do not fit ``input_dim``, ``hidden_dim`` and the labels, or
+    a blob of another length, raises a FileFormatError naming the file."""
+    def sized(config: dict) -> Optional[str]:
+        bad = next((key for key in ("layers", "hidden_dim") if problem(config.get(key), int, at_least(1))), None)
+        return bad and f"must be an object whose {bad!r} is an int >= 1, got {config!r}"
+
+    kinds = {"config": (dict, sized), "labels": (STRINGS, None), "input_dim": (int, at_least(1)), "blocks": (BLOCKS, None)}
+    header, blocks = read_headed(path, "model file", kinds,
                                  lambda header: {name: ("<f4", shape) for name, shape in header["blocks"]})
     layers, names = header["config"]["layers"], [name for name, _ in header["blocks"]]
     if len(names) != 2 * layers + 4 or names != list(block_names(layers)):  # lengths first: layers may be huge
         raise FileFormatError(path, f"header 'blocks' are named {names}, not as the {2 * layers + 4} blocks of "
                                     f"config.layers {layers}", noun="model file")
+    h, labels = header["config"]["hidden_dim"], len(header["labels"])
+    d_in = [header["input_dim"]] + [h] * (layers - 1)
+    shapes = [shape for d in d_in for shape in ([h, d], [h, h + d])] + [[h, 2 * h], [h], [labels, h], [labels]]
+    for (name, shape), expected in zip(header["blocks"], shapes):
+        if shape != expected:
+            raise FileFormatError(path, f"block {name!r} has shape {shape}, not {expected} (input_dim "
+                                        f"{header['input_dim']}, config.hidden_dim {h}, {labels} labels)", noun="model file")
     arrays = [blocks[name].astype(np.float64) for name in names]  # message/combine per layer, then the head
     model = GnnModel(arrays[0:-4:2], arrays[1:-4:2], *arrays[-4:])
     model.check_finite()

@@ -89,13 +89,20 @@ class ViewpointGraph:
             self.idea_nodes.setdefault(idea_id, []).append(node)
         self._validate()
 
-        # Edges are sorted by (u, v) with u < v, so a stable sort by dst
-        # keeps each node's sources ascending: the lower ends of its edges,
-        # then the upper ends.
-        src, dst = np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u])
-        order = np.argsort(dst, kind="stable")
+        # Edges are sorted by (u, v) with u < v, so each node's sources are
+        # two ascending runs: the lower ends of its edges, which are the
+        # edges in (v, u) order (a stable sort by v alone, by radix when v
+        # fits 16 bits), then the upper ends, whose edges are already
+        # contiguous by u. Both runs are placed by offsets from indptr.
+        below, above = np.bincount(self.v, minlength=n), np.bincount(self.u, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+        np.cumsum(below + above, out=indptr[1:])
+        by_v = np.argsort(self.v.astype(np.uint16) if n <= 1 << 16 else self.v, kind="stable")
+        edges = np.arange(len(self.v))
+        order = np.empty(2 * len(edges), dtype=np.int64)
+        order[edges + (np.cumsum(above) - above)[self.v[by_v]]] = by_v
+        order[edges + np.cumsum(below)[self.u]] = edges + len(edges)
+        src, dst = np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u])
         self.arcs = Arcs(src[order], dst[order], np.concatenate([self.weight, self.weight])[order], indptr)
         for array in (self.t, self.u, self.v, self.weight, self.intra, *self.arcs):
             array.setflags(write=False)  # a graph may be handed from stage to stage
@@ -151,8 +158,12 @@ def add_neighbours(out: np.ndarray, slots, values: np.ndarray) -> np.ndarray:
     order, and return ``out``. ``slots`` is ``neighbour_slots(arcs)``."""
     order, per_slot = slots
     sums = out[order]  # in degree order, each slot adds to a prefix
+    buf = np.empty((per_slot[0][0] if per_slot else 0, values.shape[1]), np.result_type(values, np.float64))
     for count, weight, src in per_slot:
-        sums[:count] += weight * values[src]
+        rows = buf[:count]  # the slot's neighbour rows, gathered and scaled in place
+        np.take(values, src, axis=0, out=rows, mode="clip")  # arc sources are valid: clip only skips the check
+        rows *= weight
+        sums[:count] += rows
     out[order] = sums
     return out
 

@@ -33,6 +33,7 @@ from .dataset import (
     field_kinds,
     fractions_problem,
     load_corpus,
+    load_tokens,
     load_viewpoints,
     must,
     problem,
@@ -41,6 +42,7 @@ from .dataset import (
     read_jsonl,
     read_records,
     save_corpus,
+    save_tokens,
     save_viewpoints,
     setting,
     split_corpus,
@@ -168,11 +170,12 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
 # and its config snapshot in the stage table. ``viewgraph run`` calls them
 # through the stage table with hash-based skipping, and each CLI
 # subcommand calls one directly with its flags applied to the config.
-# Optional files (the graph's JSON export, held-out negatives, training
-# log, negatives for train to inject, each engine's predictions, viewpoints
-# and costs for eval) are used when their key is present. Under ``run``, ``memo`` maps file keys to
-# the objects earlier stages wrote to or read from those unchanged files,
-# so ``read`` and ``write`` hand them on; the CLI passes no memo.
+# Optional files (the extraction's token counts, the graph's JSON export,
+# held-out negatives, training log, negatives for train to inject, each
+# engine's predictions, and token counts and costs for eval) are used when
+# their key is present. Under ``run``, ``memo`` maps file keys to the
+# objects earlier stages wrote to or read from those unchanged files, so
+# ``read`` and ``write`` hand them on; the CLI passes no memo.
 
 
 def read(paths: dict, key: str, loader, memo: Optional[dict] = None):
@@ -208,6 +211,8 @@ def run_extract(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> 
     except ValueError as exc:  # the message names the idea; add the file it is in
         raise ValueError(f"{paths['split']}: {exc}") from None
     write(paths, "viewpoints", records, save_viewpoints, memo)
+    if "tokens" in paths:
+        write(paths, "tokens", [[r.prompt_tokens, r.completion_tokens] for r in records], save_tokens, memo)
     return summary
 
 
@@ -305,20 +310,21 @@ def _load_costs(path: Path) -> dict[str, float]:
 
 def run_eval(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     """Score each engine whose predictions file is given into report.json.
-    With ``viewpoints`` the report also gets the average tokens and cost
-    per idea of their extraction, at ``llm.price_per_million``; with
-    ``costs`` (a JSON map of method -> average cost) the normed costs."""
+    With ``tokens`` (the extraction's per-idea token counts) the report
+    also gets the average tokens and cost per idea, at
+    ``llm.price_per_million``; with ``costs`` (a JSON map of method ->
+    average cost) the normed costs."""
     engines = [engine for engine in ("lp", "gnn") if f"{engine}_pred" in paths]
     if not engines:
         raise ValueError("eval has no predictions to score: give lp_pred or gnn_pred")
     corpus = read(paths, "split", load_corpus, memo)
     reports = {engine: evaluate_predictions(paths[f"{engine}_pred"], corpus) for engine in engines}
     extraction = {}
-    if "viewpoints" in paths:
+    if "tokens" in paths:
         price = config.llm.price_per_million
-        tokens = [r.prompt_tokens + r.completion_tokens for r in read(paths, "viewpoints", load_viewpoints, memo)]
+        tokens = [prompt + completion for prompt, completion in read(paths, "tokens", load_tokens, memo)]
         if not tokens:
-            raise ValueError(f"{paths['viewpoints']}: no viewpoint records to price")
+            raise ValueError(f"tokens file {paths['tokens']}: no ideas to price")
         avg_tokens = sum(tokens) / len(tokens)
         avg_cost = sum(t * price / 1e6 for t in tokens) / len(tokens)
         for report in reports.values():
@@ -338,6 +344,7 @@ Stage = namedtuple("Stage", "name inputs outputs cfg run")
 FILES = {
     "split": "split.jsonl",
     "viewpoints": "viewpoints.jsonl",
+    "tokens": "tokens.json",
     "embeddings": "embeddings.bin",
     "graph": "graph.bin",
     "graph_json": "graph.json",
@@ -357,13 +364,13 @@ def stage_table(config: RunConfig) -> list[Stage]:
     gnn = config.engine in ("gnn", "both")
     novelty = config.novelty.enabled
     train_inputs = ["graph", "split", "embeddings"] + (["negatives"] if novelty else [])
-    eval_inputs = ["split", "viewpoints"] + (["lp_pred"] if lp else []) + (["gnn_pred"] if gnn else [])
+    eval_inputs = ["split", "tokens"] + (["lp_pred"] if lp else []) + (["gnn_pred"] if gnn else [])
     # extract's snapshot holds what changes its output: not the price, the
     # retries or the concurrency
     extract_cfg = {key: getattr(config.llm, key) for key in ("backend", "endpoint", "model", "temperature", "relations")}
     table = [
         (True, Stage("split", ["corpus"], ["split"], {"fractions": list(config.split.fractions), "seed": config.seed}, run_split)),
-        (True, Stage("extract", ["split"], ["viewpoints"], {**extract_cfg, "seed": config.seed}, run_extract)),
+        (True, Stage("extract", ["split"], ["viewpoints", "tokens"], {**extract_cfg, "seed": config.seed}, run_extract)),
         (True, Stage("embed", ["viewpoints"], ["embeddings"], asdict(config.embedding), run_embed)),
         (True, Stage("build", ["viewpoints", "embeddings"], ["graph", "graph_json"], asdict(config.graph), run_build)),
         (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**asdict(config.novelty), "seed": config.seed}, run_negatives)),
@@ -396,6 +403,18 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
     paths = {key: Path(config.corpus) if key == "corpus" else out / FILES[key] for key in keys}
 
     memo: dict = {}  # file key -> (sha256, object) written or read in this run
+    # Each file's sha256, taken since a stage last ran or the manifest was
+    # last written: a stretch of skipped stages hashes each file once.
+    hashed: dict[Path, str] = {}
+
+    def sha(path: Path) -> str:
+        if path not in hashed:
+            hashed[path] = file_hash(path)
+        return hashed[path]
+
+    def write_manifest():
+        write_atomic(manifest_path, json.dumps(manifest))
+        hashed.clear()
 
     def say(msg: str):
         if not quiet:
@@ -409,7 +428,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         for p in inputs:
             if not p.exists():
                 raise FileNotFoundError(f"input {p} for stage {stage.name!r} does not exist")
-        input_hashes = {str(p): file_hash(p) for p in inputs}
+        input_hashes = {str(p): sha(p) for p in inputs}
         input_hashes["config"] = dict_hash(stage.cfg)
         prev = prev_stages.get(stage.name)
         if (
@@ -417,15 +436,16 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
             and prev
             and prev.get("inputs") == input_hashes
             and all(p.exists() for p in outputs)
-            and {str(p): file_hash(p) for p in outputs} == prev.get("outputs")
+            and {str(p): sha(p) for p in outputs} == prev.get("outputs")
         ):
             say(f"[{stage.name}] unchanged, skipped")
             return {**prev, "skipped": True}
         # an input edited since it was handed on is parsed again
         handed = {key: memo[key][1] for key in stage.inputs if memo.get(key, (None,))[0] == input_hashes[str(paths[key])]}
         start = time.monotonic()
+        hashed.clear()  # the stage may write any file
         summary = stage.run(paths, config, handed)
-        output_hashes = {str(p): file_hash(p) for p in outputs}
+        output_hashes = {str(p): sha(p) for p in outputs}
         hashes = {**input_hashes, **output_hashes}
         memo.update({key: (hashes[str(paths[key])], obj) for key, obj in handed.items()})
         record = {
@@ -447,11 +467,11 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
             record = run_stage(stage)
         except Exception as exc:
             manifest["failed_stage"] = {"name": stage.name, "error": str(exc)}
-            write_atomic(manifest_path, json.dumps(manifest))
+            write_manifest()
             raise StageError(stage.name, exc, manifest) from exc
         manifest["stages"].append(record)
         if "summary" in record:
             manifest["summary"][stage.name] = record["summary"]
         if not record["skipped"] or stage is stages[-1]:
-            write_atomic(manifest_path, json.dumps(manifest))
+            write_manifest()
     return manifest

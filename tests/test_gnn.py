@@ -10,7 +10,7 @@ import pytest
 
 from graphs import toy_graph
 from oracles import finite_difference_grads, max_relative_error
-from viewgraph.dataset import Corpus, Idea, IdeaViewpoints, LabelSet
+from viewgraph.dataset import Corpus, FileFormatError, Idea, IdeaViewpoints, LabelSet
 from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.graph import GraphConfig, build_graph
 from viewgraph import gnn
@@ -701,15 +701,29 @@ class TestCheckpoint:
              "'head_hidden_w', 'head_hidden_b', 'head_out_w', 'head_out_b'], not as the 10 blocks of config.layers 3"),
             (lambda data: edit_header(data, lambda header: header["config"].update(layers=0)),
              "header 'config' must be an object whose 'layers' is an int >= 1, got"),
+            # same byte count: only the shapes' fit to the header catches these
+            (lambda data: data.replace(b'["head_out_w", [2, 4]]', b'["head_out_w", [4, 2]]'),
+             "block 'head_out_w' has shape [4, 2], not [2, 4] (input_dim 3, config.hidden_dim 4, 2 labels)"),
+            (lambda data: edit_header(data, lambda header: header.update(labels=["a", "b", "c"])),
+             "block 'head_out_w' has shape [2, 4], not [3, 4] (input_dim 3, config.hidden_dim 4, 3 labels)"),
+            (lambda data: edit_header(data, lambda header: header.update(input_dim=5)),
+             "block 'message_weight_1' has shape [4, 3], not [4, 5] (input_dim 5, config.hidden_dim 4, 2 labels)"),
+            (lambda data: edit_header(data, lambda header: header["config"].update(hidden_dim=2)),
+             "block 'message_weight_1' has shape [4, 3], not [2, 3] (input_dim 3, config.hidden_dim 2, 2 labels)"),
+            (lambda data: edit_header(data, lambda header: header["config"].pop("hidden_dim")),
+             "header 'config' must be an object whose 'hidden_dim' is an int >= 1, got"),
+            (lambda data: edit_header(data, lambda header: header.pop("labels")), "header 'labels' must be a list, got NoneType"),
+            (lambda data: edit_header(data, lambda header: header.update(input_dim=0)), "header 'input_dim' must be >= 1, got 0"),
         ],
         ids=["truncated-blob", "one-block-more", "no-blocks", "header-a-list", "negative-shape", "last-block-dropped",
-             "no-config", "three-layers-over-two", "zero-layers"],
+             "no-config", "three-layers-over-two", "zero-layers", "head-out-transposed", "three-labels-over-two",
+             "other-input-dim", "other-hidden-dim", "no-hidden-dim", "no-labels", "zero-input-dim"],
     )
     def test_malformed_file_named(self, tmp_path, damage, message):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         save_model(model, path, GnnConfig(hidden_dim=4), ("a", "b"))
         path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_model(path)
         assert str(err.value).startswith(f"model file {path}: {message}")

@@ -16,10 +16,12 @@ from viewgraph.graph import (
     GraphConfig,
     ViewpointGraph,
     _propose,
+    add_neighbours,
     build_graph,
     export_graph_json,
     integrate_subgraph,
     load_graph,
+    neighbour_slots,
     save_graph,
     time_features,
 )
@@ -424,6 +426,68 @@ def test_arcs_are_each_edge_both_ways_by_dst_then_src(seed):
     assert np.array_equal(graph.arcs.src, src[want]) and np.array_equal(graph.arcs.dst, dst[want])
     assert np.array_equal(graph.arcs.weight, np.r_[graph.weight, graph.weight][want])
     assert np.array_equal(graph.arcs.indptr, np.r_[0, np.cumsum(np.bincount(dst, minlength=len(graph)))])
+
+
+def random_graph(seed: int, n: int, edges: int) -> ViewpointGraph:
+    """``n`` nodes, the last fifth isolated, joined by up to ``edges``
+    distinct pairs, given shuffled and in either orientation, whose weights
+    tie exactly; nodes form ideas of up to three."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n - n // 5, size=(2, 4 * edges))
+    u, v = u[u != v], v[u != v]
+    _, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+    u, v = u[np.sort(first)[:edges]], v[np.sort(first)[:edges]]  # in the order drawn
+    idea = [f"idea{i // 3}" for i in range(n)]
+    same = np.array(idea)[u] == np.array(idea)[v]
+    weight = rng.choice([0.0, 0.25, 0.5, 1.0], size=len(u))
+    return ViewpointGraph(idea, [f"v{i}" for i in range(n)], np.zeros(n), u, v, weight, same)
+
+
+RANDOM_GRAPHS = {
+    "edgeless": (0, 7, 0),
+    "one-edge": (1, 3, 1),
+    "sparse": (2, 40, 30),
+    "dense": (3, 30, 300),
+    "hundreds": (4, 600, 5000),
+    "over-16-bit-node-ids": (5, 70_000, 3000),
+}
+
+
+@pytest.mark.parametrize("case", list(RANDOM_GRAPHS))
+def test_arcs_equal_a_stable_sort_by_dst(case):
+    """The arcs placed by counting against the stable argsort of both
+    directions by dst that placed them before."""
+    graph = random_graph(*RANDOM_GRAPHS[case])
+    src, dst = np.concatenate([graph.u, graph.v]), np.concatenate([graph.v, graph.u])
+    order = np.argsort(dst, kind="stable")
+    indptr = np.zeros(len(graph) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=len(graph)), out=indptr[1:])
+    want = (src[order], dst[order], np.concatenate([graph.weight, graph.weight])[order], indptr)
+    for got, expected in zip(graph.arcs, want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def slot_loop_reference(out, slots, values):
+    """``add_neighbours`` as it was before it gathered into one buffer: each
+    slot adds ``weight * values[src]`` to its prefix of the degree order."""
+    order, per_slot = slots
+    sums = out[order]
+    for count, weight, src in per_slot:
+        sums[:count] += weight * values[src]
+    out[order] = sums
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 64])
+@pytest.mark.parametrize("case", [case for case in RANDOM_GRAPHS if case != "over-16-bit-node-ids"])
+def test_add_neighbours_equals_the_slot_loop(case, width):
+    graph = random_graph(*RANDOM_GRAPHS[case])
+    rng = np.random.default_rng(width)
+    slots = neighbour_slots(graph.arcs)
+    values, start = rng.normal(size=(len(graph), width)), rng.normal(size=(len(graph), width))
+    got = add_neighbours(start.copy(), slots, values)
+    assert np.array_equal(got, slot_loop_reference(start.copy(), slots, values))
+    assert np.array_equal(add_neighbours(start.copy(), slots, values), got)  # the buffer is not kept between calls
 
 
 def test_graph_arrays_are_read_only():

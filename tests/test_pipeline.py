@@ -17,7 +17,7 @@ from graphs import assert_same_graph
 from viewgraph import gnn, llm, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import Corpus, load_corpus, load_viewpoints, save_corpus
+from viewgraph.dataset import TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
@@ -703,38 +703,43 @@ class TestCli:
         assert capsys.readouterr().err == f"error: predictions file {preds}: line 2: {problem.format(known=known)}\n"
         assert not (tmp_path / "r.json").exists()
 
-    def test_eval_names_empty_viewpoints_file(self, tmp_path, capsys, demo_file):
-        preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("[]", "no ideas to price"), ("", "not JSON (Expecting value: line 1 column 1 (char 0))")],
+        ids=["no-ideas", "empty-file"],
+    )
+    def test_eval_names_empty_tokens_file(self, tmp_path, capsys, demo_file, text, problem):
+        preds, tokens = tmp_path / "preds.jsonl", tmp_path / "tokens.json"
         preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
-        views.write_text("")
-        argv = ["eval", "--lp-pred", preds, "--viewpoints", views, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        tokens.write_text(text)
+        argv = ["eval", "--lp-pred", preds, "--tokens", tokens, "--corpus", demo_file, "--out", tmp_path / "r.json"]
         assert self.run(*argv, "--quiet") == 2
-        assert capsys.readouterr().err == f"error: {views}: no viewpoint records to price\n"
+        assert capsys.readouterr().err == f"error: tokens file {tokens}: {problem}\n"
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("price", [0.0, 0.2, 2.5])
     def test_eval_cost_is_the_mean_of_per_record_costs(self, tmp_path, demo_file, price):
-        preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
+        preds, tokens = tmp_path / "preds.jsonl", tmp_path / "tokens.json"
         preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
         counts = np.random.default_rng(3).integers(0, 10**7, size=(25, 2)).tolist()
-        records = [{"idea_id": f"i{j}", "viewpoints": ["x y"], "prompt_tokens": p, "completion_tokens": c}
-                   for j, (p, c) in enumerate(counts)]
-        views.write_text("".join(json.dumps(r) + "\n" for r in records))
-        paths = {"split": demo_file, "lp_pred": preds, "viewpoints": views, "report": tmp_path / "r.json"}
+        tokens.write_text(json.dumps(counts))
+        paths = {"split": demo_file, "lp_pred": preds, "tokens": tokens, "report": tmp_path / "r.json"}
         pipeline.run_eval(paths, demo_config(tmp_path, demo_file, llm={"price_per_million": price}))
         extraction = json.loads((tmp_path / "r.json").read_text())["extraction"]
         per_record = [(p + c) * price / 1e6 for p, c in counts]
         assert extraction["avg_cost_per_evaluation"] == sum(per_record) / len(per_record)
         assert extraction["avg_tokens_per_evaluation"] == sum(p + c for p, c in counts) / len(counts)
 
-    def test_eval_names_viewpoints_token_count_of_wrong_type(self, tmp_path, capsys, demo_file):
-        preds, views = tmp_path / "preds.jsonl", tmp_path / "views.jsonl"
+    @pytest.mark.parametrize("counts", [[[3, 4], ["12", 5]], [[3, 4], [12]], [[3, 4], [-1, 5]], {"a": [3, 4]}],
+                             ids=["string-count", "one-count", "negative-count", "object"])
+    def test_eval_names_token_count_of_wrong_type(self, tmp_path, capsys, demo_file, counts):
+        preds, tokens = tmp_path / "preds.jsonl", tmp_path / "tokens.json"
         preds.write_text(json.dumps({"id": demo_corpus().ideas[0].id, "label": "Reject"}) + "\n")
-        views.write_text(json.dumps({"idea_id": "a", "viewpoints": ["x y"], "prompt_tokens": "12"}) + "\n")
-        argv = ["eval", "--lp-pred", preds, "--viewpoints", views, "--corpus", demo_file, "--out", tmp_path / "r.json"]
+        tokens.write_text(json.dumps(counts))
+        argv = ["eval", "--lp-pred", preds, "--tokens", tokens, "--corpus", demo_file, "--out", tmp_path / "r.json"]
         assert self.run(*argv, "--quiet") == 2
-        stderr = capsys.readouterr().err
-        assert f"{views}: line 1: key 'prompt_tokens' must be an int, got str" in stderr and "Traceback" not in stderr
+        got = "must be a list, got dict" if isinstance(counts, dict) else f"must be {TOKENS}, got item {counts[1]!r}"
+        assert capsys.readouterr().err == f"error: tokens file {tokens}: {got}\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_embed_names_viewpoints_line_without_key(self, tmp_path, capsys, demo_file):
@@ -846,7 +851,7 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     split, views = cli_dir / "split.jsonl", cli_dir / "viewpoints.jsonl"
     emb, graph = cli_dir / "embeddings.bin", cli_dir / "graph.bin"
     cli("split", "--in", corpus, "--out", split)
-    cli("extract", "--in", split, "--out", views)
+    cli("extract", "--in", split, "--out", views, "--tokens", cli_dir / "tokens.json")
     cli("embed", "--in", views, "--out", emb)
     cli("build", "--viewpoints", views, "--embeddings", emb, "--out", graph)
     inputs = ["--graph", graph, "--corpus", split, "--embeddings", emb]
@@ -863,21 +868,23 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
     preds = ["--gnn-pred", cli_dir / "predictions_gnn.jsonl"]
     if settings["engine"] == "both":
         preds += ["--lp-pred", cli_dir / "predictions_lp.jsonl"]
-    cli("eval", "--corpus", split, "--viewpoints", views, *preds, "--out", cli_dir / "report.json")
+    cli("eval", "--corpus", split, "--tokens", cli_dir / "tokens.json", *preds, "--out", cli_dir / "report.json")
 
     written = sorted(p.name for p in cli_dir.iterdir())
-    assert {"graph.bin", "model.ckpt", "predictions_gnn.jsonl", "report.json"} <= set(written)
+    assert {"graph.bin", "model.ckpt", "predictions_gnn.jsonl", "report.json", "tokens.json"} <= set(written)
     for name in written:
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 # What each file a run hands on in memory is read back with.
-LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "graph": load_graph, "negatives": novelty.load_negatives}
+LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "tokens": load_tokens, "graph": load_graph,
+           "negatives": novelty.load_negatives}
 
 
 class TestHandOn:
-    """Within one ``run`` a stage gets the corpus, viewpoints, graph and
-    negatives an earlier stage wrote or read, while the file is unchanged."""
+    """Within one ``run`` a stage gets the corpus, viewpoints, token counts,
+    graph and negatives an earlier stage wrote or read, while the file is
+    unchanged."""
 
     def count_parses(self, monkeypatch) -> Counter:
         """Parses per file name, counted on the loaders the stages call."""
@@ -892,7 +899,7 @@ class TestHandOn:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("load_corpus", "load_viewpoints", "load_graph"):
+        for name in ("load_corpus", "load_viewpoints", "load_tokens", "load_graph"):
             counted(pipeline, name)
         counted(novelty, "load_negatives")
         return calls
@@ -934,12 +941,28 @@ class TestHandOn:
         assert calls == {demo_file.name: 1}
 
     def test_lp_rerun_parses_graph_and_split_once(self, tmp_path, demo_file, monkeypatch):
+        """eval prices the extraction from tokens.json: viewpoints.jsonl is not parsed."""
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         calls = self.count_parses(monkeypatch)
         second = run_pipeline(demo_config(tmp_path, demo_file, lp={"max_iters": 3, "early_stop": False}), quiet=True)
         assert [s["name"] for s in second["stages"] if not s["skipped"]][0] == "lp"
-        assert calls["graph.bin"] == calls["split.jsonl"] == 1
-        assert set(calls) <= {"graph.bin", "split.jsonl", "viewpoints.jsonl"} and calls["viewpoints.jsonl"] <= 1
+        assert calls == {"graph.bin": 1, "split.jsonl": 1, "tokens.json": 1}
+
+    def test_lp_rerun_hashes_each_file_once_before_lp(self, tmp_path, demo_file, monkeypatch):
+        """The skipped stages share each file's hash; the manifest write
+        after lp forgets them, so eval hashes its inputs again."""
+        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+        hashes, before_lp = Counter(), Counter()
+        real_hash, real_lp = pipeline.file_hash, pipeline.run_lp
+        monkeypatch.setattr(pipeline, "file_hash", lambda path: hashes.update([Path(path).name]) or real_hash(path))
+        monkeypatch.setattr(pipeline, "run_lp", lambda *args, **kwargs: before_lp.update(hashes) or real_lp(*args, **kwargs))
+        second = run_pipeline(demo_config(tmp_path, demo_file, lp={"max_iters": 3, "early_stop": False}), quiet=True)
+        assert [s["name"] for s in second["stages"] if not s["skipped"]] == ["lp", "eval"]
+        files = [demo_file.name, "split.jsonl", "viewpoints.jsonl", "tokens.json", "embeddings.bin", "graph.bin", "graph.json"]
+        assert before_lp == Counter(files)
+        assert hashes == Counter(files) + Counter(["predictions_lp.jsonl", "split.jsonl", "tokens.json",
+                                                   "predictions_lp.jsonl", "report.json"])
+        assert sum(hashes.values()) == 12
 
     def test_split_edited_between_stages_is_read_again(self, tmp_path, demo_file, monkeypatch):
         """The edit lands after the split stage's manifest write, before
