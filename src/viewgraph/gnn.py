@@ -12,6 +12,10 @@ Adam, and a linearly decaying learning rate. Everything is numpy
 float64; the seed given to ``train`` (not part of ``GnnConfig``) fixes
 the initialization, the batch order, and therefore the whole trajectory.
 
+The parameters are named blocks; ``block_shapes`` is the one place that
+lays them out (names, order and shapes), and initialization, Adam and
+the checkpoint's write and read all walk its table.
+
 Message passing always runs over the full graph (test nodes participate;
 their labels never enter the loss). Training runs one forward pass per
 optimizer step: the pass after each step serves the next step's loss
@@ -53,80 +57,48 @@ class SubgraphPrediction:
     label_index: int
 
 
-def block_names(layers: int) -> tuple[str, ...]:
-    """The parameter block names of a ``layers``-layer model in the fixed
-    checkpoint order: message/combine per layer, then the head."""
-    per_layer = [f"{kind}_weight_{l}" for l in range(1, layers + 1) for kind in ("message", "combine")]
-    return (*per_layer, "head_hidden_w", "head_hidden_b", "head_out_w", "head_out_b")
+def block_shapes(layers: int, input_dim: int, hidden_dim: int, n_labels: int) -> dict[str, tuple[int, ...]]:
+    """The parameter layout, name -> shape in checkpoint order: message
+    ``(h, d)`` and combine ``(h, h + d)`` per layer, ``d`` being
+    ``input_dim`` at layer 1 and ``h`` after, then the pooled MLP head."""
+    h, d, shapes = hidden_dim, input_dim, {}
+    for l in range(1, layers + 1):
+        shapes[f"message_weight_{l}"], shapes[f"combine_weight_{l}"] = (h, d), (h, h + d)
+        d = h
+    return {**shapes, "head_hidden_w": (h, 2 * h), "head_hidden_b": (h,), "head_out_w": (n_labels, h),
+            "head_out_b": (n_labels,)}
 
 
-@dataclass
-class GnnModel:
-    """Per-layer message/combine matrices plus the pooled MLP head."""
+class GnnModel(dict):
+    """The parameter blocks by name, as laid out by ``block_shapes``."""
 
-    message_weights: list[np.ndarray]  # layer l: (hidden, d_in)
-    combine_weights: list[np.ndarray]  # layer l: (hidden, hidden + d_in)
-    head_hidden_w: np.ndarray  # (hidden, 2*hidden)
-    head_hidden_b: np.ndarray  # (hidden,)
-    head_out_w: np.ndarray  # (n_labels, hidden)
-    head_out_b: np.ndarray  # (n_labels,)
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Parameters named and ordered as ``block_names``."""
-        arrays = [w for pair in zip(self.message_weights, self.combine_weights) for w in pair]
-        arrays += [self.head_hidden_w, self.head_hidden_b, self.head_out_w, self.head_out_b]
-        return list(zip(block_names(len(self.message_weights)), arrays))
+    @property
+    def layers(self) -> int:
+        return (len(self) - 4) // 2
 
     @property
     def input_dim(self) -> int:
-        return self.message_weights[0].shape[1]
+        return self["message_weight_1"].shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.message_weights[0].shape[0]
+        return self["head_hidden_b"].shape[0]
 
     @property
     def n_labels(self) -> int:
-        return self.head_out_w.shape[0]
-
-    def copy(self) -> "GnnModel":
-        return GnnModel(
-            message_weights=[w.copy() for w in self.message_weights],
-            combine_weights=[w.copy() for w in self.combine_weights],
-            head_hidden_w=self.head_hidden_w.copy(),
-            head_hidden_b=self.head_hidden_b.copy(),
-            head_out_w=self.head_out_w.copy(),
-            head_out_b=self.head_out_b.copy(),
-        )
-
-    def check_finite(self):
-        for name, arr in self.param_items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in parameter block {name}")
+        return self["head_out_b"].shape[0]
 
 
 def init_model(config: GnnConfig, input_dim: int, n_labels: int, rng: np.random.Generator) -> GnnModel:
-    """Glorot-uniform matrices, zero biases, drawn in checkpoint order."""
-
-    def glorot(out_dim: int, in_dim: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (in_dim + out_dim))
-        return rng.uniform(-bound, bound, size=(out_dim, in_dim))
-
-    h = config.hidden_dim
-    message_weights, combine_weights = [], []
-    d = input_dim
-    for _ in range(config.layers):
-        message_weights.append(glorot(h, d))
-        combine_weights.append(glorot(h, h + d))
-        d = h
-    return GnnModel(
-        message_weights=message_weights,
-        combine_weights=combine_weights,
-        head_hidden_w=glorot(h, 2 * h),
-        head_hidden_b=np.zeros(h),
-        head_out_w=glorot(n_labels, h),
-        head_out_b=np.zeros(n_labels),
-    )
+    """Glorot-uniform matrices, zero vectors, drawn in checkpoint order."""
+    model = GnnModel()
+    for name, shape in block_shapes(config.layers, input_dim, config.hidden_dim, n_labels).items():
+        if len(shape) == 1:
+            model[name] = np.zeros(shape)
+        else:
+            bound = math.sqrt(6.0 / sum(shape))
+            model[name] = rng.uniform(-bound, bound, size=shape)
+    return model
 
 
 def node_features(graph: ViewpointGraph, matrix: EmbeddingMatrix) -> np.ndarray:
@@ -151,7 +123,8 @@ def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs, slots=None) -> Forw
     degree = np.maximum(np.diff(arcs.indptr), 1)[:, None]
     states = [np.asarray(X, dtype=np.float64)]
     messages, combined = [], []
-    for mw, cw in zip(model.message_weights, model.combine_weights):
+    for l in range(1, model.layers + 1):
+        mw, cw = model[f"message_weight_{l}"], model[f"combine_weight_{l}"]
         d_in, (h, d_expected) = states[-1].shape[1], mw.shape
         if d_in != d_expected:
             raise ValueError(f"state dimension {d_in} does not match layer input {d_expected}")
@@ -203,9 +176,9 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Se
     arg_local = np.where(present[:, :, None], sub, -np.inf).argmax(axis=1)  # first max wins
     max_pool = np.take_along_axis(sub, arg_local[:, None, :], axis=1)[:, 0]
     pooled = np.hstack([mean_pool, max_pool])
-    z1 = _gemv(model.head_hidden_w, pooled) + model.head_hidden_b
+    z1 = _gemv(model["head_hidden_w"], pooled) + model["head_hidden_b"]
     a1 = np.maximum(z1, 0.0)
-    logits = _gemv(model.head_out_w, a1) + model.head_out_b
+    logits = _gemv(model["head_out_w"], a1) + model["head_out_b"]
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return HeadCache(
         groups=groups,
@@ -258,7 +231,7 @@ def batch_loss_and_grads(
     total_w = weights.sum()
     loss_val = loss(head.probs, labels, class_weights)
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+    grads = {name: np.zeros_like(arr) for name, arr in model.items()}
     n, h_dim = final.shape[0], model.hidden_dim
     d_final = np.zeros_like(final)
     if total_w > 0:
@@ -267,27 +240,27 @@ def batch_loss_and_grads(
             dlogits = (head.probs[b] - np.eye(model.n_labels)[y]) * scale
             grads["head_out_w"] += np.outer(dlogits, head.a1[b])
             grads["head_out_b"] += dlogits
-            da1 = model.head_out_w.T @ dlogits
+            da1 = model["head_out_w"].T @ dlogits
             dz1 = da1 * (head.z1[b] > 0)
             grads["head_hidden_w"] += np.outer(dz1, head.pooled[b])
             grads["head_hidden_b"] += dz1
-            dpooled = model.head_hidden_w.T @ dz1
+            dpooled = model["head_hidden_w"].T @ dz1
             dmean, dmax = dpooled[:h_dim], dpooled[h_dim:]
             d_final[ids] += dmean / len(ids)
             d_final[head.arg_rows[b], np.arange(h_dim)] += dmax  # one row per column: no repeats
 
     # A_w is symmetric, so the messages' gradient is one more aggregation.
     d_state = d_final
-    for l in range(len(model.message_weights) - 1, -1, -1):
+    for l in range(model.layers - 1, -1, -1):
         name_m, name_c = f"message_weight_{l + 1}", f"combine_weight_{l + 1}"
         grads[name_c] += d_state.T @ cache.combined[l]
-        d_combined = d_state @ model.combine_weights[l]
+        d_combined = d_state @ model[name_c]
         d_agg = d_combined[:, :h_dim]
         d_prev = d_combined[:, h_dim:].copy()
         d_sum = d_agg / np.maximum(np.diff(arcs.indptr), 1)[:, None]
         d_messages = add_neighbours(np.zeros((n, h_dim)), slots, d_sum) * (cache.messages[l] > 0)
         grads[name_m] += d_messages.T @ cache.states[l]
-        d_prev += d_messages @ model.message_weights[l]
+        d_prev += d_messages @ model[name_m]
         d_state = d_prev
 
     for name, g in grads.items():
@@ -296,24 +269,28 @@ def batch_loss_and_grads(
     return loss_val, grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
-    def __init__(self, model: GnnModel, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    """The step count and the first and second moments, by block name."""
+
+    def __init__(self, model: GnnModel):
         self.step_count = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in model.param_items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+        self.m = {name: np.zeros_like(arr) for name, arr in model.items()}
+        self.v = {name: np.zeros_like(arr) for name, arr in model.items()}
 
 
 def adam_step(model: GnnModel, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
     state.step_count += 1
     t = state.step_count
-    for name, param in model.param_items():
+    for name, param in model.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_schedule(lr0: float, epoch: int, max_epochs: int) -> float:
@@ -403,7 +380,7 @@ def train(
             entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
             if entry["val_macro_f1"] > best_f1:
                 best_f1 = entry["val_macro_f1"]
-                best_model = model.copy()
+                best_model = GnnModel({name: arr.copy() for name, arr in model.items()})
                 best_epoch = epoch
         log.append(entry)
 
@@ -470,8 +447,8 @@ def save_model(
     validation_score: Optional[float] = None,
 ) -> None:
     """JSON header line (the config with the training ``seed``, labels,
-    block shapes), then little-endian float32 blocks in the param_items
-    order (message/combine per layer, then the head)."""
+    block shapes), then the little-endian float32 blocks in
+    ``block_shapes`` order."""
     header = {
         "config": {
             "layers": config.layers,
@@ -486,18 +463,18 @@ def save_model(
         "input_dim": model.input_dim,
         "epoch": epoch,
         "validation_score": validation_score,
-        "blocks": [[name, list(arr.shape)] for name, arr in model.param_items()],
+        "blocks": [[name, list(arr.shape)] for name, arr in model.items()],
     }
-    write_headed(path, header, (arr.astype("<f4") for _, arr in model.param_items()))
+    write_headed(path, header, (arr.astype("<f4") for arr in model.values()))
 
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
     """The model of a checkpoint written by ``save_model``, as float64,
     and its header. A header without a ``config`` whose ``layers`` and
     ``hidden_dim`` are ints >= 1, ``labels`` or an ``input_dim`` >= 1,
-    with ``blocks`` other than ``block_names`` for those layers or of
-    shapes that do not fit ``input_dim``, ``hidden_dim`` and the labels, or
-    a blob of another length, raises a FileFormatError naming the file."""
+    with ``blocks`` other than ``block_shapes`` of those layers, input_dim,
+    hidden_dim and labels, or a blob of another length, raises a
+    FileFormatError naming the file."""
     def sized(config: dict) -> Optional[str]:
         bad = next((key for key in ("layers", "hidden_dim") if problem(config.get(key), int, at_least(1))), None)
         return bad and f"must be an object whose {bad!r} is an int >= 1, got {config!r}"
@@ -505,18 +482,18 @@ def load_model(path: str | Path) -> tuple[GnnModel, dict]:
     kinds = {"config": (dict, sized), "labels": (STRINGS, None), "input_dim": (int, at_least(1)), "blocks": (BLOCKS, None)}
     header, blocks = read_headed(path, "model file", kinds,
                                  lambda header: {name: ("<f4", shape) for name, shape in header["blocks"]})
-    layers, names = header["config"]["layers"], [name for name, _ in header["blocks"]]
-    if len(names) != 2 * layers + 4 or names != list(block_names(layers)):  # lengths first: layers may be huge
+    layers, h, labels = header["config"]["layers"], header["config"]["hidden_dim"], len(header["labels"])
+    names = [name for name, _ in header["blocks"]]
+    # the count first: block_shapes of a huge ``layers`` would not fit in memory
+    if len(names) != 2 * layers + 4 or names != list(shapes := block_shapes(layers, header["input_dim"], h, labels)):
         raise FileFormatError(path, f"header 'blocks' are named {names}, not as the {2 * layers + 4} blocks of "
                                     f"config.layers {layers}", noun="model file")
-    h, labels = header["config"]["hidden_dim"], len(header["labels"])
-    d_in = [header["input_dim"]] + [h] * (layers - 1)
-    shapes = [shape for d in d_in for shape in ([h, d], [h, h + d])] + [[h, 2 * h], [h], [labels, h], [labels]]
-    for (name, shape), expected in zip(header["blocks"], shapes):
-        if shape != expected:
-            raise FileFormatError(path, f"block {name!r} has shape {shape}, not {expected} (input_dim "
+    for name, shape in header["blocks"]:
+        if shape != list(shapes[name]):
+            raise FileFormatError(path, f"block {name!r} has shape {shape}, not {list(shapes[name])} (input_dim "
                                         f"{header['input_dim']}, config.hidden_dim {h}, {labels} labels)", noun="model file")
-    arrays = [blocks[name].astype(np.float64) for name in names]  # message/combine per layer, then the head
-    model = GnnModel(arrays[0:-4:2], arrays[1:-4:2], *arrays[-4:])
-    model.check_finite()
+    model = GnnModel({name: blocks[name].astype(np.float64) for name in names})
+    for name, arr in model.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite values in parameter block {name}")
     return model, header

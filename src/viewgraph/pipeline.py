@@ -289,6 +289,7 @@ def run_train(paths: dict, config: RunConfig, memo: Optional[dict] = None, split
         "epochs": len(result.log),
         "final_loss": result.log[-1]["loss"],
         "best_val_f1": result.best_val_f1,
+        "best_epoch": result.best_epoch,
         "predicted": len(predictions),
     }
 
@@ -403,17 +404,22 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
     paths = {key: Path(config.corpus) if key == "corpus" else out / FILES[key] for key in keys}
 
     memo: dict = {}  # file key -> (sha256, object) written or read in this run
-    # Each file's sha256, taken since a stage last ran or the manifest was
-    # last written: a stretch of skipped stages hashes each file once.
-    hashed: dict[Path, str] = {}
+    # Each file's sha256 by file key, taken since a stage last ran or the
+    # manifest was last written: a stretch of skipped stages hashes each
+    # file once. Keys, not paths, name the files in the manifest, so a
+    # moved run directory still matches.
+    hashed: dict[str, str] = {}
 
-    def sha(path: Path) -> str:
-        if path not in hashed:
-            hashed[path] = file_hash(path)
-        return hashed[path]
+    def sha(key: str) -> str:
+        if key not in hashed:
+            hashed[key] = file_hash(paths[key])
+        return hashed[key]
 
     def write_manifest():
-        write_atomic(manifest_path, json.dumps(manifest))
+        # the stages not reached keep their previous records: a stage is
+        # skipped only when its inputs, config and outputs all still match
+        rest = [prev_stages[later.name] for later in stages[len(manifest["stages"]):] if later.name in prev_stages]
+        write_atomic(manifest_path, json.dumps({**manifest, "stages": manifest["stages"] + rest}))
         hashed.clear()
 
     def say(msg: str):
@@ -423,31 +429,29 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
     def run_stage(stage: Stage) -> dict:
         """The stage's manifest record: a fresh run, or the previous record
         when the input hashes, config snapshot and outputs are unchanged."""
-        inputs = [paths[key] for key in stage.inputs]
-        outputs = [paths[key] for key in stage.outputs]
-        for p in inputs:
-            if not p.exists():
-                raise FileNotFoundError(f"input {p} for stage {stage.name!r} does not exist")
-        input_hashes = {str(p): sha(p) for p in inputs}
+        for key in stage.inputs:
+            if not paths[key].exists():
+                raise FileNotFoundError(f"input {paths[key]} for stage {stage.name!r} does not exist")
+        input_hashes = {key: sha(key) for key in stage.inputs}
         input_hashes["config"] = dict_hash(stage.cfg)
         prev = prev_stages.get(stage.name)
         if (
             not force
             and prev
             and prev.get("inputs") == input_hashes
-            and all(p.exists() for p in outputs)
-            and {str(p): sha(p) for p in outputs} == prev.get("outputs")
+            and all(paths[key].exists() for key in stage.outputs)
+            and {key: sha(key) for key in stage.outputs} == prev.get("outputs")
         ):
             say(f"[{stage.name}] unchanged, skipped")
             return {**prev, "skipped": True}
         # an input edited since it was handed on is parsed again
-        handed = {key: memo[key][1] for key in stage.inputs if memo.get(key, (None,))[0] == input_hashes[str(paths[key])]}
+        handed = {key: memo[key][1] for key in stage.inputs if memo.get(key, (None,))[0] == input_hashes[key]}
         start = time.monotonic()
         hashed.clear()  # the stage may write any file
         summary = stage.run(paths, config, handed)
-        output_hashes = {str(p): sha(p) for p in outputs}
+        output_hashes = {key: sha(key) for key in stage.outputs}
         hashes = {**input_hashes, **output_hashes}
-        memo.update({key: (hashes[str(paths[key])], obj) for key, obj in handed.items()})
+        memo.update({key: (hashes[key], obj) for key, obj in handed.items()})
         record = {
             "name": stage.name,
             "inputs": input_hashes,

@@ -157,7 +157,7 @@ def brute_force_macro(truths: list[int], preds: list[int], n_labels: int) -> dic
 def finite_difference_grads(model, loss_fn, epsilon: float = 1e-4) -> dict[str, np.ndarray]:
     """Central finite differences over every parameter of the model."""
     grads = {}
-    for name, param in model.param_items():
+    for name, param in model.items():
         grad = np.zeros_like(param)
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)

@@ -47,8 +47,8 @@ def one_layer(states, edges, message_w, combine_w):
     """One message-passing layer, run by full_forward on a one-layer model."""
     h = message_w.shape[0]
     model = GnnModel(
-        message_weights=[message_w],
-        combine_weights=[combine_w],
+        message_weight_1=message_w,
+        combine_weight_1=combine_w,
         head_hidden_w=np.zeros((h, 2 * h)),
         head_hidden_b=np.zeros(h),
         head_out_w=np.zeros((2, h)),
@@ -118,7 +118,8 @@ def reference_forward(model, X, arcs):
     with ``np.add.at`` in arc order. Returns states, pre-activations and
     the combined inputs per layer."""
     states, pres, combined = [np.asarray(X, dtype=np.float64)], [], []
-    for mw, cw in zip(model.message_weights, model.combine_weights):
+    for l in range(1, model.layers + 1):
+        mw, cw = model[f"message_weight_{l}"], model[f"combine_weight_{l}"]
         messages = states[-1] @ mw.T
         pre = arcs.weight[:, None] * messages[arcs.src]
         agg = np.zeros(messages.shape)
@@ -139,9 +140,9 @@ def reference_pool_and_head(model, final_states, node_ids):
     sub = final_states[ids]
     arg_local = np.argmax(sub, axis=0)  # first max wins
     pooled = np.concatenate([sub.mean(axis=0), sub[arg_local, np.arange(sub.shape[1])]])
-    z1 = model.head_hidden_w @ pooled + model.head_hidden_b
+    z1 = model["head_hidden_w"] @ pooled + model["head_hidden_b"]
     a1 = np.maximum(z1, 0.0)
-    logits = model.head_out_w @ a1 + model.head_out_b
+    logits = model["head_out_w"] @ a1 + model["head_out_b"]
     exp = np.exp(logits - logits.max())
     return SimpleNamespace(
         node_ids=ids,
@@ -164,7 +165,7 @@ def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
     weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
     total_w = weights.sum()
     loss_val = loss([h.probs for h in heads], labels, class_weights)
-    grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+    grads = {name: np.zeros_like(arr) for name, arr in model.items()}
     n, h_dim = final.shape[0], model.hidden_dim
     d_final = np.zeros_like(final)
     if total_w > 0:
@@ -172,23 +173,23 @@ def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
             dlogits = (head.probs - np.eye(model.n_labels)[y]) * (w / total_w)
             grads["head_out_w"] += np.outer(dlogits, head.a1)
             grads["head_out_b"] += dlogits
-            dz1 = (model.head_out_w.T @ dlogits) * (head.z1 > 0)
+            dz1 = (model["head_out_w"].T @ dlogits) * (head.z1 > 0)
             grads["head_hidden_w"] += np.outer(dz1, head.pooled)
             grads["head_hidden_b"] += dz1
-            dpooled = model.head_hidden_w.T @ dz1
+            dpooled = model["head_hidden_w"].T @ dz1
             d_final[head.node_ids] += dpooled[:h_dim] / len(head.node_ids)
             np.add.at(d_final, (head.arg_rows, np.arange(h_dim)), dpooled[h_dim:])
     d_state = d_final
-    for l in range(len(model.message_weights) - 1, -1, -1):
+    for l in range(model.layers - 1, -1, -1):
         grads[f"combine_weight_{l + 1}"] += d_state.T @ combined[l]
-        d_combined = d_state @ model.combine_weights[l]
+        d_combined = d_state @ model[f"combine_weight_{l + 1}"]
         d_prev = d_combined[:, h_dim:].copy()
         d_sum = d_combined[:, :h_dim] / np.maximum(np.diff(arcs.indptr), 1)[:, None]
         d_pre = d_sum[arcs.dst] * (pres[l] > 0)
         d_messages = np.zeros((n, h_dim))
         np.add.at(d_messages, arcs.src, arcs.weight[:, None] * d_pre)
         grads[f"message_weight_{l + 1}"] += d_messages.T @ states[l]
-        d_prev += d_messages @ model.message_weights[l]
+        d_prev += d_messages @ model[f"message_weight_{l + 1}"]
         d_state = d_prev
     return loss_val, grads
 
@@ -240,7 +241,7 @@ class TestAgainstEdgeTensorReference:
         graph, X = make(seed)
         rng = np.random.default_rng(seed)
         model = init_model(GnnConfig(layers=layers, hidden_dim=6), X.shape[1], 3, rng)
-        model.message_weights[0][0] = 0.0  # one message channel at the ReLU's kink
+        model["message_weight_1"][0] = 0.0  # one message channel at the ReLU's kink
         items = [(ids, int(rng.integers(3))) for ids in graph.idea_nodes.values()]
         states, _, _ = reference_forward(model, X, graph.arcs)
         cache = full_forward(model, X, graph.arcs)
@@ -334,7 +335,8 @@ def reference_train(config, graph, matrix, corpus, negatives=(), seed=0):
             truths = [y for _, y in val_items]
             entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
             if entry["val_macro_f1"] > best_f1:
-                best_f1, best_model, best_epoch = entry["val_macro_f1"], model.copy(), epoch
+                best_model = GnnModel({name: arr.copy() for name, arr in model.items()})
+                best_f1, best_epoch = entry["val_macro_f1"], epoch
         log.append(entry)
     if best_model is not None:
         return best_model, log, best_epoch, best_f1
@@ -385,8 +387,8 @@ class TestAgainstTwoPassTraining:
                            class_weighting=class_weighting)
         ref_model, ref_log, ref_epoch, ref_f1 = reference_train(config, graph, matrix, corpus, negs, seed=seed)
         result = train(config, graph, matrix, corpus, negs or None, seed=seed)
-        assert [n for n, _ in result.model.param_items()] == [n for n, _ in ref_model.param_items()]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(result.model.param_items(), ref_model.param_items()))
+        assert list(result.model) == list(ref_model)
+        assert all(np.array_equal(result.model[name], ref_model[name]) for name in ref_model)
         assert result.log == ref_log
         assert (result.best_epoch, result.best_val_f1) == (ref_epoch, ref_f1)
         assert ("val_macro_f1" in ref_log[0]) == validation
@@ -416,8 +418,8 @@ class TestForwardSubgraph:
 
     def test_uniform_logits_uniform_probabilities(self):
         model = self._model(n_labels=4)
-        model.head_out_w[:] = 0.0
-        model.head_out_b[:] = 0.0
+        model["head_out_w"][:] = 0.0
+        model["head_out_b"][:] = 0.0
         probs = idea_probs(model, np.ones((2, 4)), make_edges([], 2), [0, 1])
         assert probs == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
@@ -502,21 +504,21 @@ class TestBackward:
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
-        before = {name: arr.copy() for name, arr in model.param_items()}
-        grads = {name: np.full_like(arr, 0.5) for name, arr in model.param_items()}
+        before = {name: arr.copy() for name, arr in model.items()}
+        grads = {name: np.full_like(arr, 0.5) for name, arr in model.items()}
         state = AdamState(model)
         lr = 1e-3
         adam_step(model, grads, state, lr)
-        for name, arr in model.param_items():
+        for name, arr in model.items():
             delta = arr - before[name]
             assert np.all(np.abs(delta + lr) <= 0.01 * lr)  # -lr * sign(g), g > 0
 
     def test_zero_learning_rate_freezes(self):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
-        before = {name: arr.copy() for name, arr in model.param_items()}
-        grads = {name: np.ones_like(arr) for name, arr in model.param_items()}
+        before = {name: arr.copy() for name, arr in model.items()}
+        grads = {name: np.ones_like(arr) for name, arr in model.items()}
         adam_step(model, grads, AdamState(model), lr_schedule(1e-3, 1000, 1000))
-        for name, arr in model.param_items():
+        for name, arr in model.items():
             assert np.array_equal(arr, before[name])
 
     def test_schedule_strictly_decreasing_to_zero(self):
@@ -537,19 +539,15 @@ class TestTrain:
         config = GnnConfig(hidden_dim=8, max_epochs=5)
         one = train(config, graph, matrix, corpus, seed=3)
         two = train(config, graph, matrix, corpus, seed=3)
-        for (n1, a1), (n2, a2) in zip(one.model.param_items(), two.model.param_items()):
-            assert n1 == n2
-            assert np.array_equal(a1, a2)
+        assert list(one.model) == list(two.model)
+        assert all(np.array_equal(one.model[name], two.model[name]) for name in one.model)
         assert one.log == two.log
 
     def test_seeds_change_trajectory(self, separable):
         corpus, _, matrix, graph = separable
         one = train(GnnConfig(hidden_dim=8, max_epochs=3), graph, matrix, corpus, seed=1)
         two = train(GnnConfig(hidden_dim=8, max_epochs=3), graph, matrix, corpus, seed=2)
-        assert any(
-            not np.array_equal(a1, a2)
-            for (_, a1), (_, a2) in zip(one.model.param_items(), two.model.param_items())
-        )
+        assert any(not np.array_equal(one.model[name], two.model[name]) for name in one.model)
 
     def test_no_labeled_train_ideas_rejected(self):
         ls = TWO
@@ -583,8 +581,8 @@ class TestPredict:
     def test_argmax_and_tie_rule(self):
         # craft logits by zeroing the head: uniform probabilities tie -> label 0
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
-        model.head_out_w[:] = 0.0
-        model.head_out_b[:] = 0.0
+        model["head_out_w"][:] = 0.0
+        model["head_out_b"][:] = 0.0
         graph = toy_graph(["a"], [])
         [pred] = predict(model, graph, EmbeddingMatrix(np.ones((1, 2))), ["a"])
         assert pred.label_index == 0
@@ -658,9 +656,7 @@ class TestCheckpoint:
         loaded, header = load_model(path)
         assert header["labels"] == list(corpus.label_set.labels)
         assert header["epoch"] == 2
-        assert [name for name, _ in loaded.param_items()] == [
-            name for name, _ in result.model.param_items()
-        ]
+        assert list(loaded) == list(result.model)
         ids = [i.id for i in corpus.split_ideas("test")]
         base = predict(result.model, graph, matrix, ids)
         back = predict(loaded, graph, matrix, ids)
@@ -699,6 +695,11 @@ class TestCheckpoint:
             (lambda data: edit_header(data, lambda header: header["config"].update(layers=3)),
              "header 'blocks' are named ['message_weight_1', 'combine_weight_1', 'message_weight_2', 'combine_weight_2', "
              "'head_hidden_w', 'head_hidden_b', 'head_out_w', 'head_out_b'], not as the 10 blocks of config.layers 3"),
+            # the block count is checked before any block is laid out for the layers
+            (lambda data: edit_header(data, lambda header: header["config"].update(layers=10**9)),
+             "header 'blocks' are named ['message_weight_1', 'combine_weight_1', 'message_weight_2', 'combine_weight_2', "
+             "'head_hidden_w', 'head_hidden_b', 'head_out_w', 'head_out_b'], not as the 2000000004 blocks of "
+             "config.layers 1000000000"),
             (lambda data: edit_header(data, lambda header: header["config"].update(layers=0)),
              "header 'config' must be an object whose 'layers' is an int >= 1, got"),
             # same byte count: only the shapes' fit to the header catches these
@@ -716,14 +717,17 @@ class TestCheckpoint:
             (lambda data: edit_header(data, lambda header: header.update(input_dim=0)), "header 'input_dim' must be >= 1, got 0"),
         ],
         ids=["truncated-blob", "one-block-more", "no-blocks", "header-a-list", "negative-shape", "last-block-dropped",
-             "no-config", "three-layers-over-two", "zero-layers", "head-out-transposed", "three-labels-over-two",
+             "no-config", "three-layers-over-two", "huge-layers", "zero-layers", "head-out-transposed", "three-labels-over-two",
              "other-input-dim", "other-hidden-dim", "no-hidden-dim", "no-labels", "zero-input-dim"],
     )
-    def test_malformed_file_named(self, tmp_path, damage, message):
+    def test_malformed_file_named(self, tmp_path, monkeypatch, damage, message):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         save_model(model, path, GnnConfig(hidden_dim=4), ("a", "b"))
         path.write_bytes(damage(path.read_bytes()))
+        real = gnn.block_shapes  # laying out a billion layers would exhaust memory: fail at once instead
+        monkeypatch.setattr(gnn, "block_shapes", lambda layers, *dims: pytest.fail("huge layers laid out")
+                            if layers > 1000 else real(layers, *dims))
         with pytest.raises(FileFormatError) as err:
             load_model(path)
         assert str(err.value).startswith(f"model file {path}: {message}")

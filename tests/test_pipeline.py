@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -313,6 +314,14 @@ class TestRunPipeline:
         preds = (tmp_path / "gnnrun" / "predictions_gnn.jsonl").read_text().splitlines()
         assert len(preds) == 3  # 12 ideas * 0.2 test fraction, rounded
 
+    @pytest.mark.parametrize("fractions, has_best", [([0.7, 0.1, 0.2], True), ([0.8, 0.0, 0.2], False)])
+    def test_train_summary_gives_the_best_epoch(self, tmp_path, demo_file, fractions, has_best):
+        config = demo_config(tmp_path, demo_file, engine="gnn", split={"fractions": fractions})
+        summary = run_pipeline(config, quiet=True)["summary"]["train"]
+        header = json.loads((tmp_path / "run" / "model.ckpt").read_bytes().partition(b"\n")[0])
+        assert summary["best_epoch"] == header["epoch"]
+        assert (summary["best_epoch"] is not None) == has_best
+
     def test_novelty_stage_runs_when_enabled(self, tmp_path, demo_file):
         config = demo_config(
             tmp_path,
@@ -402,6 +411,33 @@ class TestStoppedRun:
         for path in (tmp_path / "whole").iterdir():
             if path.name != "run_manifest.json":
                 assert (tmp_path / "stopped" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("stopped", list(STAGE_FUNCTIONS))
+    @pytest.mark.parametrize("cause, raised", [(KeyboardInterrupt, KeyboardInterrupt), (RuntimeError, StageError)],
+                             ids=["interrupted", "failed"])
+    def test_forced_run_stopped_keeps_the_later_records(self, tmp_path, demo_file, monkeypatch, stopped, cause, raised):
+        config = self.config(tmp_path, demo_file, "stopped")
+        run_pipeline(config, quiet=True)
+
+        def stop(*args, **kwargs):
+            raise cause
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, STAGE_FUNCTIONS[stopped], stop)
+            with pytest.raises(raised):
+                run_pipeline(config, force=True, quiet=True)
+        rerun = run_pipeline(config, quiet=True)
+        assert [s["name"] for s in rerun["stages"] if s["skipped"]] == list(STAGE_FUNCTIONS)
+
+    def test_moved_run_directory_skips_every_stage(self, tmp_path, demo_file, monkeypatch):
+        """Hashes are keyed by file, not path: a finished run copied to
+        another directory, named absolutely or relatively, reruns nothing."""
+        run_pipeline(self.config(tmp_path, demo_file, "first"), quiet=True)
+        shutil.copytree(tmp_path / "first", tmp_path / "moved")
+        monkeypatch.chdir(tmp_path)
+        for out_dir in (str(tmp_path / "moved"), "moved"):
+            rerun = run_pipeline(replace(self.config(tmp_path, demo_file, "first"), out_dir=out_dir), quiet=True)
+            assert [s["name"] for s in rerun["stages"] if s["skipped"]] == list(STAGE_FUNCTIONS), out_dir
 
     def test_every_file_a_run_writes_replaces_its_target(self, tmp_path, demo_file, monkeypatch):
         replaced = []
