@@ -473,8 +473,8 @@ def load_model(path: str | Path) -> tuple[GnnModel, dict]:
     and its header. A header without a ``config`` whose ``layers`` and
     ``hidden_dim`` are ints >= 1, ``labels`` or an ``input_dim`` >= 1,
     with ``blocks`` other than ``block_shapes`` of those layers, input_dim,
-    hidden_dim and labels, or a blob of another length, raises a
-    FileFormatError naming the file."""
+    hidden_dim and labels, a blob of another length, or a block holding a
+    NaN or infinity raises a FileFormatError naming the file."""
     def sized(config: dict) -> Optional[str]:
         bad = next((key for key in ("layers", "hidden_dim") if problem(config.get(key), int, at_least(1))), None)
         return bad and f"must be an object whose {bad!r} is an int >= 1, got {config!r}"
@@ -495,5 +495,5 @@ def load_model(path: str | Path) -> tuple[GnnModel, dict]:
     model = GnnModel({name: blocks[name].astype(np.float64) for name in names})
     for name, arr in model.items():
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in parameter block {name}")
+            raise FileFormatError(path, f"non-finite values in parameter block {name}", noun="model file")
     return model, header

@@ -1,10 +1,13 @@
 """Novelty support: plagiarized negative samples.
 
-Negative samples are synthetic ideas assembled from existing viewpoints
-(copied outright, or partially swapped with random / nearest-neighbor
-viewpoints), stamped strictly later than everything in the corpus and
-labeled with the worst label. Injected into the graph and the training
-set, they teach the GNN that late near-duplicates deserve low scores.
+Negative samples are synthetic ideas assembled from the viewpoints of
+well-rated train ideas (copied outright, or partially swapped with
+random / nearest-neighbor viewpoints), stamped strictly later than
+everything in the corpus and labeled with the worst label. Injected into
+the graph and the training set, they teach the GNN that late
+near-duplicates deserve low scores. The generator's fallback count adds
+1 for each neighbor-swap slot without a differing cross-idea neighbor
+and 1 for each swapped slot without a differing text of another idea.
 """
 
 from __future__ import annotations
@@ -64,14 +67,17 @@ def generate_negatives(
     corpus: Corpus, graph: ViewpointGraph, config: NoveltyConfig, seed: int = 0
 ) -> tuple[list[NegativeSample], int]:
     """Build ``config.count`` plagiarized ideas labeled 0, split as evenly
-    as possible across the STRATEGIES, sourcing only ideas rated at or
-    above ``config.threshold``. Returns (samples, fallback count), where
-    fallbacks are neighbor-swap slots that degraded to random-swap for
-    lack of a cross-idea neighbor.
+    as possible across the STRATEGIES, sourcing only train ideas (split
+    ``train`` or unset) rated at or above ``config.threshold``. A
+    neighbor-swap slot takes its first cross-idea neighbor, ranked by
+    (-weight, id), whose text differs; a random-swap slot, or a
+    neighbor-swap slot without one, a uniform draw over the differing
+    texts of other ideas; a slot with neither keeps its text. Returns
+    (samples, fallback count).
     """
-    sources = [i for i in corpus.ideas if i.label is not None and i.label >= config.threshold]
+    sources = [i for i in corpus.ideas if i.split in (None, "train") and i.label is not None and i.label >= config.threshold]
     if not sources:
-        raise ValueError(f"no idea rated at or above label {config.threshold}")
+        raise ValueError(f"no train idea rated at or above label {config.threshold}")
     for idea in sources:
         if idea.id not in graph.idea_nodes:
             raise ValueError(f"source idea {idea.id!r} has no nodes in the graph")
@@ -82,7 +88,6 @@ def generate_negatives(
     rng = np.random.default_rng(seed)
     samples: list[NegativeSample] = []
     fallbacks = 0
-    serial = 0
     for strategy, share in zip(STRATEGIES, _even_shares(config.count, len(STRATEGIES))):
         for _ in range(share):
             source = sources[int(rng.integers(len(sources)))]
@@ -94,45 +99,39 @@ def generate_negatives(
                     int(p) for p in rng.choice(len(texts), size=n_swap, replace=False)
                 )
                 for pos in positions:
-                    use_random = strategy == "random-swap"
                     if strategy == "neighbor-swap":
-                        # most similar cross-idea neighbor whose text differs,
-                        # ranked by (-weight, id)
                         lo, hi = arcs.indptr[node_ids[pos]], arcs.indptr[node_ids[pos] + 1]
                         ranked = arcs.src[lo:hi][np.lexsort((arcs.src[lo:hi], -arcs.weight[lo:hi]))]
-                        nbr = next(
+                        nbr_text = next(
                             (
-                                int(n)
+                                graph.text[n]
                                 for n in ranked
                                 if graph.idea[n] != source.id and graph.text[n] != texts[pos]
                             ),
                             None,
                         )
-                        if nbr is None:
-                            use_random = True
-                            fallbacks += 1
-                        else:
-                            texts[pos] = graph.text[nbr]
-                    if use_random:
-                        pool = [
-                            text
-                            for idea, text in zip(graph.idea, graph.text)
-                            if idea != source.id and text != texts[pos]
-                        ]
-                        if not pool:
-                            fallbacks += 1
+                        if nbr_text is not None:
+                            texts[pos] = nbr_text
                             continue
+                        fallbacks += 1
+                    pool = [
+                        text
+                        for idea, text in zip(graph.idea, graph.text)
+                        if idea != source.id and text != texts[pos]
+                    ]
+                    if pool:
                         texts[pos] = pool[int(rng.integers(len(pool)))]
+                    else:
+                        fallbacks += 1
             samples.append(
                 NegativeSample(
-                    id=f"neg-{strategy}-{serial:03d}",
+                    id=f"neg-{strategy}-{len(samples):03d}",
                     source_id=source.id,
                     strategy=strategy,
                     viewpoints=tuple(texts),
                     timestamp=neg_timestamp,
                 )
             )
-            serial += 1
     return samples, fallbacks
 
 

@@ -715,10 +715,13 @@ class TestCheckpoint:
              "header 'config' must be an object whose 'hidden_dim' is an int >= 1, got"),
             (lambda data: edit_header(data, lambda header: header.pop("labels")), "header 'labels' must be a list, got NoneType"),
             (lambda data: edit_header(data, lambda header: header.update(input_dim=0)), "header 'input_dim' must be >= 1, got 0"),
+            # the last four bytes are head_out_b's last float32
+            (lambda data: data[:-4] + np.array([np.nan], "<f4").tobytes(), "non-finite values in parameter block head_out_b"),
+            (lambda data: data[:-4] + np.array([-np.inf], "<f4").tobytes(), "non-finite values in parameter block head_out_b"),
         ],
         ids=["truncated-blob", "one-block-more", "no-blocks", "header-a-list", "negative-shape", "last-block-dropped",
              "no-config", "three-layers-over-two", "huge-layers", "zero-layers", "head-out-transposed", "three-labels-over-two",
-             "other-input-dim", "other-hidden-dim", "no-hidden-dim", "no-labels", "zero-input-dim"],
+             "other-input-dim", "other-hidden-dim", "no-hidden-dim", "no-labels", "zero-input-dim", "nan", "minus-inf"],
     )
     def test_malformed_file_named(self, tmp_path, monkeypatch, damage, message):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))

@@ -3,13 +3,15 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from graphs import edge_dict
-from viewgraph.dataset import IdeaViewpoints
+from viewgraph.dataset import Corpus, Idea, IdeaViewpoints
 from viewgraph.embedding import EmbeddingMatrix
-from viewgraph.graph import integrate_subgraph
+from viewgraph.fixtures import TWO_LABELS
+from viewgraph.graph import ViewpointGraph, integrate_subgraph
 from viewgraph.novelty import (
     ONE_DAY,
     NegativeSample,
@@ -77,10 +79,41 @@ class TestGenerate:
         two, _ = generate_negatives(corpus, graph, NoveltyConfig(count=10), seed=9)
         assert one == two
 
+    def test_sources_are_train_ideas(self, separable):
+        corpus, _, _, graph = separable
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=80), seed=0)
+        assert {corpus.by_id(s.source_id).split for s in samples} == {"train"}
+
     def test_no_source_above_threshold_rejected(self, separable):
         corpus, _, _, graph = separable
-        with pytest.raises(ValueError, match="threshold|rated"):
+        with pytest.raises(ValueError, match="^no train idea rated at or above label 5$"):
             generate_negatives(corpus, graph, NoveltyConfig(count=2, threshold=5), seed=0)
+
+    def test_held_out_ideas_are_not_sources(self, separable):
+        corpus, _, _, graph = separable
+        held_out = Corpus(corpus.label_set, [replace(i, split="test") if i.split == "train" else i for i in corpus.ideas])
+        with pytest.raises(ValueError, match="^no train idea rated at or above label 1$"):
+            generate_negatives(held_out, graph, NoveltyConfig(count=2), seed=0)
+
+    def test_both_fallbacks(self):
+        # one source "a" with slots "p" and "q"; the other idea "b" holds
+        # only "p". Slot "p": its one cross-idea neighbour has the same
+        # text, and no foreign text differs, so it keeps "p". Slot "q": its
+        # only neighbour is in its own idea, so it takes the foreign "p"
+        corpus = Corpus(TWO_LABELS, [Idea("a", "a", "a.", label=1, timestamp=5), Idea("b", "b", "b.", label=0)])
+        graph = ViewpointGraph(
+            idea=["a", "a", "b"], text=["p", "q", "p"], t=[0.0] * 3,
+            u=[0, 0], v=[1, 2], weight=[0.5, 0.9], intra=[True, False],
+        )
+        samples, fallbacks = generate_negatives(corpus, graph, NoveltyConfig(count=3, swap_fraction=1.0), seed=0)
+        assert [(s.id, s.source_id, s.viewpoints) for s in samples] == [
+            ("neg-copy-000", "a", ("p", "q")),
+            ("neg-random-swap-001", "a", ("p", "p")),
+            ("neg-neighbor-swap-002", "a", ("p", "p")),
+        ]
+        # random-swap: 1 for "p" without foreign text; neighbor-swap: 2 for
+        # "p" without a neighbour or foreign text, 1 for "q" without a neighbour
+        assert fallbacks == 4
 
     def test_swap_fraction_validated(self, separable):
         corpus, _, _, graph = separable

@@ -4,8 +4,10 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -389,8 +391,10 @@ def test_stages_get_the_files_of_the_enabled_stages(tmp_path, demo_file, monkeyp
 
 
 class TestStoppedRun:
+    NOVELTY = {"enabled": True, "count": 6, "train_subset": 2}
+
     def config(self, tmp_path, demo_file, out):
-        return demo_config(tmp_path, demo_file, out=out, engine="both", novelty={"enabled": True, "count": 6, "train_subset": 2})
+        return demo_config(tmp_path, demo_file, out=out, engine="both", novelty=self.NOVELTY)
 
     @pytest.mark.parametrize("stopped", list(STAGE_FUNCTIONS))
     def test_rerun_skips_exactly_the_finished_stages(self, tmp_path, demo_file, monkeypatch, stopped):
@@ -428,6 +432,39 @@ class TestStoppedRun:
                 run_pipeline(config, force=True, quiet=True)
         rerun = run_pipeline(config, quiet=True)
         assert [s["name"] for s in rerun["stages"] if s["skipped"]] == list(STAGE_FUNCTIONS)
+
+    def test_killed_run_resumes(self, tmp_path, demo_file):
+        """A ``run`` child killed by SIGKILL once its manifest records a
+        finished stage resumes in-process: each recorded stage is skipped,
+        and the run directory ends as an uninterrupted run's, with no
+        temporary file left."""
+        # 300 epochs keep the child in train, after six quick stages, for
+        # well over the polling interval: the kill lands mid-run
+        data = {"corpus": str(demo_file), "out_dir": str(tmp_path / "killed"), "seed": 7, "engine": "both",
+                "gnn": {"hidden_dim": 8, "max_epochs": 300}, "novelty": self.NOVELTY}
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.Popen([sys.executable, "-m", "viewgraph.cli", "run", "--quiet", "--config", str(config_file)], env=env)
+        manifest = tmp_path / "killed" / "run_manifest.json"
+        try:
+            deadline = time.monotonic() + 60
+            while not manifest.exists() and child.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.002)
+        finally:
+            child.kill()  # SIGKILL
+        assert child.wait() == -signal.SIGKILL
+        recorded = [s["name"] for s in json.loads(manifest.read_text())["stages"]]
+        assert 0 < len(recorded) < len(STAGE_FUNCTIONS)
+
+        rerun = run_pipeline(validate_config(data), quiet=True)
+        assert [s["name"] for s in rerun["stages"] if s["skipped"]] == recorded
+        run_pipeline(validate_config({**data, "out_dir": str(tmp_path / "whole")}), quiet=True)
+        assert not list((tmp_path / "killed").glob("*.tmp"))
+        assert sorted(p.name for p in (tmp_path / "killed").iterdir()) == sorted(p.name for p in (tmp_path / "whole").iterdir())
+        for path in (tmp_path / "whole").iterdir():
+            if path.name != "run_manifest.json":
+                assert (tmp_path / "killed" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_moved_run_directory_skips_every_stage(self, tmp_path, demo_file, monkeypatch):
         """Hashes are keyed by file, not path: a finished run copied to
