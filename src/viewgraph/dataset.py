@@ -13,10 +13,13 @@ worst label). Every following line is one idea record::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import typing
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from itertools import accumulate
@@ -248,6 +251,21 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+# Within ``recording_writes``: each path written -> the sha256 of its bytes.
+_written: ContextVar[Optional[dict]] = ContextVar("written", default=None)
+
+
+@contextmanager
+def recording_writes() -> Iterator[dict[Path, str]]:
+    """A dict that maps each path ``write_atomic`` writes within the block
+    to the sha256 of the bytes it wrote there, the last write winning."""
+    token = _written.set({})
+    try:
+        yield _written.get()
+    finally:
+        _written.reset(token)
+
+
 def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) to ``path`` atomically: it goes to a
     temp file next to ``path``, which then replaces ``path``. A write that
@@ -255,11 +273,14 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    data = data.encode("utf-8") if isinstance(data, str) else data
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    if (written := _written.get()) is not None:
+        written[path] = hashlib.sha256(data).hexdigest()
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
@@ -401,10 +422,27 @@ _KINDS = {
 _ACCEPTED = {float: (int, float), list: (list, tuple), STRING_OR_NULL: (str, type(None))}
 
 
+def _token_pair(p) -> bool:
+    return type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[0] >= 0 and p[1] >= 0
+
+
+# Cheap tests of the kinds most file values have, each passing only values
+# that its kind's generic check passes: ``problem`` tries one first, and
+# only a value that fails it takes the generic path, which words the
+# message.
+_CHEAP = {
+    STRING_OR_NULL: lambda v: v is None or type(v) is str,
+    COUNT: lambda v: type(v) is int and v >= 0,
+    STRINGS: lambda v: type(v) is list and set(map(type, v)) <= {str},
+    TOKENS: lambda v: type(v) is list and all(map(_token_pair, v)),
+}
+
+
 def problem(value, kind, rule: Optional[Callable] = None) -> Optional[str]:
     """Why ``value`` is not of ``kind`` or breaks ``rule``; None when it is
     neither."""
-    if type(value) is kind:  # a plain type, matched exactly: only the rule is left
+    # a plain type matched exactly, or a value that passes its kind's cheap test: only the rule is left
+    if type(value) is kind or (kind in _CHEAP and _CHEAP[kind](value)):
         return (rule and rule(value)) or None
     base, item_ok, kind_rule = _KINDS.get(kind, (kind, None, None))
     if not isinstance(value, _ACCEPTED.get(kind, _ACCEPTED.get(base, base))) or (isinstance(value, bool) and base is not bool):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,16 +34,18 @@ class LpPrediction:
 
 
 def init_vectors(graph: ViewpointGraph, corpus: Corpus) -> np.ndarray:
-    """One row per node: one-hot for labeled train ideas, zero otherwise."""
-    vectors = np.zeros((len(graph), len(corpus.label_set)), dtype=np.float64)
-    for node, idea_id in enumerate(graph.idea):
+    """One row per node: one-hot for labeled train ideas, zero otherwise.
+    (A corpus holds no train idea without a label.)"""
+    column = {}  # idea id -> its label for a train idea, else -1
+    for idea_id, nodes in graph.idea_nodes.items():
         idea = corpus.by_id(idea_id)
         if idea is None:
-            raise ValueError(f"node {node} belongs to unknown idea {idea_id!r}")
-        if idea.split == "train":
-            if idea.label is None:
-                raise ValueError(f"train idea {idea.id!r} has no label")
-            vectors[node, idea.label] = 1.0
+            raise ValueError(f"node {nodes[0]} belongs to unknown idea {idea_id!r}")
+        column[idea_id] = idea.label if idea.split == "train" else -1
+    columns = np.fromiter(map(column.__getitem__, graph.idea), np.int64, len(graph))
+    rows = np.flatnonzero(columns >= 0)
+    vectors = np.zeros((len(graph), len(corpus.label_set)), dtype=np.float64)
+    vectors[rows, columns[rows]] = 1.0
     return vectors
 
 
@@ -62,22 +64,25 @@ def normalize_weights(graph: ViewpointGraph) -> Arcs:
     return arcs._replace(weight=weight)
 
 
-def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig()) -> np.ndarray:
+def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig(),
+              stats: Optional[dict] = None) -> np.ndarray:
     """Synchronous propagation for up to max_iters iterations over the
     normalized directed view ``weights``: each node adds its neighbours'
     weighted vectors to its own.
 
     Each new vector is L1-normalized (zero vectors stay zero). With
-    early_stop, iteration ends once no node's argmax label changes.
+    early_stop, iteration ends once no node's argmax label changes. With
+    ``stats``, ``stats["iterations"]`` is set to the iterations run.
     """
     current = np.array(vectors, dtype=np.float64)
     labels = np.argmax(current, axis=1)
     slots = neighbour_slots(weights)
-    for _ in range(config.max_iters):
+    for iteration in range(1, config.max_iters + 1):
+        if stats is not None:
+            stats["iterations"] = iteration
         current = add_neighbours(current.copy(), slots, current)
-        norms = current.sum(axis=1)
-        nonzero = norms > 0.0
-        current[nonzero] /= norms[nonzero, None]
+        norms = current.sum(axis=1, keepdims=True)
+        np.divide(current, norms, out=current, where=norms > 0.0)  # zero vectors stay zero
         new_labels = np.argmax(current, axis=1)
         if config.early_stop and np.array_equal(new_labels, labels):
             break
@@ -103,8 +108,14 @@ def run(
     corpus: Corpus,
     config: LpConfig = LpConfig(),
     split: str = "test",
+    stats: Optional[dict] = None,
 ) -> list[LpPrediction]:
-    vectors = propagate(init_vectors(graph, corpus), normalize_weights(graph), config)
+    """The ``split`` ideas' predictions. With ``stats``, it gets the
+    ``iterations`` run and the ``unreached_nodes``: nodes whose final
+    vector is all zero."""
+    vectors = propagate(init_vectors(graph, corpus), normalize_weights(graph), config, stats)
+    if stats is not None:
+        stats["unreached_nodes"] = int(np.count_nonzero(~vectors.any(axis=1)))
     predictions = []
     for idea in corpus.split_ideas(split):
         label, unreached, summed = predict_idea(vectors, graph.idea_nodes.get(idea.id, []), idea.id)

@@ -41,6 +41,7 @@ from .dataset import (
     read_json,
     read_jsonl,
     read_records,
+    recording_writes,
     save_corpus,
     save_tokens,
     save_viewpoints,
@@ -253,9 +254,10 @@ def run_negatives(paths: dict, config: RunConfig, memo: Optional[dict] = None) -
 def run_lp(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: str = "test") -> dict:
     corpus = read(paths, "split", load_corpus, memo)
     graph = read(paths, "graph", load_graph, memo)
-    predictions = lp_mod.run(graph, corpus, config.lp, split=split)
+    stats: dict = {}
+    predictions = lp_mod.run(graph, corpus, config.lp, split=split, stats=stats)
     lp_mod.save_predictions(predictions, corpus, paths["lp_pred"])
-    return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions)}
+    return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions), **stats}
 
 
 def run_train(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: str = "test") -> dict:
@@ -448,8 +450,10 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         handed = {key: memo[key][1] for key in stage.inputs if memo.get(key, (None,))[0] == input_hashes[key]}
         start = time.monotonic()
         hashed.clear()  # the stage may write any file
-        summary = stage.run(paths, config, handed)
-        output_hashes = {key: sha(key) for key in stage.outputs}
+        with recording_writes() as written:
+            summary = stage.run(paths, config, handed)
+        # hashed from the bytes the stage wrote; an output it did not write is read
+        output_hashes = {key: written.get(paths[key]) or sha(key) for key in stage.outputs}
         hashes = {**input_hashes, **output_hashes}
         memo.update({key: (hashes[key], obj) for key, obj in handed.items()})
         record = {

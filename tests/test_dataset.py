@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -10,16 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewgraph import dataset
 from viewgraph.dataset import (
     COUNT,
+    STRING_OR_NULL,
+    STRINGS,
+    TOKENS,
     Corpus,
     FileFormatError,
     Idea,
     LabelSet,
     load_corpus,
     load_viewpoints,
+    problem,
     read_headed,
     read_jsonl,
+    recording_writes,
     save_corpus,
     split_corpus,
     write_atomic,
@@ -307,6 +314,37 @@ def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, fail_at
         write_atomic(path, "new contents")
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_recording_writes_maps_each_path_to_the_sha256_of_its_last_bytes(tmp_path):
+    write_atomic(tmp_path / "before.json", "unrecorded")
+    with recording_writes() as written:
+        write_atomic(tmp_path / "a.json", "first")
+        write_atomic(tmp_path / "a.json", "second")
+        write_jsonl(tmp_path / "b.jsonl", [{"text": "caf\u00e9"}])
+    write_atomic(tmp_path / "after.json", "unrecorded")
+    assert written == {path: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in (tmp_path / "a.json", tmp_path / "b.jsonl")}
+
+
+# Values of each kind with a cheap test: accepted ones, and ones that fail
+# on type, on an item or on the kind's range rule.
+CHEAP_CASES = {
+    STRING_OR_NULL: ["x", "", None, 0, False, ["x"]],
+    COUNT: [0, 7, -1, True, 1.0, "3", None],
+    STRINGS: [[], ["a", ""], ("a",), ["a", 1], ["a", None], "ab", None],
+    TOKENS: [[], [[1, 2]], [[0, 0], [3, 4]], [[1, -2]], [[1, True]], [[1]], [[1, 2, 3]], [(1, 2)], [[1.0, 2]], "x", {}],
+}
+
+
+@pytest.mark.parametrize("kind", list(CHEAP_CASES))
+def test_cheap_tests_change_no_verdict(kind, monkeypatch):
+    """``problem`` gives every value the verdict, and the message, of its
+    generic path, with or without the kind's cheap test."""
+    cheap = [problem(value, kind) for value in CHEAP_CASES[kind]]
+    assert None in cheap and any(cheap)
+    monkeypatch.setattr(dataset, "_CHEAP", {})
+    assert cheap == [problem(value, kind) for value in CHEAP_CASES[kind]]
 
 
 # A headed file with one plain header key, one config section and two arrays.

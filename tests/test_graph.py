@@ -8,6 +8,7 @@ import pytest
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
 from oracles import brute_force_graph_edges, graph_json_arrays, per_pair_relation_edges
+from viewgraph import graph as graph_module
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import IdeaViewpoints, save_corpus, split_corpus
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
@@ -467,26 +468,34 @@ def test_arcs_equal_a_stable_sort_by_dst(case):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
-def slot_loop_reference(out, slots, values):
-    """``add_neighbours`` as it was before it gathered into one buffer: each
-    slot adds ``weight * values[src]`` to its prefix of the degree order."""
-    order, per_slot = slots
-    sums = out[order]
-    for count, weight, src in per_slot:
-        sums[:count] += weight * values[src]
-    out[order] = sums
+def arc_loop_reference(out, arcs, values):
+    """Each node's row of ``out`` plus ``weight * values[src]`` of each arc
+    into it, added one arc at a time in ascending source order."""
+    for dst, src, weight in zip(arcs.dst.tolist(), arcs.src.tolist(), arcs.weight.tolist()):
+        out[dst] += weight * values[src]
     return out
 
 
-@pytest.mark.parametrize("width", [1, 2, 64])
-@pytest.mark.parametrize("case", [case for case in RANDOM_GRAPHS if case != "over-16-bit-node-ids"])
-def test_add_neighbours_equals_the_slot_loop(case, width):
+@pytest.mark.parametrize("budget", ["default", "one row", "all arcs"])
+@pytest.mark.parametrize("width", [1, 2, 4, 64])
+@pytest.mark.parametrize("case", list(RANDOM_GRAPHS))
+def test_add_neighbours_equals_the_arc_loop(case, width, budget, monkeypatch):
+    """Bit for bit, whether each slot is gathered on its own, all slots
+    are gathered at once, or runs of slots fill the default budget."""
     graph = random_graph(*RANDOM_GRAPHS[case])
+    arcs, row_bytes = graph.arcs, width * 8
+    slots = neighbour_slots(arcs)
+    gathers = {"one row": int(np.diff(arcs.indptr).max(initial=0)), "all arcs": min(len(arcs.src), 1)}
+    if budget != "default":
+        monkeypatch.setattr(graph_module, "GATHER_BYTES", row_bytes if budget == "one row" else len(arcs.src) * row_bytes)
     rng = np.random.default_rng(width)
-    slots = neighbour_slots(graph.arcs)
     values, start = rng.normal(size=(len(graph), width)), rng.normal(size=(len(graph), width))
+    taken = []
+    monkeypatch.setattr(np, "take", lambda *args, take=np.take, **kwargs: taken.append(1) or take(*args, **kwargs))
     got = add_neighbours(start.copy(), slots, values)
-    assert np.array_equal(got, slot_loop_reference(start.copy(), slots, values))
+    if budget != "default":
+        assert len(taken) == gathers[budget]
+    assert np.array_equal(got, arc_loop_reference(start.copy(), arcs, values))
     assert np.array_equal(add_neighbours(start.copy(), slots, values), got)  # the buffer is not kept between calls
 
 

@@ -44,6 +44,12 @@ class TestInit:
         assert vectors[0].tolist() == [0.0, 0.0, 1.0, 0.0]
         assert vectors[1].tolist() == [0.0, 0.0, 0.0, 0.0]
 
+    def test_node_of_unknown_idea_named(self):
+        graph = graph_from([], ["a", "zz", "b", "zz"])
+        corpus = corpus_for(["a", "b"], {"a": (0, "train"), "b": (None, "test")})
+        with pytest.raises(ValueError, match="^node 1 belongs to unknown idea 'zz'$"):
+            init_vectors(graph, corpus)
+
     def test_counting_nonzero_rows(self):
         node_ideas = ["a", "a", "b", "c", "d", "e"]
         graph = graph_from([], node_ideas)
@@ -217,6 +223,18 @@ class TestPropagate:
         assert np.array_equal(stopped, one_iter)
         full = propagate(init, weights, LpConfig(max_iters=5, early_stop=False))
         assert not np.array_equal(stopped, full)
+
+    @pytest.mark.parametrize("early_stop, stats", [(True, {"iterations": 1, "unreached_nodes": 1}),
+                                                   (False, {"iterations": 5, "unreached_nodes": 0})])
+    def test_stats_give_iterations_run_and_unreached_nodes(self, early_stop, stats):
+        """On the path A(label 0) - B - C, early stop ends after the first
+        iteration, before C is reached."""
+        graph = graph_from([(0, 1, 1.0, "inter"), (1, 2, 1.0, "inter")], ["a", "b", "c"])
+        corpus = corpus_for(["a", "b", "c"], {"a": (0, "train"), "b": (None, "test"), "c": (None, "test")},
+                            LabelSet(("Reject", "Accept")))
+        got = {}
+        run(graph, corpus, LpConfig(max_iters=5, early_stop=early_stop), stats=got)
+        assert got == stats
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -25,7 +26,7 @@ from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddi
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
 from viewgraph.graph import GraphConfig, load_graph
-from viewgraph.label_prop import LpConfig
+from viewgraph.label_prop import LpConfig, init_vectors, normalize_weights, propagate
 from viewgraph.llm import LlmBackend
 from viewgraph.novelty import NoveltyConfig
 from viewgraph.pipeline import (
@@ -348,6 +349,29 @@ class TestRunPipeline:
         assert err.value.stage == "split"
         manifest = json.loads((tmp_path / "broken" / "run_manifest.json").read_text())
         assert manifest["failed_stage"]["name"] == "split"
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_recorded_output_hashes_are_the_files_hashes(self, tmp_path, demo_file, hybrid):
+        """Each stage records its outputs' hashes from the bytes it wrote:
+        they are the sha256 of the files on disk."""
+        over = {"llm": {"relations": True}, "graph": {"hybrid": True}} if hybrid else {}
+        config = demo_config(tmp_path, demo_file, engine="both", novelty={"enabled": True, "count": 6, "train_subset": 2},
+                             **over)
+        manifest = run_pipeline(config, quiet=True)
+        assert [s["name"] for s in manifest["stages"]] == [s.name for s in stage_table(config)]
+        for stage in manifest["stages"]:
+            for key, digest in stage["outputs"].items():
+                assert digest == hashlib.sha256((tmp_path / "run" / FILES[key]).read_bytes()).hexdigest(), key
+
+    def test_lp_summary_gives_iterations_and_unreached_nodes(self, tmp_path, demo_file):
+        """Early stop ends lp before max_iters; the summary says after how
+        many iterations, and how many nodes were left all zero."""
+        summary = run_pipeline(demo_config(tmp_path, demo_file, lp={"max_iters": 50}), quiet=True)["summary"]["lp"]
+        assert 1 <= summary["iterations"] < 50
+        graph, corpus = load_graph(tmp_path / "run" / "graph.bin"), load_corpus(tmp_path / "run" / "split.jsonl")
+        vectors = propagate(init_vectors(graph, corpus), normalize_weights(graph),
+                            LpConfig(max_iters=summary["iterations"], early_stop=False))
+        assert summary["unreached_nodes"] == np.count_nonzero(~vectors.any(axis=1))
 
     def test_same_seed_byte_identical_outputs(self, tmp_path, demo_file):
         a = demo_config(tmp_path, demo_file, out="detA", engine="both")
@@ -1023,7 +1047,8 @@ class TestHandOn:
 
     def test_lp_rerun_hashes_each_file_once_before_lp(self, tmp_path, demo_file, monkeypatch):
         """The skipped stages share each file's hash; the manifest write
-        after lp forgets them, so eval hashes its inputs again."""
+        after lp forgets them, so eval hashes its inputs again. A stage's
+        outputs are hashed from the bytes it wrote, not read back."""
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         hashes, before_lp = Counter(), Counter()
         real_hash, real_lp = pipeline.file_hash, pipeline.run_lp
@@ -1033,9 +1058,8 @@ class TestHandOn:
         assert [s["name"] for s in second["stages"] if not s["skipped"]] == ["lp", "eval"]
         files = [demo_file.name, "split.jsonl", "viewpoints.jsonl", "tokens.json", "embeddings.bin", "graph.bin", "graph.json"]
         assert before_lp == Counter(files)
-        assert hashes == Counter(files) + Counter(["predictions_lp.jsonl", "split.jsonl", "tokens.json",
-                                                   "predictions_lp.jsonl", "report.json"])
-        assert sum(hashes.values()) == 12
+        assert hashes == Counter(files) + Counter(["split.jsonl", "tokens.json", "predictions_lp.jsonl"])
+        assert sum(hashes.values()) == 10
 
     def test_split_edited_between_stages_is_read_again(self, tmp_path, demo_file, monkeypatch):
         """The edit lands after the split stage's manifest write, before
