@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline
-from .dataset import read_json
+from .dataset import OutputError, read_json
 from .llm import LlmTransportError
 from .metrics import MetricReport, format_table
 from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate_config
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     except (StageError, LlmTransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, KeyError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import typing
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -29,6 +29,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 SPLITS = ("train", "validation", "test")
+
+
+class OutputError(OSError):
+    """Raised for an output file or directory that cannot be written; the
+    message names it and says why."""
 
 
 class FileFormatError(ValueError):
@@ -269,23 +274,36 @@ def recording_writes() -> Iterator[dict[Path, str]]:
 def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) to ``path`` atomically: it goes to a
     temp file next to ``path``, which then replaces ``path``. A write that
-    fails leaves ``path`` as it was, and no temp file."""
+    fails leaves ``path`` as it was, and no temp file, and raises an
+    OutputError naming ``path``. A directory on the way to ``path`` that
+    does not exist yet is made."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     data = data.encode("utf-8") if isinstance(data, str) else data
     try:
-        tmp.write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # the directory is made only when missing
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
         os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # there may be no temp file, nor a directory to hold one
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
     if (written := _written.get()) is not None:
         written[path] = hashlib.sha256(data).hexdigest()
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     """Write one JSON object per line, atomically."""
-    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    write_atomic(path, "".join(_encode_row(row) + "\n" for row in rows))
+
+
+# ``json.dumps(row, ensure_ascii=False)``, without making an encoder per row
+_encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def read_file(path: str | Path, noun: str = "", binary: bool = False) -> str | bytes:
@@ -293,7 +311,8 @@ def read_file(path: str | Path, noun: str = "", binary: bool = False) -> str | b
     A file that cannot be opened or decoded raises a FileFormatError
     naming it after ``noun``. Every reader of a run file starts here."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise FileFormatError(path, exc.strerror, noun=noun) from None
     if binary:
@@ -362,11 +381,21 @@ def read_jsonl(path: str | Path, noun: str = "") -> Iterator[tuple[int, object]]
     may sit inside a JSON string."""
     for line_no, line in enumerate(read_file(path, noun).split("\n"), start=1):
         if line.strip():
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # not JSON, or an int too long to convert
-                raise FileFormatError(path, f"invalid JSON ({getattr(exc, 'msg', exc)}): {line!r}", line_no, noun) from None
+            try:  # a line that is one JSON value and nothing else, as run files' lines are
+                obj, end = _scan_once(line, 0)
+                if end != len(line):
+                    raise ValueError
+            except (StopIteration, ValueError):  # anything else: json.loads gives the value or the error
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # not JSON, or an int too long to convert
+                    raise FileFormatError(path, f"invalid JSON ({getattr(exc, 'msg', exc)}): {line!r}", line_no, noun) from None
             yield line_no, obj
+
+
+# json.loads' own scanner: from the start of a line, it reads what json.loads
+# reads, without json.loads' checks of the type, the BOM and whitespace
+_scan_once = json.JSONDecoder().scan_once
 
 
 # --- value kinds and the one checker of config, corpus and record values ---
@@ -510,14 +539,20 @@ def read_records(path: str | Path, lines: Iterable[tuple[int, object]], make: Ca
     records = []
     for line_no, obj in lines:
         try:
-            if not isinstance(obj, dict):
-                raise ValueError(f"expected a JSON object, got {obj!r}")
-            for key in required:
-                if key not in obj:
-                    raise ValueError(f"missing key {key!r}")
-            values = {key: obj[key] for key in kinds if key in obj}
-            for key, value in values.items():
-                if broken := problem(value, kinds[key]):
+            if type(obj) is dict and obj.keys() == kinds.keys():
+                values, given = obj, kinds  # every key and no other, as the writers write them
+            else:
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {obj!r}")
+                for key in required:
+                    if key not in obj:
+                        raise ValueError(f"missing key {key!r}")
+                values = given = {key: obj[key] for key in kinds if key in obj}
+            for key in given:  # in the order of ``kinds``: the first bad key is named
+                value, kind = values[key], kinds[key]
+                # ``problem``'s cheap tests first, inline: only a value that fails them is passed on
+                if type(value) is not kind and not (kind in _CHEAP and _CHEAP[kind](value)) and (
+                        broken := problem(value, kind)):
                     raise ValueError(f"key {key!r} {broken}")
             if obj[unique] in first_line:
                 raise ValueError(f"duplicate {unique} {obj[unique]!r} (first seen on line {first_line[obj[unique]]})")

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import (BLOCKS, STRINGS, Checked, Corpus, FileFormatError, at_least, must, problem, read_headed, setting,
-                      write_headed, write_jsonl)
+                      write_headed)
 from .embedding import EmbeddingMatrix
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 from .metrics import confusion, macro_metrics
@@ -421,20 +421,10 @@ def predict(
     ]
 
 
-def save_predictions(
-    predictions: Sequence[SubgraphPrediction], corpus: Corpus, path: str | Path
-) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "id": p.idea_id,
-                "label": corpus.label_set.name_of(p.label_index),
-                "probabilities": p.probabilities,
-            }
-            for p in predictions
-        ),
-    )
+def prediction_rows(predictions: Sequence[SubgraphPrediction], corpus: Corpus) -> list[dict]:
+    """The predictions as the rows of a predictions file."""
+    return [{"id": p.idea_id, "label": corpus.label_set.name_of(p.label_index), "probabilities": p.probabilities}
+            for p in predictions]
 
 
 def save_model(

@@ -85,10 +85,15 @@ class ViewpointGraph:
             a, b = np.minimum(a, b)[order], np.maximum(a, b)[order]
             weight, intra = weight[order], intra[order]
         self.u, self.v, self.weight, self.intra = a, b, weight, intra
-        self.idea_nodes: dict[str, list[int]] = {}
-        for node, idea_id in enumerate(self.idea):
-            self.idea_nodes.setdefault(idea_id, []).append(node)
-        self._validate()
+        # each node's idea coded by the idea's first node; ideas in order of
+        # their first nodes, each idea's nodes ascending
+        first_node: dict[str, int] = {}
+        code = np.fromiter(map(first_node.setdefault, self.idea, range(n)), np.int64, n)
+        sizes = np.bincount(code, minlength=n)
+        nodes, stops = np.argsort(code, kind="stable").tolist(), np.cumsum(sizes[sizes > 0]).tolist()
+        self.idea_nodes: dict[str, list[int]] = {
+            idea: nodes[start:stop] for idea, start, stop in zip(first_node, [0] + stops, stops)}
+        self._validate(code)
 
         # Edges are sorted by (u, v) with u < v, so each node's sources are
         # two ascending runs: the lower ends of its edges, which are the
@@ -108,7 +113,8 @@ class ViewpointGraph:
         for array in (self.t, self.u, self.v, self.weight, self.intra, *self.arcs):
             array.setflags(write=False)  # a graph may be handed from stage to stage
 
-    def _validate(self):
+    def _validate(self, code: np.ndarray):
+        """``code`` is each node's idea as a number."""
         n = len(self.idea)
         if (bad := np.flatnonzero(~np.isfinite(self.t))).size:
             raise ValueError(f"node {bad[0]} has time feature {self.t[bad[0]]}")
@@ -122,9 +128,7 @@ class ViewpointGraph:
         fail((self.u < 0) | (self.v >= n), "references unknown node")
         fail(np.r_[False, (self.u[1:] == self.u[:-1]) & (self.v[1:] == self.v[:-1])],
              "listed more than once (asymmetric adjacency)")
-        code = dict(zip(self.idea_nodes, range(len(self.idea_nodes))))
-        ideas = np.fromiter(map(code.__getitem__, self.idea), np.int64, n)
-        same_idea = ideas[self.u] == ideas[self.v]
+        same_idea = code[self.u] == code[self.v]
         fail(self.intra & ~same_idea, "is intra but joins different ideas")
         fail(~self.intra & same_idea, "is inter but joins the same idea")
         fail(~((self.weight >= 0.0) & (self.weight <= 1.0)), "has weight outside [0, 1]")

@@ -10,12 +10,11 @@ the argmax of its summed node vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Checked, Corpus, at_least, setting, write_jsonl
+from .dataset import Checked, Corpus, at_least, setting
 from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
 
 
@@ -123,18 +122,7 @@ def run(
     return predictions
 
 
-def save_predictions(
-    predictions: Sequence[LpPrediction], corpus: Corpus, path: str | Path
-) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "id": p.idea_id,
-                "label": corpus.label_set.name_of(p.label_index),
-                "vector": p.vector,
-                "unreached": p.unreached,
-            }
-            for p in predictions
-        ),
-    )
+def prediction_rows(predictions: Sequence[LpPrediction], corpus: Corpus) -> list[dict]:
+    """The predictions as the rows of a predictions file."""
+    return [{"id": p.idea_id, "label": corpus.label_set.name_of(p.label_index), "vector": p.vector,
+             "unreached": p.unreached} for p in predictions]

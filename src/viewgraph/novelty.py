@@ -84,6 +84,10 @@ def generate_negatives(
 
     arcs = graph.arcs
     neg_timestamp = max(i.timestamp for i in corpus.ideas) + ONE_DAY
+    # each node's text coded by the first node that holds it: a swapped
+    # slot's pool is the nodes of other ideas whose code differs from its text's
+    first_node: dict[str, int] = {}
+    text_code = np.fromiter(map(first_node.setdefault, graph.text, range(len(graph))), np.int64, len(graph))
 
     rng = np.random.default_rng(seed)
     samples: list[NegativeSample] = []
@@ -114,13 +118,11 @@ def generate_negatives(
                             texts[pos] = nbr_text
                             continue
                         fallbacks += 1
-                    pool = [
-                        text
-                        for idea, text in zip(graph.idea, graph.text)
-                        if idea != source.id and text != texts[pos]
-                    ]
-                    if pool:
-                        texts[pos] = pool[int(rng.integers(len(pool)))]
+                    differs = text_code != first_node[texts[pos]]
+                    differs[node_ids] = False  # the source's own nodes
+                    pool = np.flatnonzero(differs)
+                    if len(pool):
+                        texts[pos] = graph.text[pool[int(rng.integers(len(pool)))]]
                     else:
                         fallbacks += 1
             samples.append(

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +29,8 @@ from .dataset import (
     STRING_OR_NULL,
     Checked,
     Corpus,
+    FileFormatError,
+    OutputError,
     check,
     field_kinds,
     fractions_problem,
@@ -48,6 +50,7 @@ from .dataset import (
     setting,
     split_corpus,
     write_atomic,
+    write_jsonl,
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
 from .graph import GraphConfig, build_graph, export_graph_json, load_graph, save_graph
@@ -142,10 +145,23 @@ def dict_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
-    """Score a predictions file against the corpus labels; unlabeled ideas
-    are skipped. An idea not in the corpus, one predicted twice, or a label
-    not in the label set is refused on any line."""
+def load_predictions(path: Path) -> list[tuple[int, object]]:
+    """A predictions file as eval reads it: the (line number, value) pair
+    of each line, from ``read_jsonl``."""
+    return list(read_jsonl(path, "predictions file"))
+
+
+def save_predictions(lines: list[tuple[int, dict]], path: Path) -> None:
+    """Write the rows of the (line number, row) pairs ``lines``, numbered
+    from 1, one to a line: ``load_predictions`` reads ``lines`` back."""
+    write_jsonl(path, (row for _, row in lines))
+
+
+def evaluate_predictions(pred_path: Path, lines: list[tuple[int, object]], corpus: Corpus) -> MetricReport:
+    """Score ``lines``, the predictions file ``pred_path`` as
+    ``load_predictions`` reads it, against the corpus labels; unlabeled
+    ideas are skipped. An idea not in the corpus, one predicted twice, or
+    a label not in the label set is refused on any line."""
     labels = corpus.label_set.labels
 
     def make(id: str, label: Optional[str] = None) -> tuple[Optional[int], int]:
@@ -156,8 +172,8 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
         return idea.label, labels.index(label)
 
     noun = "predictions file"
-    scored = [pair for pair in read_records(pred_path, read_jsonl(pred_path, noun), make, {"id": str},
-                                            {"label": STRING_OR_NULL}, unique="id", noun=noun) if pair[0] is not None]
+    scored = [pair for pair in read_records(pred_path, lines, make, {"id": str}, {"label": STRING_OR_NULL},
+                                            unique="id", noun=noun) if pair[0] is not None]
     if not scored:
         raise ValueError(f"no labeled ideas among predictions in {pred_path}")
     truths, preds = zip(*scored)
@@ -176,7 +192,8 @@ def evaluate_predictions(pred_path: Path, corpus: Corpus) -> MetricReport:
 # engine's predictions, and token counts and costs for eval) are used when
 # their key is present. Under ``run``, ``memo`` maps file keys to the
 # objects earlier stages wrote to or read from those unchanged files, so
-# ``read`` and ``write`` hand them on; the CLI passes no memo.
+# ``read`` and ``write`` hand them on; the CLI passes no memo. An object
+# handed on equals what its loader reads from the file.
 
 
 def read(paths: dict, key: str, loader, memo: Optional[dict] = None):
@@ -256,7 +273,8 @@ def run_lp(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: s
     graph = read(paths, "graph", load_graph, memo)
     stats: dict = {}
     predictions = lp_mod.run(graph, corpus, config.lp, split=split, stats=stats)
-    lp_mod.save_predictions(predictions, corpus, paths["lp_pred"])
+    rows = lp_mod.prediction_rows(predictions, corpus)
+    write(paths, "lp_pred", list(enumerate(rows, start=1)), save_predictions, memo)
     return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions), **stats}
 
 
@@ -286,7 +304,8 @@ def run_train(paths: dict, config: RunConfig, memo: Optional[dict] = None, split
         write_atomic(paths["train_log"], json.dumps(result.log))
     model, _header = gnn_mod.load_model(paths["model"])  # predict with the saved float32 weights
     predictions = gnn_mod.predict(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
-    gnn_mod.save_predictions(predictions, corpus, paths["gnn_pred"])
+    rows = gnn_mod.prediction_rows(predictions, corpus)
+    write(paths, "gnn_pred", list(enumerate(rows, start=1)), save_predictions, memo)
     return {
         "epochs": len(result.log),
         "final_loss": result.log[-1]["loss"],
@@ -321,7 +340,10 @@ def run_eval(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dic
     if not engines:
         raise ValueError("eval has no predictions to score: give lp_pred or gnn_pred")
     corpus = read(paths, "split", load_corpus, memo)
-    reports = {engine: evaluate_predictions(paths[f"{engine}_pred"], corpus) for engine in engines}
+    reports = {}
+    for engine in engines:
+        key = f"{engine}_pred"
+        reports[engine] = evaluate_predictions(paths[key], read(paths, key, load_predictions, memo), corpus)
     extraction = {}
     if "tokens" in paths:
         price = config.llm.price_per_million
@@ -361,6 +383,17 @@ FILES = {
 }
 
 
+def snapshot(section) -> dict:
+    """``dataclasses.asdict`` of a config section, whose fields hold
+    immutable JSON values, without its deep copies."""
+    return {f.name: getattr(section, f.name) for f in fields(section)}
+
+
+def config_snapshot(config: RunConfig) -> dict:
+    """``dataclasses.asdict`` of the whole config."""
+    return {name: snapshot(value) if is_dataclass(value) else value for name, value in snapshot(config).items()}
+
+
 def stage_table(config: RunConfig) -> list[Stage]:
     """The stages ``run`` executes for this config, in order."""
     lp = config.engine in ("lp", "both")
@@ -374,11 +407,11 @@ def stage_table(config: RunConfig) -> list[Stage]:
     table = [
         (True, Stage("split", ["corpus"], ["split"], {"fractions": list(config.split.fractions), "seed": config.seed}, run_split)),
         (True, Stage("extract", ["split"], ["viewpoints", "tokens"], {**extract_cfg, "seed": config.seed}, run_extract)),
-        (True, Stage("embed", ["viewpoints"], ["embeddings"], asdict(config.embedding), run_embed)),
-        (True, Stage("build", ["viewpoints", "embeddings"], ["graph", "graph_json"], asdict(config.graph), run_build)),
-        (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**asdict(config.novelty), "seed": config.seed}, run_negatives)),
-        (lp, Stage("lp", ["graph", "split"], ["lp_pred"], asdict(config.lp), run_lp)),
-        (gnn, Stage("train", train_inputs, ["model", "train_log", "gnn_pred"], {**asdict(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
+        (True, Stage("embed", ["viewpoints"], ["embeddings"], snapshot(config.embedding), run_embed)),
+        (True, Stage("build", ["viewpoints", "embeddings"], ["graph", "graph_json"], snapshot(config.graph), run_build)),
+        (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**snapshot(config.novelty), "seed": config.seed}, run_negatives)),
+        (lp, Stage("lp", ["graph", "split"], ["lp_pred"], snapshot(config.lp), run_lp)),
+        (gnn, Stage("train", train_inputs, ["model", "train_log", "gnn_pred"], {**snapshot(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
         (True, Stage("eval", eval_inputs, ["report"], {"price_per_million": config.llm.price_per_million}, run_eval)),
     ]
     return [stage for enabled, stage in table if enabled]
@@ -386,7 +419,10 @@ def stage_table(config: RunConfig) -> list[Stage]:
 
 def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) -> dict:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where the directory, or one on the way to it, should be
+        raise OutputError(f"cannot make run directory {out}: {exc.strerror}") from exc
     manifest_path = out / "run_manifest.json"
     try:
         prev_stages = {s["name"]: s for s in read_json(manifest_path)["stages"]}
@@ -395,7 +431,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
 
     manifest: dict = {
         "version": __version__,
-        "config": asdict(config),
+        "config": config_snapshot(config),
         "stages": [],
         "summary": {},
     }
@@ -428,22 +464,27 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         if not quiet:
             print(msg)
 
+    def outputs_match(keys: list[str], prev: dict) -> bool:
+        try:
+            return {key: sha(key) for key in keys} == prev.get("outputs")
+        except FileFormatError:  # a missing output: the stage runs again
+            if all(paths[key].exists() for key in keys):
+                raise
+            return False
+
     def run_stage(stage: Stage) -> dict:
         """The stage's manifest record: a fresh run, or the previous record
         when the input hashes, config snapshot and outputs are unchanged."""
-        for key in stage.inputs:
-            if not paths[key].exists():
-                raise FileNotFoundError(f"input {paths[key]} for stage {stage.name!r} does not exist")
-        input_hashes = {key: sha(key) for key in stage.inputs}
+        try:
+            input_hashes = {key: sha(key) for key in stage.inputs}
+        except FileFormatError:  # an input that cannot be read is named as missing if it is
+            for key in stage.inputs:
+                if not paths[key].exists():
+                    raise FileNotFoundError(f"input {paths[key]} for stage {stage.name!r} does not exist") from None
+            raise
         input_hashes["config"] = dict_hash(stage.cfg)
         prev = prev_stages.get(stage.name)
-        if (
-            not force
-            and prev
-            and prev.get("inputs") == input_hashes
-            and all(paths[key].exists() for key in stage.outputs)
-            and {key: sha(key) for key in stage.outputs} == prev.get("outputs")
-        ):
+        if not force and prev and prev.get("inputs") == input_hashes and outputs_match(stage.outputs, prev):
             say(f"[{stage.name}] unchanged, skipped")
             return {**prev, "skipped": True}
         # an input edited since it was handed on is parsed again

@@ -316,6 +316,13 @@ def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, fail_at
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_write_into_a_directory_not_made_yet_makes_it(tmp_path):
+    path = tmp_path / "new" / "deeper" / "report.json"
+    write_atomic(path, "contents")
+    assert path.read_text() == "contents"
+    assert [p.name for p in path.parent.iterdir()] == ["report.json"]
+
+
 def test_recording_writes_maps_each_path_to_the_sha256_of_its_last_bytes(tmp_path):
     write_atomic(tmp_path / "before.json", "unrecorded")
     with recording_writes() as written:

@@ -499,6 +499,49 @@ def test_add_neighbours_equals_the_arc_loop(case, width, budget, monkeypatch):
     assert np.array_equal(add_neighbours(start.copy(), slots, values), got)  # the buffer is not kept between calls
 
 
+def idea_nodes_reference(idea):
+    """``idea_nodes`` as the per-node loop built it."""
+    nodes = {}
+    for node, idea_id in enumerate(idea):
+        nodes.setdefault(idea_id, []).append(node)
+    return nodes
+
+
+def kind_error_reference(idea, u, v, intra):
+    """The first intra/inter flag error, as ``_validate`` found it from
+    its own dict of idea codes; None when every flag is right."""
+    code = dict(zip(idea_nodes_reference(idea), range(len(set(idea)))))
+    ideas = np.fromiter(map(code.__getitem__, idea), np.int64, len(idea))
+    same_idea = ideas[u] == ideas[v]
+    for mask, problem in ((intra & ~same_idea, "is intra but joins different ideas"),
+                          (~intra & same_idea, "is inter but joins the same idea")):
+        if mask.any():
+            i = int(np.argmax(mask))
+            return f"edge ({u[i]}, {v[i]}) {problem}"
+    return None
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
+@pytest.mark.parametrize("case", list(RANDOM_GRAPHS))
+def test_idea_nodes_and_kind_errors_equal_the_node_loop(case, interleaved):
+    """``idea_nodes`` and the intra/inter flag errors, from the one pass
+    over node ideas, equal the per-node loop and the dict of codes they
+    replace; also with each idea's nodes spread over the node range."""
+    graph = random_graph(*RANDOM_GRAPHS[case])
+    idea = [f"idea{i % 7}" for i in range(len(graph))] if interleaved else graph.idea
+    same = np.array(idea)[graph.u] == np.array(idea)[graph.v]
+    rebuilt = ViewpointGraph(idea, graph.text, graph.t, graph.u, graph.v, graph.weight, same)
+    assert rebuilt.idea_nodes == idea_nodes_reference(idea)
+    assert list(rebuilt.idea_nodes) == list(dict.fromkeys(idea))
+    rng = np.random.default_rng(len(graph))
+    for flipped in rng.permutation(len(same))[:5]:
+        intra = same.copy()
+        intra[flipped] = ~intra[flipped]
+        with pytest.raises(ValueError) as raised:
+            ViewpointGraph(idea, graph.text, graph.t, graph.u, graph.v, graph.weight, intra)
+        assert str(raised.value) == kind_error_reference(idea, graph.u, graph.v, intra)
+
+
 def test_graph_arrays_are_read_only():
     """A graph is handed from stage to stage within a run: a write into one
     of its arrays fails instead of changing what a later stage reads."""

@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from graphs import edge_dict
@@ -14,6 +15,7 @@ from viewgraph.fixtures import TWO_LABELS
 from viewgraph.graph import ViewpointGraph, integrate_subgraph
 from viewgraph.novelty import (
     ONE_DAY,
+    STRATEGIES,
     NegativeSample,
     NoveltyConfig,
     generate_negatives,
@@ -22,6 +24,43 @@ from viewgraph.novelty import (
     save_negatives,
     select_training_negatives,
 )
+
+
+def per_slot_scan_reference(corpus, graph, config, seed):
+    """``generate_negatives`` as it was when each swapped slot built its
+    random-swap pool by scanning every node."""
+    sources = [i for i in corpus.ideas if i.split in (None, "train") and i.label is not None and i.label >= config.threshold]
+    arcs = graph.arcs
+    neg_timestamp = max(i.timestamp for i in corpus.ideas) + ONE_DAY
+    rng = np.random.default_rng(seed)
+    samples, fallbacks = [], 0
+    shares = [config.count // 3 + (1 if i < config.count % 3 else 0) for i in range(3)]
+    for strategy, share in zip(STRATEGIES, shares):
+        for _ in range(share):
+            source = sources[int(rng.integers(len(sources)))]
+            node_ids = graph.idea_nodes[source.id]
+            texts = [graph.text[n] for n in node_ids]
+            if strategy != "copy":
+                n_swap = math.ceil(config.swap_fraction * len(texts))
+                positions = sorted(int(p) for p in rng.choice(len(texts), size=n_swap, replace=False))
+                for pos in positions:
+                    if strategy == "neighbor-swap":
+                        lo, hi = arcs.indptr[node_ids[pos]], arcs.indptr[node_ids[pos] + 1]
+                        ranked = arcs.src[lo:hi][np.lexsort((arcs.src[lo:hi], -arcs.weight[lo:hi]))]
+                        nbr_text = next((graph.text[n] for n in ranked
+                                         if graph.idea[n] != source.id and graph.text[n] != texts[pos]), None)
+                        if nbr_text is not None:
+                            texts[pos] = nbr_text
+                            continue
+                        fallbacks += 1
+                    pool = [text for idea, text in zip(graph.idea, graph.text) if idea != source.id and text != texts[pos]]
+                    if pool:
+                        texts[pos] = pool[int(rng.integers(len(pool)))]
+                    else:
+                        fallbacks += 1
+            samples.append(NegativeSample(id=f"neg-{strategy}-{len(samples):03d}", source_id=source.id,
+                                          strategy=strategy, viewpoints=tuple(texts), timestamp=neg_timestamp))
+    return samples, fallbacks
 
 
 class TestGenerate:
@@ -114,6 +153,27 @@ class TestGenerate:
         # random-swap: 1 for "p" without foreign text; neighbor-swap: 2 for
         # "p" without a neighbour or foreign text, 1 for "q" without a neighbour
         assert fallbacks == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("swap_fraction", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("case", ["separable", "no-pool"])
+    def test_equals_the_per_slot_scan(self, separable, case, swap_fraction, seed):
+        """Samples and fallbacks equal those of the generator that scanned
+        every node for each swapped slot's pool; the "no-pool" graph has
+        slots without a differing foreign text."""
+        if case == "separable":
+            corpus, _, _, graph = separable
+        else:
+            # source "a" holds "p" and "q", the others only "p": slot "p" has no pool
+            corpus = Corpus(TWO_LABELS, [Idea("a", "a", "a.", label=1, timestamp=5), Idea("b", "b", "b.", label=0),
+                                         Idea("c", "c", "c.", label=0)])
+            graph = ViewpointGraph(idea=["a", "a", "b", "c"], text=["p", "q", "p", "p"], t=[0.0] * 4,
+                                   u=[0, 0, 1], v=[1, 2, 3], weight=[0.5, 0.9, 0.4], intra=[True, False, False])
+        config = NoveltyConfig(count=30, swap_fraction=swap_fraction)
+        got = generate_negatives(corpus, graph, config, seed)
+        assert got == per_slot_scan_reference(corpus, graph, config, seed)
+        if case == "no-pool":
+            assert got[1] > 0
 
     def test_swap_fraction_validated(self, separable):
         corpus, _, _, graph = separable

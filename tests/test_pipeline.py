@@ -21,7 +21,7 @@ from graphs import assert_same_graph
 from viewgraph import gnn, llm, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus
+from viewgraph.dataset import TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus, write_jsonl
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
@@ -534,7 +534,7 @@ def two_pass_train_and_predict(paths, config, split):
     graph, matrix, corpus, _ = training_inputs()
     model, _ = gnn.load_model(paths["model"])
     predictions = gnn.predict(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
-    gnn.save_predictions(predictions, corpus, paths["gnn_pred"])
+    write_jsonl(paths["gnn_pred"], gnn.prediction_rows(predictions, corpus))
 
 
 class TestTrainStage:
@@ -895,6 +895,27 @@ class TestCli:
         assert self.run("run", "--config", config, "--quiet") == 0
         assert (tmp_path / "clirun" / "report.json").exists()
 
+    @pytest.mark.parametrize("case", ["out-under-a-file", "out-is-a-directory", "run-dir-under-a-file"])
+    def test_unwritable_output_named_in_one_error_line(self, tmp_path, capsys, demo_file, monkeypatch, case):
+        """An output that cannot be written ends in exit 2 and one error
+        line naming it, and leaves no temp file."""
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("a regular file\n")
+        Path("adir").mkdir()
+        out = {"out-under-a-file": "afile/x.jsonl", "out-is-a-directory": "adir", "run-dir-under-a-file": "afile/run"}[case]
+        if case == "run-dir-under-a-file":
+            Path("config.json").write_text(json.dumps({"corpus": str(demo_file), "out_dir": out}))
+            argv = ["run", "--config", "config.json"]
+        else:
+            argv = ["split", "--in", str(demo_file), "--out", out]
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and out in errors[0], err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert Path("afile").read_text() == "a regular file\n" and not list(Path("adir").iterdir())
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"graph": {"k": 0}}))
@@ -975,13 +996,14 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
 
 # What each file a run hands on in memory is read back with.
 LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "tokens": load_tokens, "graph": load_graph,
-           "negatives": novelty.load_negatives}
+           "negatives": novelty.load_negatives, "lp_pred": pipeline.load_predictions,
+           "gnn_pred": pipeline.load_predictions}
 
 
 class TestHandOn:
     """Within one ``run`` a stage gets the corpus, viewpoints, token counts,
-    graph and negatives an earlier stage wrote or read, while the file is
-    unchanged."""
+    graph, negatives and each engine's predictions an earlier stage wrote
+    or read, while the file is unchanged."""
 
     def count_parses(self, monkeypatch) -> Counter:
         """Parses per file name, counted on the loaders the stages call."""
@@ -996,7 +1018,7 @@ class TestHandOn:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("load_corpus", "load_viewpoints", "load_tokens", "load_graph"):
+        for name in ("load_corpus", "load_viewpoints", "load_tokens", "load_graph", "load_predictions"):
             counted(pipeline, name)
         counted(novelty, "load_negatives")
         return calls
@@ -1028,7 +1050,8 @@ class TestHandOn:
         for name in STAGE_FUNCTIONS.values():
             monkeypatch.setattr(pipeline, name, checked(getattr(pipeline, name)))
         run_pipeline(config, quiet=True)
-        assert handed == set(LOADERS) - (set() if config.novelty.enabled else {"negatives"})
+        engines = {"lp": {"lp_pred"}, "gnn": {"gnn_pred"}, "both": {"lp_pred", "gnn_pred"}}[config.engine]
+        assert handed == (set(LOADERS) - {"lp_pred", "gnn_pred"} - (set() if config.novelty.enabled else {"negatives"})) | engines
 
     @pytest.mark.parametrize("engine, novelty_on", [("lp", False), ("gnn", True)])
     def test_cold_run_parses_only_the_raw_corpus(self, tmp_path, demo_file, monkeypatch, engine, novelty_on):
@@ -1038,12 +1061,15 @@ class TestHandOn:
         assert calls == {demo_file.name: 1}
 
     def test_lp_rerun_parses_graph_and_split_once(self, tmp_path, demo_file, monkeypatch):
-        """eval prices the extraction from tokens.json: viewpoints.jsonl is not parsed."""
+        """eval prices the extraction from tokens.json: viewpoints.jsonl is
+        not parsed; and it scores the predictions lp handed on:
+        predictions_lp.jsonl is not parsed."""
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         calls = self.count_parses(monkeypatch)
         second = run_pipeline(demo_config(tmp_path, demo_file, lp={"max_iters": 3, "early_stop": False}), quiet=True)
         assert [s["name"] for s in second["stages"] if not s["skipped"]][0] == "lp"
         assert calls == {"graph.bin": 1, "split.jsonl": 1, "tokens.json": 1}
+        assert calls["predictions_lp.jsonl"] == 0
 
     def test_lp_rerun_hashes_each_file_once_before_lp(self, tmp_path, demo_file, monkeypatch):
         """The skipped stages share each file's hash; the manifest write
@@ -1079,6 +1105,31 @@ class TestHandOn:
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         assert calls == {demo_file.name: 1, "split.jsonl": 1}
         assert load_viewpoints(out / "viewpoints.jsonl")[0].viewpoints == ("Edited by hand.", "Twice over.")
+
+    @pytest.mark.parametrize("engine", ["lp", "gnn"])
+    def test_predictions_edited_between_engine_and_eval_are_read_again(self, tmp_path, demo_file, monkeypatch, engine):
+        """The edit lands after the engine stage's manifest write, before
+        eval hashes its inputs: eval parses and scores the edited file."""
+        out, name = tmp_path / "run", f"predictions_{engine}.jsonl"
+        stage = {"lp": "lp", "gnn": "train"}[engine]
+        real_write = pipeline.write_atomic
+
+        def write_then_edit(path, data):
+            real_write(path, data)
+            if Path(path).name == "run_manifest.json" and json.loads(data)["stages"][-1]["name"] == stage:
+                lines = (out / name).read_text().splitlines(keepends=True)
+                row = json.loads(lines[0])
+                lines[0] = json.dumps({**row, "label": "Accept (Oral)" if row["label"] == "Reject" else "Reject"}) + "\n"
+                (out / name).write_text("".join(lines))
+
+        monkeypatch.setattr(pipeline, "write_atomic", write_then_edit)
+        calls = self.count_parses(monkeypatch)
+        config = demo_config(tmp_path, demo_file, engine=engine, gnn={"hidden_dim": 8, "max_epochs": 3})
+        run_pipeline(config, quiet=True)
+        assert calls == {demo_file.name: 1, name: 1}
+        edited = pipeline.evaluate_predictions(out / name, pipeline.load_predictions(out / name), load_corpus(out / "split.jsonl"))
+        report = json.loads((out / "report.json").read_text())[engine]
+        assert report == {**edited.to_dict(), "avg_token_cost": report["avg_token_cost"]}
 
     def test_split_edited_between_runs_is_rewritten_not_reused(self, tmp_path, demo_file):
         config = demo_config(tmp_path, demo_file, engine="both")
