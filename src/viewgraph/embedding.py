@@ -30,13 +30,71 @@ class EmbeddingProvider(Checked):
     model: str = ""
 
 
-def stub_vector(text: str, dimension: int) -> np.ndarray:
-    """Unit vector seeded by the text content only."""
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    seed = int.from_bytes(digest[:8], "little")
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(dimension)
-    return vec / np.linalg.norm(vec)
+# numpy's seeding of ``np.random.default_rng(seed)``: SeedSequence's hash
+# constants, then PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 words: each call xors the words with
+    its constant, steps the constant (times ``mult``), multiplies by it and
+    xorshifts."""
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hash_words
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` for each uint64
+    seed, derived for all seeds at once. SeedSequence hashes the seed's
+    two 32-bit words (and two zero words) into a pool of four words, mixes
+    each pool word into the others, and hashes the pool, cycled, into
+    eight words: PCG64's 128-bit start state and stream. PCG64 then takes
+    its two seeding steps."""
+    seeds, zero = np.asarray(seeds, dtype=np.uint64), np.zeros(len(seeds), np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                mixed = np.uint32(_MIX_MULT_L) * pool[target] - np.uint32(_MIX_MULT_R) * hashmix(pool[source])
+                pool[target] = mixed ^ mixed >> np.uint32(16)
+    generate = _hasher(_INIT_B, _MULT_B)
+    words = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    halves = [(words[i] | words[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
+    states = []
+    for high, low, stream_high, stream_low in zip(*halves):
+        inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
+        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def stub_rows(texts: Sequence[str], dimension: int) -> np.ndarray:
+    """One unit row per text, seeded by the text content only: the first 8
+    bytes (little-endian) of the text's UTF-8 sha256 seed
+    ``np.random.default_rng``, whose ``standard_normal(dimension)`` is
+    divided by its norm. One generator draws every row from its seed's
+    state."""
+    digests = b"".join([hashlib.sha256(text.encode("utf-8")).digest()[:8] for text in texts])
+    rows = np.empty((len(texts), dimension))
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    for row, state in zip(rows, _pcg64_states(np.frombuffer(digests, "<u8"))):
+        bit_generator.state = state
+        generator.standard_normal(out=row)
+    # each row's norm from one dot product, as np.linalg.norm takes it
+    rows /= np.sqrt(np.matmul(rows[:, None], rows[:, :, None]))[:, 0]
+    return rows
 
 
 def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
@@ -112,7 +170,7 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingMatrix:
         raise ValueError("cannot embed empty text")
     distinct = {t: i for i, t in enumerate(dict.fromkeys(texts))}  # text -> its encoded row
     if provider.provider == "stub":
-        rows = np.stack([stub_vector(t, provider.dimension) for t in distinct])
+        rows = stub_rows(list(distinct), provider.dimension)
     else:
         raw = _remote_vectors(list(distinct), provider)
         if len(raw) != len(distinct):

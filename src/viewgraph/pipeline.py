@@ -247,6 +247,8 @@ def run_embed(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
 
 def run_build(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
     records = read(paths, "viewpoints", load_viewpoints, memo)
+    if not records:
+        raise ValueError(f"{paths['viewpoints']}: no viewpoint records to build a graph from")
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = load_embeddings(paths["embeddings"], ids)
     graph = build_graph(records, matrix, config.graph)

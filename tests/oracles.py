@@ -7,6 +7,7 @@ propagation, or gradient code with the package.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -109,6 +110,35 @@ def per_pair_relation_edges(records, matrix, floor: float = 0.0) -> tuple[np.nda
     keys = sorted(edges)
     return (np.array([u for u, _ in keys], dtype=np.int64), np.array([v for _, v in keys], dtype=np.int64),
             np.array([edges[key] for key in keys], dtype=np.float64))
+
+
+def stub_vector(text: str, dimension: int) -> np.ndarray:
+    """The stub embedding of one text, as embed made it one text at a
+    time, kept as the reference: the first 8 bytes (little-endian) of the
+    text's UTF-8 sha256 seed ``np.random.default_rng``, whose
+    ``standard_normal(dimension)`` is divided by its norm."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    vec = rng.standard_normal(dimension)
+    return vec / np.linalg.norm(vec)
+
+
+def graph_json_dumps(graph) -> bytes:
+    """The graph.json export as ``json.dumps`` of the documented object,
+    built entry by entry, kept as the reference for the bytes written."""
+    config = {"k": graph.config.k, "m": graph.config.m, "weight_floor": graph.config.weight_floor}
+    payload = {
+        "config": config,
+        "nodes": [
+            {"id": i, "idea": idea, "text": text, "t": t}
+            for i, (idea, text, t) in enumerate(zip(graph.idea, graph.text, graph.t.tolist()))
+        ],
+        "edges": [
+            [u, v, w, "intra" if intra else "inter"]
+            for u, v, w, intra in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist(), graph.intra.tolist())
+        ],
+    }
+    return json.dumps(payload).encode("utf-8")
 
 
 def graph_json_arrays(path) -> dict:

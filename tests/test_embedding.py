@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphs import edge_dict, incoming
-from oracles import brute_force_graph_edges
+from oracles import brute_force_graph_edges, stub_vector
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import IdeaViewpoints, save_viewpoints
 from viewgraph.embedding import (
@@ -18,8 +18,9 @@ from viewgraph.embedding import (
     embed,
     load_embeddings,
     row_ids,
+    _pcg64_states,
     save_embeddings,
-    stub_vector,
+    stub_rows,
 )
 from viewgraph.graph import GraphConfig, build_graph
 from viewgraph.llm import LlmTransportError
@@ -63,18 +64,54 @@ class TestStub:
 
     def test_content_seeded_across_processes(self):
         # frozen reference values: the stub must never drift
-        v = stub_vector("a viewpoint", 8)
+        v = stub_rows(["a viewpoint"], 8)[0]
         assert v[:3] == pytest.approx(
             [-0.181071129205, 0.50344181303, 0.225180422119], abs=1e-11
         )
 
     def test_unit_norm(self):
-        v = stub_vector("anything at all", 32)
+        v = stub_rows(["anything at all"], 32)[0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             embed(["ok", ""], EmbeddingProvider(provider="stub", dimension=8))
+
+
+def many_texts(count: int, seed: int) -> list[str]:
+    """``count`` distinct texts: ASCII sentences, and strings of random
+    code points from the Latin-1, CJK and emoji ranges and of quotes,
+    backslashes and control characters."""
+    rng = np.random.default_rng(seed)
+    ranges = [(0x01, 0x7F), (0xA0, 0x17F), (0x4E00, 0x9FFF), (0x1F300, 0x1FAFF)]
+    texts = {f"viewpoint {i}: the model improves recall" for i in range(count // 2)}
+    while len(texts) < count:
+        lo, hi = ranges[int(rng.integers(len(ranges)))]
+        texts.add("".join(map(chr, rng.integers(lo, hi, size=int(rng.integers(1, 12))))))
+    return sorted(texts)
+
+
+class TestAgainstPerTextStub:
+    """The stub rows, drawn from one generator whose state is set from each
+    text's seed, equal one ``default_rng`` per text bit for bit."""
+
+    @pytest.mark.parametrize("dimension", [2, 7, 32])
+    def test_rows_equal_the_per_text_reference(self, dimension):
+        texts = many_texts(5000, dimension)
+        assert any(not text.isascii() for text in texts)
+        want = np.stack([stub_vector(text, dimension) for text in texts])
+        assert np.array_equal(stub_rows(texts, dimension), want)
+        repeated = texts[:50] * 2
+        assert np.array_equal(embed(repeated, EmbeddingProvider(dimension=dimension)).rows, want[list(range(50)) * 2])
+
+    def test_seed_states_equal_default_rng(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds = edges + np.random.default_rng(5).integers(0, 2**64 - 1, size=2000, dtype=np.uint64, endpoint=True).tolist()
+        states = _pcg64_states(np.array(seeds, dtype=np.uint64))
+        assert states == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    def test_no_texts_no_rows(self):
+        assert stub_rows([], 8).shape == (0, 8)
 
 
 def cli_embed(tmp_path, endpoint: str) -> int:

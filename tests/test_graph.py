@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
-from oracles import brute_force_graph_edges, graph_json_arrays, per_pair_relation_edges
+from oracles import brute_force_graph_edges, graph_json_arrays, graph_json_dumps, per_pair_relation_edges
 from viewgraph import graph as graph_module
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import IdeaViewpoints, save_corpus, split_corpus
@@ -312,9 +312,10 @@ def block_instance(seed: int, dim: int = 5, n_blocks=None, distinct=None, start:
 
 
 class TestAgainstPerNodeArgsort:
-    """Per-block selection gives the per-node argsort's edges bit for bit.
-    Run under a threaded BLAS too: it rests on a stacked matmul running
-    one gemv per row."""
+    """Selection over runs of blocks gives the per-node argsort's edges bit
+    for bit, whether each run is one block, all blocks or fills the
+    default budget. Run under a threaded BLAS too: it rests on a stacked
+    matmul running one gemv per row."""
 
     MODES = {  # mode -> (causal, top_k, first block's start); hybrid is top_k off: no relation pairs
         "full": (False, True, 0),
@@ -343,6 +344,24 @@ class TestAgainstPerNodeArgsort:
         causal, top_k, start = self.MODES[mode]
         matrix, blocks = block_instance(1, dim=32, n_blocks=100, distinct=distinct, start=start)
         self.assert_same(matrix, blocks, GraphConfig(k=5, m=10), causal, top_k)
+
+    @pytest.mark.parametrize("budget", [8, 1 << 40], ids=["one-block-runs", "one-run"])  # RANK_BYTES
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_of_one_block_or_all(self, seed, mode, budget, monkeypatch):
+        monkeypatch.setattr(graph_module, "RANK_BYTES", budget)
+        causal, top_k, start = self.MODES[mode]
+        for matrix, blocks in (block_instance(seed, start=start),
+                               block_instance(seed, dim=32, n_blocks=100, distinct=6, start=start)):
+            self.assert_same(matrix, blocks, GraphConfig(k=3, m=4), causal, top_k)
+
+    def test_default_budget_ranks_hundreds_of_nodes_in_several_runs(self, monkeypatch):
+        matrix, blocks = block_instance(1, dim=32, n_blocks=100)
+        runs = []
+        monkeypatch.setattr(graph_module, "_smallest", lambda keys, count, real=graph_module._smallest:
+                            runs.append(len(keys)) or real(keys, count))
+        _propose(matrix, blocks, GraphConfig(), False)
+        assert 2 < len(runs) // 2 < len(blocks) and sum(runs) == 2 * len(matrix)
 
 
 def pair_instance(seed: int):
@@ -403,12 +422,27 @@ class TestAgainstPerPairWeights:
         assert graph.intra.sum() > 10
 
     def test_build_makes_no_per_pair_similarity_call(self, monkeypatch):
+        """The build takes similarities for whole blocks, at most one call
+        per block, whatever the budget; integrating takes exactly one per
+        new block, over the rows up to its end (a longer prefix may round
+        differently)."""
         records, matrix, config = pair_instance(0)
+        ends = np.cumsum([len(rec.viewpoints) for rec in records]).tolist()
         calls = []
         real = EmbeddingMatrix.similarities
-        monkeypatch.setattr(EmbeddingMatrix, "similarities", lambda self, *a: calls.append(a) or real(self, *a))
-        build_graph(records, matrix, config)
-        assert len(calls) == len(records)
+        monkeypatch.setattr(EmbeddingMatrix, "similarities",
+                            lambda self, lo, hi, stop=None: calls.append((lo, hi, stop)) or real(self, lo, hi, stop))
+        for budget, spans in [(graph_module.RANK_BYTES, [(0, ends[-1])]),  # all blocks in one run
+                              (8, list(zip([0] + ends[:-1], ends)))]:  # one block per run
+            monkeypatch.setattr(graph_module, "RANK_BYTES", budget)
+            calls.clear()
+            build_graph(records, matrix, config)
+            assert calls == [(lo, hi, None) for lo, hi in spans]
+
+        base = build_graph(records[:1], EmbeddingMatrix(matrix.rows[:ends[0]]), replace(config, hybrid=False))
+        calls.clear()
+        integrate_subgraph(base, records[1:], matrix)
+        assert calls == [(lo, hi, hi) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -681,6 +715,48 @@ class TestSerialization:
     def test_weight_outside_unit_interval_rejected_at_construction(self, weight):
         with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight outside \[0, 1\]"):
             toy_graph(["a", "a", "b"], [(0, 1, 0.5), (2, 1, weight)])
+
+
+# texts and numbers whose JSON needs care: escapes, non-ASCII, the
+# shortest float reprs, a subnormal and a negative zero
+ODD_TEXTS = ['say "no"', "back\\slash", "new\nline\ttab", "nul\x00 and \x1f", "café", "图模型", "emoji 😀",
+             "line\u2028separator", "plain"]
+ODD_NUMBERS = [0.0, -0.0, 1.0, 1e-05, 5e-324, 0.1, 1 / 3, 2 / 3, 0.30000000000000004]
+EXPORT_CASES = {"single-node": (0, 1, 0), "edgeless": (1, 7, 0), "one-edge": (2, 3, 1), "sparse": (3, 40, 30),
+                "dense": (4, 30, 300), "hundreds": (5, 600, 5000)}
+
+
+def export_graph(seed: int, n: int, edges: int) -> ViewpointGraph:
+    """``random_graph``'s nodes and edges, with odd texts, ideas, time
+    features and weights (half of them random) and a random config."""
+    graph = random_graph(seed, n, edges) if n > 1 else toy_graph(["a"], [])
+    rng = np.random.default_rng(seed)
+    pick = lambda values, size: [values[i] for i in rng.integers(len(values), size=size)]  # noqa: E731
+    weight = np.where(rng.random(len(graph.weight)) < 0.5, pick(ODD_NUMBERS, len(graph.weight)),
+                      rng.random(len(graph.weight)))
+    text = [f"{odd} {i}" for i, odd in enumerate(pick(ODD_TEXTS, len(graph)))]
+    names = {idea: f"{ODD_TEXTS[j % len(ODD_TEXTS)]} {j}" for j, idea in enumerate(dict.fromkeys(graph.idea))}
+    idea = [names[idea] for idea in graph.idea]
+    t = np.where(rng.random(len(graph)) < 0.5, pick(ODD_NUMBERS, len(graph)), rng.random(len(graph)))
+    config = GraphConfig(k=int(rng.integers(1, 9)), m=int(rng.integers(0, 20)), weight_floor=pick(ODD_NUMBERS[2:5], 1)[0])
+    return ViewpointGraph(idea, text, t, graph.u, graph.v, weight, graph.intra, config=config)
+
+
+class TestAgainstJsonDumpsExport:
+    """graph.json, written from the edge columns, holds the bytes of
+    ``json.dumps`` of the documented object."""
+
+    @pytest.mark.parametrize("case", list(EXPORT_CASES))
+    def test_random_graphs_with_odd_texts_and_weights(self, tmp_path, case):
+        graph = export_graph(*EXPORT_CASES[case])
+        export_graph_json(graph, tmp_path / "graph.json")
+        assert (tmp_path / "graph.json").read_bytes() == graph_json_dumps(graph)
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_built_graphs(self, tmp_path, case):
+        graph = GRAPH_CASES[case]()
+        export_graph_json(graph, tmp_path / "graph.json")
+        assert (tmp_path / "graph.json").read_bytes() == graph_json_dumps(graph)
 
 
 def rewrite_header(path, change):

@@ -615,6 +615,18 @@ class TestCli:
         assert "seed: must be >= 0, got -1" in stderr and "Traceback" not in stderr
         assert [path.name for path in tmp_path.iterdir()] == [demo_file.name]
 
+    @pytest.mark.parametrize("command", ["embed", "build"])
+    def test_empty_viewpoints_file_refused_naming_it(self, tmp_path, capsys, command):
+        views, emb, out = tmp_path / "empty.jsonl", tmp_path / "e.bin", tmp_path / "out.bin"
+        views.write_text("")
+        save_embeddings(EmbeddingMatrix(np.zeros((0, 8))), [], emb)
+        argv = {"embed": ["embed", "--in", views, "--out", out],
+                "build": ["build", "--viewpoints", views, "--embeddings", emb, "--out", out]}[command]
+        assert self.run(*argv, "--quiet") == 2
+        purpose = {"embed": "to embed", "build": "to build a graph from"}[command]
+        assert capsys.readouterr().err == f"error: {views}: no viewpoint records {purpose}\n"
+        assert not out.exists()
+
     def test_stagewise_flow(self, tmp_path, demo_file):
         split = tmp_path / "split.jsonl"
         views = tmp_path / "views.jsonl"
