@@ -155,8 +155,8 @@ class LlmBackend(Checked):
         """One completion; ``seed`` picks the mock's relation connectors
         and polarities."""
         if self.backend == "mock":
-            text = _mock_completion(prompt, purpose, seed)
-            return text, TokenUsage(_word_count(prompt), _word_count(text))
+            text, words = _mock_completion(prompt, purpose, seed)
+            return text, TokenUsage(_prompt_words(prompt), words)
         return self._remote_complete(prompt)
 
     def _remote_complete(self, prompt: str) -> tuple[str, TokenUsage]:
@@ -209,6 +209,20 @@ def _word_count(text: str) -> int:
     return len(text.split())
 
 
+# Each template's text up to its first placeholder, and its word count.
+# It ends in a space, so no word of a prompt runs across its end.
+_HEADS = [(head, _word_count(head))
+          for head in (t[: t.index("{title}")] for t in (VIEWPOINT_TEMPLATE, RELATION_TEMPLATE))]
+
+
+def _prompt_words(prompt: str) -> int:
+    """``_word_count(prompt)``, with a template's head counted once."""
+    for head, words in _HEADS:
+        if prompt.startswith(head):
+            return words + _word_count(prompt[len(head) :])
+    return _word_count(prompt)
+
+
 _VIEWPOINT_HEADER_RE = re.compile(r"\[\s*extracted\s+viewpoints(?:\s+in\s+sentence\s+[0-9]+)?\s*\]", re.IGNORECASE)
 _SENTENCE_MARKER_RE = re.compile(r"\s*sentence\s+[0-9]+\s*", re.IGNORECASE)
 
@@ -243,7 +257,12 @@ def parse_viewpoint_response(raw: str) -> list[str]:
 
 
 def _is_marker(text: str) -> bool:
-    """Whether ``text``, as a bracketed item, would read as a marker."""
+    """Whether ``text``, as a bracketed item, would read as a marker. ASCII
+    text whose lowercase holds neither ``entence`` nor ``xtracted`` matches
+    no marker; other text goes to the regexes, as IGNORECASE also matches
+    ``ſ`` to ``s`` and the Kelvin sign to ``k``."""
+    if text.isascii() and "entence" not in (lower := text.lower()) and "xtracted" not in lower:
+        return False
     return bool(_SENTENCE_MARKER_RE.fullmatch(text) or _VIEWPOINT_HEADER_RE.fullmatch(f"[{text}]"))
 
 
@@ -260,10 +279,8 @@ def render_viewpoint_response(groups: Sequence[tuple[str, Sequence[str]]]) -> st
                 raise ValueError("viewpoint may not be blank")
             if _is_marker(v):
                 raise ValueError(f"viewpoint collides with a marker: {v!r}")
-        parts.append(f"[Sentence {i}]")
-        parts.append(sentence)
-        parts.append(f"[Extracted Viewpoints in Sentence {i}]")
-        parts.extend(f"[{v}]" for v in views)
+        parts.append(f"[Sentence {i}]\n{sentence}\n[Extracted Viewpoints in Sentence {i}]")
+        parts += [f"[{v}]" for v in views]
     return "\n".join(parts)
 
 
@@ -325,38 +342,50 @@ def extract_relations(viewpoints: Sequence[str], idea: Idea, backend: LlmBackend
 
 # --- mock backend ---------------------------------------------------------
 
-_ABSTRACT_RE = re.compile(
-    r"\[The Start of Abstract\]\s*(.*?)\s*\[The End of Abstract\]", re.DOTALL
-)
+_ABSTRACT_START, _ABSTRACT_END = "[The Start of Abstract]", "[The End of Abstract]"
 _VIEWPOINT_LIST_RE = re.compile(
     r"\[The Start of Extracted Viewpoints\]\s*(.*?)\s*\[The End of Extracted Viewpoints\]",
     re.DOTALL,
 )
 _CONNECTORS = ("therefore", "moreover", "however", "for example")
+_SENTENCE_END_RE = re.compile(r"([.!?])\s+")
+_BRACKETS_RE = re.compile(r"[\[\]{}]")
 
 
 def _split_sentences(text: str) -> list[str]:
-    parts = re.split(r"(?<=[.!?])\s+", text.strip())
-    return [p.strip() for p in parts if p.strip()]
+    # split after each [.!?] that whitespace follows; the mark stays with its sentence
+    parts = _SENTENCE_END_RE.split(text.strip())  # text, mark, text, mark, ..., text
+    sentences = map(str.__add__, parts[::2], parts[1::2] + [""])
+    return [s for s in map(str.strip, sentences) if s]
 
 
 def _sanitize(text: str) -> str:
     # mock output must stay inside the bracket grammar
-    return re.sub(r"[\[\]{}]", "", text).strip()
+    if "[" in text or "]" in text or "{" in text or "}" in text:
+        text = _BRACKETS_RE.sub("", text)
+    return text.strip()
 
 
-def _mock_completion(prompt: str, purpose: str, seed: int) -> str:
+def _mock_completion(prompt: str, purpose: str, seed: int) -> tuple[str, int]:
+    """The mock's completion and its word count."""
     if purpose == "relation_extraction":
-        return _mock_relations(prompt, seed)
+        text = _mock_relations(prompt, seed)
+        return text, _word_count(text)
     return _mock_viewpoints(prompt)
 
 
-def _mock_viewpoints(prompt: str) -> str:
-    m = _ABSTRACT_RE.search(prompt)
-    abstract = m.group(1) if m else prompt
+def _mock_viewpoints(prompt: str) -> tuple[str, int]:
+    # the text between the first start marker and the first end marker after it
+    start = prompt.find(_ABSTRACT_START)
+    stop = prompt.find(_ABSTRACT_END, start + len(_ABSTRACT_START)) if start >= 0 else -1
+    abstract = prompt[start + len(_ABSTRACT_START) : stop].strip() if stop >= 0 else prompt
     # a sentence that reads as a marker, such as "Sentence 2", is dropped
     sentences = [s for s in map(_sanitize, _split_sentences(abstract)) if s and not _is_marker(s)]
-    return render_viewpoint_response([(s, [s]) for s in sentences or ["empty abstract"]])
+    sentences = sentences or ["empty abstract"]
+    # a block, [Sentence i], s, [Extracted Viewpoints in Sentence i], [s], holds
+    # 7 words and s's twice, as s is stripped
+    words = sum(7 + 2 * _word_count(s) for s in sentences)
+    return render_viewpoint_response([(s, [s]) for s in sentences]), words
 
 
 def _mock_relations(prompt: str, seed: int) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 
@@ -233,3 +234,53 @@ def random_lp_instance(rng: np.random.Generator, max_nodes: int = 12, max_labels
         if rng.random() < 0.5:
             init[i, int(rng.integers(n_labels))] = 1.0
     return adjacency, init
+
+
+# --- mock extraction, as first written: regexes throughout -----------------
+# References for the mock backend, which tests markers, strips brackets
+# and cuts the abstract with plain string tests where these use a regex,
+# splits sentences with a pattern that has a literal prefix, and counts
+# its completion's words without splitting it. Each raises what the
+# package raises, with the same message.
+
+_REF_HEADER_RE = re.compile(r"\[\s*extracted\s+viewpoints(?:\s+in\s+sentence\s+[0-9]+)?\s*\]", re.IGNORECASE)
+_REF_SENTENCE_MARKER_RE = re.compile(r"\s*sentence\s+[0-9]+\s*", re.IGNORECASE)
+_REF_ABSTRACT_RE = re.compile(r"\[The Start of Abstract\]\s*(.*?)\s*\[The End of Abstract\]", re.DOTALL)
+
+
+def is_marker(text: str) -> bool:
+    return bool(_REF_SENTENCE_MARKER_RE.fullmatch(text) or _REF_HEADER_RE.fullmatch(f"[{text}]"))
+
+
+def split_sentences(text: str) -> list[str]:
+    return [p.strip() for p in re.split(r"(?<=[.!?])\s+", text.strip()) if p.strip()]
+
+
+def sanitize(text: str) -> str:
+    return re.sub(r"[\[\]{}]", "", text).strip()
+
+
+def render_viewpoint_response(groups) -> str:
+    parts = []
+    for i, (sentence, views) in enumerate(groups, start=1):
+        if not views:
+            raise ValueError(f"sentence {i} has no viewpoints")
+        for v in views:
+            if "[" in v or "]" in v:
+                raise ValueError(f"viewpoint may not contain brackets: {v!r}")
+            if not v.strip():
+                raise ValueError("viewpoint may not be blank")
+            if is_marker(v):
+                raise ValueError(f"viewpoint collides with a marker: {v!r}")
+        parts.append(f"[Sentence {i}]")
+        parts.append(sentence)
+        parts.append(f"[Extracted Viewpoints in Sentence {i}]")
+        parts.extend(f"[{v}]" for v in views)
+    return "\n".join(parts)
+
+
+def mock_viewpoints(prompt: str) -> str:
+    m = _REF_ABSTRACT_RE.search(prompt)
+    abstract = m.group(1) if m else prompt
+    sentences = [s for s in map(sanitize, split_sentences(abstract)) if s and not is_marker(s)]
+    return render_viewpoint_response([(s, [s]) for s in sentences or ["empty abstract"]])

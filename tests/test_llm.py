@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import importlib.util
+import random
 import re
+from pathlib import Path
 
 import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from viewgraph import llm
 from viewgraph.dataset import Idea
+from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.llm import (
     RELATION_TEMPLATE,
     VIEWPOINT_TEMPLATE,
@@ -25,6 +30,7 @@ from viewgraph.llm import (
     render_viewpoint_response,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 CLIP_SENTENCE = (
     "State-of-the-art computer vision systems are trained to predict a fixed set "
     "of predetermined object categories."
@@ -386,3 +392,96 @@ class TestExtractCorpus:
         )
         assert len(records[0].viewpoints) == 3
         assert summary["avg_edge_density"] == pytest.approx(len(records[0].pairs) / 3)
+
+
+class TestExtractionOracle:
+    """The mock backend agrees with its regex reference in ``oracles``,
+    output for output and message for message, on generated text that
+    probes each string test it makes."""
+
+    PIECES = (
+        "Sentence", "sentence", "SENTENCE", "ſentence", "Sentence 12", " sentence 3 ", "entence", "xtracted",
+        "EXTRACTED  viewpoints in Sentence 2", "Extracted Viewpoints", "extracted", "Viewpoints", "viewpointſ",
+        "in", "İn", "ın", "12", "3", " ", "  ", "\n", "\t", "\x1c", "\xa0", "\u2028", "[", "]", "{", "}",
+        ".", "!", "?", ". ", "\u212a", "K", "Graphs help", "café", "Title: ",
+        "[The Start of Abstract]", "[The End of Abstract]", "[Sentence 1]", "[Extracted Viewpoints in Sentence 1]",
+        "[Extracted Viewpoints]", "[Graphs help.]", "[ ]",
+    )
+    SPACES = ("", " ", "  ", "\x1c", "\xa0", "\u2028", "\n", "\t")
+    MARKER_WORDS = (
+        "Sentence", "sentence", "SENTENCE", "ſentence", "ſENTENCE", "Sentenced", "entence", "Extracted Viewpoints",
+        "EXTRACTED  viewpoints in Sentence", "extracted viewpointſ", "Extracted vİewpoints ın ſentence",
+        "Extracted Viewpoints in\xa0Sentence", "xtracted viewpoints", "Extracted",
+    )
+    COUNT = 6000
+
+    def strings(self, seed: int, longest: int = 10) -> list[str]:
+        """COUNT strings: every other one of random pieces, the rest
+        marker look-alikes (a marker word between whitespace, then digits)."""
+        rng = random.Random(seed)
+        pick = rng.choice
+        return [
+            "".join(pick(self.PIECES) for _ in range(rng.randint(0, longest))) if i % 2 else
+            pick(self.SPACES) + pick(self.MARKER_WORDS) + pick(self.SPACES) + pick(("12", "3", "", "x")) + pick(self.SPACES)
+            for i in range(self.COUNT)
+        ]
+
+    @staticmethod
+    def outcome(fn, arg):
+        try:
+            return fn(arg)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def test_marker_test_sanitize_and_sentence_split(self):
+        for text in self.strings(1):
+            assert llm._is_marker(text) == oracles.is_marker(text), text
+            assert llm._sanitize(text) == oracles.sanitize(text), text
+            assert llm._split_sentences(text) == oracles.split_sentences(text), text
+
+    def test_render(self):
+        rng = random.Random(8)
+        texts = self.strings(9)
+        for _ in range(self.COUNT):
+            groups = [(rng.choice(texts), rng.sample(texts, rng.randint(0, 3))) for _ in range(rng.randint(0, 3))]
+            assert self.outcome(render_viewpoint_response, groups) == self.outcome(oracles.render_viewpoint_response, groups)
+
+    def test_prompt_words(self):
+        for t, a, v in zip(self.strings(10, longest=4), self.strings(11), self.strings(12)):
+            for prompt in (render(VIEWPOINT_TEMPLATE, title=t, abstract=a),
+                           render(RELATION_TEMPLATE, title=t, abstract=a, viewpoints=v)):
+                assert llm._prompt_words(prompt) == len(prompt.split()), prompt
+
+    def test_mock_completion(self):
+        titles, abstracts, raw = self.strings(3, longest=4), self.strings(4), self.strings(5, longest=16)
+        prompts = [render(VIEWPOINT_TEMPLATE, title=t, abstract=a) for t, a in zip(titles, abstracts)]
+        prompts += ["[The Start of Abstract]\n" + a for a in abstracts[:500]]  # no end marker
+        for prompt in prompts + raw:
+            want = self.outcome(oracles.mock_viewpoints, prompt)
+            if isinstance(want, str):  # the completion, and its word count
+                want = want, len(want.split())
+            assert self.outcome(llm._mock_viewpoints, prompt) == want, prompt
+            assert llm._prompt_words(prompt) == len(prompt.split()), prompt
+
+    @pytest.mark.parametrize("name", ["demo12", "separable40", "perfbench"])
+    @pytest.mark.parametrize("relations", [False, True])
+    def test_extract_corpus(self, monkeypatch, name, relations):
+        if name == "perfbench":
+            spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "perfbench" / "corpus.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            ideas = module.make_corpus(100, 6, 0.5, seed=1)[0].ideas
+        else:
+            ideas = {"demo12": demo_corpus, "separable40": separable_corpus}[name]().ideas
+        backend = LlmBackend(relations=relations)
+        got = extract_corpus(ideas, backend, seed=3)
+        def mock_viewpoints(prompt):
+            text = oracles.mock_viewpoints(prompt)
+            return text, len(text.split())
+
+        for attr, reference in [("_mock_viewpoints", mock_viewpoints), ("_sanitize", oracles.sanitize),
+                                ("_is_marker", oracles.is_marker), ("_prompt_words", lambda p: len(p.split())),
+                                ("_split_sentences", oracles.split_sentences),
+                                ("render_viewpoint_response", oracles.render_viewpoint_response)]:
+            monkeypatch.setattr(llm, attr, reference)
+        assert got == extract_corpus(ideas, backend, seed=3)

@@ -658,7 +658,7 @@ class TestCli:
         assert "Traceback" not in stderr and not (tmp_path / "views.jsonl").exists()
 
     def test_extract_names_split_file_and_idea_of_failed_extraction(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(llm, "_mock_viewpoints", lambda prompt: "[Graphs help.]")
+        monkeypatch.setattr(llm, "_mock_viewpoints", lambda prompt: ("[Graphs help.]", 2))
         split = tmp_path / "split.jsonl"
         split.write_text(json.dumps({"labels": ["bad", "good"]}) + "\n" + json.dumps({"id": "x", "text": "Graphs help."}) + "\n")
         assert self.run("extract", "--in", split, "--out", tmp_path / "views.jsonl", "--quiet") == 2
