@@ -141,7 +141,6 @@ def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs, slots=None) -> Forw
 class HeadCache:
     """One row per pooled group."""
 
-    groups: list[list[int]]
     arg_rows: np.ndarray  # (B, h): node id holding the max, per hidden dim
     pooled: np.ndarray  # (B, 2h)
     z1: np.ndarray  # (B, h)
@@ -164,7 +163,6 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Se
     nothing) and divides by the group size; the max pads with -inf, so the
     first maximum of a group still wins.
     """
-    groups = [list(ids) for ids in groups]
     sizes = np.array([len(ids) for ids in groups])
     if not sizes.all():
         raise ValueError("idea has no nodes")
@@ -181,7 +179,6 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Se
     logits = _gemv(model["head_out_w"], a1) + model["head_out_b"]
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return HeadCache(
-        groups=groups,
         arg_rows=np.take_along_axis(index, arg_local, axis=1),
         pooled=pooled,
         z1=z1,
@@ -206,62 +203,56 @@ def loss(
 
 def batch_loss_and_grads(
     model: GnnModel,
-    X: np.ndarray,
+    cache: ForwardCache,
     arcs: Arcs,
+    slots,
     items: Sequence[tuple[Sequence[int], int]],
     class_weights: Optional[np.ndarray] = None,
-    cache: Optional[ForwardCache] = None,
-    slots=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients for a batch of (node set, label) items.
 
     ``cache`` is ``full_forward`` of the current parameters and ``slots``
-    is ``neighbour_slots(arcs)``; each is computed here when not given.
-    The softmax/cross-entropy gradient uses the standard p - onehot form,
-    which is exact whenever p[label] is above the log floor.
+    is ``neighbour_slots(arcs)``. The softmax/cross-entropy gradient uses
+    the standard p - onehot form, which is exact whenever p[label] is
+    above the log floor. The head's backward products run once per batch;
+    each gradient block adds its items in batch order, bit for bit the
+    per-item sums. Layer 1's input gradient is not computed.
     """
-    slots = neighbour_slots(arcs) if slots is None else slots
-    cache = full_forward(model, X, arcs, slots) if cache is None else cache
     final = cache.states[-1]
     head = pool_and_head(model, final, [ids for ids, _ in items])
     labels = [y for _, y in items]
-    weights = np.array(
-        [1.0 if class_weights is None else float(class_weights[y]) for y in labels]
-    )
+    weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
     total_w = weights.sum()
     loss_val = loss(head.probs, labels, class_weights)
 
     grads = {name: np.zeros_like(arr) for name, arr in model.items()}
-    n, h_dim = final.shape[0], model.hidden_dim
+    h_dim = model.hidden_dim
     d_final = np.zeros_like(final)
     if total_w > 0:
-        for b, (ids, y, w) in enumerate(zip(head.groups, labels, weights)):
-            scale = w / total_w
-            dlogits = (head.probs[b] - np.eye(model.n_labels)[y]) * scale
-            grads["head_out_w"] += np.outer(dlogits, head.a1[b])
-            grads["head_out_b"] += dlogits
-            da1 = model["head_out_w"].T @ dlogits
-            dz1 = da1 * (head.z1[b] > 0)
-            grads["head_hidden_w"] += np.outer(dz1, head.pooled[b])
-            grads["head_hidden_b"] += dz1
-            dpooled = model["head_hidden_w"].T @ dz1
-            dmean, dmax = dpooled[:h_dim], dpooled[h_dim:]
-            d_final[ids] += dmean / len(ids)
-            d_final[head.arg_rows[b], np.arange(h_dim)] += dmax  # one row per column: no repeats
+        dlogits = (head.probs - np.eye(model.n_labels)[labels]) * (weights / total_w)[:, None]
+        dz1 = _gemv(model["head_out_w"].T, dlogits) * (head.z1 > 0)
+        dpooled = _gemv(model["head_hidden_w"].T, dz1)
+        columns = np.arange(h_dim)
+        for b, (ids, _) in enumerate(items):
+            grads["head_out_w"] += np.outer(dlogits[b], head.a1[b])
+            grads["head_out_b"] += dlogits[b]
+            grads["head_hidden_w"] += np.outer(dz1[b], head.pooled[b])
+            grads["head_hidden_b"] += dz1[b]
+            d_final[ids] += dpooled[b, :h_dim] / len(ids)
+            d_final[head.arg_rows[b], columns] += dpooled[b, h_dim:]  # one row per column: no repeats
 
     # A_w is symmetric, so the messages' gradient is one more aggregation.
+    degree = np.maximum(np.diff(arcs.indptr), 1)[:, None]
     d_state = d_final
     for l in range(model.layers - 1, -1, -1):
         name_m, name_c = f"message_weight_{l + 1}", f"combine_weight_{l + 1}"
         grads[name_c] += d_state.T @ cache.combined[l]
         d_combined = d_state @ model[name_c]
-        d_agg = d_combined[:, :h_dim]
-        d_prev = d_combined[:, h_dim:].copy()
-        d_sum = d_agg / np.maximum(np.diff(arcs.indptr), 1)[:, None]
-        d_messages = add_neighbours(np.zeros((n, h_dim)), slots, d_sum) * (cache.messages[l] > 0)
+        d_sum = d_combined[:, :h_dim] / degree
+        d_messages = add_neighbours(np.zeros_like(d_sum), slots, d_sum) * (cache.messages[l] > 0)
         grads[name_m] += d_messages.T @ cache.states[l]
-        d_prev += d_messages @ model[name_m]
-        d_state = d_prev
+        if l:
+            d_state = d_combined[:, h_dim:] + d_messages @ model[name_m]
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -363,9 +354,7 @@ def train(
         epoch_loss, steps = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[start : start + config.batch_size]]
-            loss_val, grads = batch_loss_and_grads(
-                model, X, arcs, batch, class_weights, cache=cache, slots=slots
-            )
+            loss_val, grads = batch_loss_and_grads(model, cache, arcs, slots, batch, class_weights)
             adam_step(model, grads, state, lr)
             cache = full_forward(model, X, arcs, slots)
             epoch_loss += loss_val

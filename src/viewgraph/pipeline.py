@@ -250,7 +250,7 @@ def run_build(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
     if not records:
         raise ValueError(f"{paths['viewpoints']}: no viewpoint records to build a graph from")
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
-    matrix = load_embeddings(paths["embeddings"], ids)
+    matrix = read(paths, "embeddings", lambda path: load_embeddings(path, ids), memo)
     graph = build_graph(records, matrix, config.graph)
     write(paths, "graph", graph, save_graph, memo)
     if "graph_json" in paths:
@@ -286,7 +286,7 @@ def run_train(paths: dict, config: RunConfig, memo: Optional[dict] = None, split
     that graph with the model read back from the checkpoint."""
     corpus = read(paths, "split", load_corpus, memo)
     graph = read(paths, "graph", load_graph, memo)
-    matrix = load_embeddings(paths["embeddings"], row_ids(graph.idea))
+    matrix = read(paths, "embeddings", lambda path: load_embeddings(path, row_ids(graph.idea)), memo)
     negatives = []
     if "negatives" in paths:
         negatives = read(paths, "negatives", novelty_mod.load_negatives, memo)

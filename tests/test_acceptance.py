@@ -28,7 +28,7 @@ from viewgraph import gnn, label_prop, novelty
 from viewgraph.dataset import IdeaViewpoints, save_corpus
 from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.fixtures import demo_corpus
-from viewgraph.graph import GraphConfig, build_graph
+from viewgraph.graph import GraphConfig, build_graph, neighbour_slots
 from viewgraph.llm import parse_viewpoint_response, render_viewpoint_response
 from viewgraph.metrics import confusion, macro_metrics, normed_cost
 from viewgraph.pipeline import run_pipeline, validate_config
@@ -154,7 +154,8 @@ def test_gradient_check():
         X = rng.normal(size=(6, 4))
         items = [([0, 1, 2], int(rng.integers(3))), ([3, 4, 5], int(rng.integers(3)))]
         model = gnn.init_model(gnn.GnnConfig(hidden_dim=8), 4, 3, np.random.default_rng(seed + 50))
-        _, analytic = gnn.batch_loss_and_grads(model, X, arrays, items)
+        slots = neighbour_slots(arrays)
+        _, analytic = gnn.batch_loss_and_grads(model, gnn.full_forward(model, X, arrays, slots), arrays, slots, items)
 
         def loss_fn():
             cache = gnn.full_forward(model, X, arrays)

@@ -12,7 +12,7 @@ from graphs import toy_graph
 from oracles import finite_difference_grads, max_relative_error
 from viewgraph.dataset import Corpus, FileFormatError, Idea, IdeaViewpoints, LabelSet
 from viewgraph.embedding import EmbeddingMatrix
-from viewgraph.graph import GraphConfig, build_graph
+from viewgraph.graph import GraphConfig, build_graph, neighbour_slots
 from viewgraph import gnn
 from viewgraph.gnn import (
     AdamState,
@@ -60,6 +60,12 @@ def one_layer(states, edges, message_w, combine_w):
 def idea_probs(model, X, edges, node_ids):
     """Full-graph message passing, then the pooled head for one idea."""
     return pool_and_head(model, full_forward(model, X, edges).states[-1], [node_ids]).probs[0]
+
+
+def loss_and_grads(model, X, arcs, items, class_weights=None):
+    """``batch_loss_and_grads`` at the node features ``X``."""
+    slots = neighbour_slots(arcs)
+    return batch_loss_and_grads(model, full_forward(model, X, arcs, slots), arcs, slots, items, class_weights)
 
 
 def random_labeled_graph(seed, n_ideas=2, nodes_per_idea=3, dim=4, n_labels=3):
@@ -238,22 +244,32 @@ class TestAgainstEdgeTensorReference:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("make", [tied_random_instance, tied_built_instance], ids=["random", "built"])
     def test_forward_and_gradients_bit_identical(self, make, seed, layers):
+        """At hidden width 6 with 3 labels and at 64 with 9, and also on a
+        batch whose items share nodes (and so pool maxima from the same
+        rows) and that holds one item twice: each gradient block adds its
+        items in batch order."""
         graph, X = make(seed)
-        rng = np.random.default_rng(seed)
-        model = init_model(GnnConfig(layers=layers, hidden_dim=6), X.shape[1], 3, rng)
-        model["message_weight_1"][0] = 0.0  # one message channel at the ReLU's kink
-        items = [(ids, int(rng.integers(3))) for ids in graph.idea_nodes.values()]
-        states, _, _ = reference_forward(model, X, graph.arcs)
-        cache = full_forward(model, X, graph.arcs)
-        assert len(cache.states) == len(states)
-        assert all(np.array_equal(a, b) for a, b in zip(cache.states, states))
-        assert (cache.messages[0] < 0).any() and (cache.messages[0] == 0).any()
-        for class_weights in (None, np.array([0.5, 1.0, 2.0])):
-            ref_loss, ref_grads = reference_loss_and_grads(model, X, graph.arcs, items, class_weights)
-            new_loss, new_grads = batch_loss_and_grads(model, X, graph.arcs, items, class_weights)
-            assert new_loss == ref_loss
-            assert new_grads.keys() == ref_grads.keys()
-            assert all(np.array_equal(new_grads[k], ref_grads[k]) for k in ref_grads)
+        for hidden, n_labels in ((6, 3), (64, 9)):
+            rng = np.random.default_rng(seed)
+            model = init_model(GnnConfig(layers=layers, hidden_dim=hidden), X.shape[1], n_labels, rng)
+            model["message_weight_1"][0] = 0.0  # one message channel at the ReLU's kink
+            ideas = list(graph.idea_nodes.values())
+            items = [(ids, int(rng.integers(n_labels))) for ids in ideas]
+            shared = [(sorted(set(a) | set(b)), int(rng.integers(n_labels))) for a, b in zip(ideas, ideas[1:])]
+            overlapping = [(items + shared)[i] for i in rng.permutation(len(items) + len(shared))] + [items[0]]
+            assert len({node for ids, _ in overlapping for node in ids}) < sum(len(ids) for ids, _ in overlapping[:-1])
+            states, _, _ = reference_forward(model, X, graph.arcs)
+            cache = full_forward(model, X, graph.arcs)
+            assert len(cache.states) == len(states)
+            assert all(np.array_equal(a, b) for a, b in zip(cache.states, states))
+            assert (cache.messages[0] < 0).any() and (cache.messages[0] == 0).any()
+            for batch in (items, overlapping):
+                for class_weights in (None, np.resize([0.5, 1.0, 2.0], n_labels)):
+                    ref_loss, ref_grads = reference_loss_and_grads(model, X, graph.arcs, batch, class_weights)
+                    new_loss, new_grads = loss_and_grads(model, X, graph.arcs, batch, class_weights)
+                    assert new_loss == ref_loss
+                    assert new_grads.keys() == ref_grads.keys()
+                    assert all(np.array_equal(new_grads[k], ref_grads[k]) for k in ref_grads)
 
     def test_forward_cache_holds_no_per_arc_array(self):
         graph, X = tied_random_instance(0)
@@ -284,7 +300,6 @@ class TestAgainstPerIdeaHead:
             rng.choice(n, size=int(size), replace=False).tolist() for size in rng.permutation(np.r_[1:8, 1:8])
         ]
         head = pool_and_head(model, final, groups)
-        assert head.groups == groups
         for b, ids in enumerate(groups):
             ref = reference_pool_and_head(model, final, ids)
             for name in ("arg_rows", "pooled", "z1", "a1", "probs"):
@@ -472,7 +487,7 @@ class TestBackward:
         edges = graph.arcs
         rng = np.random.default_rng(seed + 100)
         model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, rng)
-        _, analytic = batch_loss_and_grads(model, X, edges, items)
+        _, analytic = loss_and_grads(model, X, edges, items)
 
         def loss_fn():
             cache = full_forward(model, X, edges)
@@ -486,7 +501,7 @@ class TestBackward:
         graph, X, items, n_labels = random_labeled_graph(3)
         edges = graph.arcs
         model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, np.random.default_rng(0))
-        loss_val, grads = batch_loss_and_grads(model, X, edges, items, class_weights=np.zeros(n_labels))
+        loss_val, grads = loss_and_grads(model, X, edges, items, class_weights=np.zeros(n_labels))
         assert loss_val == 0.0
         assert all(not g.any() for g in grads.values())
 
@@ -494,9 +509,9 @@ class TestBackward:
         graph, X, items, n_labels = random_labeled_graph(4)
         edges = graph.arcs
         model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, np.random.default_rng(1))
-        _, g_both = batch_loss_and_grads(model, X, edges, items)
-        _, g_a = batch_loss_and_grads(model, X, edges, [items[0]])
-        _, g_b = batch_loss_and_grads(model, X, edges, [items[1]])
+        _, g_both = loss_and_grads(model, X, edges, items)
+        _, g_a = loss_and_grads(model, X, edges, [items[0]])
+        _, g_b = loss_and_grads(model, X, edges, [items[1]])
         for name in g_both:
             assert np.allclose(g_both[name], (g_a[name] + g_b[name]) / 2, atol=1e-12)
 

@@ -1006,16 +1006,22 @@ def test_subcommands_write_what_run_writes(tmp_path, case):
         assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
+def load_run_embeddings(path: Path) -> EmbeddingMatrix:
+    """An embeddings file, its rows checked against the viewpoints file beside it."""
+    records = load_viewpoints(path.with_name(FILES["viewpoints"]))
+    return load_embeddings(path, row_ids([r.idea_id for r in records for _ in r.viewpoints]))
+
+
 # What each file a run hands on in memory is read back with.
-LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "tokens": load_tokens, "graph": load_graph,
-           "negatives": novelty.load_negatives, "lp_pred": pipeline.load_predictions,
-           "gnn_pred": pipeline.load_predictions}
+LOADERS = {"split": load_corpus, "viewpoints": load_viewpoints, "tokens": load_tokens,
+           "embeddings": load_run_embeddings, "graph": load_graph, "negatives": novelty.load_negatives,
+           "lp_pred": pipeline.load_predictions, "gnn_pred": pipeline.load_predictions}
 
 
 class TestHandOn:
     """Within one ``run`` a stage gets the corpus, viewpoints, token counts,
-    graph, negatives and each engine's predictions an earlier stage wrote
-    or read, while the file is unchanged."""
+    embeddings, graph, negatives and each engine's predictions an earlier
+    stage wrote or read, while the file is unchanged."""
 
     def count_parses(self, monkeypatch) -> Counter:
         """Parses per file name, counted on the loaders the stages call."""
@@ -1030,7 +1036,8 @@ class TestHandOn:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("load_corpus", "load_viewpoints", "load_tokens", "load_graph", "load_predictions"):
+        for name in ("load_corpus", "load_viewpoints", "load_tokens", "load_embeddings", "load_graph",
+                     "load_predictions"):
             counted(pipeline, name)
         counted(novelty, "load_negatives")
         return calls
@@ -1053,6 +1060,8 @@ class TestHandOn:
                     read_back = LOADERS[key](paths[key])
                     if key == "graph":
                         assert_same_graph(obj, read_back)
+                    elif key == "embeddings":
+                        assert np.array_equal(obj.rows, read_back.rows)
                     else:
                         assert obj == read_back, key
                 return summary
@@ -1067,10 +1076,11 @@ class TestHandOn:
 
     @pytest.mark.parametrize("engine, novelty_on", [("lp", False), ("gnn", True)])
     def test_cold_run_parses_only_the_raw_corpus(self, tmp_path, demo_file, monkeypatch, engine, novelty_on):
+        """And the embeddings once: build reads them, and train takes build's matrix."""
         calls = self.count_parses(monkeypatch)
         config = demo_config(tmp_path, demo_file, engine=engine, novelty={"enabled": novelty_on, "count": 6, "train_subset": 2})
         run_pipeline(config, quiet=True)
-        assert calls == {demo_file.name: 1}
+        assert calls == {demo_file.name: 1, "embeddings.bin": 1}
 
     def test_lp_rerun_parses_graph_and_split_once(self, tmp_path, demo_file, monkeypatch):
         """eval prices the extraction from tokens.json: viewpoints.jsonl is
@@ -1115,7 +1125,7 @@ class TestHandOn:
         monkeypatch.setattr(pipeline, "write_atomic", write_then_edit)
         calls = self.count_parses(monkeypatch)
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
-        assert calls == {demo_file.name: 1, "split.jsonl": 1}
+        assert calls == {demo_file.name: 1, "split.jsonl": 1, "embeddings.bin": 1}
         assert load_viewpoints(out / "viewpoints.jsonl")[0].viewpoints == ("Edited by hand.", "Twice over.")
 
     @pytest.mark.parametrize("engine", ["lp", "gnn"])
@@ -1138,7 +1148,7 @@ class TestHandOn:
         calls = self.count_parses(monkeypatch)
         config = demo_config(tmp_path, demo_file, engine=engine, gnn={"hidden_dim": 8, "max_epochs": 3})
         run_pipeline(config, quiet=True)
-        assert calls == {demo_file.name: 1, name: 1}
+        assert calls == {demo_file.name: 1, "embeddings.bin": 1, name: 1}
         edited = pipeline.evaluate_predictions(out / name, pipeline.load_predictions(out / name), load_corpus(out / "split.jsonl"))
         report = json.loads((out / "report.json").read_text())[engine]
         assert report == {**edited.to_dict(), "avg_token_cost": report["avg_token_cost"]}
