@@ -56,8 +56,8 @@ def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()
     """Subcommand body for one pipeline stage: the path flags fill the
     stage's paths, the value flags that were given override their
     ``--config`` keys and are validated with them, and the function
-    ``viewgraph run`` uses for the stage runs, with ``options`` passed
-    through as keyword arguments."""
+    ``viewgraph run`` uses for the stage runs, with an empty memo (nothing
+    is handed on) and ``options`` passed through as keyword arguments."""
 
     def command(args):
         config = asdict(_load_config(args))
@@ -69,7 +69,7 @@ def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()
         config = validate_config(config)  # flags meet the config file's checks
         path_flags = {**PATH_FLAGS, "infile": infile, "out": out}
         paths = {key: Path(flags[flag]) for flag, key in path_flags.items() if flags.get(flag)}
-        summary = run(paths, config, **{name: flags[name] for name in options})
+        summary = run(paths, config, {}, **{name: flags[name] for name in options})
         if not args.quiet:
             print(json.dumps(summary))
 

@@ -327,12 +327,12 @@ def train(
     slots = neighbour_slots(arcs)
     n_labels = len(corpus.label_set)
 
-    items = [(_idea_nodes(graph, idea.id, "train idea"), idea.label) for idea in corpus.split_ideas("train")]
-    items += [(_idea_nodes(graph, neg.id, "negative", " (inject it first)"), neg.label) for neg in negatives or ()]
+    items = [(graph.nodes_of(idea.id, "train idea"), idea.label) for idea in corpus.split_ideas("train")]
+    items += [(graph.nodes_of(neg.id, "negative", " (inject it first)"), neg.label) for neg in negatives or ()]
     if not items:
         raise ValueError("no labeled train ideas")
     val_items = [
-        (_idea_nodes(graph, idea.id, "validation idea"), idea.label)
+        (graph.nodes_of(idea.id, "validation idea"), idea.label)
         for idea in corpus.split_ideas("validation")
         if idea.label is not None
     ]
@@ -384,14 +384,6 @@ def _predicted_labels(model, final_states, items) -> list[int]:
     return np.argmax(probs, axis=1).tolist()
 
 
-def _idea_nodes(graph: ViewpointGraph, idea_id: str, kind: str = "idea", hint: str = "") -> list[int]:
-    """The idea's node ids; an idea without nodes raises a ValueError naming it."""
-    node_ids = graph.idea_nodes.get(idea_id)
-    if not node_ids:
-        raise ValueError(f"{kind} {idea_id!r} has no nodes in the graph{hint}")
-    return node_ids
-
-
 def predict(
     model: GnnModel,
     graph: ViewpointGraph,
@@ -399,7 +391,7 @@ def predict(
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
     """The model's prediction for each idea of ``idea_ids``, in order."""
-    groups = [_idea_nodes(graph, idea_id) for idea_id in idea_ids]
+    groups = [graph.nodes_of(idea_id) for idea_id in idea_ids]
     if not groups:
         return []
     final = full_forward(model, node_features(graph, matrix), graph.arcs).states[-1]

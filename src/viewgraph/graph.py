@@ -138,6 +138,13 @@ class ViewpointGraph:
     def __len__(self) -> int:
         return len(self.idea)
 
+    def nodes_of(self, idea_id: str, kind: str = "idea", hint: str = "") -> list[int]:
+        """The idea's node ids; an idea without nodes raises a ValueError
+        naming it as ``kind``, with ``hint`` after."""
+        if not (nodes := self.idea_nodes.get(idea_id)):
+            raise ValueError(f"{kind} {idea_id!r} has no nodes in the graph{hint}")
+        return nodes
+
 
 def _canonical(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether every edge has ``u < v`` and the edges are sorted by ``(u, v)``."""
@@ -191,12 +198,7 @@ def add_neighbours(out: np.ndarray, slots: Slots, values: np.ndarray) -> np.ndar
     0.14 MB), and 1 MiB added 0.8-1.2 MB to gnn-novelty's."""
     order, starts, weight, src = slots
     dtype, width = np.result_type(values, np.float64), values.shape[1]
-    budget = max(GATHER_BYTES // (dtype.itemsize * max(width, 1)), 1)  # in rows
-    runs, first = [], 0
-    while first < len(starts) - 1:
-        stop = max(bisect_right(starts, starts[first] + budget) - 1, first + 1)
-        runs.append((first, stop))
-        first = stop
+    runs = _runs(starts, max(GATHER_BYTES // (dtype.itemsize * max(width, 1)), 1))  # a budget in rows
     buf = np.empty((max((starts[stop] - starts[first] for first, stop in runs), default=0), width), dtype)
     sums = out[order]  # in degree order, each slot adds to a prefix
     for first, stop in runs:
@@ -254,7 +256,7 @@ def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool,
     k_count = np.minimum(config.k, width - 1)
     m_count = np.minimum(config.m, start if causal else n - width)  # at most its foreign nodes
     intra, inter = [], []  # per run: (proposers, targets, similarities)
-    for first, stop in _runs(blocks, RANK_BYTES // (8 * max(n, 1))):
+    for first, stop in _runs([lo] + [hi for _, hi in blocks], RANK_BYTES // (8 * max(n, 1))):
         r0, r1 = blocks[first][0] - lo, blocks[stop - 1][1] - lo  # the run's rows
         if causal:
             keys = np.full((r1 - r0, lo + r1), -np.inf)
@@ -286,12 +288,13 @@ def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool,
     return u[first], v[first], _clamp(sims[first], config.weight_floor), intra[first]
 
 
-def _runs(blocks, budget: int) -> list[tuple[int, int]]:
-    """Consecutive blocks as ``(first, stop)`` index ranges, each spanning
-    up to ``budget`` nodes, or one larger block."""
-    ends, runs, first = [hi for _, hi in blocks], [], 0
-    while first < len(blocks):
-        stop = max(bisect_right(ends, blocks[first][0] + budget), first + 1)
+def _runs(bounds: Sequence[int], budget: int) -> list[tuple[int, int]]:
+    """Consecutive parts, part i spanning ``bounds[i]:bounds[i + 1]``, cut
+    into runs given as ``(first, stop)`` part ranges, each spanning up to
+    ``budget`` or one larger part."""
+    runs, first = [], 0
+    while first < len(bounds) - 1:
+        stop = max(bisect_right(bounds, bounds[first] + budget) - 1, first + 1)
         runs.append((first, stop))
         first = stop
     return runs

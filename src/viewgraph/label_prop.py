@@ -89,13 +89,10 @@ def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig(),
     return current
 
 
-def predict_idea(vectors: np.ndarray, node_ids: Sequence[int], idea_id: str = "") -> tuple[int, bool, np.ndarray]:
+def predict_idea(vectors: np.ndarray, node_ids: Sequence[int]) -> tuple[int, bool, np.ndarray]:
     """Argmax of the idea's summed node vectors, whether the sum is all
     zero, and the sum. Ties go to the lowest label index; an all-zero sum
-    falls back to label 0 and is flagged. An empty ``node_ids`` raises a
-    ValueError naming ``idea_id``."""
-    if not node_ids:
-        raise ValueError(f"idea {idea_id!r} has no nodes in the graph")
+    falls back to label 0 and is flagged."""
     summed = vectors[list(node_ids)].sum(axis=0)
     if not summed.any():
         return 0, True, summed
@@ -109,7 +106,8 @@ def run(
     split: str = "test",
     stats: Optional[dict] = None,
 ) -> list[LpPrediction]:
-    """The ``split`` ideas' predictions. With ``stats``, it gets the
+    """The ``split`` ideas' predictions; a ``split`` idea without nodes
+    raises a ValueError naming it. With ``stats``, it gets the
     ``iterations`` run and the ``unreached_nodes``: nodes whose final
     vector is all zero."""
     vectors = propagate(init_vectors(graph, corpus), normalize_weights(graph), config, stats)
@@ -117,7 +115,7 @@ def run(
         stats["unreached_nodes"] = int(np.count_nonzero(~vectors.any(axis=1)))
     predictions = []
     for idea in corpus.split_ideas(split):
-        label, unreached, summed = predict_idea(vectors, graph.idea_nodes.get(idea.id, []), idea.id)
+        label, unreached, summed = predict_idea(vectors, graph.nodes_of(idea.id))
         predictions.append(LpPrediction(idea.id, label, summed.tolist(), unreached))
     return predictions
 

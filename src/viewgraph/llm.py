@@ -266,24 +266,6 @@ def _is_marker(text: str) -> bool:
     return bool(_SENTENCE_MARKER_RE.fullmatch(text) or _VIEWPOINT_HEADER_RE.fullmatch(f"[{text}]"))
 
 
-def render_viewpoint_response(groups: Sequence[tuple[str, Sequence[str]]]) -> str:
-    """Inverse of the parser: sentence/viewpoint groups -> completion text."""
-    parts = []
-    for i, (sentence, views) in enumerate(groups, start=1):
-        if not views:
-            raise ValueError(f"sentence {i} has no viewpoints")
-        for v in views:
-            if "[" in v or "]" in v:
-                raise ValueError(f"viewpoint may not contain brackets: {v!r}")
-            if not v.strip():
-                raise ValueError("viewpoint may not be blank")
-            if _is_marker(v):
-                raise ValueError(f"viewpoint collides with a marker: {v!r}")
-        parts.append(f"[Sentence {i}]\n{sentence}\n[Extracted Viewpoints in Sentence {i}]")
-        parts += [f"[{v}]" for v in views]
-    return "\n".join(parts)
-
-
 _PAIR_RE = re.compile(
     r"\{\s*\[([^\[\]]*)\]\s*,\s*\[([^\[\]]*)\]\s*,\s*\[([^\[\]]*)\]\s*,\s*\[([^\[\]]*)\]\s*\}",
     re.DOTALL,
@@ -382,10 +364,10 @@ def _mock_viewpoints(prompt: str) -> tuple[str, int]:
     # a sentence that reads as a marker, such as "Sentence 2", is dropped
     sentences = [s for s in map(_sanitize, _split_sentences(abstract)) if s and not _is_marker(s)]
     sentences = sentences or ["empty abstract"]
-    # a block, [Sentence i], s, [Extracted Viewpoints in Sentence i], [s], holds
-    # 7 words and s's twice, as s is stripped
-    words = sum(7 + 2 * _word_count(s) for s in sentences)
-    return render_viewpoint_response([(s, [s]) for s in sentences]), words
+    # each sentence s is one block, its own viewpoint, which holds 7 words
+    # and s's twice, as s is stripped
+    blocks = [f"[Sentence {i}]\n{s}\n[Extracted Viewpoints in Sentence {i}]\n[{s}]" for i, s in enumerate(sentences, 1)]
+    return "\n".join(blocks), sum(7 + 2 * _word_count(s) for s in sentences)
 
 
 def _mock_relations(prompt: str, seed: int) -> str:

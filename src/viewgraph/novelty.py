@@ -79,8 +79,7 @@ def generate_negatives(
     if not sources:
         raise ValueError(f"no train idea rated at or above label {config.threshold}")
     for idea in sources:
-        if idea.id not in graph.idea_nodes:
-            raise ValueError(f"source idea {idea.id!r} has no nodes in the graph")
+        graph.nodes_of(idea.id, "source idea")  # raises for a source without nodes
 
     arcs = graph.arcs
     neg_timestamp = max(i.timestamp for i in corpus.ideas) + ONE_DAY

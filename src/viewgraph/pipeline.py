@@ -190,29 +190,27 @@ def evaluate_predictions(pred_path: Path, lines: list[tuple[int, object]], corpu
 # Optional files (the extraction's token counts, the graph's JSON export,
 # held-out negatives, training log, negatives for train to inject, each
 # engine's predictions, and token counts and costs for eval) are used when
-# their key is present. Under ``run``, ``memo`` maps file keys to the
-# objects earlier stages wrote to or read from those unchanged files, so
-# ``read`` and ``write`` hand them on; the CLI passes no memo. An object
-# handed on equals what its loader reads from the file.
+# their key is present. ``memo`` maps file keys to objects handed on in
+# memory, which ``read`` and ``write`` fill: under ``run``, the objects
+# earlier stages wrote to or read from those unchanged files; the CLI
+# passes an empty one. An object handed on equals what its loader reads
+# from the file.
 
 
-def read(paths: dict, key: str, loader, memo: Optional[dict] = None):
+def read(paths: dict, key: str, loader, memo: dict):
     """The object in file ``paths[key]``: ``memo[key]`` if handed on, else
     ``loader(paths[key])``, then handed on."""
-    if memo is None:
-        return loader(paths[key])
     if key not in memo:
         memo[key] = loader(paths[key])
     return memo[key]
 
 
-def write(paths: dict, key: str, obj, saver, memo: Optional[dict] = None) -> None:
+def write(paths: dict, key: str, obj, saver, memo: dict) -> None:
     saver(obj, paths[key])
-    if memo is not None:
-        memo[key] = obj
+    memo[key] = obj
 
 
-def run_split(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+def run_split(paths: dict, config: RunConfig, memo: dict) -> dict:
     corpus = load_corpus(paths["corpus"])
     if all(i.split is not None for i in corpus.ideas):
         write(paths, "split", corpus, save_corpus, memo)  # already split: canonicalize only
@@ -222,7 +220,7 @@ def run_split(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
     return {name: len(split.split_ideas(name)) for name in SPLITS}
 
 
-def run_extract(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+def run_extract(paths: dict, config: RunConfig, memo: dict) -> dict:
     corpus = read(paths, "split", load_corpus, memo)
     try:
         records, summary = extract_corpus(corpus.ideas, config.llm, seed_for(config.seed, "extract"))
@@ -234,7 +232,7 @@ def run_extract(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> 
     return summary
 
 
-def run_embed(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+def run_embed(paths: dict, config: RunConfig, memo: dict) -> dict:
     records = read(paths, "viewpoints", load_viewpoints, memo)
     if not records:
         raise ValueError(f"{paths['viewpoints']}: no viewpoint records to embed")
@@ -245,7 +243,7 @@ def run_embed(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
     return {"count": len(matrix), "dimension": matrix.dimension}
 
 
-def run_build(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+def run_build(paths: dict, config: RunConfig, memo: dict) -> dict:
     records = read(paths, "viewpoints", load_viewpoints, memo)
     if not records:
         raise ValueError(f"{paths['viewpoints']}: no viewpoint records to build a graph from")
@@ -258,7 +256,7 @@ def run_build(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> di
     return {"nodes": len(graph), "edges": len(graph.weight)}
 
 
-def run_negatives(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+def run_negatives(paths: dict, config: RunConfig, memo: dict) -> dict:
     seed = seed_for(config.seed, "negatives")
     samples, fallbacks = novelty_mod.generate_negatives(
         read(paths, "split", load_corpus, memo), read(paths, "graph", load_graph, memo), config.novelty, seed
@@ -270,8 +268,10 @@ def run_negatives(paths: dict, config: RunConfig, memo: Optional[dict] = None) -
     return {"generated": len(samples), "training": len(train), "fallbacks": fallbacks}
 
 
-def run_lp(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: str = "test") -> dict:
+def run_lp(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> dict:
     corpus = read(paths, "split", load_corpus, memo)
+    if not corpus.split_ideas("train"):  # no label to propagate: every prediction would be unreached
+        raise ValueError(f"{paths['split']}: no labeled train ideas to propagate labels from")
     graph = read(paths, "graph", load_graph, memo)
     stats: dict = {}
     predictions = lp_mod.run(graph, corpus, config.lp, split=split, stats=stats)
@@ -280,7 +280,7 @@ def run_lp(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: s
     return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions), **stats}
 
 
-def run_train(paths: dict, config: RunConfig, memo: Optional[dict] = None, split: str = "test") -> dict:
+def run_train(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> dict:
     """Train the GNN on the graph with the training negatives injected
     when given, save the checkpoint, then predict the ``split`` ideas on
     that graph with the model read back from the checkpoint."""
@@ -332,7 +332,7 @@ def _load_costs(path: Path) -> dict[str, float]:
     return costs
 
 
-def run_eval(paths: dict, config: RunConfig, memo: Optional[dict] = None) -> dict:
+def run_eval(paths: dict, config: RunConfig, memo: dict) -> dict:
     """Score each engine whose predictions file is given into report.json.
     With ``tokens`` (the extraction's per-idea token counts) the report
     also gets the average tokens and cost per idea, at
@@ -444,10 +444,9 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
     paths = {key: Path(config.corpus) if key == "corpus" else out / FILES[key] for key in keys}
 
     memo: dict = {}  # file key -> (sha256, object) written or read in this run
-    # Each file's sha256 by file key, taken since a stage last ran or the
-    # manifest was last written: a stretch of skipped stages hashes each
-    # file once. Keys, not paths, name the files in the manifest, so a
-    # moved run directory still matches.
+    # Each file's sha256 by file key, taken since a stage last ran: a
+    # stretch of skipped stages hashes each file once. Keys, not paths,
+    # name the files in the manifest, so a moved run directory still matches.
     hashed: dict[str, str] = {}
 
     def sha(key: str) -> str:
@@ -460,7 +459,6 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         # skipped only when its inputs, config and outputs all still match
         rest = [prev_stages[later.name] for later in stages[len(manifest["stages"]):] if later.name in prev_stages]
         write_atomic(manifest_path, json.dumps({**manifest, "stages": manifest["stages"] + rest}))
-        hashed.clear()
 
     def say(msg: str):
         if not quiet:
@@ -495,8 +493,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         hashed.clear()  # the stage may write any file
         with recording_writes() as written:
             summary = stage.run(paths, config, handed)
-        # hashed from the bytes the stage wrote; an output it did not write is read
-        output_hashes = {key: written.get(paths[key]) or sha(key) for key in stage.outputs}
+        output_hashes = {key: written[paths[key]] for key in stage.outputs}  # from the bytes it wrote
         hashes = {**input_hashes, **output_hashes}
         memo.update({key: (hashes[key], obj) for key, obj in handed.items()})
         record = {

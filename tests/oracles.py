@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_right
 
 import numpy as np
 
@@ -39,6 +40,30 @@ def dense_label_propagation(init: np.ndarray, adjacency: np.ndarray, iterations:
             nxt[i] = acc / z if z > 0 else acc
         d = nxt
     return d
+
+
+def runs_of_blocks(blocks, budget: int) -> list[tuple[int, int]]:
+    """The graph build's runs as its own loop cut them: consecutive
+    ``(start, stop)`` blocks as ``(first, stop)`` index ranges, each
+    spanning up to ``budget`` nodes, or one larger block."""
+    ends, runs, first = [hi for _, hi in blocks], [], 0
+    while first < len(blocks):
+        stop = max(bisect_right(ends, blocks[first][0] + budget), first + 1)
+        runs.append((first, stop))
+        first = stop
+    return runs
+
+
+def runs_of_slots(starts, budget: int) -> list[tuple[int, int]]:
+    """The neighbour gather's runs as its own loop cut them: slot s spans
+    ``starts[s]:starts[s + 1]``, and each run of slots up to ``budget``
+    rows, or one larger slot."""
+    runs, first = [], 0
+    while first < len(starts) - 1:
+        stop = max(bisect_right(starts, starts[first] + budget) - 1, first + 1)
+        runs.append((first, stop))
+        first = stop
+    return runs
 
 
 def brute_force_graph_edges(

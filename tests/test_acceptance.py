@@ -23,13 +23,14 @@ from oracles import (
     finite_difference_grads,
     max_relative_error,
     random_lp_instance,
+    render_viewpoint_response,
 )
 from viewgraph import gnn, label_prop, novelty
 from viewgraph.dataset import IdeaViewpoints, save_corpus
 from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.fixtures import demo_corpus
 from viewgraph.graph import GraphConfig, build_graph, neighbour_slots
-from viewgraph.llm import parse_viewpoint_response, render_viewpoint_response
+from viewgraph.llm import parse_viewpoint_response
 from viewgraph.metrics import confusion, macro_metrics, normed_cost
 from viewgraph.pipeline import run_pipeline, validate_config
 

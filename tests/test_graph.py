@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
-from oracles import brute_force_graph_edges, graph_json_arrays, graph_json_dumps, per_pair_relation_edges
+from oracles import (brute_force_graph_edges, graph_json_arrays, graph_json_dumps, per_pair_relation_edges,
+                     runs_of_blocks, runs_of_slots)
 from viewgraph import graph as graph_module
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import IdeaViewpoints, save_corpus, split_corpus
@@ -362,6 +363,22 @@ class TestAgainstPerNodeArgsort:
                             runs.append(len(keys)) or real(keys, count))
         _propose(matrix, blocks, GraphConfig(), False)
         assert 2 < len(runs) // 2 < len(blocks) and sum(runs) == 2 * len(matrix)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_runs_equal_the_loops_they_replace(seed):
+    """``_runs`` cuts the runs that the build and the neighbour gather each
+    cut with a loop of their own, on random parts: empty ones, ones larger
+    than the budget, and none at all; with budgets of 0, 1, a few, and
+    more than all parts."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([0, 0, 1, 2, 5, 13], size=seed % 12)  # seeds 0, 12, 24 and 36: no parts
+    start = int(rng.integers(0, 20))
+    bounds = (start + np.cumsum(np.r_[0, sizes])).tolist()
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    for budget in (0, 1, int(rng.integers(2, 15)), bounds[-1] - start + 1):
+        want = runs_of_blocks(blocks, budget)
+        assert graph_module._runs(bounds, budget) == want == runs_of_slots(bounds, budget), budget
 
 
 def pair_instance(seed: int):

@@ -273,8 +273,10 @@ class TestPredict:
         assert predict_idea(vectors, [0, 1])[:2] == (0, True)
 
     def test_empty_node_set_rejected(self):
+        graph = toy_graph(["a", "a"], [(0, 1, 1.0)])
+        corpus = corpus_for(["a", "x"], {"a": (0, "train"), "x": (None, "test")})
         with pytest.raises(ValueError, match="idea 'x' has no nodes in the graph"):
-            predict_idea(np.zeros((2, 3)), [], "x")
+            run(graph, corpus)
 
 
 class TestRun:

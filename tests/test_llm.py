@@ -27,7 +27,6 @@ from viewgraph.llm import (
     parse_relation_response,
     parse_viewpoint_response,
     render,
-    render_viewpoint_response,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,21 +114,8 @@ class TestRoundTrip:
     @given(st.lists(viewpoint_text, min_size=1, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_render_parse_round_trip(self, texts):
-        raw = render_viewpoint_response([("Some sentence.", texts)])
+        raw = oracles.render_viewpoint_response([("Some sentence.", texts)])
         assert parse_viewpoint_response(raw) == texts
-
-    def test_renderer_rejects_brackets(self):
-        with pytest.raises(ValueError):
-            render_viewpoint_response([("s", ["bad [claim]"])])
-
-    def test_renderer_rejects_marker_collision(self):
-        with pytest.raises(ValueError):
-            render_viewpoint_response([("s", ["Sentence 3"])])
-
-    @pytest.mark.parametrize("text", ["Extracted Viewpoints in Sentence 2", "extracted viewpoints"])
-    def test_renderer_rejects_header_collision(self, text):
-        with pytest.raises(ValueError, match="collides with a marker"):
-            render_viewpoint_response([("s", [text])])
 
 
 class TestMockBackend:
@@ -439,13 +425,6 @@ class TestExtractionOracle:
             assert llm._sanitize(text) == oracles.sanitize(text), text
             assert llm._split_sentences(text) == oracles.split_sentences(text), text
 
-    def test_render(self):
-        rng = random.Random(8)
-        texts = self.strings(9)
-        for _ in range(self.COUNT):
-            groups = [(rng.choice(texts), rng.sample(texts, rng.randint(0, 3))) for _ in range(rng.randint(0, 3))]
-            assert self.outcome(render_viewpoint_response, groups) == self.outcome(oracles.render_viewpoint_response, groups)
-
     def test_prompt_words(self):
         for t, a, v in zip(self.strings(10, longest=4), self.strings(11), self.strings(12)):
             for prompt in (render(VIEWPOINT_TEMPLATE, title=t, abstract=a),
@@ -481,7 +460,6 @@ class TestExtractionOracle:
 
         for attr, reference in [("_mock_viewpoints", mock_viewpoints), ("_sanitize", oracles.sanitize),
                                 ("_is_marker", oracles.is_marker), ("_prompt_words", lambda p: len(p.split())),
-                                ("_split_sentences", oracles.split_sentences),
-                                ("render_viewpoint_response", oracles.render_viewpoint_response)]:
+                                ("_split_sentences", oracles.split_sentences)]:
             monkeypatch.setattr(llm, attr, reference)
         assert got == extract_corpus(ideas, backend, seed=3)

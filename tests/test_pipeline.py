@@ -397,7 +397,7 @@ def test_stages_get_the_files_of_the_enabled_stages(tmp_path, demo_file, monkeyp
     seen = {}
 
     def recorded(name, stage):
-        def run(paths, config, memo=None, **kwargs):
+        def run(paths, config, memo, **kwargs):
             seen[name] = dict(paths)
             return stage(paths, config, memo, **kwargs)
 
@@ -558,7 +558,7 @@ class TestTrainStage:
         inputs = {key: tmp_path / "run" / FILES[key] for key in keys}
         new = {**inputs, "model": tmp_path / "new.ckpt", "gnn_pred": tmp_path / "new.jsonl"}
         old = {**inputs, "model": tmp_path / "old.ckpt", "gnn_pred": tmp_path / "old.jsonl"}
-        summary = run_train(new, config, split=split)
+        summary = run_train(new, config, {}, split=split)
         two_pass_train_and_predict(old, config, split)
         assert new["model"].read_bytes() == old["model"].read_bytes()
         assert new["gnn_pred"].read_bytes() == old["gnn_pred"].read_bytes()
@@ -642,6 +642,29 @@ class TestCli:
         assert self.run("eval", "--lp-pred", preds, "--corpus", split, "--out", report, "--quiet") == 0
         payload = json.loads(report.read_text())
         assert {"accuracy", "macro_precision", "macro_recall", "macro_f1"} <= set(payload["lp"])
+
+    def test_lp_refuses_an_unsplit_corpus_naming_it(self, tmp_path, capsys, demo_file):
+        """The raw corpus has no train ideas, so no label to propagate: lp
+        names it instead of writing predictions that eval cannot score."""
+        split, views, emb, graph, preds = (tmp_path / name for name in
+                                           ("split.jsonl", "views.jsonl", "emb.bin", "graph.bin", "preds.jsonl"))
+        self.run("split", "--in", demo_file, "--out", split, "--seed", 3, "--quiet")
+        self.run("extract", "--in", split, "--out", views, "--quiet")
+        self.run("embed", "--in", views, "--out", emb, "--quiet")
+        self.run("build", "--viewpoints", views, "--embeddings", emb, "--out", graph, "--quiet")
+        assert self.run("lp", "--graph", graph, "--corpus", demo_file, "--out", preds, "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {demo_file}: no labeled train ideas to propagate labels from\n"
+        assert not preds.exists()
+
+    def test_run_whose_split_gives_no_train_ideas_fails_at_lp(self, tmp_path, monkeypatch, capsys, demo_file):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(demo_file), "out_dir": "run", "split": {"fractions": [0, 0.5, 0.5]}}))
+        assert self.run("run", "--config", config, "--quiet") == 1
+        split = Path("run") / "split.jsonl"
+        assert capsys.readouterr().err == (
+            f"error: stage 'lp' failed: {split}: no labeled train ideas to propagate labels from\n")
+        assert not (tmp_path / "run" / "predictions_lp.jsonl").exists()
 
     def test_extract_names_refused_remote_call(self, tmp_path, capsys, demo_file, monkeypatch):
         class Resp:
@@ -833,7 +856,7 @@ class TestCli:
         counts = np.random.default_rng(3).integers(0, 10**7, size=(25, 2)).tolist()
         tokens.write_text(json.dumps(counts))
         paths = {"split": demo_file, "lp_pred": preds, "tokens": tokens, "report": tmp_path / "r.json"}
-        pipeline.run_eval(paths, demo_config(tmp_path, demo_file, llm={"price_per_million": price}))
+        pipeline.run_eval(paths, demo_config(tmp_path, demo_file, llm={"price_per_million": price}), {})
         extraction = json.loads((tmp_path / "r.json").read_text())["extraction"]
         per_record = [(p + c) * price / 1e6 for p, c in counts]
         assert extraction["avg_cost_per_evaluation"] == sum(per_record) / len(per_record)
@@ -1053,7 +1076,7 @@ class TestHandOn:
         handed = set()
 
         def checked(stage):
-            def run(paths, config, memo=None, **kwargs):
+            def run(paths, config, memo, **kwargs):
                 summary = stage(paths, config, memo, **kwargs)
                 for key, obj in memo.items():
                     handed.add(key)
@@ -1094,8 +1117,8 @@ class TestHandOn:
         assert calls["predictions_lp.jsonl"] == 0
 
     def test_lp_rerun_hashes_each_file_once_before_lp(self, tmp_path, demo_file, monkeypatch):
-        """The skipped stages share each file's hash; the manifest write
-        after lp forgets them, so eval hashes its inputs again. A stage's
+        """The skipped stages share each file's hash; lp, the first stage
+        that runs, forgets them, so eval hashes its inputs again. A stage's
         outputs are hashed from the bytes it wrote, not read back."""
         run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         hashes, before_lp = Counter(), Counter()

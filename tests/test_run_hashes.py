@@ -6,7 +6,9 @@ plain and hybrid graphs, run in one child process with one BLAS thread
 (the GNN's float64 files are byte-identical at a fixed thread count
 only). ``run_manifest.json`` is left out: it holds timings and paths.
 The table records the platform it was written on; on another platform
-the test skips and names what differs.
+the test skips and names what differs. A second test runs one case with
+one BLAS thread and with two, and checks that the files up to lp's
+predictions do not depend on the thread count.
 
 A change that alters a run file's bytes on purpose rewrites the table
 with
@@ -54,6 +56,14 @@ def cases() -> dict[str, dict]:
     return out
 
 
+# A separable40 run with negatives and 384-dim stub embeddings, and the
+# files it writes whose bytes must not depend on the BLAS thread count: all
+# up to lp's predictions. The GNN's float64 files may (``measure``).
+THREAD_CASE = {"separable40-novelty-384": {**cases()["separable40-novelty-similarity"], "embedding": {"dimension": 384}}}
+THREAD_FREE = ["split.jsonl", "viewpoints.jsonl", "tokens.json", "embeddings.bin", "graph.bin", "graph.json",
+               "negatives.jsonl", "negatives_holdout.jsonl", "predictions_lp.jsonl"]
+
+
 def platform_block() -> dict:
     """Python, numpy and the BLAS numpy was built with, as the benchmark's
     provenance reads them, and the machine."""
@@ -71,8 +81,9 @@ def platform_block() -> dict:
     }
 
 
-def run_matrix(root: Path) -> dict[str, dict[str, str]]:
-    """Run every case under ``root``: run name -> file name -> sha256."""
+def run_matrix(root: Path, runs: dict[str, dict]) -> dict[str, dict[str, str]]:
+    """Run every case of ``runs`` (as ``cases``) under ``root``: run name
+    -> file name -> sha256."""
     from viewgraph.dataset import save_corpus
     from viewgraph.fixtures import demo_corpus, separable_corpus
     from viewgraph.pipeline import run_pipeline, validate_config
@@ -81,7 +92,7 @@ def run_matrix(root: Path) -> dict[str, dict[str, str]]:
     for name, make in corpora.items():
         save_corpus(make(), root / f"{name}.jsonl")
     hashes = {}
-    for name, settings in cases().items():
+    for name, settings in runs.items():
         out = root / name
         corpus = root / f"{name.split('-')[0]}.jsonl"
         run_pipeline(validate_config({"corpus": str(corpus), "out_dir": str(out), **settings}), quiet=True)
@@ -90,10 +101,12 @@ def run_matrix(root: Path) -> dict[str, dict[str, str]]:
     return hashes
 
 
-def measure() -> dict:
-    """The platform and the run hashes, from a child process with one BLAS thread."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
-    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+def measure(threads: str = "1", *flags: str) -> dict:
+    """The platform and the run hashes, from a child process with
+    ``threads`` BLAS threads: of ``cases``, or with ``--threads`` of
+    ``THREAD_CASE``."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, __file__, *flags], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
 
@@ -111,10 +124,20 @@ def test_run_files_match_the_table():
     assert not changed, f"run files whose bytes differ from {TABLE.name}: {changed}"
 
 
+def test_files_up_to_lp_do_not_depend_on_the_blas_thread_count():
+    """One BLAS thread or two: the split, extraction, embeddings, graph,
+    negatives and lp predictions are byte-identical. Nothing is asserted
+    of the GNN's files."""
+    one, two = (measure(threads, "--threads")["runs"]["separable40-novelty-384"] for threads in ("1", "2"))
+    differs = [name for name in THREAD_FREE if one[name] != two[name]]
+    assert not differs, f"run files whose bytes depend on the BLAS thread count: {differs}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         TABLE.write_text(json.dumps(measure(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {TABLE}")
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            print(json.dumps({"platform": platform_block(), "runs": run_matrix(Path(tmp))}))
+            runs = THREAD_CASE if sys.argv[1:] == ["--threads"] else cases()
+            print(json.dumps({"platform": platform_block(), "runs": run_matrix(Path(tmp), runs)}))
