@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import COUNT, STRINGS, Checked, at_least, must, read_headed, setting, write_headed
-from .llm import LlmTransportError, auth_headers
+from .dataset import COUNT, STRINGS, Checked, FileFormatError, at_least, must, read_headed, setting, write_headed
+from .llm import ATTEMPTS, post_json
 
 DEFAULT_STUB_DIM = 32
 
@@ -28,6 +28,11 @@ class EmbeddingProvider(Checked):
     dimension: int = setting(DEFAULT_STUB_DIM, at_least(2))
     endpoint: str = ""
     model: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.provider == "remote" and not self.endpoint:
+            raise ValueError("endpoint: must be set when provider is remote")
 
 
 # numpy's seeding of ``np.random.default_rng(seed)``: SeedSequence's hash
@@ -98,28 +103,11 @@ def stub_rows(texts: Sequence[str], dimension: int) -> np.ndarray:
 
 
 def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
-    """The endpoint's vectors for ``texts``, from one request. A failed
-    request or an HTTP error status raises an LlmTransportError, and a
-    body that is not JSON, a response without ``data`` or an item without
-    an ``embedding`` list a ValueError; each names the endpoint."""
-    import requests  # only the remote path loads the HTTP client
-
+    """The endpoint's vectors for ``texts``, from one ``post_json`` call
+    of ``ATTEMPTS`` tries. A response without ``data`` or an item without
+    an ``embedding`` list raises a ValueError naming the endpoint."""
     where = f"embedding endpoint {provider.endpoint}"
-    try:
-        resp = requests.post(
-            provider.endpoint,
-            json={"model": provider.model, "input": list(texts)},
-            headers=auth_headers(),
-            timeout=60,
-        )
-    except requests.RequestException as exc:
-        raise LlmTransportError(f"{where}: request failed: {exc}", 1) from exc
-    if resp.status_code >= 400:
-        raise LlmTransportError(f"{where}: refused with HTTP {resp.status_code}: {resp.text[:200]}", 1)
-    try:
-        body = resp.json()
-    except ValueError:
-        raise ValueError(f"{where}: response is not JSON: {resp.text[:200]}") from None
+    body = post_json(provider.endpoint, {"model": provider.model, "input": list(texts)}, where, ATTEMPTS, 60)
     data = body.get("data") if isinstance(body, dict) else None
     if not isinstance(data, list):
         raise ValueError(f"{where}: response needs a 'data' list, got {str(body)[:200]}")
@@ -205,21 +193,21 @@ def row_ids(node_ideas: Sequence[str]) -> list[str]:
 
 def load_embeddings(path: str | Path, expected_ids: Sequence[str]) -> EmbeddingMatrix:
     """Read an embeddings file whose row ids must equal ``expected_ids``,
-    row for row. A malformed file or a differing row raises a ValueError
-    naming the file."""
+    row for row. A malformed file or a differing row raises a
+    FileFormatError naming the file."""
+    noun = "embeddings file"
     kinds = {"count": (COUNT, None), "dimension": (COUNT, None), "ids": (STRINGS, None)}
-    header, arrays = read_headed(path, "embeddings file", kinds,
+    header, arrays = read_headed(path, noun, kinds,
                                  lambda header: {"rows": ("<f4", (header["count"], header["dimension"]))})
-    where = f"embeddings file {path}"
     count, ids = header["count"], header["ids"]
     if len(ids) != count:
-        raise ValueError(f"{where}: header has {len(ids)} ids for count {count}")
+        raise FileFormatError(path, f"header has {len(ids)} ids for count {count}", noun=noun)
     if len(expected_ids) != count:
-        raise ValueError(f"{where}: {count} rows for {len(expected_ids)} nodes")
+        raise FileFormatError(path, f"{count} rows for {len(expected_ids)} nodes", noun=noun)
     for row, (got, want) in enumerate(zip(ids, expected_ids)):
         if got != want:
-            raise ValueError(f"{where}: row {row} has id {got!r}, expected {want!r}")
+            raise FileFormatError(path, f"row {row} has id {got!r}, expected {want!r}", noun=noun)
     try:
         return EmbeddingMatrix(arrays["rows"].astype(np.float64))
     except ValueError as exc:  # a zero or non-finite row
-        raise ValueError(f"{where}: {exc}") from exc
+        raise FileFormatError(path, str(exc), noun=noun) from exc

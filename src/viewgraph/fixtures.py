@@ -60,51 +60,34 @@ _DEMO_POOLS = (
 )
 
 
-def separable_corpus(
-    n_ideas: int = 40, viewpoints_per_idea: int = 4, seed: int = 7
-) -> Corpus:
-    """Two-label corpus whose ideas draw sentences from per-label pools."""
+def _pooled_corpus(label_set: LabelSet, pools, n_ideas: int, picks: int, seed: int, names: tuple[str, str, str],
+                   start: int, spread: int) -> Corpus:
+    """Idea ``i`` has label ``i % len(pools)``, ``picks`` distinct sentences
+    of its label's pool, a sentence of its own, and a timestamp in ``[start,
+    start + spread)``; ``names`` formats its id, title and own sentence."""
     rng = np.random.default_rng(seed)
-    pools = (_WEAK, _STRONG)
     ideas = []
     for i in range(n_ideas):
-        label = i % 2
-        pool = pools[label]
-        picks = rng.choice(len(pool), size=min(viewpoints_per_idea, len(pool)), replace=False)
-        sentences = [pool[int(p)] for p in picks]
-        sentences.append(f"Idea {i:02d} targets application area {i:02d}.")
-        ideas.append(
-            Idea(
-                id=f"idea-{i:02d}",
-                title=f"Synthetic idea {i:02d}",
-                text=" ".join(sentences),
-                label=label,
-                timestamp=1_600_000_000 + int(rng.integers(0, 10_000_000)),
-            )
-        )
-    return Corpus(label_set=TWO_LABELS, ideas=ideas)
+        pool = pools[i % len(pools)]
+        drawn = rng.choice(len(pool), size=min(picks, len(pool)), replace=False)
+        text = " ".join([pool[int(p)] for p in drawn] + [names[2].format(i)])
+        timestamp = start + int(rng.integers(0, spread))
+        ideas.append(Idea(id=names[0].format(i), title=names[1].format(i), text=text, label=i % len(pools),
+                          timestamp=timestamp))
+    return Corpus(label_set=label_set, ideas=ideas)
+
+
+def separable_corpus(n_ideas: int = 40, viewpoints_per_idea: int = 4, seed: int = 7) -> Corpus:
+    """Two-label corpus whose ideas draw sentences from per-label pools."""
+    names = ("idea-{0:02d}", "Synthetic idea {0:02d}", "Idea {0:02d} targets application area {0:02d}.")
+    return _pooled_corpus(TWO_LABELS, (_WEAK, _STRONG), n_ideas, viewpoints_per_idea, seed, names,
+                          1_600_000_000, 10_000_000)
 
 
 def demo_corpus(seed: int = 3) -> Corpus:
     """Twelve ideas over the four-label set; three ideas per label."""
-    rng = np.random.default_rng(seed)
-    ideas = []
-    for i in range(12):
-        label = i % 4
-        pool = _DEMO_POOLS[label]
-        picks = rng.choice(len(pool), size=3, replace=False)
-        sentences = [pool[int(p)] for p in picks]
-        sentences.append(f"Demo idea {i:02d} reports study {i:02d}.")
-        ideas.append(
-            Idea(
-                id=f"demo-{i:02d}",
-                title=f"Demo idea {i:02d}",
-                text=" ".join(sentences),
-                label=label,
-                timestamp=1_580_000_000 + int(rng.integers(0, 5_000_000)),
-            )
-        )
-    return Corpus(label_set=FOUR_LABELS, ideas=ideas)
+    names = ("demo-{0:02d}", "Demo idea {0:02d}", "Demo idea {0:02d} reports study {0:02d}.")
+    return _pooled_corpus(FOUR_LABELS, _DEMO_POOLS, 12, 3, seed, names, 1_580_000_000, 5_000_000)
 
 
 def main(argv=None):

@@ -27,8 +27,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import (COUNT, STRINGS, Checked, IdeaViewpoints, at_least, must, normalize_text, read_headed, setting,
-                      write_atomic, write_headed)
+from .dataset import (COUNT, STRINGS, Checked, FileFormatError, IdeaViewpoints, at_least, must, normalize_text,
+                      read_headed, setting, write_atomic, write_headed)
 from .embedding import EmbeddingMatrix
 
 # graph.json's text after an edge's weight, by its intra flag: its kind,
@@ -452,11 +452,11 @@ def export_graph_json(graph: ViewpointGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> ViewpointGraph:
     """Read a graph written by ``save_graph``. A malformed file raises a
-    ValueError naming the file, and the header key, the blob length or the
-    rule of ``ViewpointGraph`` at fault."""
+    FileFormatError naming the file, and the header key, the blob length or
+    the rule of ``ViewpointGraph`` at fault."""
     header, arrays = read_headed(path, "graph file", _HEADER, lambda header: {
         name: (dtype, (len(header["idea"]) if name == "t" else header["edges"],)) for name, dtype in _DTYPES.items()})
     try:
         return ViewpointGraph(header["idea"], header["text"], config=GraphConfig(**header["config"]), **arrays)
     except ValueError as exc:  # texts and ideas of different lengths, or a node or edge that breaks a rule
-        raise ValueError(f"graph file {path}: {exc}") from None
+        raise FileFormatError(path, str(exc), noun="graph file") from None

@@ -116,19 +116,44 @@ RELATION_TEMPLATE = (
 )
 
 
-API_KEY_ENV = "VIEWGRAPH_API_KEY"
-
-
-def auth_headers() -> dict:
-    """JSON request headers for a remote backend, with the bearer token
-    from $VIEWGRAPH_API_KEY when it is set."""
-    headers = {"Content-Type": "application/json"}
-    if key := os.environ.get(API_KEY_ENV):
-        headers["Authorization"] = f"Bearer {key}"
-    return headers
-
-
 BACKOFF_S = 1.0  # the first retry's delay; each later retry doubles it
+ATTEMPTS = 3  # an embedding request's attempts, and llm.max_retries's default
+
+
+def post_json(endpoint: str, payload: dict, where: str, attempts: int, timeout: float):
+    """The decoded JSON body of a POST of ``payload`` to ``endpoint``.
+    Connection errors, timeouts, 429 and 5xx are retried with exponential
+    backoff, up to ``attempts`` tries; any other failure, such as a 401
+    for a bad key, raises an LlmTransportError at once, and a body that is
+    not JSON a ValueError. Each message starts with ``where``, which names
+    the endpoint. The bearer token is $VIEWGRAPH_API_KEY, when it is set."""
+    import requests  # only the remote paths load the HTTP client
+
+    headers = {"Content-Type": "application/json"}
+    if key := os.environ.get("VIEWGRAPH_API_KEY"):
+        headers["Authorization"] = f"Bearer {key}"
+    last = ""
+    for attempt in range(1, attempts + 1):
+        if attempt > 1:
+            time.sleep(BACKOFF_S * 2 ** (attempt - 2))
+        try:
+            resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
+        except (requests.ConnectionError, requests.Timeout) as exc:
+            last = str(exc)
+            continue
+        except requests.RequestException as exc:
+            raise LlmTransportError(f"{where}: request failed, not retried: {exc}", attempt) from exc
+        if resp.status_code == 429 or resp.status_code >= 500:
+            last = f"HTTP {resp.status_code}"
+            continue
+        if resp.status_code >= 400:
+            raise LlmTransportError(
+                f"{where}: refused with HTTP {resp.status_code}, not retried: {resp.text[:200]}", attempt)
+        try:
+            return resp.json()
+        except ValueError:
+            raise ValueError(f"{where}: response is not JSON: {resp.text[:200]}") from None
+    raise LlmTransportError(f"{where}: request failed after {attempts} attempts: {last}", attempts)
 
 
 @dataclass
@@ -141,7 +166,7 @@ class LlmBackend(Checked):
     endpoint: str = ""
     model: str = ""
     temperature: float = setting(0.1, must(lambda v: 0.0 <= v <= 2.0, "in [0, 2]"))
-    max_retries: int = setting(3, at_least(1))
+    max_retries: int = setting(ATTEMPTS, at_least(1))
     price_per_million: float = setting(0.0, at_least(0.0))
     relations: bool = False
     max_inflight: int = setting(4, at_least(1))
@@ -153,56 +178,23 @@ class LlmBackend(Checked):
 
     def complete(self, prompt: str, purpose: str, seed: int = 0) -> tuple[str, TokenUsage]:
         """One completion; ``seed`` picks the mock's relation connectors
-        and polarities."""
+        and polarities. A remote completion is one ``post_json`` call."""
         if self.backend == "mock":
             text, words = _mock_completion(prompt, purpose, seed)
             return text, TokenUsage(_prompt_words(prompt), words)
-        return self._remote_complete(prompt)
-
-    def _remote_complete(self, prompt: str) -> tuple[str, TokenUsage]:
-        """One chat completion. Connection errors, timeouts, 429 and 5xx
-        are retried with exponential backoff; any other failure, such as a
-        401 for a bad key, raises at once."""
-        import requests  # only the remote path loads the HTTP client
-
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-        }
-        last = ""
-        for attempt in range(1, self.max_retries + 1):
-            if attempt > 1:
-                time.sleep(BACKOFF_S * 2 ** (attempt - 2))
-            try:
-                resp = requests.post(self.endpoint, json=payload, headers=auth_headers(), timeout=120)
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last = str(exc)
-                continue
-            except requests.RequestException as exc:
-                raise LlmTransportError(f"chat completion failed, not retried: {exc}", attempt) from exc
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last = f"HTTP {resp.status_code}"
-                continue
-            if resp.status_code >= 400:
-                raise LlmTransportError(
-                    f"chat completion refused with HTTP {resp.status_code}, not retried: {resp.text[:200]}", attempt
-                )
-            try:
-                body = resp.json()
-                text = body["choices"][0]["message"]["content"]
-                usage = body.get("usage") or {}
-                pt = usage.get("prompt_tokens")
-                ct = usage.get("completion_tokens")
-                if pt is None or ct is None:
-                    # provider omitted usage metadata: approximate by word count
-                    pt, ct = _word_count(prompt), _word_count(text)
-                return text, TokenUsage(int(pt), int(ct))
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise LlmParseError(f"malformed completion payload: {exc}", resp.text) from exc
-        raise LlmTransportError(
-            f"chat completion failed after {self.max_retries} attempts: {last}", self.max_retries
-        )
+        payload = {"model": self.model, "messages": [{"role": "user", "content": prompt}], "temperature": self.temperature}
+        body = post_json(self.endpoint, payload, f"chat completion endpoint {self.endpoint}", self.max_retries, 120)
+        try:
+            text = body["choices"][0]["message"]["content"]
+            usage = body.get("usage") or {}
+            pt = usage.get("prompt_tokens")
+            ct = usage.get("completion_tokens")
+            if pt is None or ct is None:
+                # provider omitted usage metadata: approximate by word count
+                pt, ct = _word_count(prompt), _word_count(text)
+            return text, TokenUsage(int(pt), int(ct))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise LlmParseError(f"malformed completion payload: {exc}", str(body)) from exc
 
 
 def _word_count(text: str) -> int:
@@ -407,6 +399,8 @@ def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) ->
                 completion_tokens += rel_usage.completion_tokens
         except ValueError as exc:  # a completion that does not parse
             raise ValueError(f"idea {idea.id!r}: {exc}") from None
+        except LlmTransportError as exc:  # a remote call that failed
+            raise LlmTransportError(f"idea {idea.id!r}: {exc}", exc.attempts) from None
         rec = IdeaViewpoints(
             idea_id=idea.id,
             viewpoints=tuple(texts),

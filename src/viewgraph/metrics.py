@@ -7,7 +7,7 @@ still count toward the macro means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,16 +31,9 @@ class MetricReport:
     avg_token_cost: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-        }
-        if self.avg_token_cost is not None:
-            out["avg_token_cost"] = self.avg_token_cost
-        return out
+        """The fields by name, read shallowly; ``avg_token_cost``, the one
+        field that may be unset, is left out when it is."""
+        return {f.name: value for f in fields(self) if (value := getattr(self, f.name)) is not None}
 
 
 def confusion(truths: Sequence[int], predictions: Sequence[int], labels: Sequence[str]) -> ConfusionMatrix:

@@ -268,10 +268,18 @@ def run_negatives(paths: dict, config: RunConfig, memo: dict) -> dict:
     return {"generated": len(samples), "training": len(train), "fallbacks": fallbacks}
 
 
-def run_lp(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> dict:
+def read_train_corpus(paths: dict, memo: dict, purpose: str) -> Corpus:
+    """The split corpus. One with no labeled train ideas is refused,
+    naming its file and ending in ``purpose``: lp would have no label to
+    propagate, and train nothing to fit."""
     corpus = read(paths, "split", load_corpus, memo)
-    if not corpus.split_ideas("train"):  # no label to propagate: every prediction would be unreached
-        raise ValueError(f"{paths['split']}: no labeled train ideas to propagate labels from")
+    if not corpus.split_ideas("train"):
+        raise ValueError(f"{paths['split']}: no labeled train ideas to {purpose}")
+    return corpus
+
+
+def run_lp(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> dict:
+    corpus = read_train_corpus(paths, memo, "propagate labels from")
     graph = read(paths, "graph", load_graph, memo)
     stats: dict = {}
     predictions = lp_mod.run(graph, corpus, config.lp, split=split, stats=stats)
@@ -284,7 +292,7 @@ def run_train(paths: dict, config: RunConfig, memo: dict, split: str = "test") -
     """Train the GNN on the graph with the training negatives injected
     when given, save the checkpoint, then predict the ``split`` ideas on
     that graph with the model read back from the checkpoint."""
-    corpus = read(paths, "split", load_corpus, memo)
+    corpus = read_train_corpus(paths, memo, "train the GNN on")
     graph = read(paths, "graph", load_graph, memo)
     matrix = read(paths, "embeddings", lambda path: load_embeddings(path, row_ids(graph.idea)), memo)
     negatives = []
@@ -320,15 +328,15 @@ def run_train(paths: dict, config: RunConfig, memo: dict, split: str = "test") -
 def _load_costs(path: Path) -> dict[str, float]:
     """A costs file: a non-empty JSON object of method -> average cost, each
     cost a finite number >= 0."""
-    where = f"costs file {path}"
-    costs = read_json(path, "costs file")
+    noun = "costs file"
+    costs = read_json(path, noun)
     if not isinstance(costs, dict) or not costs:
-        raise ValueError(f"{where}: must be a non-empty object of method -> average cost, got {costs!r}")
+        raise FileFormatError(path, f"must be a non-empty object of method -> average cost, got {costs!r}", noun=noun)
     for name, cost in costs.items():
         if problem(cost, float) or not 0 <= cost <= sys.float_info.max:
-            raise ValueError(f"{where}: key {name!r} must be a finite number >= 0, got {cost!r}")
+            raise FileFormatError(path, f"key {name!r} must be a finite number >= 0, got {cost!r}", noun=noun)
     if not any(costs.values()):
-        raise ValueError(f"{where}: all costs are zero; nothing to normalize against")
+        raise FileFormatError(path, "all costs are zero; nothing to normalize against", noun=noun)
     return costs
 
 

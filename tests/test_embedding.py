@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphs import edge_dict, incoming
 from oracles import brute_force_graph_edges, stub_vector
+from viewgraph import llm
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import IdeaViewpoints, save_viewpoints
 from viewgraph.embedding import (
@@ -23,7 +24,6 @@ from viewgraph.embedding import (
     stub_rows,
 )
 from viewgraph.graph import GraphConfig, build_graph
-from viewgraph.llm import LlmTransportError
 
 
 def cosine(a, b):
@@ -192,28 +192,31 @@ class TestRemoteProvider:
             embed(["a", "b"], provider)
         assert str(err.value) == f"embedding endpoint http://x/embed: {message}"
 
-    @pytest.mark.parametrize("status", [401, 500])
-    def test_error_status_names_endpoint_and_status(self, tmp_path, capsys, monkeypatch, status):
+    @pytest.mark.parametrize("status, posts, failure", [(401, 1, "refused with HTTP 401, not retried: denied"),
+                                                         (500, 3, "request failed after 3 attempts: HTTP 500")],
+                             ids=["401", "500"])
+    def test_error_status_names_endpoint_and_status(self, tmp_path, capsys, monkeypatch, status, posts, failure):
         class Resp:
             status_code = status
             text = "denied"
 
-        monkeypatch.setattr(requests, "post", lambda url, **kw: Resp())
-        provider = EmbeddingProvider(provider="remote", dimension=2, endpoint="http://x/embed")
-        with pytest.raises(LlmTransportError, match=f"^embedding endpoint http://x/embed: refused with HTTP {status}: denied$"):
-            embed(["a"], provider)
+        calls = []
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+        monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or Resp())
         assert cli_embed(tmp_path, "http://x/embed") == 1
         err = capsys.readouterr().err
-        assert err == f"error: embedding endpoint http://x/embed: refused with HTTP {status}: denied\n"
+        assert err == f"error: embedding endpoint http://x/embed: {failure}\n"
+        assert calls == ["http://x/embed"] * posts
 
     def test_connection_error_names_endpoint(self, tmp_path, capsys, monkeypatch):
         def refuse(url, **kw):
             raise requests.ConnectionError("connection refused")
 
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
         monkeypatch.setattr(requests, "post", refuse)
         assert cli_embed(tmp_path, "http://x/embed") == 1
         err = capsys.readouterr().err
-        assert err == "error: embedding endpoint http://x/embed: request failed: connection refused\n"
+        assert err == "error: embedding endpoint http://x/embed: request failed after 3 attempts: connection refused\n"
 
     def test_body_that_is_not_json_names_endpoint(self, tmp_path, capsys, monkeypatch):
         resp = requests.models.Response()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from viewgraph import llm
 from viewgraph.dataset import Idea
+from viewgraph.embedding import EmbeddingProvider, embed
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.llm import (
     RELATION_TEMPLATE,
@@ -270,10 +272,6 @@ class TestTemplates:
 
 
 class TestRemoteBackend:
-    @pytest.fixture(autouse=True)
-    def no_backoff(self, monkeypatch):
-        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
-
     def _response(self, payload, status=200):
         class Resp:
             status_code = status
@@ -288,67 +286,6 @@ class TestRemoteBackend:
 
         return Resp()
 
-    def test_retries_then_succeeds(self, monkeypatch):
-        calls = {"n": 0}
-        good = {
-            "choices": [{"message": {"content": "[Extracted Viewpoints in Sentence 1]\n[ok]"}}],
-            "usage": {"prompt_tokens": 5, "completion_tokens": 7},
-        }
-
-        def fake_post(url, **kw):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise requests.ConnectionError("down")
-            return self._response(good)
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = LlmBackend(backend="remote", endpoint="http://x", model="m")
-        texts, usage = extract_viewpoints(idea("Anything."), backend)
-        assert texts == ["ok"]
-        assert calls["n"] == 3
-        assert (usage.prompt_tokens, usage.completion_tokens) == (5, 7)
-
-    def test_transport_error_carries_attempts(self, monkeypatch):
-        def fake_post(url, **kw):
-            raise requests.ConnectionError("down")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_retries=3)
-        with pytest.raises(LlmTransportError) as err:
-            extract_viewpoints(idea("Anything."), backend)
-        assert err.value.attempts == 3
-
-    @pytest.mark.parametrize("status", [400, 401, 404])
-    def test_client_error_fails_at_once(self, monkeypatch, status):
-        calls = []
-        monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or self._response({}, status))
-        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_retries=3)
-        with pytest.raises(LlmTransportError, match=f"HTTP {status}, not retried") as err:
-            extract_viewpoints(idea("Anything."), backend)
-        assert calls == ["http://x"] and err.value.attempts == 1
-
-    @pytest.mark.parametrize("status", [429, 500, 503])
-    def test_rate_limit_and_server_errors_retried(self, monkeypatch, status):
-        calls = []
-        monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or self._response({}, status))
-        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_retries=3)
-        with pytest.raises(LlmTransportError, match=f"after 3 attempts: HTTP {status}$") as err:
-            extract_viewpoints(idea("Anything."), backend)
-        assert len(calls) == 3 and err.value.attempts == 3
-
-    def test_invalid_url_fails_at_once(self, monkeypatch):
-        calls = []
-
-        def fake_post(url, **kw):
-            calls.append(url)
-            raise requests.exceptions.MissingSchema("no scheme")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = LlmBackend(backend="remote", endpoint="x", model="m", max_retries=3)
-        with pytest.raises(LlmTransportError, match="not retried: no scheme") as err:
-            extract_viewpoints(idea("Anything."), backend)
-        assert len(calls) == 1 and err.value.attempts == 1
-
     def test_usage_fallback_counts_words(self, monkeypatch):
         good = {"choices": [{"message": {"content": "[Extracted Viewpoints in Sentence 1]\n[a b c]"}}]}
         monkeypatch.setattr(requests, "post", lambda url, **kw: self._response(good))
@@ -358,7 +295,97 @@ class TestRemoteBackend:
         assert usage.prompt_tokens > 0
 
 
+class TestTransportPolicy:
+    """One retry policy for both remote endpoints: each transport case is
+    run against a chat completion and an embedding request, both sent by
+    ``post_json``."""
+
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+
+    GOOD = {
+        "completion": {"choices": [{"message": {"content": "[Extracted Viewpoints in Sentence 1]\n[ok]"}}],
+                       "usage": {"prompt_tokens": 5, "completion_tokens": 7}},
+        "embedding": {"data": [{"embedding": [0.6, 0.8]}]},
+    }
+    # case -> the replies to successive posts (the last one repeats): an
+    # exception to raise, an HTTP status or a 200 body; then the posts
+    # made, and the error's attempts and message after the endpoint
+    CASES = {
+        "ok-on-third-attempt": ([requests.ConnectionError("down"), requests.ConnectionError("down"), 200], 3, None, None),
+        "connection-errors": ([requests.ConnectionError("down")], 3, 3, "request failed after 3 attempts: down"),
+        "400": ([400], 1, 1, "refused with HTTP 400, not retried: denied"),
+        "401": ([401], 1, 1, "refused with HTTP 401, not retried: denied"),
+        "404": ([404], 1, 1, "refused with HTTP 404, not retried: denied"),
+        "429": ([429], 3, 3, "request failed after 3 attempts: HTTP 429"),
+        "500": ([500], 3, 3, "request failed after 3 attempts: HTTP 500"),
+        "503": ([503], 3, 3, "request failed after 3 attempts: HTTP 503"),
+        "invalid-url": ([requests.exceptions.MissingSchema("no scheme")], 1, 1, "request failed, not retried: no scheme"),
+        "not-json": ([b"<html>gateway</html>"], 1, None, "response is not JSON: <html>gateway</html>"),
+    }
+
+    def request(self, endpoint: str):
+        if endpoint == "completion":
+            return LlmBackend(backend="remote", endpoint="http://x", model="m").complete("Anything.", "viewpoint_extraction")
+        return embed(["a"], EmbeddingProvider(provider="remote", dimension=2, endpoint="http://x"))
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("endpoint", ["completion", "embedding"])
+    def test_case(self, monkeypatch, endpoint, case):
+        replies, posts, attempts, message = self.CASES[case]
+        made = []
+
+        def fake_post(url, **kw):
+            made.append(url)
+            reply = replies[min(len(made), len(replies)) - 1]
+            if isinstance(reply, Exception):
+                raise reply
+            resp = requests.models.Response()
+            resp.status_code, resp.encoding = (reply if isinstance(reply, int) else 200), "utf-8"
+            resp._content = (reply if isinstance(reply, bytes) else
+                             json.dumps(self.GOOD[endpoint]).encode() if reply == 200 else b"denied")
+            return resp
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        if message is None:
+            result = self.request(endpoint)
+            if endpoint == "completion":
+                assert result == ("[Extracted Viewpoints in Sentence 1]\n[ok]", TokenUsage(5, 7))
+            else:
+                assert result.rows.tolist() == [[0.6, 0.8]]
+        else:
+            with pytest.raises(ValueError if attempts is None else LlmTransportError) as err:
+                self.request(endpoint)
+            where = "chat completion endpoint" if endpoint == "completion" else "embedding endpoint"
+            assert str(err.value) == f"{where} http://x: {message}"
+            assert getattr(err.value, "attempts", None) == attempts
+        assert made == ["http://x"] * posts
+
+
 class TestExtractCorpus:
+    def test_failed_remote_completion_names_its_idea(self, monkeypatch):
+        class Resp:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": "[Extracted Viewpoints in Sentence 1]\n[ok]"}}]}
+
+        def fake_post(url, json, **kw):
+            made.append(url)
+            if "Second claim." in json["messages"][0]["content"]:
+                raise requests.ConnectionError("down")
+            return Resp()
+
+        made = []
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+        monkeypatch.setattr(requests, "post", fake_post)
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_inflight=1)
+        with pytest.raises(LlmTransportError) as err:
+            extract_corpus([idea("First claim.", "a"), idea("Second claim.", "b"), idea("Third claim.", "c")], backend)
+        assert str(err.value) == "idea 'b': chat completion endpoint http://x: request failed after 3 attempts: down"
+        assert err.value.attempts == 3 and len(made) == 4
+
     def test_summary_reports_aggregates(self):
         ideas = [
             idea("One claim. Two claim. Three claim.", "a"),

@@ -128,17 +128,21 @@ class TestValidateConfig:
         assert message in stderr and "Traceback" not in stderr
         assert not (tmp_path / "run").exists()
 
-    def test_remote_backend_without_endpoint_refused_at_load(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("section, settings, error", [
+        ("llm", {"backend": "remote"}, "llm.endpoint: must be set when backend is remote"),
+        ("embedding", {"provider": "remote"}, "embedding.endpoint: must be set when provider is remote"),
+    ])
+    def test_remote_backend_without_endpoint_refused_at_load(self, tmp_path, capsys, monkeypatch, section, settings, error):
         monkeypatch.setattr(requests, "post", lambda *a, **kw: pytest.fail("no request may be made"))
-        data = {"out_dir": str(tmp_path / "run"), "llm": {"backend": "remote"}}
+        data = {"out_dir": str(tmp_path / "run"), section: settings}
         with pytest.raises(ConfigError) as err:
             validate_config(data)
-        assert err.value.errors == ["llm.endpoint: must be set when backend is remote"]
+        assert err.value.errors == [error]
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
         stderr = capsys.readouterr().err
-        assert "llm.endpoint: must be set when backend is remote" in stderr and "Traceback" not in stderr
+        assert error in stderr and "Traceback" not in stderr
         assert not (tmp_path / "run").exists()
 
     def test_from_file(self, tmp_path):
@@ -656,6 +660,16 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {demo_file}: no labeled train ideas to propagate labels from\n"
         assert not preds.exists()
 
+    def test_train_refuses_an_unsplit_corpus_naming_it(self, tmp_path, capsys, demo_file):
+        """As lp does: the raw corpus has no train ideas to fit, so train
+        names it, before it reads the graph and embeddings (not made here),
+        and writes neither a model nor predictions."""
+        emb, graph, model, preds = (tmp_path / name for name in ("emb.bin", "graph.bin", "model.ckpt", "preds.jsonl"))
+        argv = ["train", "--graph", graph, "--corpus", demo_file, "--embeddings", emb, "--out", model, "--gnn-pred", preds]
+        assert self.run(*argv, "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {demo_file}: no labeled train ideas to train the GNN on\n"
+        assert not model.exists() and not preds.exists()
+
     def test_run_whose_split_gives_no_train_ideas_fails_at_lp(self, tmp_path, monkeypatch, capsys, demo_file):
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "config.json"
@@ -671,14 +685,15 @@ class TestCli:
             status_code = 401
             text = "bad key"
 
-        monkeypatch.setattr(requests, "post", lambda url, **kw: Resp())
+        calls = []
+        monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append(url) or Resp())
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"llm": {"backend": "remote", "endpoint": "http://x", "max_inflight": 1}}))
         argv = ["extract", "--in", demo_file, "--out", tmp_path / "views.jsonl", "--config", config]
         assert self.run(*argv, "--quiet") == 1
         stderr = capsys.readouterr().err
-        assert "error: chat completion refused with HTTP 401, not retried: bad key" in stderr
-        assert "Traceback" not in stderr and not (tmp_path / "views.jsonl").exists()
+        assert stderr == "error: idea 'demo-00': chat completion endpoint http://x: refused with HTTP 401, not retried: bad key\n"
+        assert calls == ["http://x"] and not (tmp_path / "views.jsonl").exists()
 
     def test_extract_names_split_file_and_idea_of_failed_extraction(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(llm, "_mock_viewpoints", lambda prompt: ("[Graphs help.]", 2))
