@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from . import pipeline
-from .dataset import OutputError, read_json
+from .dataset import OutputError, plain, read_json
 from .llm import LlmTransportError
 from .metrics import MetricReport, format_table
 from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate_config
@@ -29,7 +28,7 @@ from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate
 def _load_config(args) -> RunConfig:
     config = validate_config(args.config) if args.config else RunConfig()
     if args.seed is not None:  # checked like the config file's seed
-        config = validate_config({**asdict(config), "seed": args.seed})
+        config = validate_config({**plain(config), "seed": args.seed})
     return config
 
 
@@ -60,7 +59,7 @@ def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()
     is handed on) and ``options`` passed through as keyword arguments."""
 
     def command(args):
-        config = asdict(_load_config(args))
+        config = plain(_load_config(args))
         flags = vars(args)
         for dest, value in flags.items():
             if "." in dest and value is not None:

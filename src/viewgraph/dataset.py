@@ -92,6 +92,8 @@ class Idea:
             raise ValueError(f"idea {self.id!r} has negative timestamp {self.timestamp}")
         if self.split is not None and self.split not in SPLITS:
             raise ValueError(f"idea {self.id!r} has unknown split {self.split!r}")
+        if self.split == "train" and self.label is None:
+            raise ValueError(f"train idea {self.id!r} has no label")
 
 
 @dataclass
@@ -107,11 +109,6 @@ class Corpus:
             self._by_id[idea.id] = idea
             if idea.label is not None and not (0 <= idea.label < len(self.label_set)):
                 raise ValueError(f"idea {idea.id!r} label {idea.label} out of range")
-            if idea.split == "train" and idea.label is None:
-                raise ValueError(f"train idea {idea.id!r} has no label")
-
-    def __len__(self) -> int:
-        return len(self.ideas)
 
     def by_id(self, idea_id: str) -> Optional[Idea]:
         """The idea with this id, or None."""
@@ -143,11 +140,7 @@ def load_corpus(path: str | Path) -> Corpus:
         return Idea(id, title, text, None if label is None else label_set.index_of(label), timestamp, split)
 
     optional = {"title": str, "label": STRING_OR_NULL, "timestamp": COUNT, "split": STRING_OR_NULL}
-    ideas = read_records(path, lines, make, {"id": str, "text": str}, optional, unique="id")
-    try:
-        return Corpus(label_set=label_set, ideas=ideas)
-    except ValueError as exc:  # a train idea without a label
-        raise FileFormatError(path, str(exc)) from None
+    return Corpus(label_set, read_records(path, lines, make, {"id": str, "text": str}, optional, unique="id"))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -254,6 +247,12 @@ def load_tokens(path: str | Path) -> list[list[int]]:
 def normalize_text(text: str) -> str:
     """Lower-cased text with runs of whitespace collapsed to one space."""
     return " ".join(text.lower().split())
+
+
+def first_match(texts: Sequence[str]) -> dict[str, int]:
+    """Each normalized text of ``texts`` -> the index of the first text that
+    normalizes to it, which is written last, as the texts go in reverse."""
+    return {key: i for i, key in reversed(list(enumerate(map(normalize_text, texts))))}
 
 
 # Within ``recording_writes``: each path written -> the sha256 of its bytes.
@@ -437,6 +436,10 @@ def fractions_problem(fractions) -> Optional[str]:
     return None
 
 
+def _token_pair(p) -> bool:
+    return type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[0] >= 0 and p[1] >= 0
+
+
 _KINDS = {
     COUNT: (int, None, at_least(0)),
     STRING_OR_NULL: (str, None, None),
@@ -444,15 +447,11 @@ _KINDS = {
     STRINGS: (list, lambda x: isinstance(x, str), None),
     NUMBERS: (list, lambda x: problem(x, float) is None, None),
     PAIRS: (list, lambda p: isinstance(p, list) and len(p) == 4 and all(isinstance(x, str) for x in p), None),
-    TOKENS: (list, lambda p: isinstance(p, list) and len(p) == 2 and all(problem(x, COUNT) is None for x in p), None),
+    TOKENS: (list, _token_pair, None),
     BLOCKS: (list, lambda b: isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)
              and isinstance(b[1], list) and all(problem(d, COUNT) is None for d in b[1]), None),
 }
 _ACCEPTED = {float: (int, float), list: (list, tuple), STRING_OR_NULL: (str, type(None))}
-
-
-def _token_pair(p) -> bool:
-    return type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[0] >= 0 and p[1] >= 0
 
 
 # Cheap tests of the kinds most file values have, each passing only values
@@ -463,7 +462,6 @@ _CHEAP = {
     STRING_OR_NULL: lambda v: v is None or type(v) is str,
     COUNT: lambda v: type(v) is int and v >= 0,
     STRINGS: lambda v: type(v) is list and set(map(type, v)) <= {str},
-    TOKENS: lambda v: type(v) is list and all(map(_token_pair, v)),
 }
 
 
@@ -523,6 +521,12 @@ class Checked:
         problems = [f"{path}: {broken}" for path, broken in check(vars(self), field_kinds(type(self)))]
         if problems:
             raise ValueError("; ".join(problems))
+
+
+def plain(config) -> dict:
+    """A config or config section as a plain dict, each section a dict in
+    turn; the other fields hold immutable JSON values, so none is copied."""
+    return {f.name: plain(value) if is_dataclass(value := getattr(config, f.name)) else value for f in fields(config)}
 
 
 def read_records(path: str | Path, lines: Iterable[tuple[int, object]], make: Callable, required: dict,

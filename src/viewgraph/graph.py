@@ -21,14 +21,14 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import (COUNT, STRINGS, Checked, FileFormatError, IdeaViewpoints, at_least, must, normalize_text,
-                      read_headed, setting, write_atomic, write_headed)
+from .dataset import (COUNT, STRINGS, Checked, FileFormatError, IdeaViewpoints, at_least, first_match, must,
+                      normalize_text, plain, read_headed, setting, write_atomic, write_headed)
 from .embedding import EmbeddingMatrix
 
 # graph.json's text after an edge's weight, by its intra flag: its kind,
@@ -357,13 +357,11 @@ def build_graph(
 
 def _pair_edges(rec: IdeaViewpoints) -> np.ndarray:
     """The record's relation pairs as block-local (left, right) node rows,
-    in pair order: each text names the first viewpoint that matches it
-    once normalized, and a pair naming an unknown text or one node twice
-    is dropped. ``_propose`` keeps a pair's first mention."""
-    by_text: dict[str, int] = {}
-    for node, text in enumerate(rec.viewpoints):
-        by_text.setdefault(normalize_text(text), node)
-    nodes = [(by_text.get(normalize_text(left)), by_text.get(normalize_text(right)))
+    in pair order: each text names the viewpoint ``first_match`` finds for
+    it, and a pair naming an unknown text or one node twice is dropped.
+    ``_propose`` keeps a pair's first mention."""
+    index = first_match(rec.viewpoints)
+    nodes = [(index.get(normalize_text(left)), index.get(normalize_text(right)))
              for left, _connector, _polarity, right in rec.pairs]
     kept = [(a, b) for a, b in nodes if a is not None and b is not None and a != b]
     return np.array(kept, dtype=np.int64).reshape(-1, 2).T
@@ -422,7 +420,7 @@ def save_graph(graph: ViewpointGraph, path: str | Path) -> None:
     edges, dtypes, idea, text} (the whole config, the edge count, the
     dtypes and the node ideas and texts), then the arrays of ``_DTYPES``
     in order."""
-    header = {"config": asdict(graph.config), "edges": len(graph.weight), "dtypes": _DTYPES,
+    header = {"config": plain(graph.config), "edges": len(graph.weight), "dtypes": _DTYPES,
               "idea": graph.idea, "text": graph.text}
     write_headed(path, header, (np.asarray(getattr(graph, name), dtype) for name, dtype in _DTYPES.items()))
 

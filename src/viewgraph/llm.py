@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import Checked, Idea, IdeaViewpoints, at_least, must, normalize_text, setting
+from .dataset import Checked, Idea, IdeaViewpoints, at_least, first_match, must, normalize_text, setting
 
 POLARITIES = ("supporting", "opposing")
 
@@ -139,6 +139,9 @@ def post_json(endpoint: str, payload: dict, where: str, attempts: int, timeout: 
         try:
             resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
+            # the innermost reason, such as a refused socket's, not the HTTP client's own retry text
+            while (inner := exc.__cause__ or exc.__context__) is not None:
+                exc = inner
             last = str(exc)
             continue
         except requests.RequestException as exc:
@@ -265,30 +268,29 @@ _PAIR_RE = re.compile(
 
 
 def parse_relation_response(raw: str, viewpoints: Sequence[str]) -> tuple[list[tuple[str, str, str, str]], int]:
-    """Parse ``(left, connector, polarity, right)`` tuples; endpoints must
-    match the input viewpoint list.
+    """Parse ``(left, connector, polarity, right)`` tuples; each endpoint
+    is stored as the input viewpoint ``first_match`` finds for it.
 
     Pairs with unmatched endpoints, unknown polarity, or equal endpoints
     are dropped and counted, not fatal. Duplicates (same unordered
     endpoint pair and polarity) are collapsed.
     """
-    lookup = {normalize_text(v): v for v in viewpoints}
+    index = first_match(viewpoints)
     pairs: list[tuple[str, str, str, str]] = []
     seen: set[tuple[frozenset, str]] = set()
     dropped = 0
     for m in _PAIR_RE.finditer(raw):
         left_raw, connector, polarity_raw, right_raw = (g.strip() for g in m.groups())
-        left = lookup.get(normalize_text(left_raw))
-        right = lookup.get(normalize_text(right_raw))
+        i, j = index.get(normalize_text(left_raw)), index.get(normalize_text(right_raw))
         polarity = next((p for p in POLARITIES if polarity_raw.lower().startswith(p[:6])), None)
-        if left is None or right is None or polarity is None or normalize_text(left) == normalize_text(right):
+        if i is None or j is None or polarity is None or i == j:
             dropped += 1
             continue
-        key = (frozenset((normalize_text(left), normalize_text(right))), polarity)
+        key = (frozenset((i, j)), polarity)
         if key in seen:
             continue
         seen.add(key)
-        pairs.append((left, connector, polarity, right))
+        pairs.append((viewpoints[i], connector, polarity, viewpoints[j]))
     return pairs, dropped
 
 

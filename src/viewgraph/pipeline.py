@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -30,6 +30,7 @@ from .dataset import (
     Checked,
     Corpus,
     FileFormatError,
+    IdeaViewpoints,
     OutputError,
     check,
     field_kinds,
@@ -38,6 +39,7 @@ from .dataset import (
     load_tokens,
     load_viewpoints,
     must,
+    plain,
     problem,
     read_file,
     read_json,
@@ -210,6 +212,25 @@ def write(paths: dict, key: str, obj, saver, memo: dict) -> None:
     memo[key] = obj
 
 
+def read_viewpoints(paths: dict, memo: dict, purpose: str) -> list[IdeaViewpoints]:
+    """The viewpoint records. An empty file is refused, naming it and
+    ending in ``purpose``."""
+    records = read(paths, "viewpoints", load_viewpoints, memo)
+    if not records:
+        raise ValueError(f"{paths['viewpoints']}: no viewpoint records to {purpose}")
+    return records
+
+
+def read_train_corpus(paths: dict, memo: dict, purpose: str) -> Corpus:
+    """The split corpus. One with no labeled train ideas is refused,
+    naming its file and ending in ``purpose``: lp would have no label to
+    propagate, and train nothing to fit."""
+    corpus = read(paths, "split", load_corpus, memo)
+    if not corpus.split_ideas("train"):
+        raise ValueError(f"{paths['split']}: no labeled train ideas to {purpose}")
+    return corpus
+
+
 def run_split(paths: dict, config: RunConfig, memo: dict) -> dict:
     corpus = load_corpus(paths["corpus"])
     if all(i.split is not None for i in corpus.ideas):
@@ -233,9 +254,7 @@ def run_extract(paths: dict, config: RunConfig, memo: dict) -> dict:
 
 
 def run_embed(paths: dict, config: RunConfig, memo: dict) -> dict:
-    records = read(paths, "viewpoints", load_viewpoints, memo)
-    if not records:
-        raise ValueError(f"{paths['viewpoints']}: no viewpoint records to embed")
+    records = read_viewpoints(paths, memo, "embed")
     texts = [v for r in records for v in r.viewpoints]
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = embed(texts, config.embedding)
@@ -244,9 +263,7 @@ def run_embed(paths: dict, config: RunConfig, memo: dict) -> dict:
 
 
 def run_build(paths: dict, config: RunConfig, memo: dict) -> dict:
-    records = read(paths, "viewpoints", load_viewpoints, memo)
-    if not records:
-        raise ValueError(f"{paths['viewpoints']}: no viewpoint records to build a graph from")
+    records = read_viewpoints(paths, memo, "build a graph from")
     ids = row_ids([r.idea_id for r in records for _ in r.viewpoints])
     matrix = read(paths, "embeddings", lambda path: load_embeddings(path, ids), memo)
     graph = build_graph(records, matrix, config.graph)
@@ -266,16 +283,6 @@ def run_negatives(paths: dict, config: RunConfig, memo: dict) -> dict:
     if "negatives_holdout" in paths:
         novelty_mod.save_negatives(rest, paths["negatives_holdout"])
     return {"generated": len(samples), "training": len(train), "fallbacks": fallbacks}
-
-
-def read_train_corpus(paths: dict, memo: dict, purpose: str) -> Corpus:
-    """The split corpus. One with no labeled train ideas is refused,
-    naming its file and ending in ``purpose``: lp would have no label to
-    propagate, and train nothing to fit."""
-    corpus = read(paths, "split", load_corpus, memo)
-    if not corpus.split_ideas("train"):
-        raise ValueError(f"{paths['split']}: no labeled train ideas to {purpose}")
-    return corpus
 
 
 def run_lp(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> dict:
@@ -393,17 +400,6 @@ FILES = {
 }
 
 
-def snapshot(section) -> dict:
-    """``dataclasses.asdict`` of a config section, whose fields hold
-    immutable JSON values, without its deep copies."""
-    return {f.name: getattr(section, f.name) for f in fields(section)}
-
-
-def config_snapshot(config: RunConfig) -> dict:
-    """``dataclasses.asdict`` of the whole config."""
-    return {name: snapshot(value) if is_dataclass(value) else value for name, value in snapshot(config).items()}
-
-
 def stage_table(config: RunConfig) -> list[Stage]:
     """The stages ``run`` executes for this config, in order."""
     lp = config.engine in ("lp", "both")
@@ -417,11 +413,11 @@ def stage_table(config: RunConfig) -> list[Stage]:
     table = [
         (True, Stage("split", ["corpus"], ["split"], {"fractions": list(config.split.fractions), "seed": config.seed}, run_split)),
         (True, Stage("extract", ["split"], ["viewpoints", "tokens"], {**extract_cfg, "seed": config.seed}, run_extract)),
-        (True, Stage("embed", ["viewpoints"], ["embeddings"], snapshot(config.embedding), run_embed)),
-        (True, Stage("build", ["viewpoints", "embeddings"], ["graph", "graph_json"], snapshot(config.graph), run_build)),
-        (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**snapshot(config.novelty), "seed": config.seed}, run_negatives)),
-        (lp, Stage("lp", ["graph", "split"], ["lp_pred"], snapshot(config.lp), run_lp)),
-        (gnn, Stage("train", train_inputs, ["model", "train_log", "gnn_pred"], {**snapshot(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
+        (True, Stage("embed", ["viewpoints"], ["embeddings"], plain(config.embedding), run_embed)),
+        (True, Stage("build", ["viewpoints", "embeddings"], ["graph", "graph_json"], plain(config.graph), run_build)),
+        (novelty, Stage("gen-negatives", ["split", "graph"], ["negatives", "negatives_holdout"], {**plain(config.novelty), "seed": config.seed}, run_negatives)),
+        (lp, Stage("lp", ["graph", "split"], ["lp_pred"], plain(config.lp), run_lp)),
+        (gnn, Stage("train", train_inputs, ["model", "train_log", "gnn_pred"], {**plain(config.gnn), "seed": config.seed, "novelty": novelty}, run_train)),
         (True, Stage("eval", eval_inputs, ["report"], {"price_per_million": config.llm.price_per_million}, run_eval)),
     ]
     return [stage for enabled, stage in table if enabled]
@@ -441,7 +437,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
 
     manifest: dict = {
         "version": __version__,
-        "config": config_snapshot(config),
+        "config": plain(config),
         "stages": [],
         "summary": {},
     }

@@ -340,7 +340,6 @@ CHEAP_CASES = {
     STRING_OR_NULL: ["x", "", None, 0, False, ["x"]],
     COUNT: [0, 7, -1, True, 1.0, "3", None],
     STRINGS: [[], ["a", ""], ("a",), ["a", 1], ["a", None], "ab", None],
-    TOKENS: [[], [[1, 2]], [[0, 0], [3, 4]], [[1, -2]], [[1, True]], [[1]], [[1, 2, 3]], [(1, 2)], [[1.0, 2]], "x", {}],
 }
 
 
@@ -352,6 +351,22 @@ def test_cheap_tests_change_no_verdict(kind, monkeypatch):
     assert None in cheap and any(cheap)
     monkeypatch.setattr(dataset, "_CHEAP", {})
     assert cheap == [problem(value, kind) for value in CHEAP_CASES[kind]]
+
+
+# the message of a tokens value whose first bad item follows
+TOKEN_ITEM = f"must be {TOKENS}, got item "
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [([], None), ([[1, 2]], None), ([[0, 0], [3, 4]], None), ([[1, -2]], TOKEN_ITEM + "[1, -2]"),
+     ([[1, True]], TOKEN_ITEM + "[1, True]"), ([[1]], TOKEN_ITEM + "[1]"), ([[1, 2, 3]], TOKEN_ITEM + "[1, 2, 3]"),
+     ([(1, 2)], TOKEN_ITEM + "(1, 2)"), ([[1.0, 2]], TOKEN_ITEM + "[1.0, 2]"), ([[1, 2], None], TOKEN_ITEM + "None"),
+     ("x", "must be a list, got str"), ({}, "must be a list, got dict")],
+)
+def test_tokens_value_names_its_first_bad_item(value, message):
+    """A tokens value is a list of [prompt, completion] lists of ints >= 0."""
+    assert problem(value, TOKENS) == message
 
 
 # A headed file with one plain header key, one config section and two arrays.

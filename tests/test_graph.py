@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
 from oracles import (brute_force_graph_edges, graph_json_arrays, graph_json_dumps, per_pair_relation_edges,
@@ -27,7 +29,7 @@ from viewgraph.graph import (
     save_graph,
     time_features,
 )
-from viewgraph.llm import LlmBackend, extract_corpus
+from viewgraph.llm import LlmBackend, extract_corpus, parse_relation_response
 
 
 def records_from(spec: dict[str, list[str]], timestamps=None) -> list[IdeaViewpoints]:
@@ -632,6 +634,26 @@ class TestConfig:
             GraphConfig(k=0)
 
 
+BASES = ("graphs help.", "trees hurt.", "nodes link up.")
+
+
+@st.composite
+def spelled(draw, text: str) -> str:
+    """``text`` in random case, each space a random run of whitespace."""
+    return "".join(draw(st.sampled_from([" ", "  ", "\t", " \n"])) if c == " " else
+                   c.upper() if draw(st.booleans()) else c for c in text)
+
+
+@st.composite
+def relation_case(draw) -> tuple[list[str], str]:
+    """Viewpoints spelled from a few texts, some equal once normalized, and
+    a relation completion whose endpoints are spelled from them or unknown."""
+    views = draw(st.lists(st.sampled_from(BASES).flatmap(spelled), min_size=1, max_size=6))
+    named = st.sampled_from(BASES + ("no such view.",)).flatmap(spelled)
+    lines = draw(st.lists(st.tuples(named, st.sampled_from(["supporting", "opposing", "neither"]), named), max_size=8))
+    return views, "\n".join(f"{{[{left}], [so], [{polarity}], [{right}]}}" for left, polarity, right in lines)
+
+
 class TestHybrid:
     def test_intra_edges_from_pairs(self):
         rec = IdeaViewpoints(
@@ -645,6 +667,27 @@ class TestHybrid:
         intra = [(u, v) for u, v, is_intra in zip(graph.u.tolist(), graph.v.tolist(), graph.intra) if is_intra]
         assert len(graph.weight) == len(intra) == 1
         assert intra == [(0, 1)]
+
+    def test_stored_pair_and_its_edge_name_the_same_viewpoint(self):
+        """Two viewpoints equal once normalized: the parsed pair stores the
+        first one's text, and the build joins the first one's node."""
+        views = ("Graphs help.", "graphs  help.", "Trees hurt.")
+        pairs, dropped = parse_relation_response("{[graphs help.], [therefore], [supporting], [Trees hurt.]}", views)
+        assert (pairs, dropped) == ([("Graphs help.", "therefore", "supporting", "Trees hurt.")], 0)
+        rec = IdeaViewpoints("a", views, pairs=tuple(pairs))
+        graph = build_graph([rec], stub_matrix([rec]), GraphConfig(hybrid=True))
+        intra = [(u, v) for u, v, is_intra in zip(graph.u.tolist(), graph.v.tolist(), graph.intra) if is_intra]
+        assert intra == [(0, 2)]
+        assert [graph.text[u] for u in intra[0]] == [pairs[0][0], pairs[0][3]]
+
+    @given(relation_case())
+    @settings(max_examples=50, deadline=None)
+    def test_every_parsed_pair_is_joined_at_the_viewpoints_it_stores(self, case):
+        views, raw = case
+        pairs, _ = parse_relation_response(raw, views)
+        rec = IdeaViewpoints("a", tuple(views), pairs=tuple(pairs))
+        assert graph_module._pair_edges(rec).T.tolist() == [
+            [views.index(left), views.index(right)] for left, _connector, _polarity, right in pairs]
 
 
 def demo12_graph(hybrid: bool) -> ViewpointGraph:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import random
 import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from viewgraph import llm
-from viewgraph.dataset import Idea
+from viewgraph import llm, pipeline
+from viewgraph.dataset import Corpus, Idea, LabelSet, save_corpus
 from viewgraph.embedding import EmbeddingProvider, embed
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.llm import (
@@ -295,6 +297,18 @@ class TestRemoteBackend:
         assert usage.prompt_tokens > 0
 
 
+def refused_socket() -> requests.ConnectionError:
+    """A ConnectionError chained as the HTTP client chains one for a
+    refused socket: its text is the pool's retry message, and the end of
+    its chain the socket's own error."""
+    reason = ConnectionRefusedError(111, "Connection refused")
+    pool = requests.exceptions.RetryError("Max retries exceeded with url: / (Caused by NewConnectionError(...))")
+    pool.__cause__ = reason
+    err = requests.ConnectionError(pool)
+    err.__context__ = pool
+    return err
+
+
 class TestTransportPolicy:
     """One retry policy for both remote endpoints: each transport case is
     run against a chat completion and an embedding request, both sent by
@@ -315,6 +329,7 @@ class TestTransportPolicy:
     CASES = {
         "ok-on-third-attempt": ([requests.ConnectionError("down"), requests.ConnectionError("down"), 200], 3, None, None),
         "connection-errors": ([requests.ConnectionError("down")], 3, 3, "request failed after 3 attempts: down"),
+        "refused-socket": ([refused_socket()], 3, 3, "request failed after 3 attempts: [Errno 111] Connection refused"),
         "400": ([400], 1, 1, "refused with HTTP 400, not retried: denied"),
         "401": ([401], 1, 1, "refused with HTTP 401, not retried: denied"),
         "404": ([404], 1, 1, "refused with HTTP 404, not retried: denied"),
@@ -385,6 +400,57 @@ class TestExtractCorpus:
             extract_corpus([idea("First claim.", "a"), idea("Second claim.", "b"), idea("Third claim.", "c")], backend)
         assert str(err.value) == "idea 'b': chat completion endpoint http://x: request failed after 3 attempts: down"
         assert err.value.attempts == 3 and len(made) == 4
+
+    def test_thread_pool_keeps_input_order_and_posts_each_prompt_once(self, monkeypatch, tmp_path):
+        """Six ideas through four threads, the later ones answered first:
+        the records are a one-thread run's, in input order, and each
+        prompt is posted once. One failing idea raises an error naming it,
+        and no viewpoints file is written."""
+        ideas = [idea(f"Claim {n} holds. It follows from {n}.", f"i{n}") for n in range(6)]
+        posted, lock = [], threading.Lock()
+
+        class Resp:
+            status_code = 200
+
+            def __init__(self, prompt):
+                text, words = llm._mock_completion(prompt, "viewpoint_extraction", 0)
+                self.body = {"choices": [{"message": {"content": text}}],
+                             "usage": {"prompt_tokens": len(prompt), "completion_tokens": words}}
+
+            def json(self):
+                return self.body
+
+        def fake_post(url, json, **kw):
+            prompt = json["messages"][0]["content"]
+            with lock:
+                posted.append(prompt)
+            n = next(n for n in range(6) if f"Claim {n} holds." in prompt)
+            time.sleep(0.002 * (6 - n))  # the later ideas are answered first
+            if f"Claim {failing} holds." in prompt:
+                raise requests.ConnectionError("down")
+            return Resp(prompt)
+
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+        monkeypatch.setattr(requests, "post", fake_post)
+        failing = None
+        runs = {}
+        for inflight in (1, 4):
+            posted.clear()
+            backend = LlmBackend(backend="remote", endpoint="http://x", model="m", max_inflight=inflight)
+            runs[inflight] = extract_corpus(ideas, backend), sorted(posted)
+        assert runs[4] == runs[1]
+        assert [r.idea_id for r in runs[4][0][0]] == [f"i{n}" for n in range(6)]
+        prompts = runs[4][1]
+        assert len(prompts) == len(set(prompts)) == 6
+
+        failing = 3
+        split, views = tmp_path / "split.jsonl", tmp_path / "views.jsonl"
+        save_corpus(Corpus(LabelSet(("bad", "good")), ideas), split)
+        config = pipeline.validate_config({"llm": {"backend": "remote", "endpoint": "http://x", "max_inflight": 4}})
+        with pytest.raises(LlmTransportError) as err:
+            pipeline.run_extract({"split": split, "viewpoints": views}, config, {})
+        assert str(err.value) == "idea 'i3': chat completion endpoint http://x: request failed after 3 attempts: down"
+        assert err.value.attempts == 3 and not views.exists()
 
     def test_summary_reports_aggregates(self):
         ideas = [

@@ -191,6 +191,12 @@ class TestSelect:
         again, _ = select_training_negatives(samples, 10, seed=5)[0], None
         assert [s.id for s in again] == [s.id for s in train]
 
+    @pytest.mark.parametrize("train_subset", [3, 4])
+    def test_subset_of_at_least_count_trains_on_every_negative(self, separable, train_subset):
+        corpus, _, _, graph = separable
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=3), seed=5)
+        assert select_training_negatives(samples, train_subset, seed=5) == (samples, [])
+
 
 class TestInject:
     def test_copy_negative_links_to_source_at_weight_one(self, separable):

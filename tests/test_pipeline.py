@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -21,13 +22,15 @@ from graphs import assert_same_graph
 from viewgraph import gnn, llm, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus, write_jsonl
+from viewgraph.dataset import (TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus, split_corpus,
+                               write_jsonl)
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
 from viewgraph.graph import GraphConfig, load_graph
 from viewgraph.label_prop import LpConfig, init_vectors, normalize_weights, propagate
 from viewgraph.llm import LlmBackend
+from viewgraph.metrics import MetricReport, format_table
 from viewgraph.novelty import NoveltyConfig
 from viewgraph.pipeline import (
     FILES,
@@ -282,6 +285,17 @@ class TestRunPipeline:
         (tmp_path / "run" / "run_manifest.json").write_bytes(damaged)
         second = run_pipeline(config, quiet=True)
         assert [s["name"] for s in second["stages"] if not s["skipped"]] == [s.name for s in stage_table(config)]
+
+    def test_deleted_output_reruns_its_stage_only(self, tmp_path, demo_file):
+        """lp rewrites the same bytes, so eval is skipped by hash."""
+        config = demo_config(tmp_path, demo_file)
+        run_pipeline(config, quiet=True)
+        preds = tmp_path / "run" / FILES["lp_pred"]
+        before = preds.read_bytes()
+        preds.unlink()
+        second = run_pipeline(config, quiet=True)
+        assert [s["name"] for s in second["stages"] if not s["skipped"]] == ["lp"]
+        assert preds.read_bytes() == before
 
     def test_force_reruns(self, tmp_path, demo_file):
         config = demo_config(tmp_path, demo_file)
@@ -812,12 +826,14 @@ class TestCli:
         assert "Traceback" not in stderr
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
-    def test_lp_from_the_run_graph_writes_the_run_predictions(self, tmp_path, demo_file):
-        run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
+    def test_lp_from_the_run_graph_writes_the_run_predictions(self, tmp_path, capsys, demo_file):
+        """And prints its summary, the run's, as one JSON line."""
+        manifest = run_pipeline(demo_config(tmp_path, demo_file), quiet=True)
         run = tmp_path / "run"
         argv = ["lp", "--graph", run / "graph.bin", "--corpus", run / "split.jsonl", "--out", tmp_path / "lp.jsonl"]
-        assert self.run(*argv, "--quiet") == 0
+        assert self.run(*argv) == 0
         assert (tmp_path / "lp.jsonl").read_bytes() == (run / "predictions_lp.jsonl").read_bytes()
+        assert capsys.readouterr().out == json.dumps(manifest["summary"]["lp"]) + "\n"
 
     def test_eval_without_predictions_named(self, tmp_path, capsys, demo_file):
         assert self.run("eval", "--corpus", demo_file, "--out", tmp_path / "r.json", "--quiet") == 2
@@ -965,6 +981,78 @@ class TestCli:
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp"))
         assert Path("afile").read_text() == "a regular file\n" and not list(Path("adir").iterdir())
+
+    def test_split_passes_an_already_split_corpus_through(self, tmp_path, capsys, demo_file):
+        split, resplit = tmp_path / "split.jsonl", tmp_path / "resplit.jsonl"
+        save_corpus(split_corpus(demo_corpus(), (0.7, 0.1, 0.2), seed=3), split)
+        assert self.run("split", "--in", split, "--out", resplit) == 0
+        assert capsys.readouterr().out == '{"passthrough": true}\n'
+        assert resplit.read_bytes() == split.read_bytes()
+
+    def test_run_prints_each_stage_and_the_metrics_table(self, tmp_path, capsys, demo_file):
+        data = {"corpus": str(demo_file), "out_dir": str(tmp_path / "run"), "engine": "both",
+                "gnn": {"hidden_dim": 8, "max_epochs": 4}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        names = [stage.name for stage in stage_table(validate_config(data))]
+        for status in (r"done in [0-9.]+s", "unchanged, skipped"):
+            assert self.run("run", "--config", config) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [re.fullmatch(rf"\[([a-z-]+)\] {status}", line).group(1) for line in lines[:len(names)]] == names
+            report = json.loads((tmp_path / "run" / "report.json").read_text())
+            table = format_table({engine: MetricReport(**report[engine]) for engine in ("lp", "gnn")})
+            assert lines[len(names):] == table.splitlines()
+
+    CORPUS = '{"labels": ["bad", "good"]}\n'
+    # case -> (files to write, argv, the whole stderr)
+    REFUSALS = {
+        "two-fractions": ({"config.json": '{"split": {"fractions": [0.5, 0.5]}}'},
+                          ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--config", "config.json"],
+                          "error: invalid config file config.json:\n  split.fractions: must be 3 values, got [0.5, 0.5]\n"),
+        "negative-fraction": ({"config.json": '{"split": {"fractions": [1.2, -0.2, 0.0]}}'},
+                              ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--config", "config.json"],
+                              "error: invalid config file config.json:\n"
+                              "  split.fractions: must be non-negative, got [1.2, -0.2, 0.0]\n"),
+        "hybrid-without-relations": ({"config.json": '{"graph": {"hybrid": true}}'},
+                                     ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--config", "config.json"],
+                                     "error: invalid config file config.json:\n"
+                                     "  graph.hybrid: requires llm.relations to be enabled\n"),
+        "rounded-fractions-overflow": (
+            {"corpus.jsonl": CORPUS + "".join(f'{{"id": "{i}", "text": "{i}.", "label": "good"}}\n' for i in "abc")},
+            ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--fractions", "0.5,0.5,0"],
+            "error: rounded fractions overflow corpus of size 3\n"),
+        "no-viewpoints": ({"views.jsonl": '{"idea_id": "a", "viewpoints": []}\n'},
+                          ["embed", "--in", "views.jsonl", "--out", "out.bin"],
+                          "error: views.jsonl: line 1: idea 'a' has no viewpoints\n"),
+        "unknown-strategy": (
+            {"negs.jsonl": '{"id": "n0", "source_id": "demo-00", "strategy": "paste", "viewpoints": ["x"], "timestamp": 0}\n'},
+            ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings", "run/embeddings.bin",
+             "--negatives", "negs.jsonl", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
+            "error: negs.jsonl: line 1: unknown strategy 'paste'\n"),
+        "trailing-text": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A."} and more\n'},
+                          ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+                          "error: corpus.jsonl: line 2: invalid JSON (Extra data): "
+                          "'{\"id\": \"a\", \"text\": \"A.\"} and more'\n"),
+        "unknown-split": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A.", "label": "bad", "split": "holdout"}\n'},
+                          ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+                          "error: corpus.jsonl: line 2: idea 'a' has unknown split 'holdout'\n"),
+        "unlabeled-train-idea": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A.", "split": "train"}\n'},
+                                 ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+                                 "error: corpus.jsonl: line 2: train idea 'a' has no label\n"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_input_in_one_error_line(self, tmp_path, monkeypatch, capsys, demo_file, case):
+        """Exit 2, one ``error:`` line naming what is wrong, and no output."""
+        files, argv, stderr = self.REFUSALS[case]
+        monkeypatch.chdir(tmp_path)
+        if "run/graph.bin" in argv:
+            run_pipeline(validate_config({"corpus": str(demo_file), "out_dir": "run"}), quiet=True)
+        for name, text in {"corpus.jsonl": self.CORPUS, **files}.items():
+            Path(name).write_text(text)
+        assert self.run(*argv) == 2
+        assert capsys.readouterr().err == stderr
+        assert not list(tmp_path.glob("out.*"))
 
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "config.json"
