@@ -156,6 +156,7 @@ Slots = namedtuple("Slots", "order starts weight src")
 
 GATHER_BYTES = 1 << 17  # of neighbour rows gathered at once; ``add_neighbours`` says why
 RANK_BYTES = 1 << 18  # of similarity rows ranked at once; ``_propose`` says why
+HEAD_BYTES = 1 << 19  # of GNN head gradient rows summed at once; ``gnn._outer_sums`` says why
 
 
 def neighbour_slots(arcs: Arcs) -> Slots:

@@ -236,7 +236,10 @@ def run_split(paths: dict, config: RunConfig, memo: dict) -> dict:
     if all(i.split is not None for i in corpus.ideas):
         write(paths, "split", corpus, save_corpus, memo)  # already split: canonicalize only
         return {"passthrough": True}
-    split = split_corpus(corpus, config.split.fractions, config.seed)
+    try:
+        split = split_corpus(corpus, config.split.fractions, config.seed)
+    except ValueError as exc:  # add the file the corpus is in
+        raise ValueError(f"{paths['corpus']}: {exc}") from None
     write(paths, "split", split, save_corpus, memo)
     return {name: len(split.split_ideas(name)) for name in SPLITS}
 

@@ -243,12 +243,15 @@ class TestAgainstEdgeTensorReference:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("make", [tied_random_instance, tied_built_instance], ids=["random", "built"])
-    def test_forward_and_gradients_bit_identical(self, make, seed, layers):
-        """At hidden width 6 with 3 labels and at 64 with 9, and also on a
+    def test_forward_and_gradients_bit_identical(self, monkeypatch, make, seed, layers):
+        """At hidden width 6 with 3 labels and at 64 with 9, also on a
         batch whose items share nodes (and so pool maxima from the same
-        rows) and that holds one item twice: each gradient block adds its
-        items in batch order."""
+        rows) and that holds one item twice, and on a one-item batch: each
+        gradient block adds its items in batch order. Each batch also runs
+        with budgets of three items' rows of either head block, so that
+        batches span several chunks of ``_outer_sums``."""
         graph, X = make(seed)
+        default_budget = gnn.HEAD_BYTES
         for hidden, n_labels in ((6, 3), (64, 9)):
             rng = np.random.default_rng(seed)
             model = init_model(GnnConfig(layers=layers, hidden_dim=hidden), X.shape[1], n_labels, rng)
@@ -263,13 +266,17 @@ class TestAgainstEdgeTensorReference:
             assert len(cache.states) == len(states)
             assert all(np.array_equal(a, b) for a, b in zip(cache.states, states))
             assert (cache.messages[0] < 0).any() and (cache.messages[0] == 0).any()
-            for batch in (items, overlapping):
+            assert len(overlapping) > 3
+            budgets = (default_budget, 3 * 8 * n_labels * (hidden + 1), 3 * 8 * hidden * (2 * hidden + 1))
+            for batch in (items, overlapping, overlapping[-1:]):
                 for class_weights in (None, np.resize([0.5, 1.0, 2.0], n_labels)):
                     ref_loss, ref_grads = reference_loss_and_grads(model, X, graph.arcs, batch, class_weights)
-                    new_loss, new_grads = loss_and_grads(model, X, graph.arcs, batch, class_weights)
-                    assert new_loss == ref_loss
-                    assert new_grads.keys() == ref_grads.keys()
-                    assert all(np.array_equal(new_grads[k], ref_grads[k]) for k in ref_grads)
+                    for budget in budgets:
+                        monkeypatch.setattr(gnn, "HEAD_BYTES", budget)
+                        new_loss, new_grads = loss_and_grads(model, X, graph.arcs, batch, class_weights)
+                        assert new_loss == ref_loss
+                        assert new_grads.keys() == ref_grads.keys()
+                        assert all(np.array_equal(new_grads[k], ref_grads[k]) for k in ref_grads), budget
 
     def test_forward_cache_holds_no_per_arc_array(self):
         graph, X = tied_random_instance(0)
@@ -410,12 +417,16 @@ class TestAgainstTwoPassTraining:
 
     @pytest.mark.parametrize("batch_size, steps_per_epoch", [(3, 4), (64, 1)])
     def test_one_forward_pass_per_step(self, monkeypatch, batch_size, steps_per_epoch):
+        """And one pooled head per step, plus one per epoch for the train
+        and validation predictions together."""
         corpus, graph, matrix, negs = training_instance(0, validation=True, negatives=True)
         assert len(corpus.split_ideas("train")) + len(negs) == 10
-        calls = []
+        calls, heads = [], []
         monkeypatch.setattr(gnn, "full_forward", lambda *args: calls.append(args) or full_forward(*args))
+        monkeypatch.setattr(gnn, "pool_and_head", lambda *args: heads.append(args) or pool_and_head(*args))
         train(GnnConfig(hidden_dim=6, batch_size=batch_size, max_epochs=5), graph, matrix, corpus, negs)
         assert len(calls) == 1 + 5 * steps_per_epoch
+        assert len(heads) == 5 * steps_per_epoch + 5
 
 
 class TestForwardSubgraph:

@@ -1020,7 +1020,11 @@ class TestCli:
         "rounded-fractions-overflow": (
             {"corpus.jsonl": CORPUS + "".join(f'{{"id": "{i}", "text": "{i}.", "label": "good"}}\n' for i in "abc")},
             ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--fractions", "0.5,0.5,0"],
-            "error: rounded fractions overflow corpus of size 3\n"),
+            "error: corpus.jsonl: rounded fractions overflow corpus of size 3\n"),
+        "unlabeled-ideas-overflow-test": (
+            {"corpus.jsonl": CORPUS + "".join(f'{{"id": "{i}", "text": "{i}."}}\n' for i in "abc")},
+            ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--fractions", "0.4,0.3,0.3"],
+            "error: corpus.jsonl: 3 unlabeled ideas cannot fit the test split of size 1\n"),
         "no-viewpoints": ({"views.jsonl": '{"idea_id": "a", "viewpoints": []}\n'},
                           ["embed", "--in", "views.jsonl", "--out", "out.bin"],
                           "error: views.jsonl: line 1: idea 'a' has no viewpoints\n"),
@@ -1291,11 +1295,52 @@ class TestHandOn:
 
 
 def test_package_imports_no_scipy():
-    """scipy.sparse would add about 22 MB of peak RSS; the package keeps to numpy."""
-    code = "import sys, viewgraph.cli, viewgraph.gnn, viewgraph.label_prop; print('scipy' in sys.modules)"
+    """scipy.sparse would add about 22 MB of peak RSS; the package keeps to
+    numpy. The heap policy finds the C library without ``ctypes.util``,
+    whose ``find_library`` starts processes, and nothing loads
+    ``subprocess``."""
+    code = ("import sys, viewgraph.cli, viewgraph.gnn, viewgraph.label_prop; "
+            "print(sorted({'scipy', 'subprocess', 'ctypes.util'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.mark.parametrize("libc", ["glibc", "other C library", "no C library", "no mallopt"])
+def test_heap_policy_sets_both_thresholds_on_glibc_only(monkeypatch, libc):
+    """Two ``mallopt`` calls on glibc: blocks of 32 MiB and up mapped on
+    their own, the heap top trimmed past 64 MiB free. Elsewhere, nothing,
+    and no error."""
+    import viewgraph
+
+    fake, opened = FakeLibc(), []
+
+    def confstr(name):
+        assert name == "CS_GNU_LIBC_VERSION"
+        if libc == "other C library":
+            raise ValueError("unrecognized configuration name")
+        return "glibc 2.36"
+
+    def cdll(name):
+        opened.append(name)
+        if libc == "no C library":
+            raise OSError("cannot open the C library")
+        return object() if libc == "no mallopt" else fake
+
+    monkeypatch.setattr(viewgraph.os, "confstr", confstr)
+    monkeypatch.setattr(viewgraph.ctypes, "CDLL", cdll)
+    viewgraph.heap_policy()
+    assert fake.calls == ([(-3, 32 << 20), (-1, 64 << 20)] if libc == "glibc" else [])
+    assert opened == ([] if libc == "other C library" else [None])
 
 
 REMOTE_ONLY = ("requests", "urllib3", "ssl", "concurrent.futures")
