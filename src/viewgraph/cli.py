@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from . import pipeline
-from .dataset import OutputError, plain, read_json
+from .dataset import SPLITS, OutputError, plain, read_json
 from .llm import LlmTransportError
 from .metrics import MetricReport, format_table
 from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate_config
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--max-iters", dest="lp.max_iters", type=int)
     p.add_argument("--early-stop", dest="lp.early_stop", action=argparse.BooleanOptionalAction)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=stage_command(pipeline.run_lp, out="lp_pred", options=("split",)))
 
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="gnn.batch_size", type=int)
     p.add_argument("--lr", dest="gnn.learning_rate", type=float)
     p.add_argument("--log", default=None, help="write the per-epoch training log here")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--out", required=True, help="model checkpoint")
     p.add_argument("--gnn-pred", required=True, help="predictions for the --split ideas")
     p.set_defaults(fn=stage_command(pipeline.run_train, out="model", options=("split",)))

@@ -68,10 +68,7 @@ class LabelSet:
         try:
             return self.labels.index(name)
         except ValueError:
-            raise ValueError(f"unknown label name {name!r}; known: {list(self.labels)}") from None
-
-    def name_of(self, index: int) -> str:
-        return self.labels[index]
+            raise ValueError(f"'label' must be one of {list(self.labels)}, got {name!r}") from None
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .dataset import (BLOCKS, STRINGS, Checked, Corpus, FileFormatError, at_leas
                       write_headed)
 from .embedding import EmbeddingMatrix
 from .graph import HEAD_BYTES, Arcs, ViewpointGraph, add_neighbours, neighbour_slots
-from .metrics import confusion, macro_metrics
+from .metrics import macro_metrics
 
 PROB_FLOOR = 1e-12
 
@@ -197,12 +197,12 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Se
 def loss(
     probabilities: Sequence[Sequence[float]],
     labels: Sequence[int],
-    class_weights: Optional[np.ndarray] = None,
+    weights: Optional[Sequence[float]] = None,
 ) -> float:
-    """(Weighted) mean cross-entropy; probabilities floored at 1e-12."""
+    """Mean cross-entropy, item i weighted by ``weights[i]`` (by 1 without
+    ``weights``); probabilities floored at 1e-12."""
     total, total_w = 0.0, 0.0
-    for p, y in zip(probabilities, labels):
-        w = 1.0 if class_weights is None else float(class_weights[y])
+    for p, y, w in zip(probabilities, labels, [1.0] * len(labels) if weights is None else weights):
         total += w * -math.log(max(float(p[y]), PROB_FLOOR))
         total_w += w
     return total / total_w if total_w > 0 else 0.0
@@ -232,9 +232,9 @@ def batch_loss_and_grads(
     final = cache.states[-1]
     head = pool_and_head(model, final, [ids for ids, _ in items])
     labels = [y for _, y in items]
-    weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
+    weights = np.ones(len(labels)) if class_weights is None else class_weights[labels]
     total_w = weights.sum()
-    loss_val = loss(head.probs, labels, class_weights)
+    loss_val = loss(head.probs, labels, weights.tolist())
 
     grads = {name: np.zeros_like(arr) for name, arr in model.items()}
     h_dim = model.hidden_dim
@@ -409,7 +409,7 @@ def train(
         if val_items:
             preds = preds[len(items) :]
             truths = [y for _, y in val_items]
-            entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
+            entry["val_macro_f1"] = macro_metrics(truths, preds, corpus.label_set.labels).macro_f1
             if entry["val_macro_f1"] > best_f1:
                 best_f1 = entry["val_macro_f1"]
                 best_model = GnnModel({name: arr.copy() for name, arr in model.items()})
@@ -443,12 +443,6 @@ def predict(
         SubgraphPrediction(idea_id=idea_id, probabilities=row.tolist(), label_index=int(np.argmax(row)))
         for idea_id, row in zip(idea_ids, probs)
     ]
-
-
-def prediction_rows(predictions: Sequence[SubgraphPrediction], corpus: Corpus) -> list[dict]:
-    """The predictions as the rows of a predictions file."""
-    return [{"id": p.idea_id, "label": corpus.label_set.name_of(p.label_index), "probabilities": p.probabilities}
-            for p in predictions]
 
 
 def save_model(

@@ -118,9 +118,3 @@ def run(
         label, unreached, summed = predict_idea(vectors, graph.nodes_of(idea.id))
         predictions.append(LpPrediction(idea.id, label, summed.tolist(), unreached))
     return predictions
-
-
-def prediction_rows(predictions: Sequence[LpPrediction], corpus: Corpus) -> list[dict]:
-    """The predictions as the rows of a predictions file."""
-    return [{"id": p.idea_id, "label": corpus.label_set.name_of(p.label_index), "vector": p.vector,
-             "unreached": p.unreached} for p in predictions]

@@ -14,14 +14,6 @@ import numpy as np
 
 
 @dataclass
-class ConfusionMatrix:
-    """counts[true][predicted] over a fixed label set."""
-
-    counts: np.ndarray
-    labels: tuple[str, ...]
-
-
-@dataclass
 class MetricReport:
     accuracy: float
     macro_precision: float
@@ -36,25 +28,19 @@ class MetricReport:
         return {f.name: value for f in fields(self) if (value := getattr(self, f.name)) is not None}
 
 
-def confusion(truths: Sequence[int], predictions: Sequence[int], labels: Sequence[str]) -> ConfusionMatrix:
+def macro_metrics(truths: Sequence[int], predictions: Sequence[int], labels: Sequence[str]) -> MetricReport:
+    """The report of the items' (truth, prediction) label indices into
+    ``labels``, from their confusion counts."""
     if len(truths) != len(predictions):
         raise ValueError(f"{len(truths)} truths vs {len(predictions)} predictions")
     if not truths:
         raise ValueError("no items to evaluate")
     n = len(labels)
-    counts = np.zeros((n, n), dtype=int)
+    counts = np.zeros((n, n), dtype=int)  # counts[true][predicted]
     for t, p in zip(truths, predictions):
         if not (0 <= t < n) or not (0 <= p < n):
             raise ValueError(f"label index out of range: truth={t} pred={p} (n={n})")
         counts[t, p] += 1
-    return ConfusionMatrix(counts=counts, labels=tuple(labels))
-
-
-def macro_metrics(matrix: ConfusionMatrix) -> MetricReport:
-    counts = matrix.counts
-    if counts.sum() == 0:
-        raise ValueError("empty confusion matrix")
-    n = counts.shape[0]
     accuracy = float(np.trace(counts)) / float(counts.sum())
     per_class = []
     precisions, recalls, f1s = [], [], []
@@ -69,7 +55,7 @@ def macro_metrics(matrix: ConfusionMatrix) -> MetricReport:
         recalls.append(rec)
         f1s.append(f1)
         per_class.append(
-            {"label": matrix.labels[c], "precision": prec, "recall": rec, "f1": f1,
+            {"label": labels[c], "precision": prec, "recall": rec, "f1": f1,
              "support": int(counts[c, :].sum())}
         )
     return MetricReport(
@@ -82,12 +68,10 @@ def macro_metrics(matrix: ConfusionMatrix) -> MetricReport:
 
 
 def normed_cost(costs: Mapping[str, float]) -> dict[str, float]:
-    """Divide every method's average cost by the maximum cost."""
-    if not costs:
-        raise ValueError("no costs given")
+    """Divide every method's average cost by the maximum cost. ``costs``
+    is a costs file as ``pipeline`` loads it: non-empty, each cost >= 0
+    and not all of them zero."""
     top = max(costs.values())
-    if top <= 0:
-        raise ValueError("all costs are zero; nothing to normalize against")
     return {name: cost / top for name, cost in costs.items()}
 
 

@@ -161,13 +161,17 @@ def inject_negatives(
     Each negative links to the existing graph and to earlier negatives
     only. Each negative viewpoint takes the embedding row of the first
     graph node with the same text (copies therefore connect to their
-    sources at weight 1); a text absent from the graph is an error. All
-    temporal features are re-encoded over corpus plus negatives, so the
-    negatives carry the latest feature and everything stays in [0, 1].
+    sources at weight 1); a text absent from the graph is an error, as is
+    a label that is not an index of the corpus's label set. All temporal
+    features are re-encoded over corpus plus negatives, so the negatives
+    carry the latest feature and everything stays in [0, 1].
     """
+    n_labels = len(corpus.label_set)
     for neg in negatives:
         if corpus.by_id(neg.id) is not None or neg.id in graph.idea_nodes:
             raise ValueError(f"negative id {neg.id!r} collides with an existing idea")
+        if not 0 <= neg.label < n_labels:
+            raise ValueError(f"negative {neg.id!r} has label {neg.label}, not one of the corpus's {n_labels} labels")
 
     by_text: dict[str, np.ndarray] = {}
     for node, text in enumerate(graph.text):

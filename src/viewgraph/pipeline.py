@@ -57,7 +57,7 @@ from .dataset import (
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
 from .graph import GraphConfig, build_graph, export_graph_json, load_graph, save_graph
 from .llm import LlmBackend, extract_corpus
-from .metrics import MetricReport, confusion, macro_metrics, normed_cost
+from .metrics import MetricReport, macro_metrics, normed_cost
 
 ENGINES = ("lp", "gnn", "both")
 
@@ -153,6 +153,15 @@ def load_predictions(path: Path) -> list[tuple[int, object]]:
     return list(read_jsonl(path, "predictions file"))
 
 
+def prediction_lines(predictions, corpus: Corpus, *keys: str) -> list[tuple[int, dict]]:
+    """The (line number, row) pairs of an engine's ``predictions``, numbered
+    from 1: each row holds the idea's ``id``, the name of its predicted
+    ``label``, then the prediction's ``keys``."""
+    labels = corpus.label_set.labels
+    return [(line, {"id": p.idea_id, "label": labels[p.label_index], **{key: getattr(p, key) for key in keys}})
+            for line, p in enumerate(predictions, start=1)]
+
+
 def save_predictions(lines: list[tuple[int, dict]], path: Path) -> None:
     """Write the rows of the (line number, row) pairs ``lines``, numbered
     from 1, one to a line: ``load_predictions`` reads ``lines`` back."""
@@ -164,14 +173,11 @@ def evaluate_predictions(pred_path: Path, lines: list[tuple[int, object]], corpu
     ``load_predictions`` reads it, against the corpus labels; unlabeled
     ideas are skipped. An idea not in the corpus, one predicted twice, or
     a label not in the label set is refused on any line."""
-    labels = corpus.label_set.labels
 
     def make(id: str, label: Optional[str] = None) -> tuple[Optional[int], int]:
         if (idea := corpus.by_id(id)) is None:
             raise ValueError(f"idea id {id!r} is not in the corpus")
-        if label not in labels:
-            raise ValueError(f"'label' must be one of {list(labels)}, got {label!r}")
-        return idea.label, labels.index(label)
+        return idea.label, corpus.label_set.index_of(label)
 
     noun = "predictions file"
     scored = [pair for pair in read_records(pred_path, lines, make, {"id": str}, {"label": STRING_OR_NULL},
@@ -179,7 +185,7 @@ def evaluate_predictions(pred_path: Path, lines: list[tuple[int, object]], corpu
     if not scored:
         raise ValueError(f"no labeled ideas among predictions in {pred_path}")
     truths, preds = zip(*scored)
-    return macro_metrics(confusion(truths, preds, labels))
+    return macro_metrics(truths, preds, corpus.label_set.labels)
 
 
 # --- stages ------------------------------------------------------------------
@@ -293,8 +299,7 @@ def run_lp(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> d
     graph = read(paths, "graph", load_graph, memo)
     stats: dict = {}
     predictions = lp_mod.run(graph, corpus, config.lp, split=split, stats=stats)
-    rows = lp_mod.prediction_rows(predictions, corpus)
-    write(paths, "lp_pred", list(enumerate(rows, start=1)), save_predictions, memo)
+    write(paths, "lp_pred", prediction_lines(predictions, corpus, "vector", "unreached"), save_predictions, memo)
     return {"predicted": len(predictions), "unreached": sum(p.unreached for p in predictions), **stats}
 
 
@@ -308,7 +313,10 @@ def run_train(paths: dict, config: RunConfig, memo: dict, split: str = "test") -
     negatives = []
     if "negatives" in paths:
         negatives = read(paths, "negatives", novelty_mod.load_negatives, memo)
-        graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
+        try:
+            graph, matrix = novelty_mod.inject_negatives(graph, matrix, negatives, corpus)
+        except ValueError as exc:  # the message names the negative; add the file it is in
+            raise ValueError(f"{paths['negatives']}: {exc}") from None
     seed = seed_for(config.seed, "train")
     result = gnn_mod.train(config.gnn, graph, matrix, corpus, negatives or None, seed=seed)
     gnn_mod.save_model(
@@ -324,8 +332,7 @@ def run_train(paths: dict, config: RunConfig, memo: dict, split: str = "test") -
         write_atomic(paths["train_log"], json.dumps(result.log))
     model, _header = gnn_mod.load_model(paths["model"])  # predict with the saved float32 weights
     predictions = gnn_mod.predict(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
-    rows = gnn_mod.prediction_rows(predictions, corpus)
-    write(paths, "gnn_pred", list(enumerate(rows, start=1)), save_predictions, memo)
+    write(paths, "gnn_pred", prediction_lines(predictions, corpus, "probabilities"), save_predictions, memo)
     return {
         "epochs": len(result.log),
         "final_loss": result.log[-1]["loss"],

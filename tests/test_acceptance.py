@@ -31,7 +31,7 @@ from viewgraph.embedding import EmbeddingMatrix
 from viewgraph.fixtures import demo_corpus
 from viewgraph.graph import GraphConfig, build_graph, neighbour_slots
 from viewgraph.llm import parse_viewpoint_response
-from viewgraph.metrics import confusion, macro_metrics, normed_cost
+from viewgraph.metrics import macro_metrics, normed_cost
 from viewgraph.pipeline import run_pipeline, validate_config
 
 
@@ -183,7 +183,7 @@ def capacity_runs(separable):
         test_preds = gnn.predict(result.model, graph, matrix, [i.id for i in corpus.split_ideas("test")])
         truths = [corpus.by_id(p.idea_id).label for p in test_preds]
         guesses = [p.label_index for p in test_preds]
-        report = macro_metrics(confusion(truths, guesses, corpus.label_set.labels))
+        report = macro_metrics(truths, guesses, corpus.label_set.labels)
         runs[seed] = {
             "train_accuracy": result.log[-1]["train_accuracy"],
             "test_accuracy": report.accuracy,
@@ -209,7 +209,7 @@ def test_lp_vs_gnn_ordering(separable, capacity_runs):
     lp_preds = label_prop.run(graph, corpus)
     truths = [corpus.by_id(p.idea_id).label for p in lp_preds]
     guesses = [p.label_index for p in lp_preds]
-    lp_f1 = macro_metrics(confusion(truths, guesses, corpus.label_set.labels)).macro_f1
+    lp_f1 = macro_metrics(truths, guesses, corpus.label_set.labels).macro_f1
     gnn_f1 = min(r["test_macro_f1"] for r in capacity_runs.values())
     criterion(
         "lp-vs-gnn-ordering",
@@ -258,7 +258,7 @@ def test_metrics_oracle():
         n = int(rng.integers(1, 60))
         truths = rng.integers(0, n_labels, size=n).tolist()
         preds = rng.integers(0, n_labels, size=n).tolist()
-        rep = macro_metrics(confusion(truths, preds, tuple(str(c) for c in range(n_labels))))
+        rep = macro_metrics(truths, preds, tuple(str(c) for c in range(n_labels)))
         expected = brute_force_macro(truths, preds, n_labels)
         worst = max(
             worst,
@@ -267,7 +267,7 @@ def test_metrics_oracle():
             abs(rep.macro_recall - expected["macro_recall"]),
             abs(rep.macro_f1 - expected["macro_f1"]),
         )
-    hand = macro_metrics(confusion([0, 0, 1, 1], [0, 1, 1, 1], ("a", "b"))).macro_f1
+    hand = macro_metrics([0, 0, 1, 1], [0, 1, 1, 1], ("a", "b")).macro_f1
     criterion(
         "metrics-oracle",
         worst < 1e-12 and abs(hand - 11 / 15) < 1e-12,

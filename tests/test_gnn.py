@@ -32,7 +32,7 @@ from viewgraph.gnn import (
     save_model,
     train,
 )
-from viewgraph.metrics import confusion, macro_metrics
+from viewgraph.metrics import macro_metrics
 from viewgraph.novelty import NegativeSample
 
 TWO = LabelSet(("Reject", "Accept"))
@@ -170,7 +170,7 @@ def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
     labels = [y for _, y in items]
     weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
     total_w = weights.sum()
-    loss_val = loss([h.probs for h in heads], labels, class_weights)
+    loss_val = loss([h.probs for h in heads], labels, weights.tolist())
     grads = {name: np.zeros_like(arr) for name, arr in model.items()}
     n, h_dim = final.shape[0], model.hidden_dim
     d_final = np.zeros_like(final)
@@ -355,7 +355,7 @@ def reference_train(config, graph, matrix, corpus, negatives=(), seed=0):
         if val_items:
             preds = predicted(val_items)
             truths = [y for _, y in val_items]
-            entry["val_macro_f1"] = macro_metrics(confusion(truths, preds, corpus.label_set.labels)).macro_f1
+            entry["val_macro_f1"] = macro_metrics(truths, preds, corpus.label_set.labels).macro_f1
             if entry["val_macro_f1"] > best_f1:
                 best_model = GnnModel({name: arr.copy() for name, arr in model.items()})
                 best_f1, best_epoch = entry["val_macro_f1"], epoch

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from viewgraph import llm, pipeline
+from viewgraph.cli import main as cli_main
 from viewgraph.dataset import Corpus, Idea, LabelSet, save_corpus
 from viewgraph.embedding import EmbeddingProvider, embed
 from viewgraph.fixtures import demo_corpus, separable_corpus
@@ -376,6 +377,71 @@ class TestTransportPolicy:
             assert str(err.value) == f"{where} http://x: {message}"
             assert getattr(err.value, "attempts", None) == attempts
         assert made == ["http://x"] * posts
+
+    @pytest.mark.parametrize("key", ["k", None], ids=["key", "no-key"])
+    @pytest.mark.parametrize("endpoint", ["completion", "embedding"])
+    def test_api_key_sent_as_bearer_token(self, monkeypatch, endpoint, key):
+        """$VIEWGRAPH_API_KEY is the bearer token of both endpoints; unset,
+        no Authorization header is sent."""
+        if key is None:
+            monkeypatch.delenv("VIEWGRAPH_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("VIEWGRAPH_API_KEY", key)
+        sent = []
+
+        def fake_post(url, headers, **kw):
+            sent.append(headers)
+            return json_reply(self.GOOD[endpoint])
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        self.request(endpoint)
+        expected = {"Content-Type": "application/json"}
+        if key is not None:
+            expected["Authorization"] = f"Bearer {key}"
+        assert sent == [expected]
+
+
+def json_reply(body) -> requests.models.Response:
+    """A 200 reply whose body is ``body`` as JSON."""
+    resp = requests.models.Response()
+    resp.status_code, resp.encoding, resp._content = 200, "utf-8", json.dumps(body).encode()
+    return resp
+
+
+class TestPayloadFaults:
+    """A 200 reply that holds no usable completion: extraction fails
+    naming the idea and the fault, and ``viewgraph extract`` exits 2."""
+
+    HEADER = "[Extracted Viewpoints in Sentence 1]\n"
+    NO_CHOICES = {"choices": []}
+    NEGATIVE_USAGE = {"choices": [{"message": {"content": HEADER + "[ok]"}}],
+                      "usage": {"prompt_tokens": -1, "completion_tokens": 3}}
+    # case -> (the 200 body, the fault, the raw completion the error quotes)
+    CASES = {
+        "no-choices": (NO_CHOICES, "malformed completion payload: list index out of range", str(NO_CHOICES)),
+        "negative-usage": (NEGATIVE_USAGE, "malformed completion payload: token counts must be non-negative",
+                           str(NEGATIVE_USAGE)),
+        "header-without-items": ({"choices": [{"message": {"content": HEADER}}]},
+                                 "completion contained no viewpoint items", HEADER),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_case(self, tmp_path, monkeypatch, capsys, case):
+        body, fault, raw = self.CASES[case]
+        monkeypatch.setattr(requests, "post", lambda url, **kw: json_reply(body))
+        message = f"idea 'a': {fault}; raw completion: {raw!r}"
+        backend = LlmBackend(backend="remote", endpoint="http://x", model="m")
+        with pytest.raises(ValueError) as err:
+            extract_corpus([idea("One claim.", "a")], backend)
+        assert str(err.value) == message
+
+        corpus, config, views = tmp_path / "c.jsonl", tmp_path / "config.json", tmp_path / "views.jsonl"
+        save_corpus(Corpus(LabelSet(("bad", "good")), [idea("One claim.", "a")]), corpus)
+        config.write_text(json.dumps({"llm": {"backend": "remote", "endpoint": "http://x"}}))
+        argv = ["extract", "--in", corpus, "--out", views, "--config", config, "--quiet"]
+        assert cli_main([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: {message}\n"
+        assert not views.exists()
 
 
 class TestExtractCorpus:

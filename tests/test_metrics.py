@@ -4,43 +4,48 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_macro
-from viewgraph.metrics import confusion, format_table, macro_metrics, normed_cost
+from viewgraph.metrics import format_table, macro_metrics, normed_cost
 
 FOUR = ("Reject", "Accept (Poster)", "Accept (Oral)", "Accept (Spotlight)")
 
 
 class TestConfusion:
+    """The confusion counts, as macro_metrics reports them."""
+
     def test_perfect_is_diagonal(self):
-        m = confusion([0, 1, 2, 3], [0, 1, 2, 3], FOUR)
-        assert np.array_equal(m.counts, np.eye(4, dtype=int))
+        rep = macro_metrics([0, 1, 2, 3, 3], [0, 1, 2, 3, 3], FOUR)
+        assert rep.accuracy == 1.0
+        assert [c["support"] for c in rep.per_class] == [1, 1, 1, 2]
+        assert [c["label"] for c in rep.per_class] == list(FOUR)
 
     def test_direct_tally(self):
-        m = confusion([0, 0, 1], [0, 1, 1], ("a", "b"))
-        assert m.counts[0, 0] == 1
-        assert m.counts[0, 1] == 1
-        assert m.counts[1, 1] == 1
+        # counts [[1, 1], [0, 1]]
+        rep = macro_metrics([0, 0, 1], [0, 1, 1], ("a", "b"))
+        assert rep.accuracy == pytest.approx(2 / 3)
+        assert [c["support"] for c in rep.per_class] == [2, 1]
+        assert [(c["precision"], c["recall"]) for c in rep.per_class] == [(1.0, 0.5), (0.5, 1.0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            confusion([], [], ("a", "b"))
+        with pytest.raises(ValueError, match="no items to evaluate"):
+            macro_metrics([], [], ("a", "b"))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            confusion([0, 1], [0], ("a", "b"))
+        with pytest.raises(ValueError, match="2 truths vs 1 predictions"):
+            macro_metrics([0, 1], [0], ("a", "b"))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            confusion([0, 5], [0, 1], ("a", "b"))
+        with pytest.raises(ValueError, match=r"label index out of range: truth=5 pred=1 \(n=2\)"):
+            macro_metrics([0, 5], [0, 1], ("a", "b"))
 
 
 class TestMacroMetrics:
     def test_perfect_case(self):
-        rep = macro_metrics(confusion([0, 1, 2, 3], [0, 1, 2, 3], FOUR))
+        rep = macro_metrics([0, 1, 2, 3], [0, 1, 2, 3], FOUR)
         assert rep.accuracy == 1.0
         assert rep.macro_precision == rep.macro_recall == rep.macro_f1 == 1.0
 
     def test_hand_computed_two_class(self):
-        rep = macro_metrics(confusion([0, 0, 1, 1], [0, 1, 1, 1], ("a", "b")))
+        rep = macro_metrics([0, 0, 1, 1], [0, 1, 1, 1], ("a", "b"))
         assert rep.accuracy == 0.75
         assert rep.per_class[0]["precision"] == 1.0
         assert rep.per_class[0]["recall"] == 0.5
@@ -52,7 +57,7 @@ class TestMacroMetrics:
 
     def test_absent_class_counts_as_zero(self):
         # class 2 never predicted nor true beyond one miss
-        rep = macro_metrics(confusion([0, 0, 2], [0, 0, 0], ("a", "b", "c")))
+        rep = macro_metrics([0, 0, 2], [0, 0, 0], ("a", "b", "c"))
         by_label = {c["label"]: c for c in rep.per_class}
         assert by_label["c"]["precision"] == 0.0
         assert by_label["c"]["recall"] == 0.0
@@ -63,7 +68,7 @@ class TestMacroMetrics:
         rng = np.random.default_rng(0)
         truths = rng.integers(0, 4, size=30).tolist()
         preds = rng.integers(0, 4, size=30).tolist()
-        rep = macro_metrics(confusion(truths, preds, FOUR))
+        rep = macro_metrics(truths, preds, FOUR)
         for value in (rep.accuracy, rep.macro_precision, rep.macro_recall, rep.macro_f1):
             assert 0.0 <= value <= 1.0
 
@@ -74,7 +79,7 @@ class TestMacroMetrics:
         n = int(rng.integers(1, 40))
         truths = rng.integers(0, n_labels, size=n).tolist()
         preds = rng.integers(0, n_labels, size=n).tolist()
-        rep = macro_metrics(confusion(truths, preds, tuple(str(c) for c in range(n_labels))))
+        rep = macro_metrics(truths, preds, tuple(str(c) for c in range(n_labels)))
         expected = brute_force_macro(truths, preds, n_labels)
         assert rep.accuracy == pytest.approx(expected["accuracy"], abs=1e-12)
         assert rep.macro_precision == pytest.approx(expected["macro_precision"], abs=1e-12)
@@ -86,10 +91,8 @@ class TestMacroMetrics:
         truths = rng.integers(0, 3, size=25).tolist()
         preds = rng.integers(0, 3, size=25).tolist()
         perm = [2, 0, 1]
-        base = macro_metrics(confusion(truths, preds, ("a", "b", "c")))
-        moved = macro_metrics(
-            confusion([perm[t] for t in truths], [perm[p] for p in preds], ("x", "y", "z"))
-        )
+        base = macro_metrics(truths, preds, ("a", "b", "c"))
+        moved = macro_metrics([perm[t] for t in truths], [perm[p] for p in preds], ("x", "y", "z"))
         assert base.accuracy == pytest.approx(moved.accuracy)
         assert base.macro_precision == pytest.approx(moved.macro_precision)
         assert base.macro_recall == pytest.approx(moved.macro_recall)
@@ -107,18 +110,10 @@ class TestNormedCost:
         out = normed_cost({"big": 2.0, "mid": 1.0, "small": 0.16})
         assert out["small"] == pytest.approx(0.08)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normed_cost({"a": 0.0, "b": 0.0})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normed_cost({})
-
 
 class TestTable:
     def test_columns_in_report_order(self):
-        rep = macro_metrics(confusion([0, 1], [0, 1], ("a", "b")))
+        rep = macro_metrics([0, 1], [0, 1], ("a", "b"))
         rep.avg_token_cost = 123.4
         table = format_table({"engine": rep})
         header = table.splitlines()[0]

@@ -19,7 +19,7 @@ import pytest
 import requests
 
 from graphs import assert_same_graph
-from viewgraph import gnn, llm, novelty, pipeline
+from viewgraph import gnn, label_prop, llm, novelty, pipeline
 from viewgraph.cli import build_parser
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import (TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus, split_corpus,
@@ -552,7 +552,9 @@ def two_pass_train_and_predict(paths, config, split):
     graph, matrix, corpus, _ = training_inputs()
     model, _ = gnn.load_model(paths["model"])
     predictions = gnn.predict(model, graph, matrix, [i.id for i in corpus.split_ideas(split)])
-    write_jsonl(paths["gnn_pred"], gnn.prediction_rows(predictions, corpus))
+    labels = corpus.label_set.labels
+    write_jsonl(paths["gnn_pred"], ({"id": p.idea_id, "label": labels[p.label_index], "probabilities": p.probabilities}
+                                    for p in predictions))
 
 
 class TestTrainStage:
@@ -1033,6 +1035,19 @@ class TestCli:
             ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings", "run/embeddings.bin",
              "--negatives", "negs.jsonl", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
             "error: negs.jsonl: line 1: unknown strategy 'paste'\n"),
+        "negative-without-viewpoints": (
+            {"negs.jsonl": '{"id": "neg-copy-000", "source_id": "demo-00", "strategy": "copy", "viewpoints": [], '
+                           '"timestamp": 0}\n'},
+            ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings", "run/embeddings.bin",
+             "--negatives", "negs.jsonl", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
+            "error: negs.jsonl: line 1: negative 'neg-copy-000' has no viewpoints\n"),
+        # the demo corpus has 4 labels: a negative's label indexes them
+        "negative-label-out-of-range": (
+            {"negs.jsonl": '{"id": "neg-copy-000", "source_id": "demo-00", "strategy": "copy", "viewpoints": ["x"], '
+                           '"timestamp": 0, "label": 9}\n'},
+            ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings", "run/embeddings.bin",
+             "--negatives", "negs.jsonl", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
+            "error: negs.jsonl: negative 'neg-copy-000' has label 9, not one of the corpus's 4 labels\n"),
         "trailing-text": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A."} and more\n'},
                           ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
                           "error: corpus.jsonl: line 2: invalid JSON (Extra data): "
@@ -1043,6 +1058,9 @@ class TestCli:
         "unlabeled-train-idea": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A.", "split": "train"}\n'},
                                  ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
                                  "error: corpus.jsonl: line 2: train idea 'a' has no label\n"),
+        "unknown-label": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A.", "label": "nope"}\n'},
+                          ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
+                          "error: corpus.jsonl: line 2: 'label' must be one of ['bad', 'good'], got 'nope'\n"),
     }
 
     @pytest.mark.parametrize("case", REFUSALS)
@@ -1056,6 +1074,31 @@ class TestCli:
             Path(name).write_text(text)
         assert self.run(*argv) == 2
         assert capsys.readouterr().err == stderr
+        assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize("command", ["lp", "train"])
+    def test_unknown_split_refused_before_any_stage_runs(self, tmp_path, monkeypatch, capsys, demo_file, command):
+        """The parser refuses a --split that names no split, so neither
+        engine propagates or trains first, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(validate_config({"corpus": str(demo_file), "out_dir": "run"}), quiet=True)
+
+        def never(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(gnn, "train", never)
+        monkeypatch.setattr(label_prop, "propagate", never)
+        argv = {"lp": ["lp", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--out", "out.jsonl"],
+                "train": ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings",
+                          "run/embeddings.bin", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"]}[command]
+        with pytest.raises(SystemExit) as stopped:
+            self.run(*argv, "--split", "bogus")
+        assert stopped.value.code == 2
+        stderr = capsys.readouterr().err
+        # Python 3.12 dropped the quotes around the choices
+        assert re.fullmatch(rf"viewgraph {command}: error: argument --split: invalid choice: 'bogus' "
+                            r"\(choose from '?train'?, '?validation'?, '?test'?\)", stderr.splitlines()[-1])
+        assert stderr.startswith(f"usage: viewgraph {command}") and "Traceback" not in stderr
         assert not list(tmp_path.glob("out.*"))
 
     def test_bad_config_exit_code(self, tmp_path):
