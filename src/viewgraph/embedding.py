@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import COUNT, STRINGS, Checked, FileFormatError, at_least, must, read_headed, setting, write_headed
+from .dataset import (COUNT, NUMBERS, STRINGS, Checked, FileFormatError, at_least, must, problem, read_headed, setting,
+                      write_headed)
 from .llm import ATTEMPTS, post_json
 
 DEFAULT_STUB_DIM = 32
@@ -102,10 +103,10 @@ def stub_rows(texts: Sequence[str], dimension: int) -> np.ndarray:
     return rows
 
 
-def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[list[float]]:
-    """The endpoint's vectors for ``texts``, from one ``post_json`` call
-    of ``ATTEMPTS`` tries. A response without ``data`` or an item without
-    an ``embedding`` list raises a ValueError naming the endpoint."""
+def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
+    """The endpoint's rows for ``texts``, from one ``post_json`` call of
+    ``ATTEMPTS`` tries: one list of ``provider.dimension`` numbers per
+    text. Any other response raises a ValueError naming the endpoint."""
     where = f"embedding endpoint {provider.endpoint}"
     body = post_json(provider.endpoint, {"model": provider.model, "input": list(texts)}, where, ATTEMPTS, 60)
     data = body.get("data") if isinstance(body, dict) else None
@@ -114,7 +115,14 @@ def _remote_vectors(texts: Sequence[str], provider: EmbeddingProvider) -> list[l
     for i, item in enumerate(data):
         if not (isinstance(item, dict) and isinstance(item.get("embedding"), list)):
             raise ValueError(f"{where}: data item {i} needs an 'embedding' list, got {str(item)[:200]}")
-    return [item["embedding"] for item in data]
+        if broken := problem(item["embedding"], NUMBERS):
+            raise ValueError(f"{where}: data item {i} key 'embedding' {broken}")
+    if len(data) != len(texts):
+        raise ValueError(f"{where}: returned {len(data)} vectors for {len(texts)} texts")
+    for i, item in enumerate(data):
+        if len(item["embedding"]) != provider.dimension:
+            raise ValueError(f"{where}: data item {i} has dimension {len(item['embedding'])}, expected {provider.dimension}")
+    return np.array([item["embedding"] for item in data], dtype=np.float64)
 
 
 class EmbeddingMatrix:
@@ -157,16 +165,7 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> EmbeddingMatrix:
     if any(not t for t in texts):
         raise ValueError("cannot embed empty text")
     distinct = {t: i for i, t in enumerate(dict.fromkeys(texts))}  # text -> its encoded row
-    if provider.provider == "stub":
-        rows = stub_rows(list(distinct), provider.dimension)
-    else:
-        raw = _remote_vectors(list(distinct), provider)
-        if len(raw) != len(distinct):
-            raise ValueError(f"provider returned {len(raw)} vectors for {len(distinct)} texts")
-        for text, vec in zip(distinct, raw):
-            if len(vec) != provider.dimension:
-                raise ValueError(f"provider returned dimension {len(vec)} for text {texts.index(text)}, expected {provider.dimension}")
-        rows = np.array(raw, dtype=np.float64)
+    rows = stub_rows(list(distinct), provider.dimension) if provider.provider == "stub" else _remote_vectors(list(distinct), provider)
     return EmbeddingMatrix(rows[[distinct[t] for t in texts]])
 
 

@@ -55,7 +55,7 @@ from .dataset import (
     write_jsonl,
 )
 from .embedding import EmbeddingProvider, embed, load_embeddings, row_ids, save_embeddings
-from .graph import GraphConfig, build_graph, export_graph_json, load_graph, save_graph
+from .graph import GraphConfig, ViewpointGraph, build_graph, export_graph_json, load_graph, save_graph
 from .llm import LlmBackend, extract_corpus
 from .metrics import MetricReport, macro_metrics, normed_cost
 
@@ -70,10 +70,8 @@ class ConfigError(ValueError):
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception, manifest: dict):
+    def __init__(self, stage: str, cause: Exception):
         self.stage = stage
-        self.cause = cause
-        self.manifest = manifest
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
@@ -227,14 +225,22 @@ def read_viewpoints(paths: dict, memo: dict, purpose: str) -> list[IdeaViewpoint
     return records
 
 
-def read_train_corpus(paths: dict, memo: dict, purpose: str) -> Corpus:
-    """The split corpus. One with no labeled train ideas is refused,
-    naming its file and ending in ``purpose``: lp would have no label to
+def read_corpus_and_graph(paths: dict, memo: dict, purpose: str = "") -> tuple[Corpus, ViewpointGraph]:
+    """The split corpus and its graph. A graph not of exactly the corpus's
+    ideas is refused, naming both files, where an engine would name
+    neither. With ``purpose``, so is a corpus with no labeled train ideas,
+    naming it and ending in ``purpose``: lp would have no label to
     propagate, and train nothing to fit."""
     corpus = read(paths, "split", load_corpus, memo)
-    if not corpus.split_ideas("train"):
+    if purpose and not corpus.split_ideas("train"):
         raise ValueError(f"{paths['split']}: no labeled train ideas to {purpose}")
-    return corpus
+    graph, ids = read(paths, "graph", load_graph, memo), {idea.id for idea in corpus.ideas}
+    if graph.idea_nodes.keys() != ids:
+        only = [(idea, "graph") for idea in graph.idea_nodes if idea not in ids]
+        only += [(idea.id, "corpus") for idea in corpus.ideas if idea.id not in graph.idea_nodes]
+        raise ValueError(f"graph file {paths['graph']} and corpus {paths['split']} name different ideas: "
+                         f"{only[0][0]!r} is only in the {only[0][1]}")
+    return corpus, graph
 
 
 def run_split(paths: dict, config: RunConfig, memo: dict) -> dict:
@@ -284,9 +290,7 @@ def run_build(paths: dict, config: RunConfig, memo: dict) -> dict:
 
 def run_negatives(paths: dict, config: RunConfig, memo: dict) -> dict:
     seed = seed_for(config.seed, "negatives")
-    samples, fallbacks = novelty_mod.generate_negatives(
-        read(paths, "split", load_corpus, memo), read(paths, "graph", load_graph, memo), config.novelty, seed
-    )
+    samples, fallbacks = novelty_mod.generate_negatives(*read_corpus_and_graph(paths, memo), config.novelty, seed)
     train, rest = novelty_mod.select_training_negatives(samples, config.novelty.train_subset, seed=seed)
     write(paths, "negatives", train, novelty_mod.save_negatives, memo)
     if "negatives_holdout" in paths:
@@ -295,8 +299,7 @@ def run_negatives(paths: dict, config: RunConfig, memo: dict) -> dict:
 
 
 def run_lp(paths: dict, config: RunConfig, memo: dict, split: str = "test") -> dict:
-    corpus = read_train_corpus(paths, memo, "propagate labels from")
-    graph = read(paths, "graph", load_graph, memo)
+    corpus, graph = read_corpus_and_graph(paths, memo, "propagate labels from")
     stats: dict = {}
     predictions = lp_mod.run(graph, corpus, config.lp, split=split, stats=stats)
     write(paths, "lp_pred", prediction_lines(predictions, corpus, "vector", "unreached"), save_predictions, memo)
@@ -307,8 +310,7 @@ def run_train(paths: dict, config: RunConfig, memo: dict, split: str = "test") -
     """Train the GNN on the graph with the training negatives injected
     when given, save the checkpoint, then predict the ``split`` ideas on
     that graph with the model read back from the checkpoint."""
-    corpus = read_train_corpus(paths, memo, "train the GNN on")
-    graph = read(paths, "graph", load_graph, memo)
+    corpus, graph = read_corpus_and_graph(paths, memo, "train the GNN on")
     matrix = read(paths, "embeddings", lambda path: load_embeddings(path, row_ids(graph.idea)), memo)
     negatives = []
     if "negatives" in paths:
@@ -530,7 +532,7 @@ def run_pipeline(config: RunConfig, force: bool = False, quiet: bool = False) ->
         except Exception as exc:
             manifest["failed_stage"] = {"name": stage.name, "error": str(exc)}
             write_manifest()
-            raise StageError(stage.name, exc, manifest) from exc
+            raise StageError(stage.name, exc) from exc
         manifest["stages"].append(record)
         if "summary" in record:
             manifest["summary"][stage.name] = record["summary"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from viewgraph.dataset import split_corpus
@@ -18,3 +20,13 @@ def separable():
     matrix = embed(texts, EmbeddingProvider(provider="stub", dimension=32))
     graph = build_graph(records, matrix, GraphConfig())
     return corpus, records, matrix, graph
+
+
+@pytest.fixture
+def refused_endpoint():
+    """An http URL on a loopback port that nothing listens on: the port
+    is bound, then closed, so a connection to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"

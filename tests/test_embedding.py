@@ -176,8 +176,18 @@ class TestRemoteProvider:
             ({"data": [{"embedding": [0.1, 0.2]}, {"vector": [0.3, 0.4]}]},
              "data item 1 needs an 'embedding' list, got {'vector': [0.3, 0.4]}"),
             ({"data": [{"embedding": None}]}, "data item 0 needs an 'embedding' list, got {'embedding': None}"),
+            ({"data": [{"embedding": ["a", 1.0]}, {"embedding": [0.3, 0.4]}]},
+             "data item 0 key 'embedding' must be a list of numbers, got item 'a'"),
+            ({"data": [{"embedding": [0.1, 0.2]}, {"embedding": [True, 0.4]}]},
+             "data item 1 key 'embedding' must be a list of numbers, got item True"),
+            ({"data": [{"embedding": [[0.1], 0.2]}, {"embedding": [0.3, 0.4]}]},
+             "data item 0 key 'embedding' must be a list of numbers, got item [0.1]"),
+            ({"data": [{"embedding": [0.1, 0.2]}]}, "returned 1 vectors for 2 texts"),
+            ({"data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3, 0.4, 0.5]}]},
+             "data item 1 has dimension 3, expected 2"),
         ],
-        ids=["no-data", "not-an-object", "item-without-embedding", "null-embedding"],
+        ids=["no-data", "not-an-object", "item-without-embedding", "null-embedding", "string-item", "bool-item",
+             "nested-list", "wrong-count", "wrong-dimension"],
     )
     def test_malformed_response_names_endpoint_and_key(self, monkeypatch, body, message):
         class Resp:
@@ -217,6 +227,15 @@ class TestRemoteProvider:
         assert cli_embed(tmp_path, "http://x/embed") == 1
         err = capsys.readouterr().err
         assert err == "error: embedding endpoint http://x/embed: request failed after 3 attempts: connection refused\n"
+
+    def test_refused_socket_gives_its_reason_in_one_line(self, tmp_path, capsys, monkeypatch, refused_endpoint):
+        """Through the HTTP client itself: the line gives the socket's
+        reason, not the client's own retry text."""
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+        assert cli_embed(tmp_path, refused_endpoint) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: embedding endpoint {refused_endpoint}: request failed after 3 attempts: "
+                       "[Errno 111] Connection refused\n")
 
     def test_body_that_is_not_json_names_endpoint(self, tmp_path, capsys, monkeypatch):
         resp = requests.models.Response()

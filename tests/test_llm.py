@@ -298,16 +298,8 @@ class TestRemoteBackend:
         assert usage.prompt_tokens > 0
 
 
-def refused_socket() -> requests.ConnectionError:
-    """A ConnectionError chained as the HTTP client chains one for a
-    refused socket: its text is the pool's retry message, and the end of
-    its chain the socket's own error."""
-    reason = ConnectionRefusedError(111, "Connection refused")
-    pool = requests.exceptions.RetryError("Max retries exceeded with url: / (Caused by NewConnectionError(...))")
-    pool.__cause__ = reason
-    err = requests.ConnectionError(pool)
-    err.__context__ = pool
-    return err
+# a reply that posts to a loopback port nothing listens on
+REFUSED = object()
 
 
 class TestTransportPolicy:
@@ -325,12 +317,13 @@ class TestTransportPolicy:
         "embedding": {"data": [{"embedding": [0.6, 0.8]}]},
     }
     # case -> the replies to successive posts (the last one repeats): an
-    # exception to raise, an HTTP status or a 200 body; then the posts
-    # made, and the error's attempts and message after the endpoint
+    # exception to raise, an HTTP status or a 200 body, or REFUSED; then
+    # the posts made, and the error's attempts and message after the
+    # endpoint
     CASES = {
         "ok-on-third-attempt": ([requests.ConnectionError("down"), requests.ConnectionError("down"), 200], 3, None, None),
         "connection-errors": ([requests.ConnectionError("down")], 3, 3, "request failed after 3 attempts: down"),
-        "refused-socket": ([refused_socket()], 3, 3, "request failed after 3 attempts: [Errno 111] Connection refused"),
+        "refused-socket": ([REFUSED], 3, 3, "request failed after 3 attempts: [Errno 111] Connection refused"),
         "400": ([400], 1, 1, "refused with HTTP 400, not retried: denied"),
         "401": ([401], 1, 1, "refused with HTTP 401, not retried: denied"),
         "404": ([404], 1, 1, "refused with HTTP 404, not retried: denied"),
@@ -348,13 +341,15 @@ class TestTransportPolicy:
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("endpoint", ["completion", "embedding"])
-    def test_case(self, monkeypatch, endpoint, case):
+    def test_case(self, monkeypatch, refused_endpoint, endpoint, case):
         replies, posts, attempts, message = self.CASES[case]
-        made = []
+        made, real_post = [], requests.post
 
         def fake_post(url, **kw):
             made.append(url)
             reply = replies[min(len(made), len(replies)) - 1]
+            if reply is REFUSED:  # the HTTP client's own ConnectionError, with its own cause chain
+                return real_post(refused_endpoint, **kw)
             if isinstance(reply, Exception):
                 raise reply
             resp = requests.models.Response()

@@ -297,11 +297,35 @@ class TestRunPipeline:
         assert [s["name"] for s in second["stages"] if not s["skipped"]] == ["lp"]
         assert preds.read_bytes() == before
 
-    def test_force_reruns(self, tmp_path, demo_file):
-        config = demo_config(tmp_path, demo_file)
+    # case -> settings over a demo12 run with both engines: a plain run, a
+    # hybrid run (intra edges from the extracted relations) and a run with
+    # injected negatives
+    FORCED = {
+        "plain": {},
+        "hybrid": {"llm": {"relations": True}, "graph": {"hybrid": True}},
+        "novelty": {"novelty": {"enabled": True, "count": 9, "train_subset": 4}},
+    }
+
+    @pytest.mark.parametrize("case", FORCED)
+    def test_force_reruns(self, tmp_path, demo_file, case):
+        """A forced rerun runs every stage and writes every run file,
+        run_manifest.json aside, byte for byte as the first run did; no
+        write leaves a temp file behind."""
+        config = demo_config(tmp_path, demo_file, engine="both", **self.FORCED[case])
+        out = tmp_path / "run"
+
+        def run_files() -> dict[str, bytes]:
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.name != "run_manifest.json"}
+
         run_pipeline(config, quiet=True)
+        first = run_files()
+        assert {"graph.bin", "predictions_lp.jsonl", "predictions_gnn.jsonl", "report.json"} <= set(first)
         forced = run_pipeline(config, force=True, quiet=True)
         assert all(not s["skipped"] for s in forced["stages"])
+        again = run_files()
+        assert sorted(again) == sorted(first)
+        assert [name for name in first if again[name] != first[name]] == []
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_changed_input_invalidates_downstream(self, tmp_path, demo_file):
         config = demo_config(tmp_path, demo_file)
@@ -1006,8 +1030,20 @@ class TestCli:
             assert lines[len(names):] == table.splitlines()
 
     CORPUS = '{"labels": ["bad", "good"]}\n'
-    # case -> (files to write, argv, the whole stderr)
+    OTHER_IDEAS = CORPUS + '{"id": "idea-00", "text": "A.", "label": "bad", "split": "train"}\n'
+    # case -> (files to write, argv, the whole stderr). A file's content is
+    # text or bytes; None makes a directory. An argv naming a path under
+    # run/ gets a demo12 run there first.
     REFUSALS = {
+        # pathlib drops the trailing slash of data/
+        "corpus-is-a-directory": ({"data": None}, ["split", "--in", "data/", "--out", "out.jsonl"],
+                                  "error: data: Is a directory\n"),
+        "corpus-not-utf8": ({"not-utf8.jsonl": b"\xff" + CORPUS.encode()},
+                            ["split", "--in", "not-utf8.jsonl", "--out", "out.jsonl"],
+                            "error: not-utf8.jsonl: not UTF-8 ('utf-8' codec can't decode byte 0xff in position 0: "
+                            "invalid start byte)\n"),
+        "graph-json-as-graph": ({}, ["lp", "--graph", "run/graph.json", "--corpus", "run/split.jsonl", "--out", "out.jsonl"],
+                                "error: graph file run/graph.json: header 'dtypes' must be a dict, got NoneType\n"),
         "two-fractions": ({"config.json": '{"split": {"fractions": [0.5, 0.5]}}'},
                           ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--config", "config.json"],
                           "error: invalid config file config.json:\n  split.fractions: must be 3 values, got [0.5, 0.5]\n"),
@@ -1061,6 +1097,23 @@ class TestCli:
         "unknown-label": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A.", "label": "nope"}\n'},
                           ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
                           "error: corpus.jsonl: line 2: 'label' must be one of ['bad', 'good'], got 'nope'\n"),
+        # the demo12 run's graph, and a corpus of other ideas
+        "lp-graph-of-other-ideas": (
+            {"corpus.jsonl": OTHER_IDEAS},
+            ["lp", "--graph", "run/graph.bin", "--corpus", "corpus.jsonl", "--out", "out.jsonl"],
+            "error: graph file run/graph.bin and corpus corpus.jsonl name different ideas: "
+            "'demo-00' is only in the graph\n"),
+        "train-graph-of-other-ideas": (
+            {"corpus.jsonl": OTHER_IDEAS},
+            ["train", "--graph", "run/graph.bin", "--corpus", "corpus.jsonl", "--embeddings", "run/embeddings.bin",
+             "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
+            "error: graph file run/graph.bin and corpus corpus.jsonl name different ideas: "
+            "'demo-00' is only in the graph\n"),
+        "gen-negatives-graph-of-other-ideas": (
+            {"corpus.jsonl": OTHER_IDEAS},
+            ["gen-negatives", "--corpus", "corpus.jsonl", "--graph", "run/graph.bin", "--out", "out.jsonl"],
+            "error: graph file run/graph.bin and corpus corpus.jsonl name different ideas: "
+            "'demo-00' is only in the graph\n"),
     }
 
     @pytest.mark.parametrize("case", REFUSALS)
@@ -1068,12 +1121,35 @@ class TestCli:
         """Exit 2, one ``error:`` line naming what is wrong, and no output."""
         files, argv, stderr = self.REFUSALS[case]
         monkeypatch.chdir(tmp_path)
-        if "run/graph.bin" in argv:
+        if any(arg.startswith("run/") for arg in argv):
             run_pipeline(validate_config({"corpus": str(demo_file), "out_dir": "run"}), quiet=True)
-        for name, text in {"corpus.jsonl": self.CORPUS, **files}.items():
-            Path(name).write_text(text)
+        for name, content in {"corpus.jsonl": self.CORPUS, **files}.items():
+            if content is None:
+                Path(name).mkdir()
+            elif isinstance(content, bytes):
+                Path(name).write_bytes(content)
+            else:
+                Path(name).write_text(content)
         assert self.run(*argv) == 2
         assert capsys.readouterr().err == stderr
+        assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize("command", ["lp", "train", "gen-negatives"])
+    def test_corpus_idea_missing_from_the_graph_named(self, tmp_path, monkeypatch, capsys, demo_file, command):
+        """The run's own split with one more idea: the graph has no nodes
+        for it, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(validate_config({"corpus": str(demo_file), "out_dir": "run"}), quiet=True)
+        Path("corpus.jsonl").write_text(Path("run/split.jsonl").read_text()
+                                        + '{"id": "extra", "text": "E.", "split": "test"}\n')
+        argv = {"lp": ["lp", "--graph", "run/graph.bin", "--corpus", "corpus.jsonl", "--out", "out.jsonl"],
+                "train": ["train", "--graph", "run/graph.bin", "--corpus", "corpus.jsonl", "--embeddings",
+                          "run/embeddings.bin", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
+                "gen-negatives": ["gen-negatives", "--corpus", "corpus.jsonl", "--graph", "run/graph.bin",
+                                  "--out", "out.jsonl"]}[command]
+        assert self.run(*argv) == 2
+        assert capsys.readouterr().err == ("error: graph file run/graph.bin and corpus corpus.jsonl name different "
+                                           "ideas: 'extra' is only in the corpus\n")
         assert not list(tmp_path.glob("out.*"))
 
     @pytest.mark.parametrize("command", ["lp", "train"])
