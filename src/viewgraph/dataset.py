@@ -38,11 +38,10 @@ class OutputError(OSError):
 
 class FileFormatError(ValueError):
     """Raised for a file that cannot be opened, decoded or parsed, or that
-    holds a bad record; carries the line at fault, if any. The message
-    names the file after its ``noun``, such as "graph file"."""
+    holds a bad record. The message names the file after its ``noun``,
+    such as "graph file", and the line at fault, if any."""
 
     def __init__(self, path: str | Path, message: str, line_no: Optional[int] = None, noun: str = ""):
-        self.line_no = line_no
         at = "" if line_no is None else f": line {line_no}"
         super().__init__(f"{noun + ' ' if noun else ''}{path}{at}: {message}")
 

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def add_neighbours(out: np.ndarray, slots: Slots, values: np.ndarray) -> np.ndar
 def time_features(timestamps: Mapping[str, int]) -> dict[str, float]:
     """Each idea's timestamp min-max normalized into [0, 1]; 0 for every
     idea when all timestamps are equal."""
-    lo, hi = min(timestamps.values()), max(timestamps.values())
+    lo, hi = min(timestamps.values(), default=0), max(timestamps.values(), default=0)
     if hi == lo:
         return {k: 0.0 for k in timestamps}
     return {k: (v - lo) / (hi - lo) for k, v in timestamps.items()}
@@ -254,8 +254,10 @@ def _propose(matrix: EmbeddingMatrix, blocks, config: GraphConfig, causal: bool,
     start, width = np.repeat(np.cumsum(size) - size + lo, size), np.repeat(size, size)
     cell_row, cell_sib = np.nonzero(np.arange(size.max(initial=0)) < width[:, None])
     cell_col, cells = start[cell_row] + cell_sib, np.cumsum(np.r_[0, width]).tolist()
-    k_count = np.minimum(config.k, width - 1)
-    m_count = np.minimum(config.m, start if causal else n - width)  # at most its foreign nodes
+    # k and m clamped to the node count first: any larger value also means
+    # all, and may not fit numpy's integers
+    k_count = np.minimum(min(config.k, n), width - 1)
+    m_count = np.minimum(min(config.m, n), start if causal else n - width)  # at most its foreign nodes
     intra, inter = [], []  # per run: (proposers, targets, similarities)
     for first, stop in _runs([lo] + [hi for _, hi in blocks], RANK_BYTES // (8 * max(n, 1))):
         r0, r1 = blocks[first][0] - lo, blocks[stop - 1][1] - lo  # the run's rows
@@ -320,12 +322,6 @@ def _clamp(sims: np.ndarray, floor: float) -> np.ndarray:
     return np.minimum(1.0, np.maximum(floor, sims))
 
 
-def _bounds(records: Sequence[IdeaViewpoints], start: int = 0) -> list[tuple[int, int]]:
-    """The (start, stop) node range of each record's block."""
-    stops = np.cumsum([start] + [len(rec.viewpoints) for rec in records]).tolist()
-    return list(zip(stops[:-1], stops[1:]))
-
-
 def build_graph(
     records: Sequence[IdeaViewpoints],
     matrix: EmbeddingMatrix,
@@ -339,21 +335,10 @@ def build_graph(
     similarity, each weighted by its left viewpoint's similarity to its
     right one; inter edges are unchanged.
     """
-    total = sum(len(r.viewpoints) for r in records)
-    if len(matrix) != total:
-        raise ValueError(f"matrix has {len(matrix)} rows for {total} viewpoints")
-    ids = {r.idea_id for r in records}
-    if len(ids) != len(records):
-        raise ValueError("duplicate idea ids in viewpoint records")
     tf = time_features({r.idea_id: r.timestamp for r in records})
+    t = [tf[r.idea_id] for r in records for _ in r.viewpoints]
     pairs = list(map(_pair_edges, records)) if config.hybrid else None
-    u, v, weight, intra = _propose(matrix, _bounds(records), config, causal=False, pairs=pairs)
-    return ViewpointGraph(
-        idea=[r.idea_id for r in records for _ in r.viewpoints],
-        text=[text for r in records for text in r.viewpoints],
-        t=[tf[r.idea_id] for r in records for _ in r.viewpoints],
-        u=u, v=v, weight=weight, intra=intra, config=config,
-    )
+    return _grow(ViewpointGraph(idea=[], text=[], t=[], config=config), records, matrix, t, causal=False, pairs=pairs)
 
 
 def _pair_edges(rec: IdeaViewpoints) -> np.ndarray:
@@ -372,10 +357,10 @@ def integrate_subgraph(
     graph: ViewpointGraph,
     records: Sequence[IdeaViewpoints],
     matrix: EmbeddingMatrix,
-    t: Optional[Sequence[float]] = None,
+    t: Sequence[float],
 ) -> ViewpointGraph:
     """Append new ideas' subgraphs to an existing graph, under the graph's
-    own config.
+    own config; ``t`` gives every node's time feature, old and new.
 
     New nodes take the next ids in record order (their matrix rows must
     already be appended). Each new node proposes intra edges among its
@@ -383,26 +368,30 @@ def integrate_subgraph(
     own idea: the existing graph and earlier records. Existing nodes are
     never re-ranked, so the result matches a from-scratch rebuild exactly
     only when m covers all foreign nodes, and integrating records in one
-    call equals integrating them one at a time. ``t`` gives every node's
-    time feature, old and new; by default old nodes keep theirs and new
-    nodes get 0.
+    call equals integrating them one at a time.
     """
+    return _grow(graph, records, matrix, t, causal=True)
+
+
+def _grow(graph: ViewpointGraph, records: Sequence[IdeaViewpoints], matrix: EmbeddingMatrix,
+          t: Sequence[float], causal: bool, pairs=None) -> ViewpointGraph:
+    """``graph`` with one block of new nodes per record appended, in record
+    order, each proposing edges as ``_propose`` says; ``t`` is every
+    node's time feature. An idea id already in the graph or repeated
+    among the records is refused, as is a matrix without one row per node."""
     seen = set(graph.idea_nodes)
     for rec in records:
         if rec.idea_id in seen:
             raise ValueError(f"idea {rec.idea_id!r} already in graph")
         seen.add(rec.idea_id)
-    n_old = len(graph)
-    blocks = _bounds(records, n_old)
-    n = blocks[-1][1] if blocks else n_old
-    if len(matrix) != n:
-        raise ValueError(f"matrix has {len(matrix)} rows, expected {n}")
-    u, v, weight, intra = _propose(matrix, blocks, graph.config, causal=True)
+    stops = np.cumsum([len(graph)] + [len(rec.viewpoints) for rec in records]).tolist()
+    if len(matrix) != stops[-1]:
+        raise ValueError(f"matrix has {len(matrix)} rows, expected {stops[-1]}")
+    u, v, weight, intra = _propose(matrix, list(zip(stops[:-1], stops[1:])), graph.config, causal, pairs)
     return ViewpointGraph(
         idea=graph.idea + [r.idea_id for r in records for _ in r.viewpoints],
         text=graph.text + [text for r in records for text in r.viewpoints],
-        t=np.r_[graph.t, np.zeros(n - n_old)] if t is None else t,
-        u=np.r_[graph.u, u], v=np.r_[graph.v, v],
+        t=t, u=np.r_[graph.u, u], v=np.r_[graph.v, v],
         weight=np.r_[graph.weight, weight], intra=np.r_[graph.intra, intra], config=graph.config,
     )
 

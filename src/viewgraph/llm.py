@@ -38,14 +38,11 @@ class LlmParseError(ValueError):
     """Completion text did not match the expected grammar."""
 
     def __init__(self, message: str, raw: str):
-        self.raw = raw
         super().__init__(f"{message}; raw completion: {raw[:2000]!r}")
 
 
 class LlmTransportError(RuntimeError):
-    def __init__(self, message: str, attempts: int):
-        self.attempts = attempts
-        super().__init__(message)
+    """A remote call that failed."""
 
 
 @dataclass(frozen=True)
@@ -145,18 +142,17 @@ def post_json(endpoint: str, payload: dict, where: str, attempts: int, timeout: 
             last = str(exc)
             continue
         except requests.RequestException as exc:
-            raise LlmTransportError(f"{where}: request failed, not retried: {exc}", attempt) from exc
+            raise LlmTransportError(f"{where}: request failed, not retried: {exc}") from exc
         if resp.status_code == 429 or resp.status_code >= 500:
             last = f"HTTP {resp.status_code}"
             continue
         if resp.status_code >= 400:
-            raise LlmTransportError(
-                f"{where}: refused with HTTP {resp.status_code}, not retried: {resp.text[:200]}", attempt)
+            raise LlmTransportError(f"{where}: refused with HTTP {resp.status_code}, not retried: {resp.text[:200]}")
         try:
             return resp.json()
         except ValueError:
             raise ValueError(f"{where}: response is not JSON: {resp.text[:200]}") from None
-    raise LlmTransportError(f"{where}: request failed after {attempts} attempts: {last}", attempts)
+    raise LlmTransportError(f"{where}: request failed after {attempts} attempts: {last}")
 
 
 @dataclass
@@ -402,7 +398,7 @@ def extract_corpus(ideas: Sequence[Idea], backend: LlmBackend, seed: int = 0) ->
         except ValueError as exc:  # a completion that does not parse
             raise ValueError(f"idea {idea.id!r}: {exc}") from None
         except LlmTransportError as exc:  # a remote call that failed
-            raise LlmTransportError(f"idea {idea.id!r}: {exc}", exc.attempts) from None
+            raise LlmTransportError(f"idea {idea.id!r}: {exc}") from None
         rec = IdeaViewpoints(
             idea_id=idea.id,
             viewpoints=tuple(texts),

@@ -161,14 +161,15 @@ def inject_negatives(
     Each negative links to the existing graph and to earlier negatives
     only. Each negative viewpoint takes the embedding row of the first
     graph node with the same text (copies therefore connect to their
-    sources at weight 1); a text absent from the graph is an error, as is
-    a label that is not an index of the corpus's label set. All temporal
+    sources at weight 1); a text absent from the graph is an error, as are
+    a label that is not an index of the corpus's label set and an id of a
+    corpus idea or of an idea already in the graph. All temporal
     features are re-encoded over corpus plus negatives, so the negatives
     carry the latest feature and everything stays in [0, 1].
     """
     n_labels = len(corpus.label_set)
     for neg in negatives:
-        if corpus.by_id(neg.id) is not None or neg.id in graph.idea_nodes:
+        if corpus.by_id(neg.id) is not None:
             raise ValueError(f"negative id {neg.id!r} collides with an existing idea")
         if not 0 <= neg.label < n_labels:
             raise ValueError(f"negative {neg.id!r} has label {neg.label}, not one of the corpus's {n_labels} labels")
@@ -192,7 +193,7 @@ def inject_negatives(
     t = [features.get(idea, old) for idea, old in zip(graph.idea, graph.t.tolist())]
     t += [features[n.id] for n in negatives for _ in n.viewpoints]
     records = [IdeaViewpoints(idea_id=n.id, viewpoints=n.viewpoints, timestamp=n.timestamp) for n in negatives]
-    return integrate_subgraph(graph, records, matrix, t=t), matrix
+    return integrate_subgraph(graph, records, matrix, t), matrix
 
 
 def save_negatives(samples: Sequence[NegativeSample], path: str | Path) -> None:

@@ -64,14 +64,12 @@ ENGINES = ("lp", "gnn", "both")
 
 class ConfigError(ValueError):
     def __init__(self, errors: list[str], path: Optional[Path] = None):
-        self.errors = errors
         where = "config" if path is None else f"config file {path}"
         super().__init__(f"invalid {where}:\n" + "\n".join(f"  {e}" for e in errors))
 
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 

@@ -79,7 +79,7 @@ class TestLoadCorpus:
         write_lines(path, [header(), record("a"), "{not json"])
         with pytest.raises(FileFormatError) as err:
             load_corpus(path)
-        assert err.value.line_no == 3
+        assert str(err.value).startswith(f"{path}: line 3: invalid JSON")
         assert "{not json" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -109,7 +109,6 @@ class TestLoadCorpus:
         write_lines(path, lines)
         with pytest.raises(FileFormatError) as err:
             load_corpus(path)
-        assert err.value.line_no == line_no
         assert str(err.value) == f"{path}: line {line_no}: {message}"
 
     def test_missing_timestamp_reads_as_zero(self, tmp_path):

@@ -153,6 +153,20 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(records, bad)
 
+    def test_zero_records_give_an_empty_graph(self):
+        graph = build_graph([], EmbeddingMatrix(np.zeros((0, 4))))
+        assert (len(graph), len(graph.weight)) == (0, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_k_and_m_beyond_int64_select_all(self, seed):
+        """A k or m too large for numpy's integers means all, as one at
+        the node count does."""
+        records, matrix, _ = random_instance(seed)
+        huge = build_graph(records, matrix, GraphConfig(k=2**70, m=2**70))
+        every = build_graph(records, matrix, GraphConfig(k=len(matrix), m=len(matrix)))
+        for name in ("u", "v", "weight", "intra", "t"):
+            np.testing.assert_array_equal(getattr(huge, name), getattr(every, name))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         records, matrix, config = random_instance(seed)
@@ -205,7 +219,7 @@ class TestIntegrate:
         records = records_from({"a": ["v1", "v2"]})
         matrix = stub_matrix(records)
         empty = ViewpointGraph(idea=[], text=[], t=[], config=GraphConfig())
-        grown = integrate_subgraph(empty, records, matrix)
+        grown = integrate_subgraph(empty, records, matrix, np.zeros(len(matrix)))
         built = build_graph(records, matrix)
         assert grown.text == built.text
         assert {(u, v, kind) for (u, v), (_, kind) in edge_dict(grown).items()} == {
@@ -221,7 +235,7 @@ class TestIntegrate:
             [v for r in base for v in r.viewpoints] + ["c0"],
             EmbeddingProvider(provider="stub", dimension=16),
         )
-        grown = integrate_subgraph(graph, [new], extended)
+        grown = integrate_subgraph(graph, [new], extended, np.zeros(len(extended)))
         new_id = grown.idea_nodes["c"][0]
         assert kind_degree(grown, new_id, "inter") == min(graph.config.m, len(graph))
 
@@ -230,7 +244,12 @@ class TestIntegrate:
         matrix = stub_matrix(records)
         graph = build_graph(records, matrix)
         with pytest.raises(ValueError, match="already"):
-            integrate_subgraph(graph, records, matrix)
+            integrate_subgraph(graph, records, matrix, np.zeros(len(matrix)))
+
+    def test_id_repeated_among_records_rejected_by_name(self):
+        empty = ViewpointGraph(idea=[], text=[], t=[], config=GraphConfig())
+        with pytest.raises(ValueError, match="^idea 'a' already in graph$"):
+            integrate_subgraph(empty, records_from({"a": ["v1"]}) * 2, EmbeddingMatrix(np.ones((2, 4))), np.zeros(2))
 
     def test_incremental_equals_scratch_when_m_covers_everything(self):
         spec = {
@@ -249,7 +268,7 @@ class TestIntegrate:
         texts_so_far: list[str] = []
         for rec in records:
             texts_so_far.extend(rec.viewpoints)
-            grown = integrate_subgraph(grown, [rec], embed(texts_so_far, provider))
+            grown = integrate_subgraph(grown, [rec], embed(texts_so_far, provider), np.zeros(len(texts_so_far)))
         assert grown.idea == scratch.idea
         assert {(u, v, kind) for (u, v), (_, kind) in edge_dict(grown).items()} == {
             (u, v, kind) for (u, v), (_, kind) in edge_dict(scratch).items()
@@ -264,8 +283,8 @@ class TestIntegrate:
         chain = base
         for rec in new:
             stop += len(rec.viewpoints)
-            chain = integrate_subgraph(chain, [rec], EmbeddingMatrix(rows[:stop]))
-        once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]))
+            chain = integrate_subgraph(chain, [rec], EmbeddingMatrix(rows[:stop]), np.zeros(stop))
+        once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]), np.zeros(stop))
         assert (once.idea, once.text) == (chain.idea, chain.text)
         assert list(edge_dict(once).items()) == list(edge_dict(chain).items())
 
@@ -460,7 +479,7 @@ class TestAgainstPerPairWeights:
 
         base = build_graph(records[:1], EmbeddingMatrix(matrix.rows[:ends[0]]), replace(config, hybrid=False))
         calls.clear()
-        integrate_subgraph(base, records[1:], matrix)
+        integrate_subgraph(base, records[1:], matrix, np.zeros(len(matrix)))
         assert calls == [(lo, hi, hi) for lo, hi in zip(ends[:-1], ends[1:])]
 
 

@@ -256,7 +256,7 @@ class TestInject:
         for neg in samples:
             stop += len(neg.viewpoints)
             record = IdeaViewpoints(idea_id=neg.id, viewpoints=neg.viewpoints, timestamp=neg.timestamp)
-            chain = integrate_subgraph(chain, [record], EmbeddingMatrix(grown_matrix.rows[:stop]))
+            chain = integrate_subgraph(chain, [record], EmbeddingMatrix(grown_matrix.rows[:stop]), np.zeros(stop))
         assert grown.text == chain.text
         assert list(edge_dict(grown).items()) == list(edge_dict(chain).items())
 
@@ -277,6 +277,16 @@ class TestInject:
         )
         with pytest.raises(ValueError, match="collides"):
             inject_negatives(graph, matrix, [bad], corpus)
+
+    def test_id_of_an_injected_negative_rejected(self, separable):
+        """A negative named like one injected before, which is in the
+        graph but not the corpus, is refused by the graph."""
+        corpus, _, matrix, graph = separable
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=2), seed=3)
+        grown, grown_matrix = inject_negatives(graph, matrix, samples[:1], corpus)
+        again = replace(samples[1], id=samples[0].id)
+        with pytest.raises(ValueError, match=f"^idea '{samples[0].id}' already in graph$"):
+            inject_negatives(grown, grown_matrix, [again], corpus)
 
 
 class TestSerialization:

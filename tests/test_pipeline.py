@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -60,23 +61,22 @@ class TestValidateConfig:
     def test_zero_k_reported_at_graph_k(self):
         with pytest.raises(ConfigError) as err:
             validate_config({"graph": {"k": 0}})
-        assert any("graph.k" in e for e in err.value.errors)
+        assert "\n  graph.k: " in str(err.value)
 
     def test_bad_fractions_reported_at_split_fractions(self):
         with pytest.raises(ConfigError) as err:
             validate_config({"split": {"fractions": [0.5, 0.5, 0.5]}})
-        assert any("split.fractions" in e for e in err.value.errors)
+        assert "\n  split.fractions: " in str(err.value)
 
     def test_unknown_keys_reported(self):
         with pytest.raises(ConfigError) as err:
             validate_config({"grah": {}, "gnn": {"hiden": 3}})
-        joined = "\n".join(err.value.errors)
-        assert "grah" in joined and "gnn.hiden" in joined
+        assert "grah" in str(err.value) and "gnn.hiden" in str(err.value)
 
     def test_multiple_errors_collected(self):
         with pytest.raises(ConfigError) as err:
             validate_config({"graph": {"k": 0, "m": -1}, "engine": "bogus"})
-        assert len(err.value.errors) == 3
+        assert str(err.value).count("\n  ") == 3
 
     @pytest.mark.parametrize(
         "data, path",
@@ -95,7 +95,7 @@ class TestValidateConfig:
     def test_wrong_type_reported_at_path(self, tmp_path, capsys, data, path):
         with pytest.raises(ConfigError) as err:
             validate_config(data)
-        assert any(e.startswith(f"{path}: must be") for e in err.value.errors)
+        assert f"\n  {path}: must be" in str(err.value)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
@@ -106,7 +106,7 @@ class TestValidateConfig:
         data = {"llm": {"price_per_million": -1.0}}
         with pytest.raises(ConfigError) as err:
             validate_config(data)
-        assert err.value.errors == ["llm.price_per_million: must be >= 0.0, got -1.0"]
+        assert str(err.value) == "invalid config:\n  llm.price_per_million: must be >= 0.0, got -1.0"
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
@@ -123,7 +123,7 @@ class TestValidateConfig:
     def test_out_of_range_reported_at_path(self, tmp_path, capsys, data, message):
         with pytest.raises(ConfigError) as err:
             validate_config(data)
-        assert err.value.errors == [message]
+        assert str(err.value) == f"invalid config:\n  {message}"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **data}))
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
@@ -140,7 +140,7 @@ class TestValidateConfig:
         data = {"out_dir": str(tmp_path / "run"), section: settings}
         with pytest.raises(ConfigError) as err:
             validate_config(data)
-        assert err.value.errors == [error]
+        assert str(err.value) == f"invalid config:\n  {error}"
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         assert cli_main(["run", "--config", str(config), "--quiet"]) == 2
@@ -388,7 +388,7 @@ class TestRunPipeline:
         )
         with pytest.raises(StageError) as err:
             run_pipeline(config, quiet=True)
-        assert err.value.stage == "split"
+        assert str(err.value).startswith("stage 'split' failed: ")
         manifest = json.loads((tmp_path / "broken" / "run_manifest.json").read_text())
         assert manifest["failed_stage"]["name"] == "split"
 
@@ -1487,3 +1487,21 @@ def test_offline_run_never_imports_the_http_client(tmp_path, demo_file):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert {"lp", "gnn"} <= set(json.loads((tmp_path / "run" / "report.json").read_text()))
+
+
+def test_benchmark_tracer_finds_every_target(monkeypatch):
+    """The benchmark traces viewgraph's functions by module and name, so a
+    renamed or moved target would leave its figures empty; uninstalling
+    puts every original back."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    assert not hasattr(pipeline.run_pipeline, "__wrapped__")
