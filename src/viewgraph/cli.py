@@ -26,10 +26,17 @@ from .pipeline import ConfigError, RunConfig, StageError, run_pipeline, validate
 
 
 def _load_config(args) -> RunConfig:
+    """The --config file, or the defaults, with each given value flag
+    (``--seed`` and the dotted dests) over its key, checked once."""
     config = validate_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:  # checked like the config file's seed
-        config = validate_config({**plain(config), "seed": args.seed})
-    return config
+    given = {dest: value for dest, value in vars(args).items() if value is not None and (dest == "seed" or "." in dest)}
+    if not given:
+        return config
+    data = plain(config)
+    for dest, value in given.items():
+        section, _, name = dest.rpartition(".")
+        (data[section] if section else data)[name] = value
+    return validate_config(data)
 
 
 # Every flag name means the same thing in each subcommand that has it.
@@ -59,13 +66,7 @@ def stage_command(run, out: str, infile: str = "", options: tuple[str, ...] = ()
     is handed on) and ``options`` passed through as keyword arguments."""
 
     def command(args):
-        config = plain(_load_config(args))
-        flags = vars(args)
-        for dest, value in flags.items():
-            if "." in dest and value is not None:
-                section, name = dest.split(".")
-                config[section][name] = value
-        config = validate_config(config)  # flags meet the config file's checks
+        config, flags = _load_config(args), vars(args)
         path_flags = {**PATH_FLAGS, "infile": infile, "out": out}
         paths = {key: Path(flags[flag]) for flag, key in path_flags.items() if flags.get(flag)}
         summary = run(paths, config, {}, **{name: flags[name] for name in options})
@@ -91,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="global random seed")
-    common.add_argument("--force", action="store_true", help="ignore cached stage outputs")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = argparse.ArgumentParser(prog="viewgraph", description=__doc__)
@@ -174,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=stage_command(pipeline.run_eval, out="report"))
 
     p = sub.add_parser("run", parents=[common], help="run the whole pipeline from a config file")
+    p.add_argument("--force", action="store_true", help="ignore cached stage outputs")
     p.set_defaults(fn=cmd_run)
 
     return parser

@@ -35,7 +35,7 @@ import numpy as np
 from .dataset import (BLOCKS, STRINGS, Checked, Corpus, FileFormatError, at_least, must, problem, read_headed, setting,
                       write_headed)
 from .embedding import EmbeddingMatrix
-from .graph import HEAD_BYTES, Arcs, ViewpointGraph, add_neighbours, neighbour_slots
+from .graph import HEAD_BYTES, Arcs, ViewpointGraph, add_neighbours, neighbour_slots, padded
 from .metrics import macro_metrics
 
 PROB_FLOOR = 1e-12
@@ -162,17 +162,13 @@ def _gemv(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Sequence[int]]) -> HeadCache:
     """Mean+max pooling over each group of node ids, MLP head, softmax.
 
-    Groups are padded to one (B, L) gather. The mean sums the group axis
-    with zeros as padding (numpy's sum starts from +0.0, so they add
-    nothing) and divides by the group size; the max pads with -inf, so the
-    first maximum of a group still wins.
-    """
-    sizes = np.array([len(ids) for ids in groups])
+    The groups are gathered through one ``padded`` table; the mean masks
+    its padding to zeros and divides by the group size, the max masks it
+    to -inf, so the first maximum of a group still wins."""
+    index, present = padded(groups)
+    sizes = present.sum(axis=1)
     if not sizes.all():
         raise ValueError("idea has no nodes")
-    present = np.arange(sizes.max()) < sizes[:, None]
-    index = np.zeros(present.shape, dtype=np.int64)
-    index[present] = [i for ids in groups for i in ids]
     sub = final_states[index]  # (B, L, h)
     mean_pool = np.where(present[:, :, None], sub, 0.0).sum(axis=1) / sizes[:, None]
     arg_local = np.where(present[:, :, None], sub, -np.inf).argmax(axis=1)  # first max wins

@@ -146,6 +146,19 @@ class ViewpointGraph:
         return nodes
 
 
+def padded(groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of node ids as one (B, L) table, each row padded with
+    node 0 to the longest group's length L, and the mask of the cells that
+    hold a group's node. Gathered rows of two or more values, summed along
+    L with the padding masked to +0.0, equal ``values[group].sum(axis=0)``
+    bit for bit: numpy adds both a row at a time (one-value rows, pairwise)."""
+    sizes = np.array([len(ids) for ids in groups], dtype=np.int64)
+    present = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    index = np.zeros(present.shape, dtype=np.int64)
+    index[present] = [i for ids in groups for i in ids]
+    return index, present
+
+
 def _canonical(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether every edge has ``u < v`` and the edges are sorted by ``(u, v)``."""
     du, dv = np.diff(u), np.diff(v)

@@ -10,12 +10,13 @@ the argmax of its summed node vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Optional
 
 import numpy as np
 
 from .dataset import Checked, Corpus, at_least, setting
-from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots
+from .graph import Arcs, ViewpointGraph, add_neighbours, neighbour_slots, padded
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,8 @@ class LpPrediction:
 def init_vectors(graph: ViewpointGraph, corpus: Corpus) -> np.ndarray:
     """One row per node: one-hot for labeled train ideas, zero otherwise.
     (A corpus holds no train idea without a label.)"""
-    column = {}  # idea id -> its label for a train idea, else -1
-    for idea_id, nodes in graph.idea_nodes.items():
-        idea = corpus.by_id(idea_id)
-        if idea is None:
-            raise ValueError(f"node {nodes[0]} belongs to unknown idea {idea_id!r}")
-        column[idea_id] = idea.label if idea.split == "train" else -1
-    columns = np.fromiter(map(column.__getitem__, graph.idea), np.int64, len(graph))
+    column = {idea.id: idea.label for idea in corpus.split_ideas("train")}
+    columns = np.fromiter(map(column.get, graph.idea, repeat(-1)), np.int64, len(graph))
     rows = np.flatnonzero(columns >= 0)
     vectors = np.zeros((len(graph), len(corpus.label_set)), dtype=np.float64)
     vectors[rows, columns[rows]] = 1.0
@@ -89,16 +85,6 @@ def propagate(vectors: np.ndarray, weights: Arcs, config: LpConfig = LpConfig(),
     return current
 
 
-def predict_idea(vectors: np.ndarray, node_ids: Sequence[int]) -> tuple[int, bool, np.ndarray]:
-    """Argmax of the idea's summed node vectors, whether the sum is all
-    zero, and the sum. Ties go to the lowest label index; an all-zero sum
-    falls back to label 0 and is flagged."""
-    summed = vectors[list(node_ids)].sum(axis=0)
-    if not summed.any():
-        return 0, True, summed
-    return int(np.argmax(summed)), False, summed
-
-
 def run(
     graph: ViewpointGraph,
     corpus: Corpus,
@@ -106,15 +92,17 @@ def run(
     split: str = "test",
     stats: Optional[dict] = None,
 ) -> list[LpPrediction]:
-    """The ``split`` ideas' predictions; a ``split`` idea without nodes
-    raises a ValueError naming it. With ``stats``, it gets the
-    ``iterations`` run and the ``unreached_nodes``: nodes whose final
-    vector is all zero."""
+    """The ``split`` ideas' predictions: the argmax of each idea's summed
+    node vectors, ties to the lowest label; an all-zero sum predicts label
+    0 and is flagged unreached. A ``split`` idea without nodes raises a
+    ValueError naming it. With ``stats``, it gets the ``iterations`` run
+    and the ``unreached_nodes``: nodes whose final vector is all zero."""
     vectors = propagate(init_vectors(graph, corpus), normalize_weights(graph), config, stats)
     if stats is not None:
         stats["unreached_nodes"] = int(np.count_nonzero(~vectors.any(axis=1)))
-    predictions = []
-    for idea in corpus.split_ideas(split):
-        label, unreached, summed = predict_idea(vectors, graph.nodes_of(idea.id))
-        predictions.append(LpPrediction(idea.id, label, summed.tolist(), unreached))
-    return predictions
+    ideas = corpus.split_ideas(split)
+    index, present = padded([graph.nodes_of(idea.id) for idea in ideas])
+    summed = np.where(present[:, :, None], vectors[index], 0.0).sum(axis=1)
+    labels, unreached = np.argmax(summed, axis=1).tolist(), (~summed.any(axis=1)).tolist()
+    return [LpPrediction(idea.id, label, vector, flag)
+            for idea, label, vector, flag in zip(ideas, labels, summed.tolist(), unreached)]

@@ -68,14 +68,14 @@ def generate_negatives(
 ) -> tuple[list[NegativeSample], int]:
     """Build ``config.count`` plagiarized ideas labeled 0, split as evenly
     as possible across the STRATEGIES, sourcing only train ideas (split
-    ``train`` or unset) rated at or above ``config.threshold``. A
+    ``train``) rated at or above ``config.threshold``. A
     neighbor-swap slot takes its first cross-idea neighbor, ranked by
     (-weight, id), whose text differs; a random-swap slot, or a
     neighbor-swap slot without one, a uniform draw over the differing
     texts of other ideas; a slot with neither keeps its text. Returns
     (samples, fallback count).
     """
-    sources = [i for i in corpus.ideas if i.split in (None, "train") and i.label is not None and i.label >= config.threshold]
+    sources = [i for i in corpus.split_ideas("train") if i.label >= config.threshold]
     if not sources:
         raise ValueError(f"no train idea rated at or above label {config.threshold}")
     for idea in sources:

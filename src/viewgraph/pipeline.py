@@ -223,14 +223,14 @@ def read_viewpoints(paths: dict, memo: dict, purpose: str) -> list[IdeaViewpoint
     return records
 
 
-def read_corpus_and_graph(paths: dict, memo: dict, purpose: str = "") -> tuple[Corpus, ViewpointGraph]:
-    """The split corpus and its graph. A graph not of exactly the corpus's
-    ideas is refused, naming both files, where an engine would name
-    neither. With ``purpose``, so is a corpus with no labeled train ideas,
-    naming it and ending in ``purpose``: lp would have no label to
-    propagate, and train nothing to fit."""
+def read_corpus_and_graph(paths: dict, memo: dict, purpose: str) -> tuple[Corpus, ViewpointGraph]:
+    """The split corpus and its graph. A corpus with no labeled train
+    ideas is refused, naming it and ending in ``purpose``: lp would have
+    no label to propagate, train nothing to fit and the negatives no
+    source. So is a graph not of exactly the corpus's ideas, naming both
+    files, where an engine would name neither."""
     corpus = read(paths, "split", load_corpus, memo)
-    if purpose and not corpus.split_ideas("train"):
+    if not corpus.split_ideas("train"):
         raise ValueError(f"{paths['split']}: no labeled train ideas to {purpose}")
     graph, ids = read(paths, "graph", load_graph, memo), {idea.id for idea in corpus.ideas}
     if graph.idea_nodes.keys() != ids:
@@ -288,7 +288,8 @@ def run_build(paths: dict, config: RunConfig, memo: dict) -> dict:
 
 def run_negatives(paths: dict, config: RunConfig, memo: dict) -> dict:
     seed = seed_for(config.seed, "negatives")
-    samples, fallbacks = novelty_mod.generate_negatives(*read_corpus_and_graph(paths, memo), config.novelty, seed)
+    corpus, graph = read_corpus_and_graph(paths, memo, "draw negatives from")
+    samples, fallbacks = novelty_mod.generate_negatives(corpus, graph, config.novelty, seed)
     train, rest = novelty_mod.select_training_negatives(samples, config.novelty.train_subset, seed=seed)
     write(paths, "negatives", train, novelty_mod.save_negatives, memo)
     if "negatives_holdout" in paths:

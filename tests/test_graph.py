@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
@@ -26,6 +26,7 @@ from viewgraph.graph import (
     integrate_subgraph,
     load_graph,
     neighbour_slots,
+    padded,
     save_graph,
     time_features,
 )
@@ -612,6 +613,34 @@ def test_idea_nodes_and_kind_errors_equal_the_node_loop(case, interleaved):
         with pytest.raises(ValueError) as raised:
             ViewpointGraph(idea, graph.text, graph.t, graph.u, graph.v, graph.weight, intra)
         assert str(raised.value) == kind_error_reference(idea, graph.u, graph.v, intra)
+
+
+@st.composite
+def node_groups(draw):
+    """Rows of 2-10 values, some all zero, and 1-6 groups of 1-59 node ids
+    each, repeats allowed."""
+    n, width = draw(st.integers(1, 30)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = rng.choice([0.0, 0.1, 1 / 3, 0.7, 1.0], (n, width))
+    values = np.where(rng.random((n, width)) < 0.3, ties, rng.random((n, width)))
+    values[rng.random(n) < 0.2] = 0.0
+    groups = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=59), min_size=1, max_size=6))
+    return values, groups
+
+
+@given(node_groups())
+@example((np.eye(3)[[0, 1, 1, 2]] * [0.1, 0.7, 1 / 3], [[0, 1, 2, 3, 1, 2, 0, 1, 3]]))  # one group of 9
+@example((np.array([[0.1, 0.2], [0.0, 0.0], [1 / 3, 0.7]]), [[1], [0, 2, 1, 2, 0, 2, 0, 2], [2, 1]]))  # sizes 1, 8, 2
+@settings(max_examples=200, deadline=None)
+def test_padded_table_sums_equal_the_per_group_sums(case):
+    """The padded table holds each group's nodes in order, padded with node
+    0, and its masked sum equals each group's own sum bit for bit."""
+    values, groups = case
+    index, present = padded(groups)
+    assert index[present].tolist() == [i for group in groups for i in group]
+    assert present.sum(axis=1).tolist() == [len(group) for group in groups] and not index[~present].any()
+    summed = np.where(present[:, :, None], values[index], 0.0).sum(axis=1)
+    assert np.array_equal(summed, [values[group].sum(axis=0) for group in groups])
 
 
 def test_graph_arrays_are_read_only():

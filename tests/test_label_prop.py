@@ -5,13 +5,13 @@ import pytest
 
 from graphs import arcs_from_lists, incoming, toy_graph
 from oracles import dense_label_propagation, random_lp_instance
+from viewgraph import label_prop
 from viewgraph.dataset import Corpus, Idea, LabelSet
 from viewgraph.graph import GraphConfig, add_neighbours, neighbour_slots
 from viewgraph.label_prop import (
     LpConfig,
     init_vectors,
     normalize_weights,
-    predict_idea,
     propagate,
     run,
 )
@@ -38,17 +38,13 @@ def corpus_for(node_ideas, labels, label_set=FOUR):
 
 class TestInit:
     def test_one_hot_and_zeros(self):
-        graph = graph_from([], ["a", "b"], GraphConfig())
-        corpus = corpus_for(["a", "b"], {"a": (2, "train"), "b": (None, "test")})
+        """Only train ideas seed: an unsplit rated idea and an idea the
+        corpus lacks start at zero."""
+        graph = graph_from([], ["a", "b", "c", "zz"], GraphConfig())
+        corpus = corpus_for(["a", "b", "c"], {"a": (2, "train"), "b": (None, "test"), "c": (1, None)})
         vectors = init_vectors(graph, corpus)
         assert vectors[0].tolist() == [0.0, 0.0, 1.0, 0.0]
-        assert vectors[1].tolist() == [0.0, 0.0, 0.0, 0.0]
-
-    def test_node_of_unknown_idea_named(self):
-        graph = graph_from([], ["a", "zz", "b", "zz"])
-        corpus = corpus_for(["a", "b"], {"a": (0, "train"), "b": (None, "test")})
-        with pytest.raises(ValueError, match="^node 1 belongs to unknown idea 'zz'$"):
-            init_vectors(graph, corpus)
+        assert not vectors[1:].any()
 
     def test_counting_nonzero_rows(self):
         node_ideas = ["a", "a", "b", "c", "d", "e"]
@@ -65,12 +61,6 @@ class TestInit:
         )
         vectors = init_vectors(graph, corpus)
         assert int((vectors.sum(axis=1) > 0).sum()) == 3  # two "a" nodes + one "b"
-
-    def test_unknown_idea_rejected(self):
-        graph = graph_from([], ["ghost"])
-        corpus = corpus_for(["a"], {"a": (0, "train")})
-        with pytest.raises(ValueError, match="ghost"):
-            init_vectors(graph, corpus)
 
 
 class TestNormalize:
@@ -255,22 +245,33 @@ class TestPropagate:
 
 
 class TestPredict:
-    def test_argmax(self):
-        vectors = np.array([[0.1, 0.7, 0.2, 0.0]])
-        assert predict_idea(vectors, [0])[:2] == (1, False)
+    @staticmethod
+    def predict(monkeypatch, vectors, node_ideas):
+        """``run``'s predictions when propagation ends at ``vectors``: node i
+        belongs to the test idea ``node_ideas[i]``."""
+        monkeypatch.setattr(label_prop, "propagate", lambda *args: np.array(vectors, dtype=np.float64))
+        corpus = corpus_for(node_ideas, dict.fromkeys(node_ideas, (None, "test")))
+        return run(graph_from([], node_ideas), corpus)
 
-    def test_tie_goes_to_lowest_index(self):
-        vectors = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
-        assert predict_idea(vectors, [0, 1])[:2] == (0, False)
+    def test_argmax(self, monkeypatch):
+        [p] = self.predict(monkeypatch, [[0.1, 0.7, 0.2, 0.0]], ["t"])
+        assert (p.label_index, p.unreached) == (1, False)
 
-    def test_hand_summation(self):
-        vectors = np.array([[0.2, 0.8, 0, 0], [0.9, 0.1, 0, 0]])
-        assert predict_idea(vectors, [0, 1])[:2] == (0, False)
-        assert predict_idea(vectors, [0, 1])[2].tolist() == [0.2 + 0.9, 0.8 + 0.1, 0, 0]
+    def test_tie_goes_to_lowest_index(self, monkeypatch):
+        [p] = self.predict(monkeypatch, [[0.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0]], ["t", "t"])
+        assert (p.label_index, p.unreached) == (1, False)
 
-    def test_all_zero_flagged_unreached(self):
-        vectors = np.zeros((2, 3))
-        assert predict_idea(vectors, [0, 1])[:2] == (0, True)
+    def test_hand_summation(self, monkeypatch):
+        """Ideas of unequal size, in one run: each vector is its nodes' sum."""
+        vectors = [[0.2, 0.8, 0, 0], [0.9, 0.1, 0, 0], [0, 0, 0.3, 0], [0.1, 0.2, 0.3, 0.4]]
+        t, u = self.predict(monkeypatch, vectors, ["t", "t", "u", "t"])
+        assert (t.idea_id, t.label_index, t.unreached) == ("t", 0, False)
+        assert t.vector == [0.2 + 0.9 + 0.1, 0.8 + 0.1 + 0.2, 0.3, 0.4]
+        assert (u.idea_id, u.label_index, u.vector) == ("u", 2, [0, 0, 0.3, 0])
+
+    def test_all_zero_flagged_unreached(self, monkeypatch):
+        t, u = self.predict(monkeypatch, [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1.0]], ["t", "t", "u"])
+        assert [(p.label_index, p.unreached) for p in (t, u)] == [(0, True), (3, False)]
 
     def test_empty_node_set_rejected(self):
         graph = toy_graph(["a", "a"], [(0, 1, 1.0)])

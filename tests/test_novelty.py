@@ -29,7 +29,7 @@ from viewgraph.novelty import (
 def per_slot_scan_reference(corpus, graph, config, seed):
     """``generate_negatives`` as it was when each swapped slot built its
     random-swap pool by scanning every node."""
-    sources = [i for i in corpus.ideas if i.split in (None, "train") and i.label is not None and i.label >= config.threshold]
+    sources = [i for i in corpus.split_ideas("train") if i.label >= config.threshold]
     arcs = graph.arcs
     neg_timestamp = max(i.timestamp for i in corpus.ideas) + ONE_DAY
     rng = np.random.default_rng(seed)
@@ -134,12 +134,22 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^no train idea rated at or above label 1$"):
             generate_negatives(held_out, graph, NoveltyConfig(count=2), seed=0)
 
+    def test_unsplit_rated_ideas_are_not_sources(self, separable):
+        """In a corpus mixing train ideas with rated ideas of no split, only
+        the train ideas are sources."""
+        corpus, _, _, graph = separable
+        mixed = Corpus(corpus.label_set, [i if i.split == "train" else replace(i, split=None) for i in corpus.ideas])
+        assert any(i.split is None and i.label >= 1 for i in mixed.ideas)
+        samples, _ = generate_negatives(mixed, graph, NoveltyConfig(count=80), seed=0)
+        assert {mixed.by_id(s.source_id).split for s in samples} == {"train"}
+
     def test_both_fallbacks(self):
         # one source "a" with slots "p" and "q"; the other idea "b" holds
         # only "p". Slot "p": its one cross-idea neighbour has the same
         # text, and no foreign text differs, so it keeps "p". Slot "q": its
         # only neighbour is in its own idea, so it takes the foreign "p"
-        corpus = Corpus(TWO_LABELS, [Idea("a", "a", "a.", label=1, timestamp=5), Idea("b", "b", "b.", label=0)])
+        corpus = Corpus(TWO_LABELS, [Idea("a", "a", "a.", label=1, timestamp=5, split="train"),
+                                     Idea("b", "b", "b.", label=0, split="train")])
         graph = ViewpointGraph(
             idea=["a", "a", "b"], text=["p", "q", "p"], t=[0.0] * 3,
             u=[0, 0], v=[1, 2], weight=[0.5, 0.9], intra=[True, False],
@@ -165,8 +175,9 @@ class TestGenerate:
             corpus, _, _, graph = separable
         else:
             # source "a" holds "p" and "q", the others only "p": slot "p" has no pool
-            corpus = Corpus(TWO_LABELS, [Idea("a", "a", "a.", label=1, timestamp=5), Idea("b", "b", "b.", label=0),
-                                         Idea("c", "c", "c.", label=0)])
+            corpus = Corpus(TWO_LABELS, [Idea("a", "a", "a.", label=1, timestamp=5, split="train"),
+                                         Idea("b", "b", "b.", label=0, split="train"),
+                                         Idea("c", "c", "c.", label=0, split="train")])
             graph = ViewpointGraph(idea=["a", "a", "b", "c"], text=["p", "q", "p", "p"], t=[0.0] * 4,
                                    u=[0, 0, 1], v=[1, 2, 3], weight=[0.5, 0.9, 0.4], intra=[True, False, False])
         config = NoveltyConfig(count=30, swap_fraction=swap_fraction)

@@ -20,11 +20,11 @@ import pytest
 import requests
 
 from graphs import assert_same_graph
-from viewgraph import gnn, label_prop, llm, novelty, pipeline
-from viewgraph.cli import build_parser
+from viewgraph import cli, gnn, label_prop, llm, novelty, pipeline
+from viewgraph.cli import PATH_FLAGS, build_parser
 from viewgraph.cli import main as cli_main
-from viewgraph.dataset import (TOKENS, Corpus, load_corpus, load_tokens, load_viewpoints, save_corpus, split_corpus,
-                               write_jsonl)
+from viewgraph.dataset import (TOKENS, Corpus, field_kinds, load_corpus, load_tokens, load_viewpoints, save_corpus,
+                               split_corpus, write_jsonl)
 from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, load_embeddings, row_ids, save_embeddings
 from viewgraph.fixtures import demo_corpus, separable_corpus
 from viewgraph.gnn import GnnConfig
@@ -36,6 +36,7 @@ from viewgraph.novelty import NoveltyConfig
 from viewgraph.pipeline import (
     FILES,
     ConfigError,
+    RunConfig,
     StageError,
     dict_hash,
     run_pipeline,
@@ -220,18 +221,25 @@ class TestRunDirectoryCompatibility:
         assert len(hashes) == (6 if not data else 8)
 
     def test_value_flags_name_config_keys(self):
-        config = asdict(validate_config({}))
+        """Every dotted dest is a key of a config section, and ``seed`` is
+        the one undotted flag that sets a config key: the rest name files,
+        choose the split a stage predicts, or steer the command."""
+        kinds = field_kinds(RunConfig)
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for p in subparsers.choices.values() for a in p._actions if "." in a.dest}
+        actions = [a for p in subparsers.choices.values() for a in p._actions]
+        dests = {a.dest for a in actions if "." in a.dest}
         for dest in dests:
             section, key = dest.split(".")
-            assert key in config[section], dest
+            assert key in field_kinds(kinds[section][0]), dest
         assert dests == {
             "split.fractions", "llm.backend", "llm.relations", "embedding.provider", "embedding.dimension",
             "graph.k", "graph.m", "graph.weight_floor", "graph.hybrid", "lp.max_iters", "lp.early_stop",
             "gnn.hidden_dim", "gnn.max_epochs", "gnn.batch_size", "gnn.learning_rate", "novelty.count",
             "novelty.train_subset", "novelty.threshold", "novelty.swap_fraction",
         }
+        steering = {*PATH_FLAGS, "infile", "out", "split", "help", "config", "quiet", "force"}
+        assert {a.dest for a in actions if "." not in a.dest} - steering == {"seed"}
+        assert "seed" in kinds
 
 
 @pytest.fixture()
@@ -650,6 +658,21 @@ class TestCli:
         assert f"{path}: must be" in stderr and "Traceback" not in stderr
         assert not any(tmp_path.iterdir())
 
+    def test_config_file_then_given_flags_checked_once_each(self, tmp_path, monkeypatch):
+        """The --config file is checked, and only when value flags are
+        given, once more with all of them, --seed among them, over its keys."""
+        monkeypatch.chdir(tmp_path)
+        checked = []
+        monkeypatch.setattr(cli, "validate_config", lambda source: checked.append(source) or validate_config(source))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"graph": {"m": 3}}))
+        argv = ["build", "--viewpoints", "v", "--embeddings", "e", "--out", "g", "--config", config, "--quiet"]
+        self.run(*argv)
+        assert checked == [str(config)]
+        self.run(*argv, "--seed", 4, "--k", 2)
+        assert len(checked) == 3 and checked[1] == str(config)
+        assert (checked[2]["seed"], checked[2]["graph"]["k"], checked[2]["graph"]["m"]) == (4, 2, 3)
+
     @pytest.mark.parametrize("command", [["split", "--in", "DEMO", "--out", "split.jsonl"], ["run"]], ids=["split", "run"])
     def test_negative_seed_flag_refused_naming_seed(self, tmp_path, monkeypatch, capsys, demo_file, command):
         monkeypatch.chdir(tmp_path)
@@ -709,6 +732,30 @@ class TestCli:
         assert self.run(*argv, "--quiet") == 2
         assert capsys.readouterr().err == f"error: {demo_file}: no labeled train ideas to train the GNN on\n"
         assert not model.exists() and not preds.exists()
+
+    def test_gen_negatives_refuses_an_unsplit_corpus_naming_it(self, tmp_path, capsys, demo_file):
+        """As lp and train do: the raw corpus has no train ideas to draw
+        sources from, so gen-negatives names it, before it reads the graph
+        (not made here), and writes nothing."""
+        graph, negs, rest = (tmp_path / name for name in ("graph.bin", "negs.jsonl", "rest.jsonl"))
+        argv = ["gen-negatives", "--corpus", demo_file, "--graph", graph, "--out", negs, "--holdout-out", rest]
+        assert self.run(*argv, "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {demo_file}: no labeled train ideas to draw negatives from\n"
+        assert list(tmp_path.iterdir()) == [demo_file]
+
+    def test_force_is_a_flag_of_run_alone(self, tmp_path, capsys, demo_file):
+        """``run --force`` reruns every stage; a stage subcommand always
+        runs, and refuses the flag."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(demo_file), "out_dir": str(tmp_path / "run"), "engine": "lp"}))
+        assert self.run("run", "--config", config, "--quiet") == 0
+        assert self.run("run", "--config", config, "--force", "--quiet") == 0
+        stages = json.loads((tmp_path / "run" / "run_manifest.json").read_text())["stages"]
+        assert [s["name"] for s in stages if not s["skipped"]] == ["split", "extract", "embed", "build", "lp", "eval"]
+        with pytest.raises(SystemExit) as exited:
+            self.run("build", "--viewpoints", "v", "--embeddings", "e", "--out", "g", "--force")
+        assert exited.value.code == 2
+        assert "error: unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_run_whose_split_gives_no_train_ideas_fails_at_lp(self, tmp_path, monkeypatch, capsys, demo_file):
         monkeypatch.chdir(tmp_path)
