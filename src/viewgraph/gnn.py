@@ -8,9 +8,13 @@ a combine matrix. Idea subgraphs are pooled
 (elementwise mean + max), pushed through a one-hidden-layer MLP head and
 softmax; one head call pools a whole batch of ideas. Training is plain
 mini-batch cross-entropy with exact hand-written reverse-mode gradients,
-Adam, and a linearly decaying learning rate. Everything is numpy
-float64; the seed given to ``train`` (not part of ``GnnConfig``) fixes
-the initialization, the batch order, and therefore the whole trajectory.
+Adam, and a linearly decaying learning rate. The arithmetic runs in
+the dtype of its inputs: ``train`` and ``predict`` compute in
+``PRECISION``, the float32 the checkpoint stores, and float64 inputs
+(the tests' oracles) stay float64 from end to end. Only the softmax runs
+in float64, so probabilities sum to 1 within 1e-9 at either precision.
+The seed given to ``train`` (not part of ``GnnConfig``) fixes the
+initialization, the batch order, and therefore the whole trajectory.
 
 The parameters are named blocks; ``block_shapes`` is the one place that
 lays them out (names, order and shapes), and initialization, Adam and
@@ -35,10 +39,11 @@ import numpy as np
 from .dataset import (BLOCKS, STRINGS, Checked, Corpus, FileFormatError, at_least, must, problem, read_headed, setting,
                       write_headed)
 from .embedding import EmbeddingMatrix
-from .graph import HEAD_BYTES, Arcs, ViewpointGraph, add_neighbours, neighbour_slots, padded
+from .graph import HEAD_BYTES, Arcs, Slots, ViewpointGraph, add_neighbours, neighbour_slots, padded
 from .metrics import macro_metrics
 
 PROB_FLOOR = 1e-12
+PRECISION = np.float32  # of the checkpoint's blocks: ``train`` and ``predict`` compute in it
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,10 @@ class GnnModel(dict):
     def n_labels(self) -> int:
         return self["head_out_b"].shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(*self.values())
+
 
 def init_model(config: GnnConfig, input_dim: int, n_labels: int, rng: np.random.Generator) -> GnnModel:
     """Glorot-uniform matrices, zero vectors, drawn in checkpoint order."""
@@ -116,13 +125,21 @@ class ForwardCache:
     combined: list[np.ndarray]  # concat(aggregate, state) per layer
 
 
+def weighted_slots(arcs: Arcs, dtype) -> Slots:
+    """``neighbour_slots(arcs)`` with the arc weights in ``dtype``, the
+    states' dtype, so that ``add_neighbours`` keeps it."""
+    slots = neighbour_slots(arcs)
+    return slots._replace(weight=slots.weight.astype(dtype, copy=False))
+
+
 def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs, slots=None) -> ForwardCache:
-    """Every layer over the whole graph; isolated nodes aggregate the zero
-    vector. ``slots`` is ``neighbour_slots(arcs)``, built here when not
-    given."""
-    slots = neighbour_slots(arcs) if slots is None else slots
-    degree = np.maximum(np.diff(arcs.indptr), 1)[:, None]
-    states = [np.asarray(X, dtype=np.float64)]
+    """Every layer over the whole graph, in the dtype of ``X`` and the
+    model together; isolated nodes aggregate the zero vector. ``slots`` is
+    ``weighted_slots(arcs, dtype)``, built here when not given."""
+    dtype = np.result_type(X, model.dtype)
+    slots = weighted_slots(arcs, dtype) if slots is None else slots
+    degree = np.maximum(np.diff(arcs.indptr), 1).astype(dtype)[:, None]  # an int64 divisor would widen float32
+    states = [np.asarray(X, dtype=dtype)]
     messages, combined = [], []
     for l in range(1, model.layers + 1):
         mw, cw = model[f"message_weight_{l}"], model[f"combine_weight_{l}"]
@@ -144,12 +161,12 @@ class HeadCache:
 
     index: np.ndarray  # (B, L): the group's node ids, padded with 0
     present: np.ndarray  # (B, L): which of ``index`` are the group's
-    sizes: np.ndarray  # (B,): node count per group
+    sizes: np.ndarray  # (B,): node count per group, in the states' dtype
     arg_rows: np.ndarray  # (B, h): node id holding the max, per hidden dim
     pooled: np.ndarray  # (B, 2h)
     z1: np.ndarray  # (B, h)
     a1: np.ndarray  # (B, h)
-    probs: np.ndarray  # (B, n_labels)
+    probs: np.ndarray  # (B, n_labels), float64
 
 
 def _gemv(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -163,20 +180,28 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Se
     """Mean+max pooling over each group of node ids, MLP head, softmax.
 
     The groups are gathered through one ``padded`` table; the mean masks
-    its padding to zeros and divides by the group size, the max masks it
-    to -inf, so the first maximum of a group still wins."""
+    its padding to zeros, adds the table's columns one at a time to zeros
+    and divides by the group size, the max masks the padding to -inf, so
+    the first maximum of a group still wins. So a group's mean adds its
+    rows in order, however long the groups beside it: one sum along L
+    would go pairwise for one-value rows (``hidden_dim`` 1), and the
+    padding would regroup it. The states' dtype carries through to the
+    logits; the softmax runs in float64."""
     index, present = padded(groups)
-    sizes = present.sum(axis=1)
+    sizes = present.sum(axis=1, dtype=final_states.dtype)
     if not sizes.all():
         raise ValueError("idea has no nodes")
     sub = final_states[index]  # (B, L, h)
-    mean_pool = np.where(present[:, :, None], sub, 0.0).sum(axis=1) / sizes[:, None]
+    mean_pool = np.zeros((len(sub), sub.shape[2]), final_states.dtype)
+    for column in np.where(present[:, :, None], sub, 0.0).swapaxes(0, 1):
+        mean_pool += column
+    mean_pool /= sizes[:, None]
     arg_local = np.where(present[:, :, None], sub, -np.inf).argmax(axis=1)  # first max wins
     max_pool = np.take_along_axis(sub, arg_local[:, None, :], axis=1)[:, 0]
     pooled = np.hstack([mean_pool, max_pool])
     z1 = _gemv(model["head_hidden_w"], pooled) + model["head_hidden_b"]
     a1 = np.maximum(z1, 0.0)
-    logits = _gemv(model["head_out_w"], a1) + model["head_out_b"]
+    logits = np.asarray(_gemv(model["head_out_w"], a1) + model["head_out_b"], dtype=np.float64)
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return HeadCache(
         index=index,
@@ -223,9 +248,12 @@ def batch_loss_and_grads(
     ``_outer_sums``, and the final states through one ``np.add.at`` taking
     item after item, each item's mean entries before its max entries, so
     that nodes shared by items or repeated add in that order. Layer 1's
-    input gradient is not computed.
+    input gradient is not computed. The gradients take the states' dtype:
+    the logits' gradient is taken from the float64 probabilities and
+    rounded to it once.
     """
     final = cache.states[-1]
+    dtype = final.dtype
     head = pool_and_head(model, final, [ids for ids, _ in items])
     labels = [y for _, y in items]
     weights = np.ones(len(labels)) if class_weights is None else class_weights[labels]
@@ -236,23 +264,23 @@ def batch_loss_and_grads(
     h_dim = model.hidden_dim
     d_final = np.zeros_like(final)
     if total_w > 0:
-        dlogits = (head.probs - np.eye(model.n_labels)[labels]) * (weights / total_w)[:, None]
+        dlogits = ((head.probs - np.eye(model.n_labels)[labels]) * (weights / total_w)[:, None]).astype(dtype)
         dz1 = _gemv(model["head_out_w"].T, dlogits) * (head.z1 > 0)
         dpooled = _gemv(model["head_hidden_w"].T, dz1)
-        ones = np.ones((len(items), 1))  # a bias is the weight of a constant 1 input
+        ones = np.ones((len(items), 1), dtype)  # a bias is the weight of a constant 1 input
         for name, d_out, inputs in (("head_out", dlogits, head.a1), ("head_hidden", dz1, head.pooled)):
             total = _outer_sums(d_out, np.hstack([inputs, ones]))
             grads[f"{name}_w"], grads[f"{name}_b"] = total[:, :-1], total[:, -1]
         (B, L), columns = head.index.shape, np.arange(h_dim)
         cells = np.empty((B, L + 1, h_dim), dtype=np.int64)  # flat (node, column) cells of d_final
         cells[:, :L], cells[:, L] = head.index[:, :, None] * h_dim + columns, head.arg_rows * h_dim + columns
-        values = np.empty(cells.shape)
+        values = np.empty(cells.shape, dtype)
         values[:, :L], values[:, L] = dpooled[:, None, :h_dim] / head.sizes[:, None, None], dpooled[:, h_dim:]
         keep = np.hstack([head.present, np.ones((B, 1), dtype=bool)])
         np.add.at(d_final.reshape(-1), cells[keep].ravel(), values[keep].ravel())
 
     # A_w is symmetric, so the messages' gradient is one more aggregation.
-    degree = np.maximum(np.diff(arcs.indptr), 1)[:, None]
+    degree = np.maximum(np.diff(arcs.indptr), 1).astype(dtype)[:, None]
     d_state = d_final
     for l in range(model.layers - 1, -1, -1):
         name_m, name_c = f"message_weight_{l + 1}", f"combine_weight_{l + 1}"
@@ -280,17 +308,18 @@ def _outer_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     leading axis row after row when some other axis is the contiguous one,
     as it is whenever ``right`` has two columns or more; along a contiguous
     axis it would sum pairwise. So each chunk takes up the order of the
-    chunk before it. ``einsum`` writes each product in half the time of a
+    chunk before it. The sum takes the dtype of ``left`` and ``right``
+    together. ``einsum`` writes each product in half the time of a
     broadcast multiply, as 0 + product: that only turns -0.0 into +0.0,
     which a sum from +0.0 cannot tell apart. The budget, 512 KiB, holds 7
-    items' rows of the hidden block at width 64. On gnn-novelty's training
-    inputs, larger budgets cost peak memory and no time (1 MiB added
-    0.8 MB of peak RSS, and 4 MiB, one chunk per batch, 3.5 MB), and
-    256 KiB was no faster.
+    items' float64 rows of the hidden block at width 64, or 15 float32
+    ones. On gnn-novelty's float64 training inputs, larger budgets cost
+    peak memory and no time (1 MiB added 0.8 MB of peak RSS, and 4 MiB,
+    one chunk per batch, 3.5 MB), and 256 KiB was no faster.
     """
-    (n, m), k = left.shape, right.shape[1]
-    chunk = max(HEAD_BYTES // (8 * m * k), 1)
-    buffer, total = np.empty((min(chunk, n) + 1, m, k)), np.zeros((m, k))
+    (n, m), k, dtype = left.shape, right.shape[1], np.result_type(left, right)
+    chunk = max(HEAD_BYTES // (dtype.itemsize * m * k), 1)
+    buffer, total = np.empty((min(chunk, n) + 1, m, k), dtype), np.zeros((m, k), dtype)
     for start in range(0, n, chunk):
         rows = min(chunk, n - start)
         buffer[0] = total
@@ -359,12 +388,15 @@ def train(
     follows each step: the next step's loss and the epoch's train and
     validation predictions all read it, since the parameters do not change
     in between, and one head call pools the train and validation ideas.
+    The node features, the arc weights and the initial parameters are cast
+    to ``PRECISION`` once, and everything after computes in it (the draws
+    stay float64, so a seed starts from the same values at any precision).
     Returns the parameters with the best validation macro-F1, or the final
     parameters when there is no validation split.
     """
-    X = node_features(graph, matrix)
+    X = node_features(graph, matrix).astype(PRECISION)
     arcs = graph.arcs
-    slots = neighbour_slots(arcs)
+    slots = weighted_slots(arcs, PRECISION)
     n_labels = len(corpus.label_set)
 
     items = [(graph.nodes_of(idea.id, "train idea"), idea.label) for idea in corpus.split_ideas("train")]
@@ -383,6 +415,7 @@ def train(
 
     rng = np.random.default_rng(seed)
     model = init_model(config, X.shape[1], n_labels, rng)
+    model = GnnModel({name: arr.astype(PRECISION) for name, arr in model.items()})
     state = AdamState(model)
     log: list[dict] = []
     best_f1, best_model, best_epoch = -1.0, None, None
@@ -429,11 +462,12 @@ def predict(
     matrix: EmbeddingMatrix,
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
-    """The model's prediction for each idea of ``idea_ids``, in order."""
+    """The model's prediction for each idea of ``idea_ids``, in order,
+    computed in the model's dtype; the probabilities are float64."""
     groups = [graph.nodes_of(idea_id) for idea_id in idea_ids]
     if not groups:
         return []
-    final = full_forward(model, node_features(graph, matrix), graph.arcs).states[-1]
+    final = full_forward(model, node_features(graph, matrix).astype(model.dtype, copy=False), graph.arcs).states[-1]
     probs = pool_and_head(model, final, groups).probs
     return [
         SubgraphPrediction(idea_id=idea_id, probabilities=row.tolist(), label_index=int(np.argmax(row)))
@@ -473,9 +507,9 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
-    """The model of a checkpoint written by ``save_model``, as float64,
-    and its header. A header without a ``config`` whose ``layers`` and
-    ``hidden_dim`` are ints >= 1, ``labels`` or an ``input_dim`` >= 1,
+    """The model of a checkpoint written by ``save_model``, in the float32
+    it is stored in (``PRECISION``), and its header. A header without a
+    ``config`` whose ``layers`` and ``hidden_dim`` are ints >= 1, ``labels`` or an ``input_dim`` >= 1,
     with ``blocks`` other than ``block_shapes`` of those layers, input_dim,
     hidden_dim and labels, a blob of another length, or a block holding a
     NaN or infinity raises a FileFormatError naming the file."""
@@ -496,7 +530,7 @@ def load_model(path: str | Path) -> tuple[GnnModel, dict]:
         if shape != list(shapes[name]):
             raise FileFormatError(path, f"block {name!r} has shape {shape}, not {list(shapes[name])} (input_dim "
                                         f"{header['input_dim']}, config.hidden_dim {h}, {labels} labels)", noun="model file")
-    model = GnnModel({name: blocks[name].astype(np.float64) for name in names})
+    model = GnnModel({name: blocks[name].astype(PRECISION) for name in names})
     for name, arr in model.items():
         if not np.all(np.isfinite(arr)):
             raise FileFormatError(path, f"non-finite values in parameter block {name}", noun="model file")

@@ -199,7 +199,8 @@ def neighbour_slots(arcs: Arcs) -> Slots:
 def add_neighbours(out: np.ndarray, slots: Slots, values: np.ndarray) -> np.ndarray:
     """Add to each node's row of ``out`` its neighbours' rows of ``values``
     times the arc weights, one neighbour at a time in ascending neighbour
-    order, and return ``out``. ``slots`` is ``neighbour_slots(arcs)``.
+    order, and return ``out``. ``slots`` is ``neighbour_slots(arcs)``. The
+    rows are scaled in the dtype of ``values`` and the weights together.
 
     Runs of whole slots, each up to ``GATHER_BYTES`` of rows or one larger
     slot, are gathered and scaled into one buffer; then each slot of the
@@ -211,7 +212,7 @@ def add_neighbours(out: np.ndarray, slots: Slots, values: np.ndarray) -> np.ndar
     time: 256 KiB added 0.28 MB to a warm lp rescore's peak RSS (128 KiB:
     0.14 MB), and 1 MiB added 0.8-1.2 MB to gnn-novelty's."""
     order, starts, weight, src = slots
-    dtype, width = np.result_type(values, np.float64), values.shape[1]
+    dtype, width = np.result_type(values, weight), values.shape[1]
     runs = _runs(starts, max(GATHER_BYTES // (dtype.itemsize * max(width, 1)), 1))  # a budget in rows
     buf = np.empty((max((starts[stop] - starts[first] for first, stop in runs), default=0), width), dtype)
     sums = out[order]  # in degree order, each slot adds to a prefix

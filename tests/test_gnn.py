@@ -12,7 +12,7 @@ from graphs import toy_graph
 from oracles import finite_difference_grads, max_relative_error
 from viewgraph.dataset import Corpus, FileFormatError, Idea, IdeaViewpoints, LabelSet
 from viewgraph.embedding import EmbeddingMatrix
-from viewgraph.graph import GraphConfig, build_graph, neighbour_slots
+from viewgraph.graph import GraphConfig, build_graph
 from viewgraph import gnn
 from viewgraph.gnn import (
     AdamState,
@@ -31,6 +31,7 @@ from viewgraph.gnn import (
     predict,
     save_model,
     train,
+    weighted_slots,
 )
 from viewgraph.metrics import macro_metrics
 from viewgraph.novelty import NegativeSample
@@ -62,9 +63,14 @@ def idea_probs(model, X, edges, node_ids):
     return pool_and_head(model, full_forward(model, X, edges).states[-1], [node_ids]).probs[0]
 
 
+def cast(model, dtype):
+    """The model with every block cast to ``dtype``."""
+    return GnnModel({name: arr.astype(dtype) for name, arr in model.items()})
+
+
 def loss_and_grads(model, X, arcs, items, class_weights=None):
     """``batch_loss_and_grads`` at the node features ``X``."""
-    slots = neighbour_slots(arcs)
+    slots = weighted_slots(arcs, np.result_type(X, model.dtype))
     return batch_loss_and_grads(model, full_forward(model, X, arcs, slots), arcs, slots, items, class_weights)
 
 
@@ -121,16 +127,19 @@ class TestForwardLayer:
 
 def reference_forward(model, X, arcs):
     """The edge-tensor layer: one pre-activation row per arc, scattered
-    with ``np.add.at`` in arc order. Returns states, pre-activations and
-    the combined inputs per layer."""
-    states, pres, combined = [np.asarray(X, dtype=np.float64)], [], []
+    with ``np.add.at`` in arc order, in the dtype of ``X`` and the model
+    (the arc weights and degrees cast to it). Returns states,
+    pre-activations and the combined inputs per layer."""
+    dtype = np.result_type(X, *model.values())
+    weight, degree = arcs.weight.astype(dtype), np.maximum(np.diff(arcs.indptr), 1).astype(dtype)
+    states, pres, combined = [np.asarray(X, dtype=dtype)], [], []
     for l in range(1, model.layers + 1):
         mw, cw = model[f"message_weight_{l}"], model[f"combine_weight_{l}"]
         messages = states[-1] @ mw.T
-        pre = arcs.weight[:, None] * messages[arcs.src]
-        agg = np.zeros(messages.shape)
+        pre = weight[:, None] * messages[arcs.src]
+        agg = np.zeros(messages.shape, dtype)
         np.add.at(agg, arcs.dst, np.maximum(pre, 0.0))
-        agg /= np.maximum(np.diff(arcs.indptr), 1)[:, None]
+        agg /= degree[:, None]
         combined.append(np.hstack([agg, states[-1]]))
         states.append(combined[-1] @ cw.T)
         pres.append(pre)
@@ -138,17 +147,20 @@ def reference_forward(model, X, arcs):
 
 
 def reference_pool_and_head(model, final_states, node_ids):
-    """The per-idea pooled head: mean+max pooling over one idea's nodes,
-    MLP head, softmax, with 1-d matrix-vector products."""
+    """The per-idea pooled head: mean+max pooling over one idea's nodes
+    (the mean adds the rows in order to zeros), MLP head and softmax, with
+    1-d matrix-vector products in the states' dtype; the softmax runs in
+    float64."""
     ids = list(node_ids)
     if not ids:
         raise ValueError("idea has no nodes")
     sub = final_states[ids]
     arg_local = np.argmax(sub, axis=0)  # first max wins
-    pooled = np.concatenate([sub.mean(axis=0), sub[arg_local, np.arange(sub.shape[1])]])
+    mean = sum(sub, np.zeros(sub.shape[1], sub.dtype)) / len(ids)
+    pooled = np.concatenate([mean, sub[arg_local, np.arange(sub.shape[1])]])
     z1 = model["head_hidden_w"] @ pooled + model["head_hidden_b"]
     a1 = np.maximum(z1, 0.0)
-    logits = model["head_out_w"] @ a1 + model["head_out_b"]
+    logits = (model["head_out_w"] @ a1 + model["head_out_b"]).astype(np.float64)
     exp = np.exp(logits - logits.max())
     return SimpleNamespace(
         node_ids=ids,
@@ -163,9 +175,11 @@ def reference_pool_and_head(model, final_states, node_ids):
 def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
     """Loss and gradients through ``reference_forward`` and the per-idea
     ``reference_pool_and_head``, with the per-arc backward pass and an
-    ``np.add.at`` max-pool backward."""
+    ``np.add.at`` max-pool backward, in the states' dtype; the logits'
+    gradient is taken in float64 and rounded to it."""
     states, pres, combined = reference_forward(model, X, arcs)
     final = states[-1]
+    dtype = final.dtype
     heads = [reference_pool_and_head(model, final, ids) for ids, _ in items]
     labels = [y for _, y in items]
     weights = np.array([1.0 if class_weights is None else float(class_weights[y]) for y in labels])
@@ -176,7 +190,7 @@ def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
     d_final = np.zeros_like(final)
     if total_w > 0:
         for head, y, w in zip(heads, labels, weights):
-            dlogits = (head.probs - np.eye(model.n_labels)[y]) * (w / total_w)
+            dlogits = ((head.probs - np.eye(model.n_labels)[y]) * (w / total_w)).astype(dtype)
             grads["head_out_w"] += np.outer(dlogits, head.a1)
             grads["head_out_b"] += dlogits
             dz1 = (model["head_out_w"].T @ dlogits) * (head.z1 > 0)
@@ -190,10 +204,10 @@ def reference_loss_and_grads(model, X, arcs, items, class_weights=None):
         grads[f"combine_weight_{l + 1}"] += d_state.T @ combined[l]
         d_combined = d_state @ model[f"combine_weight_{l + 1}"]
         d_prev = d_combined[:, h_dim:].copy()
-        d_sum = d_combined[:, :h_dim] / np.maximum(np.diff(arcs.indptr), 1)[:, None]
+        d_sum = d_combined[:, :h_dim] / np.maximum(np.diff(arcs.indptr), 1).astype(dtype)[:, None]
         d_pre = d_sum[arcs.dst] * (pres[l] > 0)
-        d_messages = np.zeros((n, h_dim))
-        np.add.at(d_messages, arcs.src, arcs.weight[:, None] * d_pre)
+        d_messages = np.zeros((n, h_dim), dtype)
+        np.add.at(d_messages, arcs.src, arcs.weight.astype(dtype)[:, None] * d_pre)
         grads[f"message_weight_{l + 1}"] += d_messages.T @ states[l]
         d_prev += d_messages @ model[f"message_weight_{l + 1}"]
         d_state = d_prev
@@ -233,17 +247,19 @@ def tied_built_instance(seed):
 
 class TestAgainstEdgeTensorReference:
     """The neighbour-slot aggregation is exact: forward states and
-    gradients equal the edge-tensor layer's bit for bit."""
+    gradients equal the edge-tensor layer's bit for bit, in float64 and
+    in float32."""
 
     def test_random_instances_have_isolated_nodes_and_zero_weights(self):
         for seed in range(6):
             graph, _ = tied_random_instance(seed)
             assert np.diff(graph.arcs.indptr).min() == 0 and (graph.arcs.weight == 0.0).any()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("make", [tied_random_instance, tied_built_instance], ids=["random", "built"])
-    def test_forward_and_gradients_bit_identical(self, monkeypatch, make, seed, layers):
+    def test_forward_and_gradients_bit_identical(self, monkeypatch, make, seed, layers, dtype):
         """At hidden width 6 with 3 labels and at 64 with 9, also on a
         batch whose items share nodes (and so pool maxima from the same
         rows) and that holds one item twice, and on a one-item batch: each
@@ -251,10 +267,12 @@ class TestAgainstEdgeTensorReference:
         with budgets of three items' rows of either head block, so that
         batches span several chunks of ``_outer_sums``."""
         graph, X = make(seed)
+        X, size = X.astype(dtype), np.dtype(dtype).itemsize
         default_budget = gnn.HEAD_BYTES
         for hidden, n_labels in ((6, 3), (64, 9)):
             rng = np.random.default_rng(seed)
             model = init_model(GnnConfig(layers=layers, hidden_dim=hidden), X.shape[1], n_labels, rng)
+            model = cast(model, dtype)
             model["message_weight_1"][0] = 0.0  # one message channel at the ReLU's kink
             ideas = list(graph.idea_nodes.values())
             items = [(ids, int(rng.integers(n_labels))) for ids in ideas]
@@ -264,10 +282,10 @@ class TestAgainstEdgeTensorReference:
             states, _, _ = reference_forward(model, X, graph.arcs)
             cache = full_forward(model, X, graph.arcs)
             assert len(cache.states) == len(states)
-            assert all(np.array_equal(a, b) for a, b in zip(cache.states, states))
+            assert all(np.array_equal(a, b) and a.dtype == dtype for a, b in zip(cache.states, states))
             assert (cache.messages[0] < 0).any() and (cache.messages[0] == 0).any()
             assert len(overlapping) > 3
-            budgets = (default_budget, 3 * 8 * n_labels * (hidden + 1), 3 * 8 * hidden * (2 * hidden + 1))
+            budgets = (default_budget, 3 * size * n_labels * (hidden + 1), 3 * size * hidden * (2 * hidden + 1))
             for batch in (items, overlapping, overlapping[-1:]):
                 for class_weights in (None, np.resize([0.5, 1.0, 2.0], n_labels)):
                     ref_loss, ref_grads = reference_loss_and_grads(model, X, graph.arcs, batch, class_weights)
@@ -277,6 +295,7 @@ class TestAgainstEdgeTensorReference:
                         assert new_loss == ref_loss
                         assert new_grads.keys() == ref_grads.keys()
                         assert all(np.array_equal(new_grads[k], ref_grads[k]) for k in ref_grads), budget
+                        assert all(g.dtype == dtype for g in new_grads.values())
 
     def test_forward_cache_holds_no_per_arc_array(self):
         graph, X = tied_random_instance(0)
@@ -289,24 +308,29 @@ class TestAgainstEdgeTensorReference:
 
 
 class TestAgainstPerIdeaHead:
-    """The batched pooled head equals the per-idea head bit for bit."""
+    """The batched pooled head equals the per-idea head bit for bit, at
+    every width (one-value rows too, whose sums numpy would take pairwise
+    along the padded table) and in float64 and float32."""
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("n_labels", [2, 3, 9])
-    @pytest.mark.parametrize("hidden", [2, 6, 64])
+    @pytest.mark.parametrize("hidden", [1, 2, 6, 64])
     @pytest.mark.parametrize("seed", range(3))
-    def test_batched_head_bit_identical(self, seed, hidden, n_labels):
+    def test_batched_head_bit_identical(self, seed, hidden, n_labels, dtype):
         rng = np.random.default_rng(seed)
         n = 24
         final = rng.normal(size=(n, hidden))
-        final[:, ::2] = rng.integers(-2, 3, size=(n, (hidden + 1) // 2))  # exact ties per column
+        final[::2, ::2] = rng.integers(-2, 3, size=(n // 2, (hidden + 1) // 2))  # exact ties per column
         final[final == 0] = -0.0
         final[rng.integers(0, n, size=6)] = final[rng.integers(0, n, size=6)]  # repeated rows
         final[[3, 4, 5]] = final[2]  # the group [2, 3, 4, 5] ties in every column
         model = init_model(GnnConfig(hidden_dim=hidden), 4, n_labels, rng)
+        model, final = cast(model, dtype), final.astype(dtype)
         groups = [[2, 3, 4, 5]] + [
-            rng.choice(n, size=int(size), replace=False).tolist() for size in rng.permutation(np.r_[1:8, 1:8])
+            rng.choice(n, size=int(size), replace=False).tolist() for size in rng.permutation(np.r_[1:8, 1:8, 8:13])
         ]
         head = pool_and_head(model, final, groups)
+        assert head.pooled.dtype == head.z1.dtype == dtype and head.probs.dtype == np.float64
         for b, ids in enumerate(groups):
             ref = reference_pool_and_head(model, final, ids)
             for name in ("arg_rows", "pooled", "z1", "a1", "probs"):
@@ -314,12 +338,39 @@ class TestAgainstPerIdeaHead:
             assert np.array_equal(np.signbit(head.pooled[b]), np.signbit(ref.pooled))
 
 
+class TestPrecision:
+    """The arithmetic keeps its inputs' dtype: float32 inputs give float32
+    states, pooled rows and gradients, float64 ones stay float64, and the
+    probabilities are float64 either way. Every aggregation, forward and
+    backward, adds rows of that dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_states_and_gradients_keep_the_inputs_dtype(self, monkeypatch, dtype):
+        graph, X, items, n_labels = random_labeled_graph(5, n_ideas=3, nodes_per_idea=4)
+        assert np.diff(graph.arcs.indptr).max() > 1  # the degree divides
+        model = init_model(GnnConfig(hidden_dim=8), X.shape[1], n_labels, np.random.default_rng(0))
+        model, X = cast(model, dtype), X.astype(dtype)
+        added = []
+        real = gnn.add_neighbours
+        monkeypatch.setattr(gnn, "add_neighbours", lambda *args: added.append(real(*args)) or added[-1])
+        cache = full_forward(model, X, graph.arcs)
+        assert [a.dtype for f in dataclasses.fields(cache) for a in getattr(cache, f.name)] == [dtype] * 7
+        head = pool_and_head(model, cache.states[-1], [ids for ids, _ in items])
+        assert [head.sizes.dtype, head.pooled.dtype, head.z1.dtype, head.a1.dtype] == [dtype] * 4
+        assert head.probs.dtype == np.float64
+        _, grads = loss_and_grads(model, X, graph.arcs, items, np.array([0.5, 1.0, 2.0]))
+        assert {name: g.dtype for name, g in grads.items()} == {name: dtype for name in model}
+        assert len(added) == 6 and all(a.dtype == dtype for a in added)  # two forward passes, one backward, 2 layers
+
+
 def reference_train(config, graph, matrix, corpus, negatives=(), seed=0):
     """The training loop with two prediction passes per epoch: after the
     epoch's steps, one full forward pass for the train predictions and one
     for the validation predictions, all through the per-arc forward pass,
-    ``reference_loss_and_grads`` and the per-idea head."""
-    X = node_features(graph, matrix)
+    ``reference_loss_and_grads`` and the per-idea head. The node features
+    and the initial parameters are cast to float32 once, as ``train``
+    casts them."""
+    X = node_features(graph, matrix).astype(np.float32)
     arcs = graph.arcs
     n_labels = len(corpus.label_set)
     items = [(graph.idea_nodes[i.id], i.label) for i in corpus.split_ideas("train")]
@@ -331,7 +382,7 @@ def reference_train(config, graph, matrix, corpus, negatives=(), seed=0):
     if config.class_weighting:
         class_weights = inverse_frequency_weights([y for _, y in items], n_labels)
     rng = np.random.default_rng(seed)
-    model = init_model(config, X.shape[1], n_labels, rng)
+    model = cast(init_model(config, X.shape[1], n_labels, rng), np.float32)
     state = AdamState(model)
     log, best_f1, best_model, best_epoch = [], -1.0, None, None
 
@@ -594,6 +645,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="validation idea 'idea-00017' has no nodes in the graph"):
             train(GnnConfig(hidden_dim=4, max_epochs=1), graph, EmbeddingMatrix(np.ones((1, 4))), corpus)
 
+    def test_trains_in_float32(self, separable):
+        corpus, _, matrix, graph = separable
+        assert matrix.rows.dtype == np.float64
+        result = train(GnnConfig(hidden_dim=8, max_epochs=2), graph, matrix, corpus, seed=0)
+        assert all(arr.dtype == np.float32 for arr in result.model.values())
+
     def test_log_has_loss_and_validation(self, separable):
         corpus, _, matrix, graph = separable
         result = train(GnnConfig(hidden_dim=8, max_epochs=3), graph, matrix, corpus, seed=0)
@@ -618,6 +675,20 @@ class TestPredict:
         model = init_model(GnnConfig(hidden_dim=8), matrix.dimension + 1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="no nodes"):
             predict(model, graph, matrix, ["not-an-idea"])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_runs_in_the_models_dtype_with_float64_probabilities(self, monkeypatch, separable, dtype):
+        """Probabilities sum to 1 within 1e-9, as perfbench's output check
+        asks, also from a float32 model: a float32 softmax would miss that."""
+        corpus, _, matrix, graph = separable
+        model = cast(init_model(GnnConfig(hidden_dim=8), matrix.dimension + 1, 4, np.random.default_rng(3)), dtype)
+        for arr in model.values():
+            arr *= 3  # logits a few units apart
+        features = []
+        monkeypatch.setattr(gnn, "full_forward", lambda *args: features.append(args[1]) or full_forward(*args))
+        preds = predict(model, graph, matrix, [idea.id for idea in corpus.ideas])
+        assert [X.dtype for X in features] == [dtype]
+        assert len(preds) == 40 and all(abs(sum(p.probabilities) - 1.0) <= 1e-9 for p in preds)
 
     def test_relabeling_nodes_within_ideas_is_invariant(self):
         rng = np.random.default_rng(21)
@@ -683,13 +754,11 @@ class TestCheckpoint:
         assert header["labels"] == list(corpus.label_set.labels)
         assert header["epoch"] == 2
         assert list(loaded) == list(result.model)
+        # trained and stored in float32: the blocks come back as they were
+        assert all(loaded[name].dtype == np.float32 and np.array_equal(loaded[name], arr)
+                   for name, arr in result.model.items())
         ids = [i.id for i in corpus.split_ideas("test")]
-        base = predict(result.model, graph, matrix, ids)
-        back = predict(loaded, graph, matrix, ids)
-        for a, b in zip(base, back):
-            assert a.label_index == b.label_index
-            # parameters are stored as float32
-            assert a.probabilities == pytest.approx(b.probabilities, abs=1e-3)
+        assert predict(loaded, graph, matrix, ids) == predict(result.model, graph, matrix, ids)
 
     def test_block_order_documented(self, tmp_path):
         model = init_model(GnnConfig(hidden_dim=4), 3, 2, np.random.default_rng(0))

@@ -3,7 +3,7 @@ of runs writes, checked against ``run_hashes.json``.
 
 The matrix is demo12 and separable40, engine ``both``, novelty on and off,
 plain and hybrid graphs, run in one child process with one BLAS thread
-(the GNN's float64 files are byte-identical at a fixed thread count
+(the GNN's float32 files are byte-identical at a fixed thread count
 only). ``run_manifest.json`` is left out: it holds timings and paths.
 The table records the platform it was written on; on another platform
 the test skips and names what differs. A second test runs one case with
@@ -58,7 +58,7 @@ def cases() -> dict[str, dict]:
 
 # A separable40 run with negatives and 384-dim stub embeddings, and the
 # files it writes whose bytes must not depend on the BLAS thread count: all
-# up to lp's predictions. The GNN's float64 files may (``measure``).
+# up to lp's predictions. The GNN's float32 files may (``measure``).
 THREAD_CASE = {"separable40-novelty-384": {**cases()["separable40-novelty-similarity"], "embedding": {"dimension": 384}}}
 THREAD_FREE = ["split.jsonl", "viewpoints.jsonl", "tokens.json", "embeddings.bin", "graph.bin", "graph.json",
                "negatives.jsonl", "negatives_holdout.jsonl", "predictions_lp.jsonl"]
