@@ -203,9 +203,9 @@ def load_embeddings(path: str | Path, expected_ids: Sequence[str]) -> EmbeddingM
         raise FileFormatError(path, f"header has {len(ids)} ids for count {count}", noun=noun)
     if len(expected_ids) != count:
         raise FileFormatError(path, f"{count} rows for {len(expected_ids)} nodes", noun=noun)
-    for row, (got, want) in enumerate(zip(ids, expected_ids)):
-        if got != want:
-            raise FileFormatError(path, f"row {row} has id {got!r}, expected {want!r}", noun=noun)
+    if ids != list(expected_ids):
+        row = next(row for row, (got, want) in enumerate(zip(ids, expected_ids)) if got != want)
+        raise FileFormatError(path, f"row {row} has id {ids[row]!r}, expected {expected_ids[row]!r}", noun=noun)
     try:
         return EmbeddingMatrix(arrays["rows"].astype(np.float64))
     except ValueError as exc:  # a zero or non-finite row

@@ -8,13 +8,21 @@ a combine matrix. Idea subgraphs are pooled
 (elementwise mean + max), pushed through a one-hidden-layer MLP head and
 softmax; one head call pools a whole batch of ideas. Training is plain
 mini-batch cross-entropy with exact hand-written reverse-mode gradients,
-Adam, and a linearly decaying learning rate. The arithmetic runs in
-the dtype of its inputs: ``train`` and ``predict`` compute in
-``PRECISION``, the float32 the checkpoint stores, and float64 inputs
-(the tests' oracles) stay float64 from end to end. Only the softmax runs
-in float64, so probabilities sum to 1 within 1e-9 at either precision.
-The seed given to ``train`` (not part of ``GnnConfig``) fixes the
-initialization, the batch order, and therefore the whole trajectory.
+Adam, and a linearly decaying learning rate. The seed given to
+``train`` (not part of ``GnnConfig``) fixes the initialization, the
+batch order, and therefore the whole trajectory.
+
+The dtype rule: the arithmetic runs in the dtype of the node features
+and the model together. States, pooled rows, logits and gradients take
+it, and every divisor and arc weight is cast to it, so nothing widens
+float32. ``train`` casts the features, the arc weights and the initial
+parameters (drawn in float64, so a seed starts from the same values) to
+``PRECISION``, the float32 the checkpoint stores; ``predict`` computes in
+the model's dtype, and ``load_model`` returns ``PRECISION`` blocks.
+Float64 inputs (the tests' oracles) stay float64 from end to end. Only
+the softmax runs in float64, so probabilities sum to 1 within 1e-9 at
+either precision; the logits' gradient is taken from them and rounded to
+the dtype once.
 
 The parameters are named blocks; ``block_shapes`` is the one place that
 lays them out (names, order and shapes), and initialization, Adam and
@@ -123,36 +131,33 @@ class ForwardCache:
     states: list[np.ndarray]  # H0..HL
     messages: list[np.ndarray]  # H W^T per layer, before the ReLU
     combined: list[np.ndarray]  # concat(aggregate, state) per layer
+    degree: np.ndarray  # (n, 1): each node's arc count, at least 1
 
 
 def weighted_slots(arcs: Arcs, dtype) -> Slots:
-    """``neighbour_slots(arcs)`` with the arc weights in ``dtype``, the
-    states' dtype, so that ``add_neighbours`` keeps it."""
+    """``neighbour_slots(arcs)`` with the arc weights in ``dtype``."""
     slots = neighbour_slots(arcs)
     return slots._replace(weight=slots.weight.astype(dtype, copy=False))
 
 
 def full_forward(model: GnnModel, X: np.ndarray, arcs: Arcs, slots=None) -> ForwardCache:
-    """Every layer over the whole graph, in the dtype of ``X`` and the
-    model together; isolated nodes aggregate the zero vector. ``slots`` is
-    ``weighted_slots(arcs, dtype)``, built here when not given."""
+    """Every layer over the whole graph; isolated nodes aggregate the zero
+    vector. ``slots`` is ``weighted_slots(arcs, dtype)``, built here when
+    not given. Features of another width than the model's input are
+    refused; ``block_shapes`` fixes every shape after that."""
+    if X.shape[1] != model.input_dim:
+        raise ValueError(f"state dimension {X.shape[1]} does not match layer input {model.input_dim}")
     dtype = np.result_type(X, model.dtype)
     slots = weighted_slots(arcs, dtype) if slots is None else slots
-    degree = np.maximum(np.diff(arcs.indptr), 1).astype(dtype)[:, None]  # an int64 divisor would widen float32
+    degree = np.maximum(np.diff(arcs.indptr), 1).astype(dtype)[:, None]
     states = [np.asarray(X, dtype=dtype)]
     messages, combined = [], []
     for l in range(1, model.layers + 1):
-        mw, cw = model[f"message_weight_{l}"], model[f"combine_weight_{l}"]
-        d_in, (h, d_expected) = states[-1].shape[1], mw.shape
-        if d_in != d_expected:
-            raise ValueError(f"state dimension {d_in} does not match layer input {d_expected}")
-        if cw.shape != (h, h + d_in):
-            raise ValueError(f"combine weight shape {cw.shape} != {(h, h + d_in)}")
-        messages.append(states[-1] @ mw.T)  # (n, h)
+        messages.append(states[-1] @ model[f"message_weight_{l}"].T)  # (n, h)
         agg = add_neighbours(np.zeros_like(messages[-1]), slots, np.maximum(messages[-1], 0.0)) / degree
         combined.append(np.hstack([agg, states[-1]]))
-        states.append(combined[-1] @ cw.T)
-    return ForwardCache(states=states, messages=messages, combined=combined)
+        states.append(combined[-1] @ model[f"combine_weight_{l}"].T)
+    return ForwardCache(states=states, messages=messages, combined=combined, degree=degree)
 
 
 @dataclass
@@ -161,7 +166,7 @@ class HeadCache:
 
     index: np.ndarray  # (B, L): the group's node ids, padded with 0
     present: np.ndarray  # (B, L): which of ``index`` are the group's
-    sizes: np.ndarray  # (B,): node count per group, in the states' dtype
+    sizes: np.ndarray  # (B,): node count per group
     arg_rows: np.ndarray  # (B, h): node id holding the max, per hidden dim
     pooled: np.ndarray  # (B, 2h)
     z1: np.ndarray  # (B, h)
@@ -185,8 +190,7 @@ def pool_and_head(model: GnnModel, final_states: np.ndarray, groups: Sequence[Se
     the first maximum of a group still wins. So a group's mean adds its
     rows in order, however long the groups beside it: one sum along L
     would go pairwise for one-value rows (``hidden_dim`` 1), and the
-    padding would regroup it. The states' dtype carries through to the
-    logits; the softmax runs in float64."""
+    padding would regroup it."""
     index, present = padded(groups)
     sizes = present.sum(axis=1, dtype=final_states.dtype)
     if not sizes.all():
@@ -232,7 +236,6 @@ def loss(
 def batch_loss_and_grads(
     model: GnnModel,
     cache: ForwardCache,
-    arcs: Arcs,
     slots,
     items: Sequence[tuple[Sequence[int], int]],
     class_weights: Optional[np.ndarray] = None,
@@ -240,7 +243,7 @@ def batch_loss_and_grads(
     """Loss and exact gradients for a batch of (node set, label) items.
 
     ``cache`` is ``full_forward`` of the current parameters and ``slots``
-    is ``neighbour_slots(arcs)``. The softmax/cross-entropy gradient uses
+    the ones it ran with. The softmax/cross-entropy gradient uses
     the standard p - onehot form, which is exact whenever p[label] is
     above the log floor. The head's backward products run once per batch,
     and every gradient block adds its items in batch order, bit for bit
@@ -248,9 +251,7 @@ def batch_loss_and_grads(
     ``_outer_sums``, and the final states through one ``np.add.at`` taking
     item after item, each item's mean entries before its max entries, so
     that nodes shared by items or repeated add in that order. Layer 1's
-    input gradient is not computed. The gradients take the states' dtype:
-    the logits' gradient is taken from the float64 probabilities and
-    rounded to it once.
+    input gradient is not computed.
     """
     final = cache.states[-1]
     dtype = final.dtype
@@ -280,13 +281,12 @@ def batch_loss_and_grads(
         np.add.at(d_final.reshape(-1), cells[keep].ravel(), values[keep].ravel())
 
     # A_w is symmetric, so the messages' gradient is one more aggregation.
-    degree = np.maximum(np.diff(arcs.indptr), 1).astype(dtype)[:, None]
     d_state = d_final
     for l in range(model.layers - 1, -1, -1):
         name_m, name_c = f"message_weight_{l + 1}", f"combine_weight_{l + 1}"
         grads[name_c] += d_state.T @ cache.combined[l]
         d_combined = d_state @ model[name_c]
-        d_sum = d_combined[:, :h_dim] / degree
+        d_sum = d_combined[:, :h_dim] / cache.degree
         d_messages = add_neighbours(np.zeros_like(d_sum), slots, d_sum) * (cache.messages[l] > 0)
         grads[name_m] += d_messages.T @ cache.states[l]
         if l:
@@ -308,14 +308,13 @@ def _outer_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     leading axis row after row when some other axis is the contiguous one,
     as it is whenever ``right`` has two columns or more; along a contiguous
     axis it would sum pairwise. So each chunk takes up the order of the
-    chunk before it. The sum takes the dtype of ``left`` and ``right``
-    together. ``einsum`` writes each product in half the time of a
+    chunk before it. ``einsum`` writes each product in half the time of a
     broadcast multiply, as 0 + product: that only turns -0.0 into +0.0,
-    which a sum from +0.0 cannot tell apart. The budget, 512 KiB, holds 7
-    items' float64 rows of the hidden block at width 64, or 15 float32
-    ones. On gnn-novelty's float64 training inputs, larger budgets cost
-    peak memory and no time (1 MiB added 0.8 MB of peak RSS, and 4 MiB,
-    one chunk per batch, 3.5 MB), and 256 KiB was no faster.
+    which a sum from +0.0 cannot tell apart. The budget, 512 KiB, holds 15
+    items' float32 rows of the hidden block at width 64. It was measured
+    on gnn-novelty when training ran in float64 (7 items' rows): larger
+    budgets cost peak memory and no time (1 MiB added 0.8 MB of peak RSS,
+    and 4 MiB, one chunk per batch, 3.5 MB), and 256 KiB was no faster.
     """
     (n, m), k, dtype = left.shape, right.shape[1], np.result_type(left, right)
     chunk = max(HEAD_BYTES // (dtype.itemsize * m * k), 1)
@@ -388,11 +387,10 @@ def train(
     follows each step: the next step's loss and the epoch's train and
     validation predictions all read it, since the parameters do not change
     in between, and one head call pools the train and validation ideas.
-    The node features, the arc weights and the initial parameters are cast
-    to ``PRECISION`` once, and everything after computes in it (the draws
-    stay float64, so a seed starts from the same values at any precision).
-    Returns the parameters with the best validation macro-F1, or the final
-    parameters when there is no validation split.
+    Returns the parameters after the epoch with the best validation
+    macro-F1, the earliest on a tie: a later epoch replaces the best only
+    with a strictly higher score, also when the best is 0.0. Without
+    validation ideas it returns the final parameters.
     """
     X = node_features(graph, matrix).astype(PRECISION)
     arcs = graph.arcs
@@ -417,8 +415,7 @@ def train(
     model = init_model(config, X.shape[1], n_labels, rng)
     model = GnnModel({name: arr.astype(PRECISION) for name, arr in model.items()})
     state = AdamState(model)
-    log: list[dict] = []
-    best_f1, best_model, best_epoch = -1.0, None, None
+    result = TrainResult(model=model)
     cache = full_forward(model, X, arcs, slots)
 
     for epoch in range(config.max_epochs):
@@ -427,33 +424,23 @@ def train(
         epoch_loss, steps = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[start : start + config.batch_size]]
-            loss_val, grads = batch_loss_and_grads(model, cache, arcs, slots, batch, class_weights)
+            loss_val, grads = batch_loss_and_grads(model, cache, slots, batch, class_weights)
             adam_step(model, grads, state, lr)
             cache = full_forward(model, X, arcs, slots)
             epoch_loss += loss_val
             steps += 1
         entry = {"epoch": epoch, "loss": epoch_loss / steps, "lr": lr}
-        preds = _predicted_labels(model, cache.states[-1], items + val_items)  # a pooled row reads only its group
+        groups = [ids for ids, _ in items + val_items]  # a pooled row reads only its group
+        preds = np.argmax(pool_and_head(model, cache.states[-1], groups).probs, axis=1).tolist()
         entry["train_accuracy"] = sum(p == y for p, (_, y) in zip(preds, items)) / len(items)
         if val_items:
-            preds = preds[len(items) :]
-            truths = [y for _, y in val_items]
-            entry["val_macro_f1"] = macro_metrics(truths, preds, corpus.label_set.labels).macro_f1
-            if entry["val_macro_f1"] > best_f1:
-                best_f1 = entry["val_macro_f1"]
-                best_model = GnnModel({name: arr.copy() for name, arr in model.items()})
-                best_epoch = epoch
-        log.append(entry)
-
-    if best_model is not None:
-        return TrainResult(model=best_model, log=log, best_epoch=best_epoch, best_val_f1=best_f1)
-    return TrainResult(model=model, log=log)
-
-
-def _predicted_labels(model, final_states, items) -> list[int]:
-    """Argmax label of each (node ids, label) item from the final node states."""
-    probs = pool_and_head(model, final_states, [node_ids for node_ids, _ in items]).probs
-    return np.argmax(probs, axis=1).tolist()
+            f1 = macro_metrics([y for _, y in val_items], preds[len(items) :], corpus.label_set.labels).macro_f1
+            entry["val_macro_f1"] = f1
+            if result.best_epoch is None or f1 > result.best_val_f1:
+                result.model = GnnModel({name: arr.copy() for name, arr in model.items()})
+                result.best_epoch, result.best_val_f1 = epoch, f1
+        result.log.append(entry)
+    return result
 
 
 def predict(
@@ -462,8 +449,7 @@ def predict(
     matrix: EmbeddingMatrix,
     idea_ids: Sequence[str],
 ) -> list[SubgraphPrediction]:
-    """The model's prediction for each idea of ``idea_ids``, in order,
-    computed in the model's dtype; the probabilities are float64."""
+    """The model's prediction for each idea of ``idea_ids``, in order."""
     groups = [graph.nodes_of(idea_id) for idea_id in idea_ids]
     if not groups:
         return []
@@ -507,12 +493,12 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[GnnModel, dict]:
-    """The model of a checkpoint written by ``save_model``, in the float32
-    it is stored in (``PRECISION``), and its header. A header without a
-    ``config`` whose ``layers`` and ``hidden_dim`` are ints >= 1, ``labels`` or an ``input_dim`` >= 1,
-    with ``blocks`` other than ``block_shapes`` of those layers, input_dim,
-    hidden_dim and labels, a blob of another length, or a block holding a
-    NaN or infinity raises a FileFormatError naming the file."""
+    """The model of a checkpoint written by ``save_model`` and its header.
+    A header without a ``config`` whose ``layers`` and ``hidden_dim`` are
+    ints >= 1, ``labels`` or an ``input_dim`` >= 1, with ``blocks`` other
+    than ``block_shapes`` of those layers, input_dim, hidden_dim and
+    labels, a blob of another length, or a block holding a NaN or infinity
+    raises a FileFormatError naming the file."""
     def sized(config: dict) -> Optional[str]:
         bad = next((key for key in ("layers", "hidden_dim") if problem(config.get(key), int, at_least(1))), None)
         return bad and f"must be an object whose {bad!r} is an int >= 1, got {config!r}"

@@ -156,7 +156,7 @@ def test_gradient_check():
         items = [([0, 1, 2], int(rng.integers(3))), ([3, 4, 5], int(rng.integers(3)))]
         model = gnn.init_model(gnn.GnnConfig(hidden_dim=8), 4, 3, np.random.default_rng(seed + 50))
         slots = neighbour_slots(arrays)
-        _, analytic = gnn.batch_loss_and_grads(model, gnn.full_forward(model, X, arrays, slots), arrays, slots, items)
+        _, analytic = gnn.batch_loss_and_grads(model, gnn.full_forward(model, X, arrays, slots), slots, items)
 
         def loss_fn():
             cache = gnn.full_forward(model, X, arrays)

@@ -71,7 +71,7 @@ def cast(model, dtype):
 def loss_and_grads(model, X, arcs, items, class_weights=None):
     """``batch_loss_and_grads`` at the node features ``X``."""
     slots = weighted_slots(arcs, np.result_type(X, model.dtype))
-    return batch_loss_and_grads(model, full_forward(model, X, arcs, slots), arcs, slots, items, class_weights)
+    return batch_loss_and_grads(model, full_forward(model, X, arcs, slots), slots, items, class_weights)
 
 
 def random_labeled_graph(seed, n_ideas=2, nodes_per_idea=3, dim=4, n_labels=3):
@@ -123,6 +123,9 @@ class TestForwardLayer:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             one_layer(np.zeros((2, 3)), make_edges([], 2), np.zeros((4, 2)), np.zeros((4, 6)))
+        model = init_model(GnnConfig(layers=2, hidden_dim=4), 3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="state dimension 5 does not match layer input 3"):
+            full_forward(model, np.zeros((2, 5)), make_edges([(0, 1, 1.0)], 2))
 
 
 def reference_forward(model, X, arcs):
@@ -354,7 +357,8 @@ class TestPrecision:
         real = gnn.add_neighbours
         monkeypatch.setattr(gnn, "add_neighbours", lambda *args: added.append(real(*args)) or added[-1])
         cache = full_forward(model, X, graph.arcs)
-        assert [a.dtype for f in dataclasses.fields(cache) for a in getattr(cache, f.name)] == [dtype] * 7
+        assert [a.dtype for a in cache.states + cache.messages + cache.combined] == [dtype] * 7
+        assert cache.degree.dtype == dtype and cache.degree.shape == (len(graph), 1)
         head = pool_and_head(model, cache.states[-1], [ids for ids, _ in items])
         assert [head.sizes.dtype, head.pooled.dtype, head.z1.dtype, head.a1.dtype] == [dtype] * 4
         assert head.probs.dtype == np.float64
@@ -658,6 +662,30 @@ class TestTrain:
         for entry in result.log:
             assert {"epoch", "loss", "lr", "train_accuracy", "val_macro_f1"} <= set(entry)
         assert result.best_epoch is not None
+
+    @pytest.mark.parametrize("scores, best_epoch", [([0.0, 0.0, 0.0], 0), ([0.0, 0.5, 0.5], 1), ([0.3, 0.2, 0.4], 2)])
+    def test_best_epoch_needs_a_strictly_higher_score(self, monkeypatch, separable, scores, best_epoch):
+        corpus, _, matrix, graph = separable
+        config = GnnConfig(hidden_dim=8, max_epochs=3)
+        scripted = iter(scores)
+        monkeypatch.setattr(gnn, "macro_metrics", lambda *args: SimpleNamespace(macro_f1=next(scripted)))
+        result = train(config, graph, matrix, corpus, seed=0)
+        assert [entry["val_macro_f1"] for entry in result.log] == scores
+        assert (result.best_epoch, result.best_val_f1) == (best_epoch, scores[best_epoch])
+        if best_epoch == 0:  # epoch 0 runs at the full learning rate whatever max_epochs is
+            monkeypatch.undo()
+            first = train(dataclasses.replace(config, max_epochs=1), graph, matrix, corpus, seed=0)
+            assert all(np.array_equal(result.model[name], first.model[name]) for name in first.model)
+
+    @pytest.mark.parametrize("validation", [False, True], ids=["no-val", "val"])
+    def test_final_parameters_without_validation_ideas(self, monkeypatch, validation):
+        corpus, graph, matrix, _ = training_instance(0, validation, negatives=False)
+        stepped = []
+        real = gnn.adam_step
+        monkeypatch.setattr(gnn, "adam_step", lambda model, *args: stepped.append(model) or real(model, *args))
+        result = train(GnnConfig(hidden_dim=6, max_epochs=3), graph, matrix, corpus, seed=0)
+        assert (result.model is stepped[-1]) != validation  # the live model, or a copy of the best
+        assert (result.best_epoch is None, result.best_val_f1 is None) == (not validation,) * 2
 
 
 class TestPredict:
