@@ -351,8 +351,7 @@ def build_graph(
     """
     tf = time_features({r.idea_id: r.timestamp for r in records})
     t = [tf[r.idea_id] for r in records for _ in r.viewpoints]
-    pairs = list(map(_pair_edges, records)) if config.hybrid else None
-    return _grow(ViewpointGraph(idea=[], text=[], t=[], config=config), records, matrix, t, causal=False, pairs=pairs)
+    return _grow(ViewpointGraph(idea=[], text=[], t=[], config=config), records, matrix, t, causal=False)
 
 
 def _pair_edges(rec: IdeaViewpoints) -> np.ndarray:
@@ -378,21 +377,26 @@ def integrate_subgraph(
 
     New nodes take the next ids in record order (their matrix rows must
     already be appended). Each new node proposes intra edges among its
-    siblings and inter edges to its top-m nodes among those before its
-    own idea: the existing graph and earlier records. Existing nodes are
-    never re-ranked, so the result matches a from-scratch rebuild exactly
-    only when m covers all foreign nodes, and integrating records in one
-    call equals integrating them one at a time.
+    siblings as ``build_graph`` does (top-k, or in a hybrid graph the
+    siblings its record's relation pairs name) and inter edges to its
+    top-m nodes among those before its own idea: the existing graph and
+    earlier records. Existing nodes are never re-ranked, so the result
+    matches a from-scratch rebuild exactly only when m covers all foreign
+    nodes, and integrating records in one call equals integrating them
+    one at a time.
     """
     return _grow(graph, records, matrix, t, causal=True)
 
 
 def _grow(graph: ViewpointGraph, records: Sequence[IdeaViewpoints], matrix: EmbeddingMatrix,
-          t: Sequence[float], causal: bool, pairs=None) -> ViewpointGraph:
+          t: Sequence[float], causal: bool) -> ViewpointGraph:
     """``graph`` with one block of new nodes per record appended, in record
     order, each proposing edges as ``_propose`` says; ``t`` is every
-    node's time feature. An idea id already in the graph or repeated
-    among the records is refused, as is a matrix without one row per node."""
+    node's time feature. This is the one place a block's intra rule is
+    picked: under ``graph.config.hybrid`` its record's relation pairs
+    (``_pair_edges``), for built and integrated records alike, else
+    top-k. An idea id already in the graph or repeated among the records
+    is refused, as is a matrix without one row per node."""
     seen = set(graph.idea_nodes)
     for rec in records:
         if rec.idea_id in seen:
@@ -401,6 +405,7 @@ def _grow(graph: ViewpointGraph, records: Sequence[IdeaViewpoints], matrix: Embe
     stops = np.cumsum([len(graph)] + [len(rec.viewpoints) for rec in records]).tolist()
     if len(matrix) != stops[-1]:
         raise ValueError(f"matrix has {len(matrix)} rows, expected {stops[-1]}")
+    pairs = list(map(_pair_edges, records)) if graph.config.hybrid else None
     u, v, weight, intra = _propose(matrix, list(zip(stops[:-1], stops[1:])), graph.config, causal, pairs)
     return ViewpointGraph(
         idea=graph.idea + [r.idea_id for r in records for _ in r.viewpoints],

@@ -159,32 +159,35 @@ def inject_negatives(
     returns the enlarged graph and embedding matrix.
 
     Each negative links to the existing graph and to earlier negatives
-    only. Each negative viewpoint takes the embedding row of the first
-    graph node with the same text (copies therefore connect to their
-    sources at weight 1); a text absent from the graph is an error, as are
-    a label that is not an index of the corpus's label set and an id of a
-    corpus idea or of an idea already in the graph. All temporal
-    features are re-encoded over corpus plus negatives, so the negatives
-    carry the latest feature and everything stays in [0, 1].
+    only, under the graph's config. Each negative viewpoint takes the
+    embedding row of the first graph node with the same text (copies
+    therefore connect to their sources at weight 1). In a hybrid graph a
+    negative's relations are its source's, read from the source's intra
+    edges: those between two texts the negative holds, whatever their
+    slots, so a copy keeps all of them. A text absent from the graph is
+    an error, as are a label that is not an index of the corpus's label
+    set, an id of a corpus idea or of an idea already in the graph, and in
+    a hybrid graph a source without nodes. All temporal features are
+    re-encoded over corpus plus negatives, so the negatives carry the
+    latest feature and everything stays in [0, 1].
     """
+    first_node = {text: node for node, text in reversed(list(enumerate(graph.text)))}  # each text's first node
     n_labels = len(corpus.label_set)
     for neg in negatives:
         if corpus.by_id(neg.id) is not None:
             raise ValueError(f"negative id {neg.id!r} collides with an existing idea")
         if not 0 <= neg.label < n_labels:
             raise ValueError(f"negative {neg.id!r} has label {neg.label}, not one of the corpus's {n_labels} labels")
+        if (absent := next((text for text in neg.viewpoints if text not in first_node), None)) is not None:
+            raise ValueError(f"negative {neg.id!r} has viewpoint text absent from the graph: {absent!r}")
+        if graph.config.hybrid and neg.source_id not in graph.idea_nodes:
+            raise ValueError(f"negative {neg.id!r} has source idea {neg.source_id!r}, which has no nodes in the graph")
+    matrix = matrix.extend(matrix.rows[[first_node[text] for neg in negatives for text in neg.viewpoints]])
 
-    by_text: dict[str, np.ndarray] = {}
-    for node, text in enumerate(graph.text):
-        by_text.setdefault(text, matrix.rows[node])
-    rows = []
-    for neg in negatives:
-        for text in neg.viewpoints:
-            if text not in by_text:
-                raise ValueError(f"negative {neg.id!r} has viewpoint text absent from the graph: {text!r}")
-            rows.append(by_text[text])
-    if rows:
-        matrix = matrix.extend(np.stack(rows))
+    relations: dict[str, list[tuple[str, str]]] = {}  # idea -> the texts its intra edges join
+    if graph.config.hybrid:
+        for a, b in zip(graph.u[graph.intra].tolist(), graph.v[graph.intra].tolist()):
+            relations.setdefault(graph.idea[a], []).append((graph.text[a], graph.text[b]))
 
     timestamps = {i.id: i.timestamp for i in corpus.ideas}
     timestamps.update((n.id, n.timestamp) for n in negatives)
@@ -192,7 +195,10 @@ def inject_negatives(
     # previously injected ideas are absent from the corpus: keep their feature
     t = [features.get(idea, old) for idea, old in zip(graph.idea, graph.t.tolist())]
     t += [features[n.id] for n in negatives for _ in n.viewpoints]
-    records = [IdeaViewpoints(idea_id=n.id, viewpoints=n.viewpoints, timestamp=n.timestamp) for n in negatives]
+    records = [IdeaViewpoints(idea_id=n.id, viewpoints=n.viewpoints, timestamp=n.timestamp,
+                              pairs=[(left, "", "", right) for left, right in relations.get(n.source_id, ())
+                                     if left in n.viewpoints and right in n.viewpoints])
+               for n in negatives]
     return integrate_subgraph(graph, records, matrix, t), matrix
 
 

@@ -3,8 +3,10 @@
 One JSON config file drives everything. Each stage records content hashes
 of its inputs and outputs in the run manifest; a stage whose inputs are
 unchanged and whose outputs still match is skipped on rerun (``--force``
-overrides). All stage randomness derives from the single global seed via
-``seed_for(seed, stage_name)``.
+overrides). All stage randomness derives from the single global seed:
+``split`` uses the seed itself, and ``extract``, ``gen-negatives`` and
+``train`` take ``seed_for(seed, name)`` under the names ``extract``,
+``negatives`` and ``train``.
 """
 
 from __future__ import annotations
@@ -108,12 +110,6 @@ def validate_config(source) -> RunConfig:
         raise ConfigError([f"config: must be an object, got {type(data).__name__}"], config_file)
     kinds = field_kinds(RunConfig)
     errors = [f"{path}: {broken}" for path, broken in check(data, kinds)]
-
-    def enabled(section: str, key: str) -> bool:
-        return isinstance(data.get(section), dict) and data[section].get(key) is True
-
-    if enabled("graph", "hybrid") and not enabled("llm", "relations"):
-        errors.append("graph.hybrid: requires llm.relations to be enabled")
     if errors:
         raise ConfigError(errors, config_file)
 
@@ -126,6 +122,7 @@ def validate_config(source) -> RunConfig:
     sections = {key: section(key, value) for key, value in data.items() if isinstance(value, dict)}
     config = RunConfig(**{**data, **sections})
     config.split.fractions = tuple(float(f) for f in config.split.fractions)
+    config.llm.relations |= config.graph.hybrid  # a hybrid graph's intra edges are the extracted relations
     return config
 
 
@@ -415,7 +412,7 @@ def stage_table(config: RunConfig) -> list[Stage]:
     """The stages ``run`` executes for this config, in order."""
     lp = config.engine in ("lp", "both")
     gnn = config.engine in ("gnn", "both")
-    novelty = config.novelty.enabled
+    novelty = gnn and config.novelty.enabled  # negatives are drawn only for train to inject
     train_inputs = ["graph", "split", "embeddings"] + (["negatives"] if novelty else [])
     eval_inputs = ["split", "tokens"] + (["lp_pred"] if lp else []) + (["gnn_pred"] if gnn else [])
     # extract's snapshot holds what changes its output: not the price, the

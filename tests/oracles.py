@@ -108,6 +108,36 @@ def brute_force_graph_edges(
     return edges
 
 
+def per_node_propose(matrix, blocks, config, causal, top_k=True):
+    """The build's selection as it was before it ran per block, kept as
+    the reference: per node one similarity matvec and one full stable
+    argsort of its siblings and of the nodes outside its block."""
+    rows, norms = matrix.rows, matrix.norms
+    proposed = {True: [], False: []}
+    for lo, hi in blocks:
+        for i in range(lo, hi):
+            stop = hi if causal else None
+            sims = (rows[:stop] @ rows[i]) / (norms[:stop] * norms[i])
+            foreign = -sims
+            siblings = foreign[lo:hi].copy()
+            siblings[i - lo] = np.inf
+            foreign[lo:hi] = np.inf
+            if top_k:
+                picked = lo + np.argsort(siblings, kind="stable")[: min(config.k, hi - lo - 1)]
+                proposed[True].append((i, picked, sims[picked]))
+            picked = np.argsort(foreign, kind="stable")[: min(config.m, len(sims) - (hi - lo))]
+            proposed[False].append((i, picked, sims[picked]))
+    found = proposed[True] + proposed[False]
+    counts = [len(targets) for _, targets, _ in found]
+    proposers = np.repeat(np.array([i for i, _, _ in found], dtype=np.int64), counts)
+    targets = np.concatenate([np.zeros(0, np.int64)] + [targets for _, targets, _ in found])
+    sims = np.concatenate([np.zeros(0)] + [sims for _, _, sims in found])
+    intra = np.arange(len(sims)) < sum(counts[: len(proposed[True])])
+    u, v = np.minimum(proposers, targets), np.maximum(proposers, targets)
+    _, first = np.unique(u * (len(matrix) + 1) + v, return_index=True)
+    return u[first], v[first], np.minimum(1.0, np.maximum(config.weight_floor, sims[first])), intra[first]
+
+
 def per_pair_relation_edges(records, matrix, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hybrid intra edges as the graph build made them before it weighted
     them per block, kept as the reference: one similarity row per relation

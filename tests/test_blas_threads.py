@@ -8,7 +8,9 @@ The build's causal path (negative injection) takes each block's
 similarities over the rows up to that block's own end, not over one
 longer prefix shared by blocks: a gemv over a longer prefix can change
 the last bit of a sum; ``TestInject`` checks one-pass injection against
-one negative at a time. The stub embedding's rows divide by norms taken
+one negative at a time, and ``TestInjectRelations`` (which ``TestInject``
+selects too) a hybrid graph's injection against the per-pair and
+per-node references. The stub embedding's rows divide by norms taken
 as one dot product per row, as ``np.linalg.norm`` takes each row's.
 
 The selection runs in a child ``pytest`` with ``OPENBLAS_NUM_THREADS=4``,

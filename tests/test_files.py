@@ -62,11 +62,11 @@ MUTATIONS = {
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    """An lp run with negatives on the demo corpus."""
+    """A run of both engines with negatives on the demo corpus."""
     run = tmp_path_factory.mktemp("intact")
     save_corpus(demo_corpus(), run / "corpus.jsonl")
-    data = {"corpus": str(run / "corpus.jsonl"), "out_dir": str(run), "seed": 3, "engine": "lp",
-            "novelty": {"enabled": True, "count": 6, "train_subset": 3}}
+    data = {"corpus": str(run / "corpus.jsonl"), "out_dir": str(run), "seed": 3, "engine": "both",
+            "gnn": {"hidden_dim": 8, "max_epochs": 2}, "novelty": {"enabled": True, "count": 6, "train_subset": 3}}
     run_pipeline(validate_config(data), quiet=True)
     return run
 

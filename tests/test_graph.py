@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphs import assert_same_graph, edge_dict, kind_degree, toy_graph
-from oracles import (brute_force_graph_edges, graph_json_arrays, graph_json_dumps, per_pair_relation_edges,
-                     runs_of_blocks, runs_of_slots)
+from oracles import (brute_force_graph_edges, graph_json_arrays, graph_json_dumps, per_node_propose,
+                     per_pair_relation_edges, runs_of_blocks, runs_of_slots)
 from viewgraph import graph as graph_module
 from viewgraph.cli import main as cli_main
 from viewgraph.dataset import IdeaViewpoints, save_corpus, split_corpus
@@ -288,36 +288,6 @@ class TestIntegrate:
         once = integrate_subgraph(base, new, EmbeddingMatrix(rows[:stop]), np.zeros(stop))
         assert (once.idea, once.text) == (chain.idea, chain.text)
         assert list(edge_dict(once).items()) == list(edge_dict(chain).items())
-
-
-def per_node_propose(matrix, blocks, config, causal, top_k=True):
-    """The build's selection as it was before it ran per block, kept as
-    the reference: per node one similarity matvec and one full stable
-    argsort of its siblings and of the nodes outside its block."""
-    rows, norms = matrix.rows, matrix.norms
-    proposed = {True: [], False: []}
-    for lo, hi in blocks:
-        for i in range(lo, hi):
-            stop = hi if causal else None
-            sims = (rows[:stop] @ rows[i]) / (norms[:stop] * norms[i])
-            foreign = -sims
-            siblings = foreign[lo:hi].copy()
-            siblings[i - lo] = np.inf
-            foreign[lo:hi] = np.inf
-            if top_k:
-                picked = lo + np.argsort(siblings, kind="stable")[: min(config.k, hi - lo - 1)]
-                proposed[True].append((i, picked, sims[picked]))
-            picked = np.argsort(foreign, kind="stable")[: min(config.m, len(sims) - (hi - lo))]
-            proposed[False].append((i, picked, sims[picked]))
-    found = proposed[True] + proposed[False]
-    counts = [len(targets) for _, targets, _ in found]
-    proposers = np.repeat(np.array([i for i, _, _ in found], dtype=np.int64), counts)
-    targets = np.concatenate([np.zeros(0, np.int64)] + [targets for _, targets, _ in found])
-    sims = np.concatenate([np.zeros(0)] + [sims for _, _, sims in found])
-    intra = np.arange(len(sims)) < sum(counts[: len(proposed[True])])
-    u, v = np.minimum(proposers, targets), np.maximum(proposers, targets)
-    _, first = np.unique(u * (len(matrix) + 1) + v, return_index=True)
-    return u[first], v[first], np.minimum(1.0, np.maximum(config.weight_floor, sims[first])), intra[first]
 
 
 def block_instance(seed: int, dim: int = 5, n_blocks=None, distinct=None, start: int = 0):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from graphs import edge_dict
+from oracles import per_node_propose, per_pair_relation_edges
 from viewgraph.dataset import Corpus, Idea, IdeaViewpoints
-from viewgraph.embedding import EmbeddingMatrix
+from viewgraph.embedding import EmbeddingMatrix, EmbeddingProvider, embed
 from viewgraph.fixtures import TWO_LABELS
-from viewgraph.graph import ViewpointGraph, integrate_subgraph
+from viewgraph.graph import GraphConfig, ViewpointGraph, build_graph, integrate_subgraph
+from viewgraph.llm import LlmBackend, extract_corpus
 from viewgraph.novelty import (
     ONE_DAY,
     STRATEGIES,
@@ -298,6 +300,95 @@ class TestInject:
         again = replace(samples[1], id=samples[0].id)
         with pytest.raises(ValueError, match=f"^idea '{samples[0].id}' already in graph$"):
             inject_negatives(grown, grown_matrix, [again], corpus)
+
+
+@pytest.fixture(scope="module")
+def hybrid(separable):
+    """The separable corpus, its matrix and its hybrid graph, on viewpoints
+    extracted with relations."""
+    corpus = separable[0]
+    records, _ = extract_corpus(corpus.ideas, LlmBackend(relations=True))
+    matrix = embed([v for r in records for v in r.viewpoints], EmbeddingProvider(provider="stub", dimension=32))
+    return corpus, matrix, build_graph(records, matrix, GraphConfig(hybrid=True))
+
+
+def relations(graph: ViewpointGraph, idea_id: str) -> list[tuple[str, str]]:
+    """The texts each intra edge of the idea joins, lower node first, in edge order."""
+    nodes = graph.idea_nodes[idea_id]
+    return [(graph.text[u], graph.text[v])
+            for u, v, intra in zip(graph.u.tolist(), graph.v.tolist(), graph.intra.tolist()) if intra and u in nodes]
+
+
+def held(graph: ViewpointGraph, neg: NegativeSample) -> list[tuple[str, str]]:
+    """The relations of the negative's source between two texts it holds."""
+    return [pair for pair in relations(graph, neg.source_id) if set(pair) <= set(neg.viewpoints)]
+
+
+def injected_edges(graph: ViewpointGraph, grown: ViewpointGraph) -> tuple[np.ndarray, ...]:
+    """The edges of ``grown`` that the negatives injected into ``graph``
+    proposed, as (u, v, weight, intra): those with an end among the new nodes."""
+    new = grown.v >= len(graph)
+    return grown.u[new], grown.v[new], grown.weight[new], grown.intra[new]
+
+
+class TestInjectRelations:
+    """In a hybrid graph a negative's intra edges are its source's
+    relations between texts it holds; in a similarity graph its top-k
+    siblings, as before."""
+
+    def test_negatives_keep_their_sources_relations_between_texts_they_hold(self, hybrid):
+        corpus, matrix, graph = hybrid
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=12), seed=1)
+        source = samples[0].source_id
+        texts = [graph.text[n] for n in graph.idea_nodes[source]]
+        # the source's texts in reverse: every relation keeps its texts, in other slots
+        samples.append(NegativeSample("neg-reversed", source, "random-swap", tuple(reversed(texts)), samples[0].timestamp))
+        grown, _ = inject_negatives(graph, matrix, samples, corpus)
+        for neg in samples:
+            assert set(map(frozenset, relations(grown, neg.id))) == set(map(frozenset, held(graph, neg))), neg.id
+            if neg.strategy == "copy" or neg.id == "neg-reversed":
+                assert held(graph, neg) == relations(graph, neg.source_id) != [], neg.id
+        assert any(held(graph, neg) != relations(graph, neg.source_id) for neg in samples)  # a swap dropped one
+
+    def test_injected_edges_equal_the_per_pair_and_per_node_references(self, hybrid):
+        """Intra weights from one similarity row per relation (from its
+        lower source node's text to the other), over the rows up to the
+        negative's block end as causal growth takes them; inter edges the
+        per-node top-m's."""
+        corpus, matrix, graph = hybrid
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=12), seed=2)
+        grown, grown_matrix = inject_negatives(graph, matrix, samples, corpus)
+        found, start = [], len(graph)
+        for neg in samples:
+            stop = start + len(neg.viewpoints)
+            pairs = [(left, "and", "supporting", right) for left, right in held(graph, neg)]
+            records = [IdeaViewpoints("before", tuple(grown.text[:start])), IdeaViewpoints(neg.id, neg.viewpoints, pairs=pairs)]
+            found.append((*per_pair_relation_edges(records, EmbeddingMatrix(grown_matrix.rows[:stop])), True))
+            u, v, weight, _ = per_node_propose(grown_matrix, [(start, stop)], graph.config, causal=True, top_k=False)
+            found.append((u, v, weight, False))
+            start = stop
+        u, v, weight = (np.concatenate([f[j] for f in found]) for j in range(3))
+        intra = np.concatenate([np.full(len(f[0]), f[3]) for f in found])
+        order = np.lexsort((v, u))
+        got = injected_edges(graph, grown)
+        assert got[3].any()
+        for name, g, w in zip(("u", "v", "weight", "intra"), got, (u[order], v[order], weight[order], intra[order])):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+    def test_similarity_graph_negatives_take_top_k_siblings(self, separable):
+        corpus, _, matrix, graph = separable
+        samples, _ = generate_negatives(corpus, graph, NoveltyConfig(count=12), seed=2)
+        grown, grown_matrix = inject_negatives(graph, matrix, samples, corpus)
+        stops = np.cumsum([len(graph)] + [len(neg.viewpoints) for neg in samples]).tolist()
+        want = per_node_propose(grown_matrix, list(zip(stops[:-1], stops[1:])), graph.config, causal=True)
+        for name, got, w in zip(("u", "v", "weight", "intra"), injected_edges(graph, grown), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w), name
+
+    def test_source_without_nodes_named(self, hybrid):
+        corpus, matrix, graph = hybrid
+        bad = NegativeSample("neg-x", "nowhere", "copy", (graph.text[0],), 10**10)
+        with pytest.raises(ValueError, match="^negative 'neg-x' has source idea 'nowhere', which has no nodes in the graph$"):
+            inject_negatives(graph, matrix, [bad], corpus)
 
 
 class TestSerialization:

@@ -149,6 +149,10 @@ class TestValidateConfig:
         assert error in stderr and "Traceback" not in stderr
         assert not (tmp_path / "run").exists()
 
+    def test_hybrid_graph_turns_relation_extraction_on(self):
+        assert validate_config({"graph": {"hybrid": True}}).llm.relations is True
+        assert validate_config({}).llm.relations is False
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 5, "engine": "both"}))
@@ -388,6 +392,13 @@ class TestRunPipeline:
         neg = (tmp_path / "nov" / "negatives.jsonl").read_text().splitlines()
         held = (tmp_path / "nov" / "negatives_holdout.jsonl").read_text().splitlines()
         assert len(neg) == 2 and len(held) == 4
+
+    def test_lp_run_draws_no_negatives(self, tmp_path, demo_file):
+        """Only train injects negatives: an lp run with novelty on draws
+        none, so a source threshold above every label stops nothing."""
+        manifest = run_pipeline(demo_config(tmp_path, demo_file, novelty={"enabled": True, "threshold": 4}), quiet=True)
+        assert [s["name"] for s in manifest["stages"]] == ["split", "extract", "embed", "build", "lp", "eval"]
+        assert not list((tmp_path / "run").glob("negatives*"))
 
     def test_failing_stage_names_itself_and_writes_partial_manifest(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
@@ -709,6 +720,16 @@ class TestCli:
         assert self.run("eval", "--lp-pred", preds, "--corpus", split, "--out", report, "--quiet") == 0
         payload = json.loads(report.read_text())
         assert {"accuracy", "macro_precision", "macro_recall", "macro_f1"} <= set(payload["lp"])
+
+    def test_build_hybrid_without_config_writes_the_hybrid_runs_graph(self, tmp_path, demo_file):
+        """``graph.hybrid`` alone makes a hybrid run, and ``build --hybrid``
+        alone takes the relations in the run's viewpoints file."""
+        run_pipeline(demo_config(tmp_path, demo_file, graph={"hybrid": True}), quiet=True)
+        run, graph = tmp_path / "run", tmp_path / "graph.bin"
+        assert self.run("build", "--viewpoints", run / "viewpoints.jsonl", "--embeddings", run / "embeddings.bin",
+                        "--hybrid", "--out", graph, "--quiet") == 0
+        assert graph.read_bytes() == (run / "graph.bin").read_bytes()
+        assert load_graph(graph).intra.any()
 
     def test_lp_refuses_an_unsplit_corpus_naming_it(self, tmp_path, capsys, demo_file):
         """The raw corpus has no train ideas, so no label to propagate: lp
@@ -1080,7 +1101,7 @@ class TestCli:
     OTHER_IDEAS = CORPUS + '{"id": "idea-00", "text": "A.", "label": "bad", "split": "train"}\n'
     # case -> (files to write, argv, the whole stderr). A file's content is
     # text or bytes; None makes a directory. An argv naming a path under
-    # run/ gets a demo12 run there first.
+    # run/ gets a demo12 run with a hybrid graph there first.
     REFUSALS = {
         # pathlib drops the trailing slash of data/
         "corpus-is-a-directory": ({"data": None}, ["split", "--in", "data/", "--out", "out.jsonl"],
@@ -1098,10 +1119,6 @@ class TestCli:
                               ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--config", "config.json"],
                               "error: invalid config file config.json:\n"
                               "  split.fractions: must be non-negative, got [1.2, -0.2, 0.0]\n"),
-        "hybrid-without-relations": ({"config.json": '{"graph": {"hybrid": true}}'},
-                                     ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--config", "config.json"],
-                                     "error: invalid config file config.json:\n"
-                                     "  graph.hybrid: requires llm.relations to be enabled\n"),
         "rounded-fractions-overflow": (
             {"corpus.jsonl": CORPUS + "".join(f'{{"id": "{i}", "text": "{i}.", "label": "good"}}\n' for i in "abc")},
             ["split", "--in", "corpus.jsonl", "--out", "out.jsonl", "--fractions", "0.5,0.5,0"],
@@ -1131,6 +1148,13 @@ class TestCli:
             ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings", "run/embeddings.bin",
              "--negatives", "negs.jsonl", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
             "error: negs.jsonl: negative 'neg-copy-000' has label 9, not one of the corpus's 4 labels\n"),
+        # the run's graph is hybrid: a negative takes its source's relations
+        "negative-of-unknown-source": (
+            {"negs.jsonl": '{"id": "neg-copy-000", "source_id": "nowhere", "strategy": "copy", '
+                           '"viewpoints": ["No baseline comparison is reported."], "timestamp": 0}\n'},
+            ["train", "--graph", "run/graph.bin", "--corpus", "run/split.jsonl", "--embeddings", "run/embeddings.bin",
+             "--negatives", "negs.jsonl", "--out", "out.ckpt", "--gnn-pred", "out.jsonl"],
+            "error: negs.jsonl: negative 'neg-copy-000' has source idea 'nowhere', which has no nodes in the graph\n"),
         "trailing-text": ({"corpus.jsonl": CORPUS + '{"id": "a", "text": "A."} and more\n'},
                           ["split", "--in", "corpus.jsonl", "--out", "out.jsonl"],
                           "error: corpus.jsonl: line 2: invalid JSON (Extra data): "
@@ -1169,7 +1193,8 @@ class TestCli:
         files, argv, stderr = self.REFUSALS[case]
         monkeypatch.chdir(tmp_path)
         if any(arg.startswith("run/") for arg in argv):
-            run_pipeline(validate_config({"corpus": str(demo_file), "out_dir": "run"}), quiet=True)
+            hybrid = {"corpus": str(demo_file), "out_dir": "run", "graph": {"hybrid": True}}
+            run_pipeline(validate_config(hybrid), quiet=True)
         for name, content in {"corpus.jsonl": self.CORPUS, **files}.items():
             if content is None:
                 Path(name).mkdir()

@@ -15,7 +15,9 @@ with
 
     PYTHONPATH=src python tests/test_run_hashes.py --write
 
-and names the changed files in CHANGES.md.
+and names in CHANGES.md the entries it prints: each changed entry's run
+and file, with its old and new hash prefixes (``added`` or ``removed``
+for an entry only one of the tables has).
 """
 
 from __future__ import annotations
@@ -111,6 +113,16 @@ def measure(threads: str = "1", *flags: str) -> dict:
     return json.loads(child.stdout)
 
 
+def changes(old: dict, new: dict) -> list[tuple[str, str, str | None, str | None]]:
+    """The (run, file, old hash, new hash) of each entry that differs
+    between two tables' runs, sorted; a hash is None where its table has
+    no such entry."""
+    return [(run, name, old.get(run, {}).get(name), new.get(run, {}).get(name))
+            for run in sorted(old.keys() | new.keys())
+            for name in sorted(old.get(run, {}).keys() | new.get(run, {}).keys())
+            if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
+
+
 def test_run_files_match_the_table():
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     got = measure()
@@ -118,9 +130,7 @@ def test_run_files_match_the_table():
                for key, value in got["platform"].items() if table["platform"].get(key) != value]
     if differs:
         pytest.skip(f"{TABLE.name} was written on another platform: " + "; ".join(differs))
-    changed = [f"{run}/{name}" for run in sorted(table["runs"].keys() | got["runs"].keys())
-               for name in sorted(table["runs"].get(run, {}).keys() | got["runs"].get(run, {}).keys())
-               if table["runs"].get(run, {}).get(name) != got["runs"].get(run, {}).get(name)]
+    changed = [f"{run}/{name}" for run, name, _, _ in changes(table["runs"], got["runs"])]
     assert not changed, f"run files whose bytes differ from {TABLE.name}: {changed}"
 
 
@@ -135,7 +145,11 @@ def test_files_up_to_lp_do_not_depend_on_the_blas_thread_count():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        TABLE.write_text(json.dumps(measure(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        old = json.loads(TABLE.read_text(encoding="utf-8"))["runs"] if TABLE.exists() else {}
+        got = measure()
+        for run, name, before, after in changes(old, got["runs"]):
+            print(f"{run}/{name}: {(before or 'added')[:12]} -> {(after or 'removed')[:12]}")
+        TABLE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {TABLE}")
     else:
         with tempfile.TemporaryDirectory() as tmp:
